@@ -48,6 +48,7 @@ from .rates import (
     key_rate,
     mub_closed_forms,
     qber,
+    rate_report,
     success_rate,
     table1,
 )
@@ -98,6 +99,7 @@ __all__ = [
     "qber",
     "qubit_six_state_set",
     "qutrit_complete_set",
+    "rate_report",
     "run_trial",
     "save_basis_set",
     "simulate_bkb01",

@@ -325,11 +325,13 @@ def load_basis_set(path) -> BasisSet:
     All BasisSet invariants (orthonormality, no shared states, c >= 2)
     are enforced; violations raise InvalidParameter.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InvalidParameter(f"not a valid basis-set file: {exc}") from exc
+    except OSError as exc:
+        raise InvalidParameter(f"cannot read basis-set file: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise InvalidParameter(f"not a valid basis-set file: {exc}") from exc
     try:
         d, c, entries = int(doc["d"]), int(doc["c"]), doc["bases"]
     except (KeyError, TypeError) as exc:

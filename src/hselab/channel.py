@@ -254,6 +254,11 @@ class TcpTransport:
             line = self._reader.readline()
         except OSError as exc:
             raise SessionError(f"recv failed: {exc}") from exc
+        except ValueError:
+            # a relay pump may close this side while the other pump reads it
+            if self._reader.closed:
+                return None
+            raise
         return line if line else None
 
     def close(self) -> None:

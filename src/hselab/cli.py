@@ -8,6 +8,7 @@ full precision while table output follows the display rounding rules.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -77,6 +78,8 @@ def resolve_eve(spec: str, basis_set) -> Basis | None:
     if spec.startswith("file:"):
         path, _, idx_txt = spec[5:].partition("#")
         loaded = bases_mod.load_basis_set(path)
+        if idx_txt and not idx_txt.isdigit():
+            raise InvalidParameter(f"bad eve basis index in {spec!r}")
         idx = int(idx_txt) if idx_txt else 0
         if not 0 <= idx < loaded.c:
             raise InvalidParameter(f"eve basis index {idx} outside 0..{loaded.c - 1}")
@@ -135,35 +138,15 @@ def _bases_verify(target, tol: float) -> int:
     return 0 if all_ok else 1
 
 
-def _report_rows(report: rates.RateReport) -> dict:
-    def val(q):
-        return None if q is None else q.value
-
-    return {
-        "protocol": report.protocol,
-        "d": report.d,
-        "c": report.c,
-        "method": report.method,
-        "r_qb": val(report.r_qb),
-        "r_it": val(report.r_it),
-        "r_s": val(report.r_s),
-        "r_t": val(report.r_t),
-        "r_k": val(report.r_k),
-        "r_be": val(report.r_be),
-        "n_s": val(report.n_s),
-        "note": report.note,
-    }
-
-
 def format_table1(rows, fmt: str) -> str:
     if fmt == "jsonl":
-        return "\n".join(json.dumps(_report_rows(r)) for r in rows)
+        return "\n".join(json.dumps(dataclasses.asdict(r)) for r in rows)
     if fmt == "csv":
         lines = ["protocol,d,c,r_qb,r_it,r_t,n_s"]
         for r in rows:
             cells = [r.protocol, str(r.d), str(r.c)]
             for q in (r.r_qb, r.r_it, r.r_t, r.n_s):
-                cells.append("" if q is None else repr(q.value))
+                cells.append("" if q is None else repr(q))
             lines.append(",".join(cells))
         return "\n".join(lines)
     header = f"{'Protocol':16s} {'(d,c)':7s} {'R_QB':>7s} {'R_IT':>7s} {'R_t':>7s} {'N_s':>6s}"
@@ -176,10 +159,10 @@ def format_table1(rows, fmt: str) -> str:
             mark = f" [{len(notes)}]"
         lines.append(
             f"{r.protocol:16s} ({r.d},{r.c})  "
-            f"{display_percent(r.r_qb.value if r.r_qb else None):>7s} "
-            f"{display_percent(r.r_it.value if r.r_it else None):>7s} "
-            f"{display_percent(r.r_t.value if r.r_t else None):>7s} "
-            f"{display_ns(r.n_s.value if r.n_s else None):>6s}{mark}"
+            f"{display_percent(r.r_qb):>7s} "
+            f"{display_percent(r.r_it):>7s} "
+            f"{display_percent(r.r_t):>7s} "
+            f"{display_ns(r.n_s):>6s}{mark}"
         )
     for i, note in enumerate(notes, 1):
         lines.append(f"[{i}] {note}")
@@ -196,16 +179,7 @@ def cmd_rates(args) -> int:
     if args.protocol == "bkb01":
         if args.d is None or args.c is None:
             raise InvalidParameter("bkb01 needs --d and --c")
-        forms = rates.bkb01_rates(args.c, args.d)
-        report = rates.RateReport(
-            protocol="bkb01",
-            d=args.d,
-            c=args.c,
-            method="closed_form_mub",
-            r_qb=rates.Quantity(forms.r_qb),
-            r_t=rates.Quantity(forms.r_t),
-            n_s=rates.Quantity(forms.n_s),
-        )
+        report = rates._bkb01_row("bkb01", args.d, args.c)
     elif args.protocol in ("hse", "kmb09"):
         c = args.c
         if args.protocol == "kmb09":
@@ -220,54 +194,23 @@ def cmd_rates(args) -> int:
             eve = resolve_eve(args.eve if args.eve is not None else "basis:0", basis_set)
             if eve is None:
                 raise InvalidParameter("analytic attack rates need an eve basis")
-            r_s = rates.success_rate(basis_set)
-            r_k = rates.key_rate(basis_set, eve)
-            r_be = rates.bob_error_rate(basis_set, eve)
-            r_t = rates.bit_transmission_rate(basis_set)
-            report = rates.RateReport(
-                protocol=args.protocol,
-                d=basis_set.d,
-                c=basis_set.c,
-                method="enumeration",
-                r_qb=rates.Quantity(rates.qber(basis_set, eve)),
-                r_it=rates.Quantity(rates.iter_rate(basis_set, eve)),
-                r_s=rates.Quantity(r_s),
-                r_t=rates.Quantity(r_t),
-                r_k=rates.Quantity(r_k),
-                r_be=rates.Quantity(r_be),
-                n_s=rates.Quantity((basis_set.c - 1) / r_t),
-            )
+            report = rates.rate_report(basis_set, eve, protocol=args.protocol)
         else:
             if args.d is None or c is None:
                 raise InvalidParameter("closed forms need --d and --c (or --set)")
-            forms = rates.mub_closed_forms(c, args.d)
-            note = "c exceeds d+1: no such MU set exists" if forms.c_exceeds_known_max else ""
-            report = rates.RateReport(
-                protocol=args.protocol,
-                d=args.d,
-                c=c,
-                method="closed_form_mub",
-                r_qb=rates.Quantity(forms.r_qb),
-                r_it=rates.Quantity(forms.r_it),
-                r_s=rates.Quantity(forms.r_s),
-                r_t=rates.Quantity(forms.r_t),
-                r_k=rates.Quantity(forms.r_k),
-                r_be=rates.Quantity(forms.r_be),
-                n_s=rates.Quantity(forms.n_s),
-                note=note,
-            )
+            note = "c exceeds d+1: no such MU set exists" if c > args.d + 1 else ""
+            report = rates._hse_row(args.protocol, args.d, c, note=note)
     else:
         raise InvalidParameter(f"unknown protocol {args.protocol!r}")
 
+    row = dataclasses.asdict(report)
     if args.format == "jsonl":
-        print(json.dumps(_report_rows(report)))
+        print(json.dumps(row))
     elif args.format == "csv":
-        row = _report_rows(report)
         keys = [k for k in row if k not in ("note",)]
         print(",".join(keys))
         print(",".join("" if row[k] is None else (repr(row[k]) if isinstance(row[k], float) else str(row[k])) for k in keys))
     else:
-        row = _report_rows(report)
         print(f"{report.protocol} (d={report.d}, c={report.c}) via {report.method}")
         for key in ("r_qb", "r_it", "r_s", "r_t", "r_k", "r_be"):
             if row[key] is not None:

@@ -23,7 +23,7 @@ from . import rates
 from .bases import BasisSet
 from .errors import InvalidParameter
 from .hilbert import Basis, born_probabilities
-from .protocol import ALICE, BOB, EVE, TrialOutcome, infer_letter, run_trial
+from .protocol import ALICE, BOB, EVE, TrialOutcome, infer_letter
 from .rates import ProtocolConfig
 from .rng import bulk_uniforms, scaled_index, trial_keys
 
@@ -104,11 +104,12 @@ def _born_tensor(targets, states) -> np.ndarray:
     return np.stack(rows)
 
 
-def _hse_tensors(config: ProtocolConfig):
-    members = config.basis_set.bases
-    c, d = config.c, config.d
-    if config.eve is not None:
-        eve = config.eve
+def _hse_tensors(basis_set: BasisSet, eve: Basis | None):
+    """Cumulative Born rows of one slot: (to_eve, from_eve) through Eve,
+    else (direct,).  BKB01 sends one state through the same channel."""
+    members = basis_set.bases
+    c, d = basis_set.c, basis_set.d
+    if eve is not None:
         to_eve = _born_tensor(
             [eve] * (c * d), [members[x].vectors[i] for x in range(c) for i in range(d)]
         ).reshape(c, d, d)
@@ -193,16 +194,11 @@ class _Counts:
 
 def _hse_analytics(config: ProtocolConfig):
     if config.eve is not None and config.intercept_fraction == 1.0:
-        sift = rates.key_rate(config.basis_set, config.eve)
-        it = rates.iter_rate(config.basis_set, config.eve)
-        qb = rates.qber(config.basis_set, config.eve)
-    elif config.eve is None or config.intercept_fraction == 0.0:
-        sift = rates.success_rate(config.basis_set)
-        it = 0.0
-        qb = 0.0
-    else:
-        raise InvalidParameter("no analytic rates for partial interception")
-    return sift, it, qb
+        report = rates.rate_report(config.basis_set, config.eve)
+        return report.r_k, report.r_it, report.r_qb
+    if config.eve is None or config.intercept_fraction == 0.0:
+        return rates.success_rate(config.basis_set), 0.0, 0.0
+    raise InvalidParameter("no analytic rates for partial interception")
 
 
 def estimate_rates(config: ProtocolConfig, n_trials: int, seed: int) -> SimReport:
@@ -213,13 +209,10 @@ def estimate_rates(config: ProtocolConfig, n_trials: int, seed: int) -> SimRepor
     started = time.perf_counter()
     sift_analytic, it_analytic, qb_analytic = _hse_analytics(config)
     counts = _Counts()
-    if config.eve is not None and 0.0 < config.intercept_fraction < 1.0:
-        _accumulate_scalar(config, seed, n_trials, counts)
-    else:
-        tensors = _hse_tensors(config)
-        for start in range(0, n_trials, CHUNK):
-            block = _hse_block(config, seed, start, min(CHUNK, n_trials - start), tensors)
-            counts.add_block(config.c, *block)
+    tensors = _hse_tensors(config.basis_set, config.eve)
+    for start in range(0, n_trials, CHUNK):
+        block = _hse_block(config, seed, start, min(CHUNK, n_trials - start), tensors)
+        counts.add_block(config.c, *block)
     return SimReport(
         protocol="hse",
         d=config.d,
@@ -234,22 +227,10 @@ def estimate_rates(config: ProtocolConfig, n_trials: int, seed: int) -> SimRepor
     )
 
 
-def _accumulate_scalar(config: ProtocolConfig, seed: int, n_trials: int, counts: _Counts) -> None:
-    """Per-trial fallback for partial interception (no batch form)."""
-    for t in range(n_trials):
-        outcome = run_trial(config, t, seed)
-        counts.trials += 1
-        counts.sifted += outcome.sifted
-        counts.wrong += outcome.sifted and outcome.bob_letter != outcome.x
-        same = [k for k in range(config.c - 1) if outcome.y[k] == outcome.x]
-        counts.same_slots += len(same)
-        counts.same_errors += len(outcome.index_error_slots)
-
-
 def trial_outcomes_batch(config: ProtocolConfig, n_trials: int, seed: int, letters=None):
     """Materialize the same TrialOutcome stream the per-trial runner
     produces, via the batch engine (used by tests and the sweep tooling)."""
-    tensors = _hse_tensors(config)
+    tensors = _hse_tensors(config.basis_set, config.eve)
     outcomes = []
     for start in range(0, n_trials, CHUNK):
         x, a, y, b = _hse_block(
@@ -290,29 +271,7 @@ def simulate_bkb01(
     if n_trials < 1:
         raise InvalidParameter("n_trials must be >= 1")
     started = time.perf_counter()
-    members = basis_set.bases
-    if eve is not None:
-        to_eve = np.cumsum(
-            _born_tensor(
-                [eve] * (c * d), [members[g].vectors[i] for g in range(c) for i in range(d)]
-            ).reshape(c, d, d),
-            axis=-1,
-        )
-        from_eve = np.cumsum(
-            _born_tensor(
-                [members[h] for _ in range(d) for h in range(c)],
-                [eve.vectors[k] for k in range(d) for _ in range(c)],
-            ).reshape(d, c, d),
-            axis=-1,
-        )
-    else:
-        direct = np.cumsum(
-            _born_tensor(
-                [members[h] for g in range(c) for i in range(d) for h in range(c)],
-                [members[g].vectors[i] for g in range(c) for i in range(d) for h in range(c)],
-            ).reshape(c, d, c, d),
-            axis=-1,
-        )
+    tensors = _hse_tensors(basis_set, eve)
 
     trials_total = sifted_total = wrong_total = 0
     for start in range(0, n_trials, CHUNK):
@@ -325,9 +284,11 @@ def simulate_bkb01(
         h = scaled_index(bulk_uniforms(bob_keys, 0), c)
         if eve is not None:
             eve_keys = trial_keys(seed, EVE, trials)
+            to_eve, from_eve = tensors
             eve_outcome = _invert_rows(to_eve[g, x], bulk_uniforms(eve_keys, 0))
             outcome = _invert_rows(from_eve[eve_outcome, h], bulk_uniforms(bob_keys, 1))
         else:
+            (direct,) = tensors
             outcome = _invert_rows(direct[g, x, h], bulk_uniforms(bob_keys, 1))
         sifted = h == g
         trials_total += count

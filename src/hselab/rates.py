@@ -1,11 +1,23 @@
-"""Exact protocol rates: general-basis enumeration and MUB closed forms.
+"""Exact protocol rates: one survival kernel for any basis set, and MUB closed forms.
 
-General sets are handled by combinatorial enumeration over Bob's ordered
-basis tuples with the per-slot index average factored out (Alice's indices
-are i.i.d., so the sum over her index tuples is a product of per-slot
-means).  Mutually unbiased sets additionally admit closed forms, and both
-routes are required to agree.  Also houses the comparison-protocol rates
-(BB84 / BKB01) and the 12-row comparison table generator.
+Every HSE rate averages, over Alice's letter x and Bob's ordered tuples
+of c-1 distinct bases, a product of per-slot survival probabilities
+A[x, y].  Alice's indices are i.i.d., so the sum over her index tuples
+factors into these per-slot means.  A tuple of c-1 distinct letters out
+of c leaves out exactly one letter m, and each such set has (c-1)!
+orderings, so
+
+    sum over tuples of prod_y A[x, y] = (c-1)! * e_{c-1}(A[x, :])
+                                      = (c-1)! * sum_m prod_{y != m} A[x, y],
+
+with e_k the elementary symmetric polynomials.  Splitting on whether m
+is x leaves two values per row: E1_x = prod_{y != x} A[x, y] (Bob never
+used Alice's basis) and E2_x = sum_z prod_{y != x, z} A[x, y] (he used it
+once, in slot A[x, x]).  The key rate, Bob's error rate, the QBER and the
+no-Eve success rate are all sums of these, in O(c^2) per set.  Mutually
+unbiased sets also admit closed forms, and both routes are required to
+agree.  Also houses the comparison-protocol rates (BB84 / BKB01) and the
+12-row comparison table generator.
 """
 
 from __future__ import annotations
@@ -13,15 +25,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
-from itertools import permutations, product
 
 import numpy as np
 
-from .bases import BasisSet
-from .errors import BudgetError, InvalidParameter
+from .bases import BasisSet, average_distance
+from .errors import InvalidParameter
 from .hilbert import Basis
-
-ENUMERATION_BUDGET = 10**7
 
 
 @dataclass(frozen=True)
@@ -52,37 +61,25 @@ class ProtocolConfig:
 
 
 @dataclass(frozen=True)
-class Quantity:
-    """A rate value: exact when stderr is None, else a sampled estimate."""
-
-    value: float
-    stderr: float | None = None
-
-    @property
-    def exact(self) -> bool:
-        return self.stderr is None
-
-
-@dataclass(frozen=True)
 class RateReport:
-    """One protocol's rates with provenance.
+    """One protocol's exact rates with provenance.
 
-    method is one of "closed_form_mub", "enumeration", "monte_carlo".
-    Fields that do not apply to a protocol are None (e.g. no ITER for
-    basis-announcing protocols).
+    method is "closed_form_mub" (MUB closed forms) or "enumeration" (the
+    survival kernel on an explicit basis set).  Fields that do not apply
+    to a protocol are None (e.g. no ITER for basis-announcing protocols).
     """
 
     protocol: str
     d: int
     c: int
     method: str
-    r_qb: Quantity | None = None
-    r_it: Quantity | None = None
-    r_s: Quantity | None = None
-    r_t: Quantity | None = None
-    r_k: Quantity | None = None
-    r_be: Quantity | None = None
-    n_s: Quantity | None = None
+    r_qb: float | None = None
+    r_it: float | None = None
+    r_s: float | None = None
+    r_t: float | None = None
+    r_k: float | None = None
+    r_be: float | None = None
+    n_s: float | None = None
     note: str = ""
 
 
@@ -113,27 +110,34 @@ def index_change_prob(basis_set: BasisSet, eve: Basis, i: int, x: int, y: int) -
     return float(_index_change_table(basis_set, eve)[x, y, i])
 
 
+def _survival(slot_mean: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """E1[x] = prod_{y != x} A[x, y] and E2[x] = sum_z prod_{y != x, z} A[x, y].
+
+    The leave-one-out products come from prefix and suffix products, so
+    nothing is divided and zero entries stay exact.
+    """
+    c = slot_mean.shape[0]
+    off = slot_mean[~np.eye(c, dtype=bool)].reshape(c, c - 1)
+    ones = np.ones((c, 1))
+    prefix = np.cumprod(np.hstack([ones, off]), axis=1)
+    suffix = np.cumprod(np.hstack([ones, off[:, ::-1]]), axis=1)[:, ::-1]
+    return prefix[:, -1], (prefix[:, :-1] * suffix[:, 1:]).sum(axis=1)
+
+
 def success_rate(basis_set: BasisSet) -> float:
     """Probability (no eavesdropper) that one protocol round yields a key
     letter: Bob's bases all miss Alice's and every outcome index differs
     from the announced one."""
-    c, d = basis_set.c, basis_set.d
-    # miss[x, y] = P(b != a | Alice basis x, Bob basis y), averaged over a
+    c = basis_set.c
+    # miss[x, y] = P(b != a | Alice basis x, Bob basis y), averaged over a;
+    # miss[x, x] = 0, so only the tuples leaving out x survive (E1)
     miss = np.empty((c, c))
     for x in range(c):
         for y in range(c):
             diag = np.diagonal(_transition_matrix(basis_set.bases[y], basis_set.bases[x]))
             miss[x, y] = 1.0 - float(np.mean(diag))
-    total = 0.0
-    for x in range(c):
-        for tup in permutations(range(c), c - 1):
-            if x in tup:
-                continue
-            term = 1.0
-            for y in tup:
-                term *= miss[x, y]
-            total += term
-    return float(total / (c * math.factorial(c)))
+    e1, _ = _survival(miss)
+    return float(e1.sum() / c**2)
 
 
 def bit_transmission_rate(basis_set: BasisSet) -> float:
@@ -146,14 +150,9 @@ def iter_rate(basis_set, eve: Basis) -> float:
 
     1 - (1/(cd)) sum over bases, indices, and Eve outcomes of the fourth
     power of the overlap moduli.  Accepts a BasisSet or a sequence of
-    Basis.  Equal to bases.average_distance(eve, set).
+    Basis; the same quantity as bases.average_distance(eve, set).
     """
-    members = list(basis_set.bases if isinstance(basis_set, BasisSet) else basis_set)
-    d = members[0].dim
-    quartic = 0.0
-    for b in members:
-        quartic += float(np.sum(_transition_matrix(b, eve) ** 2))
-    return 1.0 - quartic / (len(members) * d)
+    return average_distance(eve, basis_set)
 
 
 def _slot_means(basis_set: BasisSet, eve: Basis) -> np.ndarray:
@@ -161,82 +160,59 @@ def _slot_means(basis_set: BasisSet, eve: Basis) -> np.ndarray:
     return _index_change_table(basis_set, eve).mean(axis=2)
 
 
+def _attack_rates(basis_set: BasisSet, eve: Basis) -> tuple[float, float, float]:
+    """(R_K, R_BE, R_QB) under interception, from one slot-mean matrix.
+
+    R_K averages over all c * c! (letter, tuple) pairs: E1 for the tuples
+    that leave out x, A[x, x] E2 for the rest.  R_BE averages over the
+    c * (c-1)! tuples that put Alice's basis first, which is the second
+    term alone.
+    """
+    c = basis_set.c
+    slot_mean = _slot_means(basis_set, eve)
+    e1, e2 = _survival(slot_mean)
+    used_x = np.diagonal(slot_mean) * e2
+    r_k = float((e1 + used_x).sum() / c**2)
+    r_be = float(used_x.sum() / (c * (c - 1)))
+    return r_k, r_be, (c - 1) / c * r_be / r_k
+
+
 def key_rate(basis_set: BasisSet, eve: Basis) -> float:
     """Probability a round survives sifting under interception, averaged
     over Alice's letter, her index tuples, and Bob's basis tuples."""
-    c = basis_set.c
-    slot_mean = _slot_means(basis_set, eve)
-    total = 0.0
-    for x in range(c):
-        for tup in permutations(range(c), c - 1):
-            term = 1.0
-            for y in tup:
-                term *= slot_mean[x, y]
-            total += term
-    return float(total / (c * math.factorial(c)))
+    return _attack_rates(basis_set, eve)[0]
 
 
 def bob_error_rate(basis_set: BasisSet, eve: Basis) -> float:
     """Probability a round survives sifting given Bob used Alice's basis
     somewhere, averaged over the tuples that put Alice's basis first."""
-    c = basis_set.c
-    slot_mean = _slot_means(basis_set, eve)
-    total = 0.0
-    for x in range(c):
-        rest = [y for y in range(c) if y != x]
-        for tail in permutations(rest, c - 2):
-            term = slot_mean[x, x]
-            for y in tail:
-                term *= slot_mean[x, y]
-            total += term
-    return float(total / (c * math.factorial(c - 1)))
+    return _attack_rates(basis_set, eve)[1]
 
 
 def qber(basis_set: BasisSet, eve: Basis) -> float:
     """Fraction of sifted key letters that are wrong under interception."""
+    return _attack_rates(basis_set, eve)[2]
+
+
+def rate_report(basis_set: BasisSet, eve: Basis, protocol: str = "hse") -> RateReport:
+    """Every exact rate of an explicit basis set under interception in `eve`."""
     c = basis_set.c
-    return (c - 1) / c * bob_error_rate(basis_set, eve) / key_rate(basis_set, eve)
-
-
-def _brute_force_budget(c: int, d: int) -> None:
-    work = c * math.factorial(c) * d ** (c - 1)
-    if work > ENUMERATION_BUDGET:
-        raise BudgetError(f"direct enumeration needs {work:.2e} terms (budget {ENUMERATION_BUDGET:.0e})")
-
-
-def key_rate_brute(basis_set: BasisSet, eve: Basis) -> float:
-    """Reference evaluation of the key rate with the index-tuple sum left
-    unfactorized; exists as an oracle for the factorized path."""
-    c, d = basis_set.c, basis_set.d
-    _brute_force_budget(c, d)
-    table = _index_change_table(basis_set, eve)
-    total = 0.0
-    for x in range(c):
-        for tup in permutations(range(c), c - 1):
-            for indices in product(range(d), repeat=c - 1):
-                term = 1.0
-                for a, y in zip(indices, tup):
-                    term *= table[x, y, a]
-                total += term
-    return float(total / (c * math.factorial(c) * d ** (c - 1)))
-
-
-def bob_error_rate_brute(basis_set: BasisSet, eve: Basis) -> float:
-    """Unfactorized reference evaluation of Bob's error rate."""
-    c, d = basis_set.c, basis_set.d
-    _brute_force_budget(c, d)
-    table = _index_change_table(basis_set, eve)
-    total = 0.0
-    for x in range(c):
-        rest = [y for y in range(c) if y != x]
-        for tail in permutations(rest, c - 2):
-            tup = (x, *tail)
-            for indices in product(range(d), repeat=c - 1):
-                term = 1.0
-                for a, y in zip(indices, tup):
-                    term *= table[x, y, a]
-                total += term
-    return float(total / (c * math.factorial(c - 1) * d ** (c - 1)))
+    r_k, r_be, r_qb = _attack_rates(basis_set, eve)
+    r_s = success_rate(basis_set)
+    r_t = math.log2(c) * r_s
+    return RateReport(
+        protocol=protocol,
+        d=basis_set.d,
+        c=c,
+        method="enumeration",
+        r_qb=r_qb,
+        r_it=iter_rate(basis_set, eve),
+        r_s=r_s,
+        r_t=r_t,
+        r_k=r_k,
+        r_be=r_be,
+        n_s=(c - 1) / r_t,
+    )
 
 
 @dataclass(frozen=True)
@@ -323,13 +299,13 @@ def _hse_row(protocol: str, d: int, c: int, note: str = "") -> RateReport:
         d=d,
         c=c,
         method="closed_form_mub",
-        r_qb=Quantity(forms.r_qb),
-        r_it=Quantity(forms.r_it),
-        r_s=Quantity(forms.r_s),
-        r_t=Quantity(forms.r_t),
-        r_k=Quantity(forms.r_k),
-        r_be=Quantity(forms.r_be),
-        n_s=Quantity(forms.n_s),
+        r_qb=forms.r_qb,
+        r_it=forms.r_it,
+        r_s=forms.r_s,
+        r_t=forms.r_t,
+        r_k=forms.r_k,
+        r_be=forms.r_be,
+        n_s=forms.n_s,
         note=note,
     )
 
@@ -341,9 +317,9 @@ def _bkb01_row(protocol: str, d: int, c: int, note: str = "") -> RateReport:
         d=d,
         c=c,
         method="closed_form_mub",
-        r_qb=Quantity(forms.r_qb),
-        r_t=Quantity(forms.r_t),
-        n_s=Quantity(forms.n_s),
+        r_qb=forms.r_qb,
+        r_t=forms.r_t,
+        n_s=forms.n_s,
         note=note,
     )
 

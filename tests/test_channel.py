@@ -271,6 +271,16 @@ class TestTcpSession:
         assert server["outcomes"] == [run_trial(cfg23, t, 42) for t in range(1000)]
         assert log.trials == 1000
 
+    def test_recv_after_close_is_eof(self):
+        # a relay pump reads a side that the other pump has already closed
+        left, right = socket.socketpair()
+        transport = ch.TcpTransport(left)
+        try:
+            transport.close()
+            assert transport.recv_line() is None
+        finally:
+            right.close()
+
     def test_connection_refused(self, cfg23):
         with pytest.raises(SessionError):
             ch.connect_session("127.0.0.1", free_port(), "alice", cfg23, 1, 1)

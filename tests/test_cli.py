@@ -1,0 +1,122 @@
+import json
+from pathlib import Path
+
+import pytest
+
+from hselab.bases import qubit_six_state_set, save_basis_set
+from hselab.cli import main
+from hselab.rates import bkb01_rates, mub_closed_forms
+
+DATA = Path(__file__).parent / "data"
+
+ROW_KEYS = ["protocol", "d", "c", "method", "r_qb", "r_it", "r_s", "r_t", "r_k", "r_be", "n_s", "note"]
+RATE_KEYS = ["r_qb", "r_it", "r_s", "r_t", "r_k", "r_be", "n_s"]
+
+
+def run(capsys, *argv):
+    code = main(list(argv))
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def jsonl_row(capsys, *argv):
+    code, out, err = run(capsys, *argv, "--format", "jsonl")
+    assert code == 0, err
+    lines = out.splitlines()
+    assert len(lines) == 1
+    row = json.loads(lines[0])
+    assert list(row) == ROW_KEYS
+    return row
+
+
+class TestRatesCompute:
+    @pytest.mark.parametrize("d,c", [(3, 4), (7, 8), (11, 10)])
+    def test_explicit_set_matches_closed_forms(self, capsys, d, c):
+        row = jsonl_row(
+            capsys, "rates", "compute", "--protocol", "hse", "--set", "prime", "--d", str(d), "--c", str(c)
+        )
+        forms = mub_closed_forms(c, d)
+        assert (row["protocol"], row["d"], row["c"], row["method"]) == ("hse", d, c, "enumeration")
+        for key in RATE_KEYS:
+            assert row[key] == pytest.approx(getattr(forms, key), abs=1e-12, rel=1e-12)
+
+    def test_closed_forms(self, capsys):
+        row = jsonl_row(capsys, "rates", "compute", "--protocol", "hse", "--d", "3", "--c", "4")
+        forms = mub_closed_forms(4, 3)
+        assert row["method"] == "closed_form_mub" and row["note"] == ""
+        for key in RATE_KEYS:
+            assert row[key] == getattr(forms, key)
+
+    def test_closed_forms_flag_impossible_sets(self, capsys):
+        row = jsonl_row(capsys, "rates", "compute", "--protocol", "hse", "--d", "2", "--c", "5")
+        assert row["note"] == "c exceeds d+1: no such MU set exists"
+        code, out, _ = run(capsys, "rates", "compute", "--protocol", "hse", "--d", "2", "--c", "5")
+        assert code == 0
+        assert out.splitlines()[0] == "hse (d=2, c=5) via closed_form_mub"
+        assert out.splitlines()[-1] == "  note: c exceeds d+1: no such MU set exists"
+
+    def test_kmb09_defaults_to_two_bases(self, capsys):
+        row = jsonl_row(capsys, "rates", "compute", "--protocol", "kmb09", "--d", "3")
+        assert (row["protocol"], row["c"]) == ("kmb09", 2)
+        assert row["r_qb"] == mub_closed_forms(2, 3).r_qb
+
+    def test_bkb01(self, capsys):
+        row = jsonl_row(capsys, "rates", "compute", "--protocol", "bkb01", "--d", "3", "--c", "4")
+        forms = bkb01_rates(4, 3)
+        assert (row["protocol"], row["method"]) == ("bkb01", "closed_form_mub")
+        assert (row["r_qb"], row["r_t"], row["n_s"]) == (forms.r_qb, forms.r_t, forms.n_s)
+        assert row["r_it"] is row["r_s"] is row["r_k"] is row["r_be"] is None
+
+    def test_bkb01_csv(self, capsys):
+        code, out, _ = run(
+            capsys, "rates", "compute", "--protocol", "bkb01", "--d", "2", "--c", "2", "--format", "csv"
+        )
+        assert code == 0
+        assert out.splitlines() == [
+            "protocol,d,c,method,r_qb,r_it,r_s,r_t,r_k,r_be,n_s",
+            "bkb01,2,2,closed_form_mub,0.25,,,0.5,,,2.0",
+        ]
+
+    def test_kmb09_rejects_more_than_two_bases(self, capsys):
+        code, out, err = run(capsys, "rates", "compute", "--protocol", "kmb09", "--d", "2", "--c", "3")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ")
+
+
+class TestTable1:
+    @pytest.mark.parametrize("fmt,name", [("jsonl", "table1.jsonl"), ("csv", "table1.csv"), ("table", "table1.txt")])
+    def test_output_is_stable(self, capsys, fmt, name):
+        code, out, _ = run(capsys, "rates", "table1", "--format", fmt)
+        assert code == 0
+        assert out == (DATA / name).read_text(encoding="utf-8")
+
+
+class TestFileSpecs:
+    def test_missing_eve_file_is_a_usage_error(self, capsys, tmp_path):
+        missing = tmp_path / "missing.json"
+        code, out, err = run(capsys, "sim", "--d", "2", "--c", "3", "--trials", "10", "--eve", f"file:{missing}")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_missing_set_file_is_a_usage_error(self, capsys, tmp_path):
+        missing = tmp_path / "missing.json"
+        code, out, err = run(capsys, "rates", "compute", "--protocol", "hse", "--set", f"file:{missing}")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ")
+
+    def test_non_integer_eve_index_is_a_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "six.json"
+        save_basis_set(qubit_six_state_set(), path)
+        code, out, err = run(capsys, "sim", "--d", "2", "--c", "3", "--trials", "10", "--eve", f"file:{path}#abc")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ")
+
+    def test_eve_file_with_index(self, capsys, tmp_path):
+        path = tmp_path / "six.json"
+        save_basis_set(qubit_six_state_set(), path)
+        code, out, err = run(
+            capsys, "sim", "--d", "2", "--c", "3", "--trials", "2000", "--eve", f"file:{path}#1", "--format", "jsonl"
+        )
+        assert code == 0, err
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert {r["metric"] for r in rows} == {"r_s", "r_qb", "r_it"}

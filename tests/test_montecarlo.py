@@ -156,6 +156,46 @@ class TestSimulateBkb01:
             mc.simulate_bkb01(4, 2, sixstate, None, 10, seed=1)
 
 
+class TestPinnedReports:
+    """Exact seeded figures; the sampled values must never drift."""
+
+    PINNED = {
+        ("hse", False): {
+            "r_s": (0.08305, 0.0019513161904212244, 20000, 1 / 12),
+            "r_qb": (0.0, 0.0, 1661, 0.0),
+            "r_it": (0.0, 0.0, 13353, 0.0),
+        },
+        ("hse", True): {
+            "r_s": (0.19455, 0.002799109657551844, 20000, 7 / 36),
+            "r_qb": (0.5708044204574659, 0.00793488557954968, 3891, 4 / 7),
+            "r_it": (0.3356549090092114, 0.004086522949533263, 13353, 1 / 3),
+        },
+        ("bkb01", False): {
+            "r_s": (0.3341, 0.0033352450434713187, 20000, 1 / 3),
+            "r_qb": (0.0, 0.0, 6682, 0.0),
+        },
+        ("bkb01", True): {
+            "r_s": (0.3341, 0.0033352450434713187, 20000, 1 / 3),
+            "r_qb": (0.3325351691110446, 0.005763413105258874, 6682, 1 / 3),
+        },
+    }
+
+    @pytest.mark.parametrize("protocol,attacked", list(PINNED))
+    def test_seeded_values(self, sixstate, protocol, attacked):
+        eve = sixstate.bases[0] if attacked else None
+        if protocol == "hse":
+            config = ProtocolConfig(c=3, d=2, basis_set=sixstate, eve=eve)
+            report = mc.estimate_rates(config, 20_000, seed=11)
+        else:
+            report = mc.simulate_bkb01(3, 2, sixstate, eve, 20_000, seed=11)
+        pinned = self.PINNED[(protocol, attacked)]
+        assert set(report.estimates) == set(pinned)
+        for metric, (value, stderr, n, analytic) in pinned.items():
+            est = report.estimates[metric]
+            assert (est.value, est.stderr, est.n) == (value, stderr, n)
+            assert est.analytic == pytest.approx(analytic, abs=1e-14)
+
+
 class TestSweep:
     def test_grid_consistency(self, sixstate, qutrit4):
         configs = [

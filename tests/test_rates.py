@@ -11,6 +11,7 @@ from hselab.bases import (
     breidbart_basis,
     fourier_basis,
     mu_basis_set,
+    prime_complete_set,
     qubit_six_state_set,
     qutrit_complete_set,
     standard_basis,
@@ -19,19 +20,19 @@ from hselab.errors import BudgetError, InvalidParameter
 from hselab.hilbert import Basis, transition_prob
 from hselab.rates import (
     ProtocolConfig,
+    _index_change_table,
     amub_iter_lower_bound,
     bit_transmission_rate,
     bkb01_rates,
     bob_error_rate,
-    bob_error_rate_brute,
     display_ns,
     display_percent,
     index_change_prob,
     iter_rate,
     key_rate,
-    key_rate_brute,
     mub_closed_forms,
     qber,
+    rate_report,
     success_rate,
     table1,
 )
@@ -67,6 +68,50 @@ def success_rate_direct(basis_set):
                     )
                 total += term
     return total / (c * math.factorial(c) * d ** (c - 1))
+
+
+ENUMERATION_BUDGET = 10**7
+
+
+def _brute_force_budget(c, d):
+    work = c * math.factorial(c) * d ** (c - 1)
+    if work > ENUMERATION_BUDGET:
+        raise BudgetError(f"direct enumeration needs {work:.2e} terms (budget {ENUMERATION_BUDGET:.0e})")
+
+
+def key_rate_brute(basis_set, eve):
+    """Reference evaluation of the key rate with Bob's tuples enumerated
+    and the index-tuple sum left unfactorized."""
+    c, d = basis_set.c, basis_set.d
+    _brute_force_budget(c, d)
+    table = _index_change_table(basis_set, eve)
+    total = 0.0
+    for x in range(c):
+        for tup in permutations(range(c), c - 1):
+            for indices in product(range(d), repeat=c - 1):
+                term = 1.0
+                for a, y in zip(indices, tup):
+                    term *= table[x, y, a]
+                total += term
+    return total / (c * math.factorial(c) * d ** (c - 1))
+
+
+def bob_error_rate_brute(basis_set, eve):
+    """Unfactorized reference evaluation of Bob's error rate."""
+    c, d = basis_set.c, basis_set.d
+    _brute_force_budget(c, d)
+    table = _index_change_table(basis_set, eve)
+    total = 0.0
+    for x in range(c):
+        rest = [y for y in range(c) if y != x]
+        for tail in permutations(rest, c - 2):
+            tup = (x, *tail)
+            for indices in product(range(d), repeat=c - 1):
+                term = 1.0
+                for a, y in zip(indices, tup):
+                    term *= table[x, y, a]
+                total += term
+    return total / (c * math.factorial(c - 1) * d ** (c - 1))
 
 
 class TestIndexChangeProb:
@@ -226,6 +271,39 @@ class TestKeyAndBobErrorRates:
             key_rate_brute(family, family.bases[0])
 
 
+# every (d, c) the other rate tests use, plus one beyond any enumeration
+KERNEL_GRID = [
+    (2, 2), (2, 3), (3, 2), (3, 3), (3, 4), (4, 2), (4, 3), (4, 4), (4, 5),
+    (5, 2), (5, 3), (5, 4), (5, 6), (7, 6), (7, 8), (11, 10),
+]
+
+
+class TestSurvivalKernel:
+    @pytest.mark.parametrize("d,c", KERNEL_GRID)
+    def test_matches_closed_forms(self, d, c):
+        forms = mub_closed_forms(c, d)
+        families = [mu_basis_set(d, c)]
+        if d % 2 and c <= d + 1:
+            families.append(prime_complete_set(d, c))
+        for family in families:
+            eve = family.bases[0]
+            assert success_rate(family) == pytest.approx(forms.r_s, abs=1e-14)
+            assert key_rate(family, eve) == pytest.approx(forms.r_k, abs=1e-14)
+            assert bob_error_rate(family, eve) == pytest.approx(forms.r_be, abs=1e-14)
+            assert qber(family, eve) == pytest.approx(forms.r_qb, abs=1e-14)
+
+    def test_report_agrees_with_single_rates(self, sixstate):
+        eve = breidbart_basis()
+        report = rate_report(sixstate, eve)
+        assert (report.protocol, report.d, report.c, report.method) == ("hse", 2, 3, "enumeration")
+        assert report.r_k == key_rate(sixstate, eve)
+        assert report.r_be == bob_error_rate(sixstate, eve)
+        assert report.r_qb == qber(sixstate, eve)
+        assert report.r_s == success_rate(sixstate)
+        assert report.r_it == iter_rate(sixstate, eve)
+        assert report.n_s == pytest.approx(2 / report.r_t, abs=1e-12)
+
+
 class TestQber:
     def test_dimension_independence(self):
         reference = {}
@@ -342,21 +420,14 @@ class TestComparisonTable:
     def test_four_state_row_equals_special_case(self):
         row = table1()[0]
         special = bkb01_rates(2, 2)
-        assert row.r_qb.value == special.r_qb
-        assert row.r_t.value == special.r_t
-        assert row.n_s.value == special.n_s
+        assert row.r_qb == special.r_qb
+        assert row.r_t == special.r_t
+        assert row.n_s == special.n_s
 
     def test_states_per_bit_invariant(self):
         for row in table1():
             if row.protocol in ("HSE", "KMB09"):
-                assert row.n_s.value == pytest.approx(
-                    (row.c - 1) / row.r_t.value, abs=1e-9
-                )
-
-    def test_all_quantities_exact(self):
-        for row in table1():
-            for quantity in (row.r_qb, row.r_it, row.r_t, row.n_s):
-                assert quantity is None or quantity.exact
+                assert row.n_s == pytest.approx((row.c - 1) / row.r_t, abs=1e-9)
 
 
 class TestDisplayRounding:
