@@ -12,6 +12,17 @@ Per trial the message order is QuantumState x (c-1), then IndexAnnounce,
 then SiftReport; one trial completes before the next begins.  Floats are
 serialized with shortest round-tripping decimal form, so amplitudes
 survive the wire bit-exactly.
+
+Transports offer `send_line`, `recv_line` and `close`.  `send_line` takes
+one or more whole newline-terminated lines and writes them in one call;
+`recv_line` returns exactly one line, or None at EOF.  Alice writes each
+trial's states and announcement in one `send_line`, and the relay holds
+the states it forwards until the announcement, so every trial costs one
+write in each direction.  Each side then waits for the other's reply, so
+TCP transports set TCP_NODELAY: otherwise Nagle's algorithm and delayed
+ACKs hold each small write back by tens of milliseconds.  `close` ends
+both directions: the peer and any reader blocked on the closed end see
+EOF.
 """
 
 from __future__ import annotations
@@ -210,6 +221,7 @@ class MemoryTransport:
         self._inbox = inbox
         self._outbox = outbox
         self._closed = False
+        self._unread = b""  # lines left over from the last multi-line item
 
     def send_line(self, line: bytes) -> None:
         if self._closed:
@@ -217,16 +229,22 @@ class MemoryTransport:
         self._outbox.put(line)
 
     def recv_line(self) -> bytes | None:
-        try:
-            line = self._inbox.get(timeout=_RECV_TIMEOUT)
-        except Empty:
-            raise SessionError("timed out waiting for peer") from None
-        return line
+        if not self._unread:
+            try:
+                item = self._inbox.get(timeout=_RECV_TIMEOUT)
+            except Empty:
+                raise SessionError("timed out waiting for peer") from None
+            if item is None:
+                return None
+            self._unread = item
+        line, newline, self._unread = self._unread.partition(b"\n")
+        return line + newline
 
     def close(self) -> None:
         if not self._closed:
             self._closed = True
             self._outbox.put(None)
+            self._inbox.put(None)
 
 
 def memory_transport_pair() -> tuple[MemoryTransport, MemoryTransport]:
@@ -240,6 +258,8 @@ class TcpTransport:
 
     def __init__(self, sock: socket.socket, timeout: float = _RECV_TIMEOUT):
         sock.settimeout(timeout)
+        if sock.family in (socket.AF_INET, socket.AF_INET6):
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._sock = sock
         self._reader = sock.makefile("rb")
 
@@ -262,12 +282,14 @@ class TcpTransport:
         return line if line else None
 
     def close(self) -> None:
+        # Shut down first: closing the reader waits for a readline that
+        # another thread has blocked in, and the shutdown ends that read.
         try:
-            self._reader.close()
+            self._sock.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
         try:
-            self._sock.shutdown(socket.SHUT_RDWR)
+            self._reader.close()
         except OSError:
             pass
         self._sock.close()
@@ -344,11 +366,10 @@ def _run_alice(transport, config, n_trials, seed, letters, compare) -> AliceLog:
     sent = 0
     for t in range(n_trials):
         _, states, announced = session.states_for_trial(t)
-        for slot, state in enumerate(states):
-            send_message(transport, quantum_state_message(t, slot, state))
-            sent += 1
-        send_message(transport, IndexAnnounce(trial_id=t, a=announced))
-        sent += 1
+        lines = [encode(quantum_state_message(t, slot, state)) for slot, state in enumerate(states)]
+        lines.append(encode(IndexAnnounce(trial_id=t, a=announced)))
+        transport.send_line(b"".join(lines))
+        sent += len(lines)
         reply = recv_message(transport)
         if reply is None:
             raise SessionError(f"peer closed mid-session at trial {t}")
@@ -389,6 +410,8 @@ def _run_bob(transport, config, seed) -> list[TrialOutcome]:
                     f"state for trial {msg.trial_id} slot {msg.slot}, "
                     f"expected trial {expected_trial} slot {expected_slot}"
                 )
+            if len(msg.amps) != config.d:
+                raise ProtocolError(f"state with {len(msg.amps)} amplitudes, expected {config.d}")
             if expected_slot == 0:
                 session.begin_trial(expected_trial)
             session.measure(expected_slot, state_from_message(msg))
@@ -410,6 +433,8 @@ def _run_bob(transport, config, seed) -> list[TrialOutcome]:
             lo, hi = msg.trial_id_range
             if (lo, hi) != (0, expected_trial) or len(msg.letters) != expected_trial:
                 raise ProtocolError(f"key comparison range {msg.trial_id_range} does not match session")
+            if not all(0 <= v < config.c for v in msg.letters):
+                raise ProtocolError(f"key comparison letters outside 0..{config.c - 1}")
             alice_letters = msg.letters
         elif isinstance(msg, Bye):
             send_message(transport, Bye(reason="done"))
@@ -449,36 +474,44 @@ def run_mitm_pumps(
     """Relay between two transports, measuring and replacing every quantum
     state while forwarding classical lines byte-identically.
 
-    `alice_side` must be the transport facing the state sender.  Blocks
-    until both directions reach EOF; returns the interception log.
+    `alice_side` must be the transport facing the state sender.  A trial's
+    states are held and written towards Bob together with the next line
+    that is not a state, so each trial costs one write.  Blocks until both
+    directions reach EOF; returns the interception log.  If either
+    direction fails, both sides are closed, so that both endpoints see EOF,
+    and the failure is raised as SessionError.
     """
     log = MitmLog()
     root = EveInterceptor(eve_basis, RandomStream(seed, EVE), intercept_fraction)
     current: dict = {"trial": None, "eve": None}
+    failures: list[Exception] = []
 
     def forward_with_interception():
+        held: list[bytes] = []
         while True:
             line = alice_side.recv_line()
             if line is None:
+                if held:
+                    bob_side.send_line(b"".join(held))
                 bob_side.close()
                 return
             try:
                 msg = decode(line)
             except CodecError:
-                bob_side.send_line(line)
-                continue
+                msg = None
             if isinstance(msg, QuantumState):
                 if current["trial"] != msg.trial_id:
                     current["trial"] = msg.trial_id
                     current["eve"] = root.for_trial(msg.trial_id)
                 outcome, resent = current["eve"].maybe_intercept(state_from_message(msg))
-                if outcome is None:
-                    bob_side.send_line(line)
-                else:
+                if outcome is not None:
                     log.add(InterceptionRecord(msg.trial_id, msg.slot, outcome))
-                    bob_side.send_line(encode(quantum_state_message(msg.trial_id, msg.slot, resent)))
-            else:
-                bob_side.send_line(line)
+                    line = encode(quantum_state_message(msg.trial_id, msg.slot, resent))
+                held.append(line)
+                continue
+            held.append(line)
+            bob_side.send_line(b"".join(held))
+            held.clear()
 
     def forward_plain():
         while True:
@@ -488,12 +521,22 @@ def run_mitm_pumps(
                 return
             alice_side.send_line(line)
 
-    towards_bob = threading.Thread(target=forward_with_interception, daemon=True)
-    towards_alice = threading.Thread(target=forward_plain, daemon=True)
+    def pump(forward):
+        try:
+            forward()
+        except Exception as exc:  # surfaced by run_mitm_pumps below
+            failures.append(exc)
+            alice_side.close()
+            bob_side.close()
+
+    towards_bob = threading.Thread(target=pump, args=(forward_with_interception,), daemon=True)
+    towards_alice = threading.Thread(target=pump, args=(forward_plain,), daemon=True)
     towards_bob.start()
     towards_alice.start()
     towards_bob.join()
     towards_alice.join()
+    if failures:
+        raise SessionError(f"relay failed: {failures[0]!r}") from failures[0]
     return log
 
 

@@ -11,6 +11,7 @@ counters, so chunked and serial execution agree exactly.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -192,13 +193,21 @@ class _Counts:
         self.same_errors += int((same & (b != a)).sum())
 
 
+def _sampled_config(config: ProtocolConfig) -> ProtocolConfig:
+    """The config the batch engine samples: without Eve when she never
+    intercepts.  Partial interception has no batch path."""
+    if config.eve is None or config.intercept_fraction == 1.0:
+        return config
+    if config.intercept_fraction == 0.0:
+        return dataclasses.replace(config, eve=None)
+    raise InvalidParameter("the batch engine does not sample partial interception")
+
+
 def _hse_analytics(config: ProtocolConfig):
-    if config.eve is not None and config.intercept_fraction == 1.0:
+    if config.eve is not None:
         report = rates.rate_report(config.basis_set, config.eve)
         return report.r_k, report.r_it, report.r_qb
-    if config.eve is None or config.intercept_fraction == 0.0:
-        return rates.success_rate(config.basis_set), 0.0, 0.0
-    raise InvalidParameter("no analytic rates for partial interception")
+    return rates.success_rate(config.basis_set), 0.0, 0.0
 
 
 def estimate_rates(config: ProtocolConfig, n_trials: int, seed: int) -> SimReport:
@@ -207,11 +216,12 @@ def estimate_rates(config: ProtocolConfig, n_trials: int, seed: int) -> SimRepor
     if n_trials < 1:
         raise InvalidParameter("n_trials must be >= 1")
     started = time.perf_counter()
-    sift_analytic, it_analytic, qb_analytic = _hse_analytics(config)
+    sampled = _sampled_config(config)
+    sift_analytic, it_analytic, qb_analytic = _hse_analytics(sampled)
     counts = _Counts()
-    tensors = _hse_tensors(config.basis_set, config.eve)
+    tensors = _hse_tensors(sampled.basis_set, sampled.eve)
     for start in range(0, n_trials, CHUNK):
-        block = _hse_block(config, seed, start, min(CHUNK, n_trials - start), tensors)
+        block = _hse_block(sampled, seed, start, min(CHUNK, n_trials - start), tensors)
         counts.add_block(config.c, *block)
     return SimReport(
         protocol="hse",
@@ -230,11 +240,12 @@ def estimate_rates(config: ProtocolConfig, n_trials: int, seed: int) -> SimRepor
 def trial_outcomes_batch(config: ProtocolConfig, n_trials: int, seed: int, letters=None):
     """Materialize the same TrialOutcome stream the per-trial runner
     produces, via the batch engine (used by tests and the sweep tooling)."""
-    tensors = _hse_tensors(config.basis_set, config.eve)
+    sampled = _sampled_config(config)
+    tensors = _hse_tensors(sampled.basis_set, sampled.eve)
     outcomes = []
     for start in range(0, n_trials, CHUNK):
         x, a, y, b = _hse_block(
-            config, seed, start, min(CHUNK, n_trials - start), tensors, letters=letters
+            sampled, seed, start, min(CHUNK, n_trials - start), tensors, letters=letters
         )
         sifted = np.all(a != b, axis=1)
         for row in range(x.shape[0]):

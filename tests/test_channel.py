@@ -2,13 +2,14 @@ import json
 import math
 import socket
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hselab.channel as ch
-from hselab.errors import CodecError, HandshakeError, ProtocolError, SessionError
+from hselab.errors import CodecError, DimensionError, HandshakeError, ProtocolError, SessionError
 from hselab.protocol import run_trial
 from hselab.rates import ProtocolConfig
 from hselab.hilbert import StateVector
@@ -31,16 +32,20 @@ def cfg23(sixstate):
 
 
 class RecordingTransport:
-    """Wraps a transport and keeps every line that passes through."""
+    """Wraps a transport and keeps every line that passes through, and the
+    number of lines in each send_line call."""
 
     def __init__(self, inner):
         self.inner = inner
         self.sent = []
+        self.send_calls = []
         self.received = []
 
-    def send_line(self, line):
-        self.sent.append(line)
-        self.inner.send_line(line)
+    def send_line(self, data):
+        lines = data.splitlines(keepends=True)
+        self.sent.extend(lines)
+        self.send_calls.append(len(lines))
+        self.inner.send_line(data)
 
     def recv_line(self):
         line = self.inner.recv_line()
@@ -175,11 +180,14 @@ class TestInProcessSession:
         assert log.key == tuple(o.x for o in outcomes if o.sifted)
 
     def test_message_order_per_trial(self, cfg23):
-        _, _, (alice_t, _) = run_pair(cfg23, 5, seed=1, record=True)
+        log, _, (alice_t, _) = run_pair(cfg23, 5, seed=1, record=True)
         kinds = [json.loads(line)["type"] for line in alice_t.sent]
         per_trial = ["quantum_state"] * 2 + ["index_announce"]
         expected = ["hello"] + per_trial * 5 + ["key_compare", "bye"]
         assert kinds == expected
+        # one write per trial, and messages_sent still counts messages
+        assert alice_t.send_calls == [1] + [3] * 5 + [1, 1]
+        assert log.messages_sent == len(expected) - 1
 
     def test_no_basis_identity_on_the_wire(self, cfg23):
         _, outcomes, (alice_t, _) = run_pair(cfg23, 40, seed=7, record=True)
@@ -241,6 +249,25 @@ class TestInProcessSession:
         with pytest.raises(ProtocolError):
             ch.run_session("bob", bob_t, cfg23, 2, 1, "sixstate")
 
+    def test_wrong_dimension_state_rejected(self, cfg23, qutrit4):
+        alice_t, bob_t = ch.memory_transport_pair()
+        alice_t.send_line(ch.encode(ch.Hello(1, 3, 2, "sixstate")))
+        state = qutrit4.bases[0].vectors[0]
+        alice_t.send_line(ch.encode(ch.quantum_state_message(0, 0, state)))
+        with pytest.raises(ProtocolError):
+            ch.run_session("bob", bob_t, cfg23, 1, 1, "sixstate")
+
+    def test_key_compare_letter_out_of_range_rejected(self, cfg23, sixstate):
+        alice_t, bob_t = ch.memory_transport_pair()
+        alice_t.send_line(ch.encode(ch.Hello(1, 3, 2, "sixstate")))
+        state = sixstate.bases[0].vectors[0]
+        alice_t.send_line(ch.encode(ch.quantum_state_message(0, 0, state)))
+        alice_t.send_line(ch.encode(ch.quantum_state_message(0, 1, state)))
+        alice_t.send_line(ch.encode(ch.IndexAnnounce(0, (0, 0))))
+        alice_t.send_line(ch.encode(ch.KeyCompare((0, 1), (99,))))
+        with pytest.raises(ProtocolError):
+            ch.run_session("bob", bob_t, cfg23, 1, 1, "sixstate")
+
     def test_peer_disappearing_raises_session_error(self, cfg23):
         alice_t, bob_t = ch.memory_transport_pair()
         alice_t.send_line(ch.encode(ch.Hello(1, 3, 2, "sixstate")))
@@ -251,6 +278,20 @@ class TestInProcessSession:
     def test_role_validated(self, cfg23):
         with pytest.raises(ValueError):
             ch.run_session("carol", None, cfg23, 1, 1)
+
+
+class TestMemoryTransport:
+    def test_multi_line_write_arrives_line_by_line(self):
+        left, right = ch.memory_transport_pair()
+        left.send_line(b"a\nb\n")
+        left.send_line(b"c\n")
+        left.close()
+        assert [right.recv_line() for _ in range(4)] == [b"a\n", b"b\n", b"c\n", None]
+
+    def test_close_ends_a_local_read(self):
+        left, right = ch.memory_transport_pair()
+        right.close()
+        assert right.recv_line() is None
 
 
 class TestTcpSession:
@@ -281,20 +322,71 @@ class TestTcpSession:
         finally:
             right.close()
 
+    def test_every_session_socket_sets_nodelay(self, cfg23, sixstate, monkeypatch):
+        nodelay = []
+
+        class Probe(ch.TcpTransport):
+            def __init__(self, sock, *args, **kwargs):
+                super().__init__(sock, *args, **kwargs)
+                nodelay.append(sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY))
+
+        monkeypatch.setattr(ch, "TcpTransport", Probe)
+        results = run_tcp_relay(cfg23, sixstate.bases[0], 20, 5)
+        attacked = ProtocolConfig(c=3, d=2, basis_set=sixstate, eve=sixstate.bases[0])
+        assert results["bob"] == [run_trial(attacked, t, 5) for t in range(20)]
+        assert len(results["relay"].records) == 2 * 20
+        # bob's listener, alice's dial, and the relay's two ends
+        assert len(nodelay) == 4 and all(nodelay)
+
     def test_connection_refused(self, cfg23):
         with pytest.raises(SessionError):
             ch.connect_session("127.0.0.1", free_port(), "alice", cfg23, 1, 1)
 
 
 def _dial_with_retry(connect, port, cfg, n, seed, attempts=50):
-    import time
-
     for _ in range(attempts):
         try:
             return connect("127.0.0.1", port, "alice", cfg, n, seed, basis_set_id="sixstate")
-        except SessionError:
+        except SessionError as exc:
+            if not isinstance(exc.__cause__, ConnectionRefusedError):
+                raise
             time.sleep(0.05)
     raise AssertionError("server never came up")
+
+
+def run_tcp_relay(cfg, eve_basis, n, seed, timeout=10.0):
+    """alice -> run_mitm -> bob over TCP loopback; returns each party's
+    result or the exception it raised."""
+    bob_port, relay_port = free_port(), free_port()
+    ready = threading.Event()
+    results = {}
+
+    def party(name, fn):
+        try:
+            results[name] = fn()
+        except Exception as exc:
+            results[name] = exc
+
+    bob = threading.Thread(
+        target=party,
+        args=("bob", lambda: ch.serve_session(
+            "127.0.0.1", bob_port, "bob", cfg, n, seed, "sixstate", ready_event=ready
+        )),
+    )
+    relay = threading.Thread(
+        target=party,
+        args=("relay", lambda: ch.run_mitm(
+            ("127.0.0.1", relay_port), ("127.0.0.1", bob_port), eve_basis, seed
+        )),
+    )
+    bob.start()
+    assert ready.wait(timeout)
+    relay.start()
+    party("alice", lambda: _dial_with_retry(ch.connect_session, relay_port, cfg, n, seed))
+    for thread in (bob, relay):
+        thread.join(timeout)
+        assert not thread.is_alive()
+    return results
 
 
 class TestMitm:
@@ -342,6 +434,50 @@ class TestMitm:
         ]
         eigenstates = [tuple(v.amps.tolist()) for v in sixstate.bases[0].vectors]
         assert all(tuple(s.amps.tolist()) in eigenstates for s in resent)
+
+    def test_one_write_per_trial_towards_bob(self, sixstate, cfg23):
+        results, _, eve_b = self.run_with_interceptor(sixstate, cfg23, 30, 4)
+        assert eve_b.send_calls == [1] + [3] * 30 + [1, 1]
+        assert len(results["mitm"].records) == 2 * 30
+
+    def test_pump_failure_surfaces(self, cfg23, qutrit4, monkeypatch):
+        # an Eve basis of the wrong dimension fails inside the relay
+        monkeypatch.setattr(ch, "_RECV_TIMEOUT", 5.0)
+        alice_t, eve_a = ch.memory_transport_pair()
+        eve_b, bob_t = ch.memory_transport_pair()
+        errors = {}
+
+        def endpoint(role, transport):
+            try:
+                ch.run_session(role, transport, cfg23, 10, 2, "sixstate")
+            except Exception as exc:
+                errors[role] = exc
+
+        threads = [
+            threading.Thread(target=endpoint, args=("alice", alice_t)),
+            threading.Thread(target=endpoint, args=("bob", bob_t)),
+        ]
+        started = time.monotonic()
+        for thread in threads:
+            thread.start()
+        with pytest.raises(SessionError) as err:
+            ch.run_mitm_pumps(eve_a, eve_b, qutrit4.bases[0], 2)
+        for thread in threads:
+            thread.join(5.0)
+            assert not thread.is_alive()
+        assert time.monotonic() - started < 2.0
+        assert isinstance(err.value.__cause__, DimensionError)
+        assert isinstance(errors.get("alice"), SessionError)
+        assert isinstance(errors.get("bob"), SessionError)
+
+    def test_pump_failure_surfaces_over_tcp(self, cfg23, qutrit4):
+        started = time.monotonic()
+        results = run_tcp_relay(cfg23, qutrit4.bases[0], 10, 2)
+        assert time.monotonic() - started < 5.0
+        assert isinstance(results["relay"], SessionError)
+        assert isinstance(results["relay"].__cause__, DimensionError)
+        assert isinstance(results["alice"], SessionError)
+        assert isinstance(results["bob"], SessionError)
 
     def test_error_rate_seen_by_bob(self, sixstate, cfg23):
         results, _, _ = self.run_with_interceptor(sixstate, cfg23, 5000, 3)

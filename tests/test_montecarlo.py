@@ -46,6 +46,20 @@ class TestBatchEngineEquality:
             run_trial(config, t, 5) for t in range(200)
         ]
 
+    def test_zero_interception_matches_per_trial_runner(self, sixstate):
+        config = ProtocolConfig(
+            c=3, d=2, basis_set=sixstate, eve=sixstate.bases[0], intercept_fraction=0.0
+        )
+        batch = mc.trial_outcomes_batch(config, 200, 3)
+        assert batch == [run_trial(config, t, 3) for t in range(200)]
+
+    def test_partial_interception_rejected(self, sixstate):
+        config = ProtocolConfig(
+            c=3, d=2, basis_set=sixstate, eve=sixstate.bases[0], intercept_fraction=0.5
+        )
+        with pytest.raises(InvalidParameter):
+            mc.trial_outcomes_batch(config, 10, 1)
+
     def test_supplied_letters(self, cfg23_eve):
         letters = [t % 3 for t in range(100)]
         batch = mc.trial_outcomes_batch(cfg23_eve, 100, 7, letters=letters)
@@ -130,6 +144,15 @@ class TestEstimateRates:
         )
         with pytest.raises(InvalidParameter):
             mc.estimate_rates(config, 100, seed=1)
+
+    def test_zero_interception_is_a_clean_run(self, sixstate):
+        config = ProtocolConfig(
+            c=3, d=2, basis_set=sixstate, eve=sixstate.bases[0], intercept_fraction=0.0
+        )
+        report = mc.estimate_rates(config, 20_000, seed=11)
+        assert report.worst_abs_z <= 4.0
+        clean = mc.estimate_rates(ProtocolConfig(c=3, d=2, basis_set=sixstate), 20_000, seed=11)
+        assert report.estimates == clean.estimates
 
     def test_rejects_empty_run(self, cfg23_eve):
         with pytest.raises(InvalidParameter):
