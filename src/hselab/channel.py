@@ -23,18 +23,31 @@ TCP transports set TCP_NODELAY: otherwise Nagle's algorithm and delayed
 ACKs hold each small write back by tens of milliseconds.  `close` ends
 both directions: the peer and any reader blocked on the closed end see
 EOF.
+
+Known states are encoded and measured by table lookup.  An honest Alice
+only sends the c*d vectors of her basis set, and the relay only resends
+the d eigenstates of Eve's basis, so Alice renders the `amps` JSON of her
+c*d states once per session and the relay that of Eve's d states once per
+run.  Bob and the relay measure through a `hilbert.BornTable`, keyed by a
+state's exact amplitude pairs: a state's cumulative Born row is computed
+the first time, validated as `born_sample` would, and reused after that.
+Each table stores at most c*d states - Bob's from his configuration, the
+relay's from the sender's Hello, and none before it - and computes any
+further distinct state without storing it, so a sender cannot make it
+grow.  The bytes on the wire are those `encode` gives for every message.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import socket
 import threading
 from dataclasses import dataclass
 from queue import Empty, Queue
 
 from .errors import CodecError, HandshakeError, ProtocolError, SessionError
-from .hilbert import TAU_NORM, Basis, StateVector
+from .hilbert import TAU_NORM, Basis, BornTable
 from .protocol import EVE, AliceSession, BobSession, EveInterceptor, TrialOutcome
 from .rates import ProtocolConfig
 from .rng import RandomStream
@@ -85,17 +98,21 @@ class Bye:
 Message = Hello | QuantumState | IndexAnnounce | SiftReport | KeyCompare | Bye
 
 
-def quantum_state_message(trial_id: int, slot: int, state: StateVector) -> QuantumState:
-    amps = tuple((float(z.real), float(z.imag)) for z in state.amps)
-    return QuantumState(trial_id=trial_id, slot=slot, amps=amps)
+def _amps_json(pairs) -> bytes:
+    """The `amps` value of a quantum_state line."""
+    return json.dumps([[re, im] for re, im in pairs], separators=(",", ":")).encode("ascii")
 
 
-def state_from_message(msg: QuantumState) -> StateVector:
-    return StateVector([complex(re, im) for re, im in msg.amps])
+def _state_line(trial_id: int, slot: int, amps_json: bytes) -> bytes:
+    """A quantum_state line: the same bytes json.dumps gives for the whole
+    object, with the amplitudes already rendered by _amps_json."""
+    return b'{"type":"quantum_state","trial_id":%d,"slot":%d,"amps":%s}\n' % (trial_id, slot, amps_json)
 
 
 def encode(msg: Message) -> bytes:
     """One message per line: UTF-8 JSON with a `type` discriminator."""
+    if isinstance(msg, QuantumState):
+        return _state_line(msg.trial_id, msg.slot, _amps_json(msg.amps))
     if isinstance(msg, Hello):
         obj = {
             "type": "hello",
@@ -103,13 +120,6 @@ def encode(msg: Message) -> bytes:
             "c": msg.c,
             "d": msg.d,
             "basis_set_id": msg.basis_set_id,
-        }
-    elif isinstance(msg, QuantumState):
-        obj = {
-            "type": "quantum_state",
-            "trial_id": msg.trial_id,
-            "slot": msg.slot,
-            "amps": [[re, im] for re, im in msg.amps],
         }
     elif isinstance(msg, IndexAnnounce):
         obj = {"type": "index_announce", "trial_id": msg.trial_id, "a": list(msg.a)}
@@ -173,7 +183,12 @@ def decode(line: bytes, line_no: int | None = None) -> Message:
                 or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair)
             ):
                 raise CodecError(f"amplitude must be a [re, im] pair, got {pair!r}", line_no)
-            re, im = float(pair[0]), float(pair[1])
+            try:
+                re, im = float(pair[0]), float(pair[1])
+            except OverflowError:
+                re = im = math.inf
+            if not (math.isfinite(re) and math.isfinite(im)):
+                raise CodecError(f"amplitude must be finite, got {pair!r}", line_no)
             pairs.append((re, im))
             norm_sq += re * re + im * im
         if abs(norm_sq - 1.0) > TAU_NORM:
@@ -256,8 +271,8 @@ def memory_transport_pair() -> tuple[MemoryTransport, MemoryTransport]:
 class TcpTransport:
     """Newline-framed messages over one TCP connection."""
 
-    def __init__(self, sock: socket.socket, timeout: float = _RECV_TIMEOUT):
-        sock.settimeout(timeout)
+    def __init__(self, sock: socket.socket):
+        sock.settimeout(_RECV_TIMEOUT)
         if sock.family in (socket.AF_INET, socket.AF_INET6):
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._sock = sock
@@ -363,10 +378,12 @@ def _handshake(transport, config: ProtocolConfig, basis_set_id: str) -> None:
 
 def _run_alice(transport, config, n_trials, seed, letters, compare) -> AliceLog:
     session = AliceSession(config, seed, letters=letters)
+    # the amps of vector a of basis x, for each of the c*d states she can send
+    amps_json = [[_amps_json(v.pairs()) for v in basis.vectors] for basis in config.basis_set.bases]
     sent = 0
     for t in range(n_trials):
-        _, states, announced = session.states_for_trial(t)
-        lines = [encode(quantum_state_message(t, slot, state)) for slot, state in enumerate(states)]
+        x, _, announced = session.states_for_trial(t)
+        lines = [_state_line(t, slot, amps_json[x][a]) for slot, a in enumerate(announced)]
         lines.append(encode(IndexAnnounce(trial_id=t, a=announced)))
         transport.send_line(b"".join(lines))
         sent += len(lines)
@@ -414,7 +431,7 @@ def _run_bob(transport, config, seed) -> list[TrialOutcome]:
                 raise ProtocolError(f"state with {len(msg.amps)} amplitudes, expected {config.d}")
             if expected_slot == 0:
                 session.begin_trial(expected_trial)
-            session.measure(expected_slot, state_from_message(msg))
+            session.measure(expected_slot, msg.amps)
             expected_slot += 1
         elif isinstance(msg, IndexAnnounce):
             if msg.trial_id != expected_trial:
@@ -483,7 +500,9 @@ def run_mitm_pumps(
     """
     log = MitmLog()
     root = EveInterceptor(eve_basis, RandomStream(seed, EVE), intercept_fraction)
-    current: dict = {"trial": None, "eve": None}
+    resent_json = [_amps_json(v.pairs()) for v in eve_basis.vectors]
+    # sized from the sender's Hello: she has c*d states to send
+    current: dict = {"trial": None, "eve": None, "table": BornTable((eve_basis,), 0)}
     failures: list[Exception] = []
 
     def forward_with_interception():
@@ -503,12 +522,14 @@ def run_mitm_pumps(
                 if current["trial"] != msg.trial_id:
                     current["trial"] = msg.trial_id
                     current["eve"] = root.for_trial(msg.trial_id)
-                outcome, resent = current["eve"].maybe_intercept(state_from_message(msg))
+                outcome, _ = current["eve"].maybe_intercept(msg.amps, current["table"])
                 if outcome is not None:
                     log.add(InterceptionRecord(msg.trial_id, msg.slot, outcome))
-                    line = encode(quantum_state_message(msg.trial_id, msg.slot, resent))
+                    line = _state_line(msg.trial_id, msg.slot, resent_json[outcome])
                 held.append(line)
                 continue
+            if isinstance(msg, Hello):
+                current["table"] = BornTable((eve_basis,), msg.c * msg.d)
             held.append(line)
             bob_side.send_line(b"".join(held))
             held.clear()

@@ -9,6 +9,7 @@ from genuine invariant violations.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,6 +52,11 @@ class StateVector:
     @property
     def dim(self) -> int:
         return self.amps.shape[0]
+
+    def pairs(self) -> tuple:
+        """The amplitudes as ((re, im), ...) Python floats, the form the
+        wire codec carries and BornTable keys on."""
+        return tuple((float(z.real), float(z.imag)) for z in self.amps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,9 +170,49 @@ def born_sample(state: StateVector, basis: Basis, rng: RandomStream) -> int:
 
 def sample_from_probs(probs: np.ndarray, u: float) -> int:
     """Invert the CDF of `probs` at u; shared by scalar and batch paths."""
-    cum = np.cumsum(probs)
-    idx = int(np.searchsorted(cum, u, side="right"))
-    return min(idx, probs.shape[0] - 1)
+    return invert_cdf(np.cumsum(probs).tolist(), u)
+
+
+def invert_cdf(cdf: list, u: float) -> int:
+    """The outcome for uniform draw u: the count of cdf entries <= u,
+    capped at the last index (the cdf may end a rounding step below 1)."""
+    return min(bisect_right(cdf, u), len(cdf) - 1)
+
+
+class BornTable:
+    """Cumulative Born rows of wire states in a fixed tuple of bases.
+
+    A state is keyed by its exact ((re, im), ...) amplitude pairs, as
+    `channel.decode` returns them.  The first time a (state, basis) pair
+    is seen, its row is computed as `born_sample` computes it - a
+    validated StateVector, then the cumsum of `born_probabilities` - so
+    sampling a row gives the same outcome `born_sample` gives on the same
+    draw.  At most `capacity` states are stored; past that, each new state
+    is computed and not kept, so a peer sending endless distinct states
+    cannot grow the table.
+    """
+
+    def __init__(self, bases, capacity: int):
+        self.bases = tuple(bases)
+        self.capacity = capacity
+        self._entries: dict = {}  # pairs -> (StateVector, [cdf row per basis, or None])
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def sample(self, pairs: tuple, which: int, u: float) -> int:
+        """Outcome of measuring the state `pairs` in `bases[which]` for
+        uniform draw u."""
+        entry = self._entries.get(pairs)
+        if entry is None:
+            entry = (StateVector([complex(re, im) for re, im in pairs]), [None] * len(self.bases))
+            if len(self._entries) < self.capacity:
+                self._entries[pairs] = entry
+        state, rows = entry
+        cdf = rows[which]
+        if cdf is None:
+            cdf = rows[which] = np.cumsum(born_probabilities(self.bases[which], state)).tolist()
+        return invert_cdf(cdf, u)
 
 
 def verify_orthonormal(basis, tol: float) -> OrthonormalityReport:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import InvalidParameter
-from .hilbert import Basis, StateVector, born_sample
+from .hilbert import Basis, BornTable, StateVector, born_sample
 from .rates import ProtocolConfig
 from .rng import RandomStream
 
@@ -59,11 +59,18 @@ class EveInterceptor:
         outcome = born_sample(state, self.basis, self.rng)
         return outcome, self.basis.vectors[outcome]
 
-    def maybe_intercept(self, state: StateVector) -> tuple[int | None, StateVector]:
-        """Like intercept, but honors a partial interception fraction."""
+    def maybe_intercept(self, state, table: BornTable | None = None) -> tuple[int | None, StateVector]:
+        """Like intercept, but honors a partial interception fraction.
+
+        With a BornTable over (basis,), `state` is a wire state's amplitude
+        pairs and is measured through the table, on the same draw.
+        """
         if self.intercept_fraction < 1.0 and self.rng.uniform() >= self.intercept_fraction:
             return None, state
-        outcome = born_sample(state, self.basis, self.rng)
+        if table is None:
+            outcome = born_sample(state, self.basis, self.rng)
+        else:
+            outcome = table.sample(state, 0, self.rng.uniform())
         return outcome, self.basis.vectors[outcome]
 
 
@@ -206,6 +213,8 @@ class BobSession:
         self._rng: RandomStream | None = None
         self._records: list[tuple] = []
         self.key: list[int] = []
+        # an honest sender only ever sends the c*d vectors of the set
+        self.born_table = BornTable(config.basis_set.bases, config.c * config.d)
 
     def begin_trial(self, trial_id: int) -> tuple:
         if self._pending is not None:
@@ -216,12 +225,13 @@ class BobSession:
         self._pending = _PendingTrial(y=bob_choose_bases(self.config, self._rng))
         return self._pending.y
 
-    def measure(self, slot: int, state: StateVector) -> int:
+    def measure(self, slot: int, pairs: tuple) -> int:
+        """Measure the state with amplitudes `pairs` ((re, im), ...) in
+        this slot's basis; the same outcome as born_sample on that draw."""
         pending = self._require_pending()
         if slot != len(pending.measured):
             raise InvalidParameter(f"slot {slot} out of order, expected {len(pending.measured)}")
-        basis = self.config.basis_set.bases[pending.y[slot]]
-        outcome = born_sample(state, basis, self._rng)
+        outcome = self.born_table.sample(pairs, pending.y[slot], self._rng.uniform())
         pending.measured.append(outcome)
         return outcome
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import socket
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hselab.channel as ch
+from hselab.bases import breidbart_basis, mu_basis_set
 from hselab.errors import CodecError, DimensionError, HandshakeError, ProtocolError, SessionError
 from hselab.protocol import run_trial
 from hselab.rates import ProtocolConfig
@@ -80,9 +82,21 @@ class TestCodec:
 
     def test_amplitudes_survive_bit_exactly(self):
         state = StateVector([1 / math.sqrt(2), 1 / math.sqrt(2)])
-        msg = ch.quantum_state_message(3, 0, state)
-        back = ch.state_from_message(ch.decode(ch.encode(msg)))
-        assert back.amps.tolist() == state.amps.tolist()
+        back = ch.decode(ch.encode(ch.QuantumState(3, 0, state.pairs())))
+        assert back.amps == state.pairs()
+
+    @pytest.mark.parametrize(
+        "amps",
+        [
+            ((1 / math.sqrt(2), 0.0), (0.0, -1 / math.sqrt(2))),
+            ((-0.0, 5e-324), (1e-17, -1.0)),
+            ((0.6, -0.0), (-0.0, 0.8), (1e-17, 5e-324)),
+        ],
+    )
+    def test_state_line_is_the_json_dump(self, amps):
+        msg = ch.QuantumState(trial_id=12, slot=3, amps=amps)
+        obj = {"type": "quantum_state", "trial_id": 12, "slot": 3, "amps": [list(p) for p in amps]}
+        assert ch.encode(msg) == json.dumps(obj, separators=(",", ":")).encode() + b"\n"
 
     def test_field_names_are_the_documented_ones(self):
         msgs = [
@@ -108,6 +122,8 @@ class TestCodec:
             b'{"type": "sift_report", "trial_id": 0, "sifted": 1}',
             b'{"type": "quantum_state", "trial_id": 0, "slot": 0, "amps": [[0.9, 0.0], [0.0, 0.0]]}',
             b'{"type": "quantum_state", "trial_id": 0, "slot": 0, "amps": [[1.0]]}',
+            b'{"type": "quantum_state", "trial_id": 0, "slot": 0, "amps": [[NaN, 0], [0, 0]]}',
+            b'{"type": "quantum_state", "trial_id": 0, "slot": 0, "amps": [[1, 0], [0, -Infinity]]}',
             b'{"type": "index_announce", "trial_id": 0, "a": []}',
             b'{"type": "index_announce", "trial_id": 0, "a": [0.5]}',
             b'{"type": "hello", "protocol_version": 1, "c": 3, "d": 2}',
@@ -116,6 +132,11 @@ class TestCodec:
         ],
     )
     def test_malformed_lines_raise_codec_error(self, line):
+        with pytest.raises(CodecError):
+            ch.decode(line)
+
+    def test_amplitude_too_large_for_a_float(self):
+        line = b'{"type": "quantum_state", "trial_id": 0, "slot": 0, "amps": [[1%s, 0], [0, 0]]}' % (b"0" * 400)
         with pytest.raises(CodecError):
             ch.decode(line)
 
@@ -170,6 +191,9 @@ def run_pair(cfg, n_trials, seed, basis_set_id="sixstate", compare=True, record=
     outcomes = ch.run_session("bob", bob_t, cfg, n_trials, seed, basis_set_id, compare=compare)
     worker.join()
     return result["log"], outcomes, (alice_t, bob_t)
+
+
+NAN_STATE = b'{"type":"quantum_state","trial_id":0,"slot":0,"amps":[[NaN,0],[0,0]]}\n'
 
 
 class TestInProcessSession:
@@ -235,7 +259,7 @@ class TestInProcessSession:
         alice_t, bob_t = ch.memory_transport_pair()
         alice_t.send_line(ch.encode(ch.Hello(1, 3, 2, "sixstate")))
         state = sixstate.bases[0].vectors[0]
-        alice_t.send_line(ch.encode(ch.quantum_state_message(1, 0, state)))
+        alice_t.send_line(ch.encode(ch.QuantumState(1, 0, state.pairs())))
         with pytest.raises(ProtocolError):
             ch.run_session("bob", bob_t, cfg23, 2, 1, "sixstate")
 
@@ -243,8 +267,8 @@ class TestInProcessSession:
         alice_t, bob_t = ch.memory_transport_pair()
         alice_t.send_line(ch.encode(ch.Hello(1, 3, 2, "sixstate")))
         state = sixstate.bases[0].vectors[0]
-        alice_t.send_line(ch.encode(ch.quantum_state_message(0, 0, state)))
-        alice_t.send_line(ch.encode(ch.quantum_state_message(0, 1, state)))
+        alice_t.send_line(ch.encode(ch.QuantumState(0, 0, state.pairs())))
+        alice_t.send_line(ch.encode(ch.QuantumState(0, 1, state.pairs())))
         alice_t.send_line(ch.encode(ch.IndexAnnounce(0, (0, 1, 1))))
         with pytest.raises(ProtocolError):
             ch.run_session("bob", bob_t, cfg23, 2, 1, "sixstate")
@@ -253,7 +277,7 @@ class TestInProcessSession:
         alice_t, bob_t = ch.memory_transport_pair()
         alice_t.send_line(ch.encode(ch.Hello(1, 3, 2, "sixstate")))
         state = qutrit4.bases[0].vectors[0]
-        alice_t.send_line(ch.encode(ch.quantum_state_message(0, 0, state)))
+        alice_t.send_line(ch.encode(ch.QuantumState(0, 0, state.pairs())))
         with pytest.raises(ProtocolError):
             ch.run_session("bob", bob_t, cfg23, 1, 1, "sixstate")
 
@@ -261,11 +285,18 @@ class TestInProcessSession:
         alice_t, bob_t = ch.memory_transport_pair()
         alice_t.send_line(ch.encode(ch.Hello(1, 3, 2, "sixstate")))
         state = sixstate.bases[0].vectors[0]
-        alice_t.send_line(ch.encode(ch.quantum_state_message(0, 0, state)))
-        alice_t.send_line(ch.encode(ch.quantum_state_message(0, 1, state)))
+        alice_t.send_line(ch.encode(ch.QuantumState(0, 0, state.pairs())))
+        alice_t.send_line(ch.encode(ch.QuantumState(0, 1, state.pairs())))
         alice_t.send_line(ch.encode(ch.IndexAnnounce(0, (0, 0))))
         alice_t.send_line(ch.encode(ch.KeyCompare((0, 1), (99,))))
         with pytest.raises(ProtocolError):
+            ch.run_session("bob", bob_t, cfg23, 1, 1, "sixstate")
+
+    def test_non_finite_amplitude_is_a_codec_error(self, cfg23):
+        alice_t, bob_t = ch.memory_transport_pair()
+        alice_t.send_line(ch.encode(ch.Hello(1, 3, 2, "sixstate")))
+        alice_t.send_line(NAN_STATE)
+        with pytest.raises(CodecError):
             ch.run_session("bob", bob_t, cfg23, 1, 1, "sixstate")
 
     def test_peer_disappearing_raises_session_error(self, cfg23):
@@ -320,6 +351,19 @@ class TestTcpSession:
             transport.close()
             assert transport.recv_line() is None
         finally:
+            right.close()
+
+    def test_recv_timeout_is_read_when_the_transport_is_made(self, monkeypatch):
+        monkeypatch.setattr(ch, "_RECV_TIMEOUT", 0.2)
+        left, right = socket.socketpair()
+        transport = ch.TcpTransport(left)
+        try:
+            started = time.monotonic()
+            with pytest.raises(SessionError):
+                transport.recv_line()
+            assert time.monotonic() - started < 1.0
+        finally:
+            transport.close()
             right.close()
 
     def test_every_session_socket_sets_nodelay(self, cfg23, sixstate, monkeypatch):
@@ -390,8 +434,9 @@ def run_tcp_relay(cfg, eve_basis, n, seed, timeout=10.0):
 
 
 class TestMitm:
-    def run_with_interceptor(self, sixstate, cfg, n, seed):
-        """alice -> (pair A) -> interceptor -> (pair B) -> bob, in-process."""
+    def run_with_interceptor(self, sixstate, cfg, n, seed, eve_basis=None):
+        """alice -> (pair A) -> interceptor -> (pair B) -> bob, in-process;
+        Eve measures in sixstate's first basis unless told otherwise."""
         alice_t, eve_a = ch.memory_transport_pair()
         eve_b, bob_t = ch.memory_transport_pair()
         eve_a, eve_b = RecordingTransport(eve_a), RecordingTransport(eve_b)
@@ -401,7 +446,8 @@ class TestMitm:
             results["log"] = ch.run_session("alice", alice_t, cfg, n, seed, "sixstate")
 
         def eavesdropper():
-            results["mitm"] = ch.run_mitm_pumps(eve_a, eve_b, sixstate.bases[0], seed)
+            basis = sixstate.bases[0] if eve_basis is None else eve_basis
+            results["mitm"] = ch.run_mitm_pumps(eve_a, eve_b, basis, seed)
 
         threads = [threading.Thread(target=alice), threading.Thread(target=eavesdropper)]
         for t in threads:
@@ -421,19 +467,48 @@ class TestMitm:
         assert results["outcomes"] == [run_trial(attacked, t, seed) for t in range(n)]
         assert len(results["mitm"].records) == 2 * n
 
+    def test_breidbart_eve_matches_in_process_attack(self, sixstate, cfg23):
+        # her eigenstates lie outside Bob's set, so his table learns them
+        breidbart = breidbart_basis()
+        honest = {v.pairs() for basis in sixstate.bases for v in basis.vectors}
+        assert not honest & {v.pairs() for v in breidbart.vectors}
+        n, seed = 300, 8
+        results, _, _ = self.run_with_interceptor(sixstate, cfg23, n, seed, eve_basis=breidbart)
+        attacked = ProtocolConfig(c=3, d=2, basis_set=sixstate, eve=breidbart)
+        assert results["outcomes"] == [run_trial(attacked, t, seed) for t in range(n)]
+        assert len(results["mitm"].records) == 2 * n
+
+    def test_non_finite_amplitude_passes_the_relay_to_bob(self, sixstate, cfg23):
+        alice_t, eve_a = ch.memory_transport_pair()
+        eve_b, bob_t = ch.memory_transport_pair()
+        results = {}
+
+        def eavesdropper():
+            results["mitm"] = ch.run_mitm_pumps(eve_a, eve_b, sixstate.bases[0], 1)
+
+        relay = threading.Thread(target=eavesdropper)
+        relay.start()
+        alice_t.send_line(ch.encode(ch.Hello(1, 3, 2, "sixstate")))
+        alice_t.send_line(NAN_STATE)
+        try:
+            with pytest.raises(CodecError):
+                ch.run_session("bob", bob_t, cfg23, 1, 1, "sixstate")
+        finally:
+            alice_t.close()
+            bob_t.close()
+            relay.join(5.0)
+        assert not relay.is_alive()
+        assert results["mitm"].records == []
+
     def test_classical_messages_forwarded_byte_identically(self, sixstate, cfg23):
         results, eve_a, eve_b = self.run_with_interceptor(sixstate, cfg23, 60, 9)
         incoming = [l for l in eve_a.received if json.loads(l)["type"] != "quantum_state"]
         outgoing = [l for l in eve_b.sent if json.loads(l)["type"] != "quantum_state"]
         assert incoming == outgoing
         # and every quantum state was replaced by an eigenstate of hers
-        resent = [
-            ch.state_from_message(ch.decode(l))
-            for l in eve_b.sent
-            if json.loads(l)["type"] == "quantum_state"
-        ]
-        eigenstates = [tuple(v.amps.tolist()) for v in sixstate.bases[0].vectors]
-        assert all(tuple(s.amps.tolist()) in eigenstates for s in resent)
+        resent = [ch.decode(l).amps for l in eve_b.sent if json.loads(l)["type"] == "quantum_state"]
+        eigenstates = {v.pairs() for v in sixstate.bases[0].vectors}
+        assert resent and all(amps in eigenstates for amps in resent)
 
     def test_one_write_per_trial_towards_bob(self, sixstate, cfg23):
         results, _, eve_b = self.run_with_interceptor(sixstate, cfg23, 30, 4)
@@ -487,3 +562,81 @@ class TestMitm:
         p_hat = wrong / len(sifted)
         stderr = math.sqrt(p_hat * (1 - p_hat) / len(sifted))
         assert abs(p_hat - 4 / 7) <= 4 * stderr
+
+
+class ByteRecorder:
+    """Feeds every byte a party writes into a running SHA-256."""
+
+    def __init__(self, inner, sink):
+        self.inner = inner
+        self.sink = sink
+
+    def send_line(self, data):
+        self.sink.update(data)
+        self.inner.send_line(data)
+
+    def recv_line(self):
+        return self.inner.recv_line()
+
+    def close(self):
+        self.inner.close()
+
+
+def wire_digest(d, c, relay, n=200, seed=2024):
+    """SHA-256 over the digests of what Alice, Bob and (if present) each
+    relay pump wrote in one memory session on the MU set for (d, c)."""
+    basis_set = mu_basis_set(d, c)
+    cfg = ProtocolConfig(c=c, d=d, basis_set=basis_set)
+    writers = ["alice", "bob"] + (["to_bob", "to_alice"] if relay else [])
+    sinks = {name: hashlib.sha256() for name in writers}
+    alice_t, far_end = ch.memory_transport_pair()
+    bob_t = far_end
+    threads = [
+        threading.Thread(
+            target=ch.run_session,
+            args=("alice", ByteRecorder(alice_t, sinks["alice"]), cfg, n, seed, "mub"),
+        )
+    ]
+    if relay:
+        eve_b, bob_t = ch.memory_transport_pair()
+        threads.append(
+            threading.Thread(
+                target=ch.run_mitm_pumps,
+                args=(
+                    ByteRecorder(far_end, sinks["to_alice"]),
+                    ByteRecorder(eve_b, sinks["to_bob"]),
+                    basis_set.bases[0],
+                    seed,
+                ),
+            )
+        )
+    for thread in threads:
+        thread.start()
+    outcomes = ch.run_session("bob", ByteRecorder(bob_t, sinks["bob"]), cfg, n, seed, "mub")
+    alice_t.close()
+    bob_t.close()
+    for thread in threads:
+        thread.join(10.0)
+        assert not thread.is_alive()
+    attacked = ProtocolConfig(c=c, d=d, basis_set=basis_set, eve=basis_set.bases[0] if relay else None)
+    assert outcomes == [run_trial(attacked, t, seed) for t in range(n)]
+    return hashlib.sha256(b"".join(sinks[name].digest() for name in writers)).hexdigest()
+
+
+class TestWireBytes:
+    # Recorded before quantum_state lines were assembled from cached
+    # fragments; any change to a byte on the wire changes these.
+    PINS = {
+        (2, 3, False): "c89c8126db2f2fd6ac64b82fba4653dcbcb4cec2a2b92a413126a91c87f0dc90",
+        (2, 3, True): "b221a6b31fe402e223854db74c9d4d737d8172f8fe8f26bfcc4396b592ea16b7",
+        (3, 4, False): "62ab1a92a921de74f202b4e7444c6c65bb41f58d7644651c94a61d5adb6d59fb",
+        (3, 4, True): "935bd31b1e44909ed1d060c614976444c770b64d150a7765f2f4b424451d69b6",
+        (5, 6, False): "18bcc0239feda8184a3af8182c969b29f82caec3f62ed40d6b688c91a070d3a5",
+        (5, 6, True): "68f05ff7020132b772c42d86e82437dd7e077feb0cc30ffea33105e3ad4ce483",
+        (7, 8, False): "3d320cf4c245b5801eb7cde9d1bce1664bfbe6bacac2d2c7b5b094c96e4ceae3",
+        (7, 8, True): "cb28ec1732f6c179f45aae7fb779dea11499c8e937d88c51c01a882483f8bcd3",
+    }
+
+    @pytest.mark.parametrize("d,c,relay", sorted(PINS))
+    def test_session_bytes_are_pinned(self, d, c, relay):
+        assert wire_digest(d, c, relay) == self.PINS[(d, c, relay)]

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from hselab.bases import qubit_six_state_set, save_basis_set
-from hselab.cli import main
+from hselab.cli import NAMED_SETS, main
 from hselab.rates import bkb01_rates, mub_closed_forms
 
 DATA = Path(__file__).parent / "data"
@@ -81,6 +81,50 @@ class TestRatesCompute:
         code, out, err = run(capsys, "rates", "compute", "--protocol", "kmb09", "--d", "2", "--c", "3")
         assert code == 2 and out == ""
         assert err.startswith("error: ")
+
+
+class TestBases:
+    def test_list_names_every_set(self, capsys):
+        code, out, _ = run(capsys, "bases", "list")
+        assert code == 0
+        assert [line.split()[0] for line in out.splitlines()] == list(NAMED_SETS)
+
+    def test_verify_sixstate(self, capsys):
+        code, out, _ = run(capsys, "bases", "verify", "--set", "sixstate")
+        assert code == 0
+        lines = out.splitlines()
+        assert [line.split()[:2] for line in lines[:3]] == [["orthonormal", f"B{x}"] for x in range(3)]
+        assert all(line.split()[2] == "ok" for line in lines[:3])
+        assert [line.split(" (")[0] for line in lines[3:6]] == [
+            "pair B0,B1: MU",
+            "pair B0,B2: MU",
+            "pair B1,B2: MU",
+        ]
+
+    def test_distance_jsonl(self, capsys):
+        code, out, _ = run(capsys, "bases", "distance", "--set", "sixstate", "--format", "jsonl")
+        assert code == 0
+        (line,) = out.splitlines()
+        row = json.loads(line)
+        assert row["average_to_eve"] is None
+        for x in range(3):
+            for y in range(3):
+                assert row["pairwise"][x][y] == pytest.approx(0.0 if x == y else 0.5, abs=1e-12)
+
+
+class TestSim:
+    def test_attacked_sixstate_jsonl(self, capsys):
+        code, out, err = run(capsys, "sim", "--d", "2", "--c", "3", "--eve", "basis:0", "--format", "jsonl")
+        assert code == 0, err
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert [row["metric"] for row in rows] == ["r_s", "r_qb", "r_it"]
+        forms = mub_closed_forms(3, 2)
+        # under attack a trial survives sifting at the key rate r_k
+        expected = {"r_s": forms.r_k, "r_qb": forms.r_qb, "r_it": forms.r_it}
+        for row in rows:
+            assert (row["protocol"], row["d"], row["c"]) == ("hse", 2, 3)
+            assert row["analytic"] == pytest.approx(expected[row["metric"]], abs=1e-12, rel=1e-12)
+            assert abs(row["z"]) <= 4
 
 
 class TestTable1:

@@ -9,6 +9,7 @@ from hselab.errors import DimensionError, InvalidParameter, NumericalError
 from hselab.hilbert import (
     TAU_NORM,
     Basis,
+    BornTable,
     StateVector,
     born_probabilities,
     born_sample,
@@ -169,6 +170,30 @@ class TestSampleFromProbs:
     def test_never_exceeds_range(self):
         probs = np.array([0.5, 0.5 - 1e-12])
         assert sample_from_probs(probs, 1.0 - 1e-16) == 1
+
+
+class TestBornTable:
+    def test_rows_sample_as_born_sample(self):
+        bases = [make_random_basis(3, 41 + k) for k in range(3)]
+        table = BornTable(bases, capacity=4)
+        for seed in range(6):
+            state = random_state(3, 500 + seed)
+            for which, basis in enumerate(bases):
+                cdf = np.cumsum(born_probabilities(basis, state))
+                # ties at the cdf entries themselves, and both ends
+                draws = [0.0, 1.0 - 2**-53, *cdf.tolist()] + [RandomStream(seed, which).uniform() for _ in range(20)]
+                for u in draws:
+                    expected = sample_from_probs(born_probabilities(basis, state), u)
+                    assert table.sample(state.pairs(), which, u) == expected
+        assert len(table) == 4
+
+    def test_miss_validates_the_state(self):
+        table = BornTable([standard_basis(2)], capacity=4)
+        with pytest.raises(InvalidParameter):
+            table.sample(((1.0, 0.0), (1.0, 0.0)), 0, 0.5)
+        assert len(table) == 0
+        with pytest.raises(DimensionError):
+            table.sample(((1.0, 0.0), (0.0, 0.0), (0.0, 0.0)), 0, 0.5)
 
 
 class TestVerifyOrthonormal:

@@ -4,10 +4,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import freq_tolerance, make_random_set
+from conftest import freq_tolerance, make_random_basis, make_random_set
 from hselab.bases import BasisSet, fourier_basis, standard_basis
 from hselab.errors import InvalidParameter
-from hselab.hilbert import transition_prob
+from hselab.hilbert import born_sample, transition_prob
 from hselab.protocol import (
     AliceSession,
     BobSession,
@@ -216,7 +216,7 @@ class TestSessions:
             eve = root_eve.for_trial(t)
             bob.begin_trial(t)
             for slot, state in enumerate(states):
-                bob.measure(slot, eve.maybe_intercept(state)[1])
+                bob.measure(slot, eve.maybe_intercept(state)[1].pairs())
             sifted, _ = bob.conclude(t, announced)
             alice.record_sift(t, sifted)
         assert bob.outcomes(alice.raw_string) == [run_trial(cfg23_eve, t, seed) for t in range(n)]
@@ -224,6 +224,26 @@ class TestSessions:
         assert bob.key == [
             o.bob_letter for o in bob.outcomes(alice.raw_string) if o.sifted
         ]
+
+    def test_distinct_states_beyond_the_set_keep_the_table_bounded(self, cfg34_eve):
+        # 3 slots x 30 trials of states outside the set, then honest ones:
+        # the table keeps c*d = 12 entries and every outcome is born_sample's
+        seed = 12
+        bob = BobSession(cfg34_eve, seed)
+        honest = [v for basis in cfg34_eve.basis_set.bases for v in basis.vectors]
+        for t in range(34):
+            y = bob.begin_trial(t)
+            replica = RandomStream(seed, "bob", t)
+            assert bob_choose_bases(cfg34_eve, replica) == y
+            for slot in range(3):
+                if t < 30:
+                    state = make_random_basis(3, 1000 + t).vectors[slot]
+                else:
+                    state = honest[(3 * t + slot) % len(honest)]
+                expected = born_sample(state, cfg34_eve.basis_set.bases[y[slot]], replica)
+                assert bob.measure(slot, state.pairs()) == expected
+            bob.conclude(t, (0, 0, 0))
+        assert len(bob.born_table) == 12
 
     def test_out_of_order_trials_rejected(self, cfg23):
         bob = BobSession(cfg23, 1)
@@ -240,6 +260,6 @@ class TestSessions:
         bob = BobSession(cfg23, 1)
         bob.begin_trial(0)
         for slot in range(2):
-            bob.measure(slot, sixstate.bases[0].vectors[0])
+            bob.measure(slot, sixstate.bases[0].vectors[0].pairs())
         with pytest.raises(InvalidParameter):
             bob.conclude(0, (0, 1, 1))
