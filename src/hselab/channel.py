@@ -55,6 +55,9 @@ from .rng import RandomStream
 PROTOCOL_VERSION = 1
 DEFAULT_PORT = 7117
 _RECV_TIMEOUT = 60.0
+# longest line a TCP reader accepts, newline included; the longest honest
+# line, KeyCompare, takes 2-3 bytes per trial
+_MAX_LINE = 16 * 2**20
 
 
 @dataclass(frozen=True)
@@ -269,7 +272,9 @@ def memory_transport_pair() -> tuple[MemoryTransport, MemoryTransport]:
 
 
 class TcpTransport:
-    """Newline-framed messages over one TCP connection."""
+    """Newline-framed messages over one TCP connection.  A line longer
+    than _MAX_LINE raises CodecError, so a peer that never sends a
+    newline cannot grow the reader's buffer."""
 
     def __init__(self, sock: socket.socket):
         sock.settimeout(_RECV_TIMEOUT)
@@ -286,7 +291,7 @@ class TcpTransport:
 
     def recv_line(self) -> bytes | None:
         try:
-            line = self._reader.readline()
+            line = self._reader.readline(_MAX_LINE + 1)
         except OSError as exc:
             raise SessionError(f"recv failed: {exc}") from exc
         except ValueError:
@@ -294,6 +299,8 @@ class TcpTransport:
             if self._reader.closed:
                 return None
             raise
+        if len(line) > _MAX_LINE:
+            raise CodecError(f"line longer than {_MAX_LINE} bytes")
         return line if line else None
 
     def close(self) -> None:

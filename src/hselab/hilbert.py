@@ -40,7 +40,7 @@ class StateVector:
         arr = _as_complex_vector(amps)
         if arr.shape[0] < 2:
             raise InvalidParameter("state vectors need dimension >= 2")
-        if not (np.all(np.isfinite(arr.real)) and np.all(np.isfinite(arr.imag))):
+        if not np.all(np.isfinite(arr)):
             raise InvalidParameter("state vector amplitudes must be finite")
         norm_sq = float(np.sum(arr.real**2 + arr.imag**2))
         if abs(norm_sq - 1.0) > TAU_NORM:

@@ -4,8 +4,13 @@ z-scores against the analytic rates.
 The default execution path evaluates whole blocks of trials with numpy,
 drawing each trial's substream values at explicit counter positions so
 the results are bit-identical to running protocol.run_trial one trial at
-a time (a tested invariant).  Blocks are aggregated by commutative
-counters, so chunked and serial execution agree exactly.
+a time (a tested invariant).  `_measure` draws one slot of a block,
+directly or through Eve, for both simulated protocols.
+
+`_Counts` is the one counter behind every SimReport: `add` sums event
+arrays, `add_block` (the vector form of `TrialOutcome.of`) feeds it for
+simulations and for `report_from_outcomes`, and `report` builds the
+SimReport.  Counts commute, so chunked and serial execution agree exactly.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from . import rates
 from .bases import BasisSet
 from .errors import InvalidParameter
 from .hilbert import Basis, born_probabilities
-from .protocol import ALICE, BOB, EVE, TrialOutcome, infer_letter
+from .protocol import ALICE, BOB, EVE, TrialOutcome
 from .rates import ProtocolConfig
 from .rng import bulk_uniforms, scaled_index, trial_keys
 
@@ -132,6 +137,17 @@ def _invert_rows(cum_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.minimum(idx, cum_rows.shape[1] - 1)
 
 
+def _measure(tensors, x, a, y, bob_keys, bob_counter, eve_keys, eve_counter):
+    """Bob's outcomes for one slot of a block: state a of basis x measured
+    in basis y, directly or, when eve_keys is given, through Eve's basis."""
+    if eve_keys is None:
+        (direct,) = tensors
+        return _invert_rows(direct[x, a, y], bulk_uniforms(bob_keys, bob_counter))
+    to_eve, from_eve = tensors
+    eve_outcome = _invert_rows(to_eve[x, a], bulk_uniforms(eve_keys, eve_counter))
+    return _invert_rows(from_eve[eve_outcome, y], bulk_uniforms(bob_keys, bob_counter))
+
+
 def _hse_block(config: ProtocolConfig, seed: int, start: int, count: int, tensors, letters=None):
     """One block of trials, fully vectorized; returns per-trial arrays."""
     c, d = config.c, config.d
@@ -156,41 +172,64 @@ def _hse_block(config: ProtocolConfig, seed: int, start: int, count: int, tensor
         cols = np.arange(c - k - 1, dtype=np.int64)[None, :]
         pool = np.take_along_axis(pool, cols + (cols >= pick[:, None]), axis=1)
 
+    eve_keys = trial_keys(seed, EVE, trials) if config.eve is not None else None
     b = np.empty((count, c - 1), dtype=np.int64)
-    if config.eve is not None:
-        eve_keys = trial_keys(seed, EVE, trials)
-        to_eve_cum, from_eve_cum = tensors
-        for k in range(c - 1):
-            eve_outcome = _invert_rows(to_eve_cum[x, a[:, k]], bulk_uniforms(eve_keys, k))
-            b[:, k] = _invert_rows(
-                from_eve_cum[eve_outcome, y[:, k]], bulk_uniforms(bob_keys, (c - 1) + k)
-            )
-    else:
-        (direct_cum,) = tensors
-        for k in range(c - 1):
-            b[:, k] = _invert_rows(
-                direct_cum[x, a[:, k], y[:, k]], bulk_uniforms(bob_keys, (c - 1) + k)
-            )
+    for k in range(c - 1):
+        b[:, k] = _measure(tensors, x, a[:, k], y[:, k], bob_keys, (c - 1) + k, eve_keys, k)
     return x, a, y, b
 
 
 @dataclass
 class _Counts:
+    """Event counts behind a SimReport: r_s is sifted/trials, r_qb is
+    wrong/checked (sifted trials whose letter is known), r_it is
+    same_errors/same_slots."""
+
     trials: int = 0
     sifted: int = 0
+    checked: int = 0
     wrong: int = 0
     same_slots: int = 0
     same_errors: int = 0
 
+    def add(self, sifted, wrong, same=None, same_errors=None) -> None:
+        """Count a block from per-trial `sifted` and `wrong` flags (wrong
+        None: no letter is known, so the block counts toward r_s only) and
+        per-slot `same`-basis and `same_errors` flags."""
+        n_sifted = int(sifted.sum())
+        self.trials += sifted.shape[0]
+        self.sifted += n_sifted
+        if wrong is not None:
+            self.checked += n_sifted
+            self.wrong += int(wrong.sum())
+        if same is not None:
+            self.same_slots += int(same.sum())
+            self.same_errors += int(same_errors.sum())
+
     def add_block(self, c: int, x, a, y, b) -> None:
+        """The HSE rule of TrialOutcome.of over a block of trials: sifted
+        when every b differs from a, Bob's letter the one missing from y."""
         sifted = np.all(a != b, axis=1)
         same = y == x[:, None]
         missing = c * (c - 1) // 2 - y.sum(axis=1)
-        self.trials += x.shape[0]
-        self.sifted += int(sifted.sum())
-        self.wrong += int((sifted & (missing != x)).sum())
-        self.same_slots += int(same.sum())
-        self.same_errors += int((same & (b != a)).sum())
+        self.add(sifted, sifted & (missing != x), same, same & (b != a))
+
+    def report(self, protocol: str, d: int, c: int, eve, seed: int, analytic, elapsed: float) -> SimReport:
+        """The SimReport of these counts against analytic (r_s, r_it, r_qb);
+        an analytic r_it of None reports no index error rate."""
+        s_analytic, it_analytic, qb_analytic = analytic
+        return SimReport(
+            protocol=protocol,
+            d=d,
+            c=c,
+            eve_label=eve.label if eve is not None else None,
+            n_trials=self.trials,
+            seed=seed,
+            r_s=_estimate(self.sifted, self.trials, s_analytic),
+            r_it=None if it_analytic is None else _estimate(self.same_errors, self.same_slots, it_analytic),
+            r_qb=_estimate(self.wrong, self.checked, qb_analytic),
+            elapsed=elapsed,
+        )
 
 
 def _sampled_config(config: ProtocolConfig) -> ProtocolConfig:
@@ -217,24 +256,14 @@ def estimate_rates(config: ProtocolConfig, n_trials: int, seed: int) -> SimRepor
         raise InvalidParameter("n_trials must be >= 1")
     started = time.perf_counter()
     sampled = _sampled_config(config)
-    sift_analytic, it_analytic, qb_analytic = _hse_analytics(sampled)
+    analytic = _hse_analytics(sampled)
     counts = _Counts()
     tensors = _hse_tensors(sampled.basis_set, sampled.eve)
     for start in range(0, n_trials, CHUNK):
         block = _hse_block(sampled, seed, start, min(CHUNK, n_trials - start), tensors)
         counts.add_block(config.c, *block)
-    return SimReport(
-        protocol="hse",
-        d=config.d,
-        c=config.c,
-        eve_label=config.eve.label if config.eve is not None else None,
-        n_trials=n_trials,
-        seed=seed,
-        r_s=_estimate(counts.sifted, counts.trials, sift_analytic),
-        r_it=_estimate(counts.same_errors, counts.same_slots, it_analytic),
-        r_qb=_estimate(counts.wrong, counts.sifted, qb_analytic),
-        elapsed=time.perf_counter() - started,
-    )
+    elapsed = time.perf_counter() - started
+    return counts.report("hse", config.d, config.c, config.eve, seed, analytic, elapsed)
 
 
 def trial_outcomes_batch(config: ProtocolConfig, n_trials: int, seed: int, letters=None):
@@ -244,31 +273,12 @@ def trial_outcomes_batch(config: ProtocolConfig, n_trials: int, seed: int, lette
     tensors = _hse_tensors(sampled.basis_set, sampled.eve)
     outcomes = []
     for start in range(0, n_trials, CHUNK):
-        x, a, y, b = _hse_block(
-            sampled, seed, start, min(CHUNK, n_trials - start), tensors, letters=letters
+        block = _hse_block(sampled, seed, start, min(CHUNK, n_trials - start), tensors, letters)
+        rows = zip(*(part.tolist() for part in block))
+        outcomes.extend(
+            TrialOutcome.of(start + row, x, tuple(a), tuple(y), tuple(b), config.c)
+            for row, (x, a, y, b) in enumerate(rows)
         )
-        sifted = np.all(a != b, axis=1)
-        for row in range(x.shape[0]):
-            is_sifted = bool(sifted[row])
-            xi = int(x[row])
-            outcomes.append(
-                TrialOutcome(
-                    trial_id=start + row,
-                    x=xi,
-                    a=tuple(int(v) for v in a[row]),
-                    y=tuple(int(v) for v in y[row]),
-                    b=tuple(int(v) for v in b[row]),
-                    sifted=is_sifted,
-                    bob_letter=infer_letter(tuple(int(v) for v in y[row]), config.c)
-                    if is_sifted
-                    else None,
-                    index_error_slots=tuple(
-                        k
-                        for k in range(config.c - 1)
-                        if y[row, k] == xi and b[row, k] != a[row, k]
-                    ),
-                )
-            )
     return outcomes
 
 
@@ -283,42 +293,20 @@ def simulate_bkb01(
         raise InvalidParameter("n_trials must be >= 1")
     started = time.perf_counter()
     tensors = _hse_tensors(basis_set, eve)
-
-    trials_total = sifted_total = wrong_total = 0
+    counts = _Counts()
     for start in range(0, n_trials, CHUNK):
-        count = min(CHUNK, n_trials - start)
-        trials = np.arange(start, start + count, dtype=np.uint64)
+        trials = np.arange(start, start + min(CHUNK, n_trials - start), dtype=np.uint64)
         alice_keys = trial_keys(seed, ALICE, trials)
         bob_keys = trial_keys(seed, BOB, trials)
+        eve_keys = trial_keys(seed, EVE, trials) if eve is not None else None
         g = scaled_index(bulk_uniforms(alice_keys, 0), c)
         x = scaled_index(bulk_uniforms(alice_keys, 1), d)
         h = scaled_index(bulk_uniforms(bob_keys, 0), c)
-        if eve is not None:
-            eve_keys = trial_keys(seed, EVE, trials)
-            to_eve, from_eve = tensors
-            eve_outcome = _invert_rows(to_eve[g, x], bulk_uniforms(eve_keys, 0))
-            outcome = _invert_rows(from_eve[eve_outcome, h], bulk_uniforms(bob_keys, 1))
-        else:
-            (direct,) = tensors
-            outcome = _invert_rows(direct[g, x, h], bulk_uniforms(bob_keys, 1))
-        sifted = h == g
-        trials_total += count
-        sifted_total += int(sifted.sum())
-        wrong_total += int((sifted & (outcome != x)).sum())
-
+        outcome = _measure(tensors, g, x, h, bob_keys, 1, eve_keys, 0)
+        counts.add(h == g, (h == g) & (outcome != x))
     qb_analytic = (c - 1) * (d - 1) / (c * d) if eve is not None else 0.0
-    return SimReport(
-        protocol="bkb01",
-        d=d,
-        c=c,
-        eve_label=eve.label if eve is not None else None,
-        n_trials=n_trials,
-        seed=seed,
-        r_s=_estimate(sifted_total, trials_total, 1.0 / c),
-        r_it=None,
-        r_qb=_estimate(wrong_total, sifted_total, qb_analytic),
-        elapsed=time.perf_counter() - started,
-    )
+    elapsed = time.perf_counter() - started
+    return counts.report("bkb01", d, c, eve, seed, (1.0 / c, None, qb_analytic), elapsed)
 
 
 def report_from_outcomes(config: ProtocolConfig, outcomes, seed: int) -> SimReport:
@@ -328,29 +316,17 @@ def report_from_outcomes(config: ProtocolConfig, outcomes, seed: int) -> SimRepo
     Outcomes whose x field is unknown (no key comparison ran) contribute
     to the sift rate only.
     """
-    counts = _Counts()
-    compared = wrong = 0
-    for outcome in outcomes:
-        counts.trials += 1
-        counts.sifted += outcome.sifted
-        if outcome.x >= 0:
-            compared += outcome.sifted
-            wrong += outcome.sifted and outcome.bob_letter != outcome.x
-            same = [k for k in range(config.c - 1) if outcome.y[k] == outcome.x]
-            counts.same_slots += len(same)
-            counts.same_errors += len(outcome.index_error_slots)
-    return SimReport(
-        protocol="hse",
-        d=config.d,
-        c=config.c,
-        eve_label=None,
-        n_trials=counts.trials,
-        seed=seed,
-        r_s=_estimate(counts.sifted, counts.trials, rates.success_rate(config.basis_set)),
-        r_it=_estimate(counts.same_errors, counts.same_slots, 0.0),
-        r_qb=_estimate(wrong, compared, 0.0),
-        elapsed=0.0,
+    x = np.array([o.x for o in outcomes], dtype=np.int64)
+    a, y, b = (
+        np.array([getattr(o, field) for o in outcomes], dtype=np.int64).reshape(-1, config.c - 1)
+        for field in ("a", "y", "b")
     )
+    known = x >= 0
+    counts = _Counts()
+    counts.add_block(config.c, x[known], a[known], y[known], b[known])
+    counts.add(np.all(a[~known] != b[~known], axis=1), None)
+    analytic = (rates.success_rate(config.basis_set), 0.0, 0.0)
+    return counts.report("hse", config.d, config.c, None, seed, analytic, 0.0)
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,11 @@ did not use.
 Seed discipline: trial k of role r draws from the substream (seed, r, k),
 so adding or removing the interceptor never perturbs Alice's or Bob's
 draws, and trials can run in any order.
+
+One rule turns a round's draws into its record: `TrialOutcome.of` applies
+`sift` and `infer_letter` and lists the index-error slots.  `run_trial`,
+`BobSession.outcomes` and the batch engine's `trial_outcomes_batch` all
+build their records through it.
 """
 
 from __future__ import annotations
@@ -42,6 +47,22 @@ class TrialOutcome:
     bob_letter: int | None
     index_error_slots: tuple
 
+    @classmethod
+    def of(cls, trial_id: int, x: int, a: tuple, y: tuple, b: tuple, c: int) -> "TrialOutcome":
+        """The record of a round with Alice's letter x (-1 if unknown, which
+        leaves no error slots), indices a, Bob's bases y and outcomes b."""
+        sifted = sift(a, b)
+        return cls(
+            trial_id=trial_id,
+            x=x,
+            a=a,
+            y=y,
+            b=b,
+            sifted=sifted,
+            bob_letter=infer_letter(y, c) if sifted else None,
+            index_error_slots=tuple(k for k in range(c - 1) if y[k] == x and b[k] != a[k]),
+        )
+
 
 @dataclass
 class EveInterceptor:
@@ -54,13 +75,9 @@ class EveInterceptor:
     def for_trial(self, trial_id: int) -> "EveInterceptor":
         return EveInterceptor(self.basis, self.rng.substream(trial_id), self.intercept_fraction)
 
-    def intercept(self, state: StateVector) -> tuple[int, StateVector]:
-        """Measure one in-flight state; return (outcome, resent eigenstate)."""
-        outcome = born_sample(state, self.basis, self.rng)
-        return outcome, self.basis.vectors[outcome]
-
     def maybe_intercept(self, state, table: BornTable | None = None) -> tuple[int | None, StateVector]:
-        """Like intercept, but honors a partial interception fraction.
+        """Measure one in-flight state with the interception probability;
+        return (outcome, resent eigenstate), or (None, state) if it passes.
 
         With a BornTable over (basis,), `state` is a wire state's amplitude
         pairs and is measured through the table, on the same draw.
@@ -72,11 +89,6 @@ class EveInterceptor:
         else:
             outcome = table.sample(state, 0, self.rng.uniform())
         return outcome, self.basis.vectors[outcome]
-
-
-def eve_intercept(state: StateVector, eve: EveInterceptor) -> StateVector:
-    """The state Bob receives after interception: Eve's measured eigenstate."""
-    return eve.intercept(state)[1]
 
 
 def alice_prepare(x: int, config: ProtocolConfig, rng: RandomStream):
@@ -146,19 +158,7 @@ def run_trial(
         for state, basis_letter in zip(states, y)
     )
 
-    sifted = sift(announced, outcomes)
-    return TrialOutcome(
-        trial_id=trial_id,
-        x=x,
-        a=announced,
-        y=y,
-        b=outcomes,
-        sifted=sifted,
-        bob_letter=infer_letter(y, config.c) if sifted else None,
-        index_error_slots=tuple(
-            k for k in range(config.c - 1) if y[k] == x and outcomes[k] != announced[k]
-        ),
-    )
+    return TrialOutcome.of(trial_id, x, announced, y, outcomes, config.c)
 
 
 class AliceSession:
@@ -170,7 +170,6 @@ class AliceSession:
         self._letters = letters
         self.raw_string: list[int] = []
         self.key: list[int] = []
-        self._sift_results: dict[int, bool] = {}
 
     def states_for_trial(self, trial_id: int):
         """Draw this trial's letter and indices; returns (x, states, a)."""
@@ -187,7 +186,6 @@ class AliceSession:
         return x, states, announced
 
     def record_sift(self, trial_id: int, sifted: bool) -> None:
-        self._sift_results[trial_id] = sifted
         if sifted:
             self.key.append(self.raw_string[trial_id])
 
@@ -246,35 +244,19 @@ class BobSession:
         letter = infer_letter(pending.y, self.config.c) if sifted else None
         if sifted:
             self.key.append(letter)
-        self._records.append((trial_id, announced, pending.y, tuple(pending.measured), sifted, letter))
+        self._records.append((trial_id, announced, pending.y, tuple(pending.measured)))
         self._pending = None
         return sifted, letter
 
     def outcomes(self, alice_letters=None) -> list[TrialOutcome]:
         """Materialize TrialOutcomes; Alice's letters (if disclosed) fill
         the x and error-slot fields, else they stay at -1/empty."""
-        results = []
-        for trial_id, announced, y, measured, sifted, letter in self._records:
-            if alice_letters is None:
-                x, err_slots = -1, ()
-            else:
-                x = alice_letters[trial_id]
-                err_slots = tuple(
-                    k for k in range(self.config.c - 1) if y[k] == x and measured[k] != announced[k]
-                )
-            results.append(
-                TrialOutcome(
-                    trial_id=trial_id,
-                    x=x,
-                    a=announced,
-                    y=y,
-                    b=measured,
-                    sifted=sifted,
-                    bob_letter=letter,
-                    index_error_slots=err_slots,
-                )
+        return [
+            TrialOutcome.of(
+                t, -1 if alice_letters is None else alice_letters[t], a, y, b, self.config.c
             )
-        return results
+            for t, a, y, b in self._records
+        ]
 
     def _require_pending(self) -> _PendingTrial:
         if self._pending is None:

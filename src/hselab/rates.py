@@ -129,13 +129,12 @@ def success_rate(basis_set: BasisSet) -> float:
     letter: Bob's bases all miss Alice's and every outcome index differs
     from the announced one."""
     c = basis_set.c
-    # miss[x, y] = P(b != a | Alice basis x, Bob basis y), averaged over a;
-    # miss[x, x] = 0, so only the tuples leaving out x survive (E1)
-    miss = np.empty((c, c))
-    for x in range(c):
-        for y in range(c):
-            diag = np.diagonal(_transition_matrix(basis_set.bases[y], basis_set.bases[x]))
-            miss[x, y] = 1.0 - float(np.mean(diag))
+    # same[x, y, i] = <v_i^y | v_i^x>; miss[x, y] = P(b != a | Alice basis
+    # x, Bob basis y), averaged over a.  miss[x, x] = 0, so only the tuples
+    # leaving out x survive (E1)
+    stacked = np.stack([basis.matrix for basis in basis_set.bases])
+    same = np.einsum("yki,xki->xyi", stacked.conj(), stacked)
+    miss = 1.0 - (same.real**2 + same.imag**2).mean(axis=2)
     e1, _ = _survival(miss)
     return float(e1.sum() / c**2)
 

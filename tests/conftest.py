@@ -1,3 +1,5 @@
+import socket
+
 import numpy as np
 import pytest
 
@@ -26,3 +28,10 @@ def make_random_set(d, c, seed):
 def freq_tolerance(p, n, sigmas=4.0):
     """Allowed deviation of an empirical frequency from p over n samples."""
     return sigmas * np.sqrt(p * (1.0 - p) / n)
+
+
+def free_port():
+    """A loopback port that nothing listened on a moment ago."""
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        return probe.getsockname()[1]

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hselab.channel as ch
+from conftest import free_port
 from hselab.bases import breidbart_basis, mu_basis_set
 from hselab.errors import CodecError, DimensionError, HandshakeError, ProtocolError, SessionError
 from hselab.protocol import run_trial
@@ -20,12 +21,6 @@ WIRE_FIELDS = {
     "type", "trial_id", "slot", "amps", "a", "sifted",
     "c", "d", "basis_set_id", "protocol_version", "reason", "letters",
 }
-
-
-def free_port():
-    with socket.socket() as probe:
-        probe.bind(("127.0.0.1", 0))
-        return probe.getsockname()[1]
 
 
 @pytest.fixture(scope="module")
@@ -385,6 +380,75 @@ class TestTcpSession:
     def test_connection_refused(self, cfg23):
         with pytest.raises(SessionError):
             ch.connect_session("127.0.0.1", free_port(), "alice", cfg23, 1, 1)
+
+
+class TestLineCap:
+    def test_line_at_the_cap_passes(self, monkeypatch):
+        monkeypatch.setattr(ch, "_MAX_LINE", 64)
+        left, right = socket.socketpair()
+        transport = ch.TcpTransport(left)
+        try:
+            right.sendall(b"x" * 63 + b"\n")
+            assert transport.recv_line() == b"x" * 63 + b"\n"
+        finally:
+            transport.close()
+            right.close()
+
+    def test_one_byte_over_raises_promptly(self, monkeypatch):
+        monkeypatch.setattr(ch, "_MAX_LINE", 64)
+        monkeypatch.setattr(ch, "_RECV_TIMEOUT", 5.0)
+        left, right = socket.socketpair()
+        transport = ch.TcpTransport(left)
+        try:
+            right.sendall(b"x" * 65)  # and no newline ever follows
+            started = time.monotonic()
+            with pytest.raises(CodecError):
+                transport.recv_line()
+            assert time.monotonic() - started < 1.0
+        finally:
+            transport.close()
+            right.close()
+
+    def test_relay_fails_on_an_overlong_line_and_both_endpoints_end(self, qutrit4, monkeypatch):
+        cfg = ProtocolConfig(c=4, d=3, basis_set=qutrit4)
+        # the hellos fit under the cap; every qutrit state line is longer
+        hello = ch.encode(ch.Hello(ch.PROTOCOL_VERSION, 4, 3, "qutrit4"))
+        monkeypatch.setattr(ch, "_MAX_LINE", len(hello))
+        monkeypatch.setattr(ch, "_RECV_TIMEOUT", 5.0)
+        alice_sock, eve_a_sock = socket.socketpair()
+        eve_b_sock, bob_sock = socket.socketpair()
+        errors = {}
+
+        def endpoint(role, sock):
+            transport = ch.TcpTransport(sock)
+            try:
+                ch.run_session(role, transport, cfg, 10, 2, "qutrit4")
+            except Exception as exc:
+                errors[role] = exc
+            finally:
+                transport.close()
+
+        threads = [
+            threading.Thread(target=endpoint, args=("alice", alice_sock)),
+            threading.Thread(target=endpoint, args=("bob", bob_sock)),
+        ]
+        started = time.monotonic()
+        for thread in threads:
+            thread.start()
+        eve_a, eve_b = ch.TcpTransport(eve_a_sock), ch.TcpTransport(eve_b_sock)
+        try:
+            with pytest.raises(SessionError) as err:
+                ch.run_mitm_pumps(eve_a, eve_b, qutrit4.bases[0], 2)
+        finally:
+            eve_a.close()
+            eve_b.close()
+        for thread in threads:
+            thread.join(5.0)
+            assert not thread.is_alive()
+        assert time.monotonic() - started < 2.0
+        assert isinstance(err.value.__cause__, CodecError)
+        assert isinstance(errors.get("alice"), SessionError)
+        assert isinstance(errors.get("bob"), SessionError)
 
 
 def _dial_with_retry(connect, port, cfg, n, seed, attempts=50):

@@ -1,10 +1,17 @@
+import functools
 import json
+import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
 
+import hselab.channel as ch
+from conftest import free_port
 from hselab.bases import qubit_six_state_set, save_basis_set
 from hselab.cli import NAMED_SETS, main
+from hselab.errors import SessionError
 from hselab.rates import bkb01_rates, mub_closed_forms
 
 DATA = Path(__file__).parent / "data"
@@ -164,3 +171,134 @@ class TestFileSpecs:
         assert code == 0, err
         rows = [json.loads(line) for line in out.splitlines()]
         assert {r["metric"] for r in rows} == {"r_s", "r_qb", "r_it"}
+
+
+class ThreadOutput:
+    """A sys.stdout / sys.stderr stand-in that keeps each thread's text
+    apart, so that endpoints printing at the same time do not interleave."""
+
+    def __init__(self):
+        self._text = {}
+        self._lock = threading.Lock()
+
+    def write(self, text):
+        name = threading.current_thread().name
+        with self._lock:
+            self._text[name] = self._text.get(name, "") + text
+        return len(text)
+
+    def flush(self):
+        pass
+
+    def of(self, name):
+        return self._text.get(name, "")
+
+
+def run_net(monkeypatch, parties):
+    """Run `hselab net` commands at once, one thread per (name, argv) and
+    in order; each starts once the one before listens (bob's listener is
+    awaited, alice dials until her peer accepts).  Returns, per name, the
+    exit code, stdout and stderr."""
+    out, err = ThreadOutput(), ThreadOutput()
+    monkeypatch.setattr(sys, "stdout", out)
+    monkeypatch.setattr(sys, "stderr", err)
+    listening = threading.Event()
+    monkeypatch.setattr(ch, "serve_session", functools.partial(ch.serve_session, ready_event=listening))
+    connect = ch.connect_session
+
+    def dial(*args, **kwargs):
+        for _ in range(100):
+            try:
+                return connect(*args, **kwargs)
+            except SessionError as exc:
+                if not isinstance(exc.__cause__, ConnectionRefusedError):
+                    raise
+                time.sleep(0.05)
+        raise AssertionError("peer never came up")
+
+    monkeypatch.setattr(ch, "connect_session", dial)
+    codes = {}
+
+    def party(name, argv):
+        codes[name] = main(argv)
+
+    threads = []
+    for name, argv in parties:
+        thread = threading.Thread(target=party, args=(name, argv), name=name)
+        thread.start()
+        threads.append(thread)
+        if name == "bob":
+            assert listening.wait(10.0)
+    for thread in threads:
+        thread.join(30.0)
+        assert not thread.is_alive()
+    return {name: (codes[name], out.of(name), err.of(name)) for name, _ in parties}
+
+
+SESSION = ["--d", "2", "--c", "3", "--set", "sixstate", "--trials", "300", "--seed", "5"]
+
+
+def bob_rows(stdout):
+    return {row["metric"]: row for row in map(json.loads, stdout.splitlines())}
+
+
+class TestNet:
+    def test_serve_bob_connect_alice(self, monkeypatch):
+        port = str(free_port())
+        results = run_net(
+            monkeypatch,
+            [
+                ("bob", ["net", "serve", "--role", "bob", "--port", port, *SESSION, "--format", "jsonl"]),
+                ("alice", ["net", "connect", "--role", "alice", "--port", port, *SESSION]),
+            ],
+        )
+        code, out, err = results["bob"]
+        assert code == 0, err
+        rows = bob_rows(out)
+        assert list(rows) == ["r_s", "r_qb", "r_it"]
+        assert all(row["n"] > 0 and abs(row["z"]) <= 4 for row in rows.values())
+        assert rows["r_s"]["n"] == 300
+        code, out, err = results["alice"]
+        assert code == 0, err
+        assert out.startswith("alice: 300 trials, ")
+
+    def test_no_compare_leaves_error_rates_without_samples(self, monkeypatch):
+        port = str(free_port())
+        results = run_net(
+            monkeypatch,
+            [
+                ("bob", ["net", "serve", "--role", "bob", "--port", port, *SESSION, "--format", "jsonl"]),
+                ("alice", ["net", "connect", "--role", "alice", "--port", port, *SESSION, "--no-compare"]),
+            ],
+        )
+        code, out, err = results["bob"]
+        assert code == 0, err
+        rows = bob_rows(out)
+        assert rows["r_s"]["n"] == 300 and rows["r_s"]["empirical"] is not None
+        for metric in ("r_qb", "r_it"):
+            assert (rows[metric]["n"], rows[metric]["empirical"], rows[metric]["z"]) == (0, None, None)
+        assert results["alice"][0] == 0
+
+    def test_eavesdropper_is_detected(self, monkeypatch):
+        bob_port, relay_port = str(free_port()), str(free_port())
+        results = run_net(
+            monkeypatch,
+            [
+                ("bob", ["net", "serve", "--role", "bob", "--port", bob_port, *SESSION, "--format", "jsonl"]),
+                (
+                    "eve",
+                    [
+                        "net", "eve", "--listen", relay_port, "--forward", f"127.0.0.1:{bob_port}",
+                        "--basis", "basis:0", "--d", "2", "--c", "3", "--set", "sixstate", "--seed", "5",
+                    ],
+                ),
+                ("alice", ["net", "connect", "--role", "alice", "--port", relay_port, *SESSION]),
+            ],
+        )
+        code, out, err = results["eve"]
+        assert code == 0, err
+        assert out == f"intercepted {2 * 300} states\n"
+        assert results["alice"][0] == 0
+        code, out, err = results["bob"]
+        assert code == 1, err
+        assert bob_rows(out)["r_qb"]["z"] > 4

@@ -42,6 +42,8 @@ class TestStateVector:
     def test_rejects_nan(self):
         with pytest.raises(InvalidParameter):
             StateVector([float("nan"), 0.0])
+        with pytest.raises(InvalidParameter, match="finite"):
+            StateVector([complex(1.0, float("inf")), 0.0])
 
     def test_accepts_within_tolerance(self):
         eps = 0.4 * TAU_NORM

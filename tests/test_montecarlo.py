@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -279,8 +280,6 @@ class TestReportFromOutcomes:
         assert rebuilt.r_qb.value == direct.r_qb.value
 
     def test_unknown_letters_limit_metrics(self, sixstate):
-        import dataclasses
-
         config = ProtocolConfig(c=3, d=2, basis_set=sixstate)
         outcomes = mc.trial_outcomes_batch(config, 500, seed=8)
         anonymized = [
@@ -289,3 +288,85 @@ class TestReportFromOutcomes:
         report = mc.report_from_outcomes(config, anonymized, seed=8)
         assert report.r_qb.value is None
         assert report.r_s.value is not None
+
+
+class TestReportFromOutcomesPinned:
+    """Exact reports of an attacked run read against no-attack theory,
+    with every, some, or no letters disclosed."""
+
+    PINNED = {
+        "known": (3000, {
+            "r_s": (0.185, 0.007089311203024828, 3000),
+            "r_qb": (0.5531531531531532, 0.021103551740260056, 555),
+            "r_it": (0.32962025316455695, 0.01057751955485366, 1975),
+        }),
+        "mixed": (3000, {
+            "r_s": (0.185, 0.007089311203024828, 3000),
+            "r_qb": (0.548051948051948, 0.02536440958264941, 385),
+            "r_it": (0.32292460015232294, 0.0129043674089245, 1313),
+        }),
+        "unknown": (3000, {
+            "r_s": (0.185, 0.007089311203024828, 3000),
+            "r_qb": (None, None, 0),
+            "r_it": (None, None, 0),
+        }),
+        "empty": (0, {
+            "r_s": (None, None, 0),
+            "r_qb": (None, None, 0),
+            "r_it": (None, None, 0),
+        }),
+    }
+
+    @pytest.fixture(scope="class")
+    def outcome_lists(self, sixstate):
+        attacked = ProtocolConfig(c=3, d=2, basis_set=sixstate, eve=sixstate.bases[0])
+        outcomes = mc.trial_outcomes_batch(attacked, 3000, seed=21)
+
+        def hide(o):
+            return dataclasses.replace(o, x=-1, index_error_slots=())
+
+        return {
+            "known": outcomes,
+            "mixed": [o if o.trial_id % 3 else hide(o) for o in outcomes],
+            "unknown": [hide(o) for o in outcomes],
+            "empty": [],
+        }
+
+    @pytest.mark.parametrize("name", list(PINNED))
+    def test_seeded_values(self, sixstate, outcome_lists, name):
+        config = ProtocolConfig(c=3, d=2, basis_set=sixstate)
+        report = mc.report_from_outcomes(config, outcome_lists[name], seed=21)
+        n_trials, pinned = self.PINNED[name]
+        assert (report.protocol, report.eve_label, report.n_trials, report.elapsed) == ("hse", None, n_trials, 0.0)
+        assert list(report.estimates) == ["r_s", "r_qb", "r_it"]
+        analytic = {"r_s": 1 / 12, "r_qb": 0.0, "r_it": 0.0}
+        for metric, (value, stderr, n) in pinned.items():
+            est = report.estimates[metric]
+            assert (est.value, est.stderr, est.n) == (value, stderr, n)
+            assert est.analytic == pytest.approx(analytic[metric], abs=1e-14)
+
+
+class TestCountsMatchScalarRule:
+    """The batch engine counts with _Counts.add_block, not TrialOutcome.of:
+    both must give the same totals."""
+
+    @pytest.mark.parametrize("qutrits", (False, True))
+    @pytest.mark.parametrize("attacked", (False, True))
+    def test_block_counts_equal_outcome_fields(self, sixstate, qutrit4, qutrits, attacked):
+        basis_set = qutrit4 if qutrits else sixstate
+        c, d = basis_set.c, basis_set.d
+        config = ProtocolConfig(c=c, d=d, basis_set=basis_set, eve=basis_set.bases[0] if attacked else None)
+        n, seed = 2000, 13
+        counts = mc._Counts()
+        tensors = mc._hse_tensors(basis_set, config.eve)
+        counts.add_block(c, *mc._hse_block(config, seed, 0, n, tensors))
+        outcomes = [run_trial(config, t, seed) for t in range(n)]
+        sifted = [o for o in outcomes if o.sifted]
+        assert (counts.trials, counts.sifted, counts.checked) == (n, len(sifted), len(sifted))
+        assert counts.wrong == sum(o.bob_letter != o.x for o in sifted)
+        assert counts.same_slots == sum(o.y.count(o.x) for o in outcomes)
+        assert counts.same_errors == sum(len(o.index_error_slots) for o in outcomes)
+        if attacked:
+            assert counts.wrong > 0 and counts.same_errors > 0
+        else:
+            assert counts.wrong == counts.same_errors == 0

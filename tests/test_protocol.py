@@ -14,7 +14,6 @@ from hselab.protocol import (
     EveInterceptor,
     alice_prepare,
     bob_choose_bases,
-    eve_intercept,
     infer_letter,
     run_trial,
     sift,
@@ -115,14 +114,16 @@ class TestEveIntercept:
     def test_eigenstate_passes_unchanged(self, sixstate):
         eve = EveInterceptor(sixstate.bases[0], RandomStream(0, "eve"))
         state = sixstate.bases[0].vectors[1]
-        assert np.array_equal(eve_intercept(state, eve).amps, state.amps)
+        outcome, resent = eve.maybe_intercept(state)
+        assert outcome == 1
+        assert np.array_equal(resent.amps, state.amps)
 
     def test_unbiased_state_resent_uniformly(self, sixstate):
         n = 40_000
         counts = Counter()
         for t in range(n):
             eve = EveInterceptor(sixstate.bases[0], RandomStream(2, "eve", t))
-            outcome, _ = eve.intercept(sixstate.bases[1].vectors[0])
+            outcome, _ = eve.maybe_intercept(sixstate.bases[1].vectors[0])
             counts[outcome] += 1
         for k in range(2):
             assert abs(counts[k] / n - 0.5) < freq_tolerance(0.5, n)
@@ -133,7 +134,7 @@ class TestEveIntercept:
         hits = Counter()
         for t in range(n):
             eve = EveInterceptor(hadamard, RandomStream(3, "eve", t))
-            resent = eve_intercept(standard_basis(2).vectors[0], eve)
+            _, resent = eve.maybe_intercept(standard_basis(2).vectors[0])
             hits[round(float(resent.amps[1].real), 6)] += 1
         plus, minus = 1 / math.sqrt(2), -1 / math.sqrt(2)
         assert abs(hits[round(plus, 6)] / n - 0.5) < freq_tolerance(0.5, n)
