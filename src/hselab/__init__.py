@@ -43,7 +43,6 @@ from .rates import (
     bit_transmission_rate,
     bkb01_rates,
     bob_error_rate,
-    index_change_prob,
     iter_rate,
     key_rate,
     mub_closed_forms,
@@ -86,7 +85,6 @@ __all__ = [
     "estimate_rates",
     "fourier_basis",
     "grassmannian_distance",
-    "index_change_prob",
     "is_mutually_unbiased",
     "iter_rate",
     "key_rate",

@@ -35,12 +35,26 @@ Each table stores at most c*d states - Bob's from his configuration, the
 relay's from the sender's Hello, and none before it - and computes any
 further distinct state without storing it, so a sender cannot make it
 grow.  The bytes on the wire are those `encode` gives for every message.
+
+Known state lines are decoded by table lookup too.  Bob and the relay's
+forward pump each decode through a `KnownStates` table, which maps the
+exact `amps` bytes of a quantum_state line to the amplitude pairs a full
+`decode` of that line returned.  Its capacity follows the `BornTable`
+rule: c*d, Bob's from his configuration, the relay's from the sender's
+Hello, and 0 before it.  An entry is added only after `decode` succeeded,
+and only when the line's `amps` bytes are the canonical rendering
+`_amps_json` gives for the decoded pairs, so no key can carry text from
+outside the amplitude list.  A line takes the table's path only if it is
+exactly `{"type":"quantum_state","trial_id":N,"slot":K,"amps":A}` with an
+optional newline, N and K plain JSON integers, and A a key; every other
+line goes through `decode`, which stays the only validator.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 import socket
 import threading
 from dataclasses import dataclass
@@ -141,6 +155,16 @@ def encode(msg: Message) -> bytes:
     return json.dumps(obj, separators=(",", ":")).encode("utf-8") + b"\n"
 
 
+# a quantum_state line exactly as _state_line writes it; the integers are
+# capped at 18 digits so that int() never sees what json.loads rejects
+_KNOWN_LINE = re.compile(
+    rb'\{"type":"quantum_state","trial_id":(0|[1-9][0-9]{0,17}),"slot":(0|[1-9][0-9]{0,17}),'
+    rb'"amps":(.*)\}\n?',
+    re.DOTALL,
+)
+_JSON_NUMBERS = (int, float)
+
+
 def _plain_int(value, what: str, line_no=None) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise CodecError(f"{what} must be an integer, got {value!r}", line_no)
@@ -158,7 +182,7 @@ def decode(line: bytes, line_no: int | None = None) -> Message:
     """Parse one wire line; every malformed input raises CodecError."""
     try:
         obj = json.loads(line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # bad UTF-8, bad JSON, or an integer too long to convert
         raise CodecError(f"unparseable line: {exc}", line_no) from None
     if not isinstance(obj, dict):
         raise CodecError(f"message must be an object, got {type(obj).__name__}", line_no)
@@ -180,20 +204,20 @@ def decode(line: bytes, line_no: int | None = None) -> Message:
         pairs = []
         norm_sq = 0.0
         for pair in amps:
-            if (
-                not isinstance(pair, list)
-                or len(pair) != 2
-                or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair)
-            ):
+            # json.loads gives exact lists, ints and floats; bool is not a number here
+            if type(pair) is not list or len(pair) != 2:
+                raise CodecError(f"amplitude must be a [re, im] pair, got {pair!r}", line_no)
+            real, imag = pair
+            if type(real) not in _JSON_NUMBERS or type(imag) not in _JSON_NUMBERS:
                 raise CodecError(f"amplitude must be a [re, im] pair, got {pair!r}", line_no)
             try:
-                re, im = float(pair[0]), float(pair[1])
+                real, imag = float(real), float(imag)
             except OverflowError:
-                re = im = math.inf
-            if not (math.isfinite(re) and math.isfinite(im)):
+                real = imag = math.inf
+            if not (math.isfinite(real) and math.isfinite(imag)):
                 raise CodecError(f"amplitude must be finite, got {pair!r}", line_no)
-            pairs.append((re, im))
-            norm_sq += re * re + im * im
+            pairs.append((real, imag))
+            norm_sq += real * real + imag * imag
         if abs(norm_sq - 1.0) > TAU_NORM:
             raise CodecError(f"state vector not normalized: |amps|^2 = {norm_sq!r}", line_no)
         return QuantumState(trial_id=tid, slot=slot, amps=tuple(pairs))
@@ -230,6 +254,41 @@ def decode(line: bytes, line_no: int | None = None) -> Message:
             raise CodecError("reason must be a string", line_no)
         return Bye(reason=reason)
     raise CodecError(f"unknown message type {kind!r}", line_no)
+
+
+class KnownStates:
+    """Decodes wire lines, answering repeats of known quantum_state lines
+    from a table of at most `capacity` entries.
+
+    A line that is exactly `_state_line(N, K, A)` for a stored A gives the
+    QuantumState that `decode` gives for it; every other line is passed to
+    `decode`.  A is stored, with the pairs `decode` returned, only if the
+    table has room and A is their canonical `_amps_json` rendering.
+    """
+
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        self._pairs: dict = {}  # canonical amps bytes -> ((re, im), ...)
+
+    def __len__(self) -> int:
+        return len(self._pairs)
+
+    def decode(self, line: bytes) -> Message:
+        known = _KNOWN_LINE.fullmatch(line)
+        if known is not None:
+            trial_id, slot, amps = known.groups()
+            pairs = self._pairs.get(amps)
+            if pairs is not None:
+                return QuantumState(trial_id=int(trial_id), slot=int(slot), amps=pairs)
+        msg = decode(line)
+        if (
+            known is not None
+            and len(self._pairs) < self.capacity
+            and isinstance(msg, QuantumState)
+            and amps == _amps_json(msg.amps)
+        ):
+            self._pairs[amps] = msg.amps
+        return msg
 
 
 class MemoryTransport:
@@ -397,6 +456,8 @@ def _run_alice(transport, config, n_trials, seed, letters, compare) -> AliceLog:
         reply = recv_message(transport)
         if reply is None:
             raise SessionError(f"peer closed mid-session at trial {t}")
+        if isinstance(reply, Bye):
+            raise SessionError(f"peer ended the session at trial {t}: {reply.reason}")
         if not isinstance(reply, SiftReport) or reply.trial_id != t:
             raise ProtocolError(f"expected sift report for trial {t}, got {reply!r}")
         session.record_sift(t, reply.sifted)
@@ -420,14 +481,29 @@ def _run_alice(transport, config, n_trials, seed, letters, compare) -> AliceLog:
 
 
 def _run_bob(transport, config, seed) -> list[TrialOutcome]:
+    """Bob's loop; if the peer breaks the protocol or the codec, he tells
+    it why in a Bye before raising."""
+    try:
+        return _bob_loop(transport, config, seed)
+    except (ProtocolError, CodecError) as exc:
+        try:
+            send_message(transport, Bye(reason=f"{type(exc).__name__}: {exc}"))
+        except SessionError:
+            pass
+        raise
+
+
+def _bob_loop(transport, config, seed) -> list[TrialOutcome]:
     session = BobSession(config, seed)
+    known = KnownStates(config.c * config.d)
     alice_letters = None
     expected_trial = 0
     expected_slot = 0
     while True:
-        msg = recv_message(transport)
-        if msg is None:
+        line = transport.recv_line()
+        if line is None:
             raise SessionError("peer closed before bye")
+        msg = known.decode(line)
         if isinstance(msg, QuantumState):
             if msg.trial_id != expected_trial or msg.slot != expected_slot:
                 raise ProtocolError(
@@ -508,8 +584,13 @@ def run_mitm_pumps(
     log = MitmLog()
     root = EveInterceptor(eve_basis, RandomStream(seed, EVE), intercept_fraction)
     resent_json = [_amps_json(v.pairs()) for v in eve_basis.vectors]
-    # sized from the sender's Hello: she has c*d states to send
-    current: dict = {"trial": None, "eve": None, "table": BornTable((eve_basis,), 0)}
+    # both sized from the sender's Hello: she has c*d states to send
+    current: dict = {
+        "trial": None,
+        "eve": None,
+        "table": BornTable((eve_basis,), 0),
+        "known": KnownStates(0),
+    }
     failures: list[Exception] = []
 
     def forward_with_interception():
@@ -522,7 +603,7 @@ def run_mitm_pumps(
                 bob_side.close()
                 return
             try:
-                msg = decode(line)
+                msg = current["known"].decode(line)
             except CodecError:
                 msg = None
             if isinstance(msg, QuantumState):
@@ -537,6 +618,7 @@ def run_mitm_pumps(
                 continue
             if isinstance(msg, Hello):
                 current["table"] = BornTable((eve_basis,), msg.c * msg.d)
+                current["known"] = KnownStates(msg.c * msg.d)
             held.append(line)
             bob_side.send_line(b"".join(held))
             held.clear()

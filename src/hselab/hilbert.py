@@ -227,12 +227,3 @@ def verify_orthonormal(basis, tol: float) -> OrthonormalityReport:
     gram = matrix.conj().T @ matrix
     deviation = float(np.max(np.abs(gram - np.eye(matrix.shape[1]))))
     return OrthonormalityReport(ok=deviation <= tol, max_deviation=deviation)
-
-
-def standard_vector(d: int, index: int) -> StateVector:
-    """Computational basis vector |index> in dimension d."""
-    if not 0 <= index < d:
-        raise InvalidParameter(f"index {index} outside 0..{d - 1}")
-    amps = np.zeros(d, dtype=np.complex128)
-    amps[index] = 1.0
-    return StateVector(amps)

@@ -100,16 +100,6 @@ def _index_change_table(basis_set: BasisSet, eve: Basis) -> np.ndarray:
     return np.clip(table, 0.0, 1.0)
 
 
-def index_change_prob(basis_set: BasisSet, eve: Basis, i: int, x: int, y: int) -> float:
-    """Probability that index i changes when Alice encodes in basis x,
-    Eve intercepts, and Bob measures in basis y."""
-    if not 0 <= i < basis_set.d:
-        raise InvalidParameter(f"index {i} outside 0..{basis_set.d - 1}")
-    if not (0 <= x < basis_set.c and 0 <= y < basis_set.c):
-        raise InvalidParameter(f"letters ({x}, {y}) outside 0..{basis_set.c - 1}")
-    return float(_index_change_table(basis_set, eve)[x, y, i])
-
-
 def _survival(slot_mean: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """E1[x] = prod_{y != x} A[x, y] and E2[x] = sum_z prod_{y != x, z} A[x, y].
 

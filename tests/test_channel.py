@@ -1,6 +1,9 @@
+import collections
+import functools
 import hashlib
 import json
 import math
+import re
 import socket
 import threading
 import time
@@ -10,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hselab.channel as ch
-from conftest import free_port
+from conftest import free_port, make_random_basis
 from hselab.bases import breidbart_basis, mu_basis_set
 from hselab.errors import CodecError, DimensionError, HandshakeError, ProtocolError, SessionError
 from hselab.protocol import run_trial
@@ -166,6 +169,105 @@ class TestCodec:
         with pytest.raises(CodecError) as err:
             ch.decode(b"nope", line_no=17)
         assert err.value.line_no == 17
+
+    def test_integer_too_long_to_convert(self):
+        # json.loads raises a plain ValueError past int()'s digit limit
+        amps = b"[[1.0,0.0],[0.0,0.0]]"
+        known = ch.KnownStates(4)
+        known.decode(ch._state_line(0, 0, amps))
+        assert len(known) == 1
+        line = b'{"type":"quantum_state","trial_id":%s,"slot":0,"amps":%s}\n' % (b"7" * 5000, amps)
+        for decode in (ch.decode, known.decode):
+            with pytest.raises(CodecError):
+                decode(line)
+
+
+@functools.cache
+def honest_amps(d, c):
+    """The `amps` bytes of the c*d states of the MU set for (d, c)."""
+    return [ch._amps_json(v.pairs()) for basis in mu_basis_set(d, c).bases for v in basis.vectors]
+
+
+# each takes an honest state line and the amps of another state
+MUTATIONS = {
+    "none": lambda line, other: line,
+    "no newline": lambda line, other: line[:-1],
+    "leading zero in trial_id": lambda line, other: line.replace(b'"trial_id":', b'"trial_id":0', 1),
+    "leading zero in slot": lambda line, other: line.replace(b'"slot":', b'"slot":0', 1),
+    "negative trial_id": lambda line, other: line.replace(b'"trial_id":', b'"trial_id":-', 1),
+    "crlf": lambda line, other: line[:-1] + b"\r\n",
+    "spaces": lambda line, other: line.replace(b'":', b'": '),
+    "duplicated amps key": lambda line, other: line[:-2] + b',"amps":' + other + b"}\n",
+    "extra keys after amps": lambda line, other: line[:-2] + b',"trial_id":7,"x":[1]}\n',
+    "nan": lambda line, other: re.sub(rb'"amps":\[\[[^,]*', b'"amps":[[NaN', line),
+    "integer amplitudes": lambda line, other: line.replace(b"0.0", b"0"),
+}
+
+
+@st.composite
+def state_lines(draw):
+    """(c*d, lines): state lines of one (d, c), honest or mutated, some with
+    amplitudes from outside the set and trial ids past 18 digits."""
+    d, c = draw(st.sampled_from([(2, 3), (3, 4), (5, 6)]))
+    honest = honest_amps(d, c)
+    lines = []
+    for _ in range(draw(st.integers(1, 24))):
+        if draw(st.booleans()):
+            amps = draw(st.sampled_from(honest))
+        else:  # unknown amplitudes
+            stranger = make_random_basis(d, draw(st.integers(0, 50))).vectors[draw(st.integers(0, d - 1))]
+            amps = ch._amps_json(stranger.pairs())
+        line = ch._state_line(draw(st.integers(0, 10**20)), draw(st.integers(0, c)), amps)
+        mutate = MUTATIONS[draw(st.sampled_from(sorted(MUTATIONS)))]
+        lines.append(mutate(line, draw(st.sampled_from(honest))))
+    return c * d, lines
+
+
+def decoded(decode, line):
+    """What a decoder makes of a line: the message's repr, which tells
+    -0.0 from 0.0 and 1 from 1.0, or the CodecError's text."""
+    try:
+        return repr(decode(line))
+    except CodecError as exc:
+        return f"CodecError: {exc}"
+
+
+class TestKnownStates:
+    @given(state_lines())
+    @settings(max_examples=200, deadline=None)
+    def test_same_result_as_decode(self, case):
+        capacity, lines = case
+        known = ch.KnownStates(capacity)
+        for line in lines + lines:  # the second pass meets the keys the first stored
+            assert decoded(known.decode, line) == decoded(ch.decode, line)
+        assert len(known) <= capacity
+
+    def test_a_tail_after_amps_never_enters_the_table(self, sixstate):
+        amps = ch._amps_json(sixstate.bases[1].vectors[0].pairs())
+        tail = b',"trial_id":7,"x":[1]}\n'
+        known = ch.KnownStates(6)
+        for trial_id in (3, 5):
+            assert known.decode(ch._state_line(trial_id, 0, amps)[:-2] + tail).trial_id == 7
+        assert len(known) == 0
+        honest = ch._state_line(5, 0, amps)
+        assert known.decode(honest) == ch.decode(honest)
+        assert len(known) == 1
+        # the stored key is the amps alone, so the tail still takes the slow path
+        assert known.decode(ch._state_line(3, 0, amps)[:-2] + tail).trial_id == 7
+
+    def test_table_holds_at_most_c_times_d(self, qutrit4):
+        c, d = 4, 3
+        known = ch.KnownStates(c * d)
+        strangers = [v for seed in range(30) for v in make_random_basis(d, seed).vectors]
+        assert len({v.pairs() for v in strangers}) == 90
+        for trial_id, state in enumerate(strangers):
+            known.decode(ch.encode(ch.QuantumState(trial_id, 0, state.pairs())))
+        assert len(known) == c * d
+        for basis in qutrit4.bases:
+            for state in basis.vectors:
+                line = ch.encode(ch.QuantumState(99, 1, state.pairs()))
+                assert known.decode(line) == ch.decode(line)
+        assert len(known) == c * d
 
 
 def run_pair(cfg, n_trials, seed, basis_set_id="sixstate", compare=True, record=False):
@@ -618,6 +720,29 @@ class TestMitm:
         assert isinstance(results["alice"], SessionError)
         assert isinstance(results["bob"], SessionError)
 
+    def test_each_distinct_state_is_decoded_once_per_endpoint(self, monkeypatch):
+        basis_set = mu_basis_set(7, 8)
+        cfg = ProtocolConfig(c=8, d=7, basis_set=basis_set)
+        eve = basis_set.bases[0]
+        full_decodes = collections.Counter()
+        decode = ch.decode
+
+        def counting_decode(line, line_no=None):
+            msg = decode(line, line_no)
+            if isinstance(msg, ch.QuantumState):
+                full_decodes[threading.current_thread().name, msg.amps] += 1
+            return msg
+
+        monkeypatch.setattr(ch, "decode", counting_decode)
+        results, _, _ = self.run_with_interceptor(None, cfg, 200, 5, eve_basis=eve)
+        attacked = ProtocolConfig(c=8, d=7, basis_set=basis_set, eve=eve)
+        assert results["outcomes"] == [run_trial(attacked, t, 5) for t in range(200)]
+        assert set(full_decodes.values()) == {1}
+        per_endpoint = collections.Counter(name for name, _ in full_decodes)
+        # Bob only meets the 7 states Eve resends; the relay meets Alice's 56
+        assert per_endpoint.pop("MainThread") <= 7
+        assert len(per_endpoint) == 1 and sum(per_endpoint.values()) <= 56
+
     def test_error_rate_seen_by_bob(self, sixstate, cfg23):
         results, _, _ = self.run_with_interceptor(sixstate, cfg23, 5000, 3)
         outcomes = results["outcomes"]
@@ -626,6 +751,107 @@ class TestMitm:
         p_hat = wrong / len(sifted)
         stderr = math.sqrt(p_hat * (1 - p_hat) / len(sifted))
         assert abs(p_hat - 4 / 7) <= 4 * stderr
+
+
+class BreakAnnouncement:
+    """Alice's transport, with one index too many in the announcement of
+    one trial, which Bob rejects."""
+
+    def __init__(self, inner, trial_id):
+        self.inner = inner
+        self.marker = b'{"type":"index_announce","trial_id":%d,"a":[' % trial_id
+
+    def send_line(self, data):
+        self.inner.send_line(data.replace(self.marker, self.marker + b"0,"))
+
+    def recv_line(self):
+        return self.inner.recv_line()
+
+    def close(self):
+        self.inner.close()
+
+
+class TestBobSaysWhy:
+    """Bob names the error he stops on in a Bye, and Alice's SessionError
+    carries his reason."""
+
+    TRIAL = 3
+
+    def run_alice(self, transport, cfg, errors):
+        try:
+            ch.run_session("alice", BreakAnnouncement(transport, self.TRIAL), cfg, 10, 6, "sixstate")
+        except Exception as exc:
+            errors["alice"] = exc
+
+    def check(self, errors, started):
+        assert time.monotonic() - started < 2.0
+        assert isinstance(errors.get("bob"), ProtocolError)
+        assert "malformed announcement" in str(errors["bob"])
+        assert isinstance(errors.get("alice"), SessionError)
+        assert f"trial {self.TRIAL}: ProtocolError: malformed announcement" in str(errors["alice"])
+
+    def run_bob(self, transport, cfg, errors):
+        try:
+            ch.run_session("bob", transport, cfg, 10, 6, "sixstate")
+        except Exception as exc:
+            errors["bob"] = exc
+
+    def test_over_memory(self, cfg23):
+        alice_t, bob_t = ch.memory_transport_pair()
+        errors = {}
+        started = time.monotonic()
+        alice = threading.Thread(target=self.run_alice, args=(alice_t, cfg23, errors))
+        alice.start()
+        self.run_bob(bob_t, cfg23, errors)
+        alice.join(2.0)
+        bob_t.close()
+        alice.join(5.0)
+        assert not alice.is_alive()
+        self.check(errors, started)
+
+    def test_over_tcp(self, cfg23):
+        port = free_port()
+        ready = threading.Event()
+        errors = {}
+
+        def bob():
+            try:
+                ch.serve_session("127.0.0.1", port, "bob", cfg23, 10, 6, "sixstate", ready_event=ready)
+            except Exception as exc:
+                errors["bob"] = exc
+
+        started = time.monotonic()
+        server = threading.Thread(target=bob)
+        server.start()
+        assert ready.wait(5.0)
+        transport = ch.TcpTransport(socket.create_connection(("127.0.0.1", port)))
+        try:
+            self.run_alice(transport, cfg23, errors)
+        finally:
+            transport.close()
+        server.join(5.0)
+        assert not server.is_alive()
+        self.check(errors, started)
+
+    def test_through_the_relay(self, cfg23, sixstate):
+        alice_t, eve_a = ch.memory_transport_pair()
+        eve_b, bob_t = ch.memory_transport_pair()
+        errors = {}
+        started = time.monotonic()
+        threads = [
+            threading.Thread(target=self.run_alice, args=(alice_t, cfg23, errors)),
+            threading.Thread(target=ch.run_mitm_pumps, args=(eve_a, eve_b, sixstate.bases[0], 6)),
+        ]
+        for thread in threads:
+            thread.start()
+        self.run_bob(bob_t, cfg23, errors)
+        threads[0].join(2.0)
+        alice_t.close()
+        bob_t.close()
+        for thread in threads:
+            thread.join(5.0)
+            assert not thread.is_alive()
+        self.check(errors, started)
 
 
 class ByteRecorder:

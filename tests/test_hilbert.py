@@ -15,11 +15,17 @@ from hselab.hilbert import (
     born_sample,
     overlap,
     sample_from_probs,
-    standard_vector,
     transition_prob,
     verify_orthonormal,
 )
 from hselab.rng import RandomStream
+
+
+def standard_vector(d, index):
+    """Computational basis vector |index> in dimension d."""
+    amps = np.zeros(d, dtype=np.complex128)
+    amps[index] = 1.0
+    return StateVector(amps)
 
 
 def random_state(d, seed):

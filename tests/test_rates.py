@@ -27,7 +27,6 @@ from hselab.rates import (
     bob_error_rate,
     display_ns,
     display_percent,
-    index_change_prob,
     iter_rate,
     key_rate,
     mub_closed_forms,
@@ -112,6 +111,17 @@ def bob_error_rate_brute(basis_set, eve):
                     term *= table[x, y, a]
                 total += term
     return total / (c * math.factorial(c - 1) * d ** (c - 1))
+
+
+def index_change_prob(basis_set, eve, i, x, y):
+    """Probability that index i changes when Alice encodes in basis x,
+    Eve intercepts, and Bob measures in basis y: one entry of the table
+    the rate kernel uses."""
+    if not 0 <= i < basis_set.d:
+        raise InvalidParameter(f"index {i} outside 0..{basis_set.d - 1}")
+    if not (0 <= x < basis_set.c and 0 <= y < basis_set.c):
+        raise InvalidParameter(f"letters ({x}, {y}) outside 0..{basis_set.c - 1}")
+    return float(_index_change_table(basis_set, eve)[x, y, i])
 
 
 class TestIndexChangeProb:
