@@ -58,6 +58,20 @@ def resolve_set(spec: str, d: int | None, c: int | None):
     raise InvalidParameter(f"unknown basis set spec {spec!r}")
 
 
+def resolve_sized_set(spec: str, d: int | None, c: int | None, purpose: str) -> bases_mod.BasisSet:
+    """resolve_set for a command that runs at --d and --c: a BasisSet
+    whose size equals each flag that is given, so that a named or loaded
+    set never silently overrides the flags."""
+    basis_set = resolve_set(spec, d, c)
+    if not isinstance(basis_set, bases_mod.BasisSet):
+        raise InvalidParameter(f"{purpose} needs a basis set")
+    flags = [(name, want) for name, want in (("d", d), ("c", c)) if want is not None]
+    if any(getattr(basis_set, name) != want for name, want in flags):
+        given = " ".join(f"--{name} {want}" for name, want in flags)
+        raise InvalidParameter(f"--set {spec} has d={basis_set.d}, c={basis_set.c}, not {given}")
+    return basis_set
+
+
 def resolve_eve(spec: str, basis_set) -> Basis | None:
     """Turn an --eve spec (none | basis:<x> | breidbart | file:<path>[#k])
     into a Basis."""
@@ -188,9 +202,7 @@ def cmd_rates(args) -> int:
             elif c != 2:
                 raise InvalidParameter("kmb09 is the two-basis case; use --c 2")
         if args.set is not None:
-            basis_set = resolve_set(args.set, args.d, c)
-            if not isinstance(basis_set, bases_mod.BasisSet):
-                raise InvalidParameter("rate computation needs a basis set")
+            basis_set = resolve_sized_set(args.set, args.d, c, "rate computation")
             eve = resolve_eve(args.eve if args.eve is not None else "basis:0", basis_set)
             if eve is None:
                 raise InvalidParameter("analytic attack rates need an eve basis")
@@ -233,9 +245,7 @@ def _print_sim_report(report, fmt: str) -> None:
 
 def cmd_sim(args) -> int:
     spec = args.set if args.set is not None else "mub"
-    basis_set = resolve_set(spec, args.d, args.c)
-    if not isinstance(basis_set, bases_mod.BasisSet):
-        raise InvalidParameter("simulation needs a basis set")
+    basis_set = resolve_sized_set(spec, args.d, args.c, "simulation")
     eve = resolve_eve(args.eve, basis_set)
     config = ProtocolConfig(c=basis_set.c, d=basis_set.d, basis_set=basis_set, eve=eve)
     report = montecarlo.estimate_rates(config, args.trials, args.seed)
@@ -245,9 +255,7 @@ def cmd_sim(args) -> int:
 
 def cmd_net(args) -> int:
     spec = args.set if args.set is not None else "mub"
-    basis_set = resolve_set(spec, args.d, args.c)
-    if not isinstance(basis_set, bases_mod.BasisSet):
-        raise InvalidParameter("sessions need a basis set")
+    basis_set = resolve_sized_set(spec, args.d, args.c, "sessions")
 
     if args.net_cmd == "eve":
         eve = resolve_eve(args.basis, basis_set)

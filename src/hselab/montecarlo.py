@@ -7,6 +7,14 @@ the results are bit-identical to running protocol.run_trial one trial at
 a time (a tested invariant).  `_measure` draws one slot of a block,
 directly or through Eve, for both simulated protocols.
 
+Two kernels keep a block cheap without changing a draw.  Bob's basis
+tuple is Lehmer-decoded from his c-1 picks (`_lehmer_decode`), which
+gives the letters protocol.bob_choose_bases pops from its pool.  Each
+measurement inverts a CDF row held as d-1 contiguous columns over the
+flattened (state, basis) row index (`_hse_tensors`): `_invert_rows`
+counts, one `take` per column, the entries <= u, which is the count
+hilbert.invert_cdf takes, on the same cumsum floats.
+
 `_Counts` is the one counter behind every SimReport: `add` sums event
 arrays, `add_block` (the vector form of `TrialOutcome.of`) feeds it for
 simulations and for `report_from_outcomes`, and `report` builds the
@@ -35,6 +43,7 @@ from .rng import bulk_uniforms, scaled_index, trial_keys
 
 CHUNK = 100_000
 Z_FAIL = 4.0
+STAGES = ("tensors", "analytics", "sampling", "counting")
 
 
 @dataclass(frozen=True)
@@ -84,7 +93,11 @@ class SimReport:
     r_s: Estimate
     r_it: Estimate | None
     r_qb: Estimate
-    elapsed: float
+    stages: dict  # seconds per STAGES entry; empty for a finished session
+
+    @property
+    def elapsed(self) -> float:
+        return math.fsum(self.stages.values())
 
     @property
     def estimates(self) -> dict:
@@ -110,46 +123,78 @@ def _born_tensor(targets, states) -> np.ndarray:
     return np.stack(rows)
 
 
+def _cdf_columns(probabilities: np.ndarray) -> np.ndarray:
+    """Columns 0..d-2 of the cumulative (rows, d) probabilities, each a
+    contiguous vector over the row index.  A cumsum along one row adds in
+    the same order as the scalar path's cumsum, so every entry is the
+    same float."""
+    return np.ascontiguousarray(np.cumsum(probabilities, axis=1)[:, :-1].T)
+
+
 def _hse_tensors(basis_set: BasisSet, eve: Basis | None):
-    """Cumulative Born rows of one slot: (to_eve, from_eve) through Eve,
-    else (direct,).  BKB01 sends one state through the same channel."""
+    """CDF columns of one slot: (to_eve, from_eve) through Eve, else
+    (direct,).  A row is indexed (x*d + a)*c + y for state a of basis x
+    measured in basis y directly, x*d + a for Eve's measurement, and
+    k*c + y for Bob's measurement of Eve's state k.  The last CDF column
+    is dropped: see _invert_rows.  BKB01 sends one state through the same
+    channel."""
     members = basis_set.bases
     c, d = basis_set.c, basis_set.d
     if eve is not None:
         to_eve = _born_tensor(
             [eve] * (c * d), [members[x].vectors[i] for x in range(c) for i in range(d)]
-        ).reshape(c, d, d)
+        )
         from_eve = _born_tensor(
             [members[y] for _ in range(d) for y in range(c)],
             [eve.vectors[k] for k in range(d) for _ in range(c)],
-        ).reshape(d, c, d)
-        return np.cumsum(to_eve, axis=-1), np.cumsum(from_eve, axis=-1)
+        )
+        return _cdf_columns(to_eve), _cdf_columns(from_eve)
     direct = _born_tensor(
         [members[y] for x in range(c) for i in range(d) for y in range(c)],
         [members[x].vectors[i] for x in range(c) for i in range(d) for y in range(c)],
-    ).reshape(c, d, c, d)
-    return (np.cumsum(direct, axis=-1),)
+    )
+    return (_cdf_columns(direct),)
 
 
-def _invert_rows(cum_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Vector form of hilbert.sample_from_probs: count of cdf entries <= u."""
-    idx = (cum_rows <= u[:, None]).sum(axis=1)
-    return np.minimum(idx, cum_rows.shape[1] - 1)
+def _invert_rows(columns: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Vector form of hilbert.invert_cdf: per trial, the count of entries
+    <= u in CDF row `rows`, gathered one column at a time.  A cumsum of
+    non-negative probabilities never decreases, so the entries <= u are a
+    prefix of the row; counting over the first d-1 columns alone therefore
+    equals the full count capped at d-1."""
+    return sum(column.take(rows) <= u for column in columns)
 
 
-def _measure(tensors, x, a, y, bob_keys, bob_counter, eve_keys, eve_counter):
+def _measure(tensors, c, d, x, a, y, bob_keys, bob_counter, eve_keys, eve_counter):
     """Bob's outcomes for one slot of a block: state a of basis x measured
-    in basis y, directly or, when eve_keys is given, through Eve's basis."""
+    in basis y, directly or, when eve_keys is given, through Eve's basis.
+    Each measurement computes its trials' CDF row index (see _hse_tensors)
+    and inverts that row at the draw the scalar path takes."""
     if eve_keys is None:
         (direct,) = tensors
-        return _invert_rows(direct[x, a, y], bulk_uniforms(bob_keys, bob_counter))
+        return _invert_rows(direct, (x * d + a) * c + y, bulk_uniforms(bob_keys, bob_counter))
     to_eve, from_eve = tensors
-    eve_outcome = _invert_rows(to_eve[x, a], bulk_uniforms(eve_keys, eve_counter))
-    return _invert_rows(from_eve[eve_outcome, y], bulk_uniforms(bob_keys, bob_counter))
+    eve_outcome = _invert_rows(to_eve, x * d + a, bulk_uniforms(eve_keys, eve_counter))
+    return _invert_rows(from_eve, eve_outcome * c + y, bulk_uniforms(bob_keys, bob_counter))
+
+
+def _lehmer_decode(picks: np.ndarray) -> None:
+    """Bob's ordered distinct tuples from his (c-1, n) picks, in place.
+
+    Pick k (0 <= pick < c-k) chooses the pick-th smallest letter not yet
+    chosen, as protocol.bob_choose_bases pops it from a sorted pool, so
+    the picks are a Lehmer code.  Decoding it from the right needs no
+    pool: for i from the second-last slot down to the first, every later
+    slot at or above slot i's value steps up by one, past slot i's letter.
+    Integers only, so the letters are exactly the pool's."""
+    for i in range(len(picks) - 2, -1, -1):
+        for j in range(i + 1, len(picks)):
+            picks[j] += picks[j] >= picks[i]
 
 
 def _hse_block(config: ProtocolConfig, seed: int, start: int, count: int, tensors, letters=None):
-    """One block of trials, fully vectorized; returns per-trial arrays."""
+    """One block of trials, fully vectorized; returns per-trial (count,)
+    x and (count, c-1) a, y and b arrays."""
     c, d = config.c, config.d
     trials = np.arange(start, start + count, dtype=np.uint64)
     alice_keys = trial_keys(seed, ALICE, trials)
@@ -159,24 +204,19 @@ def _hse_block(config: ProtocolConfig, seed: int, start: int, count: int, tensor
         x = scaled_index(bulk_uniforms(alice_keys, 0), c)
     else:
         x = np.asarray(letters[start : start + count], dtype=np.int64)
-    a = np.empty((count, c - 1), dtype=np.int64)
+    # slot-major: a[k], y[k] and b[k] are contiguous vectors over the block
+    a = np.empty((c - 1, count), dtype=np.int64)
+    y = np.empty((c - 1, count), dtype=np.int64)
     for k in range(c - 1):
-        a[:, k] = scaled_index(bulk_uniforms(alice_keys, 1 + k), d)
-
-    # Bob's ordered distinct tuple: Fisher-Yates prefix, one uniform per slot
-    y = np.empty((count, c - 1), dtype=np.int64)
-    pool = np.broadcast_to(np.arange(c, dtype=np.int64), (count, c)).copy()
-    for k in range(c - 1):
-        pick = scaled_index(bulk_uniforms(bob_keys, k), c - k)
-        y[:, k] = np.take_along_axis(pool, pick[:, None], axis=1)[:, 0]
-        cols = np.arange(c - k - 1, dtype=np.int64)[None, :]
-        pool = np.take_along_axis(pool, cols + (cols >= pick[:, None]), axis=1)
+        a[k] = scaled_index(bulk_uniforms(alice_keys, 1 + k), d)
+        y[k] = scaled_index(bulk_uniforms(bob_keys, k), c - k)
+    _lehmer_decode(y)
 
     eve_keys = trial_keys(seed, EVE, trials) if config.eve is not None else None
-    b = np.empty((count, c - 1), dtype=np.int64)
+    b = np.empty((c - 1, count), dtype=np.int64)
     for k in range(c - 1):
-        b[:, k] = _measure(tensors, x, a[:, k], y[:, k], bob_keys, (c - 1) + k, eve_keys, k)
-    return x, a, y, b
+        b[k] = _measure(tensors, c, d, x, a[k], y[k], bob_keys, (c - 1) + k, eve_keys, k)
+    return x, a.T, y.T, b.T
 
 
 @dataclass
@@ -214,7 +254,7 @@ class _Counts:
         missing = c * (c - 1) // 2 - y.sum(axis=1)
         self.add(sifted, sifted & (missing != x), same, same & (b != a))
 
-    def report(self, protocol: str, d: int, c: int, eve, seed: int, analytic, elapsed: float) -> SimReport:
+    def report(self, protocol: str, d: int, c: int, eve, seed: int, analytic, stages: dict) -> SimReport:
         """The SimReport of these counts against analytic (r_s, r_it, r_qb);
         an analytic r_it of None reports no index error rate."""
         s_analytic, it_analytic, qb_analytic = analytic
@@ -228,8 +268,22 @@ class _Counts:
             r_s=_estimate(self.sifted, self.trials, s_analytic),
             r_it=None if it_analytic is None else _estimate(self.same_errors, self.same_slots, it_analytic),
             r_qb=_estimate(self.wrong, self.checked, qb_analytic),
-            elapsed=elapsed,
+            stages=stages,
         )
+
+
+class _Stopwatch:
+    """Seconds per stage of one run: `lap(stage)` charges the time since
+    the previous lap (or since the watch was made) to that stage."""
+
+    def __init__(self):
+        self.seconds = dict.fromkeys(STAGES, 0.0)
+        self._mark = time.perf_counter()
+
+    def lap(self, stage: str) -> None:
+        now = time.perf_counter()
+        self.seconds[stage] += now - self._mark
+        self._mark = now
 
 
 def _sampled_config(config: ProtocolConfig) -> ProtocolConfig:
@@ -254,16 +308,19 @@ def estimate_rates(config: ProtocolConfig, n_trials: int, seed: int) -> SimRepor
     their analytic values."""
     if n_trials < 1:
         raise InvalidParameter("n_trials must be >= 1")
-    started = time.perf_counter()
+    watch = _Stopwatch()
     sampled = _sampled_config(config)
-    analytic = _hse_analytics(sampled)
-    counts = _Counts()
     tensors = _hse_tensors(sampled.basis_set, sampled.eve)
+    watch.lap("tensors")
+    analytic = _hse_analytics(sampled)
+    watch.lap("analytics")
+    counts = _Counts()
     for start in range(0, n_trials, CHUNK):
         block = _hse_block(sampled, seed, start, min(CHUNK, n_trials - start), tensors)
+        watch.lap("sampling")
         counts.add_block(config.c, *block)
-    elapsed = time.perf_counter() - started
-    return counts.report("hse", config.d, config.c, config.eve, seed, analytic, elapsed)
+        watch.lap("counting")
+    return counts.report("hse", config.d, config.c, config.eve, seed, analytic, watch.seconds)
 
 
 def trial_outcomes_batch(config: ProtocolConfig, n_trials: int, seed: int, letters=None):
@@ -291,8 +348,11 @@ def simulate_bkb01(
         raise InvalidParameter("basis set does not match (c, d)")
     if n_trials < 1:
         raise InvalidParameter("n_trials must be >= 1")
-    started = time.perf_counter()
+    watch = _Stopwatch()
     tensors = _hse_tensors(basis_set, eve)
+    watch.lap("tensors")
+    qb_analytic = (c - 1) * (d - 1) / (c * d) if eve is not None else 0.0
+    watch.lap("analytics")
     counts = _Counts()
     for start in range(0, n_trials, CHUNK):
         trials = np.arange(start, start + min(CHUNK, n_trials - start), dtype=np.uint64)
@@ -302,11 +362,11 @@ def simulate_bkb01(
         g = scaled_index(bulk_uniforms(alice_keys, 0), c)
         x = scaled_index(bulk_uniforms(alice_keys, 1), d)
         h = scaled_index(bulk_uniforms(bob_keys, 0), c)
-        outcome = _measure(tensors, g, x, h, bob_keys, 1, eve_keys, 0)
+        outcome = _measure(tensors, c, d, g, x, h, bob_keys, 1, eve_keys, 0)
+        watch.lap("sampling")
         counts.add(h == g, (h == g) & (outcome != x))
-    qb_analytic = (c - 1) * (d - 1) / (c * d) if eve is not None else 0.0
-    elapsed = time.perf_counter() - started
-    return counts.report("bkb01", d, c, eve, seed, (1.0 / c, None, qb_analytic), elapsed)
+        watch.lap("counting")
+    return counts.report("bkb01", d, c, eve, seed, (1.0 / c, None, qb_analytic), watch.seconds)
 
 
 def report_from_outcomes(config: ProtocolConfig, outcomes, seed: int) -> SimReport:
@@ -326,7 +386,7 @@ def report_from_outcomes(config: ProtocolConfig, outcomes, seed: int) -> SimRepo
     counts.add_block(config.c, x[known], a[known], y[known], b[known])
     counts.add(np.all(a[~known] != b[~known], axis=1), None)
     analytic = (rates.success_rate(config.basis_set), 0.0, 0.0)
-    return counts.report("hse", config.d, config.c, None, seed, analytic, 0.0)
+    return counts.report("hse", config.d, config.c, None, seed, analytic, {})
 
 
 @dataclass(frozen=True)
@@ -398,9 +458,10 @@ def to_json_lines(reports) -> str:
 def format_report(report: SimReport) -> str:
     """Human-readable summary of one SimReport."""
     eve = report.eve_label or "none"
+    stages = ", ".join(f"{stage} {seconds:.3f}s" for stage, seconds in report.stages.items())
     header = (
         f"{report.protocol} d={report.d} c={report.c} eve={eve} "
-        f"trials={report.n_trials} seed={report.seed} ({report.elapsed:.2f}s)"
+        f"trials={report.n_trials} seed={report.seed} ({report.elapsed:.2f}s{': ' + stages if stages else ''})"
     )
     lines = [header]
     for metric, est in report.estimates.items():

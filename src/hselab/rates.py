@@ -91,13 +91,8 @@ def _transition_matrix(b1: Basis, b2: Basis) -> np.ndarray:
 
 def _index_change_table(basis_set: BasisSet, eve: Basis) -> np.ndarray:
     """P[x, y, i] = p_i(x, y), the index-change probability through Eve."""
-    towards_eve = [_transition_matrix(b, eve) for b in basis_set.bases]
-    c, d = basis_set.c, basis_set.d
-    table = np.empty((c, c, d))
-    for x in range(c):
-        for y in range(c):
-            table[x, y] = 1.0 - np.einsum("ik,ik->i", towards_eve[x], towards_eve[y])
-    return np.clip(table, 0.0, 1.0)
+    towards_eve = np.stack([_transition_matrix(b, eve) for b in basis_set.bases])
+    return np.clip(1.0 - np.einsum("xik,yik->xyi", towards_eve, towards_eve), 0.0, 1.0)
 
 
 def _survival(slot_mean: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -12,6 +12,7 @@ from conftest import free_port
 from hselab.bases import qubit_six_state_set, save_basis_set
 from hselab.cli import NAMED_SETS, main
 from hselab.errors import SessionError
+from hselab.montecarlo import STAGES
 from hselab.rates import bkb01_rates, mub_closed_forms
 
 DATA = Path(__file__).parent / "data"
@@ -132,6 +133,91 @@ class TestSim:
             assert (row["protocol"], row["d"], row["c"]) == ("hse", 2, 3)
             assert row["analytic"] == pytest.approx(expected[row["metric"]], abs=1e-12, rel=1e-12)
             assert abs(row["z"]) <= 4
+
+    # sampled fields of default (mub) runs: seeded draws must never drift
+    PINNED = {
+        ("2", "3", "none"): [
+            ("r_s", 0.084, 0.005064385451365249, 3000),
+            ("r_qb", 0.0, 0.0, 252),
+            ("r_it", 0.0, 0.0, 1999),
+        ],
+        ("5", "6", "basis:0"): [
+            ("r_s", 0.29133333333333333, 0.008295746344206012, 3000),
+            ("r_qb", 0.8100686498855835, 0.013267940764338999, 874),
+            ("r_it", 0.687007874015748, 0.009200908356734119, 2540),
+        ],
+        ("7", "8", "basis:0"): [
+            ("r_s", 0.30233333333333334, 0.008385063881467826, 3000),
+            ("r_qb", 0.8665931642778391, 0.011289976230745851, 907),
+            ("r_it", 0.753062787136294, 0.008437664995081466, 2612),
+        ],
+    }
+
+    @pytest.mark.parametrize("d,c,eve", list(PINNED))
+    def test_default_set_runs_are_pinned(self, capsys, d, c, eve):
+        code, out, err = run(
+            capsys, "sim", "--d", d, "--c", c, "--eve", eve, "--trials", "3000", "--seed", "3", "--format", "jsonl"
+        )
+        assert code == 0, err
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert [(r["metric"], r["empirical"], r["stderr"], r["n"]) for r in rows] == self.PINNED[(d, c, eve)]
+
+    def test_table_header_names_the_stages(self, capsys):
+        code, out, _ = run(capsys, "sim", "--d", "2", "--c", "3", "--trials", "1000")
+        assert code == 0
+        header = out.splitlines()[0]
+        assert header.startswith("hse d=2 c=3 eve=none trials=1000 seed=1 (")
+        assert [part.split()[0] for part in header.split(": ", 1)[1].split(", ")] == list(STAGES)
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--d", "5", "--c", "3", "--set", "sixstate"),
+            ("--d", "2", "--c", "3", "--set", "fourier"),
+        ],
+    )
+    def test_named_set_must_match_the_flags(self, capsys, flags):
+        code, out, err = run(capsys, "sim", *flags, "--trials", "10")
+        assert code == 2 and out == ""
+        assert err.startswith("error: --set ") and "Traceback" not in err
+
+
+class TestSetSizeFlags:
+    """A named set whose (d, c) differ from --d or --c is a usage error in
+    every command that runs at that size."""
+
+    @pytest.mark.parametrize(
+        "argv,given",
+        [
+            (("--protocol", "hse", "--set", "sixstate", "--d", "3"), "--d 3"),
+            # kmb09 is the two-basis case, so it implies --c 2
+            (("--protocol", "kmb09", "--set", "sixstate"), "--c 2"),
+        ],
+    )
+    def test_rates_compute(self, capsys, argv, given):
+        code, out, err = run(capsys, "rates", "compute", *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: --set sixstate has d=2, c=3, not {given}\n"
+
+    def test_rates_compute_without_size_flags_takes_the_set(self, capsys):
+        row = jsonl_row(capsys, "rates", "compute", "--protocol", "hse", "--set", "qutrit4")
+        assert (row["d"], row["c"]) == (3, 4)
+
+    # the check runs before any socket is opened
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["net", "serve", "--role", "bob", "--d", "3", "--c", "2", "--set", "qutrit4", "--port", "{port}"],
+            ["net", "connect", "--role", "alice", "--d", "2", "--c", "2", "--set", "sixstate", "--port", "{port}"],
+            ["net", "eve", "--listen", "{port}", "--forward", "127.0.0.1:{port}", "--basis", "basis:0",
+             "--d", "3", "--c", "3", "--set", "sixstate"],
+        ],
+    )
+    def test_net(self, capsys, argv):
+        port = free_port()
+        code, out, err = run(capsys, *(arg.format(port=port) for arg in argv))
+        assert code == 2 and out == ""
+        assert err.startswith("error: --set ") and "Traceback" not in err
 
 
 class TestTable1:

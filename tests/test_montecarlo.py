@@ -1,16 +1,20 @@
 import csv
 import dataclasses
 import io
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hselab.montecarlo as mc
-from conftest import make_random_set
+from conftest import make_random_basis, make_random_set
 from hselab.bases import BasisSet, breidbart_basis, fourier_basis, mu_basis_set, standard_basis
 from hselab.errors import InvalidParameter
+from hselab.hilbert import invert_cdf
 from hselab.protocol import run_trial
 from hselab.rates import ProtocolConfig
 
@@ -65,6 +69,128 @@ class TestBatchEngineEquality:
         letters = [t % 3 for t in range(100)]
         batch = mc.trial_outcomes_batch(cfg23_eve, 100, 7, letters=letters)
         assert batch == [run_trial(cfg23_eve, t, 7, letters=letters) for t in range(100)]
+
+    # c >= 5 is where Bob's decode makes more than one pass
+    @pytest.mark.parametrize("attacked", (False, True))
+    @pytest.mark.parametrize("d,c", [(5, 6), (7, 8)])
+    def test_matches_on_larger_mu_sets(self, d, c, attacked):
+        family = mu_basis_set(d, c)
+        config = ProtocolConfig(c=c, d=d, basis_set=family, eve=family.bases[0] if attacked else None)
+        batch = mc.trial_outcomes_batch(config, 300, 4)
+        assert batch == [run_trial(config, t, 4) for t in range(300)]
+
+    def test_matches_on_random_set_with_random_eve(self):
+        family = make_random_set(5, 4, seed=8)
+        config = ProtocolConfig(c=4, d=5, basis_set=family, eve=make_random_basis(5, 99, label="eve"))
+        batch = mc.trial_outcomes_batch(config, 300, 6)
+        assert batch == [run_trial(config, t, 6) for t in range(300)]
+
+    @pytest.mark.parametrize("attacked", (False, True))
+    def test_supplied_letters_at_five_six(self, attacked):
+        family = mu_basis_set(5, 6)
+        config = ProtocolConfig(c=6, d=5, basis_set=family, eve=family.bases[0] if attacked else None)
+        letters = [(7 * t + 3) % 6 for t in range(200)]
+        batch = mc.trial_outcomes_batch(config, 200, 9, letters=letters)
+        assert batch == [run_trial(config, t, 9, letters=letters) for t in range(200)]
+
+    def test_small_chunks(self, monkeypatch):
+        family = mu_basis_set(5, 6)
+        config = ProtocolConfig(c=6, d=5, basis_set=family, eve=family.bases[0])
+        letters = [t % 6 for t in range(500)]
+        monkeypatch.setattr(mc, "CHUNK", 137)
+        for supplied in (None, letters):
+            batch = mc.trial_outcomes_batch(config, 500, 10, letters=supplied)
+            assert batch == [run_trial(config, t, 10, letters=supplied) for t in range(500)]
+
+
+def pool_tuples(picks: np.ndarray, c: int) -> np.ndarray:
+    """Bob's (n, c-1) tuples from his (n, c-1) picks through a per-trial
+    pool of unused letters, narrowed by one take_along_axis per slot: the
+    batch engine's former construction, kept as the decode's oracle."""
+    count = picks.shape[0]
+    y = np.empty((count, c - 1), dtype=np.int64)
+    pool = np.broadcast_to(np.arange(c, dtype=np.int64), (count, c)).copy()
+    for k in range(c - 1):
+        pick = picks[:, k]
+        y[:, k] = np.take_along_axis(pool, pick[:, None], axis=1)[:, 0]
+        cols = np.arange(c - k - 1, dtype=np.int64)[None, :]
+        pool = np.take_along_axis(pool, cols + (cols >= pick[:, None]), axis=1)
+    return y
+
+
+def decoded(picks: np.ndarray) -> np.ndarray:
+    slot_major = picks.T.copy()
+    mc._lehmer_decode(slot_major)
+    return slot_major.T
+
+
+@st.composite
+def pick_rows(draw):
+    c = draw(st.integers(2, 10))
+    slots = st.tuples(*(st.integers(0, c - k - 1) for k in range(c - 1)))
+    rows = draw(st.lists(slots, min_size=1, max_size=30))
+    return c, np.array(rows, dtype=np.int64).reshape(-1, c - 1)
+
+
+class TestLehmerDecode:
+    @given(pick_rows())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_pool(self, case):
+        c, picks = case
+        assert np.array_equal(decoded(picks), pool_tuples(picks, c))
+
+    @pytest.mark.parametrize("c", range(2, 8))
+    def test_every_pick_sequence_gives_every_tuple_once(self, c):
+        picks = np.array(list(itertools.product(*(range(c - k) for k in range(c - 1)))), dtype=np.int64)
+        picks = picks.reshape(-1, c - 1)
+        tuples = decoded(picks)
+        assert tuples.tolist() == [list(t) for t in itertools.permutations(range(c), c - 1)]
+        assert np.array_equal(tuples, pool_tuples(picks, c))
+
+
+@st.composite
+def cdf_cases(draw):
+    """Probability rows with zero-probability outcomes, and draws to invert
+    on each: every CDF entry, 0.0, the largest float below 1 and a few
+    arbitrary ones."""
+    d = draw(st.integers(2, 8))
+    weight = st.one_of(st.just(0.0), st.floats(1e-9, 1.0))
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        w = np.array(draw(st.lists(weight, min_size=d, max_size=d)))
+        if w.sum() == 0.0:
+            w[draw(st.integers(0, d - 1))] = 1.0
+        rows.append(w / w.sum())
+    extra = draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=4))
+    return np.array(rows), extra
+
+
+class TestInvertRows:
+    @staticmethod
+    def check(probabilities, extra=()):
+        columns = mc._cdf_columns(probabilities)
+        for r, row in enumerate(probabilities):
+            cdf = np.cumsum(row).tolist()
+            draws = [*cdf, 0.0, np.nextafter(1.0, 0.0), *extra]
+            got = mc._invert_rows(columns, np.full(len(draws), r), np.array(draws))
+            assert got.tolist() == [invert_cdf(cdf, u) for u in draws]
+
+    @given(cdf_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_invert_cdf(self, case):
+        self.check(*case)
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            [0.0, 0.0, 1.0],  # u = 0.0 passes both leading zeros
+            [1.0, 0.0, 0.0],  # at u = 1.0 every entry counts: only the cap holds it at d-1
+            [0.5, 0.0, 0.49999999],  # the cdf ends below 1, so draws above it are capped
+            [0.25, 0.25, 0.0, 0.5],
+        ],
+    )
+    def test_edge_rows(self, row):
+        self.check(np.array([row]), [0.5, 0.75, 0.9999999])
 
 
 class TestChunking:
@@ -158,6 +284,28 @@ class TestEstimateRates:
     def test_rejects_empty_run(self, cfg23_eve):
         with pytest.raises(InvalidParameter):
             mc.estimate_rates(cfg23_eve, 0, seed=1)
+
+
+class TestStageTimings:
+    def test_every_stage_is_timed(self, cfg23_eve, sixstate, monkeypatch):
+        monkeypatch.setattr(mc, "CHUNK", 1000)
+        reports = [
+            mc.estimate_rates(cfg23_eve, 5000, seed=1),
+            mc.simulate_bkb01(3, 2, sixstate, sixstate.bases[0], 5000, seed=1),
+        ]
+        for report in reports:
+            assert list(report.stages) == list(mc.STAGES)
+            assert all(seconds >= 0.0 for seconds in report.stages.values())
+            assert report.stages["sampling"] > 0.0
+            assert report.elapsed == math.fsum(report.stages.values())
+
+    def test_machine_formats_carry_no_timings(self, cfg23_eve):
+        report = mc.estimate_rates(cfg23_eve, 2000, seed=1)
+        assert mc.to_csv([report]).splitlines()[0] == ",".join(mc.CSV_COLUMNS)
+        for line in mc.to_json_lines([report]).splitlines():
+            assert list(json.loads(line)) == [
+                "protocol", "d", "c", "metric", "analytic", "empirical", "stderr", "z", "n"
+            ]
 
 
 class TestSimulateBkb01:
