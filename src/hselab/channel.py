@@ -36,18 +36,31 @@ relay's from the sender's Hello, and none before it - and computes any
 further distinct state without storing it, so a sender cannot make it
 grow.  The bytes on the wire are those `encode` gives for every message.
 
-Known state lines are decoded by table lookup too.  Bob and the relay's
-forward pump each decode through a `KnownStates` table, which maps the
-exact `amps` bytes of a quantum_state line to the amplitude pairs a full
-`decode` of that line returned.  Its capacity follows the `BornTable`
-rule: c*d, Bob's from his configuration, the relay's from the sender's
-Hello, and 0 before it.  An entry is added only after `decode` succeeded,
-and only when the line's `amps` bytes are the canonical rendering
-`_amps_json` gives for the decoded pairs, so no key can carry text from
-outside the amplitude list.  A line takes the table's path only if it is
-exactly `{"type":"quantum_state","trial_id":N,"slot":K,"amps":A}` with an
-optional newline, N and K plain JSON integers, and A a key; every other
-line goes through `decode`, which stays the only validator.
+Every per-trial line is written by template and read by one fast reader.
+`_state_line`, `_announce_line` and `_sift_line` render the quantum_state,
+index_announce and sift_report lines with `%` formatting, byte for byte
+what `json.dumps` gives for the same object, and `encode` renders those
+three types through the same templates.  Hello, key_compare and bye lines,
+one or two per session, go through `json.dumps`.
+
+Each endpoint reads through a `KnownStates` reader.  It answers three exact
+line shapes without `decode`, each with an optional newline and with N, K
+and every index a plain JSON integer of at most 18 digits:
+
+- `{"type":"index_announce","trial_id":N,"a":[i,...]}`;
+- `{"type":"sift_report","trial_id":N,"sifted":true|false}`;
+- `{"type":"quantum_state","trial_id":N,"slot":K,"amps":A}`, where A is a
+  key of the reader's table of known states.
+
+That table maps the exact `amps` bytes of a quantum_state line to the
+amplitude pairs a full `decode` of that line returned.  Its capacity
+follows the `BornTable` rule: c*d, Bob's from his configuration, the
+relay's forward pump's from the sender's Hello, and 0 before it; Alice
+reads her replies through a reader of capacity 0.  An entry is added only
+after `decode` succeeded, and only when the line's `amps` bytes are the
+canonical rendering `_amps_json` gives for the decoded pairs, so no key can
+carry text from outside the amplitude list.  Every other line goes through
+`decode`, which stays the only validator.
 """
 
 from __future__ import annotations
@@ -58,7 +71,7 @@ import re
 import socket
 import threading
 from dataclasses import dataclass
-from queue import Empty, Queue
+from queue import Empty, SimpleQueue
 
 from .errors import CodecError, HandshakeError, ProtocolError, SessionError
 from .hilbert import TAU_NORM, Basis, BornTable
@@ -126,10 +139,25 @@ def _state_line(trial_id: int, slot: int, amps_json: bytes) -> bytes:
     return b'{"type":"quantum_state","trial_id":%d,"slot":%d,"amps":%s}\n' % (trial_id, slot, amps_json)
 
 
+def _announce_line(trial_id: int, a) -> bytes:
+    """An index_announce line: the same bytes json.dumps gives."""
+    indices = ",".join(map(str, a)).encode("ascii")
+    return b'{"type":"index_announce","trial_id":%d,"a":[%s]}\n' % (trial_id, indices)
+
+
+def _sift_line(trial_id: int, sifted: bool) -> bytes:
+    """A sift_report line: the same bytes json.dumps gives."""
+    return b'{"type":"sift_report","trial_id":%d,"sifted":%s}\n' % (trial_id, b"true" if sifted else b"false")
+
+
 def encode(msg: Message) -> bytes:
     """One message per line: UTF-8 JSON with a `type` discriminator."""
     if isinstance(msg, QuantumState):
         return _state_line(msg.trial_id, msg.slot, _amps_json(msg.amps))
+    if isinstance(msg, IndexAnnounce):
+        return _announce_line(msg.trial_id, msg.a)
+    if isinstance(msg, SiftReport):
+        return _sift_line(msg.trial_id, msg.sifted)
     if isinstance(msg, Hello):
         obj = {
             "type": "hello",
@@ -138,10 +166,6 @@ def encode(msg: Message) -> bytes:
             "d": msg.d,
             "basis_set_id": msg.basis_set_id,
         }
-    elif isinstance(msg, IndexAnnounce):
-        obj = {"type": "index_announce", "trial_id": msg.trial_id, "a": list(msg.a)}
-    elif isinstance(msg, SiftReport):
-        obj = {"type": "sift_report", "trial_id": msg.trial_id, "sifted": msg.sifted}
     elif isinstance(msg, KeyCompare):
         obj = {
             "type": "key_compare",
@@ -155,13 +179,17 @@ def encode(msg: Message) -> bytes:
     return json.dumps(obj, separators=(",", ":")).encode("utf-8") + b"\n"
 
 
-# a quantum_state line exactly as _state_line writes it; the integers are
+# the per-trial lines exactly as the templates write them; the integers are
 # capped at 18 digits so that int() never sees what json.loads rejects
-_KNOWN_LINE = re.compile(
-    rb'\{"type":"quantum_state","trial_id":(0|[1-9][0-9]{0,17}),"slot":(0|[1-9][0-9]{0,17}),'
-    rb'"amps":(.*)\}\n?',
+_UINT = rb"(?:0|[1-9][0-9]{0,17})"
+_STATE_LINE = re.compile(
+    rb'\{"type":"quantum_state","trial_id":(%s),"slot":(%s),"amps":(.*)\}\n?' % (_UINT, _UINT),
     re.DOTALL,
 )
+_ANNOUNCE_LINE = re.compile(
+    rb'\{"type":"index_announce","trial_id":(%s),"a":\[(%s(?:,%s)*)\]\}\n?' % (_UINT, _UINT, _UINT)
+)
+_SIFT_LINE = re.compile(rb'\{"type":"sift_report","trial_id":(%s),"sifted":(true|false)\}\n?' % _UINT)
 _JSON_NUMBERS = (int, float)
 
 
@@ -257,13 +285,16 @@ def decode(line: bytes, line_no: int | None = None) -> Message:
 
 
 class KnownStates:
-    """Decodes wire lines, answering repeats of known quantum_state lines
-    from a table of at most `capacity` entries.
+    """Decodes wire lines, answering the per-trial lines without `decode`
+    and repeats of known quantum_state lines from a table of at most
+    `capacity` entries.
 
-    A line that is exactly `_state_line(N, K, A)` for a stored A gives the
-    QuantumState that `decode` gives for it; every other line is passed to
-    `decode`.  A is stored, with the pairs `decode` returned, only if the
-    table has room and A is their canonical `_amps_json` rendering.
+    A line that is exactly `_announce_line(N, a)`, `_sift_line(N, s)`, or
+    `_state_line(N, K, A)` for a stored A, each with plain integers of at
+    most 18 digits, gives the message that `decode` gives for it; every
+    other line is passed to `decode`.  A is stored, with the pairs `decode`
+    returned, only if the table has room and A is their canonical
+    `_amps_json` rendering.
     """
 
     def __init__(self, capacity: int):
@@ -274,12 +305,19 @@ class KnownStates:
         return len(self._pairs)
 
     def decode(self, line: bytes) -> Message:
-        known = _KNOWN_LINE.fullmatch(line)
+        known = _STATE_LINE.fullmatch(line)
         if known is not None:
             trial_id, slot, amps = known.groups()
             pairs = self._pairs.get(amps)
             if pairs is not None:
                 return QuantumState(trial_id=int(trial_id), slot=int(slot), amps=pairs)
+        else:
+            announce = _ANNOUNCE_LINE.fullmatch(line)
+            if announce is not None:
+                return IndexAnnounce(trial_id=int(announce[1]), a=tuple(map(int, announce[2].split(b","))))
+            sift = _SIFT_LINE.fullmatch(line)
+            if sift is not None:
+                return SiftReport(trial_id=int(sift[1]), sifted=sift[2] == b"true")
         msg = decode(line)
         if (
             known is not None
@@ -292,9 +330,11 @@ class KnownStates:
 
 
 class MemoryTransport:
-    """One end of an in-process FIFO pair."""
+    """One end of an in-process FIFO pair.  The queues are SimpleQueues,
+    whose put and get run in C, so handing a line to another thread costs
+    no Python-level locking."""
 
-    def __init__(self, inbox: Queue, outbox: Queue):
+    def __init__(self, inbox: SimpleQueue, outbox: SimpleQueue):
         self._inbox = inbox
         self._outbox = outbox
         self._closed = False
@@ -325,8 +365,8 @@ class MemoryTransport:
 
 
 def memory_transport_pair() -> tuple[MemoryTransport, MemoryTransport]:
-    a_to_b: Queue = Queue()
-    b_to_a: Queue = Queue()
+    a_to_b: SimpleQueue = SimpleQueue()
+    b_to_a: SimpleQueue = SimpleQueue()
     return MemoryTransport(b_to_a, a_to_b), MemoryTransport(a_to_b, b_to_a)
 
 
@@ -446,16 +486,19 @@ def _run_alice(transport, config, n_trials, seed, letters, compare) -> AliceLog:
     session = AliceSession(config, seed, letters=letters)
     # the amps of vector a of basis x, for each of the c*d states she can send
     amps_json = [[_amps_json(v.pairs()) for v in basis.vectors] for basis in config.basis_set.bases]
+    # her replies are sift reports and a bye; she is sent no states
+    replies = KnownStates(0)
     sent = 0
     for t in range(n_trials):
         x, _, announced = session.states_for_trial(t)
         lines = [_state_line(t, slot, amps_json[x][a]) for slot, a in enumerate(announced)]
-        lines.append(encode(IndexAnnounce(trial_id=t, a=announced)))
+        lines.append(_announce_line(t, announced))
         transport.send_line(b"".join(lines))
         sent += len(lines)
-        reply = recv_message(transport)
-        if reply is None:
+        line = transport.recv_line()
+        if line is None:
             raise SessionError(f"peer closed mid-session at trial {t}")
+        reply = replies.decode(line)
         if isinstance(reply, Bye):
             raise SessionError(f"peer ended the session at trial {t}: {reply.reason}")
         if not isinstance(reply, SiftReport) or reply.trial_id != t:
@@ -526,7 +569,7 @@ def _bob_loop(transport, config, seed) -> list[TrialOutcome]:
             if len(msg.a) != config.c - 1 or not all(0 <= v < config.d for v in msg.a):
                 raise ProtocolError(f"malformed announcement {msg.a!r}")
             sifted, _ = session.conclude(expected_trial, msg.a)
-            send_message(transport, SiftReport(trial_id=expected_trial, sifted=sifted))
+            transport.send_line(_sift_line(expected_trial, sifted))
             expected_trial += 1
             expected_slot = 0
         elif isinstance(msg, KeyCompare):

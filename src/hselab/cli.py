@@ -261,10 +261,7 @@ def cmd_net(args) -> int:
         eve = resolve_eve(args.basis, basis_set)
         if eve is None:
             raise InvalidParameter("the eve node needs a basis")
-        host, _, port = args.forward.rpartition(":")
-        log = channel.run_mitm(
-            ("127.0.0.1", args.listen), (host or "127.0.0.1", int(port)), eve, args.seed
-        )
+        log = channel.run_mitm(("127.0.0.1", args.listen), args.forward, eve, args.seed)
         print(f"intercepted {len(log.records)} states")
         return 0
 
@@ -287,6 +284,21 @@ def cmd_net(args) -> int:
         return 0 if report.consistent else 1
     print(f"alice: {result.trials} trials, {len(result.key)} key letters, {result.messages_sent} messages")
     return 0
+
+
+def _port(text: str) -> int:
+    """argparse type: a TCP port, 0-65535."""
+    if not (text.isascii() and text.isdigit()) or int(text) > 65535:
+        raise argparse.ArgumentTypeError(f"expected a port 0-65535, got {text!r}")
+    return int(text)
+
+
+def _host_port(text: str) -> tuple[str, int]:
+    """argparse type: HOST:PORT, where an empty HOST is 127.0.0.1."""
+    host, colon, port = text.rpartition(":")
+    if not colon:
+        raise argparse.ArgumentTypeError(f"expected HOST:PORT, got {text!r}")
+    return host or "127.0.0.1", _port(port)
 
 
 def _add_format(parser) -> None:
@@ -341,11 +353,9 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("serve", "connect"):
         p = net_sub.add_parser(name)
         p.add_argument("--role", choices=("alice", "bob"), required=True)
-        if name == "serve":
-            p.add_argument("--port", type=int, default=channel.DEFAULT_PORT)
-        else:
+        if name == "connect":
             p.add_argument("--host", default="127.0.0.1")
-            p.add_argument("--port", type=int, default=channel.DEFAULT_PORT)
+        p.add_argument("--port", type=_port, default=channel.DEFAULT_PORT)
         p.add_argument("--d", type=int, required=True)
         p.add_argument("--c", type=int, required=True)
         p.add_argument("--set", help="basis set spec (default mub)")
@@ -355,8 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
         _add_format(p)
         p.set_defaults(func=cmd_net)
     p_eve = net_sub.add_parser("eve")
-    p_eve.add_argument("--listen", type=int, required=True, help="port to accept the sender on")
-    p_eve.add_argument("--forward", required=True, help="host:port of the receiver")
+    p_eve.add_argument("--listen", type=_port, required=True, help="port to accept the sender on")
+    p_eve.add_argument("--forward", type=_host_port, required=True, help="host:port of the receiver")
     p_eve.add_argument("--basis", required=True, help="basis:<x> | breidbart | file:<path>[#k]")
     p_eve.add_argument("--d", type=int, required=True)
     p_eve.add_argument("--c", type=int, required=True)

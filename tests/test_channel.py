@@ -270,6 +270,96 @@ class TestKnownStates:
         assert len(known) == c * d
 
 
+def json_line(obj) -> bytes:
+    """The oracle for every template: the compact json.dumps of the object."""
+    return json.dumps(obj, separators=(",", ":")).encode() + b"\n"
+
+
+TRIAL_IDS = st.one_of(
+    st.integers(0, 10**18),
+    st.sampled_from([0, 9, 10, 10**17, 10**18 - 1, 10**18]),
+)
+
+
+class TestTemplates:
+    @given(TRIAL_IDS, st.lists(st.integers(0, 10**18), min_size=1, max_size=10).map(tuple))
+    @settings(max_examples=300, deadline=None)
+    def test_announce_line_is_the_json_dump(self, trial_id, a):
+        oracle = json_line({"type": "index_announce", "trial_id": trial_id, "a": list(a)})
+        assert ch._announce_line(trial_id, a) == oracle
+        assert ch.encode(ch.IndexAnnounce(trial_id, a)) == oracle
+
+    @given(TRIAL_IDS, st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_sift_line_is_the_json_dump(self, trial_id, sifted):
+        oracle = json_line({"type": "sift_report", "trial_id": trial_id, "sifted": sifted})
+        assert ch._sift_line(trial_id, sifted) == oracle
+        assert ch.encode(ch.SiftReport(trial_id, sifted)) == oracle
+
+
+# each takes an honest announce or sift line
+CLASSICAL_MUTATIONS = {
+    "none": lambda line: line,
+    "no newline": lambda line: line[:-1],
+    "crlf": lambda line: line[:-1] + b"\r\n",
+    "spaces": lambda line: line.replace(b'":', b'": ').replace(b",", b", "),
+    "leading zero in trial_id": lambda line: line.replace(b'"trial_id":', b'"trial_id":0', 1),
+    "leading zero in an index": lambda line: line.replace(b'"a":[', b'"a":[0', 1),
+    "negative trial_id": lambda line: line.replace(b'"trial_id":', b'"trial_id":-', 1),
+    "negative index": lambda line: line.replace(b'"a":[', b'"a":[-', 1),
+    "19-digit trial_id": lambda line: re.sub(rb'"trial_id":[0-9]+', b'"trial_id":1' + b"0" * 18, line),
+    "19-digit index": lambda line: line.replace(b'"a":[', b'"a":[1' + b"0" * 18 + b",", 1),
+    "true as an index": lambda line: line.replace(b'"a":[', b'"a":[true,', 1),
+    "empty a": lambda line: re.sub(rb'"a":\[[^\]]*\]', b'"a":[]', line),
+    "sifted as 1": lambda line: line.replace(b"true", b"1").replace(b"false", b"1"),
+    "float trial_id": lambda line: re.sub(rb'("trial_id":[0-9]+)', rb"\1.0", line),
+    "extra key": lambda line: line[:-2] + b',"x":1}\n',
+    "duplicated trial_id": lambda line: line[:-2] + b',"trial_id":7}\n',
+    "duplicated type": lambda line: line[:-2] + b',"type":"bye"}\n',
+}
+
+
+@st.composite
+def classical_lines(draw):
+    """Announce and sift lines, honest or mutated, with trial ids and
+    indices around the 18-digit limit of the reader."""
+    numbers = st.one_of(TRIAL_IDS, st.integers(0, 10**20))
+    if draw(st.booleans()):
+        a = tuple(draw(st.lists(numbers, min_size=1, max_size=10)))
+        line = ch._announce_line(draw(numbers), a)
+    else:
+        line = ch._sift_line(draw(numbers), draw(st.booleans()))
+    return CLASSICAL_MUTATIONS[draw(st.sampled_from(sorted(CLASSICAL_MUTATIONS)))](line)
+
+
+class TestFastReader:
+    @given(st.lists(classical_lines(), min_size=1, max_size=8))
+    @settings(max_examples=400, deadline=None)
+    def test_same_result_as_decode(self, lines):
+        known = ch.KnownStates(6)
+        for line in lines:
+            assert decoded(known.decode, line) == decoded(ch.decode, line)
+        assert len(known) == 0
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            b'{"type":"index_announce","trial_id":3,"a":[0,2,1]}\n',
+            b'{"type":"index_announce","trial_id":999999999999999999,"a":[0]}',
+            b'{"type":"sift_report","trial_id":0,"sifted":false}\n',
+            b'{"type":"sift_report","trial_id":12,"sifted":true}',
+        ],
+    )
+    def test_honest_lines_skip_decode(self, line, monkeypatch):
+        expected = ch.decode(line)
+
+        def no_decode(line, line_no=None):
+            raise AssertionError(f"decode called on {line!r}")
+
+        monkeypatch.setattr(ch, "decode", no_decode)
+        assert ch.KnownStates(0).decode(line) == expected
+
+
 def run_pair(cfg, n_trials, seed, basis_set_id="sixstate", compare=True, record=False):
     """Run alice and bob over an in-process pair; returns (alice log, outcomes,
     recording transports if requested)."""
@@ -420,6 +510,31 @@ class TestMemoryTransport:
         left, right = ch.memory_transport_pair()
         right.close()
         assert right.recv_line() is None
+
+    def test_recv_times_out_with_session_error(self, monkeypatch):
+        monkeypatch.setattr(ch, "_RECV_TIMEOUT", 0.2)
+        left, right = ch.memory_transport_pair()
+        started = time.monotonic()
+        with pytest.raises(SessionError):
+            right.recv_line()
+        assert time.monotonic() - started < 1.0
+
+    def test_peer_close_wakes_a_blocked_reader(self):
+        left, right = ch.memory_transport_pair()
+        got = []
+        reader = threading.Thread(target=lambda: got.append(right.recv_line()))
+        reader.start()
+        time.sleep(0.05)
+        left.close()
+        reader.join(1.0)
+        assert not reader.is_alive()
+        assert got == [None]
+
+    def test_send_after_own_close_raises(self):
+        left, _ = ch.memory_transport_pair()
+        left.close()
+        with pytest.raises(SessionError):
+            left.send_line(b"x\n")
 
 
 class TestTcpSession:
@@ -742,6 +857,40 @@ class TestMitm:
         # Bob only meets the 7 states Eve resends; the relay meets Alice's 56
         assert per_endpoint.pop("MainThread") <= 7
         assert len(per_endpoint) == 1 and sum(per_endpoint.values()) <= 56
+
+    def test_codec_calls_do_not_grow_with_trials(self, qutrit4, monkeypatch):
+        """Past the first sight of each state, no per-trial line goes
+        through encode or decode."""
+        cfg = ProtocolConfig(c=4, d=3, basis_set=qutrit4)
+        eve = qutrit4.bases[0]
+        attacked = ProtocolConfig(c=4, d=3, basis_set=qutrit4, eve=eve)
+        encode, decode = ch.encode, ch.decode
+        calls = collections.Counter()
+
+        def counting_encode(msg):
+            calls["encode", type(msg).__name__] += 1
+            return encode(msg)
+
+        def counting_decode(line, line_no=None):
+            msg = decode(line, line_no)
+            calls["decode", type(msg).__name__] += 1
+            return msg
+
+        monkeypatch.setattr(ch, "encode", counting_encode)
+        monkeypatch.setattr(ch, "decode", counting_decode)
+        counts = {}
+        for n in (20, 200):
+            calls.clear()
+            results, _, _ = self.run_with_interceptor(None, cfg, n, 2, eve_basis=eve)
+            assert results["outcomes"] == [run_trial(attacked, t, 2) for t in range(n)]
+            counts[n] = dict(calls)
+        assert counts[20] == counts[200]
+        # at seed 2 the relay has met all 12 of Alice's states by trial 20,
+        # and Bob the 3 that Eve resends; each is decoded in full once
+        assert counts[200][("decode", "QuantumState")] == 12 + 3
+        assert ("decode", "IndexAnnounce") not in counts[200]
+        assert ("decode", "SiftReport") not in counts[200]
+        assert not {kind for op, kind in counts[200] if op == "encode"} & {"IndexAnnounce", "SiftReport"}
 
     def test_error_rate_seen_by_bob(self, sixstate, cfg23):
         results, _, _ = self.run_with_interceptor(sixstate, cfg23, 5000, 3)

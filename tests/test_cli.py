@@ -220,6 +220,55 @@ class TestSetSizeFlags:
         assert err.startswith("error: --set ") and "Traceback" not in err
 
 
+EVE = ["--basis", "basis:0", "--d", "2", "--c", "3", "--set", "sixstate"]
+
+
+class TestAddresses:
+    """A bad port or address is a usage error: exit 2, no traceback, and
+    no session started."""
+
+    @pytest.mark.parametrize(
+        "argv,bad",
+        [
+            (["net", "eve", "--listen", "7118", "--forward", "localhost", *EVE], "'localhost'"),
+            (["net", "eve", "--listen", "7118", "--forward", "127.0.0.1:abc", *EVE], "'abc'"),
+            (["net", "eve", "--listen", "7118", "--forward", "127.0.0.1:70000", *EVE], "'70000'"),
+            (["net", "eve", "--listen", "70000", "--forward", "127.0.0.1:7117", *EVE], "'70000'"),
+            (["net", "eve", "--listen", "-1", "--forward", "127.0.0.1:7117", *EVE], "'-1'"),
+            (["net", "serve", "--role", "bob", "--port", "70000", "--d", "2", "--c", "3"], "'70000'"),
+            (["net", "connect", "--role", "alice", "--port", "70000", "--d", "2", "--c", "3"], "'70000'"),
+            (["net", "connect", "--role", "alice", "--port", "1e3", "--d", "2", "--c", "3"], "'1e3'"),
+        ],
+    )
+    def test_usage_error(self, capsys, monkeypatch, argv, bad):
+        def no_session(*args, **kwargs):
+            raise AssertionError("a session was started")
+
+        for name in ("run_mitm", "serve_session", "connect_session"):
+            monkeypatch.setattr(ch, name, no_session)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == ""
+        assert bad in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "forward,address",
+        [("127.0.0.1:7117", ("127.0.0.1", 7117)), (":0", ("127.0.0.1", 0)), ("host:65535", ("host", 65535))],
+    )
+    def test_forward_is_parsed_before_the_relay_starts(self, capsys, monkeypatch, forward, address):
+        seen = []
+
+        def fake_mitm(listen, forward, eve_basis, seed):
+            seen.append((listen, forward))
+            return ch.MitmLog()
+
+        monkeypatch.setattr(ch, "run_mitm", fake_mitm)
+        code, out, _ = run(capsys, "net", "eve", "--listen", "7118", "--forward", forward, *EVE)
+        assert code == 0 and out == "intercepted 0 states\n"
+        assert seen == [(("127.0.0.1", 7118), address)]
+
+
 class TestTable1:
     @pytest.mark.parametrize("fmt,name", [("jsonl", "table1.jsonl"), ("csv", "table1.csv"), ("table", "table1.txt")])
     def test_output_is_stable(self, capsys, fmt, name):
