@@ -15,14 +15,14 @@ survive the wire bit-exactly.
 
 Transports offer `send_line`, `recv_line` and `close`.  `send_line` takes
 one or more whole newline-terminated lines and writes them in one call;
-`recv_line` returns exactly one line, or None at EOF.  Alice writes each
-trial's states and announcement in one `send_line`, and the relay holds
-the states it forwards until the announcement, so every trial costs one
-write in each direction.  Each side then waits for the other's reply, so
-TCP transports set TCP_NODELAY: otherwise Nagle's algorithm and delayed
-ACKs hold each small write back by tens of milliseconds.  `close` ends
-both directions: the peer and any reader blocked on the closed end see
-EOF.
+`recv_line` returns exactly one line, or None at EOF and on every read
+after it.  Alice writes each trial's states and announcement in one
+`send_line`, and the relay holds the states it forwards until the
+announcement, so every trial costs one write in each direction.  Each
+side then waits for the other's reply, so TCP transports set
+TCP_NODELAY: otherwise Nagle's algorithm and delayed ACKs hold each
+small write back by tens of milliseconds.  `close` ends both
+directions: the peer and any reader blocked on the closed end see EOF.
 
 Known states are encoded and measured by table lookup.  An honest Alice
 only sends the c*d vectors of her basis set, and the relay only resends
@@ -352,6 +352,7 @@ class MemoryTransport:
             except Empty:
                 raise SessionError("timed out waiting for peer") from None
             if item is None:
+                self._inbox.put(None)  # EOF is sticky: every later read sees it too
                 return None
             self._unread = item
         line, newline, self._unread = self._unread.partition(b"\n")

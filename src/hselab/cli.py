@@ -1,8 +1,11 @@
 """Command-line interface: basis tools, rate tables, simulations, wire sessions.
 
 Exit codes: 0 success, 1 check or session failure, 2 usage error.  Every
-command is deterministic given --seed; machine formats (csv, jsonl) carry
-full precision while table output follows the display rounding rules.
+command is deterministic given --seed.  Each command with --format prints
+through one writer, `emit`: jsonl is one JSON object per row and csv a
+header and one line per row, both at full precision; table is the
+command's own text, which follows the display rounding rules.  `bases
+list`, `bases verify` and `net eve` print text only.
 """
 
 from __future__ import annotations
@@ -19,6 +22,8 @@ from .hilbert import TAU_NORM, Basis, verify_orthonormal
 from .rates import ProtocolConfig, display_ns, display_percent
 
 FORMATS = ("table", "csv", "jsonl")
+TABLE1_COLUMNS = ["protocol", "d", "c", "r_qb", "r_it", "r_t", "n_s"]
+RATE_COLUMNS = [field.name for field in dataclasses.fields(rates.RateReport) if field.name != "note"]
 
 NAMED_SETS = {
     "qutrit4": "complete set of 4 MU qutrit bases (d=3, c=4)",
@@ -29,6 +34,31 @@ NAMED_SETS = {
     "standard": "single computational basis (verify only)",
     "file:<path>": "basis set from a JSON file",
 }
+
+
+def emit(fmt: str, rows: list[dict], table, columns=None) -> None:
+    """Print one command's result in `fmt`; every --format command prints
+    through here.  jsonl prints one JSON object per row; csv prints a
+    header over `columns` (default: every key of the first row) and one
+    line per row, None as an empty cell and floats by repr; table prints
+    `table()`, the command's own text, rendered for this format alone."""
+    if fmt == "jsonl":
+        for row in rows:
+            print(json.dumps(row))
+    elif fmt == "csv":
+        columns = columns or list(rows[0])
+        print(",".join(columns))
+        for row in rows:
+            print(",".join(_cell(row[key]) for key in columns))
+    else:
+        print(table())
+
+
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    # repr of the plain float: numpy scalars would print as np.float64(...)
+    return repr(float(value)) if isinstance(value, float) else str(value)
 
 
 def resolve_set(spec: str, d: int | None, c: int | None):
@@ -115,21 +145,12 @@ def cmd_bases(args) -> int:
             raise InvalidParameter("distance needs a basis set, not a single basis")
         eve = resolve_eve(args.eve, target) if args.eve is not None else None
         report = bases_mod.distance_report(target, eve)
-        if args.format == "jsonl":
-            print(json.dumps({"pairwise": report.pairwise.tolist(), "average_to_eve": report.average_to_eve}))
-        elif args.format == "csv":
-            print("x,y,d_squared")
-            for x in range(target.c):
-                for y in range(target.c):
-                    print(f"{x},{y},{report.pairwise[x, y]!r}")
-            if report.average_to_eve is not None:
-                print(f"eve,avg,{report.average_to_eve!r}")
-        else:
-            print("pairwise D^2:")
-            for row in report.pairwise:
-                print("  " + "  ".join(f"{v:7.4f}" for v in row))
-            if report.average_to_eve is not None:
-                print(f"average D^2 to eve: {report.average_to_eve:.6f}")
+        c = target.c
+        cells = [{"x": x, "y": y, "d_squared": report.pairwise[x, y]} for x in range(c) for y in range(c)]
+        if report.average_to_eve is not None:
+            cells.append({"x": "eve", "y": "avg", "d_squared": report.average_to_eve})
+        summary = {"pairwise": report.pairwise.tolist(), "average_to_eve": report.average_to_eve}
+        emit(args.format, cells if args.format == "csv" else [summary], lambda: _distance_text(report))
         return 0
     raise InvalidParameter(f"unknown bases subcommand {args.bases_cmd!r}")
 
@@ -152,17 +173,15 @@ def _bases_verify(target, tol: float) -> int:
     return 0 if all_ok else 1
 
 
-def format_table1(rows, fmt: str) -> str:
-    if fmt == "jsonl":
-        return "\n".join(json.dumps(dataclasses.asdict(r)) for r in rows)
-    if fmt == "csv":
-        lines = ["protocol,d,c,r_qb,r_it,r_t,n_s"]
-        for r in rows:
-            cells = [r.protocol, str(r.d), str(r.c)]
-            for q in (r.r_qb, r.r_it, r.r_t, r.n_s):
-                cells.append("" if q is None else repr(q))
-            lines.append(",".join(cells))
-        return "\n".join(lines)
+def _distance_text(report) -> str:
+    lines = ["pairwise D^2:"]
+    lines += ["  " + "  ".join(f"{v:7.4f}" for v in row) for row in report.pairwise]
+    if report.average_to_eve is not None:
+        lines.append(f"average D^2 to eve: {report.average_to_eve:.6f}")
+    return "\n".join(lines)
+
+
+def format_table1(rows) -> str:
     header = f"{'Protocol':16s} {'(d,c)':7s} {'R_QB':>7s} {'R_IT':>7s} {'R_t':>7s} {'N_s':>6s}"
     lines = [header, "-" * len(header)]
     notes = []
@@ -183,9 +202,23 @@ def format_table1(rows, fmt: str) -> str:
     return "\n".join(lines)
 
 
+def _rate_text(report: rates.RateReport) -> str:
+    lines = [f"{report.protocol} (d={report.d}, c={report.c}) via {report.method}"]
+    for key in ("r_qb", "r_it", "r_s", "r_t", "r_k", "r_be"):
+        value = getattr(report, key)
+        if value is not None:
+            lines.append(f"  {key:5s} {display_percent(value):>8s}  ({value!r})")
+    if report.n_s is not None:
+        lines.append(f"  n_s   {display_ns(report.n_s):>8s}  ({report.n_s!r})")
+    if report.note:
+        lines.append(f"  note: {report.note}")
+    return "\n".join(lines)
+
+
 def cmd_rates(args) -> int:
     if args.rates_cmd == "table1":
-        print(format_table1(rates.table1(), args.format))
+        rows = rates.table1()
+        emit(args.format, [dataclasses.asdict(r) for r in rows], lambda: format_table1(rows), TABLE1_COLUMNS)
         return 0
     if args.rates_cmd != "compute":
         raise InvalidParameter(f"unknown rates subcommand {args.rates_cmd!r}")
@@ -193,7 +226,7 @@ def cmd_rates(args) -> int:
     if args.protocol == "bkb01":
         if args.d is None or args.c is None:
             raise InvalidParameter("bkb01 needs --d and --c")
-        report = rates._bkb01_row("bkb01", args.d, args.c)
+        report = rates.bkb01_rates(args.c, args.d)
     elif args.protocol in ("hse", "kmb09"):
         c = args.c
         if args.protocol == "kmb09":
@@ -210,37 +243,15 @@ def cmd_rates(args) -> int:
         else:
             if args.d is None or c is None:
                 raise InvalidParameter("closed forms need --d and --c (or --set)")
-            note = "c exceeds d+1: no such MU set exists" if c > args.d + 1 else ""
-            report = rates._hse_row(args.protocol, args.d, c, note=note)
+            report = dataclasses.replace(rates.mub_closed_forms(c, args.d), protocol=args.protocol)
     else:
         raise InvalidParameter(f"unknown protocol {args.protocol!r}")
-
-    row = dataclasses.asdict(report)
-    if args.format == "jsonl":
-        print(json.dumps(row))
-    elif args.format == "csv":
-        keys = [k for k in row if k not in ("note",)]
-        print(",".join(keys))
-        print(",".join("" if row[k] is None else (repr(row[k]) if isinstance(row[k], float) else str(row[k])) for k in keys))
-    else:
-        print(f"{report.protocol} (d={report.d}, c={report.c}) via {report.method}")
-        for key in ("r_qb", "r_it", "r_s", "r_t", "r_k", "r_be"):
-            if row[key] is not None:
-                print(f"  {key:5s} {display_percent(row[key]):>8s}  ({row[key]!r})")
-        if row["n_s"] is not None:
-            print(f"  n_s   {display_ns(row['n_s']):>8s}  ({row['n_s']!r})")
-        if report.note:
-            print(f"  note: {report.note}")
+    emit(args.format, [dataclasses.asdict(report)], lambda: _rate_text(report), RATE_COLUMNS)
     return 0
 
 
-def _print_sim_report(report, fmt: str) -> None:
-    if fmt == "csv":
-        sys.stdout.write(montecarlo.to_csv([report]))
-    elif fmt == "jsonl":
-        sys.stdout.write(montecarlo.to_json_lines([report]))
-    else:
-        print(montecarlo.format_report(report))
+def _emit_sim_report(report, fmt: str) -> None:
+    emit(fmt, montecarlo.report_rows(report), lambda: montecarlo.format_report(report), montecarlo.CSV_COLUMNS)
 
 
 def cmd_sim(args) -> int:
@@ -249,7 +260,7 @@ def cmd_sim(args) -> int:
     eve = resolve_eve(args.eve, basis_set)
     config = ProtocolConfig(c=basis_set.c, d=basis_set.d, basis_set=basis_set, eve=eve)
     report = montecarlo.estimate_rates(config, args.trials, args.seed)
-    _print_sim_report(report, args.format)
+    _emit_sim_report(report, args.format)
     return 0 if report.consistent else 1
 
 
@@ -280,9 +291,11 @@ def cmd_net(args) -> int:
     )
     if args.role == "bob":
         report = montecarlo.report_from_outcomes(config, result, args.seed)
-        _print_sim_report(report, args.format)
+        _emit_sim_report(report, args.format)
         return 0 if report.consistent else 1
-    print(f"alice: {result.trials} trials, {len(result.key)} key letters, {result.messages_sent} messages")
+    summary = {"trials": result.trials, "key_letters": len(result.key), "messages_sent": result.messages_sent}
+    text = "alice: {trials} trials, {key_letters} key letters, {messages_sent} messages"
+    emit(args.format, [summary], lambda: text.format_map(summary))
     return 0
 
 

@@ -23,10 +23,7 @@ SimReport.  Counts commute, so chunked and serial execution agree exactly.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
-import io
-import json
 import math
 import time
 from dataclasses import dataclass
@@ -351,7 +348,7 @@ def simulate_bkb01(
     watch = _Stopwatch()
     tensors = _hse_tensors(basis_set, eve)
     watch.lap("tensors")
-    qb_analytic = (c - 1) * (d - 1) / (c * d) if eve is not None else 0.0
+    qb_analytic = rates.bkb01_rates(c, d).r_qb if eve is not None else 0.0
     watch.lap("analytics")
     counts = _Counts()
     for start in range(0, n_trials, CHUNK):
@@ -410,49 +407,23 @@ def sweep(configs, n_trials: int, seed: int) -> SweepResult:
 CSV_COLUMNS = ["protocol", "d", "c", "metric", "analytic", "empirical", "stderr", "z"]
 
 
-def to_csv(reports) -> str:
-    """Metric-per-row CSV serialization of one or more SimReports."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(CSV_COLUMNS)
-    for report in reports:
-        for metric, est in report.estimates.items():
-            writer.writerow(
-                [
-                    report.protocol,
-                    report.d,
-                    report.c,
-                    metric,
-                    repr(est.analytic),
-                    "" if est.value is None else repr(est.value),
-                    "" if est.stderr is None else repr(est.stderr),
-                    "" if est.z is None else repr(est.z),
-                ]
-            )
-    return buf.getvalue()
-
-
-def to_json_lines(reports) -> str:
-    """One JSON object per metric row, full precision."""
-    lines = []
-    for report in reports:
-        for metric, est in report.estimates.items():
-            lines.append(
-                json.dumps(
-                    {
-                        "protocol": report.protocol,
-                        "d": report.d,
-                        "c": report.c,
-                        "metric": metric,
-                        "analytic": est.analytic,
-                        "empirical": est.value,
-                        "stderr": est.stderr,
-                        "z": est.z,
-                        "n": est.n,
-                    }
-                )
-            )
-    return "\n".join(lines) + "\n"
+def report_rows(report: SimReport) -> list[dict]:
+    """One row per metric of a SimReport, full precision: the CSV_COLUMNS
+    and the sample count n."""
+    return [
+        {
+            "protocol": report.protocol,
+            "d": report.d,
+            "c": report.c,
+            "metric": metric,
+            "analytic": est.analytic,
+            "empirical": est.value,
+            "stderr": est.stderr,
+            "z": est.z,
+            "n": est.n,
+        }
+        for metric, est in report.estimates.items()
+    ]
 
 
 def format_report(report: SimReport) -> str:

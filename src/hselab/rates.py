@@ -23,7 +23,7 @@ agree.  Also houses the comparison-protocol rates (BB84 / BKB01) and the
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from decimal import ROUND_HALF_UP, Decimal
 
 import numpy as np
@@ -62,7 +62,8 @@ class ProtocolConfig:
 
 @dataclass(frozen=True)
 class RateReport:
-    """One protocol's exact rates with provenance.
+    """One protocol's exact rates with provenance, as every exact-rate
+    builder (rate_report, mub_closed_forms, bkb01_rates) returns them.
 
     method is "closed_form_mub" (MUB closed forms) or "enumeration" (the
     survival kernel on an explicit basis set).  Fields that do not apply
@@ -199,44 +200,30 @@ def rate_report(basis_set: BasisSet, eve: Basis, protocol: str = "hse") -> RateR
     )
 
 
-@dataclass(frozen=True)
-class MubRates:
-    """Closed-form rates for c mutually unbiased bases in dimension d.
+def mub_closed_forms(c: int, d: int) -> RateReport:
+    """Closed-form HSE rates under interception in one of the c MU bases.
 
-    `c_exceeds_known_max` flags c > d+1, where no such set can exist and
-    the numbers are formal.
+    For c > d+1 no such set can exist: the numbers are formal, and the
+    report's note says so.
     """
-
-    r_s: float
-    r_t: float
-    r_it: float
-    r_qb: float
-    r_k: float
-    r_be: float
-    n_s: float
-    c_exceeds_known_max: bool
-
-
-def mub_closed_forms(c: int, d: int) -> MubRates:
-    """Closed-form rates under interception in one of the c MU bases."""
     if c < 2 or d < 2:
         raise InvalidParameter("need c >= 2 and d >= 2")
     q = 1.0 - 1.0 / d
     r_s = q ** (c - 1) / c
     r_t = math.log2(c) * r_s
-    r_it = (c - 1) * (d - 1) / (c * d)
-    r_be = (1.0 - 1.0 / c) * q ** (c - 1)
-    r_k = (1.0 - 1.0 / c + 1.0 / c**2) * q ** (c - 1)
-    r_qb = (1.0 - 1.0 / c) ** 2 / (1.0 - 1.0 / c + 1.0 / c**2)
-    return MubRates(
+    return RateReport(
+        protocol="hse",
+        d=d,
+        c=c,
+        method="closed_form_mub",
+        r_qb=(1.0 - 1.0 / c) ** 2 / (1.0 - 1.0 / c + 1.0 / c**2),
+        r_it=(c - 1) * (d - 1) / (c * d),
         r_s=r_s,
         r_t=r_t,
-        r_it=r_it,
-        r_qb=r_qb,
-        r_k=r_k,
-        r_be=r_be,
+        r_k=(1.0 - 1.0 / c + 1.0 / c**2) * q ** (c - 1),
+        r_be=(1.0 - 1.0 / c) * q ** (c - 1),
         n_s=(c - 1) / r_t,
-        c_exceeds_known_max=c > d + 1,
+        note="c exceeds d+1: no such MU set exists" if c > d + 1 else "",
     )
 
 
@@ -252,14 +239,7 @@ def amub_iter_lower_bound(d: int, big_k: float) -> float:
     return max(0.0, 1.0 - bracket / d**3)
 
 
-@dataclass(frozen=True)
-class Bkb01Rates:
-    r_qb: float
-    r_t: float
-    n_s: float
-
-
-def bkb01_rates(c: int, d: int) -> Bkb01Rates:
+def bkb01_rates(c: int, d: int) -> RateReport:
     """Rates of the basis-announcing MUB protocol (BB84 is c = d = 2).
 
     QBER under interception is (c-1)(d-1)/(cd); one state per attempt and
@@ -268,7 +248,15 @@ def bkb01_rates(c: int, d: int) -> Bkb01Rates:
     if c < 2 or d < 2:
         raise InvalidParameter("need c >= 2 and d >= 2")
     r_t = math.log2(d) / c
-    return Bkb01Rates(r_qb=(c - 1) * (d - 1) / (c * d), r_t=r_t, n_s=1.0 / r_t)
+    return RateReport(
+        protocol="bkb01",
+        d=d,
+        c=c,
+        method="closed_form_mub",
+        r_qb=(c - 1) * (d - 1) / (c * d),
+        r_t=r_t,
+        n_s=1.0 / r_t,
+    )
 
 
 _FOOT_KMB09_ITER = "ITER from the c=2 closed form (25.0%); optimizing Eve numerically raises it to ~25.5%."
@@ -276,53 +264,21 @@ _FOOT_HSE23_NS = "exact value 15.14; per-letter accounting sometimes quoted as 1
 _FOOT_OVER_100 = "r_t above 100%: each success shares log2(d) > c bits, so under one state per bit."
 
 
-def _hse_row(protocol: str, d: int, c: int, note: str = "") -> RateReport:
-    forms = mub_closed_forms(c, d)
-    return RateReport(
-        protocol=protocol,
-        d=d,
-        c=c,
-        method="closed_form_mub",
-        r_qb=forms.r_qb,
-        r_it=forms.r_it,
-        r_s=forms.r_s,
-        r_t=forms.r_t,
-        r_k=forms.r_k,
-        r_be=forms.r_be,
-        n_s=forms.n_s,
-        note=note,
-    )
-
-
-def _bkb01_row(protocol: str, d: int, c: int, note: str = "") -> RateReport:
-    forms = bkb01_rates(c, d)
-    return RateReport(
-        protocol=protocol,
-        d=d,
-        c=c,
-        method="closed_form_mub",
-        r_qb=forms.r_qb,
-        r_t=forms.r_t,
-        n_s=forms.n_s,
-        note=note,
-    )
-
-
 def table1() -> list[RateReport]:
     """The 12-row protocol comparison table for d = 2, 3, 7."""
     return [
-        _bkb01_row("BB84", 2, 2),
-        _hse_row("KMB09", 2, 2, note=_FOOT_KMB09_ITER),
-        _bkb01_row("BKB01 (6-state)", 2, 3),
-        _hse_row("HSE", 2, 3, note=_FOOT_HSE23_NS),
-        _bkb01_row("BKB01", 3, 2),
-        _hse_row("KMB09", 3, 2),
-        _bkb01_row("BKB01", 3, 4),
-        _hse_row("HSE", 3, 4),
-        _bkb01_row("BKB01", 7, 2, note=_FOOT_OVER_100),
-        _hse_row("KMB09", 7, 2),
-        _bkb01_row("BKB01", 7, 8),
-        _hse_row("HSE", 7, 8),
+        replace(bkb01_rates(2, 2), protocol="BB84"),
+        replace(mub_closed_forms(2, 2), protocol="KMB09", note=_FOOT_KMB09_ITER),
+        replace(bkb01_rates(3, 2), protocol="BKB01 (6-state)"),
+        replace(mub_closed_forms(3, 2), protocol="HSE", note=_FOOT_HSE23_NS),
+        replace(bkb01_rates(2, 3), protocol="BKB01"),
+        replace(mub_closed_forms(2, 3), protocol="KMB09"),
+        replace(bkb01_rates(4, 3), protocol="BKB01"),
+        replace(mub_closed_forms(4, 3), protocol="HSE"),
+        replace(bkb01_rates(2, 7), protocol="BKB01", note=_FOOT_OVER_100),
+        replace(mub_closed_forms(2, 7), protocol="KMB09"),
+        replace(bkb01_rates(8, 7), protocol="BKB01"),
+        replace(mub_closed_forms(8, 7), protocol="HSE"),
     ]
 
 

@@ -530,6 +530,14 @@ class TestMemoryTransport:
         assert not reader.is_alive()
         assert got == [None]
 
+    def test_eof_is_sticky(self, monkeypatch):
+        monkeypatch.setattr(ch, "_RECV_TIMEOUT", 0.3)
+        left, right = ch.memory_transport_pair()
+        left.close()
+        started = time.monotonic()
+        assert [right.recv_line(), right.recv_line()] == [None, None]
+        assert time.monotonic() - started < 0.1
+
     def test_send_after_own_close_raises(self):
         left, _ = ch.memory_transport_pair()
         left.close()

@@ -1,4 +1,6 @@
+import csv
 import functools
+import io
 import json
 import sys
 import threading
@@ -119,6 +121,19 @@ class TestBases:
             for y in range(3):
                 assert row["pairwise"][x][y] == pytest.approx(0.0 if x == y else 0.5, abs=1e-12)
 
+    def test_distance_csv_cells_are_plain_floats(self, capsys):
+        argv = ("bases", "distance", "--set", "sixstate", "--eve", "breidbart")
+        _, out, _ = run(capsys, *argv, "--format", "jsonl")
+        row = json.loads(out)
+        code, out, _ = run(capsys, *argv, "--format", "csv")
+        assert code == 0
+        cells = list(csv.DictReader(io.StringIO(out)))
+        assert [(c["x"], c["y"]) for c in cells] == [(str(x), str(y)) for x in range(3) for y in range(3)] + [
+            ("eve", "avg")
+        ]
+        expected = [v for line in row["pairwise"] for v in line] + [row["average_to_eve"]]
+        assert [float(c["d_squared"]) for c in cells] == expected
+
 
 class TestSim:
     def test_attacked_sixstate_jsonl(self, capsys):
@@ -161,6 +176,16 @@ class TestSim:
         assert code == 0, err
         rows = [json.loads(line) for line in out.splitlines()]
         assert [(r["metric"], r["empirical"], r["stderr"], r["n"]) for r in rows] == self.PINNED[(d, c, eve)]
+
+    def test_csv_has_unix_line_endings(self, capsys):
+        argv = ("sim", "--d", "2", "--c", "3", "--eve", "basis:0", "--trials", "2000")
+        _, out, _ = run(capsys, *argv, "--format", "csv")
+        assert "\r" not in out
+        rows = list(csv.DictReader(io.StringIO(out)))
+        _, out, _ = run(capsys, *argv, "--format", "jsonl")
+        expected = [json.loads(line) for line in out.splitlines()]
+        # a null reads back as an empty cell, and a float as its repr
+        assert rows == [{key: "" if row[key] is None else str(row[key]) for key in rows[0]} for row in expected]
 
     def test_table_header_names_the_stages(self, capsys):
         code, out, _ = run(capsys, "sim", "--d", "2", "--c", "3", "--trials", "1000")
@@ -275,6 +300,33 @@ class TestTable1:
         code, out, _ = run(capsys, "rates", "table1", "--format", fmt)
         assert code == 0
         assert out == (DATA / name).read_text(encoding="utf-8")
+
+
+# recorded stdout of one command per file, compared byte for byte
+GOLDEN = {
+    "rates_hse_3_4": ["rates", "compute", "--protocol", "hse", "--d", "3", "--c", "4"],
+    "rates_hse_2_5": ["rates", "compute", "--protocol", "hse", "--d", "2", "--c", "5"],
+    "rates_kmb09_3": ["rates", "compute", "--protocol", "kmb09", "--d", "3"],
+    "rates_bkb01_3_4": ["rates", "compute", "--protocol", "bkb01", "--d", "3", "--c", "4"],
+    "rates_prime_5_6": ["rates", "compute", "--protocol", "hse", "--set", "prime", "--d", "5", "--c", "6",
+                        "--eve", "basis:2"],
+    "distance_sixstate": ["bases", "distance", "--set", "sixstate", "--eve", "breidbart"],
+    "sim_3_4": ["sim", "--d", "3", "--c", "4", "--trials", "2000", "--seed", "7"],
+    "sim_3_4_eve": ["sim", "--d", "3", "--c", "4", "--trials", "2000", "--seed", "7", "--eve", "basis:0"],
+}
+SUFFIX = {"table": "txt", "csv": "csv", "jsonl": "jsonl"}
+
+
+class TestGoldenOutput:
+    # the sim table prints wall-clock stage timings, so only its machine formats are recorded
+    @pytest.mark.parametrize(
+        "name,fmt",
+        [(name, fmt) for name in GOLDEN for fmt in SUFFIX if not (name.startswith("sim") and fmt == "table")],
+    )
+    def test_stdout_is_stable(self, capsys, name, fmt):
+        code, out, _ = run(capsys, *GOLDEN[name], "--format", fmt)
+        assert code == 0
+        assert out.encode() == (DATA / f"{name}.{SUFFIX[fmt]}").read_bytes()
 
 
 class TestFileSpecs:
@@ -396,6 +448,29 @@ class TestNet:
         code, out, err = results["alice"]
         assert code == 0, err
         assert out.startswith("alice: 300 trials, ")
+
+    def test_machine_formats_for_both_roles(self, monkeypatch):
+        port = str(free_port())
+        results = run_net(
+            monkeypatch,
+            [
+                ("bob", ["net", "serve", "--role", "bob", "--port", port, *SESSION, "--format", "csv"]),
+                ("alice", ["net", "connect", "--role", "alice", "--port", port, *SESSION, "--format", "jsonl"]),
+            ],
+        )
+        code, out, err = results["bob"]
+        assert code == 0, err
+        assert "\r" not in out
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [row["metric"] for row in rows] == ["r_s", "r_qb", "r_it"]
+        assert rows[0]["protocol"] == "hse" and float(rows[0]["empirical"]) > 0
+        code, out, err = results["alice"]
+        assert code == 0, err
+        (line,) = out.splitlines()
+        summary = json.loads(line)
+        assert list(summary) == ["trials", "key_letters", "messages_sent"]
+        assert summary["trials"] == 300 and summary["messages_sent"] > 300
+        assert 0 < summary["key_letters"] <= 300
 
     def test_no_compare_leaves_error_rates_without_samples(self, monkeypatch):
         port = str(free_port())

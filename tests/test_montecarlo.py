@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import hselab.montecarlo as mc
 from conftest import make_random_basis, make_random_set
 from hselab.bases import BasisSet, breidbart_basis, fourier_basis, mu_basis_set, standard_basis
+from hselab.cli import emit
 from hselab.errors import InvalidParameter
 from hselab.hilbert import invert_cdf
 from hselab.protocol import run_trial
@@ -301,11 +302,9 @@ class TestStageTimings:
 
     def test_machine_formats_carry_no_timings(self, cfg23_eve):
         report = mc.estimate_rates(cfg23_eve, 2000, seed=1)
-        assert mc.to_csv([report]).splitlines()[0] == ",".join(mc.CSV_COLUMNS)
-        for line in mc.to_json_lines([report]).splitlines():
-            assert list(json.loads(line)) == [
-                "protocol", "d", "c", "metric", "analytic", "empirical", "stderr", "z", "n"
-            ]
+        for row in mc.report_rows(report):
+            assert list(row) == [*mc.CSV_COLUMNS, "n"]
+        assert mc.CSV_COLUMNS == ["protocol", "d", "c", "metric", "analytic", "empirical", "stderr", "z"]
 
 
 class TestSimulateBkb01:
@@ -389,9 +388,10 @@ class TestSweep:
 
 
 class TestSerialization:
-    def test_csv_round_trip(self, cfg23_eve):
+    def test_csv_round_trip(self, cfg23_eve, capsys):
         report = mc.estimate_rates(cfg23_eve, 10_000, seed=1)
-        rows = list(csv.DictReader(io.StringIO(mc.to_csv([report]))))
+        emit("csv", mc.report_rows(report), None, mc.CSV_COLUMNS)
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
         assert {row["metric"] for row in rows} == {"r_s", "r_qb", "r_it"}
         for row in rows:
             assert row["protocol"] == "hse"
@@ -401,14 +401,14 @@ class TestSerialization:
             assert float(row["stderr"]) == metric.stderr
             assert float(row["z"]) == metric.z
 
-    def test_csv_columns(self):
-        header = mc.to_csv([]).strip()
-        assert header == "protocol,d,c,metric,analytic,empirical,stderr,z"
+    def test_csv_columns(self, capsys):
+        emit("csv", [], None, mc.CSV_COLUMNS)
+        assert capsys.readouterr().out == "protocol,d,c,metric,analytic,empirical,stderr,z\n"
 
-    def test_json_lines(self, cfg23_eve):
+    def test_json_lines(self, cfg23_eve, capsys):
         report = mc.estimate_rates(cfg23_eve, 10_000, seed=1)
-        lines = mc.to_json_lines([report]).strip().splitlines()
-        objs = [json.loads(line) for line in lines]
+        emit("jsonl", mc.report_rows(report), None)
+        objs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
         assert len(objs) == 3
         assert {o["metric"] for o in objs} == {"r_s", "r_qb", "r_it"}
         assert all(o["protocol"] == "hse" for o in objs)

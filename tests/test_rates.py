@@ -375,8 +375,8 @@ class TestMubClosedForms:
                 assert mub_closed_forms(c, d + 1).r_it > here
 
     def test_infeasible_flag(self):
-        assert mub_closed_forms(5, 3).c_exceeds_known_max
-        assert not mub_closed_forms(4, 3).c_exceeds_known_max
+        assert mub_closed_forms(5, 3).note == "c exceeds d+1: no such MU set exists"
+        assert mub_closed_forms(4, 3).note == ""
 
 
 class TestAmubBound:
