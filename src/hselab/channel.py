@@ -36,6 +36,15 @@ relay's from the sender's Hello, and none before it - and computes any
 further distinct state without storing it, so a sender cannot make it
 grow.  The bytes on the wire are those `encode` gives for every message.
 
+Randomness is drawn in blocks.  Alice's and Bob's sessions read each
+trial's draws from a `protocol.TrialBlocks`, which evaluates the
+substreams of BLOCK trials at once.  The relay reads Eve's draws the same
+way, in rows of 2(c-1) per trial - enough for every slot at any intercept
+fraction - sized from the sender's Hello; a draw past a row's end, or
+before any Hello, comes from the scalar stream.  Every draw is the one
+`RandomStream(seed, role, trial_id)` gives at the same counter, so
+outcomes equal `run_trial`'s.
+
 Every per-trial line is written by template and read by one fast reader.
 `_state_line`, `_announce_line` and `_sift_line` render the quantum_state,
 index_announce and sift_report lines with `%` formatting, byte for byte
@@ -75,7 +84,7 @@ from queue import Empty, SimpleQueue
 
 from .errors import CodecError, HandshakeError, ProtocolError, SessionError
 from .hilbert import TAU_NORM, Basis, BornTable
-from .protocol import EVE, AliceSession, BobSession, EveInterceptor, TrialOutcome
+from .protocol import EVE, AliceSession, BobSession, EveInterceptor, TrialBlocks, TrialOutcome
 from .rates import ProtocolConfig
 from .rng import RandomStream
 
@@ -85,6 +94,10 @@ _RECV_TIMEOUT = 60.0
 # longest line a TCP reader accepts, newline included; the longest honest
 # line, KeyCompare, takes 2-3 bytes per trial
 _MAX_LINE = 16 * 2**20
+# the widest row of Eve's draws the relay computes per trial: two draws a
+# slot cover any intercept fraction up to c = 129; a Hello claiming a larger
+# c gets the rest from the scalar stream, not a larger allocation
+_MAX_EVE_WIDTH = 256
 
 
 @dataclass(frozen=True)
@@ -554,6 +567,8 @@ def _bob_loop(transport, config, seed) -> list[TrialOutcome]:
                     f"state for trial {msg.trial_id} slot {msg.slot}, "
                     f"expected trial {expected_trial} slot {expected_slot}"
                 )
+            if expected_slot == config.c - 1:
+                raise ProtocolError(f"more than {config.c - 1} states in trial {expected_trial}")
             if len(msg.amps) != config.d:
                 raise ProtocolError(f"state with {len(msg.amps)} amplitudes, expected {config.d}")
             if expected_slot == 0:
@@ -586,6 +601,30 @@ def _bob_loop(transport, config, seed) -> list[TrialOutcome]:
         else:
             raise ProtocolError(f"unexpected {type(msg).__name__} mid-session")
     return session.outcomes(alice_letters)
+
+
+class _EveDraws:
+    """Eve's stream for one trial, RandomStream(seed, EVE, trial_id): its
+    first draws come from the trial's block row, and any past the row's end
+    from the scalar stream."""
+
+    __slots__ = ("_row", "_width", "_seed", "_trial_id", "_rest")
+
+    def __init__(self, row: list, seed: int, trial_id: int):
+        self._row = iter(row)
+        self._width = len(row)
+        self._seed = seed
+        self._trial_id = trial_id
+        self._rest: RandomStream | None = None
+
+    def uniform(self) -> float:
+        u = next(self._row, None)
+        if u is not None:
+            return u
+        if self._rest is None:
+            self._rest = RandomStream(self._seed, EVE, self._trial_id)
+            self._rest.skip(self._width)
+        return self._rest.uniform()
 
 
 @dataclass(frozen=True)
@@ -626,18 +665,19 @@ def run_mitm_pumps(
     and the failure is raised as SessionError.
     """
     log = MitmLog()
-    root = EveInterceptor(eve_basis, RandomStream(seed, EVE), intercept_fraction)
     resent_json = [_amps_json(v.pairs()) for v in eve_basis.vectors]
-    # both sized from the sender's Hello: she has c*d states to send
-    current: dict = {
-        "trial": None,
-        "eve": None,
-        "table": BornTable((eve_basis,), 0),
-        "known": KnownStates(0),
-    }
     failures: list[Exception] = []
 
+    def eve_rows(width: int) -> TrialBlocks:
+        return TrialBlocks(seed, EVE, width, lambda u: u.tolist())
+
     def forward_with_interception():
+        # all three sized from the sender's Hello: she has c*d states to
+        # send, c-1 to a trial
+        table = BornTable((eve_basis,), 0)
+        known = KnownStates(0)
+        rows = eve_rows(0)
+        trial_id = eve = None
         held: list[bytes] = []
         while True:
             line = alice_side.recv_line()
@@ -647,22 +687,24 @@ def run_mitm_pumps(
                 bob_side.close()
                 return
             try:
-                msg = current["known"].decode(line)
+                msg = known.decode(line)
             except CodecError:
                 msg = None
             if isinstance(msg, QuantumState):
-                if current["trial"] != msg.trial_id:
-                    current["trial"] = msg.trial_id
-                    current["eve"] = root.for_trial(msg.trial_id)
-                outcome, _ = current["eve"].maybe_intercept(msg.amps, current["table"])
+                if trial_id != msg.trial_id:
+                    trial_id = msg.trial_id
+                    draws = _EveDraws(rows[trial_id], seed, trial_id)
+                    eve = EveInterceptor(eve_basis, draws, intercept_fraction)
+                outcome, _ = eve.maybe_intercept(msg.amps, table)
                 if outcome is not None:
                     log.add(InterceptionRecord(msg.trial_id, msg.slot, outcome))
                     line = _state_line(msg.trial_id, msg.slot, resent_json[outcome])
                 held.append(line)
                 continue
             if isinstance(msg, Hello):
-                current["table"] = BornTable((eve_basis,), msg.c * msg.d)
-                current["known"] = KnownStates(msg.c * msg.d)
+                table = BornTable((eve_basis,), msg.c * msg.d)
+                known = KnownStates(msg.c * msg.d)
+                rows = eve_rows(min(2 * max(msg.c - 1, 0), _MAX_EVE_WIDTH))
             held.append(line)
             bob_side.send_line(b"".join(held))
             held.clear()

@@ -224,6 +224,8 @@ def cmd_rates(args) -> int:
         raise InvalidParameter(f"unknown rates subcommand {args.rates_cmd!r}")
 
     if args.protocol == "bkb01":
+        if args.set is not None or args.eve is not None:
+            raise InvalidParameter("bkb01 rates are MU closed forms: --set and --eve do not apply")
         if args.d is None or args.c is None:
             raise InvalidParameter("bkb01 needs --d and --c")
         report = rates.bkb01_rates(args.c, args.d)
@@ -243,11 +245,23 @@ def cmd_rates(args) -> int:
         else:
             if args.d is None or c is None:
                 raise InvalidParameter("closed forms need --d and --c (or --set)")
+            if args.eve is not None:
+                _check_member_eve(args.eve, c)
             report = dataclasses.replace(rates.mub_closed_forms(c, args.d), protocol=args.protocol)
     else:
         raise InvalidParameter(f"unknown protocol {args.protocol!r}")
     emit(args.format, [dataclasses.asdict(report)], lambda: _rate_text(report), RATE_COLUMNS)
     return 0
+
+
+def _check_member_eve(spec: str, c: int) -> None:
+    """The closed forms hold for Eve in any member basis of an MU set; any
+    other --eve needs the set itself."""
+    index = spec[len("basis:"):] if spec.startswith("basis:") else spec
+    if not (index.isdecimal() and int(index) < c):
+        raise InvalidParameter(
+            f"closed forms take only --eve basis:<x> with 0 <= x < {c}; give --set to rate --eve {spec}"
+        )
 
 
 def _emit_sim_report(report, fmt: str) -> None:
@@ -347,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_comp.add_argument("--d", type=int)
     p_comp.add_argument("--c", type=int)
     p_comp.add_argument("--set", help="explicit basis set (enumeration instead of closed forms)")
-    p_comp.add_argument("--eve", help="eve basis spec (default basis:0)")
+    p_comp.add_argument("--eve", help="eve basis spec (default basis:0; without --set only basis:<x>)")
     _add_format(p_comp)
     p_comp.set_defaults(func=cmd_rates)
 

@@ -8,12 +8,13 @@ a time (a tested invariant).  `_measure` draws one slot of a block,
 directly or through Eve, for both simulated protocols.
 
 Two kernels keep a block cheap without changing a draw.  Bob's basis
-tuple is Lehmer-decoded from his c-1 picks (`_lehmer_decode`), which
-gives the letters protocol.bob_choose_bases pops from its pool.  Each
-measurement inverts a CDF row held as d-1 contiguous columns over the
-flattened (state, basis) row index (`_hse_tensors`): `_invert_rows`
-counts, one `take` per column, the entries <= u, which is the count
-hilbert.invert_cdf takes, on the same cumsum floats.
+tuple is Lehmer-decoded from his c-1 picks (`protocol._lehmer_decode`,
+shared with Bob's session), which gives the letters
+protocol.bob_choose_bases pops from its pool.  Each measurement inverts
+a CDF row held as d-1 contiguous columns over the flattened (state,
+basis) row index (`_hse_tensors`): `_invert_rows` counts, one `take` per
+column, the entries <= u, which is the count hilbert.invert_cdf takes,
+on the same cumsum floats.
 
 `_Counts` is the one counter behind every SimReport: `add` sums event
 arrays, `add_block` (the vector form of `TrialOutcome.of`) feeds it for
@@ -34,7 +35,7 @@ from . import rates
 from .bases import BasisSet
 from .errors import InvalidParameter
 from .hilbert import Basis, born_probabilities
-from .protocol import ALICE, BOB, EVE, TrialOutcome
+from .protocol import ALICE, BOB, EVE, TrialOutcome, _lehmer_decode
 from .rates import ProtocolConfig
 from .rng import bulk_uniforms, scaled_index, trial_keys
 
@@ -173,20 +174,6 @@ def _measure(tensors, c, d, x, a, y, bob_keys, bob_counter, eve_keys, eve_counte
     to_eve, from_eve = tensors
     eve_outcome = _invert_rows(to_eve, x * d + a, bulk_uniforms(eve_keys, eve_counter))
     return _invert_rows(from_eve, eve_outcome * c + y, bulk_uniforms(bob_keys, bob_counter))
-
-
-def _lehmer_decode(picks: np.ndarray) -> None:
-    """Bob's ordered distinct tuples from his (c-1, n) picks, in place.
-
-    Pick k (0 <= pick < c-k) chooses the pick-th smallest letter not yet
-    chosen, as protocol.bob_choose_bases pops it from a sorted pool, so
-    the picks are a Lehmer code.  Decoding it from the right needs no
-    pool: for i from the second-last slot down to the first, every later
-    slot at or above slot i's value steps up by one, past slot i's letter.
-    Integers only, so the letters are exactly the pool's."""
-    for i in range(len(picks) - 2, -1, -1):
-        for j in range(i + 1, len(picks)):
-            picks[j] += picks[j] >= picks[i]
 
 
 def _hse_block(config: ProtocolConfig, seed: int, start: int, count: int, tensors, letters=None):

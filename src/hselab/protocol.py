@@ -9,7 +9,11 @@ did not use.
 
 Seed discipline: trial k of role r draws from the substream (seed, r, k),
 so adding or removing the interceptor never perturbs Alice's or Bob's
-draws, and trials can run in any order.
+draws, and trials can run in any order.  `run_trial` draws them one at a
+time from a `RandomStream`; the session endpoints and the relay take the
+same draws from `TrialBlocks`, which evaluates BLOCK trials' substreams at
+once with `rng.block_uniforms`, so every draw is the scalar stream's at the
+same counter.
 
 One rule turns a round's draws into its record: `TrialOutcome.of` applies
 `sift` and `infer_letter` and lists the index-error slots.  `run_trial`,
@@ -19,14 +23,19 @@ build their records through it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import InvalidParameter
 from .hilbert import Basis, BornTable, StateVector, born_sample
 from .rates import ProtocolConfig
-from .rng import RandomStream
+from .rng import RandomStream, block_uniforms, scaled_index
 
 ALICE, BOB, EVE = "alice", "bob", "eve"
+
+# session trials whose draws are computed together
+BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -72,9 +81,6 @@ class EveInterceptor:
     rng: RandomStream
     intercept_fraction: float = 1.0
 
-    def for_trial(self, trial_id: int) -> "EveInterceptor":
-        return EveInterceptor(self.basis, self.rng.substream(trial_id), self.intercept_fraction)
-
     def maybe_intercept(self, state, table: BornTable | None = None) -> tuple[int | None, StateVector]:
         """Measure one in-flight state with the interception probability;
         return (outcome, resent eigenstate), or (None, state) if it passes.
@@ -94,12 +100,16 @@ class EveInterceptor:
 def alice_prepare(x: int, config: ProtocolConfig, rng: RandomStream):
     """Draw c-1 uniform i.i.d. indices (repeats allowed) and prepare the
     corresponding states from basis x.  Returns (states, announcement)."""
+    announcement = tuple(rng.randint(config.d) for _ in range(config.c - 1))
+    return _states(x, config, announcement), announcement
+
+
+def _states(x: int, config: ProtocolConfig, announcement: tuple) -> list:
+    """The states |v_a> of basis x for the indices a of `announcement`."""
     if not 0 <= x < config.c:
         raise InvalidParameter(f"letter {x} outside 0..{config.c - 1}")
     basis = config.basis_set.bases[x]
-    announcement = tuple(rng.randint(config.d) for _ in range(config.c - 1))
-    states = [basis.vectors[a] for a in announcement]
-    return states, announcement
+    return [basis.vectors[a] for a in announcement]
 
 
 def bob_choose_bases(config: ProtocolConfig, rng: RandomStream) -> tuple:
@@ -110,6 +120,20 @@ def bob_choose_bases(config: ProtocolConfig, rng: RandomStream) -> tuple:
     for k in range(config.c - 1):
         chosen.append(pool.pop(rng.randint(len(pool))))
     return tuple(chosen)
+
+
+def _lehmer_decode(picks: np.ndarray) -> None:
+    """Bob's ordered distinct tuples from his (c-1, n) picks, in place.
+
+    Pick k (0 <= pick < c-k) chooses the pick-th smallest letter not yet
+    chosen, as bob_choose_bases pops it from a sorted pool, so the picks
+    are a Lehmer code.  Decoding it from the right needs no pool: for i
+    from the second-last slot down to the first, every later slot at or
+    above slot i's value steps up by one, past slot i's letter.  Integers
+    only, so the letters are exactly the pool's."""
+    for i in range(len(picks) - 2, -1, -1):
+        for j in range(i + 1, len(picks)):
+            picks[j] += picks[j] >= picks[i]
 
 
 def sift(a: tuple, b: tuple) -> bool:
@@ -161,28 +185,61 @@ def run_trial(
     return TrialOutcome.of(trial_id, x, announced, y, outcomes, config.c)
 
 
+class TrialBlocks:
+    """Per-trial values made from the first `width` draws of the substreams
+    (seed, role, t), computed BLOCK trials at a time.
+
+    `rows` turns a block's (BLOCK, width) array of uniforms into a list
+    with one value per trial.  A trial outside the current block gets the
+    aligned block that holds it, so trials may come in any order.
+    """
+
+    def __init__(self, seed: int, role: str, width: int, rows):
+        self._seed = seed
+        self._role = role
+        self._width = width
+        self._rows = rows
+        self._start = -BLOCK  # a block that holds no trial: ids are nonnegative
+        self._values: list = []
+
+    def __getitem__(self, trial_id: int):
+        offset = trial_id - self._start
+        if not 0 <= offset < BLOCK:
+            offset = trial_id % BLOCK
+            self._start = trial_id - offset
+            block = block_uniforms(self._seed, self._role, self._start, BLOCK, self._width)
+            self._values = self._rows(block)
+        return self._values[offset]
+
+
 class AliceSession:
     """Alice's side of a multi-trial session, one trial at a time."""
 
     def __init__(self, config: ProtocolConfig, seed: int, letters=None):
         self.config = config
-        self._root = RandomStream(seed, ALICE)
         self._letters = letters
         self.raw_string: list[int] = []
         self.key: list[int] = []
+        c, d = config.c, config.d
+
+        def rows(u):
+            # x at counter 0, as run_trial draws it, then the c-1 indices
+            indices = map(tuple, scaled_index(u[:, 1:], d).tolist())
+            return list(zip(scaled_index(u[:, 0], c).tolist(), indices))
+
+        self._draws = TrialBlocks(seed, ALICE, c, rows)
 
     def states_for_trial(self, trial_id: int):
-        """Draw this trial's letter and indices; returns (x, states, a)."""
-        rng = self._root.substream(trial_id)
-        if self._letters is None:
-            x = rng.randint(self.config.c)
-        else:
-            x = self._letters[trial_id]
-            rng.skip(1)
+        """Draw this trial's letter and indices; returns (x, states, a).
+        With supplied letters, x is the trial's letter and the drawn one
+        goes unused, so the indices are the same either way."""
         if len(self.raw_string) != trial_id:
             raise InvalidParameter(f"trials must run in order, expected {len(self.raw_string)}")
+        x, announced = self._draws[trial_id]
+        if self._letters is not None:
+            x = self._letters[trial_id]
+        states = _states(x, self.config, announced)
         self.raw_string.append(x)
-        states, announced = alice_prepare(x, self.config, rng)
         return x, states, announced
 
     def record_sift(self, trial_id: int, sifted: bool) -> None:
@@ -193,7 +250,8 @@ class AliceSession:
 @dataclass
 class _PendingTrial:
     y: tuple
-    measured: list = field(default_factory=list)
+    draws: list  # the uniform of each slot's measurement
+    measured: list
 
 
 class BobSession:
@@ -206,22 +264,30 @@ class BobSession:
 
     def __init__(self, config: ProtocolConfig, seed: int):
         self.config = config
-        self._root = RandomStream(seed, BOB)
         self._pending: _PendingTrial | None = None
-        self._rng: RandomStream | None = None
         self._records: list[tuple] = []
         self.key: list[int] = []
         # an honest sender only ever sends the c*d vectors of the set
         self.born_table = BornTable(config.basis_set.bases, config.c * config.d)
+        slots = config.c - 1
+
+        def rows(u):
+            # the basis picks at counters 0..c-2, as bob_choose_bases draws
+            # them, then the measurement draws at counters c-1..2c-3
+            picks = scaled_index(u[:, :slots], config.c - np.arange(slots))
+            _lehmer_decode(picks.T)
+            return list(zip(map(tuple, picks.tolist()), u[:, slots:].tolist()))
+
+        self._draws = TrialBlocks(seed, BOB, 2 * slots, rows)
 
     def begin_trial(self, trial_id: int) -> tuple:
         if self._pending is not None:
             raise InvalidParameter("previous trial not concluded")
         if trial_id != len(self._records):
             raise InvalidParameter(f"trials must run in order, expected {len(self._records)}")
-        self._rng = self._root.substream(trial_id)
-        self._pending = _PendingTrial(y=bob_choose_bases(self.config, self._rng))
-        return self._pending.y
+        y, draws = self._draws[trial_id]
+        self._pending = _PendingTrial(y, draws, [])
+        return y
 
     def measure(self, slot: int, pairs: tuple) -> int:
         """Measure the state with amplitudes `pairs` ((re, im), ...) in
@@ -229,7 +295,9 @@ class BobSession:
         pending = self._require_pending()
         if slot != len(pending.measured):
             raise InvalidParameter(f"slot {slot} out of order, expected {len(pending.measured)}")
-        outcome = self.born_table.sample(pairs, pending.y[slot], self._rng.uniform())
+        if slot >= self.config.c - 1:
+            raise InvalidParameter(f"slot {slot} beyond the trial's {self.config.c - 1} slots")
+        outcome = self.born_table.sample(pairs, pending.y[slot], pending.draws[slot])
         pending.measured.append(outcome)
         return outcome
 

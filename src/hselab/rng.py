@@ -83,6 +83,21 @@ def bulk_uniforms(keys: np.ndarray, counter: int) -> np.ndarray:
     return (words >> np.uint64(11)).astype(np.float64) * _U53
 
 
+def block_uniforms(seed: int, role: str, start: int, count: int, width: int) -> np.ndarray:
+    """The first `width` uniforms of the substreams (seed, role, t) for t in
+    start..start+count-1, as a (count, width) array.
+
+    Row i, column j is bit-identical to the j-th uniform() of
+    RandomStream(seed, role, start + i).  Trial ids wrap modulo 2^64, as
+    stream ids do.
+    """
+    trials = np.arange(count, dtype=np.uint64) + np.uint64(start & _MASK64)
+    keys = trial_keys(seed, role, trials)
+    steps = np.arange(1, width + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
+    words = _mix64_np(keys[:, None] + steps)
+    return (words >> np.uint64(11)).astype(np.float64) * _U53
+
+
 def scaled_index(u, n: int):
     """Map uniform u in [0,1) to an integer in 0..n-1 (shared scalar/array path)."""
     if isinstance(u, np.ndarray):

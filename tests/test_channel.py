@@ -16,9 +16,13 @@ import hselab.channel as ch
 from conftest import free_port, make_random_basis
 from hselab.bases import breidbart_basis, mu_basis_set
 from hselab.errors import CodecError, DimensionError, HandshakeError, ProtocolError, SessionError
-from hselab.protocol import run_trial
+from hselab.protocol import ALICE, BLOCK, EVE, EveInterceptor, alice_prepare, run_trial
 from hselab.rates import ProtocolConfig
 from hselab.hilbert import StateVector
+from hselab.rng import RandomStream
+
+# crosses two block boundaries and ends inside a third block
+BLOCK_TRIALS = 2 * BLOCK + 5
 
 WIRE_FIELDS = {
     "type", "trial_id", "slot", "amps", "a", "sifted",
@@ -360,7 +364,7 @@ class TestFastReader:
         assert ch.KnownStates(0).decode(line) == expected
 
 
-def run_pair(cfg, n_trials, seed, basis_set_id="sixstate", compare=True, record=False):
+def run_pair(cfg, n_trials, seed, basis_set_id="sixstate", compare=True, record=False, letters=None):
     """Run alice and bob over an in-process pair; returns (alice log, outcomes,
     recording transports if requested)."""
     alice_t, bob_t = ch.memory_transport_pair()
@@ -370,7 +374,7 @@ def run_pair(cfg, n_trials, seed, basis_set_id="sixstate", compare=True, record=
 
     def alice():
         result["log"] = ch.run_session(
-            "alice", alice_t, cfg, n_trials, seed, basis_set_id, compare=compare
+            "alice", alice_t, cfg, n_trials, seed, basis_set_id, letters=letters, compare=compare
         )
 
     worker = threading.Thread(target=alice)
@@ -496,6 +500,29 @@ class TestInProcessSession:
     def test_role_validated(self, cfg23):
         with pytest.raises(ValueError):
             ch.run_session("carol", None, cfg23, 1, 1)
+
+    def test_state_past_the_last_slot_rejected(self, cfg23, sixstate):
+        # c states in one trial: Bob stops with ProtocolError and tells Alice why
+        alice_t, bob_t = ch.memory_transport_pair()
+        alice_t.send_line(ch.encode(ch.Hello(1, 3, 2, "sixstate")))
+        state = sixstate.bases[0].vectors[0]
+        for slot in range(3):
+            alice_t.send_line(ch.encode(ch.QuantumState(0, slot, state.pairs())))
+        with pytest.raises(ProtocolError, match="more than 2 states in trial 0"):
+            ch.run_session("bob", bob_t, cfg23, 1, 1, "sixstate")
+        assert isinstance(ch.decode(alice_t.recv_line()), ch.Hello)
+        bye = ch.decode(alice_t.recv_line())
+        assert isinstance(bye, ch.Bye) and bye.reason.startswith("ProtocolError: more than 2 states")
+
+    @pytest.mark.parametrize("supplied", [False, True])
+    def test_sessions_across_blocks_match_per_trial_runner(self, qutrit4, supplied):
+        cfg = ProtocolConfig(c=4, d=3, basis_set=qutrit4)
+        letters = [(5 * t + 1) % 4 for t in range(BLOCK_TRIALS)] if supplied else None
+        log, outcomes, _ = run_pair(cfg, BLOCK_TRIALS, seed=31, basis_set_id="qutrit4", letters=letters)
+        assert outcomes == [run_trial(cfg, t, 31, letters=letters) for t in range(BLOCK_TRIALS)]
+        assert log.letters == tuple(o.x for o in outcomes)
+        if supplied:
+            assert list(log.letters) == letters
 
 
 class TestMemoryTransport:
@@ -722,21 +749,48 @@ def run_tcp_relay(cfg, eve_basis, n, seed, timeout=10.0):
     return results
 
 
+def scalar_interceptions(eve_basis, seed, fraction, trials):
+    """The records the scalar EveInterceptor makes over `trials`, a list of
+    (trial_id, states) in the order they reach the relay."""
+    records = []
+    for trial_id, states in trials:
+        eve = EveInterceptor(eve_basis, RandomStream(seed, EVE, trial_id), fraction)
+        for slot, state in enumerate(states):
+            outcome, _ = eve.maybe_intercept(state)
+            if outcome is not None:
+                records.append(ch.InterceptionRecord(trial_id, slot, outcome))
+    return records
+
+
+def sent_states(cfg, n, seed, letters=None):
+    """Alice's (trial_id, states) for trials 0..n-1, as run_trial prepares them."""
+    trials = []
+    for t in range(n):
+        rng = RandomStream(seed, ALICE, t)
+        x = rng.randint(cfg.c)
+        if letters is not None:
+            x = letters[t]
+        trials.append((t, alice_prepare(x, cfg, rng)[0]))
+    return trials
+
+
 class TestMitm:
-    def run_with_interceptor(self, sixstate, cfg, n, seed, eve_basis=None):
+    def run_with_interceptor(
+        self, basis_set, cfg, n, seed, eve_basis=None, intercept_fraction=1.0, letters=None
+    ):
         """alice -> (pair A) -> interceptor -> (pair B) -> bob, in-process;
-        Eve measures in sixstate's first basis unless told otherwise."""
+        Eve measures in basis_set's first basis unless told otherwise."""
         alice_t, eve_a = ch.memory_transport_pair()
         eve_b, bob_t = ch.memory_transport_pair()
         eve_a, eve_b = RecordingTransport(eve_a), RecordingTransport(eve_b)
         results = {}
 
         def alice():
-            results["log"] = ch.run_session("alice", alice_t, cfg, n, seed, "sixstate")
+            results["log"] = ch.run_session("alice", alice_t, cfg, n, seed, "sixstate", letters=letters)
 
         def eavesdropper():
-            basis = sixstate.bases[0] if eve_basis is None else eve_basis
-            results["mitm"] = ch.run_mitm_pumps(eve_a, eve_b, basis, seed)
+            basis = basis_set.bases[0] if eve_basis is None else eve_basis
+            results["mitm"] = ch.run_mitm_pumps(eve_a, eve_b, basis, seed, intercept_fraction)
 
         threads = [threading.Thread(target=alice), threading.Thread(target=eavesdropper)]
         for t in threads:
@@ -755,6 +809,78 @@ class TestMitm:
         attacked = ProtocolConfig(c=3, d=2, basis_set=sixstate, eve=sixstate.bases[0])
         assert results["outcomes"] == [run_trial(attacked, t, seed) for t in range(n)]
         assert len(results["mitm"].records) == 2 * n
+
+    @pytest.mark.parametrize("fraction", [0.25, 0.5])
+    @pytest.mark.parametrize("set_name", ["sixstate", "qutrit4"])
+    def test_partial_interception_matches_in_process_attack(self, request, set_name, fraction):
+        basis_set = request.getfixturevalue(set_name)
+        cfg = ProtocolConfig(c=basis_set.c, d=basis_set.d, basis_set=basis_set)
+        attacked = ProtocolConfig(
+            c=cfg.c, d=cfg.d, basis_set=basis_set, eve=basis_set.bases[0], intercept_fraction=fraction
+        )
+        n, seed = 150, 23
+        results, _, _ = self.run_with_interceptor(basis_set, cfg, n, seed, intercept_fraction=fraction)
+        assert results["outcomes"] == [run_trial(attacked, t, seed) for t in range(n)]
+        records = results["mitm"].records
+        assert records == scalar_interceptions(attacked.eve, seed, fraction, sent_states(cfg, n, seed))
+        # some states pass and some are intercepted
+        assert 0 < len(records) < (cfg.c - 1) * n
+
+    @pytest.mark.parametrize("supplied", [False, True])
+    def test_relayed_sessions_across_blocks_match_in_process_attack(self, qutrit4, supplied):
+        cfg = ProtocolConfig(c=4, d=3, basis_set=qutrit4)
+        eve = qutrit4.bases[2]
+        attacked = ProtocolConfig(c=4, d=3, basis_set=qutrit4, eve=eve, intercept_fraction=0.5)
+        letters = [(3 * t) % 4 for t in range(BLOCK_TRIALS)] if supplied else None
+        results, _, _ = self.run_with_interceptor(
+            qutrit4, cfg, BLOCK_TRIALS, 13, eve_basis=eve, intercept_fraction=0.5, letters=letters
+        )
+        assert results["outcomes"] == [run_trial(attacked, t, 13, letters) for t in range(BLOCK_TRIALS)]
+        assert results["mitm"].records == scalar_interceptions(
+            eve, 13, 0.5, sent_states(cfg, BLOCK_TRIALS, 13, letters)
+        )
+
+    @pytest.mark.parametrize("fraction", [1.0, 0.5])
+    @pytest.mark.parametrize(
+        "hello,trial_ids,slots",
+        [
+            # trial ids far apart and out of order, one of them past 2**64
+            (True, (10**18 - 1, 3, 2**64 + 5, 64), 3),
+            # more slots than the Hello's c-1: draws past the block row
+            (True, (0, 1), 9),
+            # no Hello: no rows, every draw from the scalar stream
+            (False, (5,), 3),
+        ],
+    )
+    def test_relay_measures_any_trial_ids_as_the_scalar_interceptor(
+        self, qutrit4, fraction, hello, trial_ids, slots
+    ):
+        eve_basis, seed = qutrit4.bases[1], 21
+        alice_t, eve_a = ch.memory_transport_pair()
+        eve_b, bob_t = ch.memory_transport_pair()
+        results = {}
+
+        def eavesdropper():
+            results["mitm"] = ch.run_mitm_pumps(eve_a, eve_b, eve_basis, seed, fraction)
+
+        relay = threading.Thread(target=eavesdropper)
+        relay.start()
+        if hello:
+            alice_t.send_line(ch.encode(ch.Hello(1, 4, 3, "qutrit4")))
+        trials = []
+        for trial_id in trial_ids:
+            states = [qutrit4.bases[(trial_id + k) % 4].vectors[k % 3] for k in range(slots)]
+            for slot, state in enumerate(states):
+                alice_t.send_line(ch.encode(ch.QuantumState(trial_id, slot, state.pairs())))
+            alice_t.send_line(ch.encode(ch.IndexAnnounce(trial_id, (0,) * slots)))
+            trials.append((trial_id, states))
+        alice_t.close()
+        relay.join(5.0)
+        assert not relay.is_alive()
+        bob_t.close()
+        records = results["mitm"].records
+        assert records == scalar_interceptions(eve_basis, seed, fraction, trials)
+        assert records
 
     def test_breidbart_eve_matches_in_process_attack(self, sixstate, cfg23):
         # her eigenstates lie outside Bob's set, so his table learns them

@@ -87,6 +87,25 @@ class TestRatesCompute:
             "bkb01,2,2,closed_form_mub,0.25,,,0.5,,,2.0",
         ]
 
+    @pytest.mark.parametrize("eve", ["basis:0", "basis:2", "2"])
+    def test_closed_forms_hold_for_eve_in_any_member_basis(self, capsys, eve):
+        closed_forms = ["rates", "compute", "--protocol", "hse", "--d", "2", "--c", "3"]
+        assert jsonl_row(capsys, *closed_forms, "--eve", eve) == jsonl_row(capsys, *closed_forms)
+
+    @pytest.mark.parametrize("eve", ["breidbart", "none", "basis:3", "basis:", "file:eve.json"])
+    def test_other_eve_without_set_is_a_usage_error(self, capsys, eve):
+        code, out, err = run(capsys, "rates", "compute", "--protocol", "hse", "--d", "2", "--c", "3",
+                             "--eve", eve)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "--set" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("flags", [("--set", "sixstate"), ("--set", "mub"), ("--eve", "basis:0")])
+    def test_bkb01_rejects_set_and_eve(self, capsys, flags):
+        code, out, err = run(capsys, "rates", "compute", "--protocol", "bkb01", "--d", "3", "--c", "4",
+                             *flags)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "--set" in err
+
     def test_kmb09_rejects_more_than_two_bases(self, capsys):
         code, out, err = run(capsys, "rates", "compute", "--protocol", "kmb09", "--d", "2", "--c", "3")
         assert code == 2 and out == ""

@@ -9,9 +9,12 @@ from hselab.bases import BasisSet, fourier_basis, standard_basis
 from hselab.errors import InvalidParameter
 from hselab.hilbert import born_sample, transition_prob
 from hselab.protocol import (
+    BLOCK,
+    EVE,
     AliceSession,
     BobSession,
     EveInterceptor,
+    TrialBlocks,
     alice_prepare,
     bob_choose_bases,
     infer_letter,
@@ -211,10 +214,9 @@ class TestSessions:
         seed, n = 99, 150
         alice = AliceSession(cfg23_eve, seed)
         bob = BobSession(cfg23_eve, seed)
-        root_eve = EveInterceptor(cfg23_eve.eve, RandomStream(seed, "eve"))
         for t in range(n):
             x, states, announced = alice.states_for_trial(t)
-            eve = root_eve.for_trial(t)
+            eve = EveInterceptor(cfg23_eve.eve, RandomStream(seed, "eve", t))
             bob.begin_trial(t)
             for slot, state in enumerate(states):
                 bob.measure(slot, eve.maybe_intercept(state)[1].pairs())
@@ -245,6 +247,37 @@ class TestSessions:
                 assert bob.measure(slot, state.pairs()) == expected
             bob.conclude(t, (0, 0, 0))
         assert len(bob.born_table) == 12
+
+    def test_trial_blocks_serve_any_trial_order(self):
+        blocks = TrialBlocks(4, EVE, 3, lambda u: u.tolist())
+        for t in (10**18 - 1, 3, BLOCK + 6, 3, 2**64 + 1):
+            stream = RandomStream(4, EVE, t)
+            assert blocks[t] == [stream.uniform() for _ in range(3)]
+
+    def test_sessions_across_blocks_draw_the_scalar_streams(self, cfg34_eve):
+        seed, n = 8, 2 * BLOCK + 5
+        alice = AliceSession(cfg34_eve, seed)
+        bob = BobSession(cfg34_eve, seed)
+        for t in range(n):
+            x, _, announced = alice.states_for_trial(t)
+            alice_rng = RandomStream(seed, "alice", t)
+            assert (x, announced) == (alice_rng.randint(4), alice_prepare(x, cfg34_eve, alice_rng)[1])
+            bob_rng = RandomStream(seed, "bob", t)
+            y = bob_choose_bases(cfg34_eve, bob_rng)
+            assert bob.begin_trial(t) == y
+            for slot, state in enumerate(cfg34_eve.basis_set.bases[t % 4].vectors):
+                expected = born_sample(state, cfg34_eve.basis_set.bases[y[slot]], bob_rng)
+                assert bob.measure(slot, state.pairs()) == expected
+            bob.conclude(t, announced)
+
+    def test_measure_past_the_last_slot_rejected(self, cfg23, sixstate):
+        bob = BobSession(cfg23, 1)
+        bob.begin_trial(0)
+        state = sixstate.bases[0].vectors[0].pairs()
+        for slot in range(2):
+            bob.measure(slot, state)
+        with pytest.raises(InvalidParameter, match="beyond"):
+            bob.measure(2, state)
 
     def test_out_of_order_trials_rejected(self, cfg23):
         bob = BobSession(cfg23, 1)

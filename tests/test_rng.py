@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hselab.rng import RandomStream, bulk_uniforms, scaled_index, stream_key, trial_keys
+from hselab.rng import RandomStream, block_uniforms, bulk_uniforms, scaled_index, stream_key, trial_keys
 
 
 def test_same_seed_same_sequence():
@@ -63,6 +65,29 @@ def test_trial_keys_match_scalar_keys():
     keys = trial_keys(42, "alice", trials)
     for i, t in enumerate(range(5)):
         assert int(keys[i]) == stream_key(42, "alice", t)
+
+
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    role=st.sampled_from(["alice", "bob", "eve"]),
+    start=st.integers(0, 10**18),
+    count=st.integers(1, 5),
+    width=st.integers(1, 14),
+)
+@settings(max_examples=200, deadline=None)
+def test_block_uniforms_rows_are_successive_scalar_draws(seed, role, start, count, width):
+    block = block_uniforms(seed, role, start, count, width)
+    assert block.shape == (count, width)
+    for i in range(count):
+        stream = RandomStream(seed, role, start + i)
+        assert block[i].tolist() == [stream.uniform() for _ in range(width)]
+
+
+def test_block_uniforms_wrap_trial_ids_as_stream_ids_do():
+    block = block_uniforms(3, "eve", 2**64 - 2, 4, 2)
+    for i in range(4):
+        stream = RandomStream(3, "eve", 2**64 - 2 + i)
+        assert block[i].tolist() == [stream.uniform(), stream.uniform()]
 
 
 def test_values_lie_in_unit_interval():
