@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import ConstructionError, DimensionError, InvalidParameter
 from .hilbert import TAU_NORM, Basis, verify_orthonormal
-from .rng import RandomStream
 
 TAU_DISTINCT = 1e-6
 
@@ -277,19 +276,6 @@ def max_cross_overlap(basis_set: BasisSet) -> float:
         for y in range(x + 1, basis_set.c):
             worst = max(worst, math.sqrt(_max_transition_prob(basis_set.bases[x], basis_set.bases[y])))
     return worst
-
-
-def random_basis(d: int, rng: RandomStream, label: str = "random") -> Basis:
-    """Haar-random orthonormal basis (QR of a complex Gaussian matrix)."""
-    if d < 2:
-        raise InvalidParameter("dimension must be >= 2")
-    u1 = np.array(rng.uniforms(d * d)).reshape(d, d)
-    u2 = np.array(rng.uniforms(d * d)).reshape(d, d)
-    u1 = np.clip(u1, 1e-300, None)
-    gauss = np.sqrt(-2.0 * np.log(u1)) * np.exp(2j * np.pi * u2)
-    q, r = np.linalg.qr(gauss)
-    q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-    return Basis(label, q)
 
 
 def _is_odd_prime(n: int) -> bool:

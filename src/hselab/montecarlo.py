@@ -16,6 +16,16 @@ basis) row index (`_hse_tensors`): `_invert_rows` counts, one `take` per
 column, the entries <= u, which is the count hilbert.invert_cdf takes,
 on the same cumsum floats.
 
+Memory: a run holds one chunk of trials and one copy of its slot's CDF
+tensors, and nothing else grows with n_trials or with the tensors.  The
+tensors are written row by row into one buffer and accumulated there in
+place (`_born_tensor`); the SplitMix kernels mix a private copy of their
+input in place (see `rng`).  A chunk is CHUNK = 2**15 trials, so one
+uint64 or float64 vector over it is 256 KB and each numpy pass over a
+chunk stays in a core's L2 cache; the per-slot (c-1, chunk) index arrays
+are the block's largest.  Chunks only divide the work: counts add up
+exactly, so the chunk size changes no outcome.
+
 `_Counts` is the one counter behind every SimReport: `add` sums event
 arrays, `add_block` (the vector form of `TrialOutcome.of`) feeds it for
 simulations and for `report_from_outcomes`, and `report` builds the
@@ -39,7 +49,7 @@ from .protocol import ALICE, BOB, EVE, TrialOutcome, _lehmer_decode
 from .rates import ProtocolConfig
 from .rng import bulk_uniforms, scaled_index, trial_keys
 
-CHUNK = 100_000
+CHUNK = 2**15
 Z_FAIL = 4.0
 STAGES = ("tensors", "analytics", "sampling", "counting")
 
@@ -115,27 +125,38 @@ class SimReport:
 
 
 def _born_tensor(targets, states) -> np.ndarray:
-    """Stack born_probabilities rows so the batch path reuses the exact
-    per-measurement floats of the scalar path."""
-    rows = [born_probabilities(basis, state) for basis, state in zip(targets, states)]
-    return np.stack(rows)
+    """CDF columns of the born_probabilities rows of (basis, state) pairs.
+    Each row is written into one preallocated (d, rows) buffer, which is
+    then accumulated in place, so the batch path reuses the exact
+    per-measurement floats of the scalar path and holds one copy of them."""
+    columns = np.empty((targets[0].dim, len(states)))
+    for r, (basis, state) in enumerate(zip(targets, states)):
+        columns[:, r] = born_probabilities(basis, state)
+    return _accumulate(columns)
 
 
 def _cdf_columns(probabilities: np.ndarray) -> np.ndarray:
-    """Columns 0..d-2 of the cumulative (rows, d) probabilities, each a
-    contiguous vector over the row index.  A cumsum along one row adds in
-    the same order as the scalar path's cumsum, so every entry is the
-    same float."""
-    return np.ascontiguousarray(np.cumsum(probabilities, axis=1)[:, :-1].T)
+    """The CDF columns of (rows, d) probabilities, accumulated in one
+    column-layout copy; the argument is left as it is."""
+    return _accumulate(probabilities.T.copy())
+
+
+def _accumulate(columns: np.ndarray) -> np.ndarray:
+    """Turn (d, rows) probability columns into CDF columns in place and
+    return columns 0..d-2, each a contiguous vector over the row index.
+    Entry k of a row is the sum of its entries 0..k added in order, as the
+    scalar path's cumsum adds them, so every entry is the same float.  The
+    last column is dropped: see _invert_rows."""
+    np.cumsum(columns, axis=0, out=columns)
+    return columns[:-1]
 
 
 def _hse_tensors(basis_set: BasisSet, eve: Basis | None):
     """CDF columns of one slot: (to_eve, from_eve) through Eve, else
     (direct,).  A row is indexed (x*d + a)*c + y for state a of basis x
     measured in basis y directly, x*d + a for Eve's measurement, and
-    k*c + y for Bob's measurement of Eve's state k.  The last CDF column
-    is dropped: see _invert_rows.  BKB01 sends one state through the same
-    channel."""
+    k*c + y for Bob's measurement of Eve's state k.  BKB01 sends one
+    state through the same channel."""
     members = basis_set.bases
     c, d = basis_set.c, basis_set.d
     if eve is not None:
@@ -146,12 +167,12 @@ def _hse_tensors(basis_set: BasisSet, eve: Basis | None):
             [members[y] for _ in range(d) for y in range(c)],
             [eve.vectors[k] for k in range(d) for _ in range(c)],
         )
-        return _cdf_columns(to_eve), _cdf_columns(from_eve)
+        return to_eve, from_eve
     direct = _born_tensor(
         [members[y] for x in range(c) for i in range(d) for y in range(c)],
         [members[x].vectors[i] for x in range(c) for i in range(d) for y in range(c)],
     )
-    return (_cdf_columns(direct),)
+    return (direct,)
 
 
 def _invert_rows(columns: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:

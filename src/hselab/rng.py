@@ -7,6 +7,12 @@ of role "bob" always sees the same numbers regardless of what other
 streams were consumed, and the same draws can be evaluated one at a time
 or as whole numpy arrays (see :func:`bulk_uniforms`).
 
+The array kernels work in place on a private copy: each copies its
+input words once, mixes that copy with `^=`, `*=` and shifts into one
+scratch array, and returns it, so an input array is never modified and
+a call holds at most about three arrays of its length.  They apply the
+scalar mixer's operations in the scalar mixer's order, word by word.
+
 Determinism holds across platforms for this implementation; bit-exact
 agreement with other generators is not a goal.
 """
@@ -23,6 +29,13 @@ _FNV_PRIME = 0x100000001B3
 
 # 2^-53: top 53 bits of a 64-bit word map to [0, 1)
 _U53 = 1.0 / 9007199254740992.0
+
+# the array kernels' uint64 operands, built once
+_NP_30, _NP_27, _NP_31 = np.uint64(30), np.uint64(27), np.uint64(31)
+_NP_MUL1, _NP_MUL2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
+_NP_TOP53 = np.uint64(11)
+_NP_GOLDEN = np.uint64(_GOLDEN)
+_NP_INT_TAG = np.uint64(_INT_TAG)
 
 
 def _mix64(z: int) -> int:
@@ -62,16 +75,37 @@ def value_at(key: int, counter: int) -> int:
 
 def trial_keys(seed: int, role: str, trial_ids: np.ndarray) -> np.ndarray:
     """Vectorized stream_key(seed, role, t) for an array of trial ids."""
-    base = np.uint64(stream_key(seed, role))
-    words = _mix64_np(trial_ids.astype(np.uint64) ^ np.uint64(_INT_TAG))
-    return _mix64_np(base ^ words)
+    words = trial_ids.astype(np.uint64)
+    words ^= _NP_INT_TAG
+    _mix64_in_place(words)
+    words ^= np.uint64(stream_key(seed, role))
+    return _mix64_in_place(words)
+
+
+def _mix64_in_place(z: np.ndarray) -> np.ndarray:
+    """_mix64 on every word of the uint64 array z, in place, through one
+    scratch array; returns z."""
+    scratch = np.right_shift(z, _NP_30)
+    z ^= scratch
+    z *= _NP_MUL1
+    np.right_shift(z, _NP_27, out=scratch)
+    z ^= scratch
+    z *= _NP_MUL2
+    np.right_shift(z, _NP_31, out=scratch)
+    z ^= scratch
+    return z
 
 
 def _mix64_np(z: np.ndarray) -> np.ndarray:
-    z = z.astype(np.uint64, copy=True)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+    """_mix64 on every word of z, as a new uint64 array."""
+    return _mix64_in_place(np.array(z, dtype=np.uint64))
+
+
+def _uniforms_in_place(words: np.ndarray) -> np.ndarray:
+    """The uniform draws of private raw uint64 words, which it overwrites."""
+    _mix64_in_place(words)
+    words >>= _NP_TOP53
+    return np.multiply(words, _U53)
 
 
 def bulk_uniforms(keys: np.ndarray, counter: int) -> np.ndarray:
@@ -79,8 +113,7 @@ def bulk_uniforms(keys: np.ndarray, counter: int) -> np.ndarray:
 
     Bit-identical to RandomStream(key).skip(counter).uniform() per key.
     """
-    words = _mix64_np(keys + np.uint64((counter + 1) * _GOLDEN & _MASK64))
-    return (words >> np.uint64(11)).astype(np.float64) * _U53
+    return _uniforms_in_place(keys + np.uint64((counter + 1) * _GOLDEN & _MASK64))
 
 
 def block_uniforms(seed: int, role: str, start: int, count: int, width: int) -> np.ndarray:
@@ -91,11 +124,11 @@ def block_uniforms(seed: int, role: str, start: int, count: int, width: int) -> 
     RandomStream(seed, role, start + i).  Trial ids wrap modulo 2^64, as
     stream ids do.
     """
-    trials = np.arange(count, dtype=np.uint64) + np.uint64(start & _MASK64)
-    keys = trial_keys(seed, role, trials)
-    steps = np.arange(1, width + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
-    words = _mix64_np(keys[:, None] + steps)
-    return (words >> np.uint64(11)).astype(np.float64) * _U53
+    trials = np.arange(count, dtype=np.uint64)
+    trials += np.uint64(start & _MASK64)
+    steps = np.arange(1, width + 1, dtype=np.uint64)
+    steps *= _NP_GOLDEN
+    return _uniforms_in_place(trial_keys(seed, role, trials)[:, None] + steps)
 
 
 def scaled_index(u, n: int):
@@ -144,10 +177,11 @@ class RandomStream:
 
     def uniforms(self, n: int) -> np.ndarray:
         """Next n uniform draws as a float64 array."""
-        counters = np.arange(self.counter, self.counter + n, dtype=np.uint64)
-        words = _mix64_np(np.uint64(self.key) + (counters + np.uint64(1)) * np.uint64(_GOLDEN))
+        words = np.arange(self.counter + 1, self.counter + n + 1, dtype=np.uint64)
+        words *= _NP_GOLDEN
+        words += np.uint64(self.key)
         self.counter += n
-        return (words >> np.uint64(11)).astype(np.float64) * _U53
+        return _uniforms_in_place(words)
 
     def randint(self, n: int) -> int:
         """Next integer uniform on 0..n-1."""

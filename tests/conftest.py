@@ -3,7 +3,8 @@ import socket
 import numpy as np
 import pytest
 
-from hselab.bases import BasisSet, qubit_six_state_set, qutrit_complete_set, random_basis
+from hselab.bases import BasisSet, qubit_six_state_set, qutrit_complete_set
+from hselab.hilbert import Basis
 from hselab.rng import RandomStream
 
 
@@ -18,7 +19,15 @@ def qutrit4():
 
 
 def make_random_basis(d, seed, label="random"):
-    return random_basis(d, RandomStream(seed, "test-basis"), label=label)
+    """Haar-random orthonormal basis (QR of a complex Gaussian matrix)."""
+    rng = RandomStream(seed, "test-basis")
+    u1 = np.array(rng.uniforms(d * d)).reshape(d, d)
+    u2 = np.array(rng.uniforms(d * d)).reshape(d, d)
+    u1 = np.clip(u1, 1e-300, None)
+    gauss = np.sqrt(-2.0 * np.log(u1)) * np.exp(2j * np.pi * u2)
+    q, r = np.linalg.qr(gauss)
+    q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+    return Basis(label, q)
 
 
 def make_random_set(d, c, seed):

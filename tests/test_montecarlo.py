@@ -4,6 +4,7 @@ import io
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -202,6 +203,48 @@ class TestChunking:
         assert chunked.r_s == whole.r_s
         assert chunked.r_it == whole.r_it
         assert chunked.r_qb == whole.r_qb
+
+    @pytest.mark.parametrize("offset", (-1, 0, 1))
+    def test_counts_across_the_chunk_boundary_equal_the_outcomes(self, cfg23_eve, offset):
+        n = mc.CHUNK + offset
+        report = mc.estimate_rates(cfg23_eve, n, seed=5)
+        outcomes = mc.trial_outcomes_batch(cfg23_eve, n, seed=5)
+        sifted = [o for o in outcomes if o.sifted]
+        wrong = sum(o.bob_letter != o.x for o in sifted)
+        same_slots = sum(o.y.count(o.x) for o in outcomes)
+        same_errors = sum(len(o.index_error_slots) for o in outcomes)
+        assert report.r_s == mc._estimate(len(sifted), n, report.r_s.analytic)
+        assert report.r_qb == mc._estimate(wrong, len(sifted), report.r_qb.analytic)
+        assert report.r_it == mc._estimate(same_errors, same_slots, report.r_it.analytic)
+
+
+def traced_peak(run) -> int:
+    """Bytes allocated by run() at its peak, as tracemalloc sees them."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        run()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+class TestMemory:
+    """A run holds one chunk and one copy of its tensors, however many
+    trials it runs: these two read about 13 and 5 MiB."""
+
+    @pytest.mark.parametrize(
+        ("d", "c", "attacked", "n", "bound_mib"),
+        [(7, 8, True, 200_000, 20), (2, 3, False, 300_000, 8)],
+    )
+    def test_estimate_rates_peak_is_bounded(self, d, c, attacked, n, bound_mib):
+        family = mu_basis_set(d, c)
+        config = ProtocolConfig(c=c, d=d, basis_set=family, eve=family.bases[0] if attacked else None)
+        assert traced_peak(lambda: mc.estimate_rates(config, n, seed=1)) < bound_mib * 2**20
 
 
 class TestEstimateRates:

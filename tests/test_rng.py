@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hselab import rng
 from hselab.rng import RandomStream, block_uniforms, bulk_uniforms, scaled_index, stream_key, trial_keys
+
+WORD = st.one_of(st.sampled_from([0, 1, 2**63, 2**64 - 1]), st.integers(0, 2**64 - 1))
 
 
 def test_same_seed_same_sequence():
@@ -88,6 +91,30 @@ def test_block_uniforms_wrap_trial_ids_as_stream_ids_do():
     for i in range(4):
         stream = RandomStream(3, "eve", 2**64 - 2 + i)
         assert block[i].tolist() == [stream.uniform(), stream.uniform()]
+
+
+@given(st.lists(WORD, max_size=40))
+@example([0, 2**64 - 1])
+@settings(max_examples=200, deadline=None)
+def test_array_mix_equals_scalar_mix(words):
+    mixed = rng._mix64_np(np.array(words, dtype=np.uint64))
+    assert mixed.dtype == np.uint64
+    assert mixed.tolist() == [rng._mix64(w) for w in words]
+
+
+@given(st.lists(WORD, min_size=1, max_size=40), st.integers(0, 40))
+@settings(max_examples=100, deadline=None)
+def test_array_kernels_leave_their_inputs_unchanged(words, counter):
+    inputs = np.array(words, dtype=np.uint64)
+    kept = inputs.copy()
+    rng._mix64_np(inputs)
+    bulk_uniforms(inputs, counter)
+    trial_keys(5, "bob", inputs)
+    trial_keys(5, "bob", inputs.view(np.int64))
+    assert inputs.tobytes() == kept.tobytes()
+    # no kernel mutates shared state: a second call gives the same words
+    first = block_uniforms(5, "bob", words[0], 3, 4)
+    assert block_uniforms(5, "bob", words[0], 3, 4).tobytes() == first.tobytes()
 
 
 def test_values_lie_in_unit_interval():
