@@ -29,16 +29,19 @@ only sends the c*d vectors of her basis set, and the relay only resends
 the d eigenstates of Eve's basis, so Alice renders the `amps` JSON of her
 c*d states once per session and the relay that of Eve's d states once per
 run.  Bob and the relay measure through a `hilbert.BornTable`, keyed by a
-state's exact amplitude pairs: a state's cumulative Born row is computed
+state's exact amplitude pairs, whose rows come from the one Born kernel,
+`hilbert.born_rows`.  Bob's table starts with the c*d states of his set,
+all rows built before his first trial.  Any other state's row is computed
 the first time, validated as `born_sample` would, and reused after that.
-Each table stores at most c*d states - Bob's from his configuration, the
-relay's from the sender's Hello, and none before it - and computes any
+Each table learns at most c*d states - Bob's bound from his configuration,
+the relay's from the sender's Hello, and none before it - and computes any
 further distinct state without storing it, so a sender cannot make it
 grow.  The bytes on the wire are those `encode` gives for every message.
 
 Randomness is drawn in blocks.  Alice's and Bob's sessions read each
 trial's draws from a `protocol.TrialBlocks`, which evaluates the
-substreams of BLOCK trials at once.  The relay reads Eve's draws the same
+substreams of BLOCK trials at once, the last block cut to the session's
+n trials.  The relay reads Eve's draws the same
 way, in rows of 2(c-1) per trial - enough for every slot at any intercept
 fraction - sized from the sender's Hello; a draw past a row's end, or
 before any Hello, comes from the scalar stream.  Every draw is the one
@@ -62,11 +65,13 @@ and every index a plain JSON integer of at most 18 digits:
   key of the reader's table of known states.
 
 That table maps the exact `amps` bytes of a quantum_state line to the
-amplitude pairs a full `decode` of that line returned.  Its capacity
-follows the `BornTable` rule: c*d, Bob's from his configuration, the
-relay's forward pump's from the sender's Hello, and 0 before it; Alice
-reads her replies through a reader of capacity 0.  An entry is added only
-after `decode` succeeded, and only when the line's `amps` bytes are the
+amplitude pairs a full `decode` of that line returns.  Bob's starts with
+the c*d states of his set, rendered by `_amps_json`, so an honest line
+is never decoded in full on his side.  Learned entries follow the
+`BornTable` rule: at most c*d, Bob's on top of his set's, the relay's
+forward pump's from the sender's Hello, and 0 before it; Alice reads her
+replies through a reader of capacity 0.  An entry is learned only after
+`decode` succeeded, and only when the line's `amps` bytes are the
 canonical rendering `_amps_json` gives for the decoded pairs, so no key can
 carry text from outside the amplitude list.  Every other line goes through
 `decode`, which stays the only validator.
@@ -299,23 +304,28 @@ def decode(line: bytes, line_no: int | None = None) -> Message:
 
 class KnownStates:
     """Decodes wire lines, answering the per-trial lines without `decode`
-    and repeats of known quantum_state lines from a table of at most
-    `capacity` entries.
+    and known quantum_state lines from a table: the `states` given at
+    construction, and at most `capacity` learned ones, which `len` counts.
 
     A line that is exactly `_announce_line(N, a)`, `_sift_line(N, s)`, or
     `_state_line(N, K, A)` for a stored A, each with plain integers of at
     most 18 digits, gives the message that `decode` gives for it; every
-    other line is passed to `decode`.  A is stored, with the pairs `decode`
-    returned, only if the table has room and A is their canonical
-    `_amps_json` rendering.
+    other line is passed to `decode`.  A given state is stored under the
+    canonical `_amps_json` rendering of its pairs.  A line's A is learned,
+    with the pairs `decode` returned, only if the table has room and A is
+    their canonical rendering.
     """
 
-    def __init__(self, capacity: int):
+    def __init__(self, capacity: int, states=()):
         self.capacity = capacity
+        self._learned = 0
         self._pairs: dict = {}  # canonical amps bytes -> ((re, im), ...)
+        for state in states:
+            pairs = state.pairs()
+            self._pairs[_amps_json(pairs)] = pairs
 
     def __len__(self) -> int:
-        return len(self._pairs)
+        return self._learned
 
     def decode(self, line: bytes) -> Message:
         known = _STATE_LINE.fullmatch(line)
@@ -334,11 +344,12 @@ class KnownStates:
         msg = decode(line)
         if (
             known is not None
-            and len(self._pairs) < self.capacity
+            and self._learned < self.capacity
             and isinstance(msg, QuantumState)
             and amps == _amps_json(msg.amps)
         ):
             self._pairs[amps] = msg.amps
+            self._learned += 1
         return msg
 
 
@@ -473,7 +484,7 @@ def run_session(
     _handshake(transport, config, basis_set_id)
     if role == "alice":
         return _run_alice(transport, config, n_trials, seed, letters, compare)
-    return _run_bob(transport, config, seed)
+    return _run_bob(transport, config, seed, n_trials)
 
 
 def _handshake(transport, config: ProtocolConfig, basis_set_id: str) -> None:
@@ -497,7 +508,7 @@ def _handshake(transport, config: ProtocolConfig, basis_set_id: str) -> None:
 
 
 def _run_alice(transport, config, n_trials, seed, letters, compare) -> AliceLog:
-    session = AliceSession(config, seed, letters=letters)
+    session = AliceSession(config, seed, letters=letters, n_trials=n_trials)
     # the amps of vector a of basis x, for each of the c*d states she can send
     amps_json = [[_amps_json(v.pairs()) for v in basis.vectors] for basis in config.basis_set.bases]
     # her replies are sift reports and a bye; she is sent no states
@@ -537,11 +548,11 @@ def _run_alice(transport, config, n_trials, seed, letters, compare) -> AliceLog:
     )
 
 
-def _run_bob(transport, config, seed) -> list[TrialOutcome]:
+def _run_bob(transport, config, seed, n_trials) -> list[TrialOutcome]:
     """Bob's loop; if the peer breaks the protocol or the codec, he tells
     it why in a Bye before raising."""
     try:
-        return _bob_loop(transport, config, seed)
+        return _bob_loop(transport, config, seed, n_trials)
     except (ProtocolError, CodecError) as exc:
         try:
             send_message(transport, Bye(reason=f"{type(exc).__name__}: {exc}"))
@@ -550,9 +561,10 @@ def _run_bob(transport, config, seed) -> list[TrialOutcome]:
         raise
 
 
-def _bob_loop(transport, config, seed) -> list[TrialOutcome]:
-    session = BobSession(config, seed)
-    known = KnownStates(config.c * config.d)
+def _bob_loop(transport, config, seed, n_trials) -> list[TrialOutcome]:
+    session = BobSession(config, seed, n_trials)
+    # his set's lines are known from the start; room for c*d more
+    known = KnownStates(config.c * config.d, [v for basis in config.basis_set.bases for v in basis.vectors])
     alice_letters = None
     expected_trial = 0
     expected_slot = 0

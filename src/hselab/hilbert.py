@@ -5,6 +5,15 @@ simulator) reduces to three primitives defined here: inner products,
 transition probabilities, and Born-rule sampling in an orthonormal basis.
 All quantities are double precision; TAU_NORM separates rounding noise
 from genuine invariant violations.
+
+Every Born row comes from one kernel, `born_rows`: `born_probabilities`
+is its one-row case, and `BornTable`, the batch sampler's tensors
+(`montecarlo`) and the session endpoints all read rows it computed.  Row r
+is the vector-matrix product amps[r] @ basis.conj, and numpy runs the same
+per-row routine however many rows it is given, so a row's floats do not
+depend on how many rows are computed together; the batch sampler therefore
+inverts exactly the floats `born_sample` inverts.  (`rates` keeps its own
+Gram products: their floats are pinned by the golden reports.)
 """
 
 from __future__ import annotations
@@ -56,7 +65,7 @@ class StateVector:
     def pairs(self) -> tuple:
         """The amplitudes as ((re, im), ...) Python floats, the form the
         wire codec carries and BornTable keys on."""
-        return tuple((float(z.real), float(z.imag)) for z in self.amps)
+        return tuple(zip(self.amps.real.tolist(), self.amps.imag.tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,7 +73,8 @@ class Basis:
     """An orthonormal basis of C^d, stored column-wise.
 
     `matrix` has the basis vectors as columns; `vectors` views them as
-    StateVector objects.  Construction verifies pairwise orthonormality
+    StateVector objects, and `conj` is the conjugated matrix that
+    `born_rows` multiplies by.  Construction verifies pairwise orthonormality
     at TAU_NORM unless `validate=False` (reserved for callers that have
     already checked, or for tests that need a deliberately broken basis).
     """
@@ -72,6 +82,7 @@ class Basis:
     label: str
     matrix: np.ndarray
     vectors: tuple = field(repr=False)
+    conj: np.ndarray = field(repr=False)
 
     def __init__(self, label: str, matrix, validate: bool = True):
         arr = np.asarray(matrix, dtype=np.complex128)
@@ -89,6 +100,9 @@ class Basis:
         arr.flags.writeable = False
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "matrix", arr)
+        conj = arr.conj()
+        conj.flags.writeable = False
+        object.__setattr__(self, "conj", conj)
         vectors = tuple(StateVector.__new__(StateVector) for _ in range(arr.shape[1]))
         for j, vec in enumerate(vectors):
             col = arr[:, j].copy()
@@ -140,16 +154,39 @@ def _clamp_probability(p: float) -> float:
     return p
 
 
-def born_probabilities(basis: Basis, state: StateVector) -> np.ndarray:
-    """Outcome distribution of measuring `state` in `basis` (renormalized).
+def born_rows(basis: Basis, amps) -> np.ndarray:
+    """Outcome distributions (renormalized) of measuring each row of the
+    (n, d) amplitudes `amps` in `basis`, as an (n, d) array.
 
-    Raises NumericalError if the raw probabilities miss unit total by more
-    than dim * TAU_NORM, which signals a corrupt basis or state rather
-    than accumulated rounding.
+    Row r is amps[r] @ basis.conj, computed for all rows as one stacked
+    product; numpy runs the same vector-matrix routine for each row of a
+    stack as for a lone vector, so row r's floats are the same whatever
+    rows come with it.  Raises NumericalError if any row's raw
+    probabilities miss unit total by more than dim * TAU_NORM, which
+    signals a corrupt basis or state rather than accumulated rounding.
     """
+    amps = np.ascontiguousarray(amps, dtype=np.complex128)
+    if amps.ndim != 2 or amps.shape[1] != basis.dim:
+        raise DimensionError(f"dimension mismatch: basis {basis.dim} vs amplitude rows {amps.shape}")
+    products = (amps[:, None, :] @ basis.conj)[:, 0, :]
+    probs = products.real**2 + products.imag**2
+    totals = probs.sum(axis=1, keepdims=True)
+    corrupt = np.abs(totals - 1.0) > basis.dim * TAU_NORM
+    if corrupt.any():
+        raise NumericalError(f"outcome probabilities sum to {float(totals[corrupt][0])!r}, not 1")
+    probs /= totals
+    return probs
+
+
+def born_probabilities(basis: Basis, state: StateVector) -> np.ndarray:
+    """Outcome distribution of measuring `state` in `basis`: the one-row
+    case of `born_rows`, amps @ basis.conj, with the same renormalization
+    and NumericalError, and the same floats (tested bit for bit).  Written
+    out for one vector because the stacking and per-row checks of
+    `born_rows` would double the cost of a lone row."""
     if basis.dim != state.dim:
         raise DimensionError(f"dimension mismatch: basis {basis.dim} vs state {state.dim}")
-    amps = basis.matrix.conj().T @ state.amps
+    amps = state.amps @ basis.conj
     probs = amps.real**2 + amps.imag**2
     total = float(probs.sum())
     if abs(total - 1.0) > basis.dim * TAU_NORM:
@@ -183,36 +220,55 @@ class BornTable:
     """Cumulative Born rows of wire states in a fixed tuple of bases.
 
     A state is keyed by its exact ((re, im), ...) amplitude pairs, as
-    `channel.decode` returns them.  The first time a (state, basis) pair
-    is seen, its row is computed as `born_sample` computes it - a
-    validated StateVector, then the cumsum of `born_probabilities` - so
-    sampling a row gives the same outcome `born_sample` gives on the same
-    draw.  At most `capacity` states are stored; past that, each new state
-    is computed and not kept, so a peer sending endless distinct states
-    cannot grow the table.
+    `channel.decode` returns them.  The `states` given at construction are
+    known from the start: their rows are built then, one `born_rows` call
+    per basis.  Any other state is learned the first time it is measured:
+    a validated StateVector, whose row in each basis is the cumsum of
+    `born_probabilities`, the kernel's one-row case, with the same floats.
+    Either way sampling a row gives the outcome `born_sample` gives on the
+    same draw.  At most `capacity` states are learned, and `len` counts
+    them; past that, a new state is measured as `born_sample` measures it
+    and not kept, so a peer sending endless distinct states cannot grow
+    the table.
+
+    The rows of each basis are kept end to end in one flat list of floats,
+    d entries per state, so a table holds a few containers however many
+    rows it has.
     """
 
-    def __init__(self, bases, capacity: int):
+    def __init__(self, bases, capacity: int, states=()):
         self.bases = tuple(bases)
         self.capacity = capacity
-        self._entries: dict = {}  # pairs -> (StateVector, [cdf row per basis, or None])
+        self._dim = self.bases[0].dim
+        self._learned = 0
+        self._rows: dict = {}  # pairs -> the state's row number in every flat list
+        self._cdfs = [[] for _ in self.bases]  # per basis: each state's cdf row, end to end
+        if states:
+            amps = [state.amps for state in states]
+            for cdfs, basis in zip(self._cdfs, self.bases):
+                cdfs.extend(np.cumsum(born_rows(basis, amps), axis=1).ravel().tolist())
+            self._rows.update((state.pairs(), row) for row, state in enumerate(states))
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return self._learned
 
     def sample(self, pairs: tuple, which: int, u: float) -> int:
         """Outcome of measuring the state `pairs` in `bases[which]` for
         uniform draw u."""
-        entry = self._entries.get(pairs)
-        if entry is None:
-            entry = (StateVector([complex(re, im) for re, im in pairs]), [None] * len(self.bases))
-            if len(self._entries) < self.capacity:
-                self._entries[pairs] = entry
-        state, rows = entry
-        cdf = rows[which]
-        if cdf is None:
-            cdf = rows[which] = np.cumsum(born_probabilities(self.bases[which], state)).tolist()
-        return invert_cdf(cdf, u)
+        row = self._rows.get(pairs)
+        if row is None:
+            state = StateVector([complex(re, im) for re, im in pairs])
+            if self._learned == self.capacity:
+                return sample_from_probs(born_probabilities(self.bases[which], state), u)
+            new = [np.cumsum(born_probabilities(basis, state)).tolist() for basis in self.bases]
+            row = self._rows[pairs] = len(self._cdfs[0]) // self._dim
+            for cdfs, cdf in zip(self._cdfs, new):
+                cdfs.extend(cdf)
+            self._learned += 1
+        d = self._dim
+        start = row * d
+        # the count of the row's entries <= u, capped as invert_cdf caps it
+        return min(bisect_right(self._cdfs[which], u, start, start + d) - start, d - 1)
 
 
 def verify_orthonormal(basis, tol: float) -> OrthonormalityReport:

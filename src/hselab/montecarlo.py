@@ -16,10 +16,16 @@ basis) row index (`_hse_tensors`): `_invert_rows` counts, one `take` per
 column, the entries <= u, which is the count hilbert.invert_cdf takes,
 on the same cumsum floats.
 
+The tensors come from the kernel every path shares, `hilbert.born_rows`,
+one call per measuring basis over all the states it measures
+(`_born_tensor`).  A row's floats do not depend on how many rows are
+computed together, so each row is the `born_probabilities` row that
+run_trial's `born_sample` inverts, and the outcomes are bit-identical.
+
 Memory: a run holds one chunk of trials and one copy of its slot's CDF
 tensors, and nothing else grows with n_trials or with the tensors.  The
-tensors are written row by row into one buffer and accumulated there in
-place (`_born_tensor`); the SplitMix kernels mix a private copy of their
+tensors are written basis by basis into one buffer and accumulated there
+in place (`_born_tensor`); the SplitMix kernels mix a private copy of their
 input in place (see `rng`).  A chunk is CHUNK = 2**15 trials, so one
 uint64 or float64 vector over it is 256 KB and each numpy pass over a
 chunk stays in a core's L2 cache; the per-slot (c-1, chunk) index arrays
@@ -44,7 +50,9 @@ import numpy as np
 from . import rates
 from .bases import BasisSet
 from .errors import InvalidParameter
-from .hilbert import Basis, born_probabilities
+# born_probabilities is unused here; the benchmark's tracer counts calls
+# through this name
+from .hilbert import Basis, born_probabilities, born_rows
 from .protocol import ALICE, BOB, EVE, TrialOutcome, _lehmer_decode
 from .rates import ProtocolConfig
 from .rng import bulk_uniforms, scaled_index, trial_keys
@@ -124,15 +132,17 @@ class SimReport:
         return max(zs, default=0.0)
 
 
-def _born_tensor(targets, states) -> np.ndarray:
-    """CDF columns of the born_probabilities rows of (basis, state) pairs.
-    Each row is written into one preallocated (d, rows) buffer, which is
-    then accumulated in place, so the batch path reuses the exact
-    per-measurement floats of the scalar path and holds one copy of them."""
-    columns = np.empty((targets[0].dim, len(states)))
-    for r, (basis, state) in enumerate(zip(targets, states)):
-        columns[:, r] = born_probabilities(basis, state)
-    return _accumulate(columns)
+def _born_tensor(targets, amps) -> np.ndarray:
+    """CDF columns of the Born rows of the states `amps` (one per row)
+    measured in each basis of `targets`; column s*len(targets) + y holds
+    state s in targets[y].  Each basis is one `born_rows` call, written
+    into one preallocated (d, columns) buffer that is then accumulated in
+    place, so the batch path holds one copy of the scalar path's floats."""
+    n, d = amps.shape
+    columns = np.empty((d, n, len(targets)))
+    for y, basis in enumerate(targets):
+        columns[:, :, y] = born_rows(basis, amps).T
+    return _accumulate(columns.reshape(d, n * len(targets)))
 
 
 def _cdf_columns(probabilities: np.ndarray) -> np.ndarray:
@@ -158,21 +168,11 @@ def _hse_tensors(basis_set: BasisSet, eve: Basis | None):
     k*c + y for Bob's measurement of Eve's state k.  BKB01 sends one
     state through the same channel."""
     members = basis_set.bases
-    c, d = basis_set.c, basis_set.d
+    # row x*d + a is state a of basis x
+    sent = np.concatenate([basis.matrix.T for basis in members])
     if eve is not None:
-        to_eve = _born_tensor(
-            [eve] * (c * d), [members[x].vectors[i] for x in range(c) for i in range(d)]
-        )
-        from_eve = _born_tensor(
-            [members[y] for _ in range(d) for y in range(c)],
-            [eve.vectors[k] for k in range(d) for _ in range(c)],
-        )
-        return to_eve, from_eve
-    direct = _born_tensor(
-        [members[y] for x in range(c) for i in range(d) for y in range(c)],
-        [members[x].vectors[i] for x in range(c) for i in range(d) for y in range(c)],
-    )
-    return (direct,)
+        return _born_tensor((eve,), sent), _born_tensor(members, eve.matrix.T)
+    return (_born_tensor(members, sent),)
 
 
 def _invert_rows(columns: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -189,33 +189,41 @@ class TrialBlocks:
     """Per-trial values made from the first `width` draws of the substreams
     (seed, role, t), computed BLOCK trials at a time.
 
-    `rows` turns a block's (BLOCK, width) array of uniforms into a list
+    `rows` turns a block's (count, width) array of uniforms into a list
     with one value per trial.  A trial outside the current block gets the
-    aligned block that holds it, so trials may come in any order.
+    aligned block that holds it, so trials may come in any order.  When
+    the session's trial count n is known, a block stops at n: it holds
+    min(BLOCK, n - start) trials, so a short session computes no draws it
+    never reads.  A trial at or past n still gets its aligned BLOCK.
     """
 
-    def __init__(self, seed: int, role: str, width: int, rows):
+    def __init__(self, seed: int, role: str, width: int, rows, n_trials: int | None = None):
         self._seed = seed
         self._role = role
         self._width = width
         self._rows = rows
-        self._start = -BLOCK  # a block that holds no trial: ids are nonnegative
+        self._n_trials = n_trials
+        self._start = 0
         self._values: list = []
 
     def __getitem__(self, trial_id: int):
         offset = trial_id - self._start
-        if not 0 <= offset < BLOCK:
+        if not 0 <= offset < len(self._values):
             offset = trial_id % BLOCK
             self._start = trial_id - offset
-            block = block_uniforms(self._seed, self._role, self._start, BLOCK, self._width)
+            count = BLOCK
+            if self._n_trials is not None and trial_id < self._n_trials:
+                count = min(BLOCK, self._n_trials - self._start)
+            block = block_uniforms(self._seed, self._role, self._start, count, self._width)
             self._values = self._rows(block)
         return self._values[offset]
 
 
 class AliceSession:
-    """Alice's side of a multi-trial session, one trial at a time."""
+    """Alice's side of a multi-trial session, one trial at a time.
+    `n_trials`, when given, sizes the draw blocks to the session."""
 
-    def __init__(self, config: ProtocolConfig, seed: int, letters=None):
+    def __init__(self, config: ProtocolConfig, seed: int, letters=None, n_trials: int | None = None):
         self.config = config
         self._letters = letters
         self.raw_string: list[int] = []
@@ -227,7 +235,7 @@ class AliceSession:
             indices = map(tuple, scaled_index(u[:, 1:], d).tolist())
             return list(zip(scaled_index(u[:, 0], c).tolist(), indices))
 
-        self._draws = TrialBlocks(seed, ALICE, c, rows)
+        self._draws = TrialBlocks(seed, ALICE, c, rows, n_trials)
 
     def states_for_trial(self, trial_id: int):
         """Draw this trial's letter and indices; returns (x, states, a).
@@ -260,15 +268,20 @@ class BobSession:
     Measurements happen as states arrive; sifting happens once the
     announcement arrives; the outcome's letter field is filled in only if
     Alice later discloses her raw string for comparison.
+
+    Bob's `born_table` starts with the c*d states of his set, the only
+    ones an honest sender sends, so their rows are built before his first
+    trial; it has room for c*d more (an interceptor's resent states).
+    `n_trials`, when given, sizes the draw blocks to the session.
     """
 
-    def __init__(self, config: ProtocolConfig, seed: int):
+    def __init__(self, config: ProtocolConfig, seed: int, n_trials: int | None = None):
         self.config = config
         self._pending: _PendingTrial | None = None
         self._records: list[tuple] = []
         self.key: list[int] = []
-        # an honest sender only ever sends the c*d vectors of the set
-        self.born_table = BornTable(config.basis_set.bases, config.c * config.d)
+        bases = config.basis_set.bases
+        self.born_table = BornTable(bases, config.c * config.d, [v for basis in bases for v in basis.vectors])
         slots = config.c - 1
 
         def rows(u):
@@ -278,7 +291,7 @@ class BobSession:
             _lehmer_decode(picks.T)
             return list(zip(map(tuple, picks.tolist()), u[:, slots:].tolist()))
 
-        self._draws = TrialBlocks(seed, BOB, 2 * slots, rows)
+        self._draws = TrialBlocks(seed, BOB, 2 * slots, rows, n_trials)
 
     def begin_trial(self, trial_id: int) -> tuple:
         if self._pending is not None:

@@ -8,17 +8,18 @@ import socket
 import threading
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hselab.channel as ch
-from conftest import free_port, make_random_basis
-from hselab.bases import breidbart_basis, mu_basis_set
+from conftest import free_port, make_random_basis, make_random_set
+from hselab.bases import BasisSet, breidbart_basis, fourier_basis, mu_basis_set
 from hselab.errors import CodecError, DimensionError, HandshakeError, ProtocolError, SessionError
 from hselab.protocol import ALICE, BLOCK, EVE, EveInterceptor, alice_prepare, run_trial
 from hselab.rates import ProtocolConfig
-from hselab.hilbert import StateVector
+from hselab.hilbert import Basis, StateVector
 from hselab.rng import RandomStream
 
 # crosses two block boundaries and ends inside a third block
@@ -272,6 +273,41 @@ class TestKnownStates:
                 line = ch.encode(ch.QuantumState(99, 1, state.pairs()))
                 assert known.decode(line) == ch.decode(line)
         assert len(known) == c * d
+
+
+class TestSeededKnownStates:
+    """Bob's reader starts with the c*d states of his set."""
+
+    @pytest.mark.parametrize("d,c", [(2, 3), (3, 4), (7, 8), (13, 14)])
+    def test_seeded_entries_are_what_decode_gives(self, d, c, monkeypatch):
+        self.assert_seeded_entries_decode_as_given(mu_basis_set(d, c), monkeypatch)
+
+    def test_seeded_entries_of_random_and_signed_zero_sets(self, monkeypatch):
+        minus = BasisSet([Basis("minus", -np.eye(2, dtype=complex)), fourier_basis(2)])
+        for basis_set in (make_random_set(5, 3, 4), minus):
+            self.assert_seeded_entries_decode_as_given(basis_set, monkeypatch)
+
+    @staticmethod
+    def assert_seeded_entries_decode_as_given(basis_set, monkeypatch):
+        """Each of the set's state lines gives, without `decode`, the
+        message `decode` gives, and the set takes no learned room."""
+        states = [v for basis in basis_set.bases for v in basis.vectors]
+        lines = [ch._state_line(t, t % 7, ch._amps_json(v.pairs())) for t, v in enumerate(states)]
+        expected = [decoded(ch.decode, line) for line in lines]
+        known = ch.KnownStates(0, states)
+        with monkeypatch.context() as patch:
+            patch.setattr(ch, "decode", None)
+            assert [decoded(known.decode, line) for line in lines] == expected
+            assert [known.decode(line).amps for line in lines] == [v.pairs() for v in states]
+        assert len(known) == 0
+
+    def test_seeded_entries_leave_the_room_for_learned_ones(self, sixstate):
+        known = ch.KnownStates(2, [v for basis in sixstate.bases for v in basis.vectors])
+        strangers = [make_random_basis(2, 60 + k).vectors[0] for k in range(3)]
+        for state in strangers:
+            line = ch.encode(ch.QuantumState(1, 0, state.pairs()))
+            assert known.decode(line) == ch.decode(line)
+        assert len(known) == 2
 
 
 def json_line(obj) -> bytes:
@@ -969,10 +1005,8 @@ class TestMitm:
         assert isinstance(results["alice"], SessionError)
         assert isinstance(results["bob"], SessionError)
 
-    def test_each_distinct_state_is_decoded_once_per_endpoint(self, monkeypatch):
-        basis_set = mu_basis_set(7, 8)
-        cfg = ProtocolConfig(c=8, d=7, basis_set=basis_set)
-        eve = basis_set.bases[0]
+    def count_full_state_decodes(self, monkeypatch):
+        """Full decodes of quantum_state lines, by (thread name, amps)."""
         full_decodes = collections.Counter()
         decode = ch.decode
 
@@ -983,14 +1017,34 @@ class TestMitm:
             return msg
 
         monkeypatch.setattr(ch, "decode", counting_decode)
+        return full_decodes
+
+    def test_each_distinct_state_is_decoded_once_per_endpoint(self, monkeypatch):
+        basis_set = mu_basis_set(7, 8)
+        cfg = ProtocolConfig(c=8, d=7, basis_set=basis_set)
+        eve = basis_set.bases[0]
+        full_decodes = self.count_full_state_decodes(monkeypatch)
         results, _, _ = self.run_with_interceptor(None, cfg, 200, 5, eve_basis=eve)
         attacked = ProtocolConfig(c=8, d=7, basis_set=basis_set, eve=eve)
         assert results["outcomes"] == [run_trial(attacked, t, 5) for t in range(200)]
         assert set(full_decodes.values()) == {1}
         per_endpoint = collections.Counter(name for name, _ in full_decodes)
-        # Bob only meets the 7 states Eve resends; the relay meets Alice's 56
-        assert per_endpoint.pop("MainThread") <= 7
+        # the 7 states Eve resends are in Bob's set, which he knows from the
+        # start, so he decodes none; the relay meets Alice's 56
+        assert "MainThread" not in per_endpoint
         assert len(per_endpoint) == 1 and sum(per_endpoint.values()) <= 56
+
+    def test_states_outside_the_set_are_learned_once(self, sixstate, cfg23, monkeypatch):
+        # Breidbart's eigenstates are not in Bob's set: he decodes each in
+        # full once, so his set's entries leave him room to learn them
+        breidbart = breidbart_basis()
+        full_decodes = self.count_full_state_decodes(monkeypatch)
+        n, seed = 200, 6
+        results, _, _ = self.run_with_interceptor(sixstate, cfg23, n, seed, eve_basis=breidbart)
+        attacked = ProtocolConfig(c=3, d=2, basis_set=sixstate, eve=breidbart)
+        assert results["outcomes"] == [run_trial(attacked, t, seed) for t in range(n)]
+        bob = {amps: count for (name, amps), count in full_decodes.items() if name == "MainThread"}
+        assert bob == {v.pairs(): 1 for v in breidbart.vectors}
 
     def test_codec_calls_do_not_grow_with_trials(self, qutrit4, monkeypatch):
         """Past the first sight of each state, no per-trial line goes
@@ -1019,9 +1073,10 @@ class TestMitm:
             assert results["outcomes"] == [run_trial(attacked, t, 2) for t in range(n)]
             counts[n] = dict(calls)
         assert counts[20] == counts[200]
-        # at seed 2 the relay has met all 12 of Alice's states by trial 20,
-        # and Bob the 3 that Eve resends; each is decoded in full once
-        assert counts[200][("decode", "QuantumState")] == 12 + 3
+        # at seed 2 the relay has met all 12 of Alice's states by trial 20 and
+        # decoded each in full once; Bob knows the 3 that Eve resends from
+        # the start, as they are in his set
+        assert counts[200][("decode", "QuantumState")] == 12
         assert ("decode", "IndexAnnounce") not in counts[200]
         assert ("decode", "SiftReport") not in counts[200]
         assert not {kind for op, kind in counts[200] if op == "encode"} & {"IndexAnnounce", "SiftReport"}

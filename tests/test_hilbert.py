@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import freq_tolerance, make_random_basis
-from hselab.bases import fourier_basis, standard_basis
+from conftest import freq_tolerance, make_random_basis, make_random_set
+from hselab.bases import BasisSet, fourier_basis, mu_basis_set, standard_basis
 from hselab.errors import DimensionError, InvalidParameter, NumericalError
 from hselab.hilbert import (
     TAU_NORM,
@@ -12,6 +12,7 @@ from hselab.hilbert import (
     BornTable,
     StateVector,
     born_probabilities,
+    born_rows,
     born_sample,
     overlap,
     sample_from_probs,
@@ -180,6 +181,72 @@ class TestSampleFromProbs:
         assert sample_from_probs(probs, 1.0 - 1e-16) == 1
 
 
+def set_states(basis_set):
+    """The c*d states of a set, state a of basis x at x*d + a."""
+    return [v for basis in basis_set.bases for v in basis.vectors]
+
+
+def negated_set():
+    """A qubit set whose amplitudes include -0.0."""
+    return BasisSet([Basis("minus", -np.eye(2, dtype=complex)), fourier_basis(2)])
+
+
+class TestBornRows:
+    @staticmethod
+    def assert_rows_are_the_scalar_rows(basis_set):
+        states = set_states(basis_set)
+        amps = np.array([state.amps for state in states])
+        for basis in basis_set.bases:
+            rows = born_rows(basis, amps)
+            scalar = np.array([born_probabilities(basis, state) for state in states])
+            # bit for bit: the bytes tell -0.0 from 0.0 and any last-ulp change
+            assert rows.tobytes() == scalar.tobytes()
+            # a row is the same whatever rows are computed with it
+            assert born_rows(basis, amps[1::3]).tobytes() == rows[1::3].tobytes()
+
+    # complete sets up to d = 31; eight bases at d = 61
+    @pytest.mark.parametrize("d,c", [(2, 3), (3, 4), (5, 6), (7, 8), (13, 14), (31, 32), (61, 8)])
+    def test_equal_born_probabilities_on_mu_sets(self, d, c):
+        self.assert_rows_are_the_scalar_rows(mu_basis_set(d, c))
+
+    @pytest.mark.parametrize("d,c,seed", [(2, 3, 1), (3, 4, 2), (4, 3, 3), (6, 2, 4), (9, 3, 5), (16, 3, 6), (31, 2, 7)])
+    def test_equal_born_probabilities_on_random_sets(self, d, c, seed):
+        self.assert_rows_are_the_scalar_rows(make_random_set(d, c, seed))
+
+    def test_equal_born_probabilities_with_negative_zeros(self):
+        self.assert_rows_are_the_scalar_rows(negated_set())
+
+    def test_rows_are_renormalized_distributions(self):
+        basis = make_random_basis(5, 61)
+        rows = born_rows(basis, np.array([random_state(5, 70 + k).amps for k in range(9)]))
+        assert rows.shape == (9, 5)
+        assert np.all(rows >= 0.0)
+        assert np.all(np.abs(rows.sum(axis=1) - 1.0) <= 5 * TAU_NORM)
+
+    def test_any_corrupt_row_raises(self):
+        basis = fourier_basis(3)
+        amps = np.array([standard_vector(3, k).amps for k in range(3)])
+        born_rows(basis, amps)
+        amps[2] *= 1.01
+        with pytest.raises(NumericalError):
+            born_rows(basis, amps)
+        with pytest.raises(NumericalError):
+            born_rows(basis, amps[2:])
+
+    def test_corrupt_basis_raises(self):
+        matrix = np.eye(3, dtype=complex)
+        matrix[0, 0] = 1.01
+        broken = Basis("broken", matrix, validate=False)
+        with pytest.raises(NumericalError):
+            born_rows(broken, np.eye(3, dtype=complex))
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionError):
+            born_rows(fourier_basis(3), np.eye(2, dtype=complex))
+        with pytest.raises(DimensionError):
+            born_rows(fourier_basis(3), standard_vector(3, 0).amps)
+
+
 class TestBornTable:
     def test_rows_sample_as_born_sample(self):
         bases = [make_random_basis(3, 41 + k) for k in range(3)]
@@ -194,6 +261,32 @@ class TestBornTable:
                     expected = sample_from_probs(born_probabilities(basis, state), u)
                     assert table.sample(state.pairs(), which, u) == expected
         assert len(table) == 4
+
+    @pytest.mark.parametrize("basis_set", [mu_basis_set(5, 6), make_random_set(3, 4, 9), negated_set()])
+    def test_seeded_rows_equal_learned_rows(self, basis_set):
+        states = set_states(basis_set)
+        seeded = BornTable(basis_set.bases, 0, states)
+        learned = BornTable(basis_set.bases, len(states))
+        for which, basis in enumerate(basis_set.bases):
+            for state in states:
+                cdf = np.cumsum(born_probabilities(basis, state)).tolist()
+                # each cdf entry and the float below it pin the row's floats
+                draws = [0.0, 1.0 - 2**-53, *cdf, *np.nextafter(cdf, 0.0).tolist()]
+                for u in draws:
+                    expected = sample_from_probs(born_probabilities(basis, state), u)
+                    assert seeded.sample(state.pairs(), which, u) == expected
+                    assert learned.sample(state.pairs(), which, u) == expected
+        assert len(seeded) == 0
+        assert len(learned) == len(states)
+
+    def test_seeded_states_leave_the_room_for_learned_ones(self, sixstate):
+        table = BornTable(sixstate.bases, 2, set_states(sixstate))
+        strangers = [make_random_basis(2, 80 + k).vectors[0] for k in range(4)]
+        for state in strangers:
+            for which, basis in enumerate(sixstate.bases):
+                expected = born_sample(state, basis, RandomStream(3, which))
+                assert table.sample(state.pairs(), which, RandomStream(3, which).uniform()) == expected
+        assert len(table) == 2
 
     def test_miss_validates_the_state(self):
         table = BornTable([standard_basis(2)], capacity=4)

@@ -105,6 +105,31 @@ class TestBatchEngineEquality:
             assert batch == [run_trial(config, t, 10, letters=supplied) for t in range(500)]
 
 
+class TestLargeDimensions:
+    """At (13,14) and (31,32), with one born_rows call per basis, the batch
+    engine equals run_trial and its estimates are within |z| <= 4 of the
+    closed forms."""
+
+    @pytest.fixture(scope="class")
+    def mu_sets(self):
+        return {(d, c): mu_basis_set(d, c) for d, c in [(13, 14), (31, 32)]}
+
+    @pytest.mark.parametrize("attacked", (False, True))
+    @pytest.mark.parametrize("d,c", [(13, 14), (31, 32)])
+    def test_batch_matches_per_trial_runner(self, mu_sets, d, c, attacked):
+        family = mu_sets[d, c]
+        config = ProtocolConfig(c=c, d=d, basis_set=family, eve=family.bases[0] if attacked else None)
+        assert mc.trial_outcomes_batch(config, 40, 12) == [run_trial(config, t, 12) for t in range(40)]
+
+    @pytest.mark.parametrize("attacked", (False, True))
+    def test_estimates_within_four_sigma_at_31_32(self, mu_sets, attacked):
+        family = mu_sets[31, 32]
+        config = ProtocolConfig(c=32, d=31, basis_set=family, eve=family.bases[0] if attacked else None)
+        report = mc.estimate_rates(config, 30_000, seed=1)
+        assert report.consistent, [(name, e.z) for name, e in report.estimates.items()]
+        assert report.r_s.n == 30_000 and report.r_qb.n > 100
+
+
 def pool_tuples(picks: np.ndarray, c: int) -> np.ndarray:
     """Bob's (n, c-1) tuples from his (n, c-1) picks through a per-trial
     pool of unused letters, narrowed by one take_along_axis per slot: the

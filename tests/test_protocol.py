@@ -4,6 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import hselab.protocol as protocol
 from conftest import freq_tolerance, make_random_basis, make_random_set
 from hselab.bases import BasisSet, fourier_basis, standard_basis
 from hselab.errors import InvalidParameter
@@ -253,6 +254,46 @@ class TestSessions:
         for t in (10**18 - 1, 3, BLOCK + 6, 3, 2**64 + 1):
             stream = RandomStream(4, EVE, t)
             assert blocks[t] == [stream.uniform() for _ in range(3)]
+
+    @pytest.mark.parametrize("n", [0, 1, 10, BLOCK, BLOCK + 6, 2 * BLOCK + 5])
+    def test_trial_blocks_stop_at_the_session_end(self, n, monkeypatch):
+        starts = []
+        block_uniforms = protocol.block_uniforms
+
+        def recording(seed, role, start, count, width):
+            starts.append((start, count))
+            return block_uniforms(seed, role, start, count, width)
+
+        monkeypatch.setattr(protocol, "block_uniforms", recording)
+        blocks = TrialBlocks(4, EVE, 3, lambda u: u.tolist(), n)
+        for t in [*range(n), n, n + 1, n + BLOCK, 10**18]:
+            stream = RandomStream(4, EVE, t)
+            assert blocks[t] == [stream.uniform() for _ in range(3)]
+        # one block per BLOCK trials of the session, the last cut at n
+        session_blocks = [(start, min(BLOCK, n - start)) for start in range(0, n, BLOCK)]
+        assert starts[: len(session_blocks)] == session_blocks
+        # past n, the aligned BLOCK that holds the trial
+        assert starts[len(session_blocks) :] and all(count == BLOCK for _, count in starts[len(session_blocks) :])
+        # and back inside n, the cut block again
+        stream = RandomStream(4, EVE, 0)
+        assert blocks[0] == [stream.uniform() for _ in range(3)]
+        assert starts[-1] == ((0, min(BLOCK, n)) if n else (0, BLOCK))
+
+    def test_sessions_sized_to_n_draw_the_scalar_streams(self, cfg34_eve):
+        seed, n = 8, BLOCK + 5
+        alice = AliceSession(cfg34_eve, seed, n_trials=n)
+        bob = BobSession(cfg34_eve, seed, n_trials=n)
+        for t in range(n):
+            x, _, announced = alice.states_for_trial(t)
+            alice_rng = RandomStream(seed, "alice", t)
+            assert (x, announced) == (alice_rng.randint(4), alice_prepare(x, cfg34_eve, alice_rng)[1])
+            bob_rng = RandomStream(seed, "bob", t)
+            y = bob_choose_bases(cfg34_eve, bob_rng)
+            assert bob.begin_trial(t) == y
+            for slot, state in enumerate(cfg34_eve.basis_set.bases[(t + 1) % 4].vectors):
+                expected = born_sample(state, cfg34_eve.basis_set.bases[y[slot]], bob_rng)
+                assert bob.measure(slot, state.pairs()) == expected
+            bob.conclude(t, announced)
 
     def test_sessions_across_blocks_draw_the_scalar_streams(self, cfg34_eve):
         seed, n = 8, 2 * BLOCK + 5
