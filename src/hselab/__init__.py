@@ -22,7 +22,6 @@ from .bases import (
     standard_basis,
 )
 from .errors import (
-    BudgetError,
     CodecError,
     ConstructionError,
     DimensionError,
@@ -34,13 +33,12 @@ from .errors import (
     SessionError,
 )
 from .hilbert import Basis, StateVector, born_sample, overlap, transition_prob, verify_orthonormal
-from .montecarlo import SimReport, estimate_rates, simulate_bkb01, sweep
+from .montecarlo import SimReport, estimate_rates, simulate_bkb01
 from .protocol import EveInterceptor, TrialOutcome, run_trial
 from .rates import (
     ProtocolConfig,
     RateReport,
     amub_iter_lower_bound,
-    bit_transmission_rate,
     bkb01_rates,
     bob_error_rate,
     iter_rate,
@@ -58,7 +56,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Basis",
     "BasisSet",
-    "BudgetError",
     "CodecError",
     "ConstructionError",
     "DimensionError",
@@ -77,7 +74,6 @@ __all__ = [
     "TrialOutcome",
     "amub_iter_lower_bound",
     "average_distance",
-    "bit_transmission_rate",
     "bkb01_rates",
     "bob_error_rate",
     "born_sample",
@@ -103,7 +99,6 @@ __all__ = [
     "simulate_bkb01",
     "standard_basis",
     "success_rate",
-    "sweep",
     "table1",
     "transition_prob",
     "verify_orthonormal",

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstructionError, DimensionError, InvalidParameter
-from .hilbert import TAU_NORM, Basis, verify_orthonormal
+from .hilbert import TAU_NORM, Basis, transition_matrix, verify_orthonormal
 
 TAU_DISTINCT = 1e-6
 
@@ -49,7 +49,7 @@ class BasisSet:
         relabeled = tuple(b.relabeled(f"B{x}") for x, b in enumerate(bases))
         for x in range(len(relabeled)):
             for y in range(x + 1, len(relabeled)):
-                shared = _max_transition_prob(relabeled[x], relabeled[y])
+                shared = float(np.max(transition_matrix(relabeled[x], relabeled[y])))
                 if shared > 1.0 - TAU_DISTINCT:
                     raise InvalidParameter(
                         f"bases B{x} and B{y} share a state (transition prob {shared:.9f})"
@@ -74,11 +74,6 @@ class DistanceReport:
 
     pairwise: np.ndarray
     average_to_eve: float | None
-
-
-def _max_transition_prob(b1: Basis, b2: Basis) -> float:
-    gram = b1.matrix.conj().T @ b2.matrix
-    return float(np.max(gram.real**2 + gram.imag**2))
 
 
 def standard_basis(d: int) -> Basis:
@@ -229,8 +224,7 @@ def grassmannian_distance(b1: Basis, b2: Basis) -> float:
     """
     if b1.dim != b2.dim:
         raise DimensionError(f"dimension mismatch: {b1.dim} vs {b2.dim}")
-    gram = b1.matrix.conj().T @ b2.matrix
-    quartic = float(np.sum((gram.real**2 + gram.imag**2) ** 2))
+    quartic = float(np.sum(transition_matrix(b1, b2) ** 2))
     return 1.0 - quartic / b1.dim
 
 
@@ -264,8 +258,7 @@ def is_mutually_unbiased(b1: Basis, b2: Basis, tol: float) -> UnbiasednessReport
         raise DimensionError(f"dimension mismatch: {b1.dim} vs {b2.dim}")
     if tol <= 0:
         raise InvalidParameter("tolerance must be positive")
-    gram = b1.matrix.conj().T @ b2.matrix
-    dev = float(np.max(np.abs(gram.real**2 + gram.imag**2 - 1.0 / b1.dim)))
+    dev = float(np.max(np.abs(transition_matrix(b1, b2) - 1.0 / b1.dim)))
     return UnbiasednessReport(ok=dev <= tol, max_dev=dev)
 
 
@@ -274,7 +267,7 @@ def max_cross_overlap(basis_set: BasisSet) -> float:
     worst = 0.0
     for x in range(basis_set.c):
         for y in range(x + 1, basis_set.c):
-            worst = max(worst, math.sqrt(_max_transition_prob(basis_set.bases[x], basis_set.bases[y])))
+            worst = max(worst, math.sqrt(np.max(transition_matrix(basis_set.bases[x], basis_set.bases[y]))))
     return worst
 
 
@@ -316,24 +309,28 @@ def load_basis_set(path) -> BasisSet:
             doc = json.load(fh)
     except OSError as exc:
         raise InvalidParameter(f"cannot read basis-set file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InvalidParameter(f"not a valid basis-set file: {exc}") from exc
     try:
         d, c, entries = int(doc["d"]), int(doc["c"]), doc["bases"]
-    except (KeyError, TypeError) as exc:
-        raise InvalidParameter(f"basis-set file missing field: {exc}") from exc
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise InvalidParameter(f"basis-set file has a missing or malformed field: {exc}") from exc
+    if not isinstance(entries, list):
+        raise InvalidParameter("basis-set file's bases must be a list")
     if len(entries) != c:
         raise InvalidParameter(f"file declares c = {c} but lists {len(entries)} bases")
     members = []
-    for entry in entries:
+    for x, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise InvalidParameter(f"basis {x} must be an object")
         vectors = entry.get("vectors")
-        if vectors is None or len(vectors) != d:
+        if not isinstance(vectors, list) or len(vectors) != d:
             raise InvalidParameter(f"basis {entry.get('label')!r} must list {d} vectors")
         try:
             matrix = np.array(
                 [[complex(re, im) for re, im in vec] for vec in vectors], dtype=np.complex128
             ).T
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise InvalidParameter(f"malformed amplitude pair: {exc}") from exc
         if matrix.shape != (d, d):
             raise InvalidParameter(f"basis {entry.get('label')!r} has wrong vector length")

@@ -469,7 +469,7 @@ def run_session(
     n_trials: int,
     seed: int,
     basis_set_id: str = "custom",
-    letters=None,
+    *,
     compare: bool = True,
 ):
     """Drive one endpoint to completion.
@@ -483,7 +483,7 @@ def run_session(
         raise ValueError(f"role must be alice or bob, got {role!r}")
     _handshake(transport, config, basis_set_id)
     if role == "alice":
-        return _run_alice(transport, config, n_trials, seed, letters, compare)
+        return _run_alice(transport, config, n_trials, seed, compare)
     return _run_bob(transport, config, seed, n_trials)
 
 
@@ -507,8 +507,8 @@ def _handshake(transport, config: ProtocolConfig, basis_set_id: str) -> None:
         raise HandshakeError(f"basis set mismatch: {peer.basis_set_id!r} != {basis_set_id!r}")
 
 
-def _run_alice(transport, config, n_trials, seed, letters, compare) -> AliceLog:
-    session = AliceSession(config, seed, letters=letters, n_trials=n_trials)
+def _run_alice(transport, config, n_trials, seed, compare) -> AliceLog:
+    session = AliceSession(config, seed, n_trials=n_trials)
     # the amps of vector a of basis x, for each of the c*d states she can send
     amps_json = [[_amps_json(v.pairs()) for v in basis.vectors] for basis in config.basis_set.bases]
     # her replies are sift reports and a bye; she is sent no states
@@ -784,7 +784,7 @@ def serve_session(
     n_trials: int,
     seed: int,
     basis_set_id: str = "custom",
-    letters=None,
+    *,
     compare: bool = True,
     ready_event: threading.Event | None = None,
 ):
@@ -805,7 +805,7 @@ def serve_session(
             raise SessionError(f"accept failed: {exc}") from exc
     transport = TcpTransport(conn)
     try:
-        return run_session(role, transport, config, n_trials, seed, basis_set_id, letters, compare)
+        return run_session(role, transport, config, n_trials, seed, basis_set_id, compare=compare)
     finally:
         transport.close()
 
@@ -818,7 +818,7 @@ def connect_session(
     n_trials: int,
     seed: int,
     basis_set_id: str = "custom",
-    letters=None,
+    *,
     compare: bool = True,
 ):
     """Dial a listening peer, then run the session as `role`."""
@@ -828,6 +828,6 @@ def connect_session(
         raise SessionError(f"cannot connect to {host}:{port}: {exc}") from exc
     transport = TcpTransport(sock)
     try:
-        return run_session(role, transport, config, n_trials, seed, basis_set_id, letters, compare)
+        return run_session(role, transport, config, n_trials, seed, basis_set_id, compare=compare)
     finally:
         transport.close()

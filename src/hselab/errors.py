@@ -21,10 +21,6 @@ class ConstructionError(HselabError):
     """A basis family failed its internal verification gate."""
 
 
-class BudgetError(HselabError):
-    """An exact enumeration would exceed the configured work budget."""
-
-
 class CodecError(HselabError):
     """A wire line could not be decoded into a message."""
 

@@ -1,8 +1,9 @@
 """Finite-dimensional complex state vectors and projective measurement.
 
 Everything downstream (basis families, rate formulas, the protocol
-simulator) reduces to three primitives defined here: inner products,
-transition probabilities, and Born-rule sampling in an orthonormal basis.
+simulator) reduces to the primitives defined here: inner products,
+transition probabilities (one pair of vectors, or every pair of two bases
+with `transition_matrix`), and Born-rule sampling in an orthonormal basis.
 All quantities are double precision; TAU_NORM separates rounding noise
 from genuine invariant violations.
 
@@ -12,8 +13,9 @@ is its one-row case, and `BornTable`, the batch sampler's tensors
 is the vector-matrix product amps[r] @ basis.conj, and numpy runs the same
 per-row routine however many rows it is given, so a row's floats do not
 depend on how many rows are computed together; the batch sampler therefore
-inverts exactly the floats `born_sample` inverts.  (`rates` keeps its own
-Gram products: their floats are pinned by the golden reports.)
+inverts exactly the floats `born_sample` inverts.  (`rates` and `bases`
+read Gram products from `transition_matrix` instead: their floats are
+pinned by the golden reports.)
 """
 
 from __future__ import annotations
@@ -140,6 +142,12 @@ def transition_prob(u: StateVector, v: StateVector) -> float:
     amp = overlap(u, v)
     p = amp.real * amp.real + amp.imag * amp.imag
     return _clamp_probability(p)
+
+
+def transition_matrix(b1: Basis, b2: Basis) -> np.ndarray:
+    """M[i, k] = |<v_i^1 | v_k^2>|^2 for every vector of b1 and of b2."""
+    gram = b1.matrix.conj().T @ b2.matrix
+    return gram.real**2 + gram.imag**2
 
 
 def _clamp_probability(p: float) -> float:

@@ -126,11 +126,6 @@ class SimReport:
     def consistent(self) -> bool:
         return all(e.consistent for e in self.estimates.values())
 
-    @property
-    def worst_abs_z(self) -> float:
-        zs = [abs(e.z) for e in self.estimates.values() if e.z is not None]
-        return max(zs, default=0.0)
-
 
 def _born_tensor(targets, amps) -> np.ndarray:
     """CDF columns of the Born rows of the states `amps` (one per row)
@@ -143,12 +138,6 @@ def _born_tensor(targets, amps) -> np.ndarray:
     for y, basis in enumerate(targets):
         columns[:, :, y] = born_rows(basis, amps).T
     return _accumulate(columns.reshape(d, n * len(targets)))
-
-
-def _cdf_columns(probabilities: np.ndarray) -> np.ndarray:
-    """The CDF columns of (rows, d) probabilities, accumulated in one
-    column-layout copy; the argument is left as it is."""
-    return _accumulate(probabilities.T.copy())
 
 
 def _accumulate(columns: np.ndarray) -> np.ndarray:
@@ -197,7 +186,7 @@ def _measure(tensors, c, d, x, a, y, bob_keys, bob_counter, eve_keys, eve_counte
     return _invert_rows(from_eve, eve_outcome * c + y, bulk_uniforms(bob_keys, bob_counter))
 
 
-def _hse_block(config: ProtocolConfig, seed: int, start: int, count: int, tensors, letters=None):
+def _hse_block(config: ProtocolConfig, seed: int, start: int, count: int, tensors):
     """One block of trials, fully vectorized; returns per-trial (count,)
     x and (count, c-1) a, y and b arrays."""
     c, d = config.c, config.d
@@ -205,10 +194,7 @@ def _hse_block(config: ProtocolConfig, seed: int, start: int, count: int, tensor
     alice_keys = trial_keys(seed, ALICE, trials)
     bob_keys = trial_keys(seed, BOB, trials)
 
-    if letters is None:
-        x = scaled_index(bulk_uniforms(alice_keys, 0), c)
-    else:
-        x = np.asarray(letters[start : start + count], dtype=np.int64)
+    x = scaled_index(bulk_uniforms(alice_keys, 0), c)
     # slot-major: a[k], y[k] and b[k] are contiguous vectors over the block
     a = np.empty((c - 1, count), dtype=np.int64)
     y = np.empty((c - 1, count), dtype=np.int64)
@@ -328,14 +314,14 @@ def estimate_rates(config: ProtocolConfig, n_trials: int, seed: int) -> SimRepor
     return counts.report("hse", config.d, config.c, config.eve, seed, analytic, watch.seconds)
 
 
-def trial_outcomes_batch(config: ProtocolConfig, n_trials: int, seed: int, letters=None):
+def trial_outcomes_batch(config: ProtocolConfig, n_trials: int, seed: int):
     """Materialize the same TrialOutcome stream the per-trial runner
-    produces, via the batch engine (used by tests and the sweep tooling)."""
+    produces, via the batch engine (used by tests and the benchmark)."""
     sampled = _sampled_config(config)
     tensors = _hse_tensors(sampled.basis_set, sampled.eve)
     outcomes = []
     for start in range(0, n_trials, CHUNK):
-        block = _hse_block(sampled, seed, start, min(CHUNK, n_trials - start), tensors, letters)
+        block = _hse_block(sampled, seed, start, min(CHUNK, n_trials - start), tensors)
         rows = zip(*(part.tolist() for part in block))
         outcomes.extend(
             TrialOutcome.of(start + row, x, tuple(a), tuple(y), tuple(b), config.c)
@@ -392,24 +378,6 @@ def report_from_outcomes(config: ProtocolConfig, outcomes, seed: int) -> SimRepo
     counts.add(np.all(a[~known] != b[~known], axis=1), None)
     analytic = (rates.success_rate(config.basis_set), 0.0, 0.0)
     return counts.report("hse", config.d, config.c, None, seed, analytic, {})
-
-
-@dataclass(frozen=True)
-class SweepResult:
-    reports: list
-    worst_abs_z: float
-
-    @property
-    def ok(self) -> bool:
-        return self.worst_abs_z <= Z_FAIL
-
-
-def sweep(configs, n_trials: int, seed: int) -> SweepResult:
-    """estimate_rates over a grid of configs; |z| > 4 anywhere flags the
-    sweep as failed."""
-    reports = [estimate_rates(config, n_trials, seed) for config in configs]
-    worst = max((r.worst_abs_z for r in reports), default=0.0)
-    return SweepResult(reports=reports, worst_abs_z=worst)
 
 
 CSV_COLUMNS = ["protocol", "d", "c", "metric", "analytic", "empirical", "stderr", "z"]

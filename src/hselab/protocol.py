@@ -152,21 +152,10 @@ def infer_letter(y: tuple, c: int) -> int:
     return missing.pop()
 
 
-def run_trial(
-    config: ProtocolConfig, trial_id: int, seed: int, letters=None
-) -> TrialOutcome:
-    """Execute one full round in-process.
-
-    `letters` optionally supplies Alice's raw string (for reproducing
-    worked examples); the letter substream position is skipped so her
-    index draws are identical either way.
-    """
+def run_trial(config: ProtocolConfig, trial_id: int, seed: int) -> TrialOutcome:
+    """Execute one full round in-process."""
     alice_rng = RandomStream(seed, ALICE, trial_id)
-    if letters is None:
-        x = alice_rng.randint(config.c)
-    else:
-        x = letters[trial_id]
-        alice_rng.skip(1)
+    x = alice_rng.randint(config.c)
     states, announced = alice_prepare(x, config, alice_rng)
 
     if config.eve is not None:
@@ -223,9 +212,8 @@ class AliceSession:
     """Alice's side of a multi-trial session, one trial at a time.
     `n_trials`, when given, sizes the draw blocks to the session."""
 
-    def __init__(self, config: ProtocolConfig, seed: int, letters=None, n_trials: int | None = None):
+    def __init__(self, config: ProtocolConfig, seed: int, n_trials: int | None = None):
         self.config = config
-        self._letters = letters
         self.raw_string: list[int] = []
         self.key: list[int] = []
         c, d = config.c, config.d
@@ -238,14 +226,10 @@ class AliceSession:
         self._draws = TrialBlocks(seed, ALICE, c, rows, n_trials)
 
     def states_for_trial(self, trial_id: int):
-        """Draw this trial's letter and indices; returns (x, states, a).
-        With supplied letters, x is the trial's letter and the drawn one
-        goes unused, so the indices are the same either way."""
+        """Draw this trial's letter and indices; returns (x, states, a)."""
         if len(self.raw_string) != trial_id:
             raise InvalidParameter(f"trials must run in order, expected {len(self.raw_string)}")
         x, announced = self._draws[trial_id]
-        if self._letters is not None:
-            x = self._letters[trial_id]
         states = _states(x, self.config, announced)
         self.raw_string.append(x)
         return x, states, announced

@@ -30,7 +30,7 @@ import numpy as np
 
 from .bases import BasisSet, average_distance
 from .errors import InvalidParameter
-from .hilbert import Basis
+from .hilbert import Basis, transition_matrix
 
 
 @dataclass(frozen=True)
@@ -84,15 +84,9 @@ class RateReport:
     note: str = ""
 
 
-def _transition_matrix(b1: Basis, b2: Basis) -> np.ndarray:
-    """M[i, k] = |<v_i^1 | v_k^2>|^2."""
-    gram = b1.matrix.conj().T @ b2.matrix
-    return gram.real**2 + gram.imag**2
-
-
 def _index_change_table(basis_set: BasisSet, eve: Basis) -> np.ndarray:
     """P[x, y, i] = p_i(x, y), the index-change probability through Eve."""
-    towards_eve = np.stack([_transition_matrix(b, eve) for b in basis_set.bases])
+    towards_eve = np.stack([transition_matrix(b, eve) for b in basis_set.bases])
     return np.clip(1.0 - np.einsum("xik,yik->xyi", towards_eve, towards_eve), 0.0, 1.0)
 
 
@@ -123,11 +117,6 @@ def success_rate(basis_set: BasisSet) -> float:
     miss = 1.0 - (same.real**2 + same.imag**2).mean(axis=2)
     e1, _ = _survival(miss)
     return float(e1.sum() / c**2)
-
-
-def bit_transmission_rate(basis_set: BasisSet) -> float:
-    """Per-bit success rate: log2(c) times the per-letter success rate."""
-    return math.log2(basis_set.c) * success_rate(basis_set)
 
 
 def iter_rate(basis_set, eve: Basis) -> float:

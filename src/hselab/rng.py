@@ -96,11 +96,6 @@ def _mix64_in_place(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _mix64_np(z: np.ndarray) -> np.ndarray:
-    """_mix64 on every word of z, as a new uint64 array."""
-    return _mix64_in_place(np.array(z, dtype=np.uint64))
-
-
 def _uniforms_in_place(words: np.ndarray) -> np.ndarray:
     """The uniform draws of private raw uint64 words, which it overwrites."""
     _mix64_in_place(words)
@@ -139,10 +134,10 @@ def scaled_index(u, n: int):
 
 
 class RandomStream:
-    """One sequentially-consumed random stream.
+    """One sequentially-consumed random stream: the substream (seed, *ids).
 
-    Instances are single-owner: parallel consumers must derive their own
-    substreams via :meth:`substream`.
+    Instances are single-owner: parallel consumers each construct their
+    own stream from their own ids.
     """
 
     __slots__ = ("key", "counter")
@@ -150,20 +145,6 @@ class RandomStream:
     def __init__(self, seed: int, *ids):
         self.key = stream_key(seed, *ids)
         self.counter = 0
-
-    @classmethod
-    def _from_key(cls, key: int) -> "RandomStream":
-        stream = cls.__new__(cls)
-        stream.key = key
-        stream.counter = 0
-        return stream
-
-    def substream(self, *ids) -> "RandomStream":
-        """Independent child stream; does not advance this stream."""
-        key = self.key
-        for stream_id in ids:
-            key = _mix64(key ^ _id_word(stream_id))
-        return RandomStream._from_key(key)
 
     def skip(self, n: int) -> None:
         """Advance the counter without producing values."""

@@ -1,6 +1,7 @@
 import collections
 import functools
 import hashlib
+import inspect
 import json
 import math
 import re
@@ -400,7 +401,7 @@ class TestFastReader:
         assert ch.KnownStates(0).decode(line) == expected
 
 
-def run_pair(cfg, n_trials, seed, basis_set_id="sixstate", compare=True, record=False, letters=None):
+def run_pair(cfg, n_trials, seed, basis_set_id="sixstate", compare=True, record=False):
     """Run alice and bob over an in-process pair; returns (alice log, outcomes,
     recording transports if requested)."""
     alice_t, bob_t = ch.memory_transport_pair()
@@ -409,9 +410,7 @@ def run_pair(cfg, n_trials, seed, basis_set_id="sixstate", compare=True, record=
     result = {}
 
     def alice():
-        result["log"] = ch.run_session(
-            "alice", alice_t, cfg, n_trials, seed, basis_set_id, letters=letters, compare=compare
-        )
+        result["log"] = ch.run_session("alice", alice_t, cfg, n_trials, seed, basis_set_id, compare=compare)
 
     worker = threading.Thread(target=alice)
     worker.start()
@@ -537,6 +536,13 @@ class TestInProcessSession:
         with pytest.raises(ValueError):
             ch.run_session("carol", None, cfg23, 1, 1)
 
+    @pytest.mark.parametrize("runner", ["run_session", "serve_session", "connect_session"])
+    def test_options_after_the_set_id_are_keyword_only(self, runner):
+        # a positional argument after basis_set_id is a TypeError, never compare
+        params = inspect.signature(getattr(ch, runner)).parameters
+        after = list(params)[list(params).index("basis_set_id") + 1 :]
+        assert after and all(params[name].kind is inspect.Parameter.KEYWORD_ONLY for name in after)
+
     def test_state_past_the_last_slot_rejected(self, cfg23, sixstate):
         # c states in one trial: Bob stops with ProtocolError and tells Alice why
         alice_t, bob_t = ch.memory_transport_pair()
@@ -550,15 +556,11 @@ class TestInProcessSession:
         bye = ch.decode(alice_t.recv_line())
         assert isinstance(bye, ch.Bye) and bye.reason.startswith("ProtocolError: more than 2 states")
 
-    @pytest.mark.parametrize("supplied", [False, True])
-    def test_sessions_across_blocks_match_per_trial_runner(self, qutrit4, supplied):
+    def test_sessions_across_blocks_match_per_trial_runner(self, qutrit4):
         cfg = ProtocolConfig(c=4, d=3, basis_set=qutrit4)
-        letters = [(5 * t + 1) % 4 for t in range(BLOCK_TRIALS)] if supplied else None
-        log, outcomes, _ = run_pair(cfg, BLOCK_TRIALS, seed=31, basis_set_id="qutrit4", letters=letters)
-        assert outcomes == [run_trial(cfg, t, 31, letters=letters) for t in range(BLOCK_TRIALS)]
+        log, outcomes, _ = run_pair(cfg, BLOCK_TRIALS, seed=31, basis_set_id="qutrit4")
+        assert outcomes == [run_trial(cfg, t, 31) for t in range(BLOCK_TRIALS)]
         assert log.letters == tuple(o.x for o in outcomes)
-        if supplied:
-            assert list(log.letters) == letters
 
 
 class TestMemoryTransport:
@@ -798,22 +800,18 @@ def scalar_interceptions(eve_basis, seed, fraction, trials):
     return records
 
 
-def sent_states(cfg, n, seed, letters=None):
+def sent_states(cfg, n, seed):
     """Alice's (trial_id, states) for trials 0..n-1, as run_trial prepares them."""
     trials = []
     for t in range(n):
         rng = RandomStream(seed, ALICE, t)
         x = rng.randint(cfg.c)
-        if letters is not None:
-            x = letters[t]
         trials.append((t, alice_prepare(x, cfg, rng)[0]))
     return trials
 
 
 class TestMitm:
-    def run_with_interceptor(
-        self, basis_set, cfg, n, seed, eve_basis=None, intercept_fraction=1.0, letters=None
-    ):
+    def run_with_interceptor(self, basis_set, cfg, n, seed, eve_basis=None, intercept_fraction=1.0):
         """alice -> (pair A) -> interceptor -> (pair B) -> bob, in-process;
         Eve measures in basis_set's first basis unless told otherwise."""
         alice_t, eve_a = ch.memory_transport_pair()
@@ -822,7 +820,7 @@ class TestMitm:
         results = {}
 
         def alice():
-            results["log"] = ch.run_session("alice", alice_t, cfg, n, seed, "sixstate", letters=letters)
+            results["log"] = ch.run_session("alice", alice_t, cfg, n, seed, "sixstate")
 
         def eavesdropper():
             basis = basis_set.bases[0] if eve_basis is None else eve_basis
@@ -832,7 +830,10 @@ class TestMitm:
         for t in threads:
             t.start()
         results["outcomes"] = ch.run_session("bob", bob_t, cfg, n, seed, "sixstate")
-        # bob returning means the session is over; unblock the pumps
+        # bob returning means the session is over: let alice read his
+        # relayed bye (closing her end first races that read), then
+        # unblock the pumps
+        threads[0].join(timeout=10)
         alice_t.close()
         bob_t.close()
         for t in threads:
@@ -862,19 +863,16 @@ class TestMitm:
         # some states pass and some are intercepted
         assert 0 < len(records) < (cfg.c - 1) * n
 
-    @pytest.mark.parametrize("supplied", [False, True])
-    def test_relayed_sessions_across_blocks_match_in_process_attack(self, qutrit4, supplied):
+    def test_relayed_sessions_across_blocks_match_in_process_attack(self, qutrit4):
         cfg = ProtocolConfig(c=4, d=3, basis_set=qutrit4)
         eve = qutrit4.bases[2]
         attacked = ProtocolConfig(c=4, d=3, basis_set=qutrit4, eve=eve, intercept_fraction=0.5)
-        letters = [(3 * t) % 4 for t in range(BLOCK_TRIALS)] if supplied else None
         results, _, _ = self.run_with_interceptor(
-            qutrit4, cfg, BLOCK_TRIALS, 13, eve_basis=eve, intercept_fraction=0.5, letters=letters
+            qutrit4, cfg, BLOCK_TRIALS, 13, eve_basis=eve, intercept_fraction=0.5
         )
-        assert results["outcomes"] == [run_trial(attacked, t, 13, letters) for t in range(BLOCK_TRIALS)]
-        assert results["mitm"].records == scalar_interceptions(
-            eve, 13, 0.5, sent_states(cfg, BLOCK_TRIALS, 13, letters)
-        )
+        assert results["outcomes"] == [run_trial(attacked, t, 13) for t in range(BLOCK_TRIALS)]
+        sent = sent_states(cfg, BLOCK_TRIALS, 13)
+        assert results["mitm"].records == scalar_interceptions(eve, 13, 0.5, sent)
 
     @pytest.mark.parametrize("fraction", [1.0, 0.5])
     @pytest.mark.parametrize(

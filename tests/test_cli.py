@@ -368,6 +368,30 @@ class TestFileSpecs:
         assert code == 2 and out == ""
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            b'\xff\xfe{"d": 2, "c": 2, "bases": []}',  # not UTF-8
+            b'{"d": "x", "c": 2, "bases": []}',
+            b'{"d": 1e400, "c": 2, "bases": []}',  # d parses as inf
+            b'{"d": 2, "c": 2, "bases": 5}',
+            b'{"d": 2, "c": 2, "bases": [{"label": "a", "vectors": 7}, {"label": "b", "vectors": 7}]}',
+            b'{"d": 2, "c": 2, "bases": [[1, 0], [0, 1]]}',  # a basis that is a list
+        ],
+        ids=["non-utf8", "d-not-a-number", "d-overflows", "bases-not-a-list", "vectors-not-a-list", "basis-is-a-list"],
+    )
+    @pytest.mark.parametrize("flag", ["--set", "--eve"])
+    def test_malformed_file_is_a_usage_error(self, capsys, tmp_path, flag, doc):
+        path = tmp_path / "bad.json"
+        path.write_bytes(doc)
+        if flag == "--set":
+            argv = ["rates", "compute", "--protocol", "hse", "--set", f"file:{path}"]
+        else:
+            argv = ["sim", "--d", "2", "--c", "3", "--trials", "10", "--eve", f"file:{path}"]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_eve_file_with_index(self, capsys, tmp_path):
         path = tmp_path / "six.json"
         save_basis_set(qubit_six_state_set(), path)

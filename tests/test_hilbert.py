@@ -16,6 +16,7 @@ from hselab.hilbert import (
     born_sample,
     overlap,
     sample_from_probs,
+    transition_matrix,
     transition_prob,
     verify_orthonormal,
 )
@@ -112,6 +113,19 @@ class TestTransitionProb:
     def test_clamps_to_unit_interval(self):
         v = random_state(5, 12)
         assert 0.0 <= transition_prob(v, v) <= 1.0
+
+
+class TestTransitionMatrix:
+    @pytest.mark.parametrize("d,seed", [(2, 1), (3, 2), (5, 3)])
+    def test_entries_are_transition_probs(self, d, seed):
+        b1, b2 = make_random_basis(d, seed), make_random_basis(d, seed + 10)
+        matrix = transition_matrix(b1, b2)
+        assert matrix.shape == (d, d)
+        for i, u in enumerate(b1.vectors):
+            for k, v in enumerate(b2.vectors):
+                assert matrix[i, k] == pytest.approx(transition_prob(u, v), abs=1e-14)
+        # each row and column is a distribution over the other basis
+        assert np.allclose(matrix.sum(axis=0), 1.0) and np.allclose(matrix.sum(axis=1), 1.0)
 
 
 class TestBornSample:

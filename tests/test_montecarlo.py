@@ -67,11 +67,6 @@ class TestBatchEngineEquality:
         with pytest.raises(InvalidParameter):
             mc.trial_outcomes_batch(config, 10, 1)
 
-    def test_supplied_letters(self, cfg23_eve):
-        letters = [t % 3 for t in range(100)]
-        batch = mc.trial_outcomes_batch(cfg23_eve, 100, 7, letters=letters)
-        assert batch == [run_trial(cfg23_eve, t, 7, letters=letters) for t in range(100)]
-
     # c >= 5 is where Bob's decode makes more than one pass
     @pytest.mark.parametrize("attacked", (False, True))
     @pytest.mark.parametrize("d,c", [(5, 6), (7, 8)])
@@ -87,22 +82,12 @@ class TestBatchEngineEquality:
         batch = mc.trial_outcomes_batch(config, 300, 6)
         assert batch == [run_trial(config, t, 6) for t in range(300)]
 
-    @pytest.mark.parametrize("attacked", (False, True))
-    def test_supplied_letters_at_five_six(self, attacked):
-        family = mu_basis_set(5, 6)
-        config = ProtocolConfig(c=6, d=5, basis_set=family, eve=family.bases[0] if attacked else None)
-        letters = [(7 * t + 3) % 6 for t in range(200)]
-        batch = mc.trial_outcomes_batch(config, 200, 9, letters=letters)
-        assert batch == [run_trial(config, t, 9, letters=letters) for t in range(200)]
-
     def test_small_chunks(self, monkeypatch):
         family = mu_basis_set(5, 6)
         config = ProtocolConfig(c=6, d=5, basis_set=family, eve=family.bases[0])
-        letters = [t % 6 for t in range(500)]
         monkeypatch.setattr(mc, "CHUNK", 137)
-        for supplied in (None, letters):
-            batch = mc.trial_outcomes_batch(config, 500, 10, letters=supplied)
-            assert batch == [run_trial(config, t, 10, letters=supplied) for t in range(500)]
+        batch = mc.trial_outcomes_batch(config, 500, 10)
+        assert batch == [run_trial(config, t, 10) for t in range(500)]
 
 
 class TestLargeDimensions:
@@ -195,7 +180,7 @@ def cdf_cases(draw):
 class TestInvertRows:
     @staticmethod
     def check(probabilities, extra=()):
-        columns = mc._cdf_columns(probabilities)
+        columns = mc._accumulate(probabilities.T.copy())
         for r, row in enumerate(probabilities):
             cdf = np.cumsum(row).tolist()
             draws = [*cdf, 0.0, np.nextafter(1.0, 0.0), *extra]
@@ -346,7 +331,7 @@ class TestEstimateRates:
             c=3, d=2, basis_set=sixstate, eve=sixstate.bases[0], intercept_fraction=0.0
         )
         report = mc.estimate_rates(config, 20_000, seed=11)
-        assert report.worst_abs_z <= 4.0
+        assert report.consistent
         clean = mc.estimate_rates(ProtocolConfig(c=3, d=2, basis_set=sixstate), 20_000, seed=11)
         assert report.estimates == clean.estimates
 
@@ -433,26 +418,6 @@ class TestPinnedReports:
             est = report.estimates[metric]
             assert (est.value, est.stderr, est.n) == (value, stderr, n)
             assert est.analytic == pytest.approx(analytic, abs=1e-14)
-
-
-class TestSweep:
-    def test_grid_consistency(self, sixstate, qutrit4):
-        configs = [
-            ProtocolConfig(c=3, d=2, basis_set=sixstate, eve=sixstate.bases[0]),
-            ProtocolConfig(c=4, d=3, basis_set=qutrit4, eve=qutrit4.bases[0]),
-        ]
-        result = mc.sweep(configs, 100_000, seed=1)
-        assert result.ok and result.worst_abs_z <= 4.0
-        assert len(result.reports) == 2
-
-    def test_empty_grid(self):
-        result = mc.sweep([], 1000, seed=1)
-        assert result.reports == [] and result.worst_abs_z == 0.0
-
-    def test_repeatable(self, cfg23_eve):
-        one = mc.sweep([cfg23_eve], 20_000, seed=2)
-        two = mc.sweep([cfg23_eve], 20_000, seed=2)
-        assert one.worst_abs_z == two.worst_abs_z
 
 
 class TestSerialization:

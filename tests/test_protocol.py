@@ -183,14 +183,6 @@ class TestRunTrial:
         for letter in range(3):
             assert abs(counts[letter] / n - 1 / 3) < freq_tolerance(1 / 3, n)
 
-    def test_supplied_letters_reproduce_and_keep_index_draws(self, cfg23):
-        letters = [2, 0, 1, 1, 0, 2, 2, 1]
-        for t in range(len(letters)):
-            fixed = run_trial(cfg23, t, seed=3, letters=letters)
-            free = run_trial(cfg23, t, seed=3)
-            assert fixed.x == letters[t]
-            assert fixed.a == free.a  # the letter substream slot is skipped either way
-
     def test_outcome_shape(self, cfg34_eve):
         outcome = run_trial(cfg34_eve, 5, seed=1)
         assert len(outcome.a) == len(outcome.b) == len(outcome.y) == 3
