@@ -312,9 +312,11 @@ def load_basis_set(path) -> BasisSet:
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InvalidParameter(f"not a valid basis-set file: {exc}") from exc
     try:
-        d, c, entries = int(doc["d"]), int(doc["c"]), doc["bases"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        d, c, entries = doc["d"], doc["c"], doc["bases"]
+    except (KeyError, TypeError) as exc:
         raise InvalidParameter(f"basis-set file has a missing or malformed field: {exc}") from exc
+    if not all(type(n) is int for n in (d, c)):
+        raise InvalidParameter(f"basis-set file's d and c must be integers, got {d!r} and {c!r}")
     if not isinstance(entries, list):
         raise InvalidParameter("basis-set file's bases must be a list")
     if len(entries) != c:

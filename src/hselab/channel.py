@@ -9,9 +9,13 @@ the attack model under study.  Classical messages (announcements, sift
 reports, key comparison) are relayed by the interceptor byte-identically.
 
 Per trial the message order is QuantumState x (c-1), then IndexAnnounce,
-then SiftReport; one trial completes before the next begins.  Floats are
-serialized with shortest round-tripping decimal form, so amplitudes
-survive the wire bit-exactly.
+then SiftReport; one trial completes before the next begins.  After the
+last trial Alice may send one KeyCompare, and then only her Bye.
+`protocol.BobSession` is the one checker of that order: Bob's loop only
+reads lines, hands each state, announcement and comparison to it, and
+writes the sift reports and his Bye, which names the ProtocolError or
+CodecError he stops on.  Floats are serialized with shortest
+round-tripping decimal form, so amplitudes survive the wire bit-exactly.
 
 Transports offer `send_line`, `recv_line` and `close`.  `send_line` takes
 one or more whole newline-terminated lines and writes them in one call;
@@ -74,7 +78,9 @@ replies through a reader of capacity 0.  An entry is learned only after
 `decode` succeeded, and only when the line's `amps` bytes are the
 canonical rendering `_amps_json` gives for the decoded pairs, so no key can
 carry text from outside the amplitude list.  Every other line goes through
-`decode`, which stays the only validator.
+`decode`, which stays the only validator.  It checks a state's norm with
+`hilbert.check_unit_norm`, as `StateVector` does, so every state it
+passes is one a table can learn.
 """
 
 from __future__ import annotations
@@ -87,8 +93,8 @@ import threading
 from dataclasses import dataclass
 from queue import Empty, SimpleQueue
 
-from .errors import CodecError, HandshakeError, ProtocolError, SessionError
-from .hilbert import TAU_NORM, Basis, BornTable
+from .errors import CodecError, HandshakeError, InvalidParameter, ProtocolError, SessionError
+from .hilbert import Basis, BornTable, check_unit_norm
 from .protocol import EVE, AliceSession, BobSession, EveInterceptor, TrialBlocks, TrialOutcome
 from .rates import ProtocolConfig
 from .rng import RandomStream
@@ -248,7 +254,6 @@ def decode(line: bytes, line_no: int | None = None) -> Message:
         if not isinstance(amps, list) or len(amps) < 2:
             raise CodecError("amps must list at least 2 amplitude pairs", line_no)
         pairs = []
-        norm_sq = 0.0
         for pair in amps:
             # json.loads gives exact lists, ints and floats; bool is not a number here
             if type(pair) is not list or len(pair) != 2:
@@ -263,9 +268,10 @@ def decode(line: bytes, line_no: int | None = None) -> Message:
             if not (math.isfinite(real) and math.isfinite(imag)):
                 raise CodecError(f"amplitude must be finite, got {pair!r}", line_no)
             pairs.append((real, imag))
-            norm_sq += real * real + imag * imag
-        if abs(norm_sq - 1.0) > TAU_NORM:
-            raise CodecError(f"state vector not normalized: |amps|^2 = {norm_sq!r}", line_no)
+        try:
+            check_unit_norm([real * real + imag * imag for real, imag in pairs])
+        except InvalidParameter as exc:
+            raise CodecError(str(exc), line_no) from None
         return QuantumState(trial_id=tid, slot=slot, amps=tuple(pairs))
     if kind == "index_announce":
         tid = _trial_id(obj, line_no)
@@ -515,7 +521,7 @@ def _run_alice(transport, config, n_trials, seed, compare) -> AliceLog:
     replies = KnownStates(0)
     sent = 0
     for t in range(n_trials):
-        x, _, announced = session.states_for_trial(t)
+        x, announced = session.states_for_trial(t)
         lines = [_state_line(t, slot, amps_json[x][a]) for slot, a in enumerate(announced)]
         lines.append(_announce_line(t, announced))
         transport.send_line(b"".join(lines))
@@ -549,70 +555,36 @@ def _run_alice(transport, config, n_trials, seed, compare) -> AliceLog:
 
 
 def _run_bob(transport, config, seed, n_trials) -> list[TrialOutcome]:
-    """Bob's loop; if the peer breaks the protocol or the codec, he tells
+    """Bob's loop: each line goes to his BobSession, which checks its place
+    in the session.  If the peer breaks the protocol or the codec, he tells
     it why in a Bye before raising."""
+    session = BobSession(config, seed, n_trials)
+    # his set's lines are known from the start; room for c*d more
+    known = KnownStates(config.c * config.d, [v for basis in config.basis_set.bases for v in basis.vectors])
     try:
-        return _bob_loop(transport, config, seed, n_trials)
+        while True:
+            line = transport.recv_line()
+            if line is None:
+                raise SessionError("peer closed before bye")
+            msg = known.decode(line)
+            if isinstance(msg, QuantumState):
+                session.measure(msg.trial_id, msg.slot, msg.amps)
+            elif isinstance(msg, IndexAnnounce):
+                transport.send_line(_sift_line(msg.trial_id, session.conclude(msg.trial_id, msg.a)))
+            elif isinstance(msg, KeyCompare):
+                session.compare(msg.trial_id_range, msg.letters)
+            elif isinstance(msg, Bye):
+                break
+            else:
+                raise ProtocolError(f"unexpected {type(msg).__name__} mid-session")
     except (ProtocolError, CodecError) as exc:
         try:
             send_message(transport, Bye(reason=f"{type(exc).__name__}: {exc}"))
         except SessionError:
             pass
         raise
-
-
-def _bob_loop(transport, config, seed, n_trials) -> list[TrialOutcome]:
-    session = BobSession(config, seed, n_trials)
-    # his set's lines are known from the start; room for c*d more
-    known = KnownStates(config.c * config.d, [v for basis in config.basis_set.bases for v in basis.vectors])
-    alice_letters = None
-    expected_trial = 0
-    expected_slot = 0
-    while True:
-        line = transport.recv_line()
-        if line is None:
-            raise SessionError("peer closed before bye")
-        msg = known.decode(line)
-        if isinstance(msg, QuantumState):
-            if msg.trial_id != expected_trial or msg.slot != expected_slot:
-                raise ProtocolError(
-                    f"state for trial {msg.trial_id} slot {msg.slot}, "
-                    f"expected trial {expected_trial} slot {expected_slot}"
-                )
-            if expected_slot == config.c - 1:
-                raise ProtocolError(f"more than {config.c - 1} states in trial {expected_trial}")
-            if len(msg.amps) != config.d:
-                raise ProtocolError(f"state with {len(msg.amps)} amplitudes, expected {config.d}")
-            if expected_slot == 0:
-                session.begin_trial(expected_trial)
-            session.measure(expected_slot, msg.amps)
-            expected_slot += 1
-        elif isinstance(msg, IndexAnnounce):
-            if msg.trial_id != expected_trial:
-                raise ProtocolError(f"announcement for trial {msg.trial_id}, expected {expected_trial}")
-            if expected_slot != config.c - 1:
-                raise ProtocolError(
-                    f"announcement after {expected_slot} of {config.c - 1} states"
-                )
-            if len(msg.a) != config.c - 1 or not all(0 <= v < config.d for v in msg.a):
-                raise ProtocolError(f"malformed announcement {msg.a!r}")
-            sifted, _ = session.conclude(expected_trial, msg.a)
-            transport.send_line(_sift_line(expected_trial, sifted))
-            expected_trial += 1
-            expected_slot = 0
-        elif isinstance(msg, KeyCompare):
-            lo, hi = msg.trial_id_range
-            if (lo, hi) != (0, expected_trial) or len(msg.letters) != expected_trial:
-                raise ProtocolError(f"key comparison range {msg.trial_id_range} does not match session")
-            if not all(0 <= v < config.c for v in msg.letters):
-                raise ProtocolError(f"key comparison letters outside 0..{config.c - 1}")
-            alice_letters = msg.letters
-        elif isinstance(msg, Bye):
-            send_message(transport, Bye(reason="done"))
-            break
-        else:
-            raise ProtocolError(f"unexpected {type(msg).__name__} mid-session")
-    return session.outcomes(alice_letters)
+    send_message(transport, Bye(reason="done"))
+    return session.outcomes()
 
 
 class _EveDraws:

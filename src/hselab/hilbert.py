@@ -20,6 +20,7 @@ pinned by the golden reports.)
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
@@ -38,6 +39,16 @@ def _as_complex_vector(amps) -> np.ndarray:
     return arr
 
 
+def check_unit_norm(squares) -> None:
+    """The normalization check of every state: its squared amplitude
+    magnitudes must sum to 1 within TAU_NORM, else InvalidParameter.  The
+    sum is exactly rounded (math.fsum), so callers that compute the terms
+    as re*re + im*im agree whatever order they list them in."""
+    norm_sq = math.fsum(squares)
+    if abs(norm_sq - 1.0) > TAU_NORM:
+        raise InvalidParameter(f"state vector not normalized: |norm^2 - 1| = {abs(norm_sq - 1.0):.3e}")
+
+
 @dataclass(frozen=True, eq=False)
 class StateVector:
     """A unit vector in C^d, validated at construction.
@@ -53,9 +64,7 @@ class StateVector:
             raise InvalidParameter("state vectors need dimension >= 2")
         if not np.all(np.isfinite(arr)):
             raise InvalidParameter("state vector amplitudes must be finite")
-        norm_sq = float(np.sum(arr.real**2 + arr.imag**2))
-        if abs(norm_sq - 1.0) > TAU_NORM:
-            raise InvalidParameter(f"state vector not normalized: |norm^2 - 1| = {abs(norm_sq - 1.0):.3e}")
+        check_unit_norm((arr.real**2 + arr.imag**2).tolist())
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "amps", arr)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameter
+from .errors import InvalidParameter, ProtocolError
 from .hilbert import Basis, BornTable, StateVector, born_sample
 from .rates import ProtocolConfig
 from .rng import RandomStream, block_uniforms, scaled_index
@@ -99,17 +99,12 @@ class EveInterceptor:
 
 def alice_prepare(x: int, config: ProtocolConfig, rng: RandomStream):
     """Draw c-1 uniform i.i.d. indices (repeats allowed) and prepare the
-    corresponding states from basis x.  Returns (states, announcement)."""
-    announcement = tuple(rng.randint(config.d) for _ in range(config.c - 1))
-    return _states(x, config, announcement), announcement
-
-
-def _states(x: int, config: ProtocolConfig, announcement: tuple) -> list:
-    """The states |v_a> of basis x for the indices a of `announcement`."""
+    corresponding states |v_a> from basis x.  Returns (states, announcement)."""
     if not 0 <= x < config.c:
         raise InvalidParameter(f"letter {x} outside 0..{config.c - 1}")
+    announcement = tuple(rng.randint(config.d) for _ in range(config.c - 1))
     basis = config.basis_set.bases[x]
-    return [basis.vectors[a] for a in announcement]
+    return [basis.vectors[a] for a in announcement], announcement
 
 
 def bob_choose_bases(config: ProtocolConfig, rng: RandomStream) -> tuple:
@@ -213,7 +208,6 @@ class AliceSession:
     `n_trials`, when given, sizes the draw blocks to the session."""
 
     def __init__(self, config: ProtocolConfig, seed: int, n_trials: int | None = None):
-        self.config = config
         self.raw_string: list[int] = []
         self.key: list[int] = []
         c, d = config.c, config.d
@@ -226,32 +220,30 @@ class AliceSession:
         self._draws = TrialBlocks(seed, ALICE, c, rows, n_trials)
 
     def states_for_trial(self, trial_id: int):
-        """Draw this trial's letter and indices; returns (x, states, a)."""
+        """Draw this trial's letter x and indices a, which pick the states
+        |v_a> of basis x; returns (x, a)."""
         if len(self.raw_string) != trial_id:
             raise InvalidParameter(f"trials must run in order, expected {len(self.raw_string)}")
         x, announced = self._draws[trial_id]
-        states = _states(x, self.config, announced)
         self.raw_string.append(x)
-        return x, states, announced
+        return x, announced
 
     def record_sift(self, trial_id: int, sifted: bool) -> None:
         if sifted:
             self.key.append(self.raw_string[trial_id])
 
 
-@dataclass
-class _PendingTrial:
-    y: tuple
-    draws: list  # the uniform of each slot's measurement
-    measured: list
-
-
 class BobSession:
-    """Bob's side of a multi-trial session.
+    """Bob's side of a multi-trial session, and the one place that knows
+    the order of what he is sent.
 
-    Measurements happen as states arrive; sifting happens once the
-    announcement arrives; the outcome's letter field is filled in only if
-    Alice later discloses her raw string for comparison.
+    A trial is c-1 states in slot order, each measured as it arrives
+    (`measure`), then Alice's announcement, which sifts it (`conclude`);
+    one trial ends before the next begins.  After the last trial Alice may
+    disclose her letters (`compare`), and after that only her Bye may come.
+    Each method checks its message's place in that order and its fields
+    once, and raises ProtocolError naming what is wrong.  `outcomes` gives
+    the concluded trials' records, with Alice's letters once compared.
 
     Bob's `born_table` starts with the c*d states of his set, the only
     ones an honest sender sends, so their rows are built before his first
@@ -261,9 +253,10 @@ class BobSession:
 
     def __init__(self, config: ProtocolConfig, seed: int, n_trials: int | None = None):
         self.config = config
-        self._pending: _PendingTrial | None = None
-        self._records: list[tuple] = []
-        self.key: list[int] = []
+        self._records: list[tuple] = []  # (a, y, b) of each concluded trial
+        self._measured: list[int] = []  # the outcomes of the trial in progress
+        self._y = self._u = None  # its basis tuple and measurement draws
+        self._letters: tuple | None = None  # Alice's, once compared
         bases = config.basis_set.bases
         self.born_table = BornTable(bases, config.c * config.d, [v for basis in bases for v in basis.vectors])
         slots = config.c - 1
@@ -278,52 +271,64 @@ class BobSession:
         self._draws = TrialBlocks(seed, BOB, 2 * slots, rows, n_trials)
 
     def begin_trial(self, trial_id: int) -> tuple:
-        if self._pending is not None:
-            raise InvalidParameter("previous trial not concluded")
-        if trial_id != len(self._records):
-            raise InvalidParameter(f"trials must run in order, expected {len(self._records)}")
-        y, draws = self._draws[trial_id]
-        self._pending = _PendingTrial(y, draws, [])
-        return y
+        """Load this trial's basis tuple and measurement draws; returns the
+        tuple.  `measure` calls it for slot 0."""
+        self._y, self._u = self._draws[trial_id]
+        return self._y
 
-    def measure(self, slot: int, pairs: tuple) -> int:
-        """Measure the state with amplitudes `pairs` ((re, im), ...) in
-        this slot's basis; the same outcome as born_sample on that draw."""
-        pending = self._require_pending()
-        if slot != len(pending.measured):
-            raise InvalidParameter(f"slot {slot} out of order, expected {len(pending.measured)}")
-        if slot >= self.config.c - 1:
-            raise InvalidParameter(f"slot {slot} beyond the trial's {self.config.c - 1} slots")
-        outcome = self.born_table.sample(pairs, pending.y[slot], pending.draws[slot])
-        pending.measured.append(outcome)
+    def measure(self, trial_id: int, slot: int, pairs: tuple) -> int:
+        """Measure the state with amplitudes `pairs` ((re, im), ...), sent
+        for this trial and slot, in the slot's basis; the same outcome as
+        born_sample on that draw."""
+        self._check_open("state")
+        trial, expected = len(self._records), len(self._measured)
+        if trial_id != trial or slot != expected:
+            raise ProtocolError(f"state for trial {trial_id} slot {slot}, expected trial {trial} slot {expected}")
+        if slot == self.config.c - 1:
+            raise ProtocolError(f"more than {slot} states in trial {trial}")
+        if len(pairs) != self.config.d:
+            raise ProtocolError(f"state with {len(pairs)} amplitudes, expected {self.config.d}")
+        if slot == 0:
+            self.begin_trial(trial_id)
+        outcome = self.born_table.sample(pairs, self._y[slot], self._u[slot])
+        self._measured.append(outcome)
         return outcome
 
-    def conclude(self, trial_id: int, announced: tuple):
-        """Apply the sifting rule; returns (sifted, inferred letter or None)."""
-        pending = self._require_pending()
-        if len(pending.measured) != self.config.c - 1:
-            raise InvalidParameter("announcement arrived before all states were measured")
-        if len(announced) != self.config.c - 1:
-            raise InvalidParameter(f"announcement must list {self.config.c - 1} indices")
-        sifted = sift(announced, tuple(pending.measured))
-        letter = infer_letter(pending.y, self.config.c) if sifted else None
-        if sifted:
-            self.key.append(letter)
-        self._records.append((trial_id, announced, pending.y, tuple(pending.measured)))
-        self._pending = None
-        return sifted, letter
+    def conclude(self, trial_id: int, announced: tuple) -> bool:
+        """Sift the trial on Alice's announced indices; returns whether it
+        survived."""
+        self._check_open("announcement")
+        trial, measured, slots = len(self._records), len(self._measured), self.config.c - 1
+        if trial_id != trial:
+            raise ProtocolError(f"announcement for trial {trial_id}, expected {trial}")
+        if measured != slots:
+            raise ProtocolError(f"announcement after {measured} of {slots} states")
+        if len(announced) != slots or not all(0 <= v < self.config.d for v in announced):
+            raise ProtocolError(f"malformed announcement {announced!r}")
+        b = tuple(self._measured)
+        self._records.append((announced, self._y, b))
+        self._measured = []
+        return sift(announced, b)
 
-    def outcomes(self, alice_letters=None) -> list[TrialOutcome]:
-        """Materialize TrialOutcomes; Alice's letters (if disclosed) fill
+    def compare(self, trial_id_range: tuple, letters: tuple) -> None:
+        """Take Alice's letters for trials lo..hi-1 of `trial_id_range`
+        (lo, hi), which must be every trial concluded so far."""
+        self._check_open("key comparison")
+        if trial_id_range != (0, len(self._records)) or len(letters) != len(self._records):
+            raise ProtocolError(f"key comparison range {trial_id_range} does not match session")
+        if not all(0 <= v < self.config.c for v in letters):
+            raise ProtocolError(f"key comparison letters outside 0..{self.config.c - 1}")
+        self._letters = letters
+
+    def outcomes(self) -> list[TrialOutcome]:
+        """The concluded trials' TrialOutcomes; Alice's compared letters fill
         the x and error-slot fields, else they stay at -1/empty."""
+        letters = self._letters
         return [
-            TrialOutcome.of(
-                t, -1 if alice_letters is None else alice_letters[t], a, y, b, self.config.c
-            )
-            for t, a, y, b in self._records
+            TrialOutcome.of(t, -1 if letters is None else letters[t], a, y, b, self.config.c)
+            for t, (a, y, b) in enumerate(self._records)
         ]
 
-    def _require_pending(self) -> _PendingTrial:
-        if self._pending is None:
-            raise InvalidParameter("no trial in progress")
-        return self._pending
+    def _check_open(self, what: str) -> None:
+        if self._letters is not None:
+            raise ProtocolError(f"{what} after the key comparison")

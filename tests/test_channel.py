@@ -17,10 +17,10 @@ from hypothesis import strategies as st
 import hselab.channel as ch
 from conftest import free_port, make_random_basis, make_random_set
 from hselab.bases import BasisSet, breidbart_basis, fourier_basis, mu_basis_set
-from hselab.errors import CodecError, DimensionError, HandshakeError, ProtocolError, SessionError
+from hselab.errors import CodecError, DimensionError, HandshakeError, HselabError, ProtocolError, SessionError
 from hselab.protocol import ALICE, BLOCK, EVE, EveInterceptor, alice_prepare, run_trial
 from hselab.rates import ProtocolConfig
-from hselab.hilbert import Basis, StateVector
+from hselab.hilbert import TAU_NORM, Basis, StateVector
 from hselab.rng import RandomStream
 
 # crosses two block boundaries and ends inside a third block
@@ -1188,6 +1188,216 @@ class TestBobSaysWhy:
             thread.join(5.0)
             assert not thread.is_alive()
         self.check(errors, started)
+
+
+def bob_reads(cfg, set_id, lines, n_trials=4):
+    """Run Bob over a memory pair on a Hello and then `lines`, each its own
+    write; returns (his outcomes or the error he raised, the lines he wrote).
+    Alice's end closes after the last line."""
+    alice_t, bob_t = ch.memory_transport_pair()
+    bob_side = RecordingTransport(bob_t)
+    for line in [ch.encode(ch.Hello(1, cfg.c, cfg.d, set_id)), *lines]:
+        alice_t.send_line(line)
+    alice_t.close()
+    try:
+        result = ch.run_session("bob", bob_side, cfg, n_trials, 3, set_id)
+    except HselabError as exc:
+        result = exc
+    return result, bob_side.sent
+
+
+def state_line(cfg, trial_id, slot):
+    return ch.encode(ch.QuantumState(trial_id, slot, cfg.basis_set.bases[0].vectors[0].pairs()))
+
+
+def borderline_states(d, n, seed=0):
+    """n random amplitude tuples of dimension d, each scaled so that its
+    |a|^2 lies within rounding of the TAU_NORM bound, where the order in
+    which the squares are added decides the norm check."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        v = rng.normal(size=d) + 1j * rng.normal(size=d)
+        v *= math.sqrt(1 + TAU_NORM) / np.linalg.norm(v)
+        yield tuple(zip(v.real.tolist(), v.imag.tolist()))
+
+
+def sum_in_order(pairs):
+    total = 0.0
+    for re_, im in pairs:
+        total += re_ * re_ + im * im
+    return total
+
+
+def passes(check, *args):
+    try:
+        check(*args)
+    except HselabError:
+        return False
+    return True
+
+
+class TestBobSessionRules:
+    """Bob's BobSession checks the order of what he is sent; whatever he
+    stops on, he names in a Bye."""
+
+    @pytest.mark.parametrize(
+        "follow, reason",
+        [
+            ("state", "state after the key comparison"),
+            ("announcement", "announcement after the key comparison"),
+            ("comparison", "key comparison after the key comparison"),
+        ],
+    )
+    def test_only_bye_follows_the_key_comparison(self, cfg23, follow, reason):
+        # a comparison before the last trial, then more of the session
+        lines = {
+            "state": [state_line(cfg23, 0, 0), state_line(cfg23, 0, 1), ch.encode(ch.IndexAnnounce(0, (0, 0)))],
+            "announcement": [ch.encode(ch.IndexAnnounce(0, (0, 0)))],
+            "comparison": [ch.encode(ch.KeyCompare((0, 0), ()))],
+        }[follow]
+        compare = ch.encode(ch.KeyCompare((0, 0), ()))
+        error, sent = bob_reads(cfg23, "sixstate", [compare, *lines, ch.encode(ch.Bye("done"))])
+        assert isinstance(error, ProtocolError) and str(error) == reason
+        assert ch.decode(sent[-1]) == ch.Bye(f"ProtocolError: {reason}")
+
+    def test_codec_and_state_vector_agree_on_the_norm(self):
+        # summed pair by pair, as the codec once did, and by np.sum, which
+        # adds in another order from 8 terms up, 1 in 20 of these disagree
+        for pairs in borderline_states(11, 1000):
+            line = ch.encode(ch.QuantumState(0, 0, pairs))
+            state = [complex(re_, im) for re_, im in pairs]
+            assert passes(ch.decode, line) == passes(StateVector, state), pairs
+
+    def test_state_the_codec_refuses_is_named_in_bobs_bye(self):
+        # a state the codec used to pass and Bob's table then refused with
+        # InvalidParameter, which ended his session without a Bye
+        cfg = ProtocolConfig(c=3, d=11, basis_set=mu_basis_set(11, 3))
+        pairs = next(
+            p for p in borderline_states(11, 10_000)
+            if abs(sum_in_order(p) - 1) <= TAU_NORM and not passes(StateVector, [complex(re_, im) for re_, im in p])
+        )
+        error, sent = bob_reads(cfg, "mub", [ch.encode(ch.QuantumState(0, 0, pairs))])
+        assert isinstance(error, CodecError) and "not normalized" in str(error)
+        assert ch.decode(sent[-1]) == ch.Bye(f"CodecError: {error}")
+
+
+# what a hostile Alice may send in place of her honest next line; each
+# reads a variant number modulo its own count of variants
+HOSTILE_KINDS = ("mutated", "elsewhere", "wrong d", "announce", "compare", "hello", "sift", "junk")
+ELSEWHERE = ((1, 0), (0, 1), (-1, 0), (0, -1), (2, 1), (0, 2))
+
+
+def hostile_lines(cfg, set_id, segments, honest_tail):
+    """Bob-bound lines: for each (n, kind, variant) segment, Alice's next n
+    honest lines and then one line of that kind, then `honest_tail` more
+    honest lines.  The honest cursor, trial t and slot s, moves only on
+    honest lines; the other kinds are rendered against it."""
+    c, d = cfg.c, cfg.d
+    t = s = 0
+    lines = []
+
+    def honest():
+        nonlocal t, s
+        if s < c - 1:
+            lines.append(ch.encode(ch.QuantumState(t, s, cfg.basis_set.bases[t % c].vectors[(t + s) % d].pairs())))
+            s += 1
+        else:
+            lines.append(ch.encode(ch.IndexAnnounce(t, tuple((t + j) % d for j in range(c - 1)))))
+            t, s = t + 1, 0
+
+    for n, kind, k in segments:
+        for _ in range(n):
+            honest()
+        pairs = cfg.basis_set.bases[(t + 1) % c].vectors[k % d].pairs()
+        if kind == "mutated":
+            mutate = MUTATIONS[sorted(MUTATIONS)[k % len(MUTATIONS)]]
+            lines.append(mutate(ch.encode(ch.QuantumState(t, s, pairs)), ch._amps_json(pairs)))
+        elif kind == "elsewhere":
+            dt, ds = ELSEWHERE[k % len(ELSEWHERE)]
+            lines.append(ch.encode(ch.QuantumState(t + dt, s + ds, pairs)))
+        elif kind == "wrong d":
+            n_amps = d + 1 if k % 2 else d - 1
+            lines.append(ch.encode(ch.QuantumState(t, s, ((1.0, 0.0),) + ((0.0, 0.0),) * (n_amps - 1))))
+        elif kind == "announce":
+            dt, a = (
+                (0, (0,) * (c - 1)),  # early, unless all the trial's states are in
+                (1, (0,) * (c - 1)),  # for the next trial
+                (-1, (0,) * (c - 1)),  # for the last trial
+                (0, (0,) * c),  # too long
+                (0, (0,) * (c - 2) + (d,)),  # an index out of range
+                (0, (0,) * (c - 2)),  # too short
+            )[k % 6]
+            lines.append(ch.encode(ch.IndexAnnounce(t + dt, a)))
+        elif kind == "compare":
+            # the concluded trials' range and letters (half the variants), a
+            # range one too long, a letter too many, a letter out of range
+            variant = max(k % 6 - 2, 0)
+            letters = (0,) * (t + (variant in (1, 2))) + ((c,) if variant == 3 else ())
+            lines.append(ch.encode(ch.KeyCompare((0, t + (variant == 1)), letters)))
+        elif kind == "hello":
+            lines.append(ch.encode(ch.Hello(1, c, d, set_id)))
+        elif kind == "sift":
+            lines.append(ch.encode(ch.SiftReport(t, bool(k % 2))))
+        else:
+            lines.append(b"not json\n")
+    for _ in range(honest_tail):
+        honest()
+    return lines
+
+
+class TestHostileAlice:
+    """Bob against sequences of honest and hostile lines: he returns, or
+    stops with ProtocolError, CodecError or SessionError, within 2 s of the
+    last line; when he stops on a protocol or codec error, the last line he
+    wrote is a Bye that names it."""
+
+    @given(
+        st.sampled_from(["sixstate", "qutrit4"]),
+        st.lists(st.tuples(st.integers(0, 7), st.sampled_from(HOSTILE_KINDS), st.integers(0, 11)), max_size=3),
+        st.integers(0, 7),
+        # a silent end waits out Bob's timeout, so it comes up least often
+        st.sampled_from(["bye", "bye", "close", "close", "silence"]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_bob_ends_promptly_and_says_why(self, sixstate, qutrit4, set_id, segments, honest_tail, end):
+        basis_set = {"sixstate": sixstate, "qutrit4": qutrit4}[set_id]
+        cfg = ProtocolConfig(c=basis_set.c, d=basis_set.d, basis_set=basis_set)
+        alice_t, bob_t = ch.memory_transport_pair()
+        bob_side = RecordingTransport(bob_t)
+        lines = hostile_lines(cfg, set_id, segments, honest_tail)
+        for line in [ch.encode(ch.Hello(1, cfg.c, cfg.d, set_id)), *lines]:
+            alice_t.send_line(line)
+        if end == "bye":
+            alice_t.send_line(ch.encode(ch.Bye("done")))
+        elif end == "close":
+            alice_t.close()
+        result = {}
+
+        def bob():
+            try:
+                result["outcomes"] = ch.run_session("bob", bob_side, cfg, 4, 3, set_id)
+            except Exception as exc:
+                result["error"] = exc
+
+        with pytest.MonkeyPatch.context() as patch:
+            # Bob gives up on a silent Alice after this long
+            patch.setattr(ch, "_RECV_TIMEOUT", 0.5)
+            worker = threading.Thread(target=bob)
+            started = time.monotonic()
+            worker.start()
+            worker.join(2.0)
+            took = time.monotonic() - started
+            alice_t.close()
+            worker.join(5.0)
+        assert took < 2.0 and not worker.is_alive()
+        error = result.get("error")
+        last = ch.decode(bob_side.sent[-1])
+        if error is None:
+            assert last == ch.Bye("done")
+        else:
+            assert isinstance(error, (ProtocolError, CodecError, SessionError)), repr(error)
+            if not isinstance(error, SessionError):
+                assert last == ch.Bye(f"{type(error).__name__}: {error}")
 
 
 class ByteRecorder:

@@ -23,6 +23,15 @@ ROW_KEYS = ["protocol", "d", "c", "method", "r_qb", "r_it", "r_s", "r_t", "r_k",
 RATE_KEYS = ["r_qb", "r_it", "r_s", "r_t", "r_k", "r_be", "n_s"]
 
 
+def six_state_doc(d, c) -> bytes:
+    """The six-state set's basis-set file with `d` and `c` in its d and c fields."""
+    bases = [
+        {"label": b.label, "vectors": [[[z.real, z.imag] for z in v.amps.tolist()] for v in b.vectors]}
+        for b in qubit_six_state_set().bases
+    ]
+    return json.dumps({"d": d, "c": c, "bases": bases}).encode()
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out, err = capsys.readouterr()
@@ -377,8 +386,14 @@ class TestFileSpecs:
             b'{"d": 2, "c": 2, "bases": 5}',
             b'{"d": 2, "c": 2, "bases": [{"label": "a", "vectors": 7}, {"label": "b", "vectors": 7}]}',
             b'{"d": 2, "c": 2, "bases": [[1, 0], [0, 1]]}',  # a basis that is a list
+            six_state_doc(2.9, 3.5),  # the six-state set, but d and c are not integers
+            six_state_doc(2, "3"),
+            six_state_doc(2.0, 3),
         ],
-        ids=["non-utf8", "d-not-a-number", "d-overflows", "bases-not-a-list", "vectors-not-a-list", "basis-is-a-list"],
+        ids=[
+            "non-utf8", "d-not-a-number", "d-overflows", "bases-not-a-list", "vectors-not-a-list", "basis-is-a-list",
+            "d-c-fractional", "c-a-string", "d-a-float",
+        ],
     )
     @pytest.mark.parametrize("flag", ["--set", "--eve"])
     def test_malformed_file_is_a_usage_error(self, capsys, tmp_path, flag, doc):

@@ -7,7 +7,7 @@ import pytest
 import hselab.protocol as protocol
 from conftest import freq_tolerance, make_random_basis, make_random_set
 from hselab.bases import BasisSet, fourier_basis, standard_basis
-from hselab.errors import InvalidParameter
+from hselab.errors import InvalidParameter, ProtocolError
 from hselab.hilbert import born_sample, transition_prob
 from hselab.protocol import (
     BLOCK,
@@ -208,18 +208,15 @@ class TestSessions:
         alice = AliceSession(cfg23_eve, seed)
         bob = BobSession(cfg23_eve, seed)
         for t in range(n):
-            x, states, announced = alice.states_for_trial(t)
+            x, announced = alice.states_for_trial(t)
             eve = EveInterceptor(cfg23_eve.eve, RandomStream(seed, "eve", t))
-            bob.begin_trial(t)
-            for slot, state in enumerate(states):
-                bob.measure(slot, eve.maybe_intercept(state)[1].pairs())
-            sifted, _ = bob.conclude(t, announced)
-            alice.record_sift(t, sifted)
-        assert bob.outcomes(alice.raw_string) == [run_trial(cfg23_eve, t, seed) for t in range(n)]
-        assert alice.key == [o.x for o in bob.outcomes(alice.raw_string) if o.sifted]
-        assert bob.key == [
-            o.bob_letter for o in bob.outcomes(alice.raw_string) if o.sifted
-        ]
+            for slot, a in enumerate(announced):
+                state = cfg23_eve.basis_set.bases[x].vectors[a]
+                bob.measure(t, slot, eve.maybe_intercept(state)[1].pairs())
+            alice.record_sift(t, bob.conclude(t, announced))
+        bob.compare((0, n), tuple(alice.raw_string))
+        assert bob.outcomes() == [run_trial(cfg23_eve, t, seed) for t in range(n)]
+        assert alice.key == [o.x for o in bob.outcomes() if o.sifted]
 
     def test_distinct_states_beyond_the_set_keep_the_table_bounded(self, cfg34_eve):
         # 3 slots x 30 trials of states outside the set, then honest ones:
@@ -237,7 +234,7 @@ class TestSessions:
                 else:
                     state = honest[(3 * t + slot) % len(honest)]
                 expected = born_sample(state, cfg34_eve.basis_set.bases[y[slot]], replica)
-                assert bob.measure(slot, state.pairs()) == expected
+                assert bob.measure(t, slot, state.pairs()) == expected
             bob.conclude(t, (0, 0, 0))
         assert len(bob.born_table) == 12
 
@@ -276,7 +273,7 @@ class TestSessions:
         alice = AliceSession(cfg34_eve, seed, n_trials=n)
         bob = BobSession(cfg34_eve, seed, n_trials=n)
         for t in range(n):
-            x, _, announced = alice.states_for_trial(t)
+            x, announced = alice.states_for_trial(t)
             alice_rng = RandomStream(seed, "alice", t)
             assert (x, announced) == (alice_rng.randint(4), alice_prepare(x, cfg34_eve, alice_rng)[1])
             bob_rng = RandomStream(seed, "bob", t)
@@ -284,7 +281,7 @@ class TestSessions:
             assert bob.begin_trial(t) == y
             for slot, state in enumerate(cfg34_eve.basis_set.bases[(t + 1) % 4].vectors):
                 expected = born_sample(state, cfg34_eve.basis_set.bases[y[slot]], bob_rng)
-                assert bob.measure(slot, state.pairs()) == expected
+                assert bob.measure(t, slot, state.pairs()) == expected
             bob.conclude(t, announced)
 
     def test_sessions_across_blocks_draw_the_scalar_streams(self, cfg34_eve):
@@ -292,7 +289,7 @@ class TestSessions:
         alice = AliceSession(cfg34_eve, seed)
         bob = BobSession(cfg34_eve, seed)
         for t in range(n):
-            x, _, announced = alice.states_for_trial(t)
+            x, announced = alice.states_for_trial(t)
             alice_rng = RandomStream(seed, "alice", t)
             assert (x, announced) == (alice_rng.randint(4), alice_prepare(x, cfg34_eve, alice_rng)[1])
             bob_rng = RandomStream(seed, "bob", t)
@@ -300,33 +297,30 @@ class TestSessions:
             assert bob.begin_trial(t) == y
             for slot, state in enumerate(cfg34_eve.basis_set.bases[t % 4].vectors):
                 expected = born_sample(state, cfg34_eve.basis_set.bases[y[slot]], bob_rng)
-                assert bob.measure(slot, state.pairs()) == expected
+                assert bob.measure(t, slot, state.pairs()) == expected
             bob.conclude(t, announced)
 
     def test_measure_past_the_last_slot_rejected(self, cfg23, sixstate):
         bob = BobSession(cfg23, 1)
-        bob.begin_trial(0)
         state = sixstate.bases[0].vectors[0].pairs()
         for slot in range(2):
-            bob.measure(slot, state)
-        with pytest.raises(InvalidParameter, match="beyond"):
-            bob.measure(2, state)
+            bob.measure(0, slot, state)
+        with pytest.raises(ProtocolError, match="more than 2 states in trial 0"):
+            bob.measure(0, 2, state)
 
-    def test_out_of_order_trials_rejected(self, cfg23):
+    def test_out_of_order_trials_rejected(self, cfg23, sixstate):
         bob = BobSession(cfg23, 1)
-        with pytest.raises(InvalidParameter):
-            bob.begin_trial(3)
+        with pytest.raises(ProtocolError, match="expected trial 0 slot 0"):
+            bob.measure(3, 0, sixstate.bases[0].vectors[0].pairs())
 
     def test_announcement_before_states_rejected(self, cfg23):
         bob = BobSession(cfg23, 1)
-        bob.begin_trial(0)
-        with pytest.raises(InvalidParameter):
+        with pytest.raises(ProtocolError, match="after 0 of 2 states"):
             bob.conclude(0, (0, 1))
 
     def test_wrong_length_announcement_rejected(self, cfg23, sixstate):
         bob = BobSession(cfg23, 1)
-        bob.begin_trial(0)
         for slot in range(2):
-            bob.measure(slot, sixstate.bases[0].vectors[0].pairs())
-        with pytest.raises(InvalidParameter):
+            bob.measure(0, slot, sixstate.bases[0].vectors[0].pairs())
+        with pytest.raises(ProtocolError, match="malformed announcement"):
             bob.conclude(0, (0, 1, 1))
