@@ -34,9 +34,11 @@ the d eigenstates of Eve's basis, so Alice renders the `amps` JSON of her
 c*d states once per session and the relay that of Eve's d states once per
 run.  Bob and the relay measure through a `hilbert.BornTable`, keyed by a
 state's exact amplitude pairs, whose rows come from the one Born kernel,
-`hilbert.born_rows`.  Bob's table starts with the c*d states of his set,
-all rows built before his first trial.  Any other state's row is computed
-the first time, validated as `born_sample` would, and reused after that.
+`hilbert.born_rows`; a state line they already know reaches the table with
+no message object made for it (see the reader below).  Bob's table starts
+with the c*d states of his set, all rows built before his first trial.
+Any other state's row is computed the first time, validated as
+`born_sample` would, and reused after that.
 Each table learns at most c*d states - Bob's bound from his configuration,
 the relay's from the sender's Hello, and none before it - and computes any
 further distinct state without storing it, so a sender cannot make it
@@ -61,7 +63,8 @@ one or two per session, go through `json.dumps`.
 
 Each endpoint reads through a `KnownStates` reader.  It answers three exact
 line shapes without `decode`, each with an optional newline and with N, K
-and every index a plain JSON integer of at most 18 digits:
+and every index a plain JSON integer of at most 18 digits (one regular
+expression per shape):
 
 - `{"type":"index_announce","trial_id":N,"a":[i,...]}`;
 - `{"type":"sift_report","trial_id":N,"sifted":true|false}`;
@@ -77,10 +80,16 @@ forward pump's from the sender's Hello, and 0 before it; Alice reads her
 replies through a reader of capacity 0.  An entry is learned only after
 `decode` succeeded, and only when the line's `amps` bytes are the
 canonical rendering `_amps_json` gives for the decoded pairs, so no key can
-carry text from outside the amplitude list.  Every other line goes through
-`decode`, which stays the only validator.  It checks a state's norm with
-`hilbert.check_unit_norm`, as `StateVector` does, so every state it
-passes is one a table can learn.
+carry text from outside the amplitude list.
+
+Bob and the relay first ask the reader's matcher, `KnownStates.state`, for
+a known quantum_state line's (trial_id, slot, pairs), and measure those
+pairs: one match, one lookup and one measurement, with no QuantumState
+made.  `KnownStates.decode` builds its QuantumState from the same matcher.
+Every other line goes through `KnownStates.decode`, and the lines it does
+not answer through `decode`, which stays the only validator.  It checks a
+state's norm with `hilbert.check_unit_norm`, as `StateVector` does, so
+every state it passes is one a table can learn.
 """
 
 from __future__ import annotations
@@ -93,7 +102,7 @@ import threading
 from dataclasses import dataclass
 from queue import Empty, SimpleQueue
 
-from .errors import CodecError, HandshakeError, InvalidParameter, ProtocolError, SessionError
+from .errors import CodecError, DimensionError, HandshakeError, InvalidParameter, ProtocolError, SessionError
 from .hilbert import Basis, BornTable, check_unit_norm
 from .protocol import EVE, AliceSession, BobSession, EveInterceptor, TrialBlocks, TrialOutcome
 from .rates import ProtocolConfig
@@ -312,6 +321,8 @@ class KnownStates:
     """Decodes wire lines, answering the per-trial lines without `decode`
     and known quantum_state lines from a table: the `states` given at
     construction, and at most `capacity` learned ones, which `len` counts.
+    `state` is the one matcher of known quantum_state lines; `decode`
+    answers them through it.
 
     A line that is exactly `_announce_line(N, a)`, `_sift_line(N, s)`, or
     `_state_line(N, K, A)` for a stored A, each with plain integers of at
@@ -333,29 +344,34 @@ class KnownStates:
     def __len__(self) -> int:
         return self._learned
 
-    def decode(self, line: bytes) -> Message:
+    def state(self, line: bytes) -> tuple | None:
+        """(trial_id, slot, pairs) of `line` if it is exactly
+        `_state_line(N, K, A)` for a stored A, else None: the fields of the
+        QuantumState that `decode` gives for it, without building one."""
         known = _STATE_LINE.fullmatch(line)
         if known is not None:
             trial_id, slot, amps = known.groups()
             pairs = self._pairs.get(amps)
             if pairs is not None:
-                return QuantumState(trial_id=int(trial_id), slot=int(slot), amps=pairs)
-        else:
-            announce = _ANNOUNCE_LINE.fullmatch(line)
-            if announce is not None:
-                return IndexAnnounce(trial_id=int(announce[1]), a=tuple(map(int, announce[2].split(b","))))
-            sift = _SIFT_LINE.fullmatch(line)
-            if sift is not None:
-                return SiftReport(trial_id=int(sift[1]), sifted=sift[2] == b"true")
+                return int(trial_id), int(slot), pairs
+        return None
+
+    def decode(self, line: bytes) -> Message:
+        state = self.state(line)
+        if state is not None:
+            return QuantumState(*state)
+        announce = _ANNOUNCE_LINE.fullmatch(line)
+        if announce is not None:
+            return IndexAnnounce(trial_id=int(announce[1]), a=tuple(map(int, announce[2].split(b","))))
+        sift = _SIFT_LINE.fullmatch(line)
+        if sift is not None:
+            return SiftReport(trial_id=int(sift[1]), sifted=sift[2] == b"true")
         msg = decode(line)
-        if (
-            known is not None
-            and self._learned < self.capacity
-            and isinstance(msg, QuantumState)
-            and amps == _amps_json(msg.amps)
-        ):
-            self._pairs[amps] = msg.amps
-            self._learned += 1
+        if self._learned < self.capacity and isinstance(msg, QuantumState):
+            shape = _STATE_LINE.fullmatch(line)
+            if shape is not None and shape[3] == _amps_json(msg.amps):
+                self._pairs[shape[3]] = msg.amps
+                self._learned += 1
         return msg
 
 
@@ -566,6 +582,10 @@ def _run_bob(transport, config, seed, n_trials) -> list[TrialOutcome]:
             line = transport.recv_line()
             if line is None:
                 raise SessionError("peer closed before bye")
+            state = known.state(line)
+            if state is not None:
+                session.measure(*state)
+                continue
             msg = known.decode(line)
             if isinstance(msg, QuantumState):
                 session.measure(msg.trial_id, msg.slot, msg.amps)
@@ -619,20 +639,18 @@ class InterceptionRecord:
 
 
 class MitmLog:
-    """Thread-safe record of what the interceptor measured."""
+    """What the interceptor measured: `_records` holds one (trial_id, slot,
+    outcome) tuple per interception, in the order the relay made them, and
+    `records` gives them as InterceptionRecords.  The relay only appends to
+    `_records` and `records` reads a copy; a list's append and copy are each
+    atomic, so `records` may be read while the relay runs."""
 
     def __init__(self):
-        self._records: list[InterceptionRecord] = []
-        self._lock = threading.Lock()
-
-    def add(self, record: InterceptionRecord) -> None:
-        with self._lock:
-            self._records.append(record)
+        self._records: list[tuple] = []
 
     @property
     def records(self) -> list[InterceptionRecord]:
-        with self._lock:
-            return list(self._records)
+        return [InterceptionRecord(*record) for record in self._records.copy()]
 
 
 def run_mitm_pumps(
@@ -641,14 +659,23 @@ def run_mitm_pumps(
     """Relay between two transports, measuring and replacing every quantum
     state while forwarding classical lines byte-identically.
 
-    `alice_side` must be the transport facing the state sender.  A trial's
+    `alice_side` must be the transport facing the state sender.  Each
+    trial gets one EveInterceptor, which decides whether a state is
+    intercepted and measures it through a BornTable over Eve's basis.  A
+    known state line is measured straight from the reader's match, with no
+    message object.  The sender's Hello must name Eve's dimension d, or the
+    relay fails with DimensionError; a state with other than d amplitudes
+    is forwarded as it came, unrecorded, for Bob to refuse.  A trial's
     states are held and written towards Bob together with the next line
     that is not a state, so each trial costs one write.  Blocks until both
-    directions reach EOF; returns the interception log.  If either
-    direction fails, both sides are closed, so that both endpoints see EOF,
-    and the failure is raised as SessionError.
+    directions reach EOF; returns the interception log, which may be read
+    while the relay runs.  If either direction fails, both sides are
+    closed, so that both endpoints see EOF, and the failure is raised as
+    SessionError.
     """
     log = MitmLog()
+    record = log._records.append
+    d = eve_basis.dim
     resent_json = [_amps_json(v.pairs()) for v in eve_basis.vectors]
     failures: list[Exception] = []
 
@@ -670,25 +697,33 @@ def run_mitm_pumps(
                     bob_side.send_line(b"".join(held))
                 bob_side.close()
                 return
-            try:
-                msg = known.decode(line)
-            except CodecError:
-                msg = None
-            if isinstance(msg, QuantumState):
-                if trial_id != msg.trial_id:
-                    trial_id = msg.trial_id
-                    draws = _EveDraws(rows[trial_id], seed, trial_id)
-                    eve = EveInterceptor(eve_basis, draws, intercept_fraction)
-                outcome, _ = eve.maybe_intercept(msg.amps, table)
-                if outcome is not None:
-                    log.add(InterceptionRecord(msg.trial_id, msg.slot, outcome))
-                    line = _state_line(msg.trial_id, msg.slot, resent_json[outcome])
+            state = known.state(line)
+            if state is None:
+                try:
+                    msg = known.decode(line)
+                except CodecError:
+                    msg = None
+                if isinstance(msg, QuantumState):
+                    state = msg.trial_id, msg.slot, msg.amps
+                elif isinstance(msg, Hello):
+                    if msg.d != d:
+                        raise DimensionError(f"sender's d = {msg.d}, but Eve's basis has d = {d}")
+                    table = BornTable((eve_basis,), msg.c * msg.d)
+                    known = KnownStates(msg.c * msg.d)
+                    rows = eve_rows(min(2 * max(msg.c - 1, 0), _MAX_EVE_WIDTH))
+            if state is not None:
+                t, slot, pairs = state
+                # a state of another dimension goes to Bob as it came, for him to refuse
+                if len(pairs) == d:
+                    if trial_id != t:
+                        trial_id = t
+                        eve = EveInterceptor(eve_basis, _EveDraws(rows[t], seed, t), intercept_fraction)
+                    outcome, _ = eve.maybe_intercept(pairs, table)
+                    if outcome is not None:
+                        record((t, slot, outcome))
+                        line = _state_line(t, slot, resent_json[outcome])
                 held.append(line)
                 continue
-            if isinstance(msg, Hello):
-                table = BornTable((eve_basis,), msg.c * msg.d)
-                known = KnownStates(msg.c * msg.d)
-                rows = eve_rows(min(2 * max(msg.c - 1, 0), _MAX_EVE_WIDTH))
             held.append(line)
             bob_side.send_line(b"".join(held))
             held.clear()

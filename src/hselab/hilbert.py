@@ -75,8 +75,15 @@ class StateVector:
 
     def pairs(self) -> tuple:
         """The amplitudes as ((re, im), ...) Python floats, the form the
-        wire codec carries and BornTable keys on."""
-        return tuple(zip(self.amps.real.tolist(), self.amps.imag.tolist()))
+        wire codec carries and BornTable keys on.  Made on the first call
+        and the same tuple after it, so two tables keyed on a state's pairs
+        find each other's keys by identity, without comparing floats."""
+        try:
+            return self.__dict__["_pairs"]
+        except KeyError:
+            pairs = tuple(zip(self.amps.real.tolist(), self.amps.imag.tolist()))
+            object.__setattr__(self, "_pairs", pairs)
+            return pairs
 
 
 @dataclass(frozen=True, eq=False)
@@ -258,13 +265,13 @@ class BornTable:
         self.capacity = capacity
         self._dim = self.bases[0].dim
         self._learned = 0
-        self._rows: dict = {}  # pairs -> the state's row number in every flat list
+        self._rows: dict = {}  # pairs -> where the state's row starts in every flat list
         self._cdfs = [[] for _ in self.bases]  # per basis: each state's cdf row, end to end
         if states:
             amps = [state.amps for state in states]
             for cdfs, basis in zip(self._cdfs, self.bases):
                 cdfs.extend(np.cumsum(born_rows(basis, amps), axis=1).ravel().tolist())
-            self._rows.update((state.pairs(), row) for row, state in enumerate(states))
+            self._rows.update((state.pairs(), row * self._dim) for row, state in enumerate(states))
 
     def __len__(self) -> int:
         return self._learned
@@ -272,20 +279,19 @@ class BornTable:
     def sample(self, pairs: tuple, which: int, u: float) -> int:
         """Outcome of measuring the state `pairs` in `bases[which]` for
         uniform draw u."""
-        row = self._rows.get(pairs)
-        if row is None:
+        start = self._rows.get(pairs)
+        if start is None:
             state = StateVector([complex(re, im) for re, im in pairs])
             if self._learned == self.capacity:
                 return sample_from_probs(born_probabilities(self.bases[which], state), u)
             new = [np.cumsum(born_probabilities(basis, state)).tolist() for basis in self.bases]
-            row = self._rows[pairs] = len(self._cdfs[0]) // self._dim
+            start = self._rows[pairs] = len(self._cdfs[0])
             for cdfs, cdf in zip(self._cdfs, new):
                 cdfs.extend(cdf)
             self._learned += 1
-        d = self._dim
-        start = row * d
-        # the count of the row's entries <= u, capped as invert_cdf caps it
-        return min(bisect_right(self._cdfs[which], u, start, start + d) - start, d - 1)
+        # the count of the row's first d-1 entries <= u: a cdf never falls,
+        # so that is the count of all d capped at d-1, as invert_cdf caps it
+        return bisect_right(self._cdfs[which], u, start, start + self._dim - 1) - start
 
 
 def verify_orthonormal(basis, tol: float) -> OrthonormalityReport:

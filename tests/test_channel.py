@@ -6,6 +6,7 @@ import json
 import math
 import re
 import socket
+import sys
 import threading
 import time
 
@@ -238,6 +239,14 @@ def decoded(decode, line):
         return f"CodecError: {exc}"
 
 
+def assert_state_is_decoded(known, line, expected):
+    """`known.state(line)` finds nothing, or exactly the trial_id, slot and
+    amps of the QuantumState whose repr `expected` is what decode gives."""
+    state = known.state(line)
+    if state is not None:
+        assert repr(ch.QuantumState(*state)) == expected
+
+
 class TestKnownStates:
     @given(state_lines())
     @settings(max_examples=200, deadline=None)
@@ -245,7 +254,10 @@ class TestKnownStates:
         capacity, lines = case
         known = ch.KnownStates(capacity)
         for line in lines + lines:  # the second pass meets the keys the first stored
-            assert decoded(known.decode, line) == decoded(ch.decode, line)
+            expected = decoded(ch.decode, line)
+            assert_state_is_decoded(known, line, expected)
+            assert decoded(known.decode, line) == expected
+            assert_state_is_decoded(known, line, expected)
         assert len(known) <= capacity
 
     def test_a_tail_after_amps_never_enters_the_table(self, sixstate):
@@ -300,6 +312,9 @@ class TestSeededKnownStates:
             patch.setattr(ch, "decode", None)
             assert [decoded(known.decode, line) for line in lines] == expected
             assert [known.decode(line).amps for line in lines] == [v.pairs() for v in states]
+            for line, message in zip(lines, expected):
+                assert known.state(line) is not None
+                assert_state_is_decoded(known, line, message)
         assert len(known) == 0
 
     def test_seeded_entries_leave_the_room_for_learned_ones(self, sixstate):
@@ -949,6 +964,34 @@ class TestMitm:
         assert not relay.is_alive()
         assert results["mitm"].records == []
 
+    def test_state_of_another_dimension_passes_the_relay_to_bob(self, sixstate, cfg23):
+        # a unit vector of C^3 in a (2,3) session: the relay forwards it as
+        # it came, and Bob names it in a Bye that the relay brings to Alice
+        alice_t, eve_a = ch.memory_transport_pair()
+        eve_b, bob_t = ch.memory_transport_pair()
+        to_alice = RecordingTransport(eve_a)
+        results = {}
+
+        def eavesdropper():
+            results["mitm"] = ch.run_mitm_pumps(to_alice, eve_b, sixstate.bases[0], 1)
+
+        relay = threading.Thread(target=eavesdropper)
+        relay.start()
+        wide = ch.encode(ch.QuantumState(0, 0, ((1.0, 0.0), (0.0, 0.0), (0.0, 0.0))))
+        alice_t.send_line(ch.encode(ch.Hello(1, 3, 2, "sixstate")))
+        alice_t.send_line(wide + ch.encode(ch.IndexAnnounce(0, (0, 0))))
+        try:
+            with pytest.raises(ProtocolError) as err:
+                ch.run_session("bob", bob_t, cfg23, 1, 1, "sixstate")
+        finally:
+            alice_t.close()
+            bob_t.close()
+            relay.join(5.0)
+        assert not relay.is_alive()
+        assert str(err.value) == "state with 3 amplitudes, expected 2"
+        assert ch.decode(to_alice.sent[-1]) == ch.Bye("ProtocolError: state with 3 amplitudes, expected 2")
+        assert results["mitm"].records == []
+
     def test_classical_messages_forwarded_byte_identically(self, sixstate, cfg23):
         results, eve_a, eve_b = self.run_with_interceptor(sixstate, cfg23, 60, 9)
         incoming = [l for l in eve_a.received if json.loads(l)["type"] != "quantum_state"]
@@ -963,6 +1006,48 @@ class TestMitm:
         results, _, eve_b = self.run_with_interceptor(sixstate, cfg23, 30, 4)
         assert eve_b.send_calls == [1] + [3] * 30 + [1, 1]
         assert len(results["mitm"].records) == 2 * 30
+
+    def test_log_may_be_read_while_the_relay_runs(self, sixstate, cfg23, monkeypatch):
+        """Readers polling `records` during a session each see a prefix of
+        the final log, never a torn or shrinking one."""
+        n, seed = 100, 12
+        expected = scalar_interceptions(sixstate.bases[0], seed, 1.0, sent_states(cfg23, n, seed))
+        logs = []
+
+        class SeenLog(ch.MitmLog):
+            def __init__(self):
+                super().__init__()
+                logs.append(self)
+
+        monkeypatch.setattr(ch, "MitmLog", SeenLog)
+        done = threading.Event()
+        seen = [[] for _ in range(4)]  # per reader: (length, is a prefix) of each read
+
+        def reader(reads):
+            while not done.is_set():
+                if logs:
+                    records = logs[0].records
+                    reads.append((len(records), records == expected[: len(records)]))
+
+        readers = [threading.Thread(target=reader, args=(reads,)) for reads in seen]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in readers:
+                thread.start()
+            results, _, _ = self.run_with_interceptor(sixstate, cfg23, n, seed)
+        finally:
+            done.set()
+            sys.setswitchinterval(interval)
+            for thread in readers:
+                thread.join(5.0)
+        assert not any(thread.is_alive() for thread in readers)
+        assert results["mitm"].records == expected
+        for reads in seen:
+            lengths = [length for length, _ in reads]
+            assert lengths == sorted(lengths)
+            assert all(prefix for _, prefix in reads)
+        assert any(0 < length < len(expected) for reads in seen for length, _ in reads)
 
     def test_pump_failure_surfaces(self, cfg23, qutrit4, monkeypatch):
         # an Eve basis of the wrong dimension fails inside the relay
@@ -1046,12 +1131,16 @@ class TestMitm:
 
     def test_codec_calls_do_not_grow_with_trials(self, qutrit4, monkeypatch):
         """Past the first sight of each state, no per-trial line goes
-        through encode or decode."""
+        through encode or decode, and no QuantumState is made for it."""
         cfg = ProtocolConfig(c=4, d=3, basis_set=qutrit4)
         eve = qutrit4.bases[0]
         attacked = ProtocolConfig(c=4, d=3, basis_set=qutrit4, eve=eve)
-        encode, decode = ch.encode, ch.decode
+        encode, decode, make_state = ch.encode, ch.decode, ch.QuantumState.__init__
         calls = collections.Counter()
+
+        def counting_make_state(self, *args, **kwargs):
+            calls["make", "QuantumState"] += 1
+            make_state(self, *args, **kwargs)
 
         def counting_encode(msg):
             calls["encode", type(msg).__name__] += 1
@@ -1064,6 +1153,7 @@ class TestMitm:
 
         monkeypatch.setattr(ch, "encode", counting_encode)
         monkeypatch.setattr(ch, "decode", counting_decode)
+        monkeypatch.setattr(ch.QuantumState, "__init__", counting_make_state)
         counts = {}
         for n in (20, 200):
             calls.clear()
@@ -1075,6 +1165,7 @@ class TestMitm:
         # decoded each in full once; Bob knows the 3 that Eve resends from
         # the start, as they are in his set
         assert counts[200][("decode", "QuantumState")] == 12
+        assert counts[200][("make", "QuantumState")] == 12
         assert ("decode", "IndexAnnounce") not in counts[200]
         assert ("decode", "SiftReport") not in counts[200]
         assert not {kind for op, kind in counts[200] if op == "encode"} & {"IndexAnnounce", "SiftReport"}
@@ -1398,6 +1489,80 @@ class TestHostileAlice:
             assert isinstance(error, (ProtocolError, CodecError, SessionError)), repr(error)
             if not isinstance(error, SessionError):
                 assert last == ch.Bye(f"{type(error).__name__}: {error}")
+
+
+class TestHostileAliceThroughTheRelay:
+    """TestHostileAlice's lines sent through a memory relay that intercepts
+    half or all of the states.  Bob ends as he does there.  The relay returns
+    its log, or raises SessionError only if Alice falls silent and its read
+    times out, and no thread outlives the session.
+    When Bob stops on a protocol or codec error, the last line the relay
+    forwards to Alice is his Bye naming it, unless she closed first: then
+    the relay closes towards Bob as soon as it reads her EOF."""
+
+    @given(
+        st.sampled_from(["sixstate", "qutrit4"]),
+        st.lists(st.tuples(st.integers(0, 7), st.sampled_from(HOSTILE_KINDS), st.integers(0, 11)), max_size=3),
+        st.integers(0, 7),
+        st.sampled_from(["bye", "bye", "close", "close", "silence"]),
+        st.sampled_from([0.5, 1.0]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_bob_and_the_relay_end_promptly(self, sixstate, qutrit4, set_id, segments, honest_tail, end, fraction):
+        basis_set = {"sixstate": sixstate, "qutrit4": qutrit4}[set_id]
+        cfg = ProtocolConfig(c=basis_set.c, d=basis_set.d, basis_set=basis_set)
+        alice_t, eve_a = ch.memory_transport_pair()
+        eve_b, bob_t = ch.memory_transport_pair()
+        to_alice, bob_side = RecordingTransport(eve_a), RecordingTransport(bob_t)
+        lines = hostile_lines(cfg, set_id, segments, honest_tail)
+        for line in [ch.encode(ch.Hello(1, cfg.c, cfg.d, set_id)), *lines]:
+            alice_t.send_line(line)
+        if end == "bye":
+            alice_t.send_line(ch.encode(ch.Bye("done")))
+        elif end == "close":
+            alice_t.close()
+        result = {}
+
+        def bob():
+            try:
+                result["outcomes"] = ch.run_session("bob", bob_side, cfg, 4, 3, set_id)
+            except Exception as exc:
+                result["error"] = exc
+
+        def relay():
+            try:
+                result["log"] = ch.run_mitm_pumps(to_alice, eve_b, basis_set.bases[1], 3, fraction)
+            except Exception as exc:
+                result["relay error"] = exc
+
+        before = set(threading.enumerate())
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ch, "_RECV_TIMEOUT", 0.5)
+            workers = [threading.Thread(target=bob), threading.Thread(target=relay)]
+            started = time.monotonic()
+            for worker in workers:
+                worker.start()
+            workers[0].join(2.0)
+            took = time.monotonic() - started
+            alice_t.close()
+            bob_t.close()
+            workers[1].join(2.0)
+            relay_took = time.monotonic() - started
+        assert took < 2.0 and relay_took < 4.0
+        assert set(threading.enumerate()) == before
+        assert ("log" in result) != ("relay error" in result)
+        if "relay error" in result:
+            assert end == "silence" and isinstance(result["relay error"], SessionError), repr(result["relay error"])
+        error = result.get("error")
+        if error is None:
+            assert ch.decode(bob_side.sent[-1]) == ch.Bye("done")
+        else:
+            assert isinstance(error, (ProtocolError, CodecError, SessionError)), repr(error)
+            if not isinstance(error, SessionError):
+                bye = ch.Bye(f"{type(error).__name__}: {error}")
+                assert ch.decode(bob_side.sent[-1]) == bye
+                if end != "close":
+                    assert ch.decode(to_alice.sent[-1]) == bye
 
 
 class ByteRecorder:

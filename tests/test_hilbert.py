@@ -63,6 +63,15 @@ class TestStateVector:
         with pytest.raises(ValueError):
             vec.amps[0] = 0.0
 
+    def test_pairs_are_made_once(self):
+        # a basis's vectors and a validated vector alike: the same tuple on
+        # every call, holding the amplitudes' exact floats
+        for vec in (fourier_basis(3).vectors[1], StateVector([0.6, -0.8j])):
+            pairs = vec.pairs()
+            assert vec.pairs() is pairs
+            assert pairs == tuple((z.real, z.imag) for z in vec.amps.tolist())
+            assert repr(vec) == f"StateVector(amps={vec.amps!r})"
+
 
 class TestOverlap:
     def test_self_overlap_is_one(self):
