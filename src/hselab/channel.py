@@ -61,10 +61,15 @@ what `json.dumps` gives for the same object, and `encode` renders those
 three types through the same templates.  Hello, key_compare and bye lines,
 one or two per session, go through `json.dumps`.
 
-Each endpoint reads through a `KnownStates` reader.  It answers three exact
-line shapes without `decode`, each with an optional newline and with N, K
-and every index a plain JSON integer of at most 18 digits (one regular
-expression per shape):
+Each endpoint reads every line it is sent once, through
+`KnownStates.read`: a quantum_state line comes back as its (trial_id,
+slot, pairs), the fields of the QuantumState `decode` gives, so Bob and
+the relay measure a state with no message object made for it; any other
+line comes back as the message `decode` gives.  The reader answers three
+exact line shapes without `decode`, each with an optional newline and with
+N, K and every index a plain JSON integer of at most 18 digits (one
+regular expression per shape, and each line is matched against the
+quantum_state one once):
 
 - `{"type":"index_announce","trial_id":N,"a":[i,...]}`;
 - `{"type":"sift_report","trial_id":N,"sifted":true|false}`;
@@ -82,14 +87,10 @@ replies through a reader of capacity 0.  An entry is learned only after
 canonical rendering `_amps_json` gives for the decoded pairs, so no key can
 carry text from outside the amplitude list.
 
-Bob and the relay first ask the reader's matcher, `KnownStates.state`, for
-a known quantum_state line's (trial_id, slot, pairs), and measure those
-pairs: one match, one lookup and one measurement, with no QuantumState
-made.  `KnownStates.decode` builds its QuantumState from the same matcher.
-Every other line goes through `KnownStates.decode`, and the lines it does
-not answer through `decode`, which stays the only validator.  It checks a
-state's norm with `hilbert.check_unit_norm`, as `StateVector` does, so
-every state it passes is one a table can learn.
+Every line the reader does not answer goes through `decode`, which stays
+the only validator.  It checks a state's norm with
+`hilbert.check_unit_norm`, as `StateVector` does, so every state it
+passes is one a table can learn.
 """
 
 from __future__ import annotations
@@ -226,111 +227,107 @@ _SIFT_LINE = re.compile(rb'\{"type":"sift_report","trial_id":(%s),"sifted":(true
 _JSON_NUMBERS = (int, float)
 
 
-def _plain_int(value, what: str, line_no=None) -> int:
+def _plain_int(value, what: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
-        raise CodecError(f"{what} must be an integer, got {value!r}", line_no)
+        raise CodecError(f"{what} must be an integer, got {value!r}")
     return value
 
 
-def _trial_id(obj, line_no) -> int:
-    tid = _plain_int(obj.get("trial_id"), "trial_id", line_no)
+def _trial_id(obj) -> int:
+    tid = _plain_int(obj.get("trial_id"), "trial_id")
     if tid < 0:
-        raise CodecError(f"trial_id must be nonnegative, got {tid}", line_no)
+        raise CodecError(f"trial_id must be nonnegative, got {tid}")
     return tid
 
 
-def decode(line: bytes, line_no: int | None = None) -> Message:
+def decode(line: bytes) -> Message:
     """Parse one wire line; every malformed input raises CodecError."""
     try:
         obj = json.loads(line.decode("utf-8"))
     except ValueError as exc:  # bad UTF-8, bad JSON, or an integer too long to convert
-        raise CodecError(f"unparseable line: {exc}", line_no) from None
+        raise CodecError(f"unparseable line: {exc}") from None
     if not isinstance(obj, dict):
-        raise CodecError(f"message must be an object, got {type(obj).__name__}", line_no)
+        raise CodecError(f"message must be an object, got {type(obj).__name__}")
     kind = obj.get("type")
     if kind == "hello":
-        version = _plain_int(obj.get("protocol_version"), "protocol_version", line_no)
-        c = _plain_int(obj.get("c"), "c", line_no)
-        d = _plain_int(obj.get("d"), "d", line_no)
+        version = _plain_int(obj.get("protocol_version"), "protocol_version")
+        c = _plain_int(obj.get("c"), "c")
+        d = _plain_int(obj.get("d"), "d")
         set_id = obj.get("basis_set_id")
         if not isinstance(set_id, str):
-            raise CodecError("basis_set_id must be a string", line_no)
+            raise CodecError("basis_set_id must be a string")
         return Hello(protocol_version=version, c=c, d=d, basis_set_id=set_id)
     if kind == "quantum_state":
-        tid = _trial_id(obj, line_no)
-        slot = _plain_int(obj.get("slot"), "slot", line_no)
+        tid = _trial_id(obj)
+        slot = _plain_int(obj.get("slot"), "slot")
         amps = obj.get("amps")
         if not isinstance(amps, list) or len(amps) < 2:
-            raise CodecError("amps must list at least 2 amplitude pairs", line_no)
+            raise CodecError("amps must list at least 2 amplitude pairs")
         pairs = []
         for pair in amps:
             # json.loads gives exact lists, ints and floats; bool is not a number here
             if type(pair) is not list or len(pair) != 2:
-                raise CodecError(f"amplitude must be a [re, im] pair, got {pair!r}", line_no)
+                raise CodecError(f"amplitude must be a [re, im] pair, got {pair!r}")
             real, imag = pair
             if type(real) not in _JSON_NUMBERS or type(imag) not in _JSON_NUMBERS:
-                raise CodecError(f"amplitude must be a [re, im] pair, got {pair!r}", line_no)
+                raise CodecError(f"amplitude must be a [re, im] pair, got {pair!r}")
             try:
                 real, imag = float(real), float(imag)
             except OverflowError:
                 real = imag = math.inf
             if not (math.isfinite(real) and math.isfinite(imag)):
-                raise CodecError(f"amplitude must be finite, got {pair!r}", line_no)
+                raise CodecError(f"amplitude must be finite, got {pair!r}")
             pairs.append((real, imag))
         try:
             check_unit_norm([real * real + imag * imag for real, imag in pairs])
         except InvalidParameter as exc:
-            raise CodecError(str(exc), line_no) from None
+            raise CodecError(str(exc)) from None
         return QuantumState(trial_id=tid, slot=slot, amps=tuple(pairs))
     if kind == "index_announce":
-        tid = _trial_id(obj, line_no)
+        tid = _trial_id(obj)
         indices = obj.get("a")
         if not isinstance(indices, list) or not indices:
-            raise CodecError("a must be a nonempty list of indices", line_no)
-        return IndexAnnounce(
-            trial_id=tid, a=tuple(_plain_int(v, "index", line_no) for v in indices)
-        )
+            raise CodecError("a must be a nonempty list of indices")
+        return IndexAnnounce(trial_id=tid, a=tuple(_plain_int(v, "index") for v in indices))
     if kind == "sift_report":
-        tid = _trial_id(obj, line_no)
+        tid = _trial_id(obj)
         sifted = obj.get("sifted")
         if not isinstance(sifted, bool):
-            raise CodecError("sifted must be a boolean", line_no)
+            raise CodecError("sifted must be a boolean")
         return SiftReport(trial_id=tid, sifted=sifted)
     if kind == "key_compare":
         rng = obj.get("trial_id")
         if not (isinstance(rng, list) and len(rng) == 2):
-            raise CodecError("trial_id must be a [lo, hi] pair", line_no)
-        lo = _plain_int(rng[0], "range low", line_no)
-        hi = _plain_int(rng[1], "range high", line_no)
+            raise CodecError("trial_id must be a [lo, hi] pair")
+        lo = _plain_int(rng[0], "range low")
+        hi = _plain_int(rng[1], "range high")
         letters = obj.get("letters")
         if not isinstance(letters, list):
-            raise CodecError("letters must be a list", line_no)
-        return KeyCompare(
-            trial_id_range=(lo, hi),
-            letters=tuple(_plain_int(v, "letter", line_no) for v in letters),
-        )
+            raise CodecError("letters must be a list")
+        return KeyCompare(trial_id_range=(lo, hi), letters=tuple(_plain_int(v, "letter") for v in letters))
     if kind == "bye":
         reason = obj.get("reason")
         if not isinstance(reason, str):
-            raise CodecError("reason must be a string", line_no)
+            raise CodecError("reason must be a string")
         return Bye(reason=reason)
-    raise CodecError(f"unknown message type {kind!r}", line_no)
+    raise CodecError(f"unknown message type {kind!r}")
 
 
 class KnownStates:
-    """Decodes wire lines, answering the per-trial lines without `decode`
-    and known quantum_state lines from a table: the `states` given at
+    """Reads wire lines: answers the per-trial lines without `decode`, and
+    known quantum_state lines from a table: the `states` given at
     construction, and at most `capacity` learned ones, which `len` counts.
-    `state` is the one matcher of known quantum_state lines; `decode`
-    answers them through it.
 
-    A line that is exactly `_announce_line(N, a)`, `_sift_line(N, s)`, or
-    `_state_line(N, K, A)` for a stored A, each with plain integers of at
-    most 18 digits, gives the message that `decode` gives for it; every
-    other line is passed to `decode`.  A given state is stored under the
-    canonical `_amps_json` rendering of its pairs.  A line's A is learned,
-    with the pairs `decode` returned, only if the table has room and A is
-    their canonical rendering.
+    `read` gives a quantum_state line as its (trial_id, slot, pairs), the
+    fields of the QuantumState `decode` gives for it, and any other line
+    as the message `decode` gives.  A line that is exactly
+    `_announce_line(N, a)`, `_sift_line(N, s)`, or `_state_line(N, K, A)`
+    for a stored A, each with plain integers of at most 18 digits, is
+    answered without `decode`; every other line is passed to `decode`.  A
+    given state is stored under the canonical `_amps_json` rendering of
+    its pairs.  A line's A is learned, with the pairs `decode` returned,
+    only while fewer than `capacity` are learned and only if A is their
+    canonical rendering.
     """
 
     def __init__(self, capacity: int, states=()):
@@ -344,35 +341,29 @@ class KnownStates:
     def __len__(self) -> int:
         return self._learned
 
-    def state(self, line: bytes) -> tuple | None:
-        """(trial_id, slot, pairs) of `line` if it is exactly
-        `_state_line(N, K, A)` for a stored A, else None: the fields of the
-        QuantumState that `decode` gives for it, without building one."""
-        known = _STATE_LINE.fullmatch(line)
-        if known is not None:
-            trial_id, slot, amps = known.groups()
+    def read(self, line: bytes):
+        """(trial_id, slot, pairs) of a quantum_state line, else the
+        message; raises CodecError where `decode` does."""
+        shape = _STATE_LINE.fullmatch(line)
+        if shape is None:
+            announce = _ANNOUNCE_LINE.fullmatch(line)
+            if announce is not None:
+                return IndexAnnounce(trial_id=int(announce[1]), a=tuple(map(int, announce[2].split(b","))))
+            sift = _SIFT_LINE.fullmatch(line)
+            if sift is not None:
+                return SiftReport(trial_id=int(sift[1]), sifted=sift[2] == b"true")
+        else:
+            trial_id, slot, amps = shape.groups()
             pairs = self._pairs.get(amps)
             if pairs is not None:
                 return int(trial_id), int(slot), pairs
-        return None
-
-    def decode(self, line: bytes) -> Message:
-        state = self.state(line)
-        if state is not None:
-            return QuantumState(*state)
-        announce = _ANNOUNCE_LINE.fullmatch(line)
-        if announce is not None:
-            return IndexAnnounce(trial_id=int(announce[1]), a=tuple(map(int, announce[2].split(b","))))
-        sift = _SIFT_LINE.fullmatch(line)
-        if sift is not None:
-            return SiftReport(trial_id=int(sift[1]), sifted=sift[2] == b"true")
         msg = decode(line)
-        if self._learned < self.capacity and isinstance(msg, QuantumState):
-            shape = _STATE_LINE.fullmatch(line)
-            if shape is not None and shape[3] == _amps_json(msg.amps):
-                self._pairs[shape[3]] = msg.amps
-                self._learned += 1
-        return msg
+        if not isinstance(msg, QuantumState):
+            return msg
+        if shape is not None and self._learned < self.capacity and amps == _amps_json(msg.amps):
+            self._pairs[amps] = msg.amps
+            self._learned += 1
+        return msg.trial_id, msg.slot, msg.amps
 
 
 class MemoryTransport:
@@ -467,13 +458,6 @@ def send_message(transport, msg: Message) -> None:
     transport.send_line(encode(msg))
 
 
-def recv_message(transport) -> Message | None:
-    line = transport.recv_line()
-    if line is None:
-        return None
-    return decode(line)
-
-
 @dataclass(frozen=True)
 class AliceLog:
     """Alice-side session summary: what she sent and what survived."""
@@ -514,9 +498,10 @@ def _handshake(transport, config: ProtocolConfig, basis_set_id: str) -> None:
         transport,
         Hello(protocol_version=PROTOCOL_VERSION, c=config.c, d=config.d, basis_set_id=basis_set_id),
     )
-    peer = recv_message(transport)
-    if peer is None:
+    line = transport.recv_line()
+    if line is None:
         raise SessionError("peer closed during handshake")
+    peer = decode(line)
     if not isinstance(peer, Hello):
         raise HandshakeError(f"expected hello, got {type(peer).__name__}")
     if peer.protocol_version != PROTOCOL_VERSION:
@@ -545,7 +530,7 @@ def _run_alice(transport, config, n_trials, seed, compare) -> AliceLog:
         line = transport.recv_line()
         if line is None:
             raise SessionError(f"peer closed mid-session at trial {t}")
-        reply = replies.decode(line)
+        reply = replies.read(line)
         if isinstance(reply, Bye):
             raise SessionError(f"peer ended the session at trial {t}: {reply.reason}")
         if not isinstance(reply, SiftReport) or reply.trial_id != t:
@@ -559,7 +544,8 @@ def _run_alice(transport, config, n_trials, seed, compare) -> AliceLog:
         sent += 1
     send_message(transport, Bye(reason="done"))
     sent += 1
-    reply = recv_message(transport)
+    line = transport.recv_line()
+    reply = None if line is None else replies.read(line)
     if reply is not None and not isinstance(reply, Bye):
         raise ProtocolError(f"expected bye, got {reply!r}")
     return AliceLog(
@@ -582,13 +568,9 @@ def _run_bob(transport, config, seed, n_trials) -> list[TrialOutcome]:
             line = transport.recv_line()
             if line is None:
                 raise SessionError("peer closed before bye")
-            state = known.state(line)
-            if state is not None:
-                session.measure(*state)
-                continue
-            msg = known.decode(line)
-            if isinstance(msg, QuantumState):
-                session.measure(msg.trial_id, msg.slot, msg.amps)
+            msg = known.read(line)
+            if isinstance(msg, tuple):  # a state's (trial_id, slot, pairs)
+                session.measure(*msg)
             elif isinstance(msg, IndexAnnounce):
                 transport.send_line(_sift_line(msg.trial_id, session.conclude(msg.trial_id, msg.a)))
             elif isinstance(msg, KeyCompare):
@@ -697,33 +679,29 @@ def run_mitm_pumps(
                     bob_side.send_line(b"".join(held))
                 bob_side.close()
                 return
-            state = known.state(line)
-            if state is None:
-                try:
-                    msg = known.decode(line)
-                except CodecError:
-                    msg = None
-                if isinstance(msg, QuantumState):
-                    state = msg.trial_id, msg.slot, msg.amps
-                elif isinstance(msg, Hello):
-                    if msg.d != d:
-                        raise DimensionError(f"sender's d = {msg.d}, but Eve's basis has d = {d}")
-                    table = BornTable((eve_basis,), msg.c * msg.d)
-                    known = KnownStates(msg.c * msg.d)
-                    rows = eve_rows(min(2 * max(msg.c - 1, 0), _MAX_EVE_WIDTH))
-            if state is not None:
-                t, slot, pairs = state
+            try:
+                msg = known.read(line)
+            except CodecError:
+                msg = None  # forwarded as it came, for Bob to refuse
+            if isinstance(msg, tuple):  # a state's (trial_id, slot, pairs)
+                t, slot, pairs = msg
                 # a state of another dimension goes to Bob as it came, for him to refuse
                 if len(pairs) == d:
                     if trial_id != t:
                         trial_id = t
                         eve = EveInterceptor(eve_basis, _EveDraws(rows[t], seed, t), intercept_fraction)
-                    outcome, _ = eve.maybe_intercept(pairs, table)
+                    outcome = eve.maybe_intercept(pairs, table)
                     if outcome is not None:
                         record((t, slot, outcome))
                         line = _state_line(t, slot, resent_json[outcome])
                 held.append(line)
                 continue
+            if isinstance(msg, Hello):
+                if msg.d != d:
+                    raise DimensionError(f"sender's d = {msg.d}, but Eve's basis has d = {d}")
+                table = BornTable((eve_basis,), msg.c * msg.d)
+                known = KnownStates(msg.c * msg.d)
+                rows = eve_rows(min(2 * max(msg.c - 1, 0), _MAX_EVE_WIDTH))
             held.append(line)
             bob_side.send_line(b"".join(held))
             held.clear()

@@ -24,12 +24,6 @@ class ConstructionError(HselabError):
 class CodecError(HselabError):
     """A wire line could not be decoded into a message."""
 
-    def __init__(self, reason: str, line_no: int | None = None):
-        self.reason = reason
-        self.line_no = line_no
-        where = f" (line {line_no})" if line_no is not None else ""
-        super().__init__(f"{reason}{where}")
-
 
 class HandshakeError(HselabError):
     """Hello exchange failed: version or parameter mismatch."""

@@ -250,10 +250,10 @@ class BornTable:
     a validated StateVector, whose row in each basis is the cumsum of
     `born_probabilities`, the kernel's one-row case, with the same floats.
     Either way sampling a row gives the outcome `born_sample` gives on the
-    same draw.  At most `capacity` states are learned, and `len` counts
-    them; past that, a new state is measured as `born_sample` measures it
-    and not kept, so a peer sending endless distinct states cannot grow
-    the table.
+    same draw.  States are learned only while fewer than `capacity` are,
+    and `len` counts them; past that, a new state is measured as
+    `born_sample` measures it and not kept, so a peer sending endless
+    distinct states cannot grow the table.
 
     The rows of each basis are kept end to end in one flat list of floats,
     d entries per state, so a table holds a few containers however many
@@ -282,7 +282,7 @@ class BornTable:
         start = self._rows.get(pairs)
         if start is None:
             state = StateVector([complex(re, im) for re, im in pairs])
-            if self._learned == self.capacity:
+            if self._learned >= self.capacity:
                 return sample_from_probs(born_probabilities(self.bases[which], state), u)
             new = [np.cumsum(born_probabilities(basis, state)).tolist() for basis in self.bases]
             start = self._rows[pairs] = len(self._cdfs[0])

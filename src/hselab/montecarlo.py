@@ -330,13 +330,11 @@ def trial_outcomes_batch(config: ProtocolConfig, n_trials: int, seed: int):
     return outcomes
 
 
-def simulate_bkb01(
-    c: int, d: int, basis_set: BasisSet, eve: Basis | None, n_trials: int, seed: int
-) -> SimReport:
-    """Simulate the basis-announcing comparison protocol: one state per
-    round, sift on basis match, cross-checking its interception QBER."""
-    if basis_set.c != c or basis_set.d != d:
-        raise InvalidParameter("basis set does not match (c, d)")
+def simulate_bkb01(basis_set: BasisSet, eve: Basis | None, n_trials: int, seed: int) -> SimReport:
+    """Simulate the basis-announcing comparison protocol on the c bases of
+    d-dimensional `basis_set`: one state per round, sift on basis match,
+    cross-checking its interception QBER."""
+    c, d = basis_set.c, basis_set.d
     if n_trials < 1:
         raise InvalidParameter("n_trials must be >= 1")
     watch = _Stopwatch()

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameter, ProtocolError
-from .hilbert import Basis, BornTable, StateVector, born_sample
+from .hilbert import Basis, BornTable, born_sample
 from .rates import ProtocolConfig
 from .rng import RandomStream, block_uniforms, scaled_index
 
@@ -81,20 +81,18 @@ class EveInterceptor:
     rng: RandomStream
     intercept_fraction: float = 1.0
 
-    def maybe_intercept(self, state, table: BornTable | None = None) -> tuple[int | None, StateVector]:
+    def maybe_intercept(self, state, table: BornTable | None = None) -> int | None:
         """Measure one in-flight state with the interception probability;
-        return (outcome, resent eigenstate), or (None, state) if it passes.
+        return the outcome, whose eigenstate is resent, or None if it passes.
 
         With a BornTable over (basis,), `state` is a wire state's amplitude
         pairs and is measured through the table, on the same draw.
         """
         if self.intercept_fraction < 1.0 and self.rng.uniform() >= self.intercept_fraction:
-            return None, state
+            return None
         if table is None:
-            outcome = born_sample(state, self.basis, self.rng)
-        else:
-            outcome = table.sample(state, 0, self.rng.uniform())
-        return outcome, self.basis.vectors[outcome]
+            return born_sample(state, self.basis, self.rng)
+        return table.sample(state, 0, self.rng.uniform())
 
 
 def alice_prepare(x: int, config: ProtocolConfig, rng: RandomStream):
@@ -157,7 +155,10 @@ def run_trial(config: ProtocolConfig, trial_id: int, seed: int) -> TrialOutcome:
         eve = EveInterceptor(
             config.eve, RandomStream(seed, EVE, trial_id), config.intercept_fraction
         )
-        states = [eve.maybe_intercept(state)[1] for state in states]
+        for slot, state in enumerate(states):
+            outcome = eve.maybe_intercept(state)
+            if outcome is not None:
+                states[slot] = eve.basis.vectors[outcome]
 
     bob_rng = RandomStream(seed, BOB, trial_id)
     y = bob_choose_bases(config, bob_rng)
@@ -204,10 +205,10 @@ class TrialBlocks:
 
 
 class AliceSession:
-    """Alice's side of a multi-trial session, one trial at a time.
-    `n_trials`, when given, sizes the draw blocks to the session."""
+    """Alice's side of a multi-trial session of `n_trials` trials, one
+    trial at a time; the draw blocks are sized to the session."""
 
-    def __init__(self, config: ProtocolConfig, seed: int, n_trials: int | None = None):
+    def __init__(self, config: ProtocolConfig, seed: int, n_trials: int):
         self.raw_string: list[int] = []
         self.key: list[int] = []
         c, d = config.c, config.d
@@ -248,10 +249,10 @@ class BobSession:
     Bob's `born_table` starts with the c*d states of his set, the only
     ones an honest sender sends, so their rows are built before his first
     trial; it has room for c*d more (an interceptor's resent states).
-    `n_trials`, when given, sizes the draw blocks to the session.
+    The draw blocks are sized to the session's `n_trials`.
     """
 
-    def __init__(self, config: ProtocolConfig, seed: int, n_trials: int | None = None):
+    def __init__(self, config: ProtocolConfig, seed: int, n_trials: int):
         self.config = config
         self._records: list[tuple] = []  # (a, y, b) of each concluded trial
         self._measured: list[int] = []  # the outcomes of the trial in progress

@@ -271,24 +271,23 @@ def table1() -> list[RateReport]:
     ]
 
 
-def round_half_up(x: float, decimals: int = 1) -> float:
-    """Decimal rounding with ties away from zero (display rule).
+def round_half_up(x: float) -> float:
+    """Rounding to one decimal with ties away from zero (display rule).
 
     The value is first snapped to 12 significant digits so that exact
     tie values reached through float arithmetic (e.g. 20.25 computed as
     20.249999999999996) land on the tie and round up as intended.
     """
-    exp = Decimal(1).scaleb(-decimals)
-    return float(Decimal(f"{x:.12g}").quantize(exp, rounding=ROUND_HALF_UP))
+    return float(Decimal(f"{x:.12g}").quantize(Decimal("0.1"), rounding=ROUND_HALF_UP))
 
 
 def display_percent(x: float | None) -> str:
     if x is None:
         return "n/a"
-    return f"{round_half_up(100.0 * x, 1):.1f}%"
+    return f"{round_half_up(100.0 * x):.1f}%"
 
 
 def display_ns(x: float | None) -> str:
     if x is None:
         return "n/a"
-    return f"{round_half_up(x, 1):.1f}"
+    return f"{round_half_up(x):.1f}"

@@ -172,19 +172,14 @@ class TestCodec:
         except CodecError:
             pass
 
-    def test_line_number_reported(self):
-        with pytest.raises(CodecError) as err:
-            ch.decode(b"nope", line_no=17)
-        assert err.value.line_no == 17
-
     def test_integer_too_long_to_convert(self):
         # json.loads raises a plain ValueError past int()'s digit limit
         amps = b"[[1.0,0.0],[0.0,0.0]]"
         known = ch.KnownStates(4)
-        known.decode(ch._state_line(0, 0, amps))
+        known.read(ch._state_line(0, 0, amps))
         assert len(known) == 1
         line = b'{"type":"quantum_state","trial_id":%s,"slot":0,"amps":%s}\n' % (b"7" * 5000, amps)
-        for decode in (ch.decode, known.decode):
+        for decode in (ch.decode, known.read):
             with pytest.raises(CodecError):
                 decode(line)
 
@@ -239,12 +234,13 @@ def decoded(decode, line):
         return f"CodecError: {exc}"
 
 
-def assert_state_is_decoded(known, line, expected):
-    """`known.state(line)` finds nothing, or exactly the trial_id, slot and
-    amps of the QuantumState whose repr `expected` is what decode gives."""
-    state = known.state(line)
-    if state is not None:
-        assert repr(ch.QuantumState(*state)) == expected
+def read_by_decode(line):
+    """The oracle for `KnownStates.read`: the message `decode` gives, with
+    a QuantumState as its (trial_id, slot, amps)."""
+    msg = ch.decode(line)
+    if isinstance(msg, ch.QuantumState):
+        return msg.trial_id, msg.slot, msg.amps
+    return msg
 
 
 class TestKnownStates:
@@ -254,10 +250,7 @@ class TestKnownStates:
         capacity, lines = case
         known = ch.KnownStates(capacity)
         for line in lines + lines:  # the second pass meets the keys the first stored
-            expected = decoded(ch.decode, line)
-            assert_state_is_decoded(known, line, expected)
-            assert decoded(known.decode, line) == expected
-            assert_state_is_decoded(known, line, expected)
+            assert decoded(known.read, line) == decoded(read_by_decode, line)
         assert len(known) <= capacity
 
     def test_a_tail_after_amps_never_enters_the_table(self, sixstate):
@@ -265,13 +258,13 @@ class TestKnownStates:
         tail = b',"trial_id":7,"x":[1]}\n'
         known = ch.KnownStates(6)
         for trial_id in (3, 5):
-            assert known.decode(ch._state_line(trial_id, 0, amps)[:-2] + tail).trial_id == 7
+            assert known.read(ch._state_line(trial_id, 0, amps)[:-2] + tail)[0] == 7
         assert len(known) == 0
         honest = ch._state_line(5, 0, amps)
-        assert known.decode(honest) == ch.decode(honest)
+        assert known.read(honest) == read_by_decode(honest)
         assert len(known) == 1
         # the stored key is the amps alone, so the tail still takes the slow path
-        assert known.decode(ch._state_line(3, 0, amps)[:-2] + tail).trial_id == 7
+        assert known.read(ch._state_line(3, 0, amps)[:-2] + tail)[0] == 7
 
     def test_table_holds_at_most_c_times_d(self, qutrit4):
         c, d = 4, 3
@@ -279,12 +272,12 @@ class TestKnownStates:
         strangers = [v for seed in range(30) for v in make_random_basis(d, seed).vectors]
         assert len({v.pairs() for v in strangers}) == 90
         for trial_id, state in enumerate(strangers):
-            known.decode(ch.encode(ch.QuantumState(trial_id, 0, state.pairs())))
+            known.read(ch.encode(ch.QuantumState(trial_id, 0, state.pairs())))
         assert len(known) == c * d
         for basis in qutrit4.bases:
             for state in basis.vectors:
                 line = ch.encode(ch.QuantumState(99, 1, state.pairs()))
-                assert known.decode(line) == ch.decode(line)
+                assert known.read(line) == read_by_decode(line)
         assert len(known) == c * d
 
 
@@ -302,19 +295,17 @@ class TestSeededKnownStates:
 
     @staticmethod
     def assert_seeded_entries_decode_as_given(basis_set, monkeypatch):
-        """Each of the set's state lines gives, without `decode`, the
-        message `decode` gives, and the set takes no learned room."""
+        """Each of the set's state lines reads, without `decode`, as the
+        fields of the message `decode` gives, and the set takes no learned
+        room."""
         states = [v for basis in basis_set.bases for v in basis.vectors]
         lines = [ch._state_line(t, t % 7, ch._amps_json(v.pairs())) for t, v in enumerate(states)]
-        expected = [decoded(ch.decode, line) for line in lines]
+        expected = [decoded(read_by_decode, line) for line in lines]
         known = ch.KnownStates(0, states)
         with monkeypatch.context() as patch:
             patch.setattr(ch, "decode", None)
-            assert [decoded(known.decode, line) for line in lines] == expected
-            assert [known.decode(line).amps for line in lines] == [v.pairs() for v in states]
-            for line, message in zip(lines, expected):
-                assert known.state(line) is not None
-                assert_state_is_decoded(known, line, message)
+            assert [decoded(known.read, line) for line in lines] == expected
+            assert [known.read(line)[2] for line in lines] == [v.pairs() for v in states]
         assert len(known) == 0
 
     def test_seeded_entries_leave_the_room_for_learned_ones(self, sixstate):
@@ -322,7 +313,7 @@ class TestSeededKnownStates:
         strangers = [make_random_basis(2, 60 + k).vectors[0] for k in range(3)]
         for state in strangers:
             line = ch.encode(ch.QuantumState(1, 0, state.pairs()))
-            assert known.decode(line) == ch.decode(line)
+            assert known.read(line) == read_by_decode(line)
         assert len(known) == 2
 
 
@@ -394,7 +385,7 @@ class TestFastReader:
     def test_same_result_as_decode(self, lines):
         known = ch.KnownStates(6)
         for line in lines:
-            assert decoded(known.decode, line) == decoded(ch.decode, line)
+            assert decoded(known.read, line) == decoded(read_by_decode, line)
         assert len(known) == 0
 
     @pytest.mark.parametrize(
@@ -409,11 +400,11 @@ class TestFastReader:
     def test_honest_lines_skip_decode(self, line, monkeypatch):
         expected = ch.decode(line)
 
-        def no_decode(line, line_no=None):
+        def no_decode(line):
             raise AssertionError(f"decode called on {line!r}")
 
         monkeypatch.setattr(ch, "decode", no_decode)
-        assert ch.KnownStates(0).decode(line) == expected
+        assert ch.KnownStates(0).read(line) == expected
 
 
 def run_pair(cfg, n_trials, seed, basis_set_id="sixstate", compare=True, record=False):
@@ -809,7 +800,7 @@ def scalar_interceptions(eve_basis, seed, fraction, trials):
     for trial_id, states in trials:
         eve = EveInterceptor(eve_basis, RandomStream(seed, EVE, trial_id), fraction)
         for slot, state in enumerate(states):
-            outcome, _ = eve.maybe_intercept(state)
+            outcome = eve.maybe_intercept(state)
             if outcome is not None:
                 records.append(ch.InterceptionRecord(trial_id, slot, outcome))
     return records
@@ -1093,8 +1084,8 @@ class TestMitm:
         full_decodes = collections.Counter()
         decode = ch.decode
 
-        def counting_decode(line, line_no=None):
-            msg = decode(line, line_no)
+        def counting_decode(line):
+            msg = decode(line)
             if isinstance(msg, ch.QuantumState):
                 full_decodes[threading.current_thread().name, msg.amps] += 1
             return msg
@@ -1146,8 +1137,8 @@ class TestMitm:
             calls["encode", type(msg).__name__] += 1
             return encode(msg)
 
-        def counting_decode(line, line_no=None):
-            msg = decode(line, line_no)
+        def counting_decode(line):
+            msg = decode(line)
             calls["decode", type(msg).__name__] += 1
             return msg
 
@@ -1169,6 +1160,63 @@ class TestMitm:
         assert ("decode", "IndexAnnounce") not in counts[200]
         assert ("decode", "SiftReport") not in counts[200]
         assert not {kind for op, kind in counts[200] if op == "encode"} & {"IndexAnnounce", "SiftReport"}
+
+    def test_each_endpoint_matches_a_line_once(self, sixstate, cfg23, monkeypatch):
+        """Alice, Bob and the relay's forward pump each match every line
+        they read against the quantum_state shape at most once."""
+        matches = []  # (thread name, line) of each match; a list's append is atomic
+        pattern = ch._STATE_LINE
+
+        class CountingPattern:
+            def fullmatch(self, line):
+                matches.append((threading.current_thread().name, line))
+                return pattern.fullmatch(line)
+
+        monkeypatch.setattr(ch, "_STATE_LINE", CountingPattern())
+        # Breidbart's eigenstates are outside Bob's set, and half the states
+        # pass: he meets known and unknown states, the relay both as well
+        breidbart = breidbart_basis()
+        n, seed = 100, 4
+        results, _, _ = self.run_with_interceptor(
+            sixstate, cfg23, n, seed, eve_basis=breidbart, intercept_fraction=0.5
+        )
+        attacked = ProtocolConfig(c=3, d=2, basis_set=sixstate, eve=breidbart, intercept_fraction=0.5)
+        assert results["outcomes"] == [run_trial(attacked, t, seed) for t in range(n)]
+        counts = collections.Counter(matches)
+        assert max(counts.values()) == 1
+        assert len({name for name, _ in counts}) == 3
+        # Bob matches each state and announcement, the key comparison and the bye
+        assert sum(name == "MainThread" for name, _ in counts) == 3 * n + 2
+
+    def test_a_hello_with_negative_c_leaves_the_relay_nothing_to_learn(self, sixstate, monkeypatch):
+        tables = []
+
+        class SeenTable(ch.BornTable):
+            def __init__(self, *args):
+                super().__init__(*args)
+                tables.append(self)
+
+        monkeypatch.setattr(ch, "BornTable", SeenTable)
+        alice_t, eve_a = ch.memory_transport_pair()
+        eve_b, bob_t = ch.memory_transport_pair()
+        results = {}
+
+        def eavesdropper():
+            results["mitm"] = ch.run_mitm_pumps(eve_a, eve_b, sixstate.bases[0], 1)
+
+        relay = threading.Thread(target=eavesdropper)
+        relay.start()
+        alice_t.send_line(ch.encode(ch.Hello(1, -1, 2, "sixstate")))
+        for t in range(50):
+            state = make_random_basis(2, 300 + t).vectors[0]
+            alice_t.send_line(ch.encode(ch.QuantumState(t, 0, state.pairs())))
+        alice_t.close()
+        relay.join(5.0)
+        bob_t.close()
+        assert not relay.is_alive()
+        assert [table.capacity for table in tables] == [0, -2]
+        assert len(tables[-1]) == 0
+        assert len(results["mitm"].records) == 50
 
     def test_error_rate_seen_by_bob(self, sixstate, cfg23):
         results, _, _ = self.run_with_interceptor(sixstate, cfg23, 5000, 3)

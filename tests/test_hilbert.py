@@ -311,6 +311,16 @@ class TestBornTable:
                 assert table.sample(state.pairs(), which, RandomStream(3, which).uniform()) == expected
         assert len(table) == 2
 
+    def test_negative_capacity_learns_nothing(self):
+        bases = [make_random_basis(2, 90 + k) for k in range(2)]
+        table = BornTable(bases, capacity=-2)
+        for seed in range(5):
+            state = random_state(2, 700 + seed)
+            for which, basis in enumerate(bases):
+                expected = born_sample(state, basis, RandomStream(seed, which))
+                assert table.sample(state.pairs(), which, RandomStream(seed, which).uniform()) == expected
+        assert len(table) == 0
+
     def test_miss_validates_the_state(self):
         table = BornTable([standard_basis(2)], capacity=4)
         with pytest.raises(InvalidParameter):

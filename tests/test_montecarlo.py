@@ -345,7 +345,7 @@ class TestStageTimings:
         monkeypatch.setattr(mc, "CHUNK", 1000)
         reports = [
             mc.estimate_rates(cfg23_eve, 5000, seed=1),
-            mc.simulate_bkb01(3, 2, sixstate, sixstate.bases[0], 5000, seed=1),
+            mc.simulate_bkb01(sixstate, sixstate.bases[0], 5000, seed=1),
         ]
         for report in reports:
             assert list(report.stages) == list(mc.STAGES)
@@ -362,22 +362,18 @@ class TestStageTimings:
 
 class TestSimulateBkb01:
     def test_qubit_three_bases(self, sixstate):
-        report = mc.simulate_bkb01(3, 2, sixstate, sixstate.bases[0], 200_000, seed=3)
+        report = mc.simulate_bkb01(sixstate, sixstate.bases[0], 200_000, seed=3)
         assert abs(report.r_qb.value - 1 / 3) < 3 * report.r_qb.stderr
         assert abs(report.r_s.value - 1 / 3) < 3 * report.r_s.stderr
 
     def test_high_dimension(self):
         family = mu_basis_set(7, 8)
-        report = mc.simulate_bkb01(8, 7, family, family.bases[0], 1_000_000, seed=4)
+        report = mc.simulate_bkb01(family, family.bases[0], 1_000_000, seed=4)
         assert abs(report.r_qb.value - 3 / 4) < 3 * report.r_qb.stderr
 
     def test_clean_channel_has_no_errors(self, sixstate):
-        report = mc.simulate_bkb01(3, 2, sixstate, None, 50_000, seed=5)
+        report = mc.simulate_bkb01(sixstate, None, 50_000, seed=5)
         assert report.r_qb.value == 0.0
-
-    def test_shape_mismatch_rejected(self, sixstate):
-        with pytest.raises(InvalidParameter):
-            mc.simulate_bkb01(4, 2, sixstate, None, 10, seed=1)
 
 
 class TestPinnedReports:
@@ -411,7 +407,7 @@ class TestPinnedReports:
             config = ProtocolConfig(c=3, d=2, basis_set=sixstate, eve=eve)
             report = mc.estimate_rates(config, 20_000, seed=11)
         else:
-            report = mc.simulate_bkb01(3, 2, sixstate, eve, 20_000, seed=11)
+            report = mc.simulate_bkb01(sixstate, eve, 20_000, seed=11)
         pinned = self.PINNED[(protocol, attacked)]
         assert set(report.estimates) == set(pinned)
         for metric, (value, stderr, n, analytic) in pinned.items():
