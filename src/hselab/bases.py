@@ -46,7 +46,7 @@ class BasisSet:
             report = verify_orthonormal(b, TAU_NORM)
             if not report.ok:
                 raise InvalidParameter(f"basis {b.label!r} fails orthonormality: {report.max_deviation:.3e}")
-        relabeled = tuple(b.relabeled(f"B{x}") for x, b in enumerate(bases))
+        relabeled = tuple(Basis(f"B{x}", b.matrix, validate=False) for x, b in enumerate(bases))
         for x in range(len(relabeled)):
             for y in range(x + 1, len(relabeled)):
                 shared = float(np.max(transition_matrix(relabeled[x], relabeled[y])))
@@ -228,16 +228,11 @@ def grassmannian_distance(b1: Basis, b2: Basis) -> float:
     return 1.0 - quartic / b1.dim
 
 
-def average_distance(eve: Basis, basis_set) -> float:
+def average_distance(eve: Basis, basis_set: BasisSet) -> float:
     """Mean squared distance from an Eve basis to each member of a set.
-
-    Accepts a BasisSet or any sequence of Basis.  Equal to the index
-    transmission error rate of an intercept-and-resend attack in `eve`.
-    """
-    members = list(basis_set.bases if isinstance(basis_set, BasisSet) else basis_set)
-    if not members:
-        raise InvalidParameter("need at least one basis")
-    return sum(grassmannian_distance(b, eve) for b in members) / len(members)
+    Equal to the index transmission error rate of an intercept-and-resend
+    attack in `eve`."""
+    return sum(grassmannian_distance(b, eve) for b in basis_set.bases) / basis_set.c
 
 
 def distance_report(basis_set: BasisSet, eve: Basis | None = None) -> DistanceReport:

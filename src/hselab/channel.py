@@ -35,7 +35,7 @@ c*d states once per session and the relay that of Eve's d states once per
 run.  Bob and the relay measure through a `hilbert.BornTable`, keyed by a
 state's exact amplitude pairs, whose rows come from the one Born kernel,
 `hilbert.born_rows`; a state line they already know reaches the table with
-no message object made for it (see the reader below).  Bob's table starts
+no message object made for it (see `KnownStates`).  Bob's table starts
 with the c*d states of his set, all rows built before his first trial.
 Any other state's row is computed the first time, validated as
 `born_sample` would, and reused after that.
@@ -54,43 +54,11 @@ before any Hello, comes from the scalar stream.  Every draw is the one
 `RandomStream(seed, role, trial_id)` gives at the same counter, so
 outcomes equal `run_trial`'s.
 
-Every per-trial line is written by template and read by one fast reader.
-`_state_line`, `_announce_line` and `_sift_line` render the quantum_state,
-index_announce and sift_report lines with `%` formatting, byte for byte
-what `json.dumps` gives for the same object, and `encode` renders those
-three types through the same templates.  Hello, key_compare and bye lines,
-one or two per session, go through `json.dumps`.
-
-Each endpoint reads every line it is sent once, through
-`KnownStates.read`: a quantum_state line comes back as its (trial_id,
-slot, pairs), the fields of the QuantumState `decode` gives, so Bob and
-the relay measure a state with no message object made for it; any other
-line comes back as the message `decode` gives.  The reader answers three
-exact line shapes without `decode`, each with an optional newline and with
-N, K and every index a plain JSON integer of at most 18 digits (one
-regular expression per shape, and each line is matched against the
-quantum_state one once):
-
-- `{"type":"index_announce","trial_id":N,"a":[i,...]}`;
-- `{"type":"sift_report","trial_id":N,"sifted":true|false}`;
-- `{"type":"quantum_state","trial_id":N,"slot":K,"amps":A}`, where A is a
-  key of the reader's table of known states.
-
-That table maps the exact `amps` bytes of a quantum_state line to the
-amplitude pairs a full `decode` of that line returns.  Bob's starts with
-the c*d states of his set, rendered by `_amps_json`, so an honest line
-is never decoded in full on his side.  Learned entries follow the
-`BornTable` rule: at most c*d, Bob's on top of his set's, the relay's
-forward pump's from the sender's Hello, and 0 before it; Alice reads her
-replies through a reader of capacity 0.  An entry is learned only after
-`decode` succeeded, and only when the line's `amps` bytes are the
-canonical rendering `_amps_json` gives for the decoded pairs, so no key can
-carry text from outside the amplitude list.
-
-Every line the reader does not answer goes through `decode`, which stays
-the only validator.  It checks a state's norm with
-`hilbert.check_unit_norm`, as `StateVector` does, so every state it
-passes is one a table can learn.
+Every per-trial line is written by template, and each endpoint reads
+every line it is sent once, through `KnownStates.read`; its docstring
+gives the templates' and the reader's rules.  `decode` stays the only
+validator.  It checks a state's norm with `hilbert.check_unit_norm`, as
+`StateVector` does, so every state it passes is one a table can learn.
 """
 
 from __future__ import annotations
@@ -100,6 +68,7 @@ import math
 import re
 import socket
 import threading
+from contextlib import closing
 from dataclasses import dataclass
 from queue import Empty, SimpleQueue
 
@@ -318,16 +287,31 @@ class KnownStates:
     known quantum_state lines from a table: the `states` given at
     construction, and at most `capacity` learned ones, which `len` counts.
 
-    `read` gives a quantum_state line as its (trial_id, slot, pairs), the
-    fields of the QuantumState `decode` gives for it, and any other line
-    as the message `decode` gives.  A line that is exactly
-    `_announce_line(N, a)`, `_sift_line(N, s)`, or `_state_line(N, K, A)`
-    for a stored A, each with plain integers of at most 18 digits, is
-    answered without `decode`; every other line is passed to `decode`.  A
-    given state is stored under the canonical `_amps_json` rendering of
-    its pairs.  A line's A is learned, with the pairs `decode` returned,
-    only while fewer than `capacity` are learned and only if A is their
-    canonical rendering.
+    `_state_line`, `_announce_line` and `_sift_line` write the
+    quantum_state, index_announce and sift_report lines with `%`
+    formatting, byte for byte what `json.dumps` gives for the same object,
+    and `encode` renders those three types through the same templates;
+    Hello, key_compare and bye lines, one or two per session, go through
+    `json.dumps`.  So a line that is exactly `_announce_line(N, a)`,
+    `_sift_line(N, s)`, or `_state_line(N, K, A)` for a stored A, each with
+    an optional newline and plain integers of at most 18 digits, is
+    answered without `decode` (one regular expression per shape, and each
+    line is matched against the quantum_state one once); every other line
+    is passed to `decode`.  `read` gives a quantum_state line as its
+    (trial_id, slot, pairs), the fields of the QuantumState `decode` gives
+    for it, so Bob and the relay measure a state with no message object
+    made for it, and any other line as the message `decode` gives.
+
+    The table maps a state's `amps` bytes to its pairs because an honest
+    Alice only sends the c*d vectors of her set: Bob's reader starts with
+    them, stored under the canonical `_amps_json` rendering, so an honest
+    line is never decoded in full on his side.  Learned entries follow the
+    `BornTable` rule: at most c*d, Bob's on top of his set's, the relay's
+    forward pump's from the sender's Hello, and 0 before it; Alice reads
+    her replies through a reader of capacity 0.  A line's A is learned,
+    with the pairs `decode` returned, only while fewer than `capacity` are
+    learned and only if A is their canonical rendering, so no key can carry
+    text from outside the amplitude list.
     """
 
     def __init__(self, capacity: int, states=()):
@@ -454,10 +438,6 @@ class TcpTransport:
         self._sock.close()
 
 
-def send_message(transport, msg: Message) -> None:
-    transport.send_line(encode(msg))
-
-
 @dataclass(frozen=True)
 class AliceLog:
     """Alice-side session summary: what she sent and what survived."""
@@ -487,6 +467,8 @@ def run_session(
     """
     if role not in ("alice", "bob"):
         raise ValueError(f"role must be alice or bob, got {role!r}")
+    if n_trials < 0:
+        raise InvalidParameter(f"n_trials must be 0 or more, got {n_trials}")
     _handshake(transport, config, basis_set_id)
     if role == "alice":
         return _run_alice(transport, config, n_trials, seed, compare)
@@ -494,9 +476,8 @@ def run_session(
 
 
 def _handshake(transport, config: ProtocolConfig, basis_set_id: str) -> None:
-    send_message(
-        transport,
-        Hello(protocol_version=PROTOCOL_VERSION, c=config.c, d=config.d, basis_set_id=basis_set_id),
+    transport.send_line(
+        encode(Hello(protocol_version=PROTOCOL_VERSION, c=config.c, d=config.d, basis_set_id=basis_set_id))
     )
     line = transport.recv_line()
     if line is None:
@@ -520,6 +501,15 @@ def _run_alice(transport, config, n_trials, seed, compare) -> AliceLog:
     amps_json = [[_amps_json(v.pairs()) for v in basis.vectors] for basis in config.basis_set.bases]
     # her replies are sift reports and a bye; she is sent no states
     replies = KnownStates(0)
+
+    def reply(line: bytes, where: str):
+        """Bob's message on `line`; a Bye whose reason is not "done" ends
+        the session with a SessionError that names the reason."""
+        msg = replies.read(line)
+        if isinstance(msg, Bye) and msg.reason != "done":
+            raise SessionError(f"peer ended the session {where}: {msg.reason}")
+        return msg
+
     sent = 0
     for t in range(n_trials):
         x, announced = session.states_for_trial(t)
@@ -530,24 +520,22 @@ def _run_alice(transport, config, n_trials, seed, compare) -> AliceLog:
         line = transport.recv_line()
         if line is None:
             raise SessionError(f"peer closed mid-session at trial {t}")
-        reply = replies.read(line)
-        if isinstance(reply, Bye):
-            raise SessionError(f"peer ended the session at trial {t}: {reply.reason}")
-        if not isinstance(reply, SiftReport) or reply.trial_id != t:
-            raise ProtocolError(f"expected sift report for trial {t}, got {reply!r}")
-        session.record_sift(t, reply.sifted)
+        msg = reply(line, f"at trial {t}")
+        if not isinstance(msg, SiftReport) or msg.trial_id != t:
+            raise ProtocolError(f"expected sift report for trial {t}, got {msg!r}")
+        session.record_sift(t, msg.sifted)
     if compare:
-        send_message(
-            transport,
-            KeyCompare(trial_id_range=(0, n_trials), letters=tuple(session.raw_string)),
-        )
+        transport.send_line(encode(KeyCompare(trial_id_range=(0, n_trials), letters=tuple(session.raw_string))))
         sent += 1
-    send_message(transport, Bye(reason="done"))
+    transport.send_line(encode(Bye(reason="done")))
     sent += 1
+    # EOF here ends the session as his Bye("done") would: in a memory pair
+    # her own end's close reads as EOF too, and may overtake a Bye that a
+    # relay is still forwarding
     line = transport.recv_line()
-    reply = None if line is None else replies.read(line)
-    if reply is not None and not isinstance(reply, Bye):
-        raise ProtocolError(f"expected bye, got {reply!r}")
+    msg = None if line is None else reply(line, "at the close")
+    if msg is not None and not isinstance(msg, Bye):
+        raise ProtocolError(f"expected bye, got {msg!r}")
     return AliceLog(
         letters=tuple(session.raw_string),
         key=tuple(session.key),
@@ -581,11 +569,11 @@ def _run_bob(transport, config, seed, n_trials) -> list[TrialOutcome]:
                 raise ProtocolError(f"unexpected {type(msg).__name__} mid-session")
     except (ProtocolError, CodecError) as exc:
         try:
-            send_message(transport, Bye(reason=f"{type(exc).__name__}: {exc}"))
+            transport.send_line(encode(Bye(reason=f"{type(exc).__name__}: {exc}")))
         except SessionError:
             pass
         raise
-    send_message(transport, Bye(reason="done"))
+    transport.send_line(encode(Bye(reason="done")))
     return session.outcomes()
 
 
@@ -649,11 +637,12 @@ def run_mitm_pumps(
     relay fails with DimensionError; a state with other than d amplitudes
     is forwarded as it came, unrecorded, for Bob to refuse.  A trial's
     states are held and written towards Bob together with the next line
-    that is not a state, so each trial costs one write.  Blocks until both
-    directions reach EOF; returns the interception log, which may be read
-    while the relay runs.  If either direction fails, both sides are
-    closed, so that both endpoints see EOF, and the failure is raised as
-    SessionError.
+    that is not a state, so each trial costs one write.  The pump towards
+    Bob runs in a thread of its own and the pump towards Alice on the
+    calling thread, which returns once both directions reach EOF.  Returns
+    the interception log, which may be read while the relay runs.  If
+    either direction fails, both sides are closed, so that both endpoints
+    see EOF, and the failure is raised as SessionError.
     """
     log = MitmLog()
     record = log._records.append
@@ -723,14 +712,43 @@ def run_mitm_pumps(
             bob_side.close()
 
     towards_bob = threading.Thread(target=pump, args=(forward_with_interception,), daemon=True)
-    towards_alice = threading.Thread(target=pump, args=(forward_plain,), daemon=True)
     towards_bob.start()
-    towards_alice.start()
+    pump(forward_plain)
     towards_bob.join()
-    towards_alice.join()
     if failures:
         raise SessionError(f"relay failed: {failures[0]!r}") from failures[0]
     return log
+
+
+def _accept(host: str, port: int, ready_event: threading.Event | None = None) -> TcpTransport:
+    """Listen on host:port, accept one connection and stop listening; sets
+    `ready_event` once the port is bound.  An OSError raises SessionError
+    with it as the cause."""
+    with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as server:
+        server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        try:
+            server.bind((host, port))
+            server.listen(1)
+        except OSError as exc:
+            raise SessionError(f"cannot listen on {host}:{port}: {exc}") from exc
+        if ready_event is not None:
+            ready_event.set()
+        server.settimeout(_RECV_TIMEOUT)
+        try:
+            conn, _ = server.accept()
+        except OSError as exc:
+            raise SessionError(f"accept failed on {host}:{port}: {exc}") from exc
+    return TcpTransport(conn)
+
+
+def _dial(host: str, port: int) -> TcpTransport:
+    """Connect to host:port.  An OSError raises SessionError with it as the
+    cause."""
+    try:
+        sock = socket.create_connection((host, port), timeout=_RECV_TIMEOUT)
+    except OSError as exc:
+        raise SessionError(f"cannot connect to {host}:{port}: {exc}") from exc
+    return TcpTransport(sock)
 
 
 def run_mitm(
@@ -738,27 +756,8 @@ def run_mitm(
 ) -> MitmLog:
     """Accept one connection (the state sender), dial the forward address
     (the receiver), and relay with interception until the session ends."""
-    with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as server:
-        server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        try:
-            server.bind(listen)
-            server.listen(1)
-            server.settimeout(_RECV_TIMEOUT)
-            conn, _ = server.accept()
-        except OSError as exc:
-            raise SessionError(f"mitm listen failed on {listen}: {exc}") from exc
-    alice_side = TcpTransport(conn)
-    try:
-        bob_sock = socket.create_connection(forward, timeout=_RECV_TIMEOUT)
-    except OSError as exc:
-        alice_side.close()
-        raise SessionError(f"mitm connect failed to {forward}: {exc}") from exc
-    bob_side = TcpTransport(bob_sock)
-    try:
+    with closing(_accept(*listen)) as alice_side, closing(_dial(*forward)) as bob_side:
         return run_mitm_pumps(alice_side, bob_side, eve_basis, seed, intercept_fraction)
-    finally:
-        alice_side.close()
-        bob_side.close()
 
 
 def serve_session(
@@ -774,25 +773,8 @@ def serve_session(
     ready_event: threading.Event | None = None,
 ):
     """Listen for one peer connection, then run the session as `role`."""
-    with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as server:
-        server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        try:
-            server.bind((host, port))
-            server.listen(1)
-        except OSError as exc:
-            raise SessionError(f"cannot listen on {host}:{port}: {exc}") from exc
-        if ready_event is not None:
-            ready_event.set()
-        server.settimeout(_RECV_TIMEOUT)
-        try:
-            conn, _ = server.accept()
-        except OSError as exc:
-            raise SessionError(f"accept failed: {exc}") from exc
-    transport = TcpTransport(conn)
-    try:
+    with closing(_accept(host, port, ready_event)) as transport:
         return run_session(role, transport, config, n_trials, seed, basis_set_id, compare=compare)
-    finally:
-        transport.close()
 
 
 def connect_session(
@@ -807,12 +789,5 @@ def connect_session(
     compare: bool = True,
 ):
     """Dial a listening peer, then run the session as `role`."""
-    try:
-        sock = socket.create_connection((host, port), timeout=_RECV_TIMEOUT)
-    except OSError as exc:
-        raise SessionError(f"cannot connect to {host}:{port}: {exc}") from exc
-    transport = TcpTransport(sock)
-    try:
+    with closing(_dial(host, port)) as transport:
         return run_session(role, transport, config, n_trials, seed, basis_set_id, compare=compare)
-    finally:
-        transport.close()

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 from . import bases as bases_mod
@@ -22,6 +23,7 @@ from .hilbert import TAU_NORM, Basis, verify_orthonormal
 from .rates import ProtocolConfig, display_ns, display_percent
 
 FORMATS = ("table", "csv", "jsonl")
+EVE_HELP = "none | breidbart | basis:<x> | <x> | file:<path>[#x], x a basis index in ASCII digits"
 TABLE1_COLUMNS = ["protocol", "d", "c", "r_qb", "r_it", "r_t", "n_s"]
 RATE_COLUMNS = [field.name for field in dataclasses.fields(rates.RateReport) if field.name != "note"]
 
@@ -102,33 +104,38 @@ def resolve_sized_set(spec: str, d: int | None, c: int | None, purpose: str) -> 
     return basis_set
 
 
-def resolve_eve(spec: str, basis_set) -> Basis | None:
-    """Turn an --eve spec (none | basis:<x> | breidbart | file:<path>[#k])
-    into a Basis."""
+def resolve_eve(spec: str, basis_set: bases_mod.BasisSet) -> Basis | None:
+    """Turn an --eve spec (none | breidbart | basis:<x> | <x> | file:<path>[#x])
+    into a Basis; x names a basis of `basis_set`, or of the file's set."""
     if spec == "none":
         return None
     if spec == "breidbart":
         return bases_mod.breidbart_basis()
-    if spec.startswith("basis:") or spec.isdigit():
-        try:
-            idx = int(spec) if spec.isdigit() else int(spec.split(":", 1)[1])
-        except ValueError:
-            raise InvalidParameter(f"bad eve basis index in {spec!r}") from None
-        if basis_set is None or not hasattr(basis_set, "bases"):
-            raise InvalidParameter("--eve basis:<x> needs a basis set")
-        if not 0 <= idx < basis_set.c:
-            raise InvalidParameter(f"eve basis index {idx} outside 0..{basis_set.c - 1}")
-        return basis_set.bases[idx]
     if spec.startswith("file:"):
-        path, _, idx_txt = spec[5:].partition("#")
-        loaded = bases_mod.load_basis_set(path)
-        if idx_txt and not idx_txt.isdigit():
-            raise InvalidParameter(f"bad eve basis index in {spec!r}")
-        idx = int(idx_txt) if idx_txt else 0
-        if not 0 <= idx < loaded.c:
-            raise InvalidParameter(f"eve basis index {idx} outside 0..{loaded.c - 1}")
-        return loaded.bases[idx]
-    raise InvalidParameter(f"unknown eve spec {spec!r}")
+        path, _, index = spec[5:].partition("#")
+        basis_set = bases_mod.load_basis_set(path)
+        index = _digits(index or "0", basis_set.c)
+    else:
+        index = _digits(spec.removeprefix("basis:"), basis_set.c)
+    if index is None:
+        raise InvalidParameter(
+            f"bad --eve {spec!r}: expected none, breidbart, basis:<x>, <x> or file:<path>[#x], "
+            f"x in 0..{basis_set.c - 1} in ASCII digits"
+        )
+    return basis_set.bases[index]
+
+
+def _digits(text: str, stop: float = math.inf) -> int | None:
+    """The value of `text` if it is ASCII digits spelling a number below
+    `stop`, else None: the one rule for every port, trial count and basis
+    index the CLI reads."""
+    if not (text.isascii() and text.isdigit()):
+        return None
+    try:
+        value = int(text)
+    except ValueError:  # more digits than int() converts
+        return None
+    return value if value < stop else None
 
 
 def cmd_bases(args) -> int:
@@ -245,23 +252,17 @@ def cmd_rates(args) -> int:
         else:
             if args.d is None or c is None:
                 raise InvalidParameter("closed forms need --d and --c (or --set)")
-            if args.eve is not None:
-                _check_member_eve(args.eve, c)
+            # the closed forms hold for Eve in any member basis of an MU set;
+            # any other --eve needs the set itself
+            if args.eve is not None and _digits(args.eve.removeprefix("basis:"), c) is None:
+                raise InvalidParameter(
+                    f"closed forms take only --eve basis:<x> with 0 <= x < {c}; give --set to rate --eve {args.eve}"
+                )
             report = dataclasses.replace(rates.mub_closed_forms(c, args.d), protocol=args.protocol)
     else:
         raise InvalidParameter(f"unknown protocol {args.protocol!r}")
     emit(args.format, [dataclasses.asdict(report)], lambda: _rate_text(report), RATE_COLUMNS)
     return 0
-
-
-def _check_member_eve(spec: str, c: int) -> None:
-    """The closed forms hold for Eve in any member basis of an MU set; any
-    other --eve needs the set itself."""
-    index = spec[len("basis:"):] if spec.startswith("basis:") else spec
-    if not (index.isdecimal() and int(index) < c):
-        raise InvalidParameter(
-            f"closed forms take only --eve basis:<x> with 0 <= x < {c}; give --set to rate --eve {spec}"
-        )
 
 
 def _emit_sim_report(report, fmt: str) -> None:
@@ -315,9 +316,18 @@ def cmd_net(args) -> int:
 
 def _port(text: str) -> int:
     """argparse type: a TCP port, 0-65535."""
-    if not (text.isascii() and text.isdigit()) or int(text) > 65535:
+    port = _digits(text, 65536)
+    if port is None:
         raise argparse.ArgumentTypeError(f"expected a port 0-65535, got {text!r}")
-    return int(text)
+    return port
+
+
+def _trials(text: str) -> int:
+    """argparse type: a session's trial count, 0 or more."""
+    trials = _digits(text)
+    if trials is None:
+        raise argparse.ArgumentTypeError(f"expected a trial count 0 or more, got {text!r}")
+    return trials
 
 
 def _host_port(text: str) -> tuple[str, int]:
@@ -346,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "verify":
             p.add_argument("--tol", type=float, default=TAU_NORM)
         else:
-            p.add_argument("--eve", help="eve basis: index, basis:<x>, breidbart, file:<path>[#k]")
+            p.add_argument("--eve", help=EVE_HELP)
             _add_format(p)
         p.set_defaults(func=cmd_bases)
     bases_sub.add_parser("list").set_defaults(func=cmd_bases)
@@ -361,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_comp.add_argument("--d", type=int)
     p_comp.add_argument("--c", type=int)
     p_comp.add_argument("--set", help="explicit basis set (enumeration instead of closed forms)")
-    p_comp.add_argument("--eve", help="eve basis spec (default basis:0; without --set only basis:<x>)")
+    p_comp.add_argument("--eve", help=EVE_HELP + " (default basis:0; without --set only basis:<x> or <x>)")
     _add_format(p_comp)
     p_comp.set_defaults(func=cmd_rates)
 
@@ -369,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--d", type=int, required=True)
     p_sim.add_argument("--c", type=int, required=True)
     p_sim.add_argument("--set", help="basis set spec (default: mub for the given d, c)")
-    p_sim.add_argument("--eve", default="none", help="none | basis:<x> | breidbart | file:<path>[#k]")
+    p_sim.add_argument("--eve", default="none", help=EVE_HELP)
     p_sim.add_argument("--trials", type=int, default=200_000)
     p_sim.add_argument("--seed", type=int, default=1)
     _add_format(p_sim)
@@ -386,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--d", type=int, required=True)
         p.add_argument("--c", type=int, required=True)
         p.add_argument("--set", help="basis set spec (default mub)")
-        p.add_argument("--trials", type=int, default=1000)
+        p.add_argument("--trials", type=_trials, default=1000)
         p.add_argument("--seed", type=int, default=1)
         p.add_argument("--no-compare", action="store_true", help="skip the public key comparison")
         _add_format(p)
@@ -394,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eve = net_sub.add_parser("eve")
     p_eve.add_argument("--listen", type=_port, required=True, help="port to accept the sender on")
     p_eve.add_argument("--forward", type=_host_port, required=True, help="host:port of the receiver")
-    p_eve.add_argument("--basis", required=True, help="basis:<x> | breidbart | file:<path>[#k]")
+    p_eve.add_argument("--basis", required=True, help=EVE_HELP.removeprefix("none | "))
     p_eve.add_argument("--d", type=int, required=True)
     p_eve.add_argument("--c", type=int, required=True)
     p_eve.add_argument("--set", help="basis set spec (default mub)")

@@ -132,9 +132,6 @@ class Basis:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def relabeled(self, label: str) -> "Basis":
-        return Basis(label, self.matrix, validate=False)
-
 
 @dataclass(frozen=True)
 class OrthonormalityReport:
@@ -225,13 +222,7 @@ def born_sample(state: StateVector, basis: Basis, rng: RandomStream) -> int:
     distribution in ascending index order, so results are reproducible
     given the stream state.
     """
-    probs = born_probabilities(basis, state)
-    return sample_from_probs(probs, rng.uniform())
-
-
-def sample_from_probs(probs: np.ndarray, u: float) -> int:
-    """Invert the CDF of `probs` at u; shared by scalar and batch paths."""
-    return invert_cdf(np.cumsum(probs).tolist(), u)
+    return invert_cdf(np.cumsum(born_probabilities(basis, state)).tolist(), rng.uniform())
 
 
 def invert_cdf(cdf: list, u: float) -> int:
@@ -283,7 +274,7 @@ class BornTable:
         if start is None:
             state = StateVector([complex(re, im) for re, im in pairs])
             if self._learned >= self.capacity:
-                return sample_from_probs(born_probabilities(self.bases[which], state), u)
+                return invert_cdf(np.cumsum(born_probabilities(self.bases[which], state)).tolist(), u)
             new = [np.cumsum(born_probabilities(basis, state)).tolist() for basis in self.bases]
             start = self._rows[pairs] = len(self._cdfs[0])
             for cdfs, cdf in zip(self._cdfs, new):

@@ -119,19 +119,14 @@ def success_rate(basis_set: BasisSet) -> float:
     return float(e1.sum() / c**2)
 
 
-def iter_rate(basis_set, eve: Basis) -> float:
+def iter_rate(basis_set: BasisSet, eve: Basis) -> float:
     """Index transmission error rate of an intercept-and-resend attack.
 
     1 - (1/(cd)) sum over bases, indices, and Eve outcomes of the fourth
-    power of the overlap moduli.  Accepts a BasisSet or a sequence of
-    Basis; the same quantity as bases.average_distance(eve, set).
+    power of the overlap moduli; the same quantity as
+    bases.average_distance(eve, set).
     """
     return average_distance(eve, basis_set)
-
-
-def _slot_means(basis_set: BasisSet, eve: Basis) -> np.ndarray:
-    """A[x, y] = mean over Alice's index a of p_a(x, y)."""
-    return _index_change_table(basis_set, eve).mean(axis=2)
 
 
 def _attack_rates(basis_set: BasisSet, eve: Basis) -> tuple[float, float, float]:
@@ -143,7 +138,8 @@ def _attack_rates(basis_set: BasisSet, eve: Basis) -> tuple[float, float, float]
     term alone.
     """
     c = basis_set.c
-    slot_mean = _slot_means(basis_set, eve)
+    # A[x, y] = mean over Alice's index a of p_a(x, y)
+    slot_mean = _index_change_table(basis_set, eve).mean(axis=2)
     e1, e2 = _survival(slot_mean)
     used_x = np.diagonal(slot_mean) * e2
     r_k = float((e1 + used_x).sum() / c**2)

@@ -156,14 +156,6 @@ class RandomStream:
         self.counter += 1
         return (word >> 11) * _U53
 
-    def uniforms(self, n: int) -> np.ndarray:
-        """Next n uniform draws as a float64 array."""
-        words = np.arange(self.counter + 1, self.counter + n + 1, dtype=np.uint64)
-        words *= _NP_GOLDEN
-        words += np.uint64(self.key)
-        self.counter += n
-        return _uniforms_in_place(words)
-
     def randint(self, n: int) -> int:
         """Next integer uniform on 0..n-1."""
         if n < 1:

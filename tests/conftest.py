@@ -21,8 +21,8 @@ def qutrit4():
 def make_random_basis(d, seed, label="random"):
     """Haar-random orthonormal basis (QR of a complex Gaussian matrix)."""
     rng = RandomStream(seed, "test-basis")
-    u1 = np.array(rng.uniforms(d * d)).reshape(d, d)
-    u2 = np.array(rng.uniforms(d * d)).reshape(d, d)
+    u1 = np.array([rng.uniform() for _ in range(d * d)]).reshape(d, d)
+    u2 = np.array([rng.uniform() for _ in range(d * d)]).reshape(d, d)
     u1 = np.clip(u1, 1e-300, None)
     gauss = np.sqrt(-2.0 * np.log(u1)) * np.exp(2j * np.pi * u2)
     q, r = np.linalg.qr(gauss)

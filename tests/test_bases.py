@@ -24,7 +24,7 @@ from hselab.bases import (
     standard_basis,
 )
 from hselab.errors import DimensionError, InvalidParameter
-from hselab.hilbert import transition_prob
+from hselab.hilbert import Basis, transition_prob
 from hselab.rates import iter_rate
 
 W3 = cmath.exp(2j * cmath.pi / 3)
@@ -276,8 +276,11 @@ class TestAverageDistance:
         )
 
     def test_single_basis_degenerate_case(self):
-        basis = standard_basis(3)
-        assert average_distance(basis, [basis]) == pytest.approx(0.0, abs=1e-12)
+        # Eve's own basis adds nothing: the mean is the other member's half
+        basis, other = standard_basis(3), fourier_basis(3)
+        assert average_distance(basis, BasisSet([basis, other])) == pytest.approx(
+            grassmannian_distance(other, basis) / 2, abs=1e-12
+        )
 
     def test_equals_index_error_rate(self, qutrit4):
         eve = make_random_basis(3, 77)
@@ -302,15 +305,13 @@ class TestBasisSetInvariants:
 
     def test_shared_state_rejected(self):
         with pytest.raises(InvalidParameter):
-            BasisSet([standard_basis(3), standard_basis(3).relabeled("copy")])
+            BasisSet([standard_basis(3), Basis("copy", standard_basis(3).matrix)])
 
     def test_nearly_shared_state_rejected(self):
         # rotate one vector pair by an angle small enough to breach the
         # distinctness threshold
         t = math.sqrt(TAU_DISTINCT) / 10
         rot = np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]], dtype=complex)
-        from hselab.hilbert import Basis
-
         with pytest.raises(InvalidParameter):
             BasisSet([standard_basis(2), Basis("near", rot)])
 

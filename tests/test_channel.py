@@ -12,13 +12,21 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hselab.channel as ch
 from conftest import free_port, make_random_basis, make_random_set
 from hselab.bases import BasisSet, breidbart_basis, fourier_basis, mu_basis_set
-from hselab.errors import CodecError, DimensionError, HandshakeError, HselabError, ProtocolError, SessionError
+from hselab.errors import (
+    CodecError,
+    DimensionError,
+    HandshakeError,
+    HselabError,
+    InvalidParameter,
+    ProtocolError,
+    SessionError,
+)
 from hselab.protocol import ALICE, BLOCK, EVE, EveInterceptor, alice_prepare, run_trial
 from hselab.rates import ProtocolConfig
 from hselab.hilbert import TAU_NORM, Basis, StateVector
@@ -425,6 +433,13 @@ def run_pair(cfg, n_trials, seed, basis_set_id="sixstate", compare=True, record=
     return result["log"], outcomes, (alice_t, bob_t)
 
 
+def honest_replies(cfg, set_id, n_trials, seed):
+    """Bob's lines to Alice up to her closing read: his Hello and the sift
+    report of each trial, as run_trial gives it."""
+    sifts = [ch.SiftReport(t, run_trial(cfg, t, seed).sifted) for t in range(n_trials)]
+    return [ch.encode(msg) for msg in [ch.Hello(1, cfg.c, cfg.d, set_id), *sifts]]
+
+
 NAN_STATE = b'{"type":"quantum_state","trial_id":0,"slot":0,"amps":[[NaN,0],[0,0]]}\n'
 
 
@@ -537,6 +552,27 @@ class TestInProcessSession:
         alice_t.close()
         with pytest.raises(SessionError):
             ch.run_session("bob", bob_t, cfg23, 1, 1, "sixstate")
+
+    @pytest.mark.parametrize("role", ["alice", "bob"])
+    def test_negative_trial_count_rejected_before_the_handshake(self, cfg23, role):
+        ours, theirs = ch.memory_transport_pair()
+        with pytest.raises(InvalidParameter, match="-1"):
+            ch.run_session(role, ours, cfg23, -1, 1, "sixstate")
+        ours.close()
+        assert theirs.recv_line() is None
+
+    def test_zero_trials_is_an_empty_session(self, cfg23):
+        log, outcomes, _ = run_pair(cfg23, 0, seed=1)
+        assert outcomes == [] and (log.trials, log.key) == (0, ())
+
+    def test_error_bye_at_the_close_is_a_session_error(self, cfg23):
+        # Bob refuses the key comparison after the last sift report
+        reason = "ProtocolError: key comparison range (0, 2) does not match session"
+        alice_t, bob_t = ch.memory_transport_pair()
+        for line in [*honest_replies(cfg23, "sixstate", 2, 1), ch.encode(ch.Bye(reason))]:
+            bob_t.send_line(line)
+        with pytest.raises(SessionError, match=re.escape(f"at the close: {reason}")):
+            ch.run_session("alice", alice_t, cfg23, 2, 1, "sixstate")
 
     def test_role_validated(self, cfg23):
         with pytest.raises(ValueError):
@@ -1611,6 +1647,131 @@ class TestHostileAliceThroughTheRelay:
                 assert ch.decode(bob_side.sent[-1]) == bye
                 if end != "close":
                     assert ch.decode(to_alice.sent[-1]) == bye
+
+
+# what a hostile Bob may send in place of his honest next line; each reads
+# a variant number modulo its own count of variants
+HOSTILE_REPLIES = ("wrong trial", "repeat", "hello", "junk", "loose json", "bye")
+JUNK = (b"not json\n", b"\xff\xfe\n", b"[1, 2]\n", b'{"type":"sift_report","trial_id":0}\n', b"\n", b"{}")
+BYES = ("done", "ProtocolError: key comparison range (0, -1) does not match session", "", "CodecError: x")
+
+
+def hostile_replies(cfg, set_id, n_trials, seed, segments, honest_tail):
+    """Alice-bound lines: for each (n, kind, variant) segment, Bob's next n
+    honest lines (honest_replies, then Bye("done")) and then one line of
+    that kind, then `honest_tail` more honest lines.  The honest cursor p
+    moves on honest lines and on "loose json", which renders the next
+    honest line with json.dumps' own spacing or key order."""
+    honest = [*honest_replies(cfg, set_id, n_trials, seed), ch.encode(ch.Bye("done"))]
+    p = 0
+    lines = []
+
+    def honest_at(i):
+        return honest[min(i, len(honest) - 1)]
+
+    def next_honest():
+        nonlocal p
+        lines.append(honest_at(p))
+        p += 1
+
+    for n, kind, k in segments:
+        for _ in range(n):
+            next_honest()
+        if kind == "wrong trial":
+            # the next trial but one, the one after, or the last one
+            lines.append(ch.encode(ch.SiftReport(p - 1 + (1, 2, -1)[k % 3], bool(k % 2))))
+        elif kind == "repeat":
+            lines.append(honest_at(max(p - 1, 0)))
+        elif kind == "hello":
+            lines.append(honest[0])
+        elif kind == "junk":
+            lines.append(JUNK[k % len(JUNK)])
+        elif kind == "loose json":
+            obj = json.loads(honest_at(p))
+            lines.append(json.dumps(obj, sort_keys=bool(k % 2)).encode() + b"\n")
+            p += 1
+        else:
+            lines.append(ch.encode(ch.Bye(BYES[k % len(BYES)])))
+    for _ in range(honest_tail):
+        next_honest()
+    return lines
+
+
+def alice_may_return(cfg, set_id, n_trials, seed, lines, end):
+    """Whether Alice's n+2 reads see Bob's Hello, his honest sift reports
+    for trials 0..n-1 and Bye("done"), or EOF in place of that Bye."""
+    expected = [*honest_replies(cfg, set_id, n_trials, seed), ch.encode(ch.Bye("done"))]
+    if len(lines) == n_trials + 1 and end == "close":
+        expected.pop()
+    if len(lines) < len(expected):
+        return False
+    for line, want in zip(lines, expected):
+        try:
+            if ch.decode(line) != ch.decode(want):
+                return False
+        except CodecError:
+            return False
+    return True
+
+
+class TestHostileBob:
+    """Alice against sequences of honest and hostile replies: she returns,
+    or stops with ProtocolError, CodecError, HandshakeError or SessionError,
+    within twice her receive timeout, and no thread outlives the session.
+    She returns only on Bob's Hello, the honest sift reports for her trials
+    and then Bye("done") or EOF."""
+
+    TIMEOUT = 0.25
+    SEED = 3
+
+    @given(
+        st.sampled_from(["sixstate", "qutrit4"]),
+        st.integers(0, 3),
+        st.lists(st.tuples(st.integers(0, 5), st.sampled_from(HOSTILE_REPLIES), st.integers(0, 11)), max_size=2),
+        st.integers(0, 6),
+        # a silent end waits out Alice's timeout, so it comes up least often
+        st.sampled_from(["close", "close", "close", "silence"]),
+    )
+    # an error Bye in place of Bob's Bye("done")
+    @example("sixstate", 2, [(3, "bye", 1)], 0, "close")
+    @settings(max_examples=60, deadline=None)
+    def test_alice_ends_promptly(self, sixstate, qutrit4, set_id, n_trials, segments, honest_tail, end):
+        basis_set = {"sixstate": sixstate, "qutrit4": qutrit4}[set_id]
+        cfg = ProtocolConfig(c=basis_set.c, d=basis_set.d, basis_set=basis_set)
+        lines = hostile_replies(cfg, set_id, n_trials, self.SEED, segments, honest_tail)
+        alice_t, bob_t = ch.memory_transport_pair()
+        for line in lines:
+            bob_t.send_line(line)
+        if end == "close":
+            bob_t.close()
+        result = {}
+
+        def alice():
+            try:
+                result["log"] = ch.run_session("alice", alice_t, cfg, n_trials, self.SEED, set_id)
+            except Exception as exc:
+                result["error"] = exc
+
+        before = set(threading.enumerate())
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ch, "_RECV_TIMEOUT", self.TIMEOUT)
+            worker = threading.Thread(target=alice)
+            started = time.monotonic()
+            worker.start()
+            worker.join(2 * self.TIMEOUT)
+            took = time.monotonic() - started
+            bob_t.close()
+            worker.join(5.0)
+        assert took < 2 * self.TIMEOUT and not worker.is_alive()
+        assert set(threading.enumerate()) == before
+        if alice_may_return(cfg, set_id, n_trials, self.SEED, lines, end):
+            outcomes = [run_trial(cfg, t, self.SEED) for t in range(n_trials)]
+            assert "error" not in result, repr(result["error"])
+            assert result["log"].key == tuple(o.x for o in outcomes if o.sifted)
+        else:
+            assert "log" not in result
+            error = result["error"]
+            assert isinstance(error, (ProtocolError, CodecError, HandshakeError, SessionError)), repr(error)
 
 
 class ByteRecorder:

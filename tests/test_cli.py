@@ -101,7 +101,7 @@ class TestRatesCompute:
         closed_forms = ["rates", "compute", "--protocol", "hse", "--d", "2", "--c", "3"]
         assert jsonl_row(capsys, *closed_forms, "--eve", eve) == jsonl_row(capsys, *closed_forms)
 
-    @pytest.mark.parametrize("eve", ["breidbart", "none", "basis:3", "basis:", "file:eve.json"])
+    @pytest.mark.parametrize("eve", ["breidbart", "none", "basis:3", "basis:", "file:eve.json", "basis:١", "٣", "²"])
     def test_other_eve_without_set_is_a_usage_error(self, capsys, eve):
         code, out, err = run(capsys, "rates", "compute", "--protocol", "hse", "--d", "2", "--c", "3",
                              "--eve", eve)
@@ -291,6 +291,9 @@ class TestAddresses:
             (["net", "serve", "--role", "bob", "--port", "70000", "--d", "2", "--c", "3"], "'70000'"),
             (["net", "connect", "--role", "alice", "--port", "70000", "--d", "2", "--c", "3"], "'70000'"),
             (["net", "connect", "--role", "alice", "--port", "1e3", "--d", "2", "--c", "3"], "'1e3'"),
+            (["net", "serve", "--role", "bob", "--trials", "-1", "--d", "2", "--c", "3"], "'-1'"),
+            (["net", "connect", "--role", "alice", "--trials", "-1", "--d", "2", "--c", "3"], "'-1'"),
+            (["net", "serve", "--role", "bob", "--trials", "١٠", "--d", "2", "--c", "3"], "'١٠'"),
         ],
     )
     def test_usage_error(self, capsys, monkeypatch, argv, bad):
@@ -376,6 +379,30 @@ class TestFileSpecs:
         code, out, err = run(capsys, "sim", "--d", "2", "--c", "3", "--trials", "10", "--eve", f"file:{path}#abc")
         assert code == 2 and out == ""
         assert err.startswith("error: ")
+
+    # an index in digits other than ASCII: "#²" once crashed with a
+    # traceback, and "#١" was read as 1; int() refuses more than 4300 digits
+    @pytest.mark.parametrize(
+        "spec",
+        ["file:{path}#²", "file:{path}#١", "basis:١", "٣", pytest.param("file:{path}#" + "1" * 5000, id="5000-digits")],
+    )
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["sim", "--d", "2", "--c", "3", "--trials", "10"],
+            ["bases", "distance", "--set", "sixstate"],
+            ["rates", "compute", "--protocol", "hse", "--set", "sixstate"],
+            ["rates", "compute", "--protocol", "hse", "--d", "2", "--c", "3"],
+        ],
+        ids=["sim", "distance", "rates-set", "rates-closed-forms"],
+    )
+    def test_bad_eve_index_is_a_usage_error(self, capsys, tmp_path, command, spec):
+        path = tmp_path / "six.json"
+        save_basis_set(qubit_six_state_set(), path)
+        spec = spec.format(path=path)
+        code, out, err = run(capsys, *command, "--eve", spec)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and spec in err and "Traceback" not in err
 
     @pytest.mark.parametrize(
         "doc",

@@ -14,8 +14,8 @@ from hselab.hilbert import (
     born_probabilities,
     born_rows,
     born_sample,
+    invert_cdf,
     overlap,
-    sample_from_probs,
     transition_matrix,
     transition_prob,
     verify_orthonormal,
@@ -187,21 +187,24 @@ class TestBornSample:
 
 
 class TestSampleFromProbs:
+    """born_sample's last step: invert_cdf on the cumsum of the outcome
+    probabilities."""
+
     def test_inverts_cdf(self):
-        probs = np.array([0.25, 0.5, 0.25])
-        assert sample_from_probs(probs, 0.0) == 0
-        assert sample_from_probs(probs, 0.24) == 0
-        assert sample_from_probs(probs, 0.25) == 1
-        assert sample_from_probs(probs, 0.74) == 1
-        assert sample_from_probs(probs, 0.75) == 2
-        assert sample_from_probs(probs, 0.999999) == 2
+        cdf = np.cumsum([0.25, 0.5, 0.25]).tolist()
+        assert invert_cdf(cdf, 0.0) == 0
+        assert invert_cdf(cdf, 0.24) == 0
+        assert invert_cdf(cdf, 0.25) == 1
+        assert invert_cdf(cdf, 0.74) == 1
+        assert invert_cdf(cdf, 0.75) == 2
+        assert invert_cdf(cdf, 0.999999) == 2
 
     def test_zero_leading_probability(self):
-        assert sample_from_probs(np.array([0.0, 1.0]), 0.0) == 1
+        assert invert_cdf(np.cumsum([0.0, 1.0]).tolist(), 0.0) == 1
 
     def test_never_exceeds_range(self):
-        probs = np.array([0.5, 0.5 - 1e-12])
-        assert sample_from_probs(probs, 1.0 - 1e-16) == 1
+        cdf = np.cumsum([0.5, 0.5 - 1e-12]).tolist()
+        assert invert_cdf(cdf, 1.0 - 1e-16) == 1
 
 
 def set_states(basis_set):
@@ -277,11 +280,11 @@ class TestBornTable:
         for seed in range(6):
             state = random_state(3, 500 + seed)
             for which, basis in enumerate(bases):
-                cdf = np.cumsum(born_probabilities(basis, state))
+                cdf = np.cumsum(born_probabilities(basis, state)).tolist()
                 # ties at the cdf entries themselves, and both ends
-                draws = [0.0, 1.0 - 2**-53, *cdf.tolist()] + [RandomStream(seed, which).uniform() for _ in range(20)]
+                draws = [0.0, 1.0 - 2**-53, *cdf] + [RandomStream(seed, which).uniform() for _ in range(20)]
                 for u in draws:
-                    expected = sample_from_probs(born_probabilities(basis, state), u)
+                    expected = invert_cdf(cdf, u)
                     assert table.sample(state.pairs(), which, u) == expected
         assert len(table) == 4
 
@@ -296,7 +299,7 @@ class TestBornTable:
                 # each cdf entry and the float below it pin the row's floats
                 draws = [0.0, 1.0 - 2**-53, *cdf, *np.nextafter(cdf, 0.0).tolist()]
                 for u in draws:
-                    expected = sample_from_probs(born_probabilities(basis, state), u)
+                    expected = invert_cdf(cdf, u)
                     assert seeded.sample(state.pairs(), which, u) == expected
                     assert learned.sample(state.pairs(), which, u) == expected
         assert len(seeded) == 0

@@ -9,6 +9,11 @@ from hselab.rng import RandomStream, block_uniforms, bulk_uniforms, scaled_index
 WORD = st.one_of(st.sampled_from([0, 1, 2**63, 2**64 - 1]), st.integers(0, 2**64 - 1))
 
 
+def draws(stream, n):
+    """The stream's next n draws as an array."""
+    return np.array([stream.uniform() for _ in range(n)])
+
+
 def test_same_seed_same_sequence():
     a = RandomStream(1234, "role", 9)
     b = RandomStream(1234, "role", 9)
@@ -16,11 +21,11 @@ def test_same_seed_same_sequence():
 
 
 def test_different_ids_give_different_sequences():
-    draws = {
-        ids: tuple(RandomStream(7, *ids).uniforms(4).tolist())
+    by_ids = {
+        ids: tuple(draws(RandomStream(7, *ids), 4).tolist())
         for ids in [("alice", 0), ("alice", 1), ("bob", 0), ("eve", 0), (0, "alice")]
     }
-    assert len(set(draws.values())) == len(draws)
+    assert len(set(by_ids.values())) == len(by_ids)
 
 
 def test_skip_equals_discarding():
@@ -30,12 +35,6 @@ def test_skip_equals_discarding():
         a.uniform()
     b.skip(5)
     assert a.uniform() == b.uniform()
-
-
-def test_uniforms_match_sequential():
-    a = RandomStream(3, "z")
-    b = RandomStream(3, "z")
-    assert a.uniforms(10).tolist() == [b.uniform() for _ in range(10)]
 
 
 def test_bulk_uniforms_match_per_stream():
@@ -103,13 +102,12 @@ def test_array_kernels_leave_their_inputs_unchanged(words, counter):
 
 
 def test_values_lie_in_unit_interval():
-    draws = RandomStream(0).uniforms(10_000)
-    assert np.all(draws >= 0.0) and np.all(draws < 1.0)
+    u = draws(RandomStream(0), 10_000)
+    assert np.all(u >= 0.0) and np.all(u < 1.0)
 
 
 def test_uniformity_coarse():
-    draws = RandomStream(2024).uniforms(100_000)
-    counts, _ = np.histogram(draws, bins=10, range=(0.0, 1.0))
+    counts, _ = np.histogram(draws(RandomStream(2024), 100_000), bins=10, range=(0.0, 1.0))
     expected = 10_000
     assert np.all(np.abs(counts - expected) < 4 * np.sqrt(expected))
 
@@ -121,7 +119,7 @@ def test_randint_range_and_coverage():
 
 
 def test_scaled_index_scalar_and_array_agree():
-    u = RandomStream(8).uniforms(1000)
+    u = draws(RandomStream(8), 1000)
     array_result = scaled_index(u, 7)
     assert array_result.tolist() == [scaled_index(float(v), 7) for v in u]
     assert array_result.min() >= 0 and array_result.max() <= 6
