@@ -5,11 +5,23 @@ Provides the concrete constructions the protocol analysis relies on
 triple, quadratic-phase complete sets in odd prime dimension, a frozen
 complete set for d=4, the Breidbart basis) plus the chordal Grassmannian
 distance machinery that ties basis geometry to the index error rate.
+
+`named_basis_set` is the one resolver of the built-in names (mub, prime,
+fourier, sixstate, qutrit4) at a given (d, c); it never opens a file.
+The named constructions are memoised with `functools.cache`, so each set
+is built and validated once per process, not once per relayed session
+(the relay starts each session from the set its Hello names):
+`mu_basis_set`, `prime_complete_set`, `qubit_six_state_set`,
+`qutrit_complete_set` and the standard + Fourier pair.  Sharing one set is safe because a BasisSet is
+frozen and every Basis keeps its arrays read-only.  A (d, c) that a
+construction refuses raises each time, as exceptions are not cached, and
+the valid keys are few per d (c <= d+1), so the memo stays small.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -96,6 +108,7 @@ def fourier_basis(d: int) -> Basis:
     return Basis(f"fourier({d})", matrix)
 
 
+@functools.cache
 def qutrit_complete_set() -> BasisSet:
     """The complete set of four mutually unbiased qutrit bases.
 
@@ -111,6 +124,7 @@ def qutrit_complete_set() -> BasisSet:
     return BasisSet(Basis(f"q{i}", m) for i, m in enumerate((b0, b1, b2, b3)))
 
 
+@functools.cache
 def qubit_six_state_set() -> BasisSet:
     """The three mutually unbiased qubit bases (six-state protocol states).
 
@@ -125,6 +139,7 @@ def qubit_six_state_set() -> BasisSet:
     return BasisSet(Basis(f"s{i}", m) for i, m in enumerate((b0, b1, b2)))
 
 
+@functools.cache
 def prime_complete_set(d: int, c: int) -> BasisSet:
     """c pairwise-MU bases in odd prime dimension d (2 <= c <= d+1).
 
@@ -178,6 +193,7 @@ def _d4_complete_set(c: int) -> BasisSet:
     return BasisSet(members[:c])
 
 
+@functools.cache
 def mu_basis_set(d: int, c: int) -> BasisSet:
     """c mutually unbiased bases in dimension d, from the best-known family.
 
@@ -200,8 +216,38 @@ def mu_basis_set(d: int, c: int) -> BasisSet:
     if _is_odd_prime(d):
         return prime_complete_set(d, c)
     if c == 2:
-        return BasisSet([standard_basis(d), fourier_basis(d)])
+        return _fourier_pair(d)
     raise InvalidParameter(f"no construction for {c} MU bases in dimension {d}")
+
+
+@functools.cache
+def _fourier_pair(d: int) -> BasisSet:
+    return BasisSet([standard_basis(d), fourier_basis(d)])
+
+
+def named_basis_set(name: str, d: int | None = None, c: int | None = None) -> BasisSet:
+    """The built-in basis set `name` at dimension d and alphabet size c.
+
+    mub needs d and c; prime needs d, and c defaults to d+1; fourier needs
+    d and is always the c = 2 pair; sixstate (2,3) and qutrit4 (3,4) have
+    fixed sizes and read neither.  So the set may be of another size than
+    (d, c): a caller that runs at a size compares.  Any other name, a
+    missing d or c, or a (d, c) the construction refuses raises
+    InvalidParameter or ConstructionError.
+    """
+    if name == "sixstate":
+        return qubit_six_state_set()
+    if name == "qutrit4":
+        return qutrit_complete_set()
+    if name == "mub" and d is not None and c is not None:
+        return mu_basis_set(d, c)
+    if name == "prime" and d is not None:
+        return prime_complete_set(d, d + 1 if c is None else c)
+    if name == "fourier" and d is not None:
+        return _fourier_pair(d)
+    if name in ("mub", "prime", "fourier"):
+        raise InvalidParameter(f"the {name} set needs {'d and c' if name == 'mub' else 'd'}")
+    raise InvalidParameter(f"unknown basis set {name!r}")
 
 
 def breidbart_basis() -> Basis:

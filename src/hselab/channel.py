@@ -37,12 +37,17 @@ state's exact amplitude pairs, whose rows come from the one Born kernel,
 `hilbert.born_rows`; a state line they already know reaches the table with
 no message object made for it (see `KnownStates`).  Bob's table starts
 with the c*d states of his set, all rows built before his first trial.
-Any other state's row is computed the first time, validated as
-`born_sample` would, and reused after that.
-Each table learns at most c*d states - Bob's bound from his configuration,
-the relay's from the sender's Hello, and none before it - and computes any
-further distinct state without storing it, so a sender cannot make it
-grow.  The bytes on the wire are those `encode` gives for every message.
+The relay's starts, at the sender's Hello, with the c*d states of the
+public set the Hello's `basis_set_id` names, if that is a built-in name
+whose set at the Hello's (d, c) has that size (`bases.named_basis_set`,
+built once per process); any other id leaves it empty, and no path a
+peer names is ever opened.  Any other state's row is computed the first
+time, validated as `born_sample` would, and reused after that.
+Each table learns at most c*d states on top of those it starts with -
+Bob's bound from his configuration, the relay's from the sender's Hello,
+and none before it - and computes any further distinct state without
+storing it, so a sender cannot make it grow.  The bytes on the wire are
+those `encode` gives for every message.
 
 Randomness is drawn in blocks.  Alice's and Bob's sessions read each
 trial's draws from a `protocol.TrialBlocks`, which evaluates the
@@ -72,7 +77,16 @@ from contextlib import closing
 from dataclasses import dataclass
 from queue import Empty, SimpleQueue
 
-from .errors import CodecError, DimensionError, HandshakeError, InvalidParameter, ProtocolError, SessionError
+from .bases import named_basis_set
+from .errors import (
+    CodecError,
+    DimensionError,
+    HandshakeError,
+    HselabError,
+    InvalidParameter,
+    ProtocolError,
+    SessionError,
+)
 from .hilbert import Basis, BornTable, check_unit_norm
 from .protocol import EVE, AliceSession, BobSession, EveInterceptor, TrialBlocks, TrialOutcome
 from .rates import ProtocolConfig
@@ -304,14 +318,16 @@ class KnownStates:
 
     The table maps a state's `amps` bytes to its pairs because an honest
     Alice only sends the c*d vectors of her set: Bob's reader starts with
-    them, stored under the canonical `_amps_json` rendering, so an honest
-    line is never decoded in full on his side.  Learned entries follow the
-    `BornTable` rule: at most c*d, Bob's on top of his set's, the relay's
-    forward pump's from the sender's Hello, and 0 before it; Alice reads
-    her replies through a reader of capacity 0.  A line's A is learned,
-    with the pairs `decode` returned, only while fewer than `capacity` are
-    learned and only if A is their canonical rendering, so no key can carry
-    text from outside the amplitude list.
+    them, and the relay's forward pump's with those of the public set the
+    sender's Hello names, stored under the canonical `_amps_json`
+    rendering, so an honest line is never decoded in full on either side.
+    Learned entries follow the `BornTable` rule: at most c*d on top of the
+    states given, Bob's from his configuration, the relay's from the
+    sender's Hello, and 0 before it; Alice reads her replies through a
+    reader of capacity 0.  A line's A is learned, with the pairs `decode`
+    returned, only while fewer than `capacity` are learned and only if A
+    is their canonical rendering, so no key can carry text from outside
+    the amplitude list.
     """
 
     def __init__(self, capacity: int, states=()):
@@ -623,6 +639,22 @@ class MitmLog:
         return [InterceptionRecord(*record) for record in self._records.copy()]
 
 
+def _public_states(basis_set_id: str, d: int, c: int) -> list:
+    """The c*d states of the built-in set `basis_set_id` names at (d, c), as
+    `bases.named_basis_set` builds it, or none: an unknown id, a (d, c)
+    the construction refuses, or a set of another size leaves the relay to
+    learn the sender's states as they come.  No path is ever opened, and
+    the caller has checked d against Eve's basis, so the work is bounded by
+    her d, not by the peer."""
+    try:
+        basis_set = named_basis_set(basis_set_id, d, c)
+    except HselabError:
+        return []
+    if (basis_set.d, basis_set.c) != (d, c):
+        return []
+    return [v for basis in basis_set.bases for v in basis.vectors]
+
+
 def run_mitm_pumps(
     alice_side, bob_side, eve_basis: Basis, seed: int, intercept_fraction: float = 1.0
 ) -> MitmLog:
@@ -635,14 +667,18 @@ def run_mitm_pumps(
     known state line is measured straight from the reader's match, with no
     message object.  The sender's Hello must name Eve's dimension d, or the
     relay fails with DimensionError; a state with other than d amplitudes
-    is forwarded as it came, unrecorded, for Bob to refuse.  A trial's
-    states are held and written towards Bob together with the next line
-    that is not a state, so each trial costs one write.  The pump towards
-    Bob runs in a thread of its own and the pump towards Alice on the
-    calling thread, which returns once both directions reach EOF.  Returns
-    the interception log, which may be read while the relay runs.  If
-    either direction fails, both sides are closed, so that both endpoints
-    see EOF, and the failure is raised as SessionError.
+    is forwarded as it came, unrecorded, for Bob to refuse.  At the Hello
+    the reader and the table start with the c*d states of the built-in
+    set its `basis_set_id` names at its (d, c) (see `_public_states`), so
+    an honest sender's states are known from the first trial; under any
+    other id they are learned as they come.  A trial's states are held
+    and written towards Bob together with the next line that is not a
+    state, so each trial costs one write.  The pump towards Bob runs in a
+    thread of its own and the pump towards Alice on the calling thread,
+    which returns once both directions reach EOF.  Returns the
+    interception log, which may be read while the relay runs.  If either
+    direction fails, both sides are closed, so that both endpoints see
+    EOF, and the failure is raised as SessionError.
     """
     log = MitmLog()
     record = log._records.append
@@ -655,7 +691,7 @@ def run_mitm_pumps(
 
     def forward_with_interception():
         # all three sized from the sender's Hello: she has c*d states to
-        # send, c-1 to a trial
+        # send, c-1 to a trial; the first two start with her public set's
         table = BornTable((eve_basis,), 0)
         known = KnownStates(0)
         rows = eve_rows(0)
@@ -688,8 +724,9 @@ def run_mitm_pumps(
             if isinstance(msg, Hello):
                 if msg.d != d:
                     raise DimensionError(f"sender's d = {msg.d}, but Eve's basis has d = {d}")
-                table = BornTable((eve_basis,), msg.c * msg.d)
-                known = KnownStates(msg.c * msg.d)
+                states = _public_states(msg.basis_set_id, d, msg.c)
+                table = BornTable((eve_basis,), msg.c * d, states)
+                known = KnownStates(msg.c * d, states)
                 rows = eve_rows(min(2 * max(msg.c - 1, 0), _MAX_EVE_WIDTH))
             held.append(line)
             bob_side.send_line(b"".join(held))

@@ -64,30 +64,20 @@ def _cell(value) -> str:
 
 
 def resolve_set(spec: str, d: int | None, c: int | None):
-    """Turn a --set spec into a BasisSet (or a lone Basis for 'standard')."""
+    """Turn a --set spec into a BasisSet (or a lone Basis for 'standard');
+    the built-in names go to `bases.named_basis_set` once the flags they
+    read are given, so that a usage error names the flag."""
     if spec.startswith("file:"):
         return bases_mod.load_basis_set(spec[5:])
+    if spec not in NAMED_SETS:
+        raise InvalidParameter(f"unknown basis set spec {spec!r}")
+    if spec in ("standard", "fourier", "prime") and d is None:
+        raise InvalidParameter(f"--set {spec} needs --d")
+    if spec == "mub" and (d is None or c is None):
+        raise InvalidParameter("--set mub needs --d and --c")
     if spec == "standard":
-        if d is None:
-            raise InvalidParameter("--set standard needs --d")
         return bases_mod.standard_basis(d)
-    if spec == "fourier":
-        if d is None:
-            raise InvalidParameter("--set fourier needs --d")
-        return bases_mod.BasisSet([bases_mod.standard_basis(d), bases_mod.fourier_basis(d)])
-    if spec == "qutrit4":
-        return bases_mod.qutrit_complete_set()
-    if spec == "sixstate":
-        return bases_mod.qubit_six_state_set()
-    if spec == "prime":
-        if d is None:
-            raise InvalidParameter("--set prime needs --d")
-        return bases_mod.prime_complete_set(d, c if c is not None else d + 1)
-    if spec == "mub":
-        if d is None or c is None:
-            raise InvalidParameter("--set mub needs --d and --c")
-        return bases_mod.mu_basis_set(d, c)
-    raise InvalidParameter(f"unknown basis set spec {spec!r}")
+    return bases_mod.named_basis_set(spec, d, c)
 
 
 def resolve_sized_set(spec: str, d: int | None, c: int | None, purpose: str) -> bases_mod.BasisSet:
@@ -127,8 +117,8 @@ def resolve_eve(spec: str, basis_set: bases_mod.BasisSet) -> Basis | None:
 
 def _digits(text: str, stop: float = math.inf) -> int | None:
     """The value of `text` if it is ASCII digits spelling a number below
-    `stop`, else None: the one rule for every port, trial count and basis
-    index the CLI reads."""
+    `stop`, else None: the one rule for every integer the CLI reads (port,
+    size, seed, trial count and basis index)."""
     if not (text.isascii() and text.isdigit()):
         return None
     try:
@@ -322,12 +312,21 @@ def _port(text: str) -> int:
     return port
 
 
-def _trials(text: str) -> int:
-    """argparse type: a session's trial count, 0 or more."""
-    trials = _digits(text)
-    if trials is None:
-        raise argparse.ArgumentTypeError(f"expected a trial count 0 or more, got {text!r}")
-    return trials
+def _whole(text: str) -> int:
+    """argparse type: --d, --c or --trials, a whole number in ASCII
+    digits; the constructions and sessions check its range."""
+    value = _digits(text)
+    if value is None:
+        raise argparse.ArgumentTypeError(f"expected a whole number in ASCII digits, got {text!r}")
+    return value
+
+
+def _seed(text: str) -> int:
+    """argparse type: a seed, ASCII digits with an optional leading '-'."""
+    seed = _digits(text.removeprefix("-"))
+    if seed is None:
+        raise argparse.ArgumentTypeError(f"expected an integer seed in ASCII digits, got {text!r}")
+    return -seed if text.startswith("-") else seed
 
 
 def _host_port(text: str) -> tuple[str, int]:
@@ -351,8 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("verify", "distance"):
         p = bases_sub.add_parser(name)
         p.add_argument("--set", required=True, help="|".join(NAMED_SETS))
-        p.add_argument("--d", type=int, help="dimension (for standard/fourier/prime/mub)")
-        p.add_argument("--c", type=int, help="alphabet size (for prime/mub)")
+        p.add_argument("--d", type=_whole, help="dimension (for standard/fourier/prime/mub)")
+        p.add_argument("--c", type=_whole, help="alphabet size (for prime/mub)")
         if name == "verify":
             p.add_argument("--tol", type=float, default=TAU_NORM)
         else:
@@ -368,20 +367,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_t1.set_defaults(func=cmd_rates)
     p_comp = rates_sub.add_parser("compute")
     p_comp.add_argument("--protocol", choices=("hse", "bkb01", "kmb09"), required=True)
-    p_comp.add_argument("--d", type=int)
-    p_comp.add_argument("--c", type=int)
+    p_comp.add_argument("--d", type=_whole)
+    p_comp.add_argument("--c", type=_whole)
     p_comp.add_argument("--set", help="explicit basis set (enumeration instead of closed forms)")
     p_comp.add_argument("--eve", help=EVE_HELP + " (default basis:0; without --set only basis:<x> or <x>)")
     _add_format(p_comp)
     p_comp.set_defaults(func=cmd_rates)
 
     p_sim = sub.add_parser("sim", help="Monte Carlo simulation vs theory")
-    p_sim.add_argument("--d", type=int, required=True)
-    p_sim.add_argument("--c", type=int, required=True)
+    p_sim.add_argument("--d", type=_whole, required=True)
+    p_sim.add_argument("--c", type=_whole, required=True)
     p_sim.add_argument("--set", help="basis set spec (default: mub for the given d, c)")
     p_sim.add_argument("--eve", default="none", help=EVE_HELP)
-    p_sim.add_argument("--trials", type=int, default=200_000)
-    p_sim.add_argument("--seed", type=int, default=1)
+    p_sim.add_argument("--trials", type=_whole, default=200_000)
+    p_sim.add_argument("--seed", type=_seed, default=1)
     _add_format(p_sim)
     p_sim.set_defaults(func=cmd_sim)
 
@@ -393,11 +392,11 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "connect":
             p.add_argument("--host", default="127.0.0.1")
         p.add_argument("--port", type=_port, default=channel.DEFAULT_PORT)
-        p.add_argument("--d", type=int, required=True)
-        p.add_argument("--c", type=int, required=True)
+        p.add_argument("--d", type=_whole, required=True)
+        p.add_argument("--c", type=_whole, required=True)
         p.add_argument("--set", help="basis set spec (default mub)")
-        p.add_argument("--trials", type=_trials, default=1000)
-        p.add_argument("--seed", type=int, default=1)
+        p.add_argument("--trials", type=_whole, default=1000)
+        p.add_argument("--seed", type=_seed, default=1)
         p.add_argument("--no-compare", action="store_true", help="skip the public key comparison")
         _add_format(p)
         p.set_defaults(func=cmd_net)
@@ -405,10 +404,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_eve.add_argument("--listen", type=_port, required=True, help="port to accept the sender on")
     p_eve.add_argument("--forward", type=_host_port, required=True, help="host:port of the receiver")
     p_eve.add_argument("--basis", required=True, help=EVE_HELP.removeprefix("none | "))
-    p_eve.add_argument("--d", type=int, required=True)
-    p_eve.add_argument("--c", type=int, required=True)
+    p_eve.add_argument("--d", type=_whole, required=True)
+    p_eve.add_argument("--c", type=_whole, required=True)
     p_eve.add_argument("--set", help="basis set spec (default mub)")
-    p_eve.add_argument("--seed", type=int, default=1)
+    p_eve.add_argument("--seed", type=_seed, default=1)
     p_eve.set_defaults(func=cmd_net)
     return parser
 

@@ -17,13 +17,14 @@ from hselab.bases import (
     load_basis_set,
     max_cross_overlap,
     mu_basis_set,
+    named_basis_set,
     prime_complete_set,
     qubit_six_state_set,
     qutrit_complete_set,
     save_basis_set,
     standard_basis,
 )
-from hselab.errors import DimensionError, InvalidParameter
+from hselab.errors import ConstructionError, DimensionError, InvalidParameter
 from hselab.hilbert import Basis, transition_prob
 from hselab.rates import iter_rate
 
@@ -184,6 +185,100 @@ class TestMuFamilyProvider:
     def test_no_large_family_in_composite_dimension(self):
         with pytest.raises(InvalidParameter):
             mu_basis_set(6, 3)
+
+
+class TestMemoisedSets:
+    """Each named construction is built once per process and shared, which
+    is safe only because a set cannot be changed through what it returns."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            qubit_six_state_set,
+            qutrit_complete_set,
+            lambda: mu_basis_set(2, 2),
+            lambda: mu_basis_set(4, 5),
+            lambda: mu_basis_set(6, 2),
+            lambda: mu_basis_set(7, 8),
+            lambda: prime_complete_set(5, 4),
+        ],
+        ids=["sixstate", "qutrit4", "mub-2-2", "mub-4-5", "mub-6-2", "mub-7-8", "prime-5-4"],
+    )
+    def test_second_call_returns_the_same_read_only_set(self, build):
+        first = build()
+        assert build() is first
+        for basis in first.bases:
+            arrays = [basis.matrix, basis.conj, *(v.amps for v in basis.vectors)]
+            assert not any(array.flags.writeable for array in arrays)
+            with pytest.raises(ValueError):
+                basis.matrix[0, 0] = 0
+        with pytest.raises(AttributeError):
+            first.bases = ()
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: mu_basis_set(6, 3),
+            lambda: mu_basis_set(2, 4),
+            lambda: mu_basis_set(5, 1),
+            lambda: prime_complete_set(5, 7),
+            lambda: prime_complete_set(9, 3),
+        ],
+    )
+    def test_invalid_sizes_raise_every_time(self, build):
+        for _ in range(3):
+            with pytest.raises(InvalidParameter):
+                build()
+
+
+class TestNamedBasisSet:
+    @pytest.mark.parametrize(
+        "name,d,c,expected",
+        [
+            ("mub", 5, 6, lambda: mu_basis_set(5, 6)),
+            ("prime", 5, 3, lambda: prime_complete_set(5, 3)),
+            ("prime", 7, None, lambda: prime_complete_set(7, 8)),
+            ("sixstate", None, None, qubit_six_state_set),
+            ("sixstate", 7, 8, qubit_six_state_set),
+            ("qutrit4", 3, 4, qutrit_complete_set),
+        ],
+    )
+    def test_names_give_the_memoised_constructions(self, name, d, c, expected):
+        assert named_basis_set(name, d, c) is expected()
+
+    @pytest.mark.parametrize("d", [2, 6, 9])
+    def test_fourier_is_the_standard_and_fourier_pair(self, d):
+        pair = named_basis_set("fourier", d, 5)
+        assert pair is named_basis_set("fourier", d)
+        assert (pair.d, pair.c) == (d, 2)
+        np.testing.assert_array_equal(pair.bases[0].matrix, standard_basis(d).matrix)
+        np.testing.assert_array_equal(pair.bases[1].matrix, fourier_basis(d).matrix)
+
+    @pytest.mark.parametrize(
+        "name,d,c",
+        [
+            ("", 2, 3),
+            ("standard", 2, 3),
+            ("file:set.json", 2, 3),
+            ("MUB", 2, 3),
+            ("mub", None, 3),
+            ("mub", 2, None),
+            ("prime", None, 3),
+            ("fourier", None, 2),
+            ("fourier", 1, 2),
+        ],
+    )
+    def test_other_names_and_missing_sizes_raise(self, name, d, c, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        save_basis_set(qubit_six_state_set(), tmp_path / "set.json")
+        with pytest.raises(InvalidParameter):
+            named_basis_set(name, d, c)
+
+    @pytest.mark.parametrize("c", [-1, 0, 1, 5, 10**6])
+    @pytest.mark.parametrize("name", ["mub", "prime"])
+    def test_refused_sizes_raise(self, name, c):
+        with pytest.raises((InvalidParameter, ConstructionError)):
+            named_basis_set(name, 3, c)
 
 
 class TestBreidbart:

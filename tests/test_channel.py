@@ -15,9 +15,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import hselab.bases as bases_module
 import hselab.channel as ch
 from conftest import free_port, make_random_basis, make_random_set
-from hselab.bases import BasisSet, breidbart_basis, fourier_basis, mu_basis_set
+from hselab.bases import BasisSet, breidbart_basis, fourier_basis, mu_basis_set, save_basis_set
 from hselab.errors import (
     CodecError,
     DimensionError,
@@ -1264,6 +1265,183 @@ class TestMitm:
         assert abs(p_hat - 4 / 7) <= 4 * stderr
 
 
+def relayed_session(cfg, set_id, eve_basis, n, seed, intercept_fraction=1.0):
+    """Alice and Bob on cfg under `set_id`, through run_mitm_pumps in
+    memory; returns Bob's outcomes and the relay's log."""
+    alice_t, eve_a = ch.memory_transport_pair()
+    eve_b, bob_t = ch.memory_transport_pair()
+    results = {}
+
+    def alice():
+        results["alice"] = ch.run_session("alice", alice_t, cfg, n, seed, set_id)
+
+    def relay():
+        results["mitm"] = ch.run_mitm_pumps(eve_a, eve_b, eve_basis, seed, intercept_fraction)
+
+    threads = [threading.Thread(target=alice), threading.Thread(target=relay)]
+    for thread in threads:
+        thread.start()
+    outcomes = ch.run_session("bob", bob_t, cfg, n, seed, set_id)
+    threads[0].join(10.0)
+    alice_t.close()
+    bob_t.close()
+    for thread in threads:
+        thread.join(10.0)
+        assert not thread.is_alive()
+    return outcomes, results["mitm"]
+
+
+@pytest.fixture
+def relay_tables(monkeypatch):
+    """The relay's BornTables and KnownStates readers as they are made:
+    (kind, table, number of states it starts with).  Only the relay makes a
+    BornTable in `channel`, so a reader made on a thread that made one is
+    the relay's."""
+    made = []
+
+    def recording(kind, base, states_at):
+        class Recorded(base):
+            def __init__(self, *args):
+                super().__init__(*args)
+                states = args[states_at] if len(args) > states_at else ()
+                made.append((kind, threading.current_thread(), self, len(states)))
+
+        monkeypatch.setattr(ch, kind, Recorded)
+
+    recording("BornTable", ch.BornTable, 2)
+    recording("KnownStates", ch.KnownStates, 1)
+
+    def relay_only():
+        relay_threads = {thread for kind, thread, _, _ in made if kind == "BornTable"}
+        return [(kind, table, n) for kind, thread, table, n in made if thread in relay_threads]
+
+    return relay_only
+
+
+class TestRelayPrefill:
+    """The relay starts from the public set the sender's Hello names."""
+
+    @pytest.mark.parametrize("d,c,fraction", [(7, 8, 1.0), (5, 6, 0.5), (2, 3, 1.0)])
+    def test_an_honest_mub_session_makes_no_full_decode_at_the_relay(
+        self, d, c, fraction, relay_tables, monkeypatch
+    ):
+        basis_set = mu_basis_set(d, c)
+        cfg = ProtocolConfig(c=c, d=d, basis_set=basis_set)
+        eve = basis_set.bases[0]
+        full_decodes = TestMitm().count_full_state_decodes(monkeypatch)
+        n, seed = 100, 5
+        outcomes, log = relayed_session(cfg, "mub", eve, n, seed, fraction)
+        attacked = ProtocolConfig(c=c, d=d, basis_set=basis_set, eve=eve, intercept_fraction=fraction)
+        assert outcomes == [run_trial(attacked, t, seed) for t in range(n)]
+        assert log.records
+        # Eve resends states of Bob's set, so no endpoint decodes a state in full
+        assert not full_decodes
+        tables = relay_tables()
+        assert {kind for kind, _, _ in tables} == {"BornTable", "KnownStates"}
+        # the tables made at the Hello start with the set, and learn nothing
+        hello_tables = [(table, n) for _, table, n in tables if table.capacity]
+        assert [n for _, n in hello_tables] == [c * d, c * d]
+        assert all(table.capacity == c * d and len(table) == 0 for table, _ in hello_tables)
+
+    @pytest.mark.parametrize("d,c", [(3, 4), (5, 3)])
+    def test_a_hello_naming_a_set_alice_does_not_use(self, d, c, relay_tables):
+        # Alice and Bob agree on the id "prime" but hold a random set: the
+        # relay starts with the prime set's states, which never come, and
+        # learns Alice's within its room of c*d
+        basis_set = make_random_set(d, c, 17)
+        cfg = ProtocolConfig(c=c, d=d, basis_set=basis_set)
+        eve = basis_set.bases[1]
+        n, seed = 150, 8
+        outcomes, _ = relayed_session(cfg, "prime", eve, n, seed)
+        attacked = ProtocolConfig(c=c, d=d, basis_set=basis_set, eve=eve)
+        assert outcomes == [run_trial(attacked, t, seed) for t in range(n)]
+        hello_tables = [(table, n) for _, table, n in relay_tables() if table.capacity]
+        assert [n for _, n in hello_tables] == [c * d, c * d]
+        assert all(0 < len(table) <= c * d for table, _ in hello_tables)
+
+    def hostile_hello_session(self, sixstate, cfg23, set_id, c):
+        """A Hello naming `set_id` at (2, c), a few trials of Bob's and
+        random states, then Bye, through the relay to a Bob on cfg23 under
+        `set_id`: what each party ended with and what the relay wrote."""
+        alice_t, eve_a = ch.memory_transport_pair()
+        eve_b, bob_t = ch.memory_transport_pair()
+        to_alice, to_bob = RecordingTransport(eve_a), RecordingTransport(eve_b)
+        alice_t.send_line(ch.encode(ch.Hello(1, c, 2, set_id)))
+        for t in range(6):
+            for slot in range(2):
+                state = sixstate.bases[t % 3].vectors[slot] if t < 3 else make_random_basis(2, 40 + t).vectors[slot]
+                alice_t.send_line(ch.encode(ch.QuantumState(t, slot, state.pairs())))
+            alice_t.send_line(ch._announce_line(t, (1, 2)))
+        alice_t.send_line(ch.encode(ch.Bye("done")))
+        result = {}
+
+        def outcome(name, run):
+            try:
+                result[name] = run()
+            except Exception as exc:
+                result[name] = repr(exc)
+
+        relay = threading.Thread(
+            target=outcome, args=("relay", lambda: ch.run_mitm_pumps(to_alice, to_bob, sixstate.bases[0], 1))
+        )
+        relay.start()
+        outcome("bob", lambda: ch.run_session("bob", bob_t, cfg23, 6, 1, set_id))
+        # Alice's end stays open until Bob is done, so that the relay
+        # forwards all he wrote before either side's EOF ends it
+        bob_t.close()
+        relay.join(5.0)
+        alice_t.close()
+        assert not relay.is_alive()
+        if not isinstance(result["relay"], str):
+            result["relay"] = result["relay"].records
+        return result, to_bob.sent, to_alice.sent
+
+    @pytest.mark.parametrize(
+        "set_id,c",
+        [
+            ("file:{path}", 3),
+            ("standard", 3),
+            ("", 3),
+            ("MUB", 3),
+            ("mub\x00", 3),
+            ("../{path}", 3),
+            ("prime", 3),
+            ("fourier", 3),
+            ("sixstate", 4),
+            ("qutrit4", 3),
+            *(("mub", c) for c in (-1, 0, 1, 4, 10**6)),
+        ],
+    )
+    def test_a_hostile_hello_starts_nothing_and_ends_as_without_prefill(
+        self, sixstate, cfg23, set_id, c, tmp_path, relay_tables, monkeypatch
+    ):
+        # a file the relay would find, holding a set of the Hello's size
+        path = tmp_path / "six.json"
+        save_basis_set(sixstate, path)
+        set_id = set_id.format(path=path)
+        opened = []
+
+        def no_load(path):
+            opened.append(path)
+            raise AssertionError("the relay opened a basis-set file")
+
+        monkeypatch.setattr(bases_module, "load_basis_set", no_load)
+        with_prefill = self.hostile_hello_session(sixstate, cfg23, set_id, c)
+        tables = relay_tables()
+        monkeypatch.setattr(ch, "_public_states", lambda *args: [])
+        assert self.hostile_hello_session(sixstate, cfg23, set_id, c) == with_prefill
+        assert opened == []
+        assert tables and all(n == 0 for _, _, n in tables)
+
+    def test_no_relay_table_starts_with_more_than_d_times_d_plus_1_states(self, relay_tables):
+        for d, c in [(2, 3), (3, 4), (5, 6)]:
+            basis_set = mu_basis_set(d, c)
+            cfg = ProtocolConfig(c=c, d=d, basis_set=basis_set)
+            relayed_session(cfg, "mub", basis_set.bases[0], 3, 1)
+        starts = [n for _, _, n in relay_tables()]
+        assert max(starts) == 5 * 6 and all(n <= 5 * 6 for n in starts)
+
+
 class BreakAnnouncement:
     """Alice's transport, with one index too many in the announcement of
     one trial, which Bob rejects."""
@@ -1770,6 +1948,85 @@ class TestHostileBob:
             assert result["log"].key == tuple(o.x for o in outcomes if o.sifted)
         else:
             assert "log" not in result
+            error = result["error"]
+            assert isinstance(error, (ProtocolError, CodecError, HandshakeError, SessionError)), repr(error)
+
+
+class TestHostileBobThroughTheRelay:
+    """TestHostileBob's replies sent to Alice through the relay's pump
+    towards her, which forwards them byte-identically: Alice returns, or
+    stops with ProtocolError, CodecError, HandshakeError or SessionError,
+    within twice her receive timeout.  She returns when she would without
+    the relay, and also when the relay fails on a silent Bob after her
+    last honest reply: she reads its close as his.  The relay returns its
+    log, or raises SessionError, and no thread outlives the session."""
+
+    TIMEOUT = 0.25
+    SEED = 3
+
+    @given(
+        st.sampled_from(["sixstate", "qutrit4"]),
+        st.integers(0, 3),
+        st.lists(st.tuples(st.integers(0, 5), st.sampled_from(HOSTILE_REPLIES), st.integers(0, 11)), max_size=2),
+        st.integers(0, 6),
+        # a silent end waits out a timeout, so it comes up least often
+        st.sampled_from(["close", "close", "close", "silence"]),
+        st.sampled_from([0.5, 1.0]),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_alice_and_the_relay_end_promptly(
+        self, sixstate, qutrit4, set_id, n_trials, segments, honest_tail, end, fraction
+    ):
+        basis_set = {"sixstate": sixstate, "qutrit4": qutrit4}[set_id]
+        cfg = ProtocolConfig(c=basis_set.c, d=basis_set.d, basis_set=basis_set)
+        lines = hostile_replies(cfg, set_id, n_trials, self.SEED, segments, honest_tail)
+        alice_t, eve_a = ch.memory_transport_pair()
+        eve_b, bob_t = ch.memory_transport_pair()
+        for line in lines:
+            bob_t.send_line(line)
+        if end == "close":
+            bob_t.close()
+        result = {}
+
+        def alice():
+            try:
+                result["log"] = ch.run_session("alice", alice_t, cfg, n_trials, self.SEED, set_id)
+            except Exception as exc:
+                result["error"] = exc
+
+        def relay():
+            try:
+                result["relay log"] = ch.run_mitm_pumps(eve_a, eve_b, basis_set.bases[1], self.SEED, fraction)
+            except Exception as exc:
+                result["relay error"] = exc
+
+        before = set(threading.enumerate())
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ch, "_RECV_TIMEOUT", self.TIMEOUT)
+            workers = [threading.Thread(target=alice), threading.Thread(target=relay)]
+            started = time.monotonic()
+            for worker in workers:
+                worker.start()
+            workers[0].join(2 * self.TIMEOUT)
+            took = time.monotonic() - started
+            alice_t.close()
+            bob_t.close()
+            workers[1].join(2 * self.TIMEOUT)
+            relay_took = time.monotonic() - started
+        assert took < 2 * self.TIMEOUT and relay_took < 4 * self.TIMEOUT
+        assert set(threading.enumerate()) == before
+        assert ("relay log" in result) != ("relay error" in result)
+        if "relay error" in result:
+            assert isinstance(result["relay error"], SessionError), repr(result["relay error"])
+        if "log" in result:
+            # a relay that fails on a silent Bob closes Alice's side, which
+            # she reads as his close
+            seen = "close" if "relay error" in result else end
+            assert alice_may_return(cfg, set_id, n_trials, self.SEED, lines, seen)
+            outcomes = [run_trial(cfg, t, self.SEED) for t in range(n_trials)]
+            assert result["log"].key == tuple(o.x for o in outcomes if o.sifted)
+        else:
+            assert not alice_may_return(cfg, set_id, n_trials, self.SEED, lines, end)
             error = result["error"]
             assert isinstance(error, (ProtocolError, CodecError, HandshakeError, SessionError)), repr(error)
 

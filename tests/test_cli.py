@@ -12,7 +12,7 @@ import pytest
 import hselab.channel as ch
 from conftest import free_port
 from hselab.bases import qubit_six_state_set, save_basis_set
-from hselab.cli import NAMED_SETS, main
+from hselab.cli import NAMED_SETS, build_parser, main
 from hselab.errors import SessionError
 from hselab.montecarlo import STAGES
 from hselab.rates import bkb01_rates, mub_closed_forms
@@ -138,6 +138,21 @@ class TestBases:
             "pair B0,B2: MU",
             "pair B1,B2: MU",
         ]
+
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--set", "mub", "--d", "5"], "--set mub needs --d and --c"),
+            (["--set", "mub", "--c", "3"], "--set mub needs --d and --c"),
+            (["--set", "prime"], "--set prime needs --d"),
+            (["--set", "fourier"], "--set fourier needs --d"),
+            (["--set", "standard"], "--set standard needs --d"),
+            (["--set", "nope"], "unknown basis set spec 'nope'"),
+        ],
+    )
+    def test_a_set_usage_error_names_the_flag(self, capsys, flags, message):
+        code, out, err = run(capsys, "bases", "verify", *flags)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_distance_jsonl(self, capsys):
         code, out, _ = run(capsys, "bases", "distance", "--set", "sixstate", "--format", "jsonl")
@@ -277,8 +292,13 @@ EVE = ["--basis", "basis:0", "--d", "2", "--c", "3", "--set", "sixstate"]
 
 
 class TestAddresses:
-    """A bad port or address is a usage error: exit 2, no traceback, and
-    no session started."""
+    """A bad port, address, size, seed or trial count is a usage error:
+    exit 2, no traceback, and no session started."""
+
+    @pytest.mark.parametrize("seed", ["-7", "0", "007", "12345678901234567890"])
+    def test_ascii_seeds_parse_as_int_does(self, seed):
+        argv = ["sim", "--d", "2", "--c", "3", "--seed", seed]
+        assert build_parser().parse_args(argv).seed == int(seed)
 
     @pytest.mark.parametrize(
         "argv,bad",
@@ -294,6 +314,17 @@ class TestAddresses:
             (["net", "serve", "--role", "bob", "--trials", "-1", "--d", "2", "--c", "3"], "'-1'"),
             (["net", "connect", "--role", "alice", "--trials", "-1", "--d", "2", "--c", "3"], "'-1'"),
             (["net", "serve", "--role", "bob", "--trials", "١٠", "--d", "2", "--c", "3"], "'١٠'"),
+            # --d, --c, --seed and sim --trials take ASCII digits only
+            (["sim", "--d", "٢", "--c", "3", "--trials", "10"], "'٢'"),
+            (["sim", "--d", "2", "--c", "٣", "--trials", "10"], "'٣'"),
+            (["sim", "--d", "2", "--c", "3", "--trials", "١٠"], "'١٠'"),
+            (["sim", "--d", "2", "--c", "3", "--trials", "10", "--seed", "٧"], "'٧'"),
+            (["sim", "--d", "2", "--c", "3", "--trials", "10", "--seed", "-٧"], "'-٧'"),
+            (["rates", "compute", "--protocol", "hse", "--d", "٣", "--c", "4"], "'٣'"),
+            (["rates", "compute", "--protocol", "hse", "--d", "3", "--c", "٤"], "'٤'"),
+            (["bases", "verify", "--set", "mub", "--d", "²", "--c", "3"], "'²'"),
+            (["net", "eve", "--listen", "7118", "--forward", "127.0.0.1:7117", *EVE[:4], "--c", "３"], "'３'"),
+            (["net", "connect", "--role", "alice", "--d", "2", "--c", "3", "--seed", "٧"], "'٧'"),
         ],
     )
     def test_usage_error(self, capsys, monkeypatch, argv, bad):
