@@ -32,7 +32,7 @@ from .errors import (
     ProtocolError,
     SessionError,
 )
-from .hilbert import Basis, StateVector, born_sample, overlap, transition_prob, verify_orthonormal
+from .hilbert import Basis, StateVector, born_sample, verify_orthonormal
 from .montecarlo import SimReport, estimate_rates, simulate_bkb01
 from .protocol import EveInterceptor, TrialOutcome, run_trial
 from .rates import (
@@ -88,7 +88,6 @@ __all__ = [
     "max_cross_overlap",
     "mu_basis_set",
     "mub_closed_forms",
-    "overlap",
     "prime_complete_set",
     "qber",
     "qubit_six_state_set",
@@ -100,6 +99,5 @@ __all__ = [
     "standard_basis",
     "success_rate",
     "table1",
-    "transition_prob",
     "verify_orthonormal",
 ]

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
+import shutil
 import sys
 
 from . import bases as bases_mod
@@ -94,25 +96,29 @@ def resolve_sized_set(spec: str, d: int | None, c: int | None, purpose: str) -> 
     return basis_set
 
 
-def resolve_eve(spec: str, basis_set: bases_mod.BasisSet) -> Basis | None:
+def resolve_eve(spec: str, basis_set: bases_mod.BasisSet, flag: str = "--eve") -> Basis | None:
     """Turn an --eve spec (none | breidbart | basis:<x> | <x> | file:<path>[#x])
-    into a Basis; x names a basis of `basis_set`, or of the file's set."""
+    into a Basis of the set's dimension; x names a basis of `basis_set`, or
+    of the file's set.  A usage error names `flag`, the option it came from."""
     if spec == "none":
         return None
     if spec == "breidbart":
-        return bases_mod.breidbart_basis()
-    if spec.startswith("file:"):
-        path, _, index = spec[5:].partition("#")
-        basis_set = bases_mod.load_basis_set(path)
-        index = _digits(index or "0", basis_set.c)
+        eve = bases_mod.breidbart_basis()
     else:
-        index = _digits(spec.removeprefix("basis:"), basis_set.c)
-    if index is None:
-        raise InvalidParameter(
-            f"bad --eve {spec!r}: expected none, breidbart, basis:<x>, <x> or file:<path>[#x], "
-            f"x in 0..{basis_set.c - 1} in ASCII digits"
-        )
-    return basis_set.bases[index]
+        source, digits = basis_set, spec.removeprefix("basis:")
+        if spec.startswith("file:"):
+            path, _, digits = spec[5:].partition("#")
+            source, digits = bases_mod.load_basis_set(path), digits or "0"
+        index = _digits(digits, source.c)
+        if index is None:
+            raise InvalidParameter(
+                f"bad {flag} {spec!r}: expected none, breidbart, basis:<x>, <x> or file:<path>[#x], "
+                f"x in 0..{source.c - 1} in ASCII digits"
+            )
+        eve = source.bases[index]
+    if eve.dim != basis_set.d:
+        raise InvalidParameter(f"{flag} {spec!r} is a basis of d={eve.dim}, but the basis set has d={basis_set.d}")
+    return eve
 
 
 def _digits(text: str, stop: float = math.inf) -> int | None:
@@ -274,7 +280,7 @@ def cmd_net(args) -> int:
     basis_set = resolve_sized_set(spec, args.d, args.c, "sessions")
 
     if args.net_cmd == "eve":
-        eve = resolve_eve(args.basis, basis_set)
+        eve = resolve_eve(args.basis, basis_set, "--basis")
         if eve is None:
             raise InvalidParameter("the eve node needs a basis")
         log = channel.run_mitm(("127.0.0.1", args.listen), args.forward, eve, args.seed)
@@ -342,11 +348,17 @@ def _add_format(parser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="hselab", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    """The parser tree, built afresh on every call.  The terminal width is
+    read once here, by argparse's own rule (columns - 2), and every parser
+    in the tree formats at it: left to itself, argparse reads the terminal
+    again for each argument and subcommand group it adds."""
+    formatter = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
+    parser_class = functools.partial(argparse.ArgumentParser, formatter_class=formatter)
+    parser = parser_class(prog="hselab", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=parser_class)
 
     p_bases = sub.add_parser("bases", help="construct, verify, and measure bases")
-    bases_sub = p_bases.add_subparsers(dest="bases_cmd", required=True)
+    bases_sub = p_bases.add_subparsers(dest="bases_cmd", required=True, parser_class=parser_class)
     for name in ("verify", "distance"):
         p = bases_sub.add_parser(name)
         p.add_argument("--set", required=True, help="|".join(NAMED_SETS))
@@ -361,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     bases_sub.add_parser("list").set_defaults(func=cmd_bases)
 
     p_rates = sub.add_parser("rates", help="analytic rate computation")
-    rates_sub = p_rates.add_subparsers(dest="rates_cmd", required=True)
+    rates_sub = p_rates.add_subparsers(dest="rates_cmd", required=True, parser_class=parser_class)
     p_t1 = rates_sub.add_parser("table1")
     _add_format(p_t1)
     p_t1.set_defaults(func=cmd_rates)
@@ -385,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(func=cmd_sim)
 
     p_net = sub.add_parser("net", help="run protocol endpoints over TCP")
-    net_sub = p_net.add_subparsers(dest="net_cmd", required=True)
+    net_sub = p_net.add_subparsers(dest="net_cmd", required=True, parser_class=parser_class)
     for name in ("serve", "connect"):
         p = net_sub.add_parser(name)
         p.add_argument("--role", choices=("alice", "bob"), required=True)

@@ -1,9 +1,11 @@
 """Finite-dimensional complex state vectors and projective measurement.
 
 Everything downstream (basis families, rate formulas, the protocol
-simulator) reduces to the primitives defined here: inner products,
-transition probabilities (one pair of vectors, or every pair of two bases
-with `transition_matrix`), and Born-rule sampling in an orthonormal basis.
+simulator) reduces to the primitives defined here: the transition
+probabilities between every vector of two bases (`transition_matrix`),
+and Born-rule sampling in an orthonormal basis.  The one-pair inner
+product and transition probability are test oracles and live in the
+tests.
 All quantities are double precision; TAU_NORM separates rounding noise
 from genuine invariant violations.
 
@@ -139,40 +141,12 @@ class OrthonormalityReport:
     max_deviation: float
 
 
-def overlap(u: StateVector, v: StateVector) -> complex:
-    """Inner product <u|v> = sum_k conj(u_k) v_k."""
-    if u.dim != v.dim:
-        raise DimensionError(f"dimension mismatch: {u.dim} vs {v.dim}")
-    return complex(np.vdot(u.amps, v.amps))
-
-
-def transition_prob(u: StateVector, v: StateVector) -> float:
-    """|<u|v>|^2, clamped to [0, 1].
-
-    Values within TAU_NORM outside [0, 1] are rounding noise and clamp;
-    anything further out means a corrupt input and raises NumericalError.
-    """
-    amp = overlap(u, v)
-    p = amp.real * amp.real + amp.imag * amp.imag
-    return _clamp_probability(p)
-
-
 def transition_matrix(b1: Basis, b2: Basis) -> np.ndarray:
     """M[i, k] = |<v_i^1 | v_k^2>|^2 for every vector of b1 and of b2."""
+    if b1.dim != b2.dim:
+        raise DimensionError(f"dimension mismatch: {b1.dim} vs {b2.dim}")
     gram = b1.matrix.conj().T @ b2.matrix
     return gram.real**2 + gram.imag**2
-
-
-def _clamp_probability(p: float) -> float:
-    if p < 0.0:
-        if p < -TAU_NORM:
-            raise NumericalError(f"probability {p} below 0 beyond tolerance")
-        return 0.0
-    if p > 1.0:
-        if p > 1.0 + TAU_NORM:
-            raise NumericalError(f"probability {p} above 1 beyond tolerance")
-        return 1.0
-    return p
 
 
 def born_rows(basis: Basis, amps) -> np.ndarray:

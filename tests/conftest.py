@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from hselab.bases import BasisSet, qubit_six_state_set, qutrit_complete_set
-from hselab.hilbert import Basis
+from hselab.errors import DimensionError, NumericalError
+from hselab.hilbert import TAU_NORM, Basis
 from hselab.rng import RandomStream
 
 
@@ -16,6 +17,25 @@ def sixstate():
 @pytest.fixture(scope="session")
 def qutrit4():
     return qutrit_complete_set()
+
+
+def overlap(u, v) -> complex:
+    """Oracle: the inner product <u|v> = sum_k conj(u_k) v_k of two
+    StateVectors, one pair at a time."""
+    if u.dim != v.dim:
+        raise DimensionError(f"dimension mismatch: {u.dim} vs {v.dim}")
+    return complex(np.vdot(u.amps, v.amps))
+
+
+def transition_prob(u, v) -> float:
+    """Oracle: |<u|v>|^2 of two StateVectors, clamped to [0, 1].  Values
+    within TAU_NORM outside [0, 1] are rounding noise and clamp; anything
+    further out means a corrupt input and raises NumericalError."""
+    amp = overlap(u, v)
+    p = amp.real * amp.real + amp.imag * amp.imag
+    if not -TAU_NORM <= p <= 1.0 + TAU_NORM:
+        raise NumericalError(f"probability {p} outside [0, 1] beyond tolerance")
+    return min(max(p, 0.0), 1.0)
 
 
 def make_random_basis(d, seed, label="random"):

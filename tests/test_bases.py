@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_random_basis, make_random_set
+from conftest import make_random_basis, make_random_set, transition_prob
 from hselab.bases import (
     TAU_DISTINCT,
     BasisSet,
@@ -25,7 +25,7 @@ from hselab.bases import (
     standard_basis,
 )
 from hselab.errors import ConstructionError, DimensionError, InvalidParameter
-from hselab.hilbert import Basis, transition_prob
+from hselab.hilbert import Basis
 from hselab.rates import iter_rate
 
 W3 = cmath.exp(2j * cmath.pi / 3)

@@ -784,14 +784,14 @@ class TestLineCap:
         assert isinstance(errors.get("bob"), SessionError)
 
 
-def _dial_with_retry(connect, port, cfg, n, seed, attempts=50):
+def _dial_with_retry(connect, port, cfg, n, seed, basis_set_id="sixstate", attempts=50, pause=0.05):
     for _ in range(attempts):
         try:
-            return connect("127.0.0.1", port, "alice", cfg, n, seed, basis_set_id="sixstate")
+            return connect("127.0.0.1", port, "alice", cfg, n, seed, basis_set_id=basis_set_id)
         except SessionError as exc:
             if not isinstance(exc.__cause__, ConnectionRefusedError):
                 raise
-            time.sleep(0.05)
+            time.sleep(pause)
     raise AssertionError("server never came up")
 
 
@@ -2029,6 +2029,171 @@ class TestHostileBobThroughTheRelay:
             assert not alice_may_return(cfg, set_id, n_trials, self.SEED, lines, end)
             error = result["error"]
             assert isinstance(error, (ProtocolError, CodecError, HandshakeError, SessionError)), repr(error)
+
+
+def play_raw_peer(sock, lines, end) -> bytes:
+    """A hostile peer on a connected plain socket: it writes `lines`, shuts
+    its sending side if `end` is "close" (else it falls silent), and reads
+    until the endpoint closes, so that it never resets a connection the
+    endpoint still reads.  Closes the socket and returns what it read."""
+    heard = []
+    with sock:
+        sock.settimeout(5.0)
+        try:
+            sock.sendall(b"".join(lines))
+            if end == "close":
+                sock.shutdown(socket.SHUT_WR)
+            while chunk := sock.recv(65536):
+                heard.append(chunk)
+        except OSError:  # the endpoint closed with our lines unread
+            pass
+    return b"".join(heard)
+
+
+class TestHostilePeersOverTcp:
+    """TestHostileAlice's lines and TestHostileBob's replies, written by a
+    plain socket to `serve_session` and `connect_session` on loopback,
+    directly and through `run_mitm` at f in {0.5, 1}.  The endpoint returns
+    when it would over memory, or stops with ProtocolError, CodecError,
+    HandshakeError or SessionError, within BOUND of its start; through the
+    relay Alice may also fail a send with SessionError once Bob has closed
+    (see test_hostile_bob).  The relay returns its log or raises
+    SessionError, and no thread or socket is left (an unclosed socket's
+    ResourceWarning fails the run)."""
+
+    TIMEOUT = 0.25
+    BOUND = 4 * TIMEOUT
+    SEED = 3
+
+    def run_parties(self, endpoint, peer, relay):
+        """Run the endpoint, the raw peer and, unless `relay` is None,
+        run_mitm(*relay) between them, each on a thread of its own.
+        Returns each party's result, or the exception it raised under
+        "<name> error"."""
+        result = {}
+
+        def party(name, fn):
+            def run():
+                try:
+                    result[name] = fn()
+                except Exception as exc:
+                    result[f"{name} error"] = exc
+
+            return threading.Thread(target=run, name=name)
+
+        threads = [party("endpoint", endpoint), party("peer", peer)]
+        if relay is not None:
+            threads.append(party("relay", lambda: ch.run_mitm(*relay)))
+        before = set(threading.enumerate())
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ch, "_RECV_TIMEOUT", self.TIMEOUT)
+            started = time.monotonic()
+            for thread in threads:
+                thread.start()
+            threads[0].join(self.BOUND)
+            took = time.monotonic() - started
+            for thread in threads:
+                thread.join(self.BOUND)
+        assert took < self.BOUND
+        assert set(threading.enumerate()) == before
+        assert "peer error" not in result, repr(result["peer error"])
+        if relay is not None:
+            assert ("relay" in result) != ("relay error" in result)
+            if "relay error" in result:
+                assert isinstance(result["relay error"], SessionError), repr(result["relay error"])
+        return result
+
+    @pytest.mark.parametrize("relayed", [False, True], ids=["direct", "relayed"])
+    @given(
+        st.sampled_from(["sixstate", "qutrit4"]),
+        st.lists(st.tuples(st.integers(0, 7), st.sampled_from(HOSTILE_KINDS), st.integers(0, 11)), max_size=3),
+        st.integers(0, 7),
+        st.sampled_from(["bye", "bye", "close", "close", "silence"]),
+        st.sampled_from([0.5, 1.0]),
+    )
+    # Alice falls silent after two honest trials
+    @example("sixstate", [], 6, "silence", 1.0)
+    @settings(max_examples=25, deadline=None)
+    def test_hostile_alice(self, sixstate, qutrit4, relayed, set_id, segments, honest_tail, end, fraction):
+        basis_set = {"sixstate": sixstate, "qutrit4": qutrit4}[set_id]
+        cfg = ProtocolConfig(c=basis_set.c, d=basis_set.d, basis_set=basis_set)
+        lines = [ch.encode(ch.Hello(1, cfg.c, cfg.d, set_id)), *hostile_lines(cfg, set_id, segments, honest_tail)]
+        if end == "bye":
+            lines.append(ch.encode(ch.Bye("done")))
+        bob_port, relay_port = free_port(), free_port()
+        listening = threading.Event()
+
+        def bob():
+            return ch.serve_session("127.0.0.1", bob_port, "bob", cfg, 4, self.SEED, set_id, ready_event=listening)
+
+        def alice():
+            assert listening.wait(5.0)
+            port = relay_port if relayed else bob_port
+            for _ in range(100):
+                try:
+                    sock = socket.create_connection(("127.0.0.1", port), timeout=5.0)
+                    break
+                except ConnectionRefusedError:  # the relay is not listening yet
+                    time.sleep(0.01)
+            else:
+                raise AssertionError("listener never came up")
+            return play_raw_peer(sock, lines, end)
+
+        relay = (("127.0.0.1", relay_port), ("127.0.0.1", bob_port), basis_set.bases[1], self.SEED, fraction)
+        result = self.run_parties(bob, alice, relay if relayed else None)
+        if "endpoint" in result:
+            # Bob read every line, so he closed with none unread, and his Bye reached her
+            assert ch.decode(result["peer"].splitlines(keepends=True)[-1]) == ch.Bye("done")
+        else:
+            error = result["endpoint error"]
+            assert isinstance(error, (ProtocolError, CodecError, SessionError)), repr(error)
+
+    @pytest.mark.parametrize("relayed", [False, True], ids=["direct", "relayed"])
+    @given(
+        st.sampled_from(["sixstate", "qutrit4"]),
+        st.integers(0, 3),
+        st.lists(st.tuples(st.integers(0, 5), st.sampled_from(HOSTILE_REPLIES), st.integers(0, 11)), max_size=2),
+        st.integers(0, 6),
+        st.sampled_from(["close", "close", "close", "silence"]),
+        st.sampled_from([0.5, 1.0]),
+    )
+    # every reply and a Bye("done") at once, before Alice has sent her trials
+    @example("sixstate", 2, [], 5, "close", 1.0)
+    # Bob falls silent after his first sift report
+    @example("qutrit4", 3, [], 2, "silence", 0.5)
+    @settings(max_examples=25, deadline=None)
+    def test_hostile_bob(self, sixstate, qutrit4, relayed, set_id, n_trials, segments, honest_tail, end, fraction):
+        basis_set = {"sixstate": sixstate, "qutrit4": qutrit4}[set_id]
+        cfg = ProtocolConfig(c=basis_set.c, d=basis_set.d, basis_set=basis_set)
+        lines = hostile_replies(cfg, set_id, n_trials, self.SEED, segments, honest_tail)
+        relay_port = free_port()
+        listener = socket.create_server(("127.0.0.1", 0))
+
+        def bob():
+            with listener:
+                listener.settimeout(5.0)
+                sock, _ = listener.accept()
+            return play_raw_peer(sock, lines, end)
+
+        def alice():
+            port = relay_port if relayed else listener.getsockname()[1]
+            return _dial_with_retry(ch.connect_session, port, cfg, n_trials, self.SEED, set_id, pause=0.01)
+
+        relay = (("127.0.0.1", relay_port), listener.getsockname(), basis_set.bases[1], self.SEED, fraction)
+        result = self.run_parties(alice, bob, relay if relayed else None)
+        # a relay that fails on a silent Bob closes Alice's side, which she reads as his close
+        seen = "close" if "relay error" in result else end
+        may_return = alice_may_return(cfg, set_id, n_trials, self.SEED, lines, seen)
+        if "endpoint" in result:
+            assert may_return
+            outcomes = [run_trial(cfg, t, self.SEED) for t in range(n_trials)]
+            assert result["endpoint"].key == tuple(o.x for o in outcomes if o.sifted)
+        else:
+            error = result["endpoint error"]
+            assert isinstance(error, (ProtocolError, CodecError, HandshakeError, SessionError)), repr(error)
+            # at Bob's EOF the relay closes both ways of Alice's connection,
+            # so a line she has still to send may fail with a broken pipe
+            assert not may_return or (relayed and isinstance(error, SessionError)), repr(error)
 
 
 class ByteRecorder:

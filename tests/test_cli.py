@@ -1,7 +1,9 @@
+import argparse
 import csv
 import functools
 import io
 import json
+import shutil
 import sys
 import threading
 import time
@@ -389,6 +391,80 @@ class TestGoldenOutput:
         code, out, _ = run(capsys, *GOLDEN[name], "--format", fmt)
         assert code == 0
         assert out.encode() == (DATA / f"{name}.{SUFFIX[fmt]}").read_bytes()
+
+
+def parser_words(parser, words=()):
+    """The words that reach each parser of the tree under `parser`, itself first."""
+    yield words
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                yield from parser_words(child, (*words, name))
+
+
+PARSER_WORDS = list(parser_words(build_parser()))
+
+
+class TestParserWidth:
+    """Left to itself, argparse reads the terminal width for every argument
+    and subcommand group a parser adds; build_parser reads it once and gives
+    every parser of the tree that width.  The help texts were recorded
+    before that change, under Python 3.11."""
+
+    def test_the_tree_has_thirteen_parsers(self):
+        assert len(PARSER_WORDS) == len(set(PARSER_WORDS)) == 13
+
+    def test_build_parser_reads_the_terminal_once(self, monkeypatch):
+        calls = []
+        read = shutil.get_terminal_size
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return read(*args, **kwargs)
+
+        monkeypatch.setattr(shutil, "get_terminal_size", counted)
+        build_parser()
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("columns", [80, 160])
+    @pytest.mark.parametrize("words", PARSER_WORDS, ids=lambda words: " ".join(("hselab", *words)))
+    def test_help_is_stable(self, capsys, monkeypatch, words, columns):
+        monkeypatch.setenv("COLUMNS", str(columns))
+        with pytest.raises(SystemExit) as done:
+            main([*words, "-h"])
+        out, err = capsys.readouterr()
+        assert done.value.code == 0 and err == ""
+        name = "_".join(("hselab", *words))
+        assert out.encode() == (DATA / "help" / f"{name}_{columns}.txt").read_bytes()
+
+
+class TestEveDimension:
+    """An Eve basis whose dimension is not the set's is a usage error that
+    names the flag and both dimensions, whichever command reads it."""
+
+    @pytest.mark.parametrize("spec", ["breidbart", "file:{path}#1"], ids=["breidbart", "file"])
+    @pytest.mark.parametrize(
+        "command,flag",
+        [
+            (["sim", "--d", "3", "--c", "4", "--trials", "10"], "--eve"),
+            (["bases", "distance", "--set", "mub", "--d", "3", "--c", "4"], "--eve"),
+            (["rates", "compute", "--protocol", "hse", "--set", "mub", "--d", "3", "--c", "4"], "--eve"),
+            (["net", "eve", "--listen", "0", "--forward", "127.0.0.1:1", "--d", "3", "--c", "4"], "--basis"),
+        ],
+        ids=["sim", "distance", "rates", "net-eve"],
+    )
+    def test_is_a_usage_error(self, capsys, monkeypatch, tmp_path, command, flag, spec):
+        path = tmp_path / "six.json"
+        save_basis_set(qubit_six_state_set(), path)
+        spec = spec.format(path=path)
+
+        def relay(*args):
+            raise AssertionError("the relay started")
+
+        monkeypatch.setattr(ch, "run_mitm", relay)
+        code, out, err = run(capsys, *command, flag, spec)
+        assert (code, out) == (2, "")
+        assert err == f"error: {flag} {spec!r} is a basis of d=2, but the basis set has d=3\n"
 
 
 class TestFileSpecs:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import freq_tolerance, make_random_basis, make_random_set
+from conftest import freq_tolerance, make_random_basis, make_random_set, overlap, transition_prob
 from hselab.bases import BasisSet, fourier_basis, mu_basis_set, standard_basis
 from hselab.errors import DimensionError, InvalidParameter, NumericalError
 from hselab.hilbert import (
@@ -15,9 +15,7 @@ from hselab.hilbert import (
     born_rows,
     born_sample,
     invert_cdf,
-    overlap,
     transition_matrix,
-    transition_prob,
     verify_orthonormal,
 )
 from hselab.rng import RandomStream
@@ -135,6 +133,10 @@ class TestTransitionMatrix:
                 assert matrix[i, k] == pytest.approx(transition_prob(u, v), abs=1e-14)
         # each row and column is a distribution over the other basis
         assert np.allclose(matrix.sum(axis=0), 1.0) and np.allclose(matrix.sum(axis=1), 1.0)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionError):
+            transition_matrix(fourier_basis(2), fourier_basis(3))
 
 
 class TestBornSample:

@@ -8,7 +8,7 @@ import hselab.protocol as protocol
 from conftest import freq_tolerance, make_random_basis, make_random_set
 from hselab.bases import BasisSet, fourier_basis, standard_basis
 from hselab.errors import InvalidParameter, ProtocolError
-from hselab.hilbert import born_sample, transition_prob
+from hselab.hilbert import born_sample
 from hselab.protocol import (
     BLOCK,
     EVE,

@@ -4,7 +4,7 @@ from itertools import permutations, product
 import numpy as np
 import pytest
 
-from conftest import make_random_basis, make_random_set
+from conftest import make_random_basis, make_random_set, transition_prob
 from hselab.bases import (
     BasisSet,
     average_distance,
@@ -16,8 +16,8 @@ from hselab.bases import (
     qutrit_complete_set,
     standard_basis,
 )
-from hselab.errors import InvalidParameter
-from hselab.hilbert import Basis, transition_prob
+from hselab.errors import DimensionError, InvalidParameter
+from hselab.hilbert import Basis
 from hselab.rates import (
     ProtocolConfig,
     _index_change_table,
@@ -312,6 +312,11 @@ class TestSurvivalKernel:
         assert report.r_s == success_rate(sixstate)
         assert report.r_it == iter_rate(sixstate, eve)
         assert report.n_s == pytest.approx(2 / report.r_t, abs=1e-12)
+
+    def test_eve_of_another_dimension_is_refused(self, qutrit4):
+        # numpy's ValueError from the Gram product once escaped from here
+        with pytest.raises(DimensionError):
+            rate_report(qutrit4, breidbart_basis())
 
 
 class TestQber:
