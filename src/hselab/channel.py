@@ -25,8 +25,12 @@ after it.  Alice writes each trial's states and announcement in one
 announcement, so every trial costs one write in each direction.  Each
 side then waits for the other's reply, so TCP transports set
 TCP_NODELAY: otherwise Nagle's algorithm and delayed ACKs hold each
-small write back by tens of milliseconds.  `close` ends both
-directions: the peer and any reader blocked on the closed end see EOF.
+small write back by tens of milliseconds.  A TCP transport makes one
+system call per read and per write: its socket blocks, and the kernel
+enforces the timeouts, set from a POSIX `timeval` when the transport is
+made, so no call polls first; it frames lines in a buffer of its own.
+`close` ends both directions: the peer and any reader blocked on the
+closed end see EOF.
 
 Known states are encoded and measured by table lookup.  An honest Alice
 only sends the c*d vectors of her basis set, and the relay only resends
@@ -61,9 +65,13 @@ outcomes equal `run_trial`'s.
 
 Every per-trial line is written by template, and each endpoint reads
 every line it is sent once, through `KnownStates.read`; its docstring
-gives the templates' and the reader's rules.  `decode` stays the only
-validator.  It checks a state's norm with `hilbert.check_unit_norm`, as
-`StateVector` does, so every state it passes is one a table can learn.
+gives the templates' and the reader's rules.  A trial makes no message
+object that is only checked once or thrown away: a state reads as a
+plain tuple, an announcement or a sift report as a named tuple, and the
+relay forwards an announcement without parsing it.  `decode` stays the
+only validator.  It checks a state's norm with
+`hilbert.check_unit_norm`, as `StateVector` does, so every state it
+passes is one a table can learn.
 """
 
 from __future__ import annotations
@@ -72,10 +80,12 @@ import json
 import math
 import re
 import socket
+import struct
 import threading
 from contextlib import closing
 from dataclasses import dataclass
 from queue import Empty, SimpleQueue
+from typing import NamedTuple
 
 from .bases import named_basis_set
 from .errors import (
@@ -98,6 +108,8 @@ _RECV_TIMEOUT = 60.0
 # longest line a TCP reader accepts, newline included; the longest honest
 # line, KeyCompare, takes 2-3 bytes per trial
 _MAX_LINE = 16 * 2**20
+# the most a TCP reader asks of one recv
+_RECV_CHUNK = 2**16
 # the widest row of Eve's draws the relay computes per trial: two draws a
 # slot cover any intercept fraction up to c = 129; a Hello claiming a larger
 # c gets the rest from the scalar stream, not a larger allocation
@@ -119,14 +131,14 @@ class QuantumState:
     amps: tuple  # ((re, im), ...) - one pair per amplitude
 
 
-@dataclass(frozen=True)
-class IndexAnnounce:
+# the two classical per-trial messages are named tuples: cheaper to make
+# than a frozen dataclass, with the same fields and repr
+class IndexAnnounce(NamedTuple):
     trial_id: int
     a: tuple
 
 
-@dataclass(frozen=True)
-class SiftReport:
+class SiftReport(NamedTuple):
     trial_id: int
     sifted: bool
 
@@ -314,7 +326,11 @@ class KnownStates:
     is passed to `decode`.  `read` gives a quantum_state line as its
     (trial_id, slot, pairs), the fields of the QuantumState `decode` gives
     for it, so Bob and the relay measure a state with no message object
-    made for it, and any other line as the message `decode` gives.
+    made for it, and any other line as the message `decode` gives.  As
+    IndexAnnounce and SiftReport are named tuples, a state is told apart
+    with `type(msg) is tuple`.  The relay reads `forwarding`: an
+    index_announce line in the template then reads as None, unparsed,
+    since the relay passes it on as it came.
 
     The table maps a state's `amps` bytes to its pairs because an honest
     Alice only sends the c*d vectors of her set: Bob's reader starts with
@@ -341,17 +357,20 @@ class KnownStates:
     def __len__(self) -> int:
         return self._learned
 
-    def read(self, line: bytes):
+    def read(self, line: bytes, forwarding: bool = False):
         """(trial_id, slot, pairs) of a quantum_state line, else the
-        message; raises CodecError where `decode` does."""
+        message, or None for an index_announce line in the template when
+        `forwarding`; raises CodecError where `decode` does."""
         shape = _STATE_LINE.fullmatch(line)
         if shape is None:
             announce = _ANNOUNCE_LINE.fullmatch(line)
             if announce is not None:
-                return IndexAnnounce(trial_id=int(announce[1]), a=tuple(map(int, announce[2].split(b","))))
+                if forwarding:
+                    return None
+                return IndexAnnounce(int(announce[1]), tuple(map(int, announce[2].split(b","))))
             sift = _SIFT_LINE.fullmatch(line)
             if sift is not None:
-                return SiftReport(trial_id=int(sift[1]), sifted=sift[2] == b"true")
+                return SiftReport(int(sift[1]), sift[2] == b"true")
         else:
             trial_id, slot, amps = shape.groups()
             pairs = self._pairs.get(amps)
@@ -408,47 +427,86 @@ def memory_transport_pair() -> tuple[MemoryTransport, MemoryTransport]:
     return MemoryTransport(b_to_a, a_to_b), MemoryTransport(a_to_b, b_to_a)
 
 
+def _session_error(what: str, exc: OSError) -> SessionError:
+    # a blocking socket reports a lapsed SO_RCVTIMEO or SO_SNDTIMEO as EAGAIN
+    reason = "timed out" if isinstance(exc, BlockingIOError) else exc
+    return SessionError(f"{what} failed: {reason}")
+
+
 class TcpTransport:
-    """Newline-framed messages over one TCP connection.  A line longer
-    than _MAX_LINE raises CodecError, so a peer that never sends a
-    newline cannot grow the reader's buffer."""
+    """Newline-framed messages over one TCP connection, with one system
+    call per read and per write.
+
+    The socket blocks, and the kernel enforces its timeouts: SO_RCVTIMEO
+    and SO_SNDTIMEO are set from _RECV_TIMEOUT, as a native POSIX `struct
+    timeval`, when the transport is made, so no call polls first.  Lines
+    are cut from the bytes of each read, and a line that spans reads is
+    gathered in the transport's own bytearray; each byte received is
+    searched for a newline once, so reading stays linear in the bytes.  A
+    line longer than _MAX_LINE raises CodecError as soon as the buffer
+    shows it, so a peer that never sends a newline cannot grow the buffer.
+    `close` shuts both directions down before it closes the socket, which
+    ends a read that another thread is blocked in; a read after `close`
+    is EOF.
+    """
 
     def __init__(self, sock: socket.socket):
-        sock.settimeout(_RECV_TIMEOUT)
+        sock.setblocking(True)
+        whole = int(_RECV_TIMEOUT)
+        timeout = struct.pack("@ll", whole, int((_RECV_TIMEOUT - whole) * 1e6))
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, timeout)
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO, timeout)
         if sock.family in (socket.AF_INET, socket.AF_INET6):
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._sock = sock
-        self._reader = sock.makefile("rb")
+        self._chunk, self._start = b"", 0  # the unread bytes are _chunk[_start:]
+        self._partial = bytearray()  # a line begun in earlier reads
+        self._eof = self._closed = False
 
     def send_line(self, line: bytes) -> None:
         try:
             self._sock.sendall(line)
         except OSError as exc:
-            raise SessionError(f"send failed: {exc}") from exc
+            raise _session_error("send", exc) from exc
 
     def recv_line(self) -> bytes | None:
-        try:
-            line = self._reader.readline(_MAX_LINE + 1)
-        except OSError as exc:
-            raise SessionError(f"recv failed: {exc}") from exc
-        except ValueError:
-            # a relay pump may close this side while the other pump reads it
-            if self._reader.closed:
-                return None
-            raise
-        if len(line) > _MAX_LINE:
-            raise CodecError(f"line longer than {_MAX_LINE} bytes")
-        return line if line else None
+        partial = self._partial
+        while True:
+            chunk, start = self._chunk, self._start
+            end = chunk.find(b"\n", start) + 1
+            if end:
+                self._start = end
+                line = chunk[start:end]
+                if partial:
+                    partial += line
+                    line = bytes(partial)
+                    partial.clear()
+                if len(line) > _MAX_LINE:
+                    break
+                return line
+            partial += chunk[start:]
+            self._chunk, self._start = b"", 0
+            if len(partial) > _MAX_LINE:
+                break
+            if self._eof:
+                # the peer's last line may lack its newline
+                line = bytes(partial)
+                partial.clear()
+                return line or None
+            try:
+                chunk = self._sock.recv(_RECV_CHUNK)
+            except OSError as exc:
+                if self._closed:  # a relay pump closed this side while the other read it
+                    return None
+                raise _session_error("recv", exc) from exc
+            self._eof = not chunk
+            self._chunk = chunk
+        raise CodecError(f"line longer than {_MAX_LINE} bytes")
 
     def close(self) -> None:
-        # Shut down first: closing the reader waits for a readline that
-        # another thread has blocked in, and the shutdown ends that read.
+        self._closed = True
         try:
             self._sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        try:
-            self._reader.close()
         except OSError:
             pass
         self._sock.close()
@@ -518,11 +576,13 @@ def _run_alice(transport, config, n_trials, seed, compare) -> AliceLog:
     # her replies are sift reports and a bye; she is sent no states
     replies = KnownStates(0)
 
-    def reply(line: bytes, where: str):
-        """Bob's message on `line`; a Bye whose reason is not "done" ends
-        the session with a SessionError that names the reason."""
+    def reply(line: bytes, trial_id: int | None):
+        """Bob's message on `line`, read at trial `trial_id` or, if None, at
+        the close; a Bye whose reason is not "done" ends the session with a
+        SessionError that names the reason."""
         msg = replies.read(line)
         if isinstance(msg, Bye) and msg.reason != "done":
+            where = "at the close" if trial_id is None else f"at trial {trial_id}"
             raise SessionError(f"peer ended the session {where}: {msg.reason}")
         return msg
 
@@ -536,8 +596,8 @@ def _run_alice(transport, config, n_trials, seed, compare) -> AliceLog:
         line = transport.recv_line()
         if line is None:
             raise SessionError(f"peer closed mid-session at trial {t}")
-        msg = reply(line, f"at trial {t}")
-        if not isinstance(msg, SiftReport) or msg.trial_id != t:
+        msg = reply(line, t)
+        if type(msg) is not SiftReport or msg.trial_id != t:
             raise ProtocolError(f"expected sift report for trial {t}, got {msg!r}")
         session.record_sift(t, msg.sifted)
     if compare:
@@ -549,7 +609,7 @@ def _run_alice(transport, config, n_trials, seed, compare) -> AliceLog:
     # her own end's close reads as EOF too, and may overtake a Bye that a
     # relay is still forwarding
     line = transport.recv_line()
-    msg = None if line is None else reply(line, "at the close")
+    msg = None if line is None else reply(line, None)
     if msg is not None and not isinstance(msg, Bye):
         raise ProtocolError(f"expected bye, got {msg!r}")
     return AliceLog(
@@ -573,10 +633,11 @@ def _run_bob(transport, config, seed, n_trials) -> list[TrialOutcome]:
             if line is None:
                 raise SessionError("peer closed before bye")
             msg = known.read(line)
-            if isinstance(msg, tuple):  # a state's (trial_id, slot, pairs)
+            if type(msg) is tuple:  # a state's (trial_id, slot, pairs)
                 session.measure(*msg)
-            elif isinstance(msg, IndexAnnounce):
-                transport.send_line(_sift_line(msg.trial_id, session.conclude(msg.trial_id, msg.a)))
+            elif type(msg) is IndexAnnounce:
+                trial_id, announced = msg
+                transport.send_line(_sift_line(trial_id, session.conclude(trial_id, announced)))
             elif isinstance(msg, KeyCompare):
                 session.compare(msg.trial_id_range, msg.letters)
             elif isinstance(msg, Bye):
@@ -665,9 +726,10 @@ def run_mitm_pumps(
     trial gets one EveInterceptor, which decides whether a state is
     intercepted and measures it through a BornTable over Eve's basis.  A
     known state line is measured straight from the reader's match, with no
-    message object.  The sender's Hello must name Eve's dimension d, or the
-    relay fails with DimensionError; a state with other than d amplitudes
-    is forwarded as it came, unrecorded, for Bob to refuse.  At the Hello
+    message object, and an announcement is forwarded unparsed.  The
+    sender's Hello must name Eve's dimension d, or the relay fails with
+    DimensionError; a state with other than d amplitudes is forwarded as
+    it came, unrecorded, for Bob to refuse.  At the Hello
     the reader and the table start with the c*d states of the built-in
     set its `basis_set_id` names at its (d, c) (see `_public_states`), so
     an honest sender's states are known from the first trial; under any
@@ -705,10 +767,10 @@ def run_mitm_pumps(
                 bob_side.close()
                 return
             try:
-                msg = known.read(line)
+                msg = known.read(line, forwarding=True)
             except CodecError:
                 msg = None  # forwarded as it came, for Bob to refuse
-            if isinstance(msg, tuple):  # a state's (trial_id, slot, pairs)
+            if type(msg) is tuple:  # a state's (trial_id, slot, pairs)
                 t, slot, pairs = msg
                 # a state of another dimension goes to Bob as it came, for him to refuse
                 if len(pairs) == d:

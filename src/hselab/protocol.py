@@ -24,6 +24,7 @@ build their records through it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import eq
 
 import numpy as np
 
@@ -134,7 +135,7 @@ def sift(a: tuple, b: tuple) -> bool:
     announced one."""
     if len(a) != len(b):
         raise InvalidParameter(f"tuple lengths differ: {len(a)} vs {len(b)}")
-    return all(ak != bk for ak, bk in zip(a, b))
+    return not any(map(eq, a, b))
 
 
 def infer_letter(y: tuple, c: int) -> int:
@@ -260,7 +261,10 @@ class BobSession:
         self._letters: tuple | None = None  # Alice's, once compared
         bases = config.basis_set.bases
         self.born_table = BornTable(bases, config.c * config.d, [v for basis in bases for v in basis.vectors])
-        slots = config.c - 1
+        # read on every state: kept here, not looked up through config
+        self._sample = self.born_table.sample
+        self._slots = slots = config.c - 1
+        self._d = config.d
 
         def rows(u):
             # the basis picks at counters 0..c-2, as bob_choose_bases draws
@@ -281,30 +285,34 @@ class BobSession:
         """Measure the state with amplitudes `pairs` ((re, im), ...), sent
         for this trial and slot, in the slot's basis; the same outcome as
         born_sample on that draw."""
-        self._check_open("state")
-        trial, expected = len(self._records), len(self._measured)
+        if self._letters is not None:
+            raise ProtocolError("state after the key comparison")
+        measured = self._measured
+        trial, expected = len(self._records), len(measured)
         if trial_id != trial or slot != expected:
             raise ProtocolError(f"state for trial {trial_id} slot {slot}, expected trial {trial} slot {expected}")
-        if slot == self.config.c - 1:
+        if slot == self._slots:
             raise ProtocolError(f"more than {slot} states in trial {trial}")
-        if len(pairs) != self.config.d:
-            raise ProtocolError(f"state with {len(pairs)} amplitudes, expected {self.config.d}")
+        if len(pairs) != self._d:
+            raise ProtocolError(f"state with {len(pairs)} amplitudes, expected {self._d}")
         if slot == 0:
             self.begin_trial(trial_id)
-        outcome = self.born_table.sample(pairs, self._y[slot], self._u[slot])
-        self._measured.append(outcome)
+        outcome = self._sample(pairs, self._y[slot], self._u[slot])
+        measured.append(outcome)
         return outcome
 
     def conclude(self, trial_id: int, announced: tuple) -> bool:
         """Sift the trial on Alice's announced indices; returns whether it
         survived."""
-        self._check_open("announcement")
-        trial, measured, slots = len(self._records), len(self._measured), self.config.c - 1
+        if self._letters is not None:
+            raise ProtocolError("announcement after the key comparison")
+        trial, measured, slots = len(self._records), len(self._measured), self._slots
         if trial_id != trial:
             raise ProtocolError(f"announcement for trial {trial_id}, expected {trial}")
         if measured != slots:
             raise ProtocolError(f"announcement after {measured} of {slots} states")
-        if len(announced) != slots or not all(0 <= v < self.config.d for v in announced):
+        # slots >= 1, so a tuple of that length has a least and a greatest index
+        if len(announced) != slots or min(announced) < 0 or max(announced) >= self._d:
             raise ProtocolError(f"malformed announcement {announced!r}")
         b = tuple(self._measured)
         self._records.append((announced, self._y, b))
@@ -314,7 +322,8 @@ class BobSession:
     def compare(self, trial_id_range: tuple, letters: tuple) -> None:
         """Take Alice's letters for trials lo..hi-1 of `trial_id_range`
         (lo, hi), which must be every trial concluded so far."""
-        self._check_open("key comparison")
+        if self._letters is not None:
+            raise ProtocolError("key comparison after the key comparison")
         if trial_id_range != (0, len(self._records)) or len(letters) != len(self._records):
             raise ProtocolError(f"key comparison range {trial_id_range} does not match session")
         if not all(0 <= v < self.config.c for v in letters):
@@ -329,7 +338,3 @@ class BobSession:
             TrialOutcome.of(t, -1 if letters is None else letters[t], a, y, b, self.config.c)
             for t, (a, y, b) in enumerate(self._records)
         ]
-
-    def _check_open(self, what: str) -> None:
-        if self._letters is not None:
-            raise ProtocolError(f"{what} after the key comparison")

@@ -575,6 +575,24 @@ class TestInProcessSession:
         with pytest.raises(SessionError, match=re.escape(f"at the close: {reason}")):
             ch.run_session("alice", alice_t, cfg23, 2, 1, "sixstate")
 
+    @pytest.mark.parametrize(
+        "trial_id, reply, got",
+        [
+            (0, ch.IndexAnnounce(0, (1, 0)), "IndexAnnounce(trial_id=0, a=(1, 0))"),
+            (1, ch.IndexAnnounce(1, (0, 0)), "IndexAnnounce(trial_id=1, a=(0, 0))"),
+            (1, ch.SiftReport(0, True), "SiftReport(trial_id=0, sifted=True)"),
+            (0, ch.QuantumState(0, 0, ((1.0, 0.0), (0.0, 0.0))), "(0, 0, ((1.0, 0.0), (0.0, 0.0)))"),
+        ],
+    )
+    def test_a_reply_other_than_the_sift_report_is_named(self, cfg23, trial_id, reply, got):
+        # Bob's honest replies up to the trial, then `reply` in place of its sift report
+        alice_t, bob_t = ch.memory_transport_pair()
+        for line in [*honest_replies(cfg23, "sixstate", trial_id, 1), ch.encode(reply)]:
+            bob_t.send_line(line)
+        with pytest.raises(ProtocolError) as err:
+            ch.run_session("alice", alice_t, cfg23, 3, 1, "sixstate")
+        assert str(err.value) == f"expected sift report for trial {trial_id}, got {got}"
+
     def test_role_validated(self, cfg23):
         with pytest.raises(ValueError):
             ch.run_session("carol", None, cfg23, 1, 1)
@@ -694,6 +712,38 @@ class TestTcpSession:
             transport.close()
             right.close()
 
+    def test_close_wakes_a_reader_blocked_on_the_same_transport(self):
+        # a relay pump closes the side that the other pump is reading
+        left, right = socket.socketpair()
+        transport = ch.TcpTransport(left)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(transport.recv_line()))
+        try:
+            reader.start()
+            time.sleep(0.05)
+            started = time.monotonic()
+            transport.close()
+            reader.join(1.0)
+            assert not reader.is_alive()
+            assert time.monotonic() - started < 1.0
+            assert got == [None]
+        finally:
+            transport.close()
+            right.close()
+
+    def test_send_to_a_peer_that_never_reads_times_out(self, monkeypatch):
+        monkeypatch.setattr(ch, "_RECV_TIMEOUT", 0.3)
+        left, right = socket.socketpair()
+        transport = ch.TcpTransport(left)
+        try:
+            started = time.monotonic()
+            with pytest.raises(SessionError, match="^send failed: timed out$"):
+                transport.send_line(b"x" * 64 * 2**20)
+            assert time.monotonic() - started < 2.0
+        finally:
+            transport.close()
+            right.close()
+
     def test_every_session_socket_sets_nodelay(self, cfg23, sixstate, monkeypatch):
         nodelay = []
 
@@ -742,6 +792,29 @@ class TestLineCap:
             transport.close()
             right.close()
 
+    def test_an_overlong_line_in_small_pieces_raises_promptly(self, monkeypatch):
+        monkeypatch.setattr(ch, "_MAX_LINE", 2**20)
+        left, right = socket.socketpair()
+        transport = ch.TcpTransport(left)
+        blob = b"x" * (2**20 + 1)  # and no newline ever follows
+
+        def write():
+            for start in range(0, len(blob), 4096):
+                right.sendall(blob[start : start + 4096])
+
+        writer = threading.Thread(target=write)
+        try:
+            started = time.monotonic()
+            writer.start()
+            with pytest.raises(CodecError):
+                transport.recv_line()
+            assert time.monotonic() - started < 1.0
+            writer.join(5.0)
+            assert not writer.is_alive()
+        finally:
+            transport.close()
+            right.close()
+
     def test_relay_fails_on_an_overlong_line_and_both_endpoints_end(self, qutrit4, monkeypatch):
         cfg = ProtocolConfig(c=4, d=3, basis_set=qutrit4)
         # the hellos fit under the cap; every qutrit state line is longer
@@ -782,6 +855,42 @@ class TestLineCap:
         assert isinstance(err.value.__cause__, CodecError)
         assert isinstance(errors.get("alice"), SessionError)
         assert isinstance(errors.get("bob"), SessionError)
+
+
+class TestTcpFraming:
+    @given(
+        st.lists(st.binary(max_size=300).map(lambda b: b.replace(b"\n", b"") + b"\n"), max_size=20),
+        st.lists(st.integers(0, 6100), max_size=12),
+        st.sampled_from([1, 7, 64, 2**16]),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_lines_come_back_one_per_call_however_the_bytes_are_cut(self, lines, cuts, chunk):
+        """A raw peer writes the lines in pieces cut at arbitrary points,
+        inside lines too; the reader may read fewer bytes at a time than a
+        piece holds.  Each line comes back whole, then None at every call."""
+        stream = b"".join(lines)
+        bounds = sorted({0, len(stream), *(cut for cut in cuts if cut < len(stream))})
+        left, right = socket.socketpair()
+        with pytest.MonkeyPatch.context() as patch:
+            # a reader that waits for bytes never written fails in 1 s, not 60
+            patch.setattr(ch, "_RECV_TIMEOUT", 1.0)
+            transport = ch.TcpTransport(left)
+        got = []
+        try:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(ch, "_RECV_CHUNK", chunk)
+                for lo, hi in zip(bounds, bounds[1:]):
+                    right.sendall(stream[lo:hi])
+                    # read each line the written bytes complete, and no further
+                    while len(got) < stream.count(b"\n", 0, hi):
+                        got.append(transport.recv_line())
+                right.shutdown(socket.SHUT_WR)
+                tail = [transport.recv_line() for _ in range(3)]
+        finally:
+            transport.close()
+            right.close()
+        assert got == lines
+        assert tail == [None, None, None]
 
 
 def _dial_with_retry(connect, port, cfg, n, seed, basis_set_id="sixstate", attempts=50, pause=0.05):

@@ -297,6 +297,43 @@ class TestSessions:
                 assert bob.measure(t, slot, state.pairs()) == expected
             bob.conclude(t, announced)
 
+    @pytest.mark.parametrize(
+        "calls, text",
+        [
+            ([("measure", 1, 0)], "state for trial 1 slot 0, expected trial 0 slot 0"),
+            ([("measure", 0, 1)], "state for trial 0 slot 1, expected trial 0 slot 0"),
+            ([("measure", 0, 0), ("measure", 0, 0)], "state for trial 0 slot 0, expected trial 0 slot 1"),
+            ([("measure", 0, 0), ("measure", 0, 1), ("measure", 0, 2)], "more than 2 states in trial 0"),
+            ([("qutrit", 0, 0)], "state with 3 amplitudes, expected 2"),
+            ([("conclude", 0, (0, 1))], "announcement after 0 of 2 states"),
+            ([("measure", 0, 0), ("conclude", 0, (0, 1))], "announcement after 1 of 2 states"),
+            ([("measure", 0, 0), ("measure", 0, 1), ("conclude", 1, (0, 1))], "announcement for trial 1, expected 0"),
+            ([("measure", 0, 0), ("measure", 0, 1), ("conclude", 0, (0, 1, 1))], "malformed announcement (0, 1, 1)"),
+            ([("measure", 0, 0), ("measure", 0, 1), ("conclude", 0, (0, 2))], "malformed announcement (0, 2)"),
+            ([("measure", 0, 0), ("measure", 0, 1), ("conclude", 0, (-1, 0))], "malformed announcement (-1, 0)"),
+            ([("compare",), ("conclude", 0, (0, 1))], "announcement after the key comparison"),
+            ([("compare",), ("measure", 0, 0)], "state after the key comparison"),
+            ([("compare",), ("compare",)], "key comparison after the key comparison"),
+        ],
+    )
+    def test_error_texts_are_pinned(self, cfg23, sixstate, calls, text):
+        """The exact ProtocolError of each out-of-place state, announcement
+        and comparison, the last of `calls`; every earlier call is valid."""
+        bob = BobSession(cfg23, 1, 2)
+        state = sixstate.bases[0].vectors[0].pairs()
+        actions = {
+            "measure": lambda t, slot: bob.measure(t, slot, state),
+            "qutrit": lambda t, slot: bob.measure(t, slot, ((1.0, 0.0), (0.0, 0.0), (0.0, 0.0))),
+            "conclude": bob.conclude,
+            "compare": lambda: bob.compare((0, 0), ()),
+        }
+        *valid, (last, *args) = calls
+        for name, *before in valid:
+            actions[name](*before)
+        with pytest.raises(ProtocolError) as err:
+            actions[last](*args)
+        assert str(err.value) == text
+
     def test_measure_past_the_last_slot_rejected(self, cfg23, sixstate):
         bob = BobSession(cfg23, 1, 1)
         state = sixstate.bases[0].vectors[0].pairs()
