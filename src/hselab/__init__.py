@@ -11,7 +11,6 @@ from .bases import (
     breidbart_basis,
     fourier_basis,
     grassmannian_distance,
-    is_mutually_unbiased,
     load_basis_set,
     max_cross_overlap,
     mu_basis_set,
@@ -81,7 +80,6 @@ __all__ = [
     "estimate_rates",
     "fourier_basis",
     "grassmannian_distance",
-    "is_mutually_unbiased",
     "iter_rate",
     "key_rate",
     "load_basis_set",

@@ -6,6 +6,10 @@ triple, quadratic-phase complete sets in odd prime dimension, a frozen
 complete set for d=4, the Breidbart basis) plus the chordal Grassmannian
 distance machinery that ties basis geometry to the index error rate.
 
+A BasisSet keeps, from one Gram product per pair, each pair's largest
+transition probability and largest deviation from unbiasedness; the
+distinctness check, the MU gate and `bases verify` read those figures.
+
 `named_basis_set` is the one resolver of the built-in names (mub, prime,
 fourier, sixstate, qutrit4) at a given (d, c); it never opens a file.
 The named constructions are memoised with `functools.cache`, so each set
@@ -24,12 +28,12 @@ import cmath
 import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConstructionError, DimensionError, InvalidParameter
-from .hilbert import TAU_NORM, Basis, transition_matrix, verify_orthonormal
+from .hilbert import Basis, transition_matrix
 
 TAU_DISTINCT = 1e-6
 
@@ -38,46 +42,50 @@ TAU_DISTINCT = 1e-6
 class BasisSet:
     """An ordered family of c bases of C^d encoding a c-letter alphabet.
 
-    Members are relabeled "B0".."B{c-1}".  Construction enforces that all
-    members are orthonormal and that no two bases share a state: every
-    cross-basis transition probability stays below 1 - TAU_DISTINCT.
+    Members are relabeled "B0".."B{c-1}" through a validating Basis, so
+    each is checked orthonormal.  Then one pass over the pairs x < y takes
+    one `transition_matrix` each and keeps two read-only (c, c) arrays,
+    symmetric with a zero diagonal: `max_transition[x, y]`, the pair's
+    largest transition probability, and `mu_deviation[x, y]`, its largest
+    |p - 1/d|.  No two bases may share a state: every max_transition stays
+    below 1 - TAU_DISTINCT.  The MU gate of `prime_complete_set`, `hselab
+    bases verify` and `max_cross_overlap` read these arrays, not the bases.
     """
 
     c: int
     d: int
     bases: tuple
+    max_transition: np.ndarray = field(repr=False)
+    mu_deviation: np.ndarray = field(repr=False)
 
     def __init__(self, bases):
         bases = tuple(bases)
         if len(bases) < 2:
             raise InvalidParameter("a basis set needs at least 2 bases")
         d = bases[0].dim
-        for b in bases:
-            if b.dim != d:
-                raise DimensionError("all bases in a set must share one dimension")
-            report = verify_orthonormal(b, TAU_NORM)
-            if not report.ok:
-                raise InvalidParameter(f"basis {b.label!r} fails orthonormality: {report.max_deviation:.3e}")
-        relabeled = tuple(Basis(f"B{x}", b.matrix, validate=False) for x, b in enumerate(bases))
-        for x in range(len(relabeled)):
-            for y in range(x + 1, len(relabeled)):
-                shared = float(np.max(transition_matrix(relabeled[x], relabeled[y])))
-                if shared > 1.0 - TAU_DISTINCT:
-                    raise InvalidParameter(
-                        f"bases B{x} and B{y} share a state (transition prob {shared:.9f})"
-                    )
-        object.__setattr__(self, "c", len(relabeled))
+        if any(b.dim != d for b in bases):
+            raise DimensionError("all bases in a set must share one dimension")
+        relabeled = tuple(Basis(f"B{x}", b.matrix) for x, b in enumerate(bases))
+        c = len(relabeled)
+        peak, deviation = np.zeros((c, c)), np.zeros((c, c))
+        for x in range(c):
+            for y in range(x + 1, c):
+                p = transition_matrix(relabeled[x], relabeled[y])
+                p_max, p_min = float(p.max()), float(p.min())
+                if p_max > 1.0 - TAU_DISTINCT:
+                    raise InvalidParameter(f"bases B{x} and B{y} share a state (transition prob {p_max:.9f})")
+                peak[x, y] = peak[y, x] = p_max
+                # a rounded subtraction is monotone, so this is max |p - 1/d| to the bit
+                deviation[x, y] = deviation[y, x] = max(p_max - 1.0 / d, 1.0 / d - p_min)
+        peak.flags.writeable = deviation.flags.writeable = False
+        object.__setattr__(self, "c", c)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "bases", relabeled)
+        object.__setattr__(self, "max_transition", peak)
+        object.__setattr__(self, "mu_deviation", deviation)
 
     def __iter__(self):
         return iter(self.bases)
-
-
-@dataclass(frozen=True)
-class UnbiasednessReport:
-    ok: bool
-    max_dev: float
 
 
 @dataclass(frozen=True)
@@ -145,8 +153,8 @@ def prime_complete_set(d: int, c: int) -> BasisSet:
 
     The standard basis plus quadratic-phase bases: family member a has
     vectors v_j with components omega^(a k^2 + j k)/sqrt(d).  The result
-    is gated by the unbiasedness checker before being returned, so the
-    particular family is not load-bearing.
+    is gated before being returned: every pair's `mu_deviation` must be
+    at most 1e-10, so the particular family is not load-bearing.
     """
     if not _is_odd_prime(d):
         raise InvalidParameter(f"dimension {d} is not an odd prime")
@@ -157,16 +165,16 @@ def prime_complete_set(d: int, c: int) -> BasisSet:
     for a in range(c - 1):
         phases = (a * k[None, :] ** 2 + k[:, None] * k[None, :]) % d
         matrix = np.exp(2j * np.pi * phases / d).T / math.sqrt(d)
-        members.append(Basis(f"quad({d},{a})", matrix))
-    for i in range(len(members)):
-        for j in range(i + 1, len(members)):
-            report = is_mutually_unbiased(members[i], members[j], 1e-10)
-            if not report.ok:
-                raise ConstructionError(
-                    f"bases {i} and {j} of prime_complete_set({d},{c}) "
-                    f"not mutually unbiased: {report.max_dev:.3e}"
-                )
-    return BasisSet(members)
+        members.append(Basis(f"quad({d},{a})", matrix, validate=False))  # BasisSet validates
+    basis_set = BasisSet(members)
+    failing = np.argwhere(np.triu(basis_set.mu_deviation > 1e-10))
+    if len(failing):
+        i, j = failing[0].tolist()
+        raise ConstructionError(
+            f"bases {i} and {j} of prime_complete_set({d},{c}) "
+            f"not mutually unbiased: {basis_set.mu_deviation[i, j]:.3e}"
+        )
+    return basis_set
 
 
 # Complete MU set for d=4 (not covered by the odd-prime family): common
@@ -293,23 +301,9 @@ def distance_report(basis_set: BasisSet, eve: Basis | None = None) -> DistanceRe
     return DistanceReport(pairwise=pairwise, average_to_eve=avg)
 
 
-def is_mutually_unbiased(b1: Basis, b2: Basis, tol: float) -> UnbiasednessReport:
-    """Check max_ij | |<v_i|w_j>|^2 - 1/d | <= tol."""
-    if b1.dim != b2.dim:
-        raise DimensionError(f"dimension mismatch: {b1.dim} vs {b2.dim}")
-    if tol <= 0:
-        raise InvalidParameter("tolerance must be positive")
-    dev = float(np.max(np.abs(transition_matrix(b1, b2) - 1.0 / b1.dim)))
-    return UnbiasednessReport(ok=dev <= tol, max_dev=dev)
-
-
 def max_cross_overlap(basis_set: BasisSet) -> float:
     """Largest |<v_i^x|v_j^y>| over distinct bases x != y of a set."""
-    worst = 0.0
-    for x in range(basis_set.c):
-        for y in range(x + 1, basis_set.c):
-            worst = max(worst, math.sqrt(np.max(transition_matrix(basis_set.bases[x], basis_set.bases[y]))))
-    return worst
+    return math.sqrt(float(basis_set.max_transition.max()))
 
 
 def _is_odd_prime(n: int) -> bool:

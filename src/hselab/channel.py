@@ -655,16 +655,18 @@ def _run_bob(transport, config, seed, n_trials) -> list[TrialOutcome]:
 
 
 class _EveDraws:
-    """Eve's stream for one trial, RandomStream(seed, EVE, trial_id): its
-    first draws come from the trial's block row, and any past the row's end
-    from the scalar stream."""
+    """Eve's stream RandomStream(seed, EVE, t) for the trial t that `at`
+    names: its first draws come from t's block row, and any past the row's
+    end from the scalar stream."""
 
     __slots__ = ("_row", "_width", "_seed", "_trial_id", "_rest")
 
-    def __init__(self, row: list, seed: int, trial_id: int):
+    def __init__(self, seed: int):
+        self._seed = seed
+
+    def at(self, trial_id: int, row: list) -> None:
         self._row = iter(row)
         self._width = len(row)
-        self._seed = seed
         self._trial_id = trial_id
         self._rest: RandomStream | None = None
 
@@ -722,9 +724,10 @@ def run_mitm_pumps(
     """Relay between two transports, measuring and replacing every quantum
     state while forwarding classical lines byte-identically.
 
-    `alice_side` must be the transport facing the state sender.  Each
-    trial gets one EveInterceptor, which decides whether a state is
-    intercepted and measures it through a BornTable over Eve's basis.  A
+    `alice_side` must be the transport facing the state sender.  One
+    EveInterceptor, whose draws move to each trial's row as it comes,
+    decides whether a state is intercepted and measures it through a
+    BornTable over Eve's basis.  A
     known state line is measured straight from the reader's match, with no
     message object, and an announcement is forwarded unparsed.  The
     sender's Hello must name Eve's dimension d, or the relay fails with
@@ -757,7 +760,9 @@ def run_mitm_pumps(
         table = BornTable((eve_basis,), 0)
         known = KnownStates(0)
         rows = eve_rows(0)
-        trial_id = eve = None
+        draws = _EveDraws(seed)
+        eve = EveInterceptor(eve_basis, draws, intercept_fraction)
+        trial_id = None
         held: list[bytes] = []
         while True:
             line = alice_side.recv_line()
@@ -776,7 +781,7 @@ def run_mitm_pumps(
                 if len(pairs) == d:
                     if trial_id != t:
                         trial_id = t
-                        eve = EveInterceptor(eve_basis, _EveDraws(rows[t], seed, t), intercept_fraction)
+                        draws.at(t, rows[t])
                     outcome = eve.maybe_intercept(pairs, table)
                     if outcome is not None:
                         record((t, slot, outcome))

@@ -1,11 +1,12 @@
 import socket
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from hselab.bases import BasisSet, qubit_six_state_set, qutrit_complete_set
-from hselab.errors import DimensionError, NumericalError
-from hselab.hilbert import TAU_NORM, Basis
+from hselab.errors import DimensionError, InvalidParameter, NumericalError
+from hselab.hilbert import TAU_NORM, Basis, transition_matrix
 from hselab.rng import RandomStream
 
 
@@ -36,6 +37,23 @@ def transition_prob(u, v) -> float:
     if not -TAU_NORM <= p <= 1.0 + TAU_NORM:
         raise NumericalError(f"probability {p} outside [0, 1] beyond tolerance")
     return min(max(p, 0.0), 1.0)
+
+
+@dataclass(frozen=True)
+class UnbiasednessReport:
+    ok: bool
+    max_dev: float
+
+
+def is_mutually_unbiased(b1, b2, tol: float) -> UnbiasednessReport:
+    """Oracle: max_ij | |<v_i|w_j>|^2 - 1/d | <= tol for one pair of
+    bases, from the pair's own Gram product."""
+    if b1.dim != b2.dim:
+        raise DimensionError(f"dimension mismatch: {b1.dim} vs {b2.dim}")
+    if tol <= 0:
+        raise InvalidParameter("tolerance must be positive")
+    dev = float(np.max(np.abs(transition_matrix(b1, b2) - 1.0 / b1.dim)))
+    return UnbiasednessReport(ok=dev <= tol, max_dev=dev)
 
 
 def make_random_basis(d, seed, label="random"):

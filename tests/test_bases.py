@@ -1,10 +1,12 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
 
-from conftest import make_random_basis, make_random_set, transition_prob
+import hselab.bases as bases_mod
+from conftest import is_mutually_unbiased, make_random_basis, make_random_set, transition_prob
 from hselab.bases import (
     TAU_DISTINCT,
     BasisSet,
@@ -13,7 +15,6 @@ from hselab.bases import (
     distance_report,
     fourier_basis,
     grassmannian_distance,
-    is_mutually_unbiased,
     load_basis_set,
     max_cross_overlap,
     mu_basis_set,
@@ -24,9 +25,10 @@ from hselab.bases import (
     save_basis_set,
     standard_basis,
 )
+from hselab.cli import main
 from hselab.errors import ConstructionError, DimensionError, InvalidParameter
-from hselab.hilbert import Basis
-from hselab.rates import iter_rate
+from hselab.hilbert import Basis, transition_matrix
+from hselab.rates import iter_rate, mub_closed_forms, rate_report
 
 W3 = cmath.exp(2j * cmath.pi / 3)
 
@@ -416,6 +418,93 @@ class TestBasisSetInvariants:
 
     def test_relabeling(self, sixstate):
         assert [b.label for b in sixstate.bases] == ["B0", "B1", "B2"]
+
+
+class TestOnePassOverThePairs:
+    """A set's checks read the figures its construction keeps from one
+    Gram product per pair."""
+
+    @pytest.fixture
+    def gram_products(self, monkeypatch):
+        calls = []
+
+        def counting(b1, b2):
+            calls.append((b1.label, b2.label))
+            return transition_matrix(b1, b2)
+
+        monkeypatch.setattr(bases_mod, "transition_matrix", counting)
+        return calls
+
+    def test_build_takes_one_per_pair_and_verify_none(self, gram_products, capsys):
+        prime_complete_set.__wrapped__(7, 8)
+        assert len(gram_products) == 8 * 7 // 2
+        prime_complete_set(7, 8)  # the memoised set that verify resolves
+        gram_products.clear()
+        assert main(["bases", "verify", "--set", "prime", "--d", "7"]) == 0
+        assert gram_products == []
+        assert capsys.readouterr().out.count(": MU (") == 28
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            qubit_six_state_set,
+            qutrit_complete_set,
+            lambda: mu_basis_set(4, 5),
+            lambda: prime_complete_set(7, 8),
+            lambda: named_basis_set("fourier", 6),
+            lambda: make_random_set(3, 4, seed=5),
+            lambda: make_random_set(5, 3, seed=6),
+        ],
+        ids=["sixstate", "qutrit4", "mub-4-5", "prime-7-8", "fourier-6", "random-3-4", "random-5-3"],
+    )
+    def test_figures_equal_the_one_pair_oracle_bit_for_bit(self, build):
+        family = build()
+        for x in range(family.c):
+            assert family.max_transition[x, x] == family.mu_deviation[x, x] == 0.0
+            for y in range(x + 1, family.c):
+                bx, by = family.bases[x], family.bases[y]
+                peak = float(np.max(transition_matrix(bx, by)))
+                deviation = is_mutually_unbiased(bx, by, 1e-10).max_dev
+                assert family.max_transition[x, y] == family.max_transition[y, x] == peak
+                assert family.mu_deviation[x, y] == family.mu_deviation[y, x] == deviation
+        for figures in (family.max_transition, family.mu_deviation):
+            with pytest.raises(ValueError):
+                figures[0, 1] = 0.0
+
+    def test_a_biased_pair_fails_the_gate_by_name(self, monkeypatch):
+        t = 1e-3
+        rotated = np.eye(7, dtype=np.complex128)
+        rotated[:2, :2] = [[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]]
+        quad0 = prime_complete_set(7, 8).bases[1]
+        expected = is_mutually_unbiased(Basis("rotated", rotated), quad0, 1e-10)
+        assert not expected.ok
+        monkeypatch.setattr(bases_mod, "standard_basis", lambda d: Basis("rotated", rotated))
+        message = f"bases 0 and 1 of prime_complete_set(7,8) not mutually unbiased: {expected.max_dev:.3e}"
+        with pytest.raises(ConstructionError, match=f"^{re.escape(message)}$"):
+            prime_complete_set.__wrapped__(7, 8)
+
+    def test_non_orthonormal_member_rejected(self):
+        skewed = Basis("skewed", [[1.0, 0.1], [0.0, 1.0]], validate=False)
+        with pytest.raises(InvalidParameter, match="orthonormal"):
+            BasisSet([standard_basis(2), skewed])
+
+
+class TestLargePrimeSet:
+    """The complete set at d = 61, where rates run only through the kernels."""
+
+    def test_every_pair_is_unbiased_by_the_stored_figures(self):
+        family = prime_complete_set(61, 62)
+        assert np.all(family.mu_deviation[~np.eye(62, dtype=bool)] <= 1e-10)
+        for x, y in [(0, 1), (0, 61), (1, 2), (17, 44), (30, 31), (60, 61)]:
+            oracle = is_mutually_unbiased(family.bases[x], family.bases[y], 1e-10)
+            assert family.mu_deviation[x, y] == oracle.max_dev
+
+    @pytest.mark.parametrize("eve", [0, 31, 61])
+    def test_rates_equal_the_closed_forms(self, eve):
+        family = prime_complete_set(61, 62)
+        report, forms = rate_report(family, family.bases[eve]), mub_closed_forms(62, 61)
+        for name in ("r_qb", "r_it", "r_s", "r_t", "r_k", "r_be", "n_s"):
+            assert getattr(report, name) == pytest.approx(getattr(forms, name), rel=1e-12, abs=0), name
 
 
 class TestDistanceReport:

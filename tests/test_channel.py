@@ -1068,6 +1068,18 @@ class TestMitm:
         assert records == scalar_interceptions(eve_basis, seed, fraction, trials)
         assert records
 
+    def test_eve_draws_follow_each_trial_past_its_row(self):
+        # one stream object for the whole relay: pointing it at a trial
+        # drops the scalar tail of the trial before
+        seed, width = 4, 2
+        blocks = ch.TrialBlocks(seed, EVE, width, lambda u: u.tolist())
+        draws = ch._EveDraws(seed)
+        for trial_id in (3, 70, 3, 5):
+            draws.at(trial_id, blocks[trial_id])
+            scalar = RandomStream(seed, EVE, trial_id)
+            n = width + 3  # past the row, into the scalar tail
+            assert [draws.uniform() for _ in range(n)] == [scalar.uniform() for _ in range(n)]
+
     def test_breidbart_eve_matches_in_process_attack(self, sixstate, cfg23):
         # her eigenstates lie outside Bob's set, so his table learns them
         breidbart = breidbart_basis()

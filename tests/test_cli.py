@@ -3,19 +3,22 @@ import csv
 import functools
 import io
 import json
+import math
 import shutil
 import sys
 import threading
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hselab.channel as ch
-from conftest import free_port
-from hselab.bases import qubit_six_state_set, save_basis_set
+from conftest import free_port, is_mutually_unbiased
+from hselab.bases import named_basis_set, qubit_six_state_set, save_basis_set
 from hselab.cli import NAMED_SETS, build_parser, main
 from hselab.errors import SessionError
+from hselab.hilbert import TAU_NORM, transition_matrix
 from hselab.montecarlo import STAGES
 from hselab.rates import bkb01_rates, mub_closed_forms
 
@@ -140,6 +143,25 @@ class TestBases:
             "pair B0,B2: MU",
             "pair B1,B2: MU",
         ]
+
+    @pytest.mark.parametrize("flags", [["--set", "prime", "--d", "7"], ["--set", "qutrit4"]])
+    def test_verify_pairs_equal_the_one_pair_oracle(self, capsys, flags):
+        # the deviations are rounding noise whose digits depend on the BLAS
+        # kernel, so they are checked against the oracle on this machine
+        family = named_basis_set(flags[1], 7)
+        code, out, _ = run(capsys, "bases", "verify", *flags)
+        assert code == 0
+        expected = []
+        peak = 0.0
+        for x in range(family.c):
+            for y in range(x + 1, family.c):
+                bx, by = family.bases[x], family.bases[y]
+                mu = is_mutually_unbiased(bx, by, max(TAU_NORM, 1e-9))
+                tag = "MU" if mu.ok else "not MU"
+                expected.append(f"pair B{x},B{y}: {tag} (max | |ov|^2 - 1/{family.d} | = {mu.max_dev:.2e})")
+                peak = max(peak, float(np.max(transition_matrix(bx, by))))
+        expected.append(f"max cross overlap: {math.sqrt(peak):.6f} (distinctness enforced)")
+        assert out.splitlines()[family.c :] == expected
 
     @pytest.mark.parametrize(
         "flags,message",

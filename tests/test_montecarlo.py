@@ -160,6 +160,47 @@ class TestLehmerDecode:
         assert np.array_equal(tuples, pool_tuples(picks, c))
 
 
+def chi_square_z(counts: np.ndarray) -> float:
+    """Wilson-Hilferty z of Pearson's chi-square for `counts` drawn
+    uniformly over its cells: about standard normal under that law."""
+    expected = counts.sum() / len(counts)
+    chi2 = float(np.sum((counts - expected) ** 2) / expected)
+    k = len(counts) - 1
+    return ((chi2 / k) ** (1 / 3) - (1 - 2 / (9 * k))) / math.sqrt(2 / (9 * k))
+
+
+class TestLawOfTheDraws:
+    """The law of a trial's draws, not only its marginals: Bob's ordered
+    tuples are uniform over all c! of them, and Alice's (x, a) over all
+    c * d^(c-1) cells.  A Bob who drew only the c cyclic tuples would keep
+    every rate the other tests check."""
+
+    SEED = 2021
+    TRIALS = 50_000
+
+    def outcomes(self, d, c):
+        config = ProtocolConfig(c=c, d=d, basis_set=mu_basis_set(d, c))
+        return mc.trial_outcomes_batch(config, self.TRIALS, self.SEED)
+
+    @pytest.mark.parametrize("d,c", [(2, 3), (3, 4), (5, 6)])
+    def test_bob_tuples_are_uniform(self, d, c):
+        outcomes = self.outcomes(d, c)
+        cells = {t: i for i, t in enumerate(itertools.permutations(range(c), c - 1))}
+        counts = np.zeros(len(cells))
+        for outcome in outcomes:
+            counts[cells[outcome.y]] += 1  # a tuple outside the support raises KeyError
+        assert abs(chi_square_z(counts)) <= 4.0
+
+    @pytest.mark.parametrize("d,c", [(2, 3), (3, 4)])
+    def test_alice_letters_and_indices_are_uniform(self, d, c):
+        outcomes = self.outcomes(d, c)
+        x = np.array([outcome.x for outcome in outcomes])
+        a = np.array([outcome.a for outcome in outcomes])
+        assert 0 <= x.min() and x.max() < c and 0 <= a.min() and a.max() < d
+        cells = x * d ** (c - 1) + a @ d ** np.arange(c - 1)
+        assert abs(chi_square_z(np.bincount(cells, minlength=c * d ** (c - 1)))) <= 4.0
+
+
 @st.composite
 def cdf_cases(draw):
     """Probability rows with zero-probability outcomes, and draws to invert

@@ -4,7 +4,7 @@ from itertools import permutations, product
 import numpy as np
 import pytest
 
-from conftest import make_random_basis, make_random_set, transition_prob
+from conftest import is_mutually_unbiased, make_random_basis, make_random_set, transition_prob
 from hselab.bases import (
     BasisSet,
     average_distance,
@@ -210,8 +210,6 @@ class TestIterRate:
 
     def test_three_bases_dimension_six(self, sixstate, qutrit4):
         # tensor products of unbiased bases are unbiased, giving a triple in d=6
-        from hselab.bases import is_mutually_unbiased
-
         members = [
             Basis(f"t{i}", np.kron(sixstate.bases[i].matrix, qutrit4.bases[i].matrix))
             for i in range(3)
