@@ -7,8 +7,9 @@ complete set for d=4, the Breidbart basis) plus the chordal Grassmannian
 distance machinery that ties basis geometry to the index error rate.
 
 A BasisSet keeps, from one Gram product per pair, each pair's largest
-transition probability and largest deviation from unbiasedness; the
-distinctness check, the MU gate and `bases verify` read those figures.
+transition probability, largest deviation from unbiasedness and no-Eve
+index-miss chance; the distinctness check, the MU gate, `bases verify`
+and `rates.success_rate` read those figures.
 
 `named_basis_set` is the one resolver of the built-in names (mub, prime,
 fourier, sixstate, qutrit4) at a given (d, c); it never opens a file.
@@ -44,12 +45,14 @@ class BasisSet:
 
     Members are relabeled "B0".."B{c-1}" through a validating Basis, so
     each is checked orthonormal.  Then one pass over the pairs x < y takes
-    one `transition_matrix` each and keeps two read-only (c, c) arrays,
+    one `transition_matrix` p each and keeps three read-only (c, c) arrays,
     symmetric with a zero diagonal: `max_transition[x, y]`, the pair's
-    largest transition probability, and `mu_deviation[x, y]`, its largest
-    |p - 1/d|.  No two bases may share a state: every max_transition stays
-    below 1 - TAU_DISTINCT.  The MU gate of `prime_complete_set`, `hselab
-    bases verify` and `max_cross_overlap` read these arrays, not the bases.
+    largest p; `mu_deviation[x, y]`, its largest |p - 1/d|; and
+    `miss[x, y]` = 1 - mean_i p_ii, the chance that Bob, measuring in y,
+    reads another index than Alice sent in x.  No two bases may share a state:
+    every max_transition stays below 1 - TAU_DISTINCT.  The MU gate of
+    `prime_complete_set`, `hselab bases verify`, `max_cross_overlap` and
+    `rates.success_rate` read these arrays, not the bases.
     """
 
     c: int
@@ -57,6 +60,7 @@ class BasisSet:
     bases: tuple
     max_transition: np.ndarray = field(repr=False)
     mu_deviation: np.ndarray = field(repr=False)
+    miss: np.ndarray = field(repr=False)
 
     def __init__(self, bases):
         bases = tuple(bases)
@@ -67,7 +71,7 @@ class BasisSet:
             raise DimensionError("all bases in a set must share one dimension")
         relabeled = tuple(Basis(f"B{x}", b.matrix) for x, b in enumerate(bases))
         c = len(relabeled)
-        peak, deviation = np.zeros((c, c)), np.zeros((c, c))
+        peak, deviation, miss = np.zeros((c, c)), np.zeros((c, c)), np.zeros((c, c))
         for x in range(c):
             for y in range(x + 1, c):
                 p = transition_matrix(relabeled[x], relabeled[y])
@@ -77,12 +81,14 @@ class BasisSet:
                 peak[x, y] = peak[y, x] = p_max
                 # a rounded subtraction is monotone, so this is max |p - 1/d| to the bit
                 deviation[x, y] = deviation[y, x] = max(p_max - 1.0 / d, 1.0 / d - p_min)
-        peak.flags.writeable = deviation.flags.writeable = False
+                miss[x, y] = miss[y, x] = 1.0 - p.diagonal().sum() / d
+        peak.flags.writeable = deviation.flags.writeable = miss.flags.writeable = False
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "bases", relabeled)
         object.__setattr__(self, "max_transition", peak)
         object.__setattr__(self, "mu_deviation", deviation)
+        object.__setattr__(self, "miss", miss)
 
     def __iter__(self):
         return iter(self.bases)

@@ -433,6 +433,9 @@ def main(argv=None) -> int:
     except HselabError as exc:
         print(f"error: {exc.__class__.__name__}: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # numpy's text names the allocation
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

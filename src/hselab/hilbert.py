@@ -265,7 +265,7 @@ def verify_orthonormal(basis, tol: float) -> OrthonormalityReport:
     Accepts a Basis or a raw (d x d) matrix with vectors as columns, so
     candidate matrices can be screened before constructing a Basis.
     """
-    if tol <= 0:
+    if not tol > 0:  # NaN too
         raise InvalidParameter("tolerance must be positive")
     matrix = basis.matrix if isinstance(basis, Basis) else np.asarray(basis, dtype=np.complex128)
     gram = matrix.conj().T @ matrix

@@ -14,7 +14,9 @@ with e_k the elementary symmetric polynomials.  Splitting on whether m
 is x leaves two values per row: E1_x = prod_{y != x} A[x, y] (Bob never
 used Alice's basis) and E2_x = sum_z prod_{y != x, z} A[x, y] (he used it
 once, in slot A[x, x]).  The key rate, Bob's error rate, the QBER and the
-no-Eve success rate are all sums of these, in O(c^2) per set.  Mutually
+no-Eve success rate are all sums of these, in O(c^2) per set.  With no Eve,
+A is the set's stored `BasisSet.miss`; under interception a report takes
+each member's Gram product with Eve once, for every rate.  Mutually
 unbiased sets also admit closed forms, and both routes are required to
 agree.  Also houses the comparison-protocol rates (BB84 / BKB01) and the
 12-row comparison table generator.
@@ -84,9 +86,9 @@ class RateReport:
     note: str = ""
 
 
-def _index_change_table(basis_set: BasisSet, eve: Basis) -> np.ndarray:
-    """P[x, y, i] = p_i(x, y), the index-change probability through Eve."""
-    towards_eve = np.stack([transition_matrix(b, eve) for b in basis_set.bases])
+def _index_change_table(towards_eve: np.ndarray) -> np.ndarray:
+    """P[x, y, i] = p_i(x, y), the index-change probability through Eve,
+    from the stack of each member's `transition_matrix` with Eve."""
     return np.clip(1.0 - np.einsum("xik,yik->xyi", towards_eve, towards_eve), 0.0, 1.0)
 
 
@@ -107,44 +109,35 @@ def _survival(slot_mean: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def success_rate(basis_set: BasisSet) -> float:
     """Probability (no eavesdropper) that one protocol round yields a key
     letter: Bob's bases all miss Alice's and every outcome index differs
-    from the announced one."""
-    c = basis_set.c
-    # same[x, y, i] = <v_i^y | v_i^x>; miss[x, y] = P(b != a | Alice basis
-    # x, Bob basis y), averaged over a.  miss[x, x] = 0, so only the tuples
-    # leaving out x survive (E1)
-    stacked = np.stack([basis.matrix for basis in basis_set.bases])
-    same = np.einsum("yki,xki->xyi", stacked.conj(), stacked)
-    miss = 1.0 - (same.real**2 + same.imag**2).mean(axis=2)
-    e1, _ = _survival(miss)
-    return float(e1.sum() / c**2)
+    from the announced one: only E1, as miss[x, x] = 0."""
+    e1, _ = _survival(basis_set.miss)
+    return float(e1.sum() / basis_set.c**2)
 
 
 def iter_rate(basis_set: BasisSet, eve: Basis) -> float:
-    """Index transmission error rate of an intercept-and-resend attack.
-
-    1 - (1/(cd)) sum over bases, indices, and Eve outcomes of the fourth
-    power of the overlap moduli; the same quantity as
-    bases.average_distance(eve, set).
-    """
+    """Index transmission error rate of an intercept-and-resend attack:
+    bases.average_distance(eve, set), which rate_report's R_IT equals."""
     return average_distance(eve, basis_set)
 
 
-def _attack_rates(basis_set: BasisSet, eve: Basis) -> tuple[float, float, float]:
-    """(R_K, R_BE, R_QB) under interception, from one slot-mean matrix.
+def _attack_rates(basis_set: BasisSet, eve: Basis) -> tuple[float, float, float, float]:
+    """(R_K, R_BE, R_QB, R_IT) under interception, from one Gram stack.
 
     R_K averages over all c * c! (letter, tuple) pairs: E1 for the tuples
     that leave out x, A[x, x] E2 for the rest.  R_BE averages over the
     c * (c-1)! tuples that put Alice's basis first, which is the second
-    term alone.
+    term alone.  R_IT is `average_distance`'s expression, to the bit.
     """
-    c = basis_set.c
+    c, d = basis_set.c, basis_set.d
+    towards_eve = np.stack([transition_matrix(b, eve) for b in basis_set.bases])
     # A[x, y] = mean over Alice's index a of p_a(x, y)
-    slot_mean = _index_change_table(basis_set, eve).mean(axis=2)
+    slot_mean = _index_change_table(towards_eve).mean(axis=2)
     e1, e2 = _survival(slot_mean)
     used_x = np.diagonal(slot_mean) * e2
     r_k = float((e1 + used_x).sum() / c**2)
     r_be = float(used_x.sum() / (c * (c - 1)))
-    return r_k, r_be, (c - 1) / c * r_be / r_k
+    r_it = sum(1.0 - float(np.sum(t**2)) / d for t in towards_eve) / c
+    return r_k, r_be, (c - 1) / c * r_be / r_k, r_it
 
 
 def key_rate(basis_set: BasisSet, eve: Basis) -> float:
@@ -167,7 +160,7 @@ def qber(basis_set: BasisSet, eve: Basis) -> float:
 def rate_report(basis_set: BasisSet, eve: Basis, protocol: str = "hse") -> RateReport:
     """Every exact rate of an explicit basis set under interception in `eve`."""
     c = basis_set.c
-    r_k, r_be, r_qb = _attack_rates(basis_set, eve)
+    r_k, r_be, r_qb, r_it = _attack_rates(basis_set, eve)
     r_s = success_rate(basis_set)
     r_t = math.log2(c) * r_s
     return RateReport(
@@ -176,7 +169,7 @@ def rate_report(basis_set: BasisSet, eve: Basis, protocol: str = "hse") -> RateR
         c=c,
         method="enumeration",
         r_qb=r_qb,
-        r_it=iter_rate(basis_set, eve),
+        r_it=r_it,
         r_s=r_s,
         r_t=r_t,
         r_k=r_k,

@@ -7,6 +7,7 @@ import pytest
 from hselab.bases import BasisSet, qubit_six_state_set, qutrit_complete_set
 from hselab.errors import DimensionError, InvalidParameter, NumericalError
 from hselab.hilbert import TAU_NORM, Basis, transition_matrix
+from hselab.rates import _survival
 from hselab.rng import RandomStream
 
 
@@ -54,6 +55,20 @@ def is_mutually_unbiased(b1, b2, tol: float) -> UnbiasednessReport:
         raise InvalidParameter("tolerance must be positive")
     dev = float(np.max(np.abs(transition_matrix(b1, b2) - 1.0 / b1.dim)))
     return UnbiasednessReport(ok=dev <= tol, max_dev=dev)
+
+
+def success_rate_einsum(basis_set) -> float:
+    """Oracle: the no-Eve success rate with every pair's index-miss chance
+    taken from one (c, c, d) einsum over the stacked bases."""
+    c = basis_set.c
+    # same[x, y, i] = <v_i^y | v_i^x>; miss[x, y] = P(b != a | Alice basis
+    # x, Bob basis y), averaged over a.  miss[x, x] = 0, so only the tuples
+    # leaving out x survive (E1)
+    stacked = np.stack([basis.matrix for basis in basis_set.bases])
+    same = np.einsum("yki,xki->xyi", stacked.conj(), stacked)
+    miss = 1.0 - (same.real**2 + same.imag**2).mean(axis=2)
+    e1, _ = _survival(miss)
+    return float(e1.sum() / c**2)
 
 
 def make_random_basis(d, seed, label="random"):

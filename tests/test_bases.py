@@ -460,14 +460,15 @@ class TestOnePassOverThePairs:
     def test_figures_equal_the_one_pair_oracle_bit_for_bit(self, build):
         family = build()
         for x in range(family.c):
-            assert family.max_transition[x, x] == family.mu_deviation[x, x] == 0.0
+            assert family.max_transition[x, x] == family.mu_deviation[x, x] == family.miss[x, x] == 0.0
             for y in range(x + 1, family.c):
                 bx, by = family.bases[x], family.bases[y]
-                peak = float(np.max(transition_matrix(bx, by)))
+                p = transition_matrix(bx, by)
                 deviation = is_mutually_unbiased(bx, by, 1e-10).max_dev
-                assert family.max_transition[x, y] == family.max_transition[y, x] == peak
+                assert family.max_transition[x, y] == family.max_transition[y, x] == float(np.max(p))
                 assert family.mu_deviation[x, y] == family.mu_deviation[y, x] == deviation
-        for figures in (family.max_transition, family.mu_deviation):
+                assert family.miss[x, y] == family.miss[y, x] == 1.0 - np.diagonal(p).mean()
+        for figures in (family.max_transition, family.mu_deviation, family.miss):
             with pytest.raises(ValueError):
                 figures[0, 1] = 0.0
 

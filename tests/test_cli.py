@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import hselab.bases as bases_mod
 import hselab.channel as ch
 from conftest import free_port, is_mutually_unbiased
 from hselab.bases import named_basis_set, qubit_six_state_set, save_basis_set
@@ -177,6 +178,31 @@ class TestBases:
     def test_a_set_usage_error_names_the_flag(self, capsys, flags, message):
         code, out, err = run(capsys, "bases", "verify", *flags)
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_a_nan_tolerance_is_a_usage_error(self, capsys):
+        # NaN once slipped past the tolerance guard, so every member printed FAIL
+        code, out, err = run(capsys, "bases", "verify", "--set", "sixstate", "--tol", "nan")
+        assert (code, out, err) == (2, "", "error: tolerance must be positive\n")
+
+    @pytest.mark.parametrize(
+        "detail,line",
+        [
+            (
+                "Unable to allocate 14.6 TiB for an array with shape (1000003, 1000003) and data type complex128",
+                "error: out of memory: Unable to allocate 14.6 TiB for an array with shape (1000003, 1000003) "
+                "and data type complex128\n",
+            ),
+            ("", "error: out of memory\n"),
+        ],
+        ids=["numpy-text", "bare"],
+    )
+    def test_an_allocation_past_memory_is_one_error_line(self, capsys, monkeypatch, detail, line):
+        def too_large(d, c):
+            raise MemoryError(detail)
+
+        monkeypatch.setattr(bases_mod, "prime_complete_set", too_large)
+        code, out, err = run(capsys, "bases", "verify", "--set", "prime", "--d", "1000003")
+        assert (code, out, err) == (1, "", line)
 
     def test_distance_jsonl(self, capsys):
         code, out, _ = run(capsys, "bases", "distance", "--set", "sixstate", "--format", "jsonl")

@@ -4,7 +4,16 @@ from itertools import permutations, product
 import numpy as np
 import pytest
 
-from conftest import is_mutually_unbiased, make_random_basis, make_random_set, transition_prob
+import hselab.bases as bases_mod
+import hselab.hilbert as hilbert_mod
+import hselab.rates as rates_mod
+from conftest import (
+    is_mutually_unbiased,
+    make_random_basis,
+    make_random_set,
+    success_rate_einsum,
+    transition_prob,
+)
 from hselab.bases import (
     BasisSet,
     average_distance,
@@ -17,7 +26,7 @@ from hselab.bases import (
     standard_basis,
 )
 from hselab.errors import DimensionError, InvalidParameter
-from hselab.hilbert import Basis
+from hselab.hilbert import Basis, transition_matrix
 from hselab.rates import (
     ProtocolConfig,
     _index_change_table,
@@ -34,6 +43,11 @@ from hselab.rates import (
     success_rate,
     table1,
 )
+
+
+def change_table(basis_set, eve):
+    """The kernel's index-change table, from each member's Gram product with Eve."""
+    return _index_change_table(np.stack([transition_matrix(b, eve) for b in basis_set.bases]))
 
 
 def index_change_double_sum(basis_set, eve, i, x, y):
@@ -86,7 +100,7 @@ def key_rate_brute(basis_set, eve):
     and the index-tuple sum left unfactorized."""
     c, d = basis_set.c, basis_set.d
     _brute_force_budget(c, d)
-    table = _index_change_table(basis_set, eve)
+    table = change_table(basis_set, eve)
     total = 0.0
     for x in range(c):
         for tup in permutations(range(c), c - 1):
@@ -102,7 +116,7 @@ def bob_error_rate_brute(basis_set, eve):
     """Unfactorized reference evaluation of Bob's error rate."""
     c, d = basis_set.c, basis_set.d
     _brute_force_budget(c, d)
-    table = _index_change_table(basis_set, eve)
+    table = change_table(basis_set, eve)
     total = 0.0
     for x in range(c):
         rest = [y for y in range(c) if y != x]
@@ -124,7 +138,7 @@ def index_change_prob(basis_set, eve, i, x, y):
         raise InvalidParameter(f"index {i} outside 0..{basis_set.d - 1}")
     if not (0 <= x < basis_set.c and 0 <= y < basis_set.c):
         raise InvalidParameter(f"letters ({x}, {y}) outside 0..{basis_set.c - 1}")
-    return float(_index_change_table(basis_set, eve)[x, y, i])
+    return float(change_table(basis_set, eve)[x, y, i])
 
 
 class TestIndexChangeProb:
@@ -188,6 +202,65 @@ class TestSuccessRate:
         assert success_rate(family) == pytest.approx(success_rate_direct(family), abs=1e-13)
 
 
+class TestOneGramProductPerRate:
+    """A report takes each member's Gram product with Eve once, and the
+    success rate reads the set's stored miss figures instead of a product."""
+
+    def test_a_report_takes_each_product_with_eve_once(self, monkeypatch):
+        family = prime_complete_set(7, 8)
+        calls = []
+
+        def counting(b1, b2):
+            calls.append((b1.label, b2.label))
+            return transition_matrix(b1, b2)
+
+        for module in (rates_mod, bases_mod):
+            monkeypatch.setattr(module, "transition_matrix", counting)
+        rate_report(family, family.bases[0])
+        assert calls == [(f"B{x}", "B0") for x in range(8)]
+
+    def test_the_success_rate_takes_no_product(self, monkeypatch):
+        family = prime_complete_set(7, 8)
+        expected = success_rate_einsum(family)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Gram product was taken")
+
+        monkeypatch.setattr(np, "einsum", refuse)
+        for module in (hilbert_mod, bases_mod, rates_mod):
+            monkeypatch.setattr(module, "transition_matrix", refuse)
+        assert success_rate(family) == expected
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            qubit_six_state_set,
+            qutrit_complete_set,
+            lambda: mu_basis_set(4, 5),
+            lambda: prime_complete_set(5, 6),
+            lambda: prime_complete_set(7, 8),
+            lambda: prime_complete_set(31, 32),
+            lambda: prime_complete_set(61, 62),
+            lambda: BasisSet([standard_basis(6), fourier_basis(6)]),
+        ],
+        ids=["sixstate", "qutrit4", "mub-4-5", "prime-5-6", "prime-7-8", "prime-31-32", "prime-61-62", "fourier-6"],
+    )
+    def test_stored_path_equals_the_einsum_oracle_bit_for_bit(self, build):
+        family = build()
+        assert success_rate(family) == success_rate_einsum(family)
+
+    @pytest.mark.parametrize("d,c,seed", [(2, 3, 31), (3, 3, 32), (4, 5, 33), (5, 4, 34), (7, 8, 35)])
+    def test_stored_path_agrees_with_the_oracle_on_random_sets(self, d, c, seed):
+        family = make_random_set(d, c, seed)
+        assert success_rate(family) == pytest.approx(success_rate_einsum(family), rel=1e-15, abs=0)
+
+    @pytest.mark.parametrize("d,c,seed", [(2, 3, 41), (3, 4, 42), (4, 5, 43), (5, 6, 44), (3, 3, 45), (5, 4, 46)])
+    def test_report_iter_equals_iter_rate_bit_for_bit(self, d, c, seed):
+        for family in (mu_basis_set(d, c), make_random_set(d, c, seed)):
+            for eve in (family.bases[0], make_random_basis(d, seed + 500)):
+                assert rate_report(family, eve).r_it == iter_rate(family, eve)
+
+
 class TestBitTransmissionRate:
     def test_values(self, sixstate, qutrit4):
         mu78 = mu_basis_set(7, 8)
@@ -228,6 +301,43 @@ class TestIterRate:
             assert iter_rate(family, eve) == pytest.approx(
                 average_distance(eve, family), abs=1e-10
             )
+
+
+# the complete MU sets mu_basis_set builds, c = d + 1
+COMPLETE_SETS = [(2, 3), (3, 4), (4, 5), (5, 6), (7, 8)]
+
+
+class TestIterInvariants:
+    """Two identities of R_IT for an Eve basis drawn at random."""
+
+    @pytest.mark.parametrize("d,c", COMPLETE_SETS)
+    def test_complete_sets_give_the_closed_form_for_any_eve(self, d, c):
+        # a complete set of MUBs is a complex projective 2-design (Klappenecker
+        # & Roetteler, 2005): the mean of |<v_i^x|e_k>|^4 over the set's states
+        # is the same for every unit vector e_k, so no Eve basis moves R_IT
+        family, expected = mu_basis_set(d, c), mub_closed_forms(c, d).r_it
+        for seed in range(25):
+            assert iter_rate(family, make_random_basis(d, 4000 + seed)) == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("d,c", [(3, 3), (5, 4)])
+    def test_incomplete_sets_move_off_the_closed_form(self, d, c):
+        family, expected = mu_basis_set(d, c), mub_closed_forms(c, d).r_it
+        gaps = [abs(iter_rate(family, make_random_basis(d, 4000 + seed)) - expected) for seed in range(25)]
+        assert max(gaps) > 0.01
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda d=d, c=c: mu_basis_set(d, c) for d, c in COMPLETE_SETS]
+        + [lambda: make_random_set(3, 3, 47), lambda: make_random_set(4, 2, 48), lambda: make_random_set(5, 4, 49)],
+        ids=[f"mub-{d}-{c}" for d, c in COMPLETE_SETS] + ["random-3-3", "random-4-2", "random-5-4"],
+    )
+    def test_iter_is_the_index_change_with_bob_in_alices_basis(self, build):
+        family = build()
+        letters = np.arange(family.c)
+        for seed in range(5):
+            eve = make_random_basis(family.d, 4100 + seed)
+            in_alices_basis = change_table(family, eve)[letters, letters]
+            assert rate_report(family, eve).r_it == pytest.approx(in_alices_basis.mean(), abs=1e-12)
 
 
 class TestKeyAndBobErrorRates:
