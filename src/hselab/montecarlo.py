@@ -12,9 +12,13 @@ tuple is Lehmer-decoded from his c-1 picks (`protocol._lehmer_decode`,
 shared with Bob's session), which gives the letters
 protocol.bob_choose_bases pops from its pool.  Each measurement inverts
 a CDF row held as d-1 contiguous columns over the flattened (state,
-basis) row index (`_hse_tensors`): `_invert_rows` counts, one `take` per
-column, the entries <= u, which is the count hilbert.invert_cdf takes,
-on the same cumsum floats.
+basis) row index (`_hse_tensors`): `_invert_rows` counts the entries
+<= u, which is the count hilbert.invert_cdf takes, on the same cumsum
+floats.  Below d = GUIDE_D it counts them one `take` per column; from
+there on a guide table (`_guide`) gives most draws their count in one
+`take`, and only the draws in a bucket that holds an entry are counted
+column by column.  Timed over 20k draws, the table lost at d = 2, 3 and
+4, tied at d = 5 and took a fifth off at d = 7 and half at d = 13.
 
 The tensors come from the kernel every path shares, `hilbert.born_rows`,
 one call per measuring basis over all the states it measures
@@ -22,28 +26,36 @@ one call per measuring basis over all the states it measures
 computed together, so each row is the `born_probabilities` row that
 run_trial's `born_sample` inverts, and the outcomes are bit-identical.
 
-Memory: a run holds one chunk of trials and one copy of its slot's CDF
-tensors, and nothing else grows with n_trials or with the tensors.  The
-tensors are written basis by basis into one buffer and accumulated there
-in place (`_born_tensor`); the SplitMix kernels mix a private copy of their
-input in place (see `rng`).  A chunk is CHUNK = 2**15 trials, so one
-uint64 or float64 vector over it is 256 KB and each numpy pass over a
-chunk stays in a core's L2 cache; the per-slot (c-1, chunk) index arrays
-are the block's largest.  Chunks only divide the work: counts add up
-exactly, so the chunk size changes no outcome.
+Memory: a run holds one workspace (`_Workspace`) and one copy of its
+slot's CDF tensors with their guide tables, and nothing else grows with
+n_trials or with the tensors.  The tensors are written basis by basis
+into one buffer and accumulated there in place (`_born_tensor`); a guide
+table takes no more bytes than the columns it indexes.  The workspace is
+one allocation that holds every vector a chunk needs, sized to the first
+chunk; every kernel writes into it (`out=`, in-place operators), so a
+chunk allocates only small vectors: the Lehmer decode's flags and the
+guide tables' fix-ups.  Letters and outcomes are slot-major (c-1, chunk)
+arrays of the narrowest integer type, int8 up to 127.  A run makes its
+own workspace and drops it, so runs share no state.  A chunk is CHUNK =
+2**15 trials, so one uint64 or float64 vector over it is 256 KB and each
+numpy pass over a chunk stays in a core's L2 cache.  Chunks only divide
+the work: counts add up exactly, so the chunk size changes no outcome.
 
 `_Counts` is the one counter behind every SimReport: `add` sums event
-arrays, `add_block` (the vector form of `TrialOutcome.of`) feeds it for
-simulations and for `report_from_outcomes`, and `report` builds the
-SimReport.  Counts commute, so chunked and serial execution agree exactly.
+arrays, `add_block` (the vector form of `TrialOutcome.of`, over
+slot-major arrays) feeds it for simulations and for
+`report_from_outcomes`, and `report` builds the SimReport.  Counts
+commute, so chunked and serial execution agree exactly.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,6 +70,8 @@ from .rates import ProtocolConfig
 from .rng import bulk_uniforms, scaled_index, trial_keys
 
 CHUNK = 2**15
+# the smallest d whose measurements invert through a guide table
+GUIDE_D = 5
 Z_FAIL = 4.0
 STAGES = ("tensors", "analytics", "sampling", "counting")
 
@@ -68,8 +82,11 @@ class Estimate:
 
     `n` is the number of Bernoulli samples behind the estimate; `value`
     is None when no samples occurred (e.g. no same-basis slots at tiny n).
-    z is defined only when stderr > 0; when the estimator is degenerate
-    (stderr 0) it is 0.0 on exact agreement and infinite otherwise.
+    The standard error is the estimate's own, sqrt(p(1-p)/n), unless the
+    estimate is 0 or 1: then it is the analytic rate's, so that z stays
+    finite while that rate lies strictly between 0 and 1.  Where the
+    analytic rate is itself 0 or 1, z is 0.0 on exact agreement and
+    infinite, with the sign of the difference, otherwise.
     """
 
     value: float | None
@@ -89,10 +106,12 @@ def _estimate(successes: int, n: int, analytic: float) -> Estimate:
         return Estimate(value=None, stderr=None, n=0, analytic=analytic, z=None)
     p_hat = successes / n
     stderr = math.sqrt(p_hat * (1.0 - p_hat) / n)
+    if stderr == 0.0:
+        stderr = math.sqrt(analytic * (1.0 - analytic) / n)
     if stderr > 0.0:
         z = (p_hat - analytic) / stderr
     else:
-        z = 0.0 if p_hat == analytic else math.inf
+        z = 0.0 if p_hat == analytic else math.copysign(math.inf, p_hat - analytic)
     return Estimate(value=p_hat, stderr=stderr, n=n, analytic=analytic, z=z)
 
 
@@ -127,10 +146,10 @@ class SimReport:
         return all(e.consistent for e in self.estimates.values())
 
 
-def _born_tensor(targets, amps) -> np.ndarray:
-    """CDF columns of the Born rows of the states `amps` (one per row)
-    measured in each basis of `targets`; column s*len(targets) + y holds
-    state s in targets[y].  Each basis is one `born_rows` call, written
+def _born_tensor(targets, amps) -> _Cdf:
+    """The CDF rows (`_Cdf`) of the Born rows of the states `amps` (one
+    per row) measured in each basis of `targets`; row s*len(targets) + y
+    holds state s in targets[y].  Each basis is one `born_rows` call, written
     into one preallocated (d, columns) buffer that is then accumulated in
     place, so the batch path holds one copy of the scalar path's floats."""
     n, d = amps.shape
@@ -140,18 +159,59 @@ def _born_tensor(targets, amps) -> np.ndarray:
     return _accumulate(columns.reshape(d, n * len(targets)))
 
 
-def _accumulate(columns: np.ndarray) -> np.ndarray:
-    """Turn (d, rows) probability columns into CDF columns in place and
-    return columns 0..d-2, each a contiguous vector over the row index.
-    Entry k of a row is the sum of its entries 0..k added in order, as the
-    scalar path's cumsum adds them, so every entry is the same float.  The
-    last column is dropped: see _invert_rows."""
+class _Cdf(NamedTuple):
+    """The CDF rows of one measurement: `columns` holds entries 0..d-2 of
+    every row as d-1 contiguous vectors over the row index, and `table`,
+    when d is large enough for it to pay, their guide table (`_guide`)."""
+
+    columns: np.ndarray
+    table: np.ndarray | None
+    bits: int
+
+
+def _accumulate(columns: np.ndarray) -> _Cdf:
+    """Turn (d, rows) probability columns into CDF rows in place, with the
+    guide table from d = GUIDE_D on.  Entry k of a row is the sum of its
+    entries 0..k added in order, as the scalar path's cumsum adds them, so
+    every entry is the same float.  The last column is dropped: see
+    _invert_rows."""
     np.cumsum(columns, axis=0, out=columns)
-    return columns[:-1]
+    columns = columns[:-1]
+    if len(columns) + 1 < GUIDE_D:
+        return _Cdf(columns, None, 0)
+    return _Cdf(columns, *_guide(columns))
+
+
+def _guide(columns: np.ndarray) -> tuple[np.ndarray, int]:
+    """The guide table of CDF columns (indexed search, Chen & Asau 1974).
+
+    Each row's [0, 1) is cut into 2**bits buckets [j, j+1) / 2**bits, and
+    entry row * 2**bits + j of the flat table is the count of the row's
+    entries below the bucket, which is the outcome of every draw in it,
+    or -1 when an entry lies in the bucket.  2**bits is the most buckets
+    whose table takes no more bytes than the d-1 float64 columns.  Entry
+    e lies in bucket floor(e * 2**bits), which is exact in floats; an
+    entry at or past 1 lies in no bucket."""
+    entries, rows = columns.shape
+    dtype = np.min_scalar_type(-(entries + 1))
+    bits = (8 * entries // dtype.itemsize).bit_length() - 1
+    width = 1 << bits
+    # counts[r, j + 1] gains one for each entry of row r in bucket j (j =
+    # width: at or past 1); their running sums count the entries below
+    counts = np.zeros((rows, width + 2), dtype)
+    flat = counts.reshape(-1)
+    base = np.arange(1, rows * (width + 2), width + 2)
+    for column in columns:
+        bucket = np.minimum(column * width, width).astype(np.intp)
+        flat[base + bucket] += 1  # one entry per row: no index repeats
+    np.cumsum(counts, axis=1, dtype=dtype, out=counts)
+    table = counts[:, :width].copy()
+    table[counts[:, 1 : width + 1] != table] = -1
+    return table.reshape(-1), bits
 
 
 def _hse_tensors(basis_set: BasisSet, eve: Basis | None):
-    """CDF columns of one slot: (to_eve, from_eve) through Eve, else
+    """CDF rows of one slot: (to_eve, from_eve) through Eve, else
     (direct,).  A row is indexed (x*d + a)*c + y for state a of basis x
     measured in basis y directly, x*d + a for Eve's measurement, and
     k*c + y for Bob's measurement of Eve's state k.  BKB01 sends one
@@ -164,50 +224,146 @@ def _hse_tensors(basis_set: BasisSet, eve: Basis | None):
     return (_born_tensor(members, sent),)
 
 
-def _invert_rows(columns: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Vector form of hilbert.invert_cdf: per trial, the count of entries
-    <= u in CDF row `rows`, gathered one column at a time.  A cumsum of
-    non-negative probabilities never decreases, so the entries <= u are a
-    prefix of the row; counting over the first d-1 columns alone therefore
-    equals the full count capped at d-1."""
-    return sum(column.take(rows) <= u for column in columns)
+def _count_entries(columns: np.ndarray, rows: np.ndarray, u: np.ndarray, out, gathered=None, flags=None) -> None:
+    """Per trial, the count of entries <= u among the first d-1 of CDF row
+    `rows`, one column at a time, into `out`, through the float and bool
+    scratch vectors `gathered` and `flags` when given."""
+    out.fill(0)
+    for column in columns:
+        out += np.less_equal(np.take(column, rows, out=gathered, mode="clip"), u, out=flags)
 
 
-def _measure(tensors, c, d, x, a, y, bob_keys, bob_counter, eve_keys, eve_counter):
-    """Bob's outcomes for one slot of a block: state a of basis x measured
-    in basis y, directly or, when eve_keys is given, through Eve's basis.
-    Each measurement computes its trials' CDF row index (see _hse_tensors)
-    and inverts that row at the draw the scalar path takes."""
-    if eve_keys is None:
+def _invert_rows(cdf: _Cdf, rows: np.ndarray, u: np.ndarray, out, work) -> None:
+    """Vector form of hilbert.invert_cdf, into `out`: per trial, the count
+    of entries <= u in CDF row `rows`.  A cumsum of non-negative
+    probabilities never decreases, so the entries <= u are a prefix of the
+    row; counting over the first d-1 columns alone therefore equals the
+    full count capped at d-1.  With a guide table, a draw's bucket gives
+    the count, and only the draws whose bucket holds an entry are counted
+    column by column.  Overwrites `rows` and the workspace's scratch."""
+    gathered = work.scratch.view(np.float64)
+    if cdf.table is None:
+        _count_entries(cdf.columns, rows, u, out, gathered, work.flags)
+        return
+    bucket = work.scratch.view(np.intp)
+    # u * 2**bits is exact, so the cast takes the bucket's index
+    np.multiply(u, 1 << cdf.bits, out=bucket, casting="unsafe")
+    rows <<= cdf.bits
+    rows += bucket
+    np.take(cdf.table, rows, out=out, mode="clip")
+    held = np.flatnonzero(np.less(out, 0, out=work.flags))
+    if len(held):
+        counts = np.empty(len(held), out.dtype)
+        _count_entries(cdf.columns, rows[held] >> cdf.bits, u[held], counts)
+        out[held] = counts
+
+
+def _measure(tensors, c, xd, a, y, out, bob_draw, eve_draw, work) -> None:
+    """Bob's outcomes for one slot of a block, into `out`: state a of
+    basis x measured in basis y, directly or, when Eve's draws are given,
+    through her basis.  `xd` is x*d.  Each measurement computes its
+    trials' CDF row index (see _hse_tensors) and inverts that row at the
+    draw the scalar path takes."""
+    rows = work.rows
+    np.add(xd, a, out=rows)
+    if eve_draw is None:
         (direct,) = tensors
-        return _invert_rows(direct, (x * d + a) * c + y, bulk_uniforms(bob_keys, bob_counter))
+        rows *= c
+        rows += y
+        _invert_rows(direct, rows, bob_draw, out, work)
+        return
     to_eve, from_eve = tensors
-    eve_outcome = _invert_rows(to_eve, x * d + a, bulk_uniforms(eve_keys, eve_counter))
-    return _invert_rows(from_eve, eve_outcome * c + y, bulk_uniforms(bob_keys, bob_counter))
+    _invert_rows(to_eve, rows, eve_draw, work.outcome, work)
+    np.multiply(work.outcome, c, out=rows, dtype=np.intp)
+    rows += y
+    _invert_rows(from_eve, rows, bob_draw, out, work)
 
 
-def _hse_block(config: ProtocolConfig, seed: int, start: int, count: int, tensors):
-    """One block of trials, fully vectorized; returns per-trial (count,)
-    x and (count, c-1) a, y and b arrays."""
+class _Workspace:
+    """The buffers one run samples and counts in, sized to its first
+    chunk: keys and a uint64 scratch vector for the rng kernels (viewed as
+    floats or ints, also for `_invert_rows`), one vector each for a draw,
+    CDF row indices, x*d, Eve's outcomes and flags, the slot-major (slots,
+    size) a, y and b, and Eve's keys and draws when she measures.  Basis
+    letters (x, y) are in the narrowest signed type that holds c, indices
+    and outcomes (a, b) in the one that holds d, as the guide tables are.
+    A run makes its own and drops it on return, so runs share no state."""
+
+    def __init__(self, slots: int, c: int, d: int, size: int, eve: bool):
+        letter, index = np.min_scalar_type(-c), np.min_scalar_type(-d)
+        vector, per_slot = (size,), (slots, size)
+        layout = [
+            *((name, np.uint64, vector) for name in ("alice", "bob", "scratch")),
+            ("draw", np.float64, vector),
+            ("rows", np.intp, vector),
+            ("xd", np.intp, vector),
+            ("x", letter, vector),
+            ("y", letter, per_slot),
+            ("a", index, per_slot),
+            ("b", index, per_slot),
+            ("outcome", index, vector),
+            ("flags", np.bool_, vector),
+        ]
+        if eve:
+            layout += [("eve", np.uint64, vector), ("eve_draw", np.float64, vector)]
+        else:
+            self.eve = self.eve_draw = None
+        # one allocation for all of them, widest items first so that every
+        # view is aligned.  glibc raises its mmap threshold to the largest
+        # block freed, so from the second run on the block comes from the
+        # heap with its pages mapped, while buffers of 160-800 KB allocated
+        # one by one would be mapped and returned page by page every call
+        layout.sort(key=lambda field: -np.dtype(field[1]).itemsize)
+        nbytes = [np.dtype(dtype).itemsize * math.prod(shape) for _, dtype, shape in layout]
+        block = np.empty(sum(nbytes), np.uint8)
+        for (name, dtype, shape), end, n in zip(layout, itertools.accumulate(nbytes), nbytes):
+            setattr(self, name, block[end - n : end].view(dtype).reshape(shape))
+
+    def head(self, count: int) -> "_Workspace":
+        """The same buffers cut to their first `count` trials."""
+        head = object.__new__(_Workspace)
+        for name, value in vars(self).items():
+            setattr(head, name, None if value is None else value[..., :count])
+        return head
+
+    def keys(self, seed: int, start: int) -> None:
+        """The stream keys of trials start.. for Alice, Bob and, when the
+        workspace holds hers, Eve."""
+        trials = np.arange(start, start + len(self.x), dtype=np.uint64)
+        for role, out in ((ALICE, self.alice), (BOB, self.bob), (EVE, self.eve)):
+            if out is not None:
+                trial_keys(seed, role, trials, out=out, scratch=self.scratch)
+
+    def uniforms(self, keys, counter: int, out=None) -> np.ndarray:
+        """bulk_uniforms into the draw vector, or into `out`."""
+        return bulk_uniforms(keys, counter, out=self.draw if out is None else out, scratch=self.scratch)
+
+
+def _chunks(n_trials: int, work: _Workspace):
+    """(start, workspace) for each chunk of a run of n_trials."""
+    for start in range(0, n_trials, CHUNK):
+        count = min(CHUNK, n_trials - start)
+        yield start, work if count == len(work.x) else work.head(count)
+
+
+def _hse_block(config: ProtocolConfig, seed: int, start: int, tensors, work: _Workspace):
+    """One block of trials from `start`, as many as the workspace holds,
+    fully vectorized; returns the workspace's x and slot-major (c-1,
+    count) a, y and b, which the next block overwrites."""
     c, d = config.c, config.d
-    trials = np.arange(start, start + count, dtype=np.uint64)
-    alice_keys = trial_keys(seed, ALICE, trials)
-    bob_keys = trial_keys(seed, BOB, trials)
-
-    x = scaled_index(bulk_uniforms(alice_keys, 0), c)
-    # slot-major: a[k], y[k] and b[k] are contiguous vectors over the block
-    a = np.empty((c - 1, count), dtype=np.int64)
-    y = np.empty((c - 1, count), dtype=np.int64)
+    work.keys(seed, start)
+    x, a, y, b = work.x, work.a, work.y, work.b
+    scaled_index(work.uniforms(work.alice, 0), c, out=x)
+    np.multiply(x, d, out=work.xd, dtype=np.intp)
     for k in range(c - 1):
-        a[k] = scaled_index(bulk_uniforms(alice_keys, 1 + k), d)
-        y[k] = scaled_index(bulk_uniforms(bob_keys, k), c - k)
+        scaled_index(work.uniforms(work.alice, 1 + k), d, out=a[k])
+        scaled_index(work.uniforms(work.bob, k), c - k, out=y[k])
     _lehmer_decode(y)
-
-    eve_keys = trial_keys(seed, EVE, trials) if config.eve is not None else None
-    b = np.empty((c - 1, count), dtype=np.int64)
     for k in range(c - 1):
-        b[k] = _measure(tensors, c, d, x, a[k], y[k], bob_keys, (c - 1) + k, eve_keys, k)
-    return x, a.T, y.T, b.T
+        eve_draw = work.uniforms(work.eve, k, work.eve_draw) if config.eve is not None else None
+        bob_draw = work.uniforms(work.bob, (c - 1) + k)
+        _measure(tensors, c, work.xd, a[k], y[k], b[k], bob_draw, eve_draw, work)
+    return x, a, y, b
 
 
 @dataclass
@@ -223,27 +379,32 @@ class _Counts:
     same_slots: int = 0
     same_errors: int = 0
 
-    def add(self, sifted, wrong, same=None, same_errors=None) -> None:
+    def add(self, sifted, wrong, same_slots: int = 0, same_errors: int = 0) -> None:
         """Count a block from per-trial `sifted` and `wrong` flags (wrong
         None: no letter is known, so the block counts toward r_s only) and
-        per-slot `same`-basis and `same_errors` flags."""
-        n_sifted = int(sifted.sum())
+        its counts of same-basis slots and of errors in them."""
+        n_sifted = int(np.count_nonzero(sifted))
         self.trials += sifted.shape[0]
         self.sifted += n_sifted
         if wrong is not None:
             self.checked += n_sifted
-            self.wrong += int(wrong.sum())
-        if same is not None:
-            self.same_slots += int(same.sum())
-            self.same_errors += int(same_errors.sum())
+            self.wrong += int(np.count_nonzero(wrong))
+        self.same_slots += same_slots
+        self.same_errors += same_errors
 
-    def add_block(self, c: int, x, a, y, b) -> None:
-        """The HSE rule of TrialOutcome.of over a block of trials: sifted
-        when every b differs from a, Bob's letter the one missing from y."""
-        sifted = np.all(a != b, axis=1)
-        same = y == x[:, None]
-        missing = c * (c - 1) // 2 - y.sum(axis=1)
-        self.add(sifted, sifted & (missing != x), same, same & (b != a))
+    def add_block(self, x, a, y, b) -> None:
+        """The HSE rule of TrialOutcome.of over a block of trials, from x
+        and the slot-major (c-1, n) a, y and b: sifted when every b differs
+        from a, and wrong when Bob's letter, the one missing from y, is not
+        x, that is when x is in y."""
+        differ = a != b
+        same = y == x
+        sifted = np.all(differ, axis=0)
+        wrong = np.any(same, axis=0)
+        wrong &= sifted
+        n_same = int(np.count_nonzero(same))
+        same &= differ
+        self.add(sifted, wrong, n_same, int(np.count_nonzero(same)))
 
     def report(self, protocol: str, d: int, c: int, eve, seed: int, analytic, stages: dict) -> SimReport:
         """The SimReport of these counts against analytic (r_s, r_it, r_qb);
@@ -302,14 +463,15 @@ def estimate_rates(config: ProtocolConfig, n_trials: int, seed: int) -> SimRepor
     watch = _Stopwatch()
     sampled = _sampled_config(config)
     tensors = _hse_tensors(sampled.basis_set, sampled.eve)
+    work = _Workspace(config.c - 1, config.c, config.d, min(CHUNK, n_trials), sampled.eve is not None)
     watch.lap("tensors")
     analytic = _hse_analytics(sampled)
     watch.lap("analytics")
     counts = _Counts()
-    for start in range(0, n_trials, CHUNK):
-        block = _hse_block(sampled, seed, start, min(CHUNK, n_trials - start), tensors)
+    for start, chunk in _chunks(n_trials, work):
+        block = _hse_block(sampled, seed, start, tensors, chunk)
         watch.lap("sampling")
-        counts.add_block(config.c, *block)
+        counts.add_block(*block)
         watch.lap("counting")
     return counts.report("hse", config.d, config.c, config.eve, seed, analytic, watch.seconds)
 
@@ -319,10 +481,11 @@ def trial_outcomes_batch(config: ProtocolConfig, n_trials: int, seed: int):
     produces, via the batch engine (used by tests and the benchmark)."""
     sampled = _sampled_config(config)
     tensors = _hse_tensors(sampled.basis_set, sampled.eve)
+    work = _Workspace(config.c - 1, config.c, config.d, min(CHUNK, max(n_trials, 1)), sampled.eve is not None)
     outcomes = []
-    for start in range(0, n_trials, CHUNK):
-        block = _hse_block(sampled, seed, start, min(CHUNK, n_trials - start), tensors)
-        rows = zip(*(part.tolist() for part in block))
+    for start, chunk in _chunks(n_trials, work):
+        block = _hse_block(sampled, seed, start, tensors, chunk)
+        rows = zip(*(part.T.tolist() for part in block))
         outcomes.extend(
             TrialOutcome.of(start + row, x, tuple(a), tuple(y), tuple(b), config.c)
             for row, (x, a, y, b) in enumerate(rows)
@@ -333,27 +496,31 @@ def trial_outcomes_batch(config: ProtocolConfig, n_trials: int, seed: int):
 def simulate_bkb01(basis_set: BasisSet, eve: Basis | None, n_trials: int, seed: int) -> SimReport:
     """Simulate the basis-announcing comparison protocol on the c bases of
     d-dimensional `basis_set`: one state per round, sift on basis match,
-    cross-checking its interception QBER."""
+    cross-checking its interception QBER.  Alice's basis g and index x
+    and Bob's basis h and outcome sit in the one slot of a workspace's
+    x, a, y and b."""
     c, d = basis_set.c, basis_set.d
     if n_trials < 1:
         raise InvalidParameter("n_trials must be >= 1")
     watch = _Stopwatch()
     tensors = _hse_tensors(basis_set, eve)
+    work = _Workspace(1, c, d, min(CHUNK, n_trials), eve is not None)
     watch.lap("tensors")
     qb_analytic = rates.bkb01_rates(c, d).r_qb if eve is not None else 0.0
     watch.lap("analytics")
     counts = _Counts()
-    for start in range(0, n_trials, CHUNK):
-        trials = np.arange(start, start + min(CHUNK, n_trials - start), dtype=np.uint64)
-        alice_keys = trial_keys(seed, ALICE, trials)
-        bob_keys = trial_keys(seed, BOB, trials)
-        eve_keys = trial_keys(seed, EVE, trials) if eve is not None else None
-        g = scaled_index(bulk_uniforms(alice_keys, 0), c)
-        x = scaled_index(bulk_uniforms(alice_keys, 1), d)
-        h = scaled_index(bulk_uniforms(bob_keys, 0), c)
-        outcome = _measure(tensors, c, d, g, x, h, bob_keys, 1, eve_keys, 0)
+    for start, chunk in _chunks(n_trials, work):
+        chunk.keys(seed, start)
+        g, (x,), (h,), (outcome,) = chunk.x, chunk.a, chunk.y, chunk.b
+        scaled_index(chunk.uniforms(chunk.alice, 0), c, out=g)
+        np.multiply(g, d, out=chunk.xd, dtype=np.intp)
+        scaled_index(chunk.uniforms(chunk.alice, 1), d, out=x)
+        scaled_index(chunk.uniforms(chunk.bob, 0), c, out=h)
+        eve_draw = chunk.uniforms(chunk.eve, 0, chunk.eve_draw) if eve is not None else None
+        _measure(tensors, c, chunk.xd, x, h, outcome, chunk.uniforms(chunk.bob, 1), eve_draw, chunk)
         watch.lap("sampling")
-        counts.add(h == g, (h == g) & (outcome != x))
+        sifted = h == g
+        counts.add(sifted, sifted & (outcome != x))
         watch.lap("counting")
     return counts.report("bkb01", d, c, eve, seed, (1.0 / c, None, qb_analytic), watch.seconds)
 
@@ -372,7 +539,7 @@ def report_from_outcomes(config: ProtocolConfig, outcomes, seed: int) -> SimRepo
     )
     known = x >= 0
     counts = _Counts()
-    counts.add_block(config.c, x[known], a[known], y[known], b[known])
+    counts.add_block(x[known], a[known].T, y[known].T, b[known].T)
     counts.add(np.all(a[~known] != b[~known], axis=1), None)
     analytic = (rates.success_rate(config.basis_set), 0.0, 0.0)
     return counts.report("hse", config.d, config.c, None, seed, analytic, {})

@@ -124,10 +124,12 @@ def _lehmer_decode(picks: np.ndarray) -> None:
     are a Lehmer code.  Decoding it from the right needs no pool: for i
     from the second-last slot down to the first, every later slot at or
     above slot i's value steps up by one, past slot i's letter.  Integers
-    only, so the letters are exactly the pool's."""
+    only, so the letters are exactly the pool's; every step goes through
+    one flag vector."""
+    step = np.empty(picks.shape[1:], dtype=bool)
     for i in range(len(picks) - 2, -1, -1):
         for j in range(i + 1, len(picks)):
-            picks[j] += picks[j] >= picks[i]
+            picks[j] += np.greater_equal(picks[j], picks[i], out=step)
 
 
 def sift(a: tuple, b: tuple) -> bool:

@@ -8,10 +8,15 @@ streams were consumed, and the same draws can be evaluated one at a time
 or as whole numpy arrays (see :func:`bulk_uniforms`).
 
 The array kernels work in place on a private copy: each copies its
-input words once, mixes that copy with `^=`, `*=` and shifts into one
-scratch array, and returns it, so an input array is never modified and
-a call holds at most about three arrays of its length.  They apply the
-scalar mixer's operations in the scalar mixer's order, word by word.
+input words once, mixes that copy with `^=`, `*=` and shifts against one
+scratch array, and returns it, so an input array is never modified.  They
+apply the scalar mixer's operations in the scalar mixer's order, word by
+word.  A caller that makes many calls of one length passes its own
+buffers: the result goes into `out=` and the mixing uses `scratch=`, so
+the call allocates nothing.  `bulk_uniforms` mixes its words in `out`
+itself and turns them into floats there, through an int64 view of the
+top 53 bits in `scratch`: the same floats as from uint64, and a cheaper
+conversion.
 
 Determinism holds across platforms for this implementation; bit-exact
 agreement with other generators is not a goal.
@@ -73,19 +78,24 @@ def value_at(key: int, counter: int) -> int:
     return _mix64((key + ((counter + 1) * _GOLDEN)) & _MASK64)
 
 
-def trial_keys(seed: int, role: str, trial_ids: np.ndarray) -> np.ndarray:
-    """Vectorized stream_key(seed, role, t) for an array of trial ids."""
-    words = trial_ids.astype(np.uint64)
+def trial_keys(seed: int, role: str, trial_ids: np.ndarray, out=None, scratch=None) -> np.ndarray:
+    """Vectorized stream_key(seed, role, t) for an array of trial ids,
+    written into the uint64 array `out` when given."""
+    if out is None:
+        words = trial_ids.astype(np.uint64)
+    else:
+        words = out
+        np.copyto(words, trial_ids, casting="unsafe")
     words ^= _NP_INT_TAG
-    _mix64_in_place(words)
+    _mix64_in_place(words, scratch)
     words ^= np.uint64(stream_key(seed, role))
-    return _mix64_in_place(words)
+    return _mix64_in_place(words, scratch)
 
 
-def _mix64_in_place(z: np.ndarray) -> np.ndarray:
+def _mix64_in_place(z: np.ndarray, scratch=None) -> np.ndarray:
     """_mix64 on every word of the uint64 array z, in place, through one
-    scratch array; returns z."""
-    scratch = np.right_shift(z, _NP_30)
+    scratch array of z's shape (made here when none is given); returns z."""
+    scratch = np.right_shift(z, _NP_30, out=scratch)
     z ^= scratch
     z *= _NP_MUL1
     np.right_shift(z, _NP_27, out=scratch)
@@ -96,19 +106,26 @@ def _mix64_in_place(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _uniforms_in_place(words: np.ndarray) -> np.ndarray:
-    """The uniform draws of private raw uint64 words, which it overwrites."""
-    _mix64_in_place(words)
-    words >>= _NP_TOP53
-    return np.multiply(words, _U53)
+def _uniforms_in_place(words: np.ndarray, out=None, scratch=None) -> np.ndarray:
+    """The uniform draws of private raw uint64 words, which it overwrites,
+    into `out` when given.  `out` may hold the words themselves: their top
+    53 bits then go through `scratch`, since numpy would copy them to
+    convert them in place."""
+    _mix64_in_place(words, scratch)
+    top = np.right_shift(words, _NP_TOP53, out=words if out is None else scratch)
+    # below 2**53 the int64 view holds the same values, and converts faster
+    return np.multiply(top.view(np.int64), _U53, out=out)
 
 
-def bulk_uniforms(keys: np.ndarray, counter: int) -> np.ndarray:
-    """Uniform [0,1) draws at position `counter` of many streams at once.
+def bulk_uniforms(keys: np.ndarray, counter: int, out=None, scratch=None) -> np.ndarray:
+    """Uniform [0,1) draws at position `counter` of many streams at once,
+    written into the float64 array `out` when given.
 
     Bit-identical to RandomStream(key).skip(counter).uniform() per key.
     """
-    return _uniforms_in_place(keys + np.uint64((counter + 1) * _GOLDEN & _MASK64))
+    step = np.uint64((counter + 1) * _GOLDEN & _MASK64)
+    words = np.add(keys, step, out=None if out is None else out.view(np.uint64))
+    return _uniforms_in_place(words, out, scratch)
 
 
 def block_uniforms(seed: int, role: str, start: int, count: int, width: int) -> np.ndarray:
@@ -126,10 +143,15 @@ def block_uniforms(seed: int, role: str, start: int, count: int, width: int) -> 
     return _uniforms_in_place(trial_keys(seed, role, trials)[:, None] + steps)
 
 
-def scaled_index(u, n: int):
-    """Map uniform u in [0,1) to an integer in 0..n-1 (shared scalar/array path)."""
+def scaled_index(u, n: int, out=None):
+    """Map uniform u in [0,1) to an integer in 0..n-1 (shared scalar/array
+    path).  An array u gives int64s, or writes into the integer array
+    `out`."""
     if isinstance(u, np.ndarray):
-        return np.minimum((u * n).astype(np.int64), n - 1)
+        # the cast truncates as int() does.  For u < 1, u * n lies at least
+        # n * 2**-53 below n, more than half the float spacing there, so it
+        # rounds to a float below n and needs no cap
+        return np.multiply(u, n, out=np.empty(u.shape, np.int64) if out is None else out, casting="unsafe")
     return min(int(u * n), n - 1)
 
 

@@ -425,6 +425,8 @@ GOLDEN = {
     "distance_sixstate": ["bases", "distance", "--set", "sixstate", "--eve", "breidbart"],
     "sim_3_4": ["sim", "--d", "3", "--c", "4", "--trials", "2000", "--seed", "7"],
     "sim_3_4_eve": ["sim", "--d", "3", "--c", "4", "--trials", "2000", "--seed", "7", "--eve", "basis:0"],
+    # at d = 5 both of Bob's measurements invert through guide tables
+    "sim_5_6_eve": ["sim", "--d", "5", "--c", "6", "--trials", "20000", "--seed", "7", "--eve", "basis:0"],
 }
 SUFFIX = {"table": "txt", "csv": "csv", "jsonl": "jsonl"}
 

@@ -203,30 +203,54 @@ class TestLawOfTheDraws:
 
 @st.composite
 def cdf_cases(draw):
-    """Probability rows with zero-probability outcomes, and draws to invert
-    on each: every CDF entry, 0.0, the largest float below 1 and a few
-    arbitrary ones."""
-    d = draw(st.integers(2, 8))
+    """CDF rows with zero-probability outcomes (repeated entries), and a
+    few arbitrary draws to invert on each."""
+    d = draw(st.integers(2, 13))
     weight = st.one_of(st.just(0.0), st.floats(1e-9, 1.0))
     rows = []
     for _ in range(draw(st.integers(1, 4))):
         w = np.array(draw(st.lists(weight, min_size=d, max_size=d)))
         if w.sum() == 0.0:
             w[draw(st.integers(0, d - 1))] = 1.0
-        rows.append(w / w.sum())
+        rows.append(np.cumsum(w / w.sum()).tolist())
     extra = draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=4))
-    return np.array(rows), extra
+    return rows, extra
+
+
+def edge_draws(cdf, bits):
+    """Draws on every side of each CDF entry and of each of the 2**bits
+    bucket edges, 0.0 and the largest float below 1."""
+    points = [*cdf, *(j / 2**bits for j in range(2**bits))]
+    below = [np.nextafter(p, 0.0) for p in points]
+    above = [np.nextafter(p, 1.0) for p in points]
+    return [u for u in (*points, *below, *above, np.nextafter(1.0, 0.0)) if 0.0 <= u < 1.0]
 
 
 class TestInvertRows:
+    """Both kernels of _invert_rows, the column counts and the guide table,
+    against hilbert.invert_cdf on the same CDF floats."""
+
     @staticmethod
-    def check(probabilities, extra=()):
-        columns = mc._accumulate(probabilities.T.copy())
-        for r, row in enumerate(probabilities):
-            cdf = np.cumsum(row).tolist()
-            draws = [*cdf, 0.0, np.nextafter(1.0, 0.0), *extra]
-            got = mc._invert_rows(columns, np.full(len(draws), r), np.array(draws))
-            assert got.tolist() == [invert_cdf(cdf, u) for u in draws]
+    def kernels(cdf_rows):
+        columns = np.array(cdf_rows).T[:-1].copy()
+        table, bits = mc._guide(columns)
+        return (
+            mc._Cdf(columns, None, 0),
+            mc._Cdf(columns, table, bits),
+            # every bucket marked: every draw takes the fix-up path
+            mc._Cdf(columns, np.full_like(table, -1), bits),
+        )
+
+    @classmethod
+    def check(cls, cdf_rows, extra=()):
+        d = len(cdf_rows[0])
+        for cdf in cls.kernels(cdf_rows):
+            for r, row in enumerate(cdf_rows):
+                draws = [*edge_draws(row, cdf.bits or 3), *extra]
+                work = mc._Workspace(1, 2, d, len(draws), False)
+                out = np.empty(len(draws), work.b.dtype)
+                mc._invert_rows(cdf, np.full(len(draws), r, dtype=np.intp), np.array(draws), out, work)
+                assert out.tolist() == [invert_cdf(row, u) for u in draws], (cdf.table is not None, row)
 
     @given(cdf_cases())
     @settings(max_examples=300, deadline=None)
@@ -237,13 +261,36 @@ class TestInvertRows:
         "row",
         [
             [0.0, 0.0, 1.0],  # u = 0.0 passes both leading zeros
-            [1.0, 0.0, 0.0],  # at u = 1.0 every entry counts: only the cap holds it at d-1
-            [0.5, 0.0, 0.49999999],  # the cdf ends below 1, so draws above it are capped
-            [0.25, 0.25, 0.0, 0.5],
+            [1.0, 1.0, 1.0],  # every entry at 1, in no bucket
+            [0.5, 0.5, 0.99999999],  # the cdf ends below 1, so draws above it are capped
+            [0.25, 0.5, 0.5, 1.0],
+            [0.5, np.nextafter(1.0, 0.0), np.nextafter(1.0, 0.0)],  # ends a rounding step below 1
+            [0.7, np.nextafter(1.0, 2.0), np.nextafter(1.0, 2.0)],  # an entry a rounding step above 1
+            [0.2, 0.2, 0.2, 0.2, 0.6, 0.6, 1.0],  # repeated entries inside one bucket
+            [0.0, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1.0],  # every entry on a bucket edge
         ],
     )
     def test_edge_rows(self, row):
-        self.check(np.array([row]), [0.5, 0.75, 0.9999999])
+        self.check([row], [0.5, 0.75, 0.9999999])
+
+    @given(cdf_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_table_marks_exactly_the_buckets_holding_an_entry(self, case):
+        rows, _ = case
+        columns = np.array(rows).T[:-1].copy()
+        table, bits = mc._guide(columns)
+        d = columns.shape[0] + 1
+        assert table.dtype == np.min_scalar_type(-d) and table.nbytes <= columns.nbytes
+        for r, row in enumerate(rows):
+            entries = np.array(row[:-1])
+            for j, value in enumerate(table[r << bits : (r + 1) << bits].tolist()):
+                held = np.any(np.floor(entries * 2**bits) == j)
+                assert value == (-1 if held else int(np.sum(entries < j / 2**bits)))
+
+    @pytest.mark.parametrize("d", range(2, 10))
+    def test_the_guide_starts_at_guide_d(self, d):
+        (direct,) = mc._hse_tensors(mu_basis_set(d, 2), None)
+        assert (direct.table is not None) == (d >= mc.GUIDE_D)
 
 
 class TestChunking:
@@ -269,6 +316,38 @@ class TestChunking:
         assert report.r_it == mc._estimate(same_errors, same_slots, report.r_it.analytic)
 
 
+class TestChunkReuse:
+    """Every chunk of a run reuses one workspace: 3,500 trials in chunks of
+    1,000 (the last one cut short) give the outcomes of run_trial and the
+    counts of one unchunked run, on both inversion kernels."""
+
+    N = 3500
+
+    @pytest.fixture(scope="class")
+    def sets(self):
+        return {
+            "mu(5,6)": mu_basis_set(5, 6),
+            "mu(2,3)": mu_basis_set(2, 3),
+            "random(5,4)": make_random_set(5, 4, seed=23),
+            "random(13,14)": make_random_set(13, 14, seed=31),
+        }
+
+    @pytest.mark.parametrize("attacked", (False, True))
+    @pytest.mark.parametrize("name", ["mu(5,6)", "mu(2,3)", "random(5,4)", "random(13,14)"])
+    def test_chunks_equal_one_run(self, sets, name, attacked, monkeypatch):
+        family = sets[name]
+        eve = make_random_basis(family.d, 77, label="eve") if attacked else None
+        config = ProtocolConfig(c=family.c, d=family.d, basis_set=family, eve=eve)
+        whole = mc.estimate_rates(config, self.N, seed=9)
+        whole_bkb = mc.simulate_bkb01(family, eve, self.N, seed=9)
+        monkeypatch.setattr(mc, "CHUNK", 1000)
+        assert mc.trial_outcomes_batch(config, self.N, 9) == [run_trial(config, t, 9) for t in range(self.N)]
+        chunked = mc.estimate_rates(config, self.N, seed=9)
+        chunked_bkb = mc.simulate_bkb01(family, eve, self.N, seed=9)
+        assert chunked.estimates == whole.estimates
+        assert chunked_bkb.estimates == whole_bkb.estimates
+
+
 def traced_peak(run) -> int:
     """Bytes allocated by run() at its peak, as tracemalloc sees them."""
     tracing = tracemalloc.is_tracing()
@@ -285,17 +364,46 @@ def traced_peak(run) -> int:
 
 
 class TestMemory:
-    """A run holds one chunk and one copy of its tensors, however many
-    trials it runs: these two read about 13 and 5 MiB."""
+    """A run holds one workspace of a chunk and one copy of its tensors,
+    however many trials it runs: these two read 3.27 and 2.04 MiB, and
+    their bounds leave a fifth above that."""
 
     @pytest.mark.parametrize(
         ("d", "c", "attacked", "n", "bound_mib"),
-        [(7, 8, True, 200_000, 20), (2, 3, False, 300_000, 8)],
+        [(7, 8, True, 200_000, 4), (2, 3, False, 300_000, 2.5)],
     )
     def test_estimate_rates_peak_is_bounded(self, d, c, attacked, n, bound_mib):
         family = mu_basis_set(d, c)
         config = ProtocolConfig(c=c, d=d, basis_set=family, eve=family.bases[0] if attacked else None)
         assert traced_peak(lambda: mc.estimate_rates(config, n, seed=1)) < bound_mib * 2**20
+
+
+class TestDegenerateEstimates:
+    """An estimate of 0 or 1 has no spread of its own: its z is taken
+    against the analytic rate's standard error, and is infinite only where
+    that rate is itself 0 or 1."""
+
+    def test_an_estimate_of_zero_or_one_has_a_finite_z(self):
+        low, high = mc._estimate(0, 20, 0.25), mc._estimate(20, 20, 0.25)
+        assert low.stderr == high.stderr == math.sqrt(0.25 * 0.75 / 20)
+        assert low.z == -0.25 / low.stderr and high.z == 0.75 / high.stderr
+
+    def test_an_exact_analytic_rate_keeps_the_sign_of_the_miss(self):
+        assert mc._estimate(0, 5, 0.0).z == 0.0 and mc._estimate(5, 5, 1.0).z == 0.0
+        assert mc._estimate(5, 5, 0.0).z == math.inf
+        assert mc._estimate(0, 5, 1.0).z == -math.inf
+
+    @pytest.mark.parametrize("n", (5, 20))
+    def test_short_attacked_runs_print_valid_json(self, cfg23_eve, n):
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+
+        for seed in range(1, 101):
+            report = mc.estimate_rates(cfg23_eve, n, seed)
+            for estimate in report.estimates.values():
+                assert estimate.z is None or math.isfinite(estimate.z), (seed, estimate)
+            for row in mc.report_rows(report):
+                json.loads(json.dumps(row), parse_constant=reject)
 
 
 class TestEstimateRates:
@@ -577,7 +685,8 @@ class TestCountsMatchScalarRule:
         n, seed = 2000, 13
         counts = mc._Counts()
         tensors = mc._hse_tensors(basis_set, config.eve)
-        counts.add_block(c, *mc._hse_block(config, seed, 0, n, tensors))
+        work = mc._Workspace(c - 1, c, d, n, attacked)
+        counts.add_block(*mc._hse_block(config, seed, 0, tensors, work))
         outcomes = [run_trial(config, t, seed) for t in range(n)]
         sifted = [o for o in outcomes if o.sifted]
         assert (counts.trials, counts.sifted, counts.checked) == (n, len(sifted), len(sifted))

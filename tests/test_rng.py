@@ -125,6 +125,20 @@ def test_scaled_index_scalar_and_array_agree():
     assert array_result.min() >= 0 and array_result.max() <= 6
 
 
+def test_scaled_index_array_path_needs_no_cap():
+    # the largest draw below 1 stays below n for every n: the product never
+    # rounds up to n, so the array path has no cap
+    n = np.arange(1, 20_001)
+    top = np.full(len(n), np.nextafter(1.0, 0.0))
+    assert np.all(top * n < n)
+    out = np.empty(len(n), dtype=np.int64)
+    assert scaled_index(top, n, out=out).tolist() == [scaled_index(float(top[0]), int(k)) for k in n]
+    u = draws(RandomStream(9), 1000)
+    for k in (2, 3, 6, 127):
+        small = np.empty(len(u), dtype=np.int8)
+        assert scaled_index(u, k, out=small).tolist() == scaled_index(u, k).tolist()
+
+
 def test_bad_stream_ids_rejected():
     with pytest.raises(TypeError):
         RandomStream(0, 1.5)
