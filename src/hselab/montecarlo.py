@@ -12,13 +12,9 @@ tuple is Lehmer-decoded from his c-1 picks (`protocol._lehmer_decode`,
 shared with Bob's session), which gives the letters
 protocol.bob_choose_bases pops from its pool.  Each measurement inverts
 a CDF row held as d-1 contiguous columns over the flattened (state,
-basis) row index (`_hse_tensors`): `_invert_rows` counts the entries
-<= u, which is the count hilbert.invert_cdf takes, on the same cumsum
-floats.  Below d = GUIDE_D it counts them one `take` per column; from
-there on a guide table (`_guide`) gives most draws their count in one
-`take`, and only the draws in a bucket that holds an entry are counted
-column by column.  Timed over 20k draws, the table lost at d = 2, 3 and
-4, tied at d = 5 and took a fifth off at d = 7 and half at d = 13.
+basis) row index (`_hse_tensors`): `_invert_rows` counts, one `take` per
+column, the entries <= u, which is the count hilbert.invert_cdf takes,
+on the same cumsum floats.
 
 The tensors come from the kernel every path shares, `hilbert.born_rows`,
 one call per measuring basis over all the states it measures
@@ -27,14 +23,12 @@ computed together, so each row is the `born_probabilities` row that
 run_trial's `born_sample` inverts, and the outcomes are bit-identical.
 
 Memory: a run holds one workspace (`_Workspace`) and one copy of its
-slot's CDF tensors with their guide tables, and nothing else grows with
-n_trials or with the tensors.  The tensors are written basis by basis
-into one buffer and accumulated there in place (`_born_tensor`); a guide
-table takes no more bytes than the columns it indexes.  The workspace is
-one allocation that holds every vector a chunk needs, sized to the first
+slot's CDF tensors, and nothing else grows with n_trials or with the
+tensors.  The tensors are written basis by basis into one buffer and
+accumulated there in place (`_born_tensor`).  The workspace is one
+allocation that holds every vector a chunk needs, sized to the first
 chunk; every kernel writes into it (`out=`, in-place operators), so a
-chunk allocates only small vectors: the Lehmer decode's flags and the
-guide tables' fix-ups.  Letters and outcomes are slot-major (c-1, chunk)
+chunk allocates only the Lehmer decode's small flag vectors.  Letters and outcomes are slot-major (c-1, chunk)
 arrays of the narrowest integer type, int8 up to 127.  A run makes its
 own workspace and drops it, so runs share no state.  A chunk is CHUNK =
 2**15 trials, so one uint64 or float64 vector over it is 256 KB and each
@@ -55,7 +49,6 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -70,8 +63,6 @@ from .rates import ProtocolConfig
 from .rng import bulk_uniforms, scaled_index, trial_keys
 
 CHUNK = 2**15
-# the smallest d whose measurements invert through a guide table
-GUIDE_D = 5
 Z_FAIL = 4.0
 STAGES = ("tensors", "analytics", "sampling", "counting")
 
@@ -146,10 +137,10 @@ class SimReport:
         return all(e.consistent for e in self.estimates.values())
 
 
-def _born_tensor(targets, amps) -> _Cdf:
-    """The CDF rows (`_Cdf`) of the Born rows of the states `amps` (one
-    per row) measured in each basis of `targets`; row s*len(targets) + y
-    holds state s in targets[y].  Each basis is one `born_rows` call, written
+def _born_tensor(targets, amps) -> np.ndarray:
+    """The CDF columns of the Born rows of the states `amps` (one per row)
+    measured in each basis of `targets`; row s*len(targets) + y holds
+    state s in targets[y].  Each basis is one `born_rows` call, written
     into one preallocated (d, columns) buffer that is then accumulated in
     place, so the batch path holds one copy of the scalar path's floats."""
     n, d = amps.shape
@@ -159,55 +150,13 @@ def _born_tensor(targets, amps) -> _Cdf:
     return _accumulate(columns.reshape(d, n * len(targets)))
 
 
-class _Cdf(NamedTuple):
-    """The CDF rows of one measurement: `columns` holds entries 0..d-2 of
-    every row as d-1 contiguous vectors over the row index, and `table`,
-    when d is large enough for it to pay, their guide table (`_guide`)."""
-
-    columns: np.ndarray
-    table: np.ndarray | None
-    bits: int
-
-
-def _accumulate(columns: np.ndarray) -> _Cdf:
-    """Turn (d, rows) probability columns into CDF rows in place, with the
-    guide table from d = GUIDE_D on.  Entry k of a row is the sum of its
-    entries 0..k added in order, as the scalar path's cumsum adds them, so
-    every entry is the same float.  The last column is dropped: see
-    _invert_rows."""
+def _accumulate(columns: np.ndarray) -> np.ndarray:
+    """Turn (d, rows) probability columns into CDF columns in place.  Entry
+    k of a row is the sum of its entries 0..k added in order, as the scalar
+    path's cumsum adds them, so every entry is the same float.  The last
+    column is dropped: see _invert_rows."""
     np.cumsum(columns, axis=0, out=columns)
-    columns = columns[:-1]
-    if len(columns) + 1 < GUIDE_D:
-        return _Cdf(columns, None, 0)
-    return _Cdf(columns, *_guide(columns))
-
-
-def _guide(columns: np.ndarray) -> tuple[np.ndarray, int]:
-    """The guide table of CDF columns (indexed search, Chen & Asau 1974).
-
-    Each row's [0, 1) is cut into 2**bits buckets [j, j+1) / 2**bits, and
-    entry row * 2**bits + j of the flat table is the count of the row's
-    entries below the bucket, which is the outcome of every draw in it,
-    or -1 when an entry lies in the bucket.  2**bits is the most buckets
-    whose table takes no more bytes than the d-1 float64 columns.  Entry
-    e lies in bucket floor(e * 2**bits), which is exact in floats; an
-    entry at or past 1 lies in no bucket."""
-    entries, rows = columns.shape
-    dtype = np.min_scalar_type(-(entries + 1))
-    bits = (8 * entries // dtype.itemsize).bit_length() - 1
-    width = 1 << bits
-    # counts[r, j + 1] gains one for each entry of row r in bucket j (j =
-    # width: at or past 1); their running sums count the entries below
-    counts = np.zeros((rows, width + 2), dtype)
-    flat = counts.reshape(-1)
-    base = np.arange(1, rows * (width + 2), width + 2)
-    for column in columns:
-        bucket = np.minimum(column * width, width).astype(np.intp)
-        flat[base + bucket] += 1  # one entry per row: no index repeats
-    np.cumsum(counts, axis=1, dtype=dtype, out=counts)
-    table = counts[:, :width].copy()
-    table[counts[:, 1 : width + 1] != table] = -1
-    return table.reshape(-1), bits
+    return columns[:-1]
 
 
 def _hse_tensors(basis_set: BasisSet, eve: Basis | None):
@@ -224,38 +173,20 @@ def _hse_tensors(basis_set: BasisSet, eve: Basis | None):
     return (_born_tensor(members, sent),)
 
 
-def _count_entries(columns: np.ndarray, rows: np.ndarray, u: np.ndarray, out, gathered=None, flags=None) -> None:
-    """Per trial, the count of entries <= u among the first d-1 of CDF row
-    `rows`, one column at a time, into `out`, through the float and bool
-    scratch vectors `gathered` and `flags` when given."""
-    out.fill(0)
-    for column in columns:
-        out += np.less_equal(np.take(column, rows, out=gathered, mode="clip"), u, out=flags)
-
-
-def _invert_rows(cdf: _Cdf, rows: np.ndarray, u: np.ndarray, out, work) -> None:
+def _invert_rows(columns: np.ndarray, rows: np.ndarray, u: np.ndarray, out, work) -> None:
     """Vector form of hilbert.invert_cdf, into `out`: per trial, the count
     of entries <= u in CDF row `rows`.  A cumsum of non-negative
     probabilities never decreases, so the entries <= u are a prefix of the
     row; counting over the first d-1 columns alone therefore equals the
-    full count capped at d-1.  With a guide table, a draw's bucket gives
-    the count, and only the draws whose bucket holds an entry are counted
-    column by column.  Overwrites `rows` and the workspace's scratch."""
+    full count capped at d-1.  Gathers through the workspace's scratch
+    vector and flags."""
     gathered = work.scratch.view(np.float64)
-    if cdf.table is None:
-        _count_entries(cdf.columns, rows, u, out, gathered, work.flags)
-        return
-    bucket = work.scratch.view(np.intp)
-    # u * 2**bits is exact, so the cast takes the bucket's index
-    np.multiply(u, 1 << cdf.bits, out=bucket, casting="unsafe")
-    rows <<= cdf.bits
-    rows += bucket
-    np.take(cdf.table, rows, out=out, mode="clip")
-    held = np.flatnonzero(np.less(out, 0, out=work.flags))
-    if len(held):
-        counts = np.empty(len(held), out.dtype)
-        _count_entries(cdf.columns, rows[held] >> cdf.bits, u[held], counts)
-        out[held] = counts
+    out.fill(0)
+    for column in columns:
+        # every row index lies below the column's length: it is built from
+        # letters below c and indices and outcomes below d (_hse_tensors).
+        # "clip" only spares the buffered copy that "raise" makes with out=
+        out += np.less_equal(np.take(column, rows, out=gathered, mode="clip"), u, out=work.flags)
 
 
 def _measure(tensors, c, xd, a, y, out, bob_draw, eve_draw, work) -> None:
@@ -282,12 +213,12 @@ def _measure(tensors, c, xd, a, y, out, bob_draw, eve_draw, work) -> None:
 class _Workspace:
     """The buffers one run samples and counts in, sized to its first
     chunk: keys and a uint64 scratch vector for the rng kernels (viewed as
-    floats or ints, also for `_invert_rows`), one vector each for a draw,
-    CDF row indices, x*d, Eve's outcomes and flags, the slot-major (slots,
-    size) a, y and b, and Eve's keys and draws when she measures.  Basis
-    letters (x, y) are in the narrowest signed type that holds c, indices
-    and outcomes (a, b) in the one that holds d, as the guide tables are.
-    A run makes its own and drops it on return, so runs share no state."""
+    floats by `_invert_rows`), one vector each for a draw, CDF row indices,
+    x*d, Eve's outcomes and flags, the slot-major (slots, size) a, y and
+    b, and Eve's keys and draws when she measures.  Basis letters (x, y)
+    are in the narrowest signed type that holds c, indices and outcomes
+    (a, b) in the one that holds d.  A run makes its own and drops it on
+    return, so runs share no state."""
 
     def __init__(self, slots: int, c: int, d: int, size: int, eve: bool):
         letter, index = np.min_scalar_type(-c), np.min_scalar_type(-d)

@@ -148,10 +148,12 @@ def scaled_index(u, n: int, out=None):
     path).  An array u gives int64s, or writes into the integer array
     `out`."""
     if isinstance(u, np.ndarray):
+        if out is None:
+            return np.minimum((u * n).astype(np.int64), n - 1)
         # the cast truncates as int() does.  For u < 1, u * n lies at least
         # n * 2**-53 below n, more than half the float spacing there, so it
         # rounds to a float below n and needs no cap
-        return np.multiply(u, n, out=np.empty(u.shape, np.int64) if out is None else out, casting="unsafe")
+        return np.multiply(u, n, out=out, casting="unsafe")
     return min(int(u * n), n - 1)
 
 

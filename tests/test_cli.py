@@ -425,7 +425,7 @@ GOLDEN = {
     "distance_sixstate": ["bases", "distance", "--set", "sixstate", "--eve", "breidbart"],
     "sim_3_4": ["sim", "--d", "3", "--c", "4", "--trials", "2000", "--seed", "7"],
     "sim_3_4_eve": ["sim", "--d", "3", "--c", "4", "--trials", "2000", "--seed", "7", "--eve", "basis:0"],
-    # at d = 5 both of Bob's measurements invert through guide tables
+    # (5,6) with Eve at 20k trials: the sampler on a full chunk
     "sim_5_6_eve": ["sim", "--d", "5", "--c", "6", "--trials", "20000", "--seed", "7", "--eve", "basis:0"],
 }
 SUFFIX = {"table": "txt", "csv": "csv", "jsonl": "jsonl"}

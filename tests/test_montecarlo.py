@@ -217,40 +217,28 @@ def cdf_cases(draw):
     return rows, extra
 
 
-def edge_draws(cdf, bits):
-    """Draws on every side of each CDF entry and of each of the 2**bits
-    bucket edges, 0.0 and the largest float below 1."""
-    points = [*cdf, *(j / 2**bits for j in range(2**bits))]
-    below = [np.nextafter(p, 0.0) for p in points]
-    above = [np.nextafter(p, 1.0) for p in points]
-    return [u for u in (*points, *below, *above, np.nextafter(1.0, 0.0)) if 0.0 <= u < 1.0]
+def edge_draws(cdf):
+    """Draws on every side of each CDF entry, 0.0 and the largest float
+    below 1."""
+    below = [np.nextafter(p, 0.0) for p in cdf]
+    above = [np.nextafter(p, 1.0) for p in cdf]
+    return [u for u in (*cdf, *below, *above, 0.0, np.nextafter(1.0, 0.0)) if 0.0 <= u < 1.0]
 
 
 class TestInvertRows:
-    """Both kernels of _invert_rows, the column counts and the guide table,
-    against hilbert.invert_cdf on the same CDF floats."""
+    """_invert_rows' column counts against hilbert.invert_cdf on the same
+    CDF floats."""
 
     @staticmethod
-    def kernels(cdf_rows):
+    def check(cdf_rows, extra=()):
         columns = np.array(cdf_rows).T[:-1].copy()
-        table, bits = mc._guide(columns)
-        return (
-            mc._Cdf(columns, None, 0),
-            mc._Cdf(columns, table, bits),
-            # every bucket marked: every draw takes the fix-up path
-            mc._Cdf(columns, np.full_like(table, -1), bits),
-        )
-
-    @classmethod
-    def check(cls, cdf_rows, extra=()):
         d = len(cdf_rows[0])
-        for cdf in cls.kernels(cdf_rows):
-            for r, row in enumerate(cdf_rows):
-                draws = [*edge_draws(row, cdf.bits or 3), *extra]
-                work = mc._Workspace(1, 2, d, len(draws), False)
-                out = np.empty(len(draws), work.b.dtype)
-                mc._invert_rows(cdf, np.full(len(draws), r, dtype=np.intp), np.array(draws), out, work)
-                assert out.tolist() == [invert_cdf(row, u) for u in draws], (cdf.table is not None, row)
+        for r, row in enumerate(cdf_rows):
+            draws = [*edge_draws(row), *extra]
+            work = mc._Workspace(1, 2, d, len(draws), False)
+            out = np.empty(len(draws), work.b.dtype)
+            mc._invert_rows(columns, np.full(len(draws), r, dtype=np.intp), np.array(draws), out, work)
+            assert out.tolist() == [invert_cdf(row, u) for u in draws], row
 
     @given(cdf_cases())
     @settings(max_examples=300, deadline=None)
@@ -261,36 +249,17 @@ class TestInvertRows:
         "row",
         [
             [0.0, 0.0, 1.0],  # u = 0.0 passes both leading zeros
-            [1.0, 1.0, 1.0],  # every entry at 1, in no bucket
+            [1.0, 1.0, 1.0],  # every entry at 1
             [0.5, 0.5, 0.99999999],  # the cdf ends below 1, so draws above it are capped
             [0.25, 0.5, 0.5, 1.0],
             [0.5, np.nextafter(1.0, 0.0), np.nextafter(1.0, 0.0)],  # ends a rounding step below 1
             [0.7, np.nextafter(1.0, 2.0), np.nextafter(1.0, 2.0)],  # an entry a rounding step above 1
-            [0.2, 0.2, 0.2, 0.2, 0.6, 0.6, 1.0],  # repeated entries inside one bucket
-            [0.0, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1.0],  # every entry on a bucket edge
+            [0.2, 0.2, 0.2, 0.2, 0.6, 0.6, 1.0],  # repeated entries
+            [0.0, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1.0],  # every entry a dyadic fraction
         ],
     )
     def test_edge_rows(self, row):
         self.check([row], [0.5, 0.75, 0.9999999])
-
-    @given(cdf_cases())
-    @settings(max_examples=100, deadline=None)
-    def test_table_marks_exactly_the_buckets_holding_an_entry(self, case):
-        rows, _ = case
-        columns = np.array(rows).T[:-1].copy()
-        table, bits = mc._guide(columns)
-        d = columns.shape[0] + 1
-        assert table.dtype == np.min_scalar_type(-d) and table.nbytes <= columns.nbytes
-        for r, row in enumerate(rows):
-            entries = np.array(row[:-1])
-            for j, value in enumerate(table[r << bits : (r + 1) << bits].tolist()):
-                held = np.any(np.floor(entries * 2**bits) == j)
-                assert value == (-1 if held else int(np.sum(entries < j / 2**bits)))
-
-    @pytest.mark.parametrize("d", range(2, 10))
-    def test_the_guide_starts_at_guide_d(self, d):
-        (direct,) = mc._hse_tensors(mu_basis_set(d, 2), None)
-        assert (direct.table is not None) == (d >= mc.GUIDE_D)
 
 
 class TestChunking:
@@ -319,7 +288,7 @@ class TestChunking:
 class TestChunkReuse:
     """Every chunk of a run reuses one workspace: 3,500 trials in chunks of
     1,000 (the last one cut short) give the outcomes of run_trial and the
-    counts of one unchunked run, on both inversion kernels."""
+    counts of one unchunked run."""
 
     N = 3500
 
@@ -365,7 +334,7 @@ def traced_peak(run) -> int:
 
 class TestMemory:
     """A run holds one workspace of a chunk and one copy of its tensors,
-    however many trials it runs: these two read 3.27 and 2.04 MiB, and
+    however many trials it runs: these two read 3.26 and 2.04 MiB, and
     their bounds leave a fifth above that."""
 
     @pytest.mark.parametrize(

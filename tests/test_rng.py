@@ -125,9 +125,9 @@ def test_scaled_index_scalar_and_array_agree():
     assert array_result.min() >= 0 and array_result.max() <= 6
 
 
-def test_scaled_index_array_path_needs_no_cap():
+def test_scaled_index_out_path_needs_no_cap():
     # the largest draw below 1 stays below n for every n: the product never
-    # rounds up to n, so the array path has no cap
+    # rounds up to n, so the array path into out= has no cap
     n = np.arange(1, 20_001)
     top = np.full(len(n), np.nextafter(1.0, 0.0))
     assert np.all(top * n < n)
