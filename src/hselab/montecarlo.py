@@ -28,12 +28,13 @@ tensors.  The tensors are written basis by basis into one buffer and
 accumulated there in place (`_born_tensor`).  The workspace is one
 allocation that holds every vector a chunk needs, sized to the first
 chunk; every kernel writes into it (`out=`, in-place operators), so a
-chunk allocates only the Lehmer decode's small flag vectors.  Letters and outcomes are slot-major (c-1, chunk)
-arrays of the narrowest integer type, int8 up to 127.  A run makes its
-own workspace and drops it, so runs share no state.  A chunk is CHUNK =
-2**15 trials, so one uint64 or float64 vector over it is 256 KB and each
-numpy pass over a chunk stays in a core's L2 cache.  Chunks only divide
-the work: counts add up exactly, so the chunk size changes no outcome.
+chunk allocates only the Lehmer decode's small flag vectors.  Letters
+and outcomes are slot-major (c-1, chunk) arrays of the narrowest integer
+type, int8 up to 127.  A run makes its own workspace and drops it, so
+runs share no state.  A chunk is CHUNK = 2**15 trials, so one uint64 or
+float64 vector over it is 256 KB and each numpy pass over a chunk stays
+in a core's L2 cache.  Chunks only divide the work: counts add up
+exactly, so the chunk size changes no outcome.
 
 `_Counts` is the one counter behind every SimReport: `add` sums event
 arrays, `add_block` (the vector form of `TrialOutcome.of`, over
@@ -138,8 +139,8 @@ class SimReport:
 
 
 def _born_tensor(targets, amps) -> np.ndarray:
-    """The CDF columns of the Born rows of the states `amps` (one per row)
-    measured in each basis of `targets`; row s*len(targets) + y holds
+    """CDF columns of the Born rows of the states `amps` (one per row)
+    measured in each basis of `targets`; column s*len(targets) + y holds
     state s in targets[y].  Each basis is one `born_rows` call, written
     into one preallocated (d, columns) buffer that is then accumulated in
     place, so the batch path holds one copy of the scalar path's floats."""
@@ -151,16 +152,17 @@ def _born_tensor(targets, amps) -> np.ndarray:
 
 
 def _accumulate(columns: np.ndarray) -> np.ndarray:
-    """Turn (d, rows) probability columns into CDF columns in place.  Entry
-    k of a row is the sum of its entries 0..k added in order, as the scalar
-    path's cumsum adds them, so every entry is the same float.  The last
-    column is dropped: see _invert_rows."""
+    """Turn (d, rows) probability columns into CDF columns in place and
+    return columns 0..d-2, each a contiguous vector over the row index.
+    Entry k of a row is the sum of its entries 0..k added in order, as the
+    scalar path's cumsum adds them, so every entry is the same float.  The
+    last column is dropped: see _invert_rows."""
     np.cumsum(columns, axis=0, out=columns)
     return columns[:-1]
 
 
 def _hse_tensors(basis_set: BasisSet, eve: Basis | None):
-    """CDF rows of one slot: (to_eve, from_eve) through Eve, else
+    """CDF columns of one slot: (to_eve, from_eve) through Eve, else
     (direct,).  A row is indexed (x*d + a)*c + y for state a of basis x
     measured in basis y directly, x*d + a for Eve's measurement, and
     k*c + y for Bob's measurement of Eve's state k.  BKB01 sends one
