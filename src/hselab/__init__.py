@@ -37,7 +37,6 @@ from .protocol import EveInterceptor, TrialOutcome, run_trial
 from .rates import (
     ProtocolConfig,
     RateReport,
-    amub_iter_lower_bound,
     bkb01_rates,
     bob_error_rate,
     iter_rate,
@@ -71,7 +70,6 @@ __all__ = [
     "SimReport",
     "StateVector",
     "TrialOutcome",
-    "amub_iter_lower_bound",
     "average_distance",
     "bkb01_rates",
     "bob_error_rate",

@@ -7,14 +7,21 @@ the results are bit-identical to running protocol.run_trial one trial at
 a time (a tested invariant).  `_measure` draws one slot of a block,
 directly or through Eve, for both simulated protocols.
 
+A draw stays its 53-bit numerator m (`rng.bulk_uniforms`), the draw
+u = m * 2**-53 being exact, and no block builds u: a letter or an index
+is `rng.numerator_index`, which rounds u * n as `rng.scaled_index` does.
+A chunk mixes its trials' role-independent key half (`rng.trial_words`)
+once, and `rng.trial_keys` finishes it per role.
+
 Two kernels keep a block cheap without changing a draw.  Bob's basis
 tuple is Lehmer-decoded from his c-1 picks (`protocol._lehmer_decode`,
 shared with Bob's session), which gives the letters
 protocol.bob_choose_bases pops from its pool.  Each measurement inverts
 a CDF row held as d-1 contiguous columns over the flattened (state,
-basis) row index (`_hse_tensors`): `_invert_rows` counts, one `take` per
-column, the entries <= u, which is the count hilbert.invert_cdf takes,
-on the same cumsum floats.
+basis) row index (`_hse_tensors`), each cumsum float p held as the
+threshold ceil(p * 2**53) (`_thresholds`): `_invert_rows` counts, one
+`take` per column, the thresholds <= m, which are the entries <= u that
+hilbert.invert_cdf counts on the same cumsum floats.
 
 The tensors come from the kernel every path shares, `hilbert.born_rows`,
 one call per measuring basis over all the states it measures
@@ -24,17 +31,19 @@ run_trial's `born_sample` inverts, and the outcomes are bit-identical.
 
 Memory: a run holds one workspace (`_Workspace`) and one copy of its
 slot's CDF tensors, and nothing else grows with n_trials or with the
-tensors.  The tensors are written basis by basis into one buffer and
-accumulated there in place (`_born_tensor`).  The workspace is one
-allocation that holds every vector a chunk needs, sized to the first
-chunk; every kernel writes into it (`out=`, in-place operators), so a
-chunk allocates only the Lehmer decode's small flag vectors.  Letters
-and outcomes are slot-major (c-1, chunk) arrays of the narrowest integer
-type, int8 up to 127.  A run makes its own workspace and drops it, so
-runs share no state.  A chunk is CHUNK = 2**15 trials, so one uint64 or
-float64 vector over it is 256 KB and each numpy pass over a chunk stays
-in a core's L2 cache.  Chunks only divide the work: counts add up
-exactly, so the chunk size changes no outcome.
+tensors.  The tensors are written basis by basis into one buffer,
+accumulated there and turned into thresholds in place (`_born_tensor`).
+The workspace is one allocation that holds every vector a chunk needs,
+sized to the first chunk; every kernel writes into it (`out=`, in-place
+operators).  A chunk allocates two vectors, one after the other: its
+trial ids (8 bytes a trial, 160 KB at 20k trials) and the Lehmer
+decode's flags (a byte a trial).  Letters and outcomes are slot-major
+(c-1, chunk) arrays of the narrowest integer type, int8 up to 127.  A
+run makes its own workspace and drops it, so runs share no state.  A
+chunk is CHUNK = 2**15 trials, so one uint64 vector over it is 256 KB
+and each numpy pass over a chunk stays in a core's L2 cache.  Chunks
+only divide the work: counts add up exactly, so the chunk size changes
+no outcome.
 
 `_Counts` is the one counter behind every SimReport: `add` sums event
 arrays, `add_block` (the vector form of `TrialOutcome.of`, over
@@ -61,7 +70,7 @@ from .errors import InvalidParameter
 from .hilbert import Basis, born_probabilities, born_rows
 from .protocol import ALICE, BOB, EVE, TrialOutcome, _lehmer_decode
 from .rates import ProtocolConfig
-from .rng import bulk_uniforms, scaled_index, trial_keys
+from .rng import bulk_uniforms, numerator_index, trial_keys, trial_words
 
 CHUNK = 2**15
 Z_FAIL = 4.0
@@ -139,11 +148,12 @@ class SimReport:
 
 
 def _born_tensor(targets, amps) -> np.ndarray:
-    """CDF columns of the Born rows of the states `amps` (one per row)
-    measured in each basis of `targets`; column s*len(targets) + y holds
-    state s in targets[y].  Each basis is one `born_rows` call, written
-    into one preallocated (d, columns) buffer that is then accumulated in
-    place, so the batch path holds one copy of the scalar path's floats."""
+    """CDF threshold columns of the Born rows of the states `amps` (one
+    per row) measured in each basis of `targets`; column s*len(targets) + y
+    holds state s in targets[y].  Each basis is one `born_rows` call,
+    written into one preallocated (d, columns) buffer that is then
+    accumulated in place, so the batch path holds one copy of the scalar
+    path's floats, as thresholds."""
     n, d = amps.shape
     columns = np.empty((d, n, len(targets)))
     for y, basis in enumerate(targets):
@@ -152,13 +162,29 @@ def _born_tensor(targets, amps) -> np.ndarray:
 
 
 def _accumulate(columns: np.ndarray) -> np.ndarray:
-    """Turn (d, rows) probability columns into CDF columns in place and
-    return columns 0..d-2, each a contiguous vector over the row index.
-    Entry k of a row is the sum of its entries 0..k added in order, as the
-    scalar path's cumsum adds them, so every entry is the same float.  The
-    last column is dropped: see _invert_rows."""
+    """Turn (d, rows) probability columns into CDF threshold columns in
+    place and return columns 0..d-2, each a contiguous vector over the row
+    index.  Entry k of a row is the sum of its entries 0..k added in order,
+    as the scalar path's cumsum adds them, so every entry is the same float
+    until it becomes a threshold.  The last column is dropped: see
+    _invert_rows."""
     np.cumsum(columns, axis=0, out=columns)
-    return columns[:-1]
+    return _thresholds(columns[:-1])
+
+
+def _thresholds(cdf: np.ndarray) -> np.ndarray:
+    """The contiguous float64 CDF entries p, turned in place into the
+    uint64 thresholds ceil(p * 2**53) and returned: p <= m * 2**-53
+    exactly when the threshold is <= the integer m, as p * 2**53 is an
+    exact float (p is never negative)."""
+    flat = cdf.reshape(-1, copy=False)
+    flat *= 2.0**53
+    # the cast is exact, and goes a chunk at a time since numpy copies
+    # what a cast reads when it writes over it
+    for start in range(0, flat.size, CHUNK):
+        piece = flat[start : start + CHUNK]
+        np.ceil(piece, out=piece.view(np.uint64), casting="unsafe")
+    return cdf.view(np.uint64)
 
 
 def _hse_tensors(basis_set: BasisSet, eve: Basis | None):
@@ -175,20 +201,20 @@ def _hse_tensors(basis_set: BasisSet, eve: Basis | None):
     return (_born_tensor(members, sent),)
 
 
-def _invert_rows(columns: np.ndarray, rows: np.ndarray, u: np.ndarray, out, work) -> None:
+def _invert_rows(columns: np.ndarray, rows: np.ndarray, m: np.ndarray, out, work) -> None:
     """Vector form of hilbert.invert_cdf, into `out`: per trial, the count
-    of entries <= u in CDF row `rows`.  A cumsum of non-negative
+    of entries <= u = m * 2**-53 in CDF row `rows`, that is of its
+    thresholds <= the numerator m (_thresholds).  A cumsum of non-negative
     probabilities never decreases, so the entries <= u are a prefix of the
     row; counting over the first d-1 columns alone therefore equals the
     full count capped at d-1.  Gathers through the workspace's scratch
     vector and flags."""
-    gathered = work.scratch.view(np.float64)
     out.fill(0)
     for column in columns:
         # every row index lies below the column's length: it is built from
         # letters below c and indices and outcomes below d (_hse_tensors).
         # "clip" only spares the buffered copy that "raise" makes with out=
-        out += np.less_equal(np.take(column, rows, out=gathered, mode="clip"), u, out=work.flags)
+        out += np.less_equal(np.take(column, rows, out=work.scratch, mode="clip"), m, out=work.flags)
 
 
 def _measure(tensors, c, xd, a, y, out, bob_draw, eve_draw, work) -> None:
@@ -214,10 +240,11 @@ def _measure(tensors, c, xd, a, y, out, bob_draw, eve_draw, work) -> None:
 
 class _Workspace:
     """The buffers one run samples and counts in, sized to its first
-    chunk: keys and a uint64 scratch vector for the rng kernels (viewed as
-    floats by `_invert_rows`), one vector each for a draw, CDF row indices,
-    x*d, Eve's outcomes and flags, the slot-major (slots, size) a, y and
-    b, and Eve's keys and draws when she measures.  Basis letters (x, y)
+    chunk: keys and a uint64 scratch vector for the rng kernels (and for
+    the thresholds `_invert_rows` gathers), one vector each for a draw's
+    numerators (first the chunk's trial words), CDF row indices, x*d,
+    Eve's outcomes and flags, the slot-major (slots, size) a, y and b,
+    and Eve's keys and draws when she measures.  Basis letters (x, y)
     are in the narrowest signed type that holds c, indices and outcomes
     (a, b) in the one that holds d.  A run makes its own and drops it on
     return, so runs share no state."""
@@ -226,8 +253,7 @@ class _Workspace:
         letter, index = np.min_scalar_type(-c), np.min_scalar_type(-d)
         vector, per_slot = (size,), (slots, size)
         layout = [
-            *((name, np.uint64, vector) for name in ("alice", "bob", "scratch")),
-            ("draw", np.float64, vector),
+            *((name, np.uint64, vector) for name in ("alice", "bob", "scratch", "draw")),
             ("rows", np.intp, vector),
             ("xd", np.intp, vector),
             ("x", letter, vector),
@@ -238,7 +264,7 @@ class _Workspace:
             ("flags", np.bool_, vector),
         ]
         if eve:
-            layout += [("eve", np.uint64, vector), ("eve_draw", np.float64, vector)]
+            layout += [("eve", np.uint64, vector), ("eve_draw", np.uint64, vector)]
         else:
             self.eve = self.eve_draw = None
         # one allocation for all of them, widest items first so that every
@@ -261,11 +287,13 @@ class _Workspace:
 
     def keys(self, seed: int, start: int) -> None:
         """The stream keys of trials start.. for Alice, Bob and, when the
-        workspace holds hers, Eve."""
+        workspace holds hers, Eve, from their trial words, which are mixed
+        once into the draw vector."""
         trials = np.arange(start, start + len(self.x), dtype=np.uint64)
+        words = trial_words(trials, out=self.draw, scratch=self.scratch)
         for role, out in ((ALICE, self.alice), (BOB, self.bob), (EVE, self.eve)):
             if out is not None:
-                trial_keys(seed, role, trials, out=out, scratch=self.scratch)
+                trial_keys(seed, role, words, out=out, scratch=self.scratch)
 
     def uniforms(self, keys, counter: int, out=None) -> np.ndarray:
         """bulk_uniforms into the draw vector, or into `out`."""
@@ -286,11 +314,11 @@ def _hse_block(config: ProtocolConfig, seed: int, start: int, tensors, work: _Wo
     c, d = config.c, config.d
     work.keys(seed, start)
     x, a, y, b = work.x, work.a, work.y, work.b
-    scaled_index(work.uniforms(work.alice, 0), c, out=x)
+    numerator_index(work.uniforms(work.alice, 0), c, x)
     np.multiply(x, d, out=work.xd, dtype=np.intp)
     for k in range(c - 1):
-        scaled_index(work.uniforms(work.alice, 1 + k), d, out=a[k])
-        scaled_index(work.uniforms(work.bob, k), c - k, out=y[k])
+        numerator_index(work.uniforms(work.alice, 1 + k), d, a[k])
+        numerator_index(work.uniforms(work.bob, k), c - k, y[k])
     _lehmer_decode(y)
     for k in range(c - 1):
         eve_draw = work.uniforms(work.eve, k, work.eve_draw) if config.eve is not None else None
@@ -445,10 +473,10 @@ def simulate_bkb01(basis_set: BasisSet, eve: Basis | None, n_trials: int, seed: 
     for start, chunk in _chunks(n_trials, work):
         chunk.keys(seed, start)
         g, (x,), (h,), (outcome,) = chunk.x, chunk.a, chunk.y, chunk.b
-        scaled_index(chunk.uniforms(chunk.alice, 0), c, out=g)
+        numerator_index(chunk.uniforms(chunk.alice, 0), c, g)
         np.multiply(g, d, out=chunk.xd, dtype=np.intp)
-        scaled_index(chunk.uniforms(chunk.alice, 1), d, out=x)
-        scaled_index(chunk.uniforms(chunk.bob, 0), c, out=h)
+        numerator_index(chunk.uniforms(chunk.alice, 1), d, x)
+        numerator_index(chunk.uniforms(chunk.bob, 0), c, h)
         eve_draw = chunk.uniforms(chunk.eve, 0, chunk.eve_draw) if eve is not None else None
         _measure(tensors, c, chunk.xd, x, h, outcome, chunk.uniforms(chunk.bob, 1), eve_draw, chunk)
         watch.lap("sampling")

@@ -13,10 +13,15 @@ scratch array, and returns it, so an input array is never modified.  They
 apply the scalar mixer's operations in the scalar mixer's order, word by
 word.  A caller that makes many calls of one length passes its own
 buffers: the result goes into `out=` and the mixing uses `scratch=`, so
-the call allocates nothing.  `bulk_uniforms` mixes its words in `out`
-itself and turns them into floats there, through an int64 view of the
-top 53 bits in `scratch`: the same floats as from uint64, and a cheaper
-conversion.
+the call allocates nothing.
+
+`bulk_uniforms` gives each draw as its 53-bit numerator m = word >> 11,
+a fixed-point uniform: the draw u is m * 2**-53 exactly, and no float is
+built.  A caller scales it with `numerator_index`, or compares it with
+integer thresholds (an entry p has u >= p exactly when
+m >= ceil(p * 2**53)).  `block_uniforms` turns the same numerators into
+floats.  The keys of a run's trials share their role-independent half,
+`trial_words`, which `trial_keys` finishes once per role.
 
 Determinism holds across platforms for this implementation; bit-exact
 agreement with other generators is not a goal.
@@ -78,18 +83,24 @@ def value_at(key: int, counter: int) -> int:
     return _mix64((key + ((counter + 1) * _GOLDEN)) & _MASK64)
 
 
-def trial_keys(seed: int, role: str, trial_ids: np.ndarray, out=None, scratch=None) -> np.ndarray:
-    """Vectorized stream_key(seed, role, t) for an array of trial ids,
-    written into the uint64 array `out` when given."""
+def trial_words(trial_ids: np.ndarray, out=None, scratch=None) -> np.ndarray:
+    """The role-independent half of stream_key(seed, role, t) for an array
+    of trial ids: the id words _id_word(t), written into the uint64 array
+    `out` when given."""
     if out is None:
         words = trial_ids.astype(np.uint64)
     else:
         words = out
         np.copyto(words, trial_ids, casting="unsafe")
     words ^= _NP_INT_TAG
-    _mix64_in_place(words, scratch)
-    words ^= np.uint64(stream_key(seed, role))
     return _mix64_in_place(words, scratch)
+
+
+def trial_keys(seed: int, role: str, words: np.ndarray, out=None, scratch=None) -> np.ndarray:
+    """Vectorized stream_key(seed, role, t) from the trial_words of an
+    array of trial ids, written into the uint64 array `out` when given."""
+    keys = np.bitwise_xor(words, np.uint64(stream_key(seed, role)), out=out)
+    return _mix64_in_place(keys, scratch)
 
 
 def _mix64_in_place(z: np.ndarray, scratch=None) -> np.ndarray:
@@ -106,26 +117,24 @@ def _mix64_in_place(z: np.ndarray, scratch=None) -> np.ndarray:
     return z
 
 
-def _uniforms_in_place(words: np.ndarray, out=None, scratch=None) -> np.ndarray:
-    """The uniform draws of private raw uint64 words, which it overwrites,
-    into `out` when given.  `out` may hold the words themselves: their top
-    53 bits then go through `scratch`, since numpy would copy them to
-    convert them in place."""
+def _numerators_in_place(words: np.ndarray, scratch=None) -> np.ndarray:
+    """The 53-bit numerators of private raw uint64 words, which it
+    overwrites and returns."""
     _mix64_in_place(words, scratch)
-    top = np.right_shift(words, _NP_TOP53, out=words if out is None else scratch)
-    # below 2**53 the int64 view holds the same values, and converts faster
-    return np.multiply(top.view(np.int64), _U53, out=out)
+    words >>= _NP_TOP53
+    return words
 
 
 def bulk_uniforms(keys: np.ndarray, counter: int, out=None, scratch=None) -> np.ndarray:
-    """Uniform [0,1) draws at position `counter` of many streams at once,
-    written into the float64 array `out` when given.
+    """Uniform draws at position `counter` of many streams at once, as
+    uint64 numerators m of the fixed-point uniforms m * 2**-53, written
+    into the uint64 array `out` when given.
 
-    Bit-identical to RandomStream(key).skip(counter).uniform() per key.
+    m * 2**-53 is bit-identical to RandomStream(key).skip(counter).uniform()
+    per key.
     """
     step = np.uint64((counter + 1) * _GOLDEN & _MASK64)
-    words = np.add(keys, step, out=None if out is None else out.view(np.uint64))
-    return _uniforms_in_place(words, out, scratch)
+    return _numerators_in_place(np.add(keys, step, out=out), scratch)
 
 
 def block_uniforms(seed: int, role: str, start: int, count: int, width: int) -> np.ndarray:
@@ -140,21 +149,28 @@ def block_uniforms(seed: int, role: str, start: int, count: int, width: int) -> 
     trials += np.uint64(start & _MASK64)
     steps = np.arange(1, width + 1, dtype=np.uint64)
     steps *= _NP_GOLDEN
-    return _uniforms_in_place(trial_keys(seed, role, trials)[:, None] + steps)
+    words = trial_keys(seed, role, trial_words(trials))[:, None] + steps
+    # below 2**53 the int64 view holds the same values, and converts faster
+    return _numerators_in_place(words).view(np.int64) * _U53
 
 
-def scaled_index(u, n: int, out=None):
+def scaled_index(u, n: int):
     """Map uniform u in [0,1) to an integer in 0..n-1 (shared scalar/array
-    path).  An array u gives int64s, or writes into the integer array
-    `out`."""
+    path).  An array u gives int64s."""
     if isinstance(u, np.ndarray):
-        if out is None:
-            return np.minimum((u * n).astype(np.int64), n - 1)
-        # the cast truncates as int() does.  For u < 1, u * n lies at least
-        # n * 2**-53 below n, more than half the float spacing there, so it
-        # rounds to a float below n and needs no cap
-        return np.multiply(u, n, out=out, casting="unsafe")
+        return np.minimum((u * n).astype(np.int64), n - 1)
     return min(int(u * n), n - 1)
+
+
+def numerator_index(m: np.ndarray, n: int, out: np.ndarray) -> np.ndarray:
+    """scaled_index of the uniforms m * 2**-53 of the numerators m, into
+    the integer array `out`.  m and n * 2**-53 are exact floats, so
+    m * (n * 2**-53) rounds the real product u * n once, as scaled_index
+    does, and the cast truncates as int() does.  For u < 1, u * n lies at
+    least n * 2**-53 below n, more than half the float spacing there, so
+    it rounds to a float below n and needs no cap."""
+    # below 2**53 the int64 view holds the same values, and converts faster
+    return np.multiply(m.view(np.int64), n * _U53, out=out, casting="unsafe")
 
 
 class RandomStream:

@@ -71,6 +71,18 @@ def success_rate_einsum(basis_set) -> float:
     return float(e1.sum() / c**2)
 
 
+def amub_iter_lower_bound(d: int, big_k: float) -> float:
+    """Lower bound on the index error rate for d^2 approximately mutually
+    unbiased bases with cross-overlap (2 + K d^-0.1)/sqrt(d); clamped at 0
+    where the bound is vacuous."""
+    if d < 2:
+        raise InvalidParameter("dimension must be >= 2")
+    if big_k < 0:
+        raise InvalidParameter("the overlap constant must be nonnegative")
+    bracket = d + (d**2 - 1) * (2.0 + big_k * d ** (-0.1)) ** 4
+    return max(0.0, 1.0 - bracket / d**3)
+
+
 def make_random_basis(d, seed, label="random"):
     """Haar-random orthonormal basis (QR of a complex Gaussian matrix)."""
     rng = RandomStream(seed, "test-basis")

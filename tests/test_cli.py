@@ -427,6 +427,10 @@ GOLDEN = {
     "sim_3_4_eve": ["sim", "--d", "3", "--c", "4", "--trials", "2000", "--seed", "7", "--eve", "basis:0"],
     # (5,6) with Eve at 20k trials: the sampler on a full chunk
     "sim_5_6_eve": ["sim", "--d", "5", "--c", "6", "--trials", "20000", "--seed", "7", "--eve", "basis:0"],
+    # the abstract's headline: r_qb 4/7 at (d,c) = (2,3) with three bases
+    "sim_2_3_eve": ["sim", "--d", "2", "--c", "3", "--trials", "20000", "--seed", "7", "--eve", "basis:0"],
+    # the largest d the sampler is pinned at: inversion over 7 columns
+    "sim_7_8": ["sim", "--d", "7", "--c", "8", "--trials", "20000", "--seed", "7"],
 }
 SUFFIX = {"table": "txt", "csv": "csv", "jsonl": "jsonl"}
 

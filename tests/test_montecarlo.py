@@ -204,7 +204,7 @@ class TestLawOfTheDraws:
 @st.composite
 def cdf_cases(draw):
     """CDF rows with zero-probability outcomes (repeated entries), and a
-    few arbitrary draws to invert on each."""
+    few arbitrary draw numerators to invert on each."""
     d = draw(st.integers(2, 13))
     weight = st.one_of(st.just(0.0), st.floats(1e-9, 1.0))
     rows = []
@@ -213,32 +213,34 @@ def cdf_cases(draw):
         if w.sum() == 0.0:
             w[draw(st.integers(0, d - 1))] = 1.0
         rows.append(np.cumsum(w / w.sum()).tolist())
-    extra = draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=4))
+    extra = draw(st.lists(st.integers(0, 2**53 - 1), max_size=4))
     return rows, extra
 
 
 def edge_draws(cdf):
-    """Draws on every side of each CDF entry, 0.0 and the largest float
-    below 1."""
-    below = [np.nextafter(p, 0.0) for p in cdf]
-    above = [np.nextafter(p, 1.0) for p in cdf]
-    return [u for u in (*cdf, *below, *above, 0.0, np.nextafter(1.0, 0.0)) if 0.0 <= u < 1.0]
+    """Draw numerators m on every side of each CDF entry e, floor(e * 2**53)
+    and one either side, with 0 and 2**53 - 1, the draws 0.0 and the
+    largest below 1."""
+    floors = [math.floor(e * 2**53) for e in cdf]
+    near = (f + step for f in floors for step in (-1, 0, 1))
+    return [m for m in (*near, 0, 2**53 - 1) if 0 <= m < 2**53]
 
 
 class TestInvertRows:
-    """_invert_rows' column counts against hilbert.invert_cdf on the same
-    CDF floats."""
+    """_invert_rows' threshold counts against hilbert.invert_cdf on the same
+    CDF floats, at the draw u = m * 2**-53 of each numerator m."""
 
     @staticmethod
     def check(cdf_rows, extra=()):
-        columns = np.array(cdf_rows).T[:-1].copy()
+        thresholds = mc._thresholds(np.array(cdf_rows).T[:-1].copy())
         d = len(cdf_rows[0])
         for r, row in enumerate(cdf_rows):
             draws = [*edge_draws(row), *extra]
             work = mc._Workspace(1, 2, d, len(draws), False)
             out = np.empty(len(draws), work.b.dtype)
-            mc._invert_rows(columns, np.full(len(draws), r, dtype=np.intp), np.array(draws), out, work)
-            assert out.tolist() == [invert_cdf(row, u) for u in draws], row
+            m = np.array(draws, dtype=np.uint64)
+            mc._invert_rows(thresholds, np.full(len(draws), r, dtype=np.intp), m, out, work)
+            assert out.tolist() == [invert_cdf(row, k * 2.0**-53) for k in draws], row
 
     @given(cdf_cases())
     @settings(max_examples=300, deadline=None)
@@ -259,7 +261,7 @@ class TestInvertRows:
         ],
     )
     def test_edge_rows(self, row):
-        self.check([row], [0.5, 0.75, 0.9999999])
+        self.check([row], [2**52, 3 * 2**51, math.floor(0.9999999 * 2**53)])
 
 
 class TestChunking:

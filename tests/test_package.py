@@ -14,6 +14,14 @@ def test_star_import_gives_exactly_the_exports():
 
 
 def test_removed_names_are_not_exported():
-    removed = ("sweep", "BudgetError", "bit_transmission_rate", "overlap", "transition_prob", "is_mutually_unbiased")
+    removed = (
+        "sweep",
+        "BudgetError",
+        "bit_transmission_rate",
+        "overlap",
+        "transition_prob",
+        "is_mutually_unbiased",
+        "amub_iter_lower_bound",
+    )
     for name in removed:
         assert name not in hselab.__all__ and not hasattr(hselab, name)

@@ -8,6 +8,7 @@ import hselab.bases as bases_mod
 import hselab.hilbert as hilbert_mod
 import hselab.rates as rates_mod
 from conftest import (
+    amub_iter_lower_bound,
     is_mutually_unbiased,
     make_random_basis,
     make_random_set,
@@ -30,7 +31,6 @@ from hselab.hilbert import Basis, transition_matrix
 from hselab.rates import (
     ProtocolConfig,
     _index_change_table,
-    amub_iter_lower_bound,
     bkb01_rates,
     bob_error_rate,
     display_ns,

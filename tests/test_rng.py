@@ -4,7 +4,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hselab import rng
-from hselab.rng import RandomStream, block_uniforms, bulk_uniforms, scaled_index, stream_key, trial_keys
+from hselab.rng import (
+    RandomStream,
+    block_uniforms,
+    bulk_uniforms,
+    numerator_index,
+    scaled_index,
+    stream_key,
+    trial_keys,
+    trial_words,
+    value_at,
+)
 
 WORD = st.one_of(st.sampled_from([0, 1, 2**63, 2**64 - 1]), st.integers(0, 2**64 - 1))
 
@@ -39,20 +49,24 @@ def test_skip_equals_discarding():
 
 def test_bulk_uniforms_match_per_stream():
     trials = np.arange(10, 20, dtype=np.uint64)
-    keys = trial_keys(123, "bob", trials)
+    keys = trial_keys(123, "bob", trial_words(trials))
     for counter in (0, 1, 7):
         bulk = bulk_uniforms(keys, counter)
+        assert bulk.dtype == np.uint64
         for i, t in enumerate(range(10, 20)):
             stream = RandomStream(123, "bob", t)
             stream.skip(counter)
-            assert bulk[i] == stream.uniform()
+            assert int(bulk[i]) == value_at(int(keys[i]), counter) >> 11
+            assert int(bulk[i]) * 2.0**-53 == stream.uniform()
 
 
 def test_trial_keys_match_scalar_keys():
     trials = np.arange(0, 5, dtype=np.uint64)
-    keys = trial_keys(42, "alice", trials)
-    for i, t in enumerate(range(5)):
-        assert int(keys[i]) == stream_key(42, "alice", t)
+    words = trial_words(trials)
+    for role in ("alice", "bob", "eve"):
+        keys = trial_keys(42, role, words)
+        for i, t in enumerate(range(5)):
+            assert int(keys[i]) == stream_key(42, role, t)
 
 
 @given(
@@ -93,8 +107,9 @@ def test_array_kernels_leave_their_inputs_unchanged(words, counter):
     inputs = np.array(words, dtype=np.uint64)
     kept = inputs.copy()
     bulk_uniforms(inputs, counter)
+    trial_words(inputs)
+    trial_words(inputs.view(np.int64))
     trial_keys(5, "bob", inputs)
-    trial_keys(5, "bob", inputs.view(np.int64))
     assert inputs.tobytes() == kept.tobytes()
     # no kernel mutates shared state: a second call gives the same words
     first = block_uniforms(5, "bob", words[0], 3, 4)
@@ -125,18 +140,40 @@ def test_scaled_index_scalar_and_array_agree():
     assert array_result.min() >= 0 and array_result.max() <= 6
 
 
-def test_scaled_index_out_path_needs_no_cap():
+def letter_boundaries(n: int) -> list:
+    """The numerators at, and one either side of, ceil(k * 2**53 / n) for
+    every k from 0 to n: where scaled_index's letter steps up, and where
+    the rounded product could reach the next letter early."""
+    steps = (-(-k * 2**53 // n) + e for k in range(n + 1) for e in (-1, 0, 1))
+    return [m for m in steps if 0 <= m < 2**53]
+
+
+def check_numerator_index(numerators, n: int) -> None:
+    m = np.array(numerators, dtype=np.uint64)
+    out = np.empty(len(m), np.min_scalar_type(-n))
+    numerator_index(m, n, out)
+    assert out.tolist() == [scaled_index(k * 2.0**-53, n) for k in numerators], n
+
+
+@pytest.mark.parametrize("n", range(1, 129))
+def test_numerator_index_equals_scaled_index_at_every_step(n):
+    check_numerator_index(letter_boundaries(n), n)
+
+
+@given(st.integers(1, 128), st.lists(st.integers(0, 2**53 - 1), min_size=1, max_size=50))
+@settings(max_examples=300, deadline=None)
+def test_numerator_index_equals_scaled_index(n, numerators):
+    check_numerator_index(numerators, n)
+
+
+def test_numerator_index_needs_no_cap():
     # the largest draw below 1 stays below n for every n: the product never
-    # rounds up to n, so the array path into out= has no cap
+    # rounds up to n, so numerator_index has no cap
     n = np.arange(1, 20_001)
-    top = np.full(len(n), np.nextafter(1.0, 0.0))
-    assert np.all(top * n < n)
+    top = np.full(len(n), 2**53 - 1, dtype=np.uint64)
     out = np.empty(len(n), dtype=np.int64)
-    assert scaled_index(top, n, out=out).tolist() == [scaled_index(float(top[0]), int(k)) for k in n]
-    u = draws(RandomStream(9), 1000)
-    for k in (2, 3, 6, 127):
-        small = np.empty(len(u), dtype=np.int8)
-        assert scaled_index(u, k, out=small).tolist() == scaled_index(u, k).tolist()
+    assert numerator_index(top, n, out).tolist() == (n - 1).tolist()
+    assert out.tolist() == [scaled_index((2**53 - 1) * 2.0**-53, int(k)) for k in n]
 
 
 def test_bad_stream_ids_rejected():
