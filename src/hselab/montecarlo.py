@@ -176,8 +176,10 @@ def _thresholds(cdf: np.ndarray) -> np.ndarray:
     """The contiguous float64 CDF entries p, turned in place into the
     uint64 thresholds ceil(p * 2**53) and returned: p <= m * 2**-53
     exactly when the threshold is <= the integer m, as p * 2**53 is an
-    exact float (p is never negative)."""
-    flat = cdf.reshape(-1, copy=False)
+    exact float (p is never negative).  cdf must be C-contiguous, so that
+    the flat reshape is a view and the thresholds land in cdf itself."""
+    assert cdf.flags.c_contiguous
+    flat = cdf.reshape(-1)
     flat *= 2.0**53
     # the cast is exact, and goes a chunk at a time since numpy copies
     # what a cast reads when it writes over it

@@ -232,7 +232,10 @@ class TestInvertRows:
 
     @staticmethod
     def check(cdf_rows, extra=()):
-        thresholds = mc._thresholds(np.array(cdf_rows).T[:-1].copy())
+        cdf = np.array(cdf_rows).T[:-1].copy()
+        thresholds = mc._thresholds(cdf)
+        # written in place, as _born_tensor relies on
+        assert np.shares_memory(thresholds, cdf)
         d = len(cdf_rows[0])
         for r, row in enumerate(cdf_rows):
             draws = [*edge_draws(row), *extra]
