@@ -6,6 +6,10 @@ through one writer, `emit`: jsonl is one JSON object per row and csv a
 header and one line per row, both at full precision; table is the
 command's own text, which follows the display rounding rules.  `bases
 list`, `bases verify` and `net eve` print text only.
+
+Parsing: `COMMANDS` lists the four top-level commands, and `main` fills
+only the parser of the one its argv names; `hselab -h`, an empty argv or
+an unknown word gets the whole tree.
 """
 
 from __future__ import annotations
@@ -346,20 +350,10 @@ def _add_format(parser) -> None:
     parser.add_argument("--format", choices=FORMATS, default="table", help="output format")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The parser tree, built afresh on every call.  The terminal width is
-    read once here, by argparse's own rule (columns - 2), and every parser
-    in the tree formats at it: left to itself, argparse reads the terminal
-    again for each argument and subcommand group it adds."""
-    formatter = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
-    parser_class = functools.partial(argparse.ArgumentParser, formatter_class=formatter)
-    parser = parser_class(prog="hselab", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=parser_class)
-
-    p_bases = sub.add_parser("bases", help="construct, verify, and measure bases")
-    bases_sub = p_bases.add_subparsers(dest="bases_cmd", required=True, parser_class=parser_class)
+def _fill_bases(parser, parser_class) -> None:
+    sub = parser.add_subparsers(dest="bases_cmd", required=True, parser_class=parser_class)
     for name in ("verify", "distance"):
-        p = bases_sub.add_parser(name)
+        p = sub.add_parser(name)
         p.add_argument("--set", required=True, help="|".join(NAMED_SETS))
         p.add_argument("--d", type=_whole, help="dimension (for standard/fourier/prime/mub)")
         p.add_argument("--c", type=_whole, help="alphabet size (for prime/mub)")
@@ -369,14 +363,15 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--eve", help=EVE_HELP)
             _add_format(p)
         p.set_defaults(func=cmd_bases)
-    bases_sub.add_parser("list").set_defaults(func=cmd_bases)
+    sub.add_parser("list").set_defaults(func=cmd_bases)
 
-    p_rates = sub.add_parser("rates", help="analytic rate computation")
-    rates_sub = p_rates.add_subparsers(dest="rates_cmd", required=True, parser_class=parser_class)
-    p_t1 = rates_sub.add_parser("table1")
+
+def _fill_rates(parser, parser_class) -> None:
+    sub = parser.add_subparsers(dest="rates_cmd", required=True, parser_class=parser_class)
+    p_t1 = sub.add_parser("table1")
     _add_format(p_t1)
     p_t1.set_defaults(func=cmd_rates)
-    p_comp = rates_sub.add_parser("compute")
+    p_comp = sub.add_parser("compute")
     p_comp.add_argument("--protocol", choices=("hse", "bkb01", "kmb09"), required=True)
     p_comp.add_argument("--d", type=_whole)
     p_comp.add_argument("--c", type=_whole)
@@ -385,20 +380,22 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(p_comp)
     p_comp.set_defaults(func=cmd_rates)
 
-    p_sim = sub.add_parser("sim", help="Monte Carlo simulation vs theory")
-    p_sim.add_argument("--d", type=_whole, required=True)
-    p_sim.add_argument("--c", type=_whole, required=True)
-    p_sim.add_argument("--set", help="basis set spec (default: mub for the given d, c)")
-    p_sim.add_argument("--eve", default="none", help=EVE_HELP)
-    p_sim.add_argument("--trials", type=_whole, default=200_000)
-    p_sim.add_argument("--seed", type=_seed, default=1)
-    _add_format(p_sim)
-    p_sim.set_defaults(func=cmd_sim)
 
-    p_net = sub.add_parser("net", help="run protocol endpoints over TCP")
-    net_sub = p_net.add_subparsers(dest="net_cmd", required=True, parser_class=parser_class)
+def _fill_sim(parser, parser_class) -> None:
+    parser.add_argument("--d", type=_whole, required=True)
+    parser.add_argument("--c", type=_whole, required=True)
+    parser.add_argument("--set", help="basis set spec (default: mub for the given d, c)")
+    parser.add_argument("--eve", default="none", help=EVE_HELP)
+    parser.add_argument("--trials", type=_whole, default=200_000)
+    parser.add_argument("--seed", type=_seed, default=1)
+    _add_format(parser)
+    parser.set_defaults(func=cmd_sim)
+
+
+def _fill_net(parser, parser_class) -> None:
+    sub = parser.add_subparsers(dest="net_cmd", required=True, parser_class=parser_class)
     for name in ("serve", "connect"):
-        p = net_sub.add_parser(name)
+        p = sub.add_parser(name)
         p.add_argument("--role", choices=("alice", "bob"), required=True)
         if name == "connect":
             p.add_argument("--host", default="127.0.0.1")
@@ -411,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--no-compare", action="store_true", help="skip the public key comparison")
         _add_format(p)
         p.set_defaults(func=cmd_net)
-    p_eve = net_sub.add_parser("eve")
+    p_eve = sub.add_parser("eve")
     p_eve.add_argument("--listen", type=_port, required=True, help="port to accept the sender on")
     p_eve.add_argument("--forward", type=_host_port, required=True, help="host:port of the receiver")
     p_eve.add_argument("--basis", required=True, help=EVE_HELP.removeprefix("none | "))
@@ -420,11 +417,43 @@ def build_parser() -> argparse.ArgumentParser:
     p_eve.add_argument("--set", help="basis set spec (default mub)")
     p_eve.add_argument("--seed", type=_seed, default=1)
     p_eve.set_defaults(func=cmd_net)
+
+
+# the top-level commands: name, help, and the function that adds the
+# command's arguments and subcommands to its parser
+COMMANDS = {
+    "bases": ("construct, verify, and measure bases", _fill_bases),
+    "rates": ("analytic rate computation", _fill_rates),
+    "sim": ("Monte Carlo simulation vs theory", _fill_sim),
+    "net": ("run protocol endpoints over TCP", _fill_net),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser tree, built on every call: every top-level command is
+    registered, so the top-level help and usage errors are always the
+    same, but only `command`'s parser is filled, or every parser when
+    `command` is None.  The terminal width is read once here, by
+    argparse's own rule (columns - 2), and every parser in the tree
+    formats at it: left to itself, argparse reads the terminal again for
+    each argument and subcommand group it adds."""
+    formatter = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
+    parser_class = functools.partial(argparse.ArgumentParser, formatter_class=formatter)
+    # the help prints the module docstring up to its note on parsing (none under -OO)
+    parser = parser_class(prog="hselab", description=__doc__ and __doc__.partition("\n\nParsing:")[0])
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=parser_class)
+    for name, (help_text, fill) in COMMANDS.items():
+        child = sub.add_parser(name, help=help_text)
+        if command is None or command == name:
+            fill(child, parser_class)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a first word that names no command (-h, --, a typo) gets the whole tree
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except InvalidParameter as exc:

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, InvalidParameter, NumericalError
-from .rng import RandomStream, scaled_index
+from .rng import RandomStream
 
 TAU_NORM = 1e-10
 

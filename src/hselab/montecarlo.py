@@ -35,11 +35,13 @@ tensors.  The tensors are written basis by basis into one buffer,
 accumulated there and turned into thresholds in place (`_born_tensor`).
 The workspace is one allocation that holds every vector a chunk needs,
 sized to the first chunk; every kernel writes into it (`out=`, in-place
-operators).  A chunk allocates two vectors, one after the other: its
-trial ids (8 bytes a trial, 160 KB at 20k trials) and the Lehmer
-decode's flags (a byte a trial).  Letters and outcomes are slot-major
-(c-1, chunk) arrays of the narrowest integer type, int8 up to 127.  A
-run makes its own workspace and drops it, so runs share no state.  A
+operators), the chunk's trial ids (`_fill_range`) and the Lehmer
+decode's flags too.  A chunk allocates no vector over its trials: what
+it allocates is numpy's cast buffers, of at most 8192 items each, where
+an operation mixes integer widths or integers and floats.  Letters and
+outcomes are slot-major (c-1, chunk) arrays of the narrowest integer
+type, int8 up to 127.  A run makes its own workspace and drops it, so
+runs share no state.  A
 chunk is CHUNK = 2**15 trials, so one uint64 vector over it is 256 KB
 and each numpy pass over a chunk stays in a core's L2 cache.  Chunks
 only divide the work: counts add up exactly, so the chunk size changes
@@ -73,6 +75,9 @@ from .rates import ProtocolConfig
 from .rng import bulk_uniforms, numerator_index, trial_keys, trial_words
 
 CHUNK = 2**15
+# the head of _fill_range: with it a chunk's ids take 4 passes, not 16
+_RAMP = np.arange(2**12, dtype=np.uint64)
+_RAMP.flags.writeable = False
 Z_FAIL = 4.0
 STAGES = ("tensors", "analytics", "sampling", "counting")
 
@@ -244,9 +249,10 @@ class _Workspace:
     """The buffers one run samples and counts in, sized to its first
     chunk: keys and a uint64 scratch vector for the rng kernels (and for
     the thresholds `_invert_rows` gathers), one vector each for a draw's
-    numerators (first the chunk's trial words), CDF row indices, x*d,
-    Eve's outcomes and flags, the slot-major (slots, size) a, y and b,
-    and Eve's keys and draws when she measures.  Basis letters (x, y)
+    numerators (first the chunk's trial ids, then its trial words), CDF
+    row indices, x*d, Eve's outcomes and flags, the slot-major (slots,
+    size) a, y and b, and Eve's keys and draws when she measures.  Basis
+    letters (x, y)
     are in the narrowest signed type that holds c, indices and outcomes
     (a, b) in the one that holds d.  A run makes its own and drops it on
     return, so runs share no state."""
@@ -289,10 +295,10 @@ class _Workspace:
 
     def keys(self, seed: int, start: int) -> None:
         """The stream keys of trials start.. for Alice, Bob and, when the
-        workspace holds hers, Eve, from their trial words, which are mixed
-        once into the draw vector."""
-        trials = np.arange(start, start + len(self.x), dtype=np.uint64)
-        words = trial_words(trials, out=self.draw, scratch=self.scratch)
+        workspace holds hers, Eve, from their trial words: the trial ids
+        are written into the draw vector and mixed there once."""
+        trials = _fill_range(self.draw, start)
+        words = trial_words(trials, out=trials, scratch=self.scratch)
         for role, out in ((ALICE, self.alice), (BOB, self.bob), (EVE, self.eve)):
             if out is not None:
                 trial_keys(seed, role, words, out=out, scratch=self.scratch)
@@ -300,6 +306,19 @@ class _Workspace:
     def uniforms(self, keys, counter: int, out=None) -> np.ndarray:
         """bulk_uniforms into the draw vector, or into `out`."""
         return bulk_uniforms(keys, counter, out=self.draw if out is None else out, scratch=self.scratch)
+
+
+def _fill_range(out: np.ndarray, start: int) -> np.ndarray:
+    """start, start+1, ... written into the uint64 vector `out`, which it
+    returns, with no array allocated: the head from _RAMP, then each pass
+    doubles it."""
+    head = min(len(out), len(_RAMP))
+    np.add(_RAMP[:head], np.uint64(start), out=out[:head])
+    while head < len(out):
+        step = min(head, len(out) - head)
+        np.add(out[:step], np.uint64(head), out=out[head : head + step])
+        head += step
+    return out
 
 
 def _chunks(n_trials: int, work: _Workspace):
@@ -321,7 +340,7 @@ def _hse_block(config: ProtocolConfig, seed: int, start: int, tensors, work: _Wo
     for k in range(c - 1):
         numerator_index(work.uniforms(work.alice, 1 + k), d, a[k])
         numerator_index(work.uniforms(work.bob, k), c - k, y[k])
-    _lehmer_decode(y)
+    _lehmer_decode(y, work.flags)
     for k in range(c - 1):
         eve_draw = work.uniforms(work.eve, k, work.eve_draw) if config.eve is not None else None
         bob_draw = work.uniforms(work.bob, (c - 1) + k)

@@ -116,7 +116,7 @@ def bob_choose_bases(config: ProtocolConfig, rng: RandomStream) -> tuple:
     return tuple(chosen)
 
 
-def _lehmer_decode(picks: np.ndarray) -> None:
+def _lehmer_decode(picks: np.ndarray, step=None) -> None:
     """Bob's ordered distinct tuples from his (c-1, n) picks, in place.
 
     Pick k (0 <= pick < c-k) chooses the pick-th smallest letter not yet
@@ -125,8 +125,9 @@ def _lehmer_decode(picks: np.ndarray) -> None:
     from the second-last slot down to the first, every later slot at or
     above slot i's value steps up by one, past slot i's letter.  Integers
     only, so the letters are exactly the pool's; every step goes through
-    one flag vector."""
-    step = np.empty(picks.shape[1:], dtype=bool)
+    one bool vector of a slot's shape, `step`, made here when None."""
+    if step is None:
+        step = np.empty(picks.shape[1:], dtype=bool)
     for i in range(len(picks) - 2, -1, -1):
         for j in range(i + 1, len(picks)):
             picks[j] += np.greater_equal(picks[j], picks[i], out=step)

@@ -9,11 +9,12 @@ or as whole numpy arrays (see :func:`bulk_uniforms`).
 
 The array kernels work in place on a private copy: each copies its
 input words once, mixes that copy with `^=`, `*=` and shifts against one
-scratch array, and returns it, so an input array is never modified.  They
-apply the scalar mixer's operations in the scalar mixer's order, word by
-word.  A caller that makes many calls of one length passes its own
-buffers: the result goes into `out=` and the mixing uses `scratch=`, so
-the call allocates nothing.
+scratch array, and returns it, so an input array is never modified
+unless it is also given as `out=`.  They apply the scalar mixer's
+operations in the scalar mixer's order, word by word.  A caller that
+makes many calls of one length passes its own buffers: the result goes
+into `out=` and the mixing uses `scratch=`, so the call allocates
+nothing.
 
 `bulk_uniforms` gives each draw as its 53-bit numerator m = word >> 11,
 a fixed-point uniform: the draw u is m * 2**-53 exactly, and no float is
@@ -86,13 +87,8 @@ def value_at(key: int, counter: int) -> int:
 def trial_words(trial_ids: np.ndarray, out=None, scratch=None) -> np.ndarray:
     """The role-independent half of stream_key(seed, role, t) for an array
     of trial ids: the id words _id_word(t), written into the uint64 array
-    `out` when given."""
-    if out is None:
-        words = trial_ids.astype(np.uint64)
-    else:
-        words = out
-        np.copyto(words, trial_ids, casting="unsafe")
-    words ^= _NP_INT_TAG
+    `out` when given, which may be trial_ids itself."""
+    words = np.bitwise_xor(trial_ids, _NP_INT_TAG, out=out, dtype=np.uint64, casting="unsafe")
     return _mix64_in_place(words, scratch)
 
 

@@ -341,6 +341,33 @@ class TestSetSizeFlags:
 EVE = ["--basis", "basis:0", "--d", "2", "--c", "3", "--set", "sixstate"]
 
 
+# argv that argparse rejects: (argv, the bad word its message quotes)
+USAGE_ERRORS = [
+    (["net", "eve", "--listen", "7118", "--forward", "localhost", *EVE], "'localhost'"),
+    (["net", "eve", "--listen", "7118", "--forward", "127.0.0.1:abc", *EVE], "'abc'"),
+    (["net", "eve", "--listen", "7118", "--forward", "127.0.0.1:70000", *EVE], "'70000'"),
+    (["net", "eve", "--listen", "70000", "--forward", "127.0.0.1:7117", *EVE], "'70000'"),
+    (["net", "eve", "--listen", "-1", "--forward", "127.0.0.1:7117", *EVE], "'-1'"),
+    (["net", "serve", "--role", "bob", "--port", "70000", "--d", "2", "--c", "3"], "'70000'"),
+    (["net", "connect", "--role", "alice", "--port", "70000", "--d", "2", "--c", "3"], "'70000'"),
+    (["net", "connect", "--role", "alice", "--port", "1e3", "--d", "2", "--c", "3"], "'1e3'"),
+    (["net", "serve", "--role", "bob", "--trials", "-1", "--d", "2", "--c", "3"], "'-1'"),
+    (["net", "connect", "--role", "alice", "--trials", "-1", "--d", "2", "--c", "3"], "'-1'"),
+    (["net", "serve", "--role", "bob", "--trials", "١٠", "--d", "2", "--c", "3"], "'١٠'"),
+    # --d, --c, --seed and sim --trials take ASCII digits only
+    (["sim", "--d", "٢", "--c", "3", "--trials", "10"], "'٢'"),
+    (["sim", "--d", "2", "--c", "٣", "--trials", "10"], "'٣'"),
+    (["sim", "--d", "2", "--c", "3", "--trials", "١٠"], "'١٠'"),
+    (["sim", "--d", "2", "--c", "3", "--trials", "10", "--seed", "٧"], "'٧'"),
+    (["sim", "--d", "2", "--c", "3", "--trials", "10", "--seed", "-٧"], "'-٧'"),
+    (["rates", "compute", "--protocol", "hse", "--d", "٣", "--c", "4"], "'٣'"),
+    (["rates", "compute", "--protocol", "hse", "--d", "3", "--c", "٤"], "'٤'"),
+    (["bases", "verify", "--set", "mub", "--d", "²", "--c", "3"], "'²'"),
+    (["net", "eve", "--listen", "7118", "--forward", "127.0.0.1:7117", *EVE[:4], "--c", "３"], "'３'"),
+    (["net", "connect", "--role", "alice", "--d", "2", "--c", "3", "--seed", "٧"], "'٧'"),
+]
+
+
 class TestAddresses:
     """A bad port, address, size, seed or trial count is a usage error:
     exit 2, no traceback, and no session started."""
@@ -350,33 +377,7 @@ class TestAddresses:
         argv = ["sim", "--d", "2", "--c", "3", "--seed", seed]
         assert build_parser().parse_args(argv).seed == int(seed)
 
-    @pytest.mark.parametrize(
-        "argv,bad",
-        [
-            (["net", "eve", "--listen", "7118", "--forward", "localhost", *EVE], "'localhost'"),
-            (["net", "eve", "--listen", "7118", "--forward", "127.0.0.1:abc", *EVE], "'abc'"),
-            (["net", "eve", "--listen", "7118", "--forward", "127.0.0.1:70000", *EVE], "'70000'"),
-            (["net", "eve", "--listen", "70000", "--forward", "127.0.0.1:7117", *EVE], "'70000'"),
-            (["net", "eve", "--listen", "-1", "--forward", "127.0.0.1:7117", *EVE], "'-1'"),
-            (["net", "serve", "--role", "bob", "--port", "70000", "--d", "2", "--c", "3"], "'70000'"),
-            (["net", "connect", "--role", "alice", "--port", "70000", "--d", "2", "--c", "3"], "'70000'"),
-            (["net", "connect", "--role", "alice", "--port", "1e3", "--d", "2", "--c", "3"], "'1e3'"),
-            (["net", "serve", "--role", "bob", "--trials", "-1", "--d", "2", "--c", "3"], "'-1'"),
-            (["net", "connect", "--role", "alice", "--trials", "-1", "--d", "2", "--c", "3"], "'-1'"),
-            (["net", "serve", "--role", "bob", "--trials", "١٠", "--d", "2", "--c", "3"], "'١٠'"),
-            # --d, --c, --seed and sim --trials take ASCII digits only
-            (["sim", "--d", "٢", "--c", "3", "--trials", "10"], "'٢'"),
-            (["sim", "--d", "2", "--c", "٣", "--trials", "10"], "'٣'"),
-            (["sim", "--d", "2", "--c", "3", "--trials", "١٠"], "'١٠'"),
-            (["sim", "--d", "2", "--c", "3", "--trials", "10", "--seed", "٧"], "'٧'"),
-            (["sim", "--d", "2", "--c", "3", "--trials", "10", "--seed", "-٧"], "'-٧'"),
-            (["rates", "compute", "--protocol", "hse", "--d", "٣", "--c", "4"], "'٣'"),
-            (["rates", "compute", "--protocol", "hse", "--d", "3", "--c", "٤"], "'٤'"),
-            (["bases", "verify", "--set", "mub", "--d", "²", "--c", "3"], "'²'"),
-            (["net", "eve", "--listen", "7118", "--forward", "127.0.0.1:7117", *EVE[:4], "--c", "３"], "'３'"),
-            (["net", "connect", "--role", "alice", "--d", "2", "--c", "3", "--seed", "٧"], "'٧'"),
-        ],
-    )
+    @pytest.mark.parametrize("argv,bad", USAGE_ERRORS)
     def test_usage_error(self, capsys, monkeypatch, argv, bad):
         def no_session(*args, **kwargs):
             raise AssertionError("a session was started")
@@ -490,6 +491,51 @@ class TestParserWidth:
         assert done.value.code == 0 and err == ""
         name = "_".join(("hselab", *words))
         assert out.encode() == (DATA / "help" / f"{name}_{columns}.txt").read_bytes()
+
+
+def parsed(capsys, parser, argv):
+    """What parser.parse_args(argv) gives, the Namespace or the exit code,
+    with the text it printed."""
+    try:
+        result = parser.parse_args(argv)
+    except SystemExit as done:
+        result = done.code
+    return result, *capsys.readouterr()
+
+
+# argv whose first word names a command: every parser's help, every golden
+# command and every usage error above, and errors argparse finds at each depth
+COMMAND_ARGV = [
+    *([*words, "-h"] for words in PARSER_WORDS if words),
+    *GOLDEN.values(),
+    *(argv for argv, _ in USAGE_ERRORS),
+    ["sim"],
+    ["sim", "--d", "2", "--c", "3", "--bogus"],
+    ["rates"],
+    ["rates", "nope"],
+    ["bases", "verify"],
+    ["net", "eve", "--listen", "1"],
+]
+
+
+class TestOneCommandParser:
+    """main fills only the parser of the command its argv names; for any
+    such argv that parser gives what the whole tree gives: the same
+    Namespace, or the same exit code, help and usage error."""
+
+    @pytest.mark.parametrize("argv", COMMAND_ARGV, ids=" ".join)
+    def test_equals_the_whole_tree(self, capsys, argv):
+        assert parsed(capsys, build_parser(argv[0]), argv) == parsed(capsys, build_parser(), argv)
+
+    @pytest.mark.parametrize("words", [(), ("sim",)], ids=lambda words: " ".join(("hselab", *words)))
+    def test_main_reads_sys_argv(self, capsys, monkeypatch, words):
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.setattr(sys, "argv", ["hselab", *words, "-h"])
+        with pytest.raises(SystemExit) as done:
+            main()
+        out, err = capsys.readouterr()
+        assert done.value.code == 0 and err == ""
+        assert out.encode() == (DATA / "help" / f"{'_'.join(('hselab', *words))}_80.txt").read_bytes()
 
 
 class TestEveDimension:

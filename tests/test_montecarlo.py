@@ -351,6 +351,37 @@ class TestMemory:
         config = ProtocolConfig(c=c, d=d, basis_set=family, eve=family.bases[0] if attacked else None)
         assert traced_peak(lambda: mc.estimate_rates(config, n, seed=1)) < bound_mib * 2**20
 
+    @pytest.fixture(scope="class")
+    def attacked56(self):
+        family = mu_basis_set(5, 6)
+        config = ProtocolConfig(c=6, d=5, basis_set=family, eve=family.bases[0])
+        return config, mc._hse_tensors(family, config.eve)
+
+    def test_a_warm_chunk_allocates_nothing_per_trial(self, attacked56):
+        # numpy's cast buffers hold at most 8192 items, so a chunk's peak
+        # may not grow with its trials; the trial ids were once a fresh
+        # vector of 8 bytes a trial
+        config, tensors = attacked56
+        peaks = []
+        for n in (mc.CHUNK // 2, mc.CHUNK):
+            work = mc._Workspace(5, 6, 5, n, True)
+            mc._hse_block(config, 7, 0, tensors, work)
+            peaks.append(traced_peak(lambda: mc._hse_block(config, 7, n, tensors, work)))
+        assert peaks[1] - peaks[0] < mc.CHUNK // 2
+
+    def test_a_chunk_decodes_in_the_workspace(self, attacked56, monkeypatch):
+        # the decode's `+=` of flags casts through numpy's buffer of 8192
+        # bytes; its flags were once a fresh vector of a byte a trial
+        config, tensors = attacked56
+        decode, peaks = mc._lehmer_decode, []
+
+        def traced(*args):
+            peaks.append(traced_peak(lambda: decode(*args)))
+
+        monkeypatch.setattr(mc, "_lehmer_decode", traced)
+        mc._hse_block(config, 7, 0, tensors, mc._Workspace(5, 6, 5, mc.CHUNK, True))
+        assert len(peaks) == 1 and peaks[0] < mc.CHUNK // 2
+
 
 class TestDegenerateEstimates:
     """An estimate of 0 or 1 has no spread of its own: its z is taken
