@@ -41,11 +41,10 @@ it allocates is numpy's cast buffers, of at most 8192 items each, where
 an operation mixes integer widths or integers and floats.  Letters and
 outcomes are slot-major (c-1, chunk) arrays of the narrowest integer
 type, int8 up to 127.  A run makes its own workspace and drops it, so
-runs share no state.  A
-chunk is CHUNK = 2**15 trials, so one uint64 vector over it is 256 KB
-and each numpy pass over a chunk stays in a core's L2 cache.  Chunks
-only divide the work: counts add up exactly, so the chunk size changes
-no outcome.
+runs share no state.  A chunk is CHUNK = 2**15 trials, so one uint64
+vector over it is 256 KB and each numpy pass over a chunk stays in a
+core's L2 cache.  Chunks only divide the work: counts add up exactly, so
+the chunk size changes no outcome.
 
 `_Counts` is the one counter behind every SimReport: `add` sums event
 arrays, `add_block` (the vector form of `TrialOutcome.of`, over
@@ -252,10 +251,9 @@ class _Workspace:
     numerators (first the chunk's trial ids, then its trial words), CDF
     row indices, x*d, Eve's outcomes and flags, the slot-major (slots,
     size) a, y and b, and Eve's keys and draws when she measures.  Basis
-    letters (x, y)
-    are in the narrowest signed type that holds c, indices and outcomes
-    (a, b) in the one that holds d.  A run makes its own and drops it on
-    return, so runs share no state."""
+    letters (x, y) are in the narrowest signed type that holds c, indices
+    and outcomes (a, b) in the one that holds d.  A run makes its own and
+    drops it on return, so runs share no state."""
 
     def __init__(self, slots: int, c: int, d: int, size: int, eve: bool):
         letter, index = np.min_scalar_type(-c), np.min_scalar_type(-d)
