@@ -34,9 +34,11 @@ closed end see EOF.
 
 Known states are encoded and measured by table lookup.  An honest Alice
 only sends the c*d vectors of her basis set, and the relay only resends
-the d eigenstates of Eve's basis, so Alice renders the `amps` JSON of her
-c*d states once per session and the relay that of Eve's d states once per
-run.  Bob and the relay measure through a `hilbert.BornTable`, keyed by a
+the d eigenstates of Eve's basis.  Each such StateVector's `amps` JSON is
+rendered once while it lives (`_state_json`, a memo with weak keys, so a
+dropped set's renders go with it): Alice's sends, the relay's resends and
+the readers Bob and the relay start each session with look the renders
+up.  Bob and the relay measure through a `hilbert.BornTable`, keyed by a
 state's exact amplitude pairs, whose rows come from the one Born kernel,
 `hilbert.born_rows`; a state line they already know reaches the table with
 no message object made for it (see `KnownStates`).  Bob's table starts
@@ -82,6 +84,7 @@ import re
 import socket
 import struct
 import threading
+import weakref
 from contextlib import closing
 from dataclasses import dataclass
 from queue import Empty, SimpleQueue
@@ -160,6 +163,20 @@ Message = Hello | QuantumState | IndexAnnounce | SiftReport | KeyCompare | Bye
 def _amps_json(pairs) -> bytes:
     """The `amps` value of a quantum_state line."""
     return json.dumps([[re, im] for re, im in pairs], separators=(",", ":")).encode("ascii")
+
+
+# StateVector -> _amps_json of its pairs; an entry goes with its state
+_RENDERED = weakref.WeakKeyDictionary()
+
+
+def _state_json(state) -> bytes:
+    """_amps_json of a known state's pairs, rendered once while the
+    StateVector lives, however many sessions send or read it."""
+    try:
+        return _RENDERED[state]
+    except KeyError:
+        rendered = _RENDERED[state] = _amps_json(state.pairs())
+        return rendered
 
 
 def _state_line(trial_id: int, slot: int, amps_json: bytes) -> bytes:
@@ -351,8 +368,7 @@ class KnownStates:
         self._learned = 0
         self._pairs: dict = {}  # canonical amps bytes -> ((re, im), ...)
         for state in states:
-            pairs = state.pairs()
-            self._pairs[_amps_json(pairs)] = pairs
+            self._pairs[_state_json(state)] = state.pairs()
 
     def __len__(self) -> int:
         return self._learned
@@ -572,7 +588,7 @@ def _handshake(transport, config: ProtocolConfig, basis_set_id: str) -> None:
 def _run_alice(transport, config, n_trials, seed, compare) -> AliceLog:
     session = AliceSession(config, seed, n_trials=n_trials)
     # the amps of vector a of basis x, for each of the c*d states she can send
-    amps_json = [[_amps_json(v.pairs()) for v in basis.vectors] for basis in config.basis_set.bases]
+    amps_json = [[_state_json(v) for v in basis.vectors] for basis in config.basis_set.bases]
     # her replies are sift reports and a bye; she is sent no states
     replies = KnownStates(0)
 
@@ -748,7 +764,7 @@ def run_mitm_pumps(
     log = MitmLog()
     record = log._records.append
     d = eve_basis.dim
-    resent_json = [_amps_json(v.pairs()) for v in eve_basis.vectors]
+    resent_json = [_state_json(v) for v in eve_basis.vectors]
     failures: list[Exception] = []
 
     def eve_rows(width: int) -> TrialBlocks:

@@ -125,12 +125,13 @@ def _lehmer_decode(picks: np.ndarray, step=None) -> None:
     from the second-last slot down to the first, every later slot at or
     above slot i's value steps up by one, past slot i's letter.  Integers
     only, so the letters are exactly the pool's; every step goes through
-    one bool vector of a slot's shape, `step`, made here when None."""
+    one bool vector of a slot's shape, `step`, made here when None, and is
+    added as int8, so int8 picks take it with no cast."""
     if step is None:
         step = np.empty(picks.shape[1:], dtype=bool)
     for i in range(len(picks) - 2, -1, -1):
         for j in range(i + 1, len(picks)):
-            picks[j] += np.greater_equal(picks[j], picks[i], out=step)
+            picks[j] += np.greater_equal(picks[j], picks[i], out=step).view(np.int8)
 
 
 def sift(a: tuple, b: tuple) -> bool:

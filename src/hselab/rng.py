@@ -158,15 +158,23 @@ def scaled_index(u, n: int):
     return min(int(u * n), n - 1)
 
 
-def numerator_index(m: np.ndarray, n: int, out: np.ndarray) -> np.ndarray:
+def numerator_index(m: np.ndarray, n: int, out: np.ndarray, scratch=None) -> np.ndarray:
     """scaled_index of the uniforms m * 2**-53 of the numerators m, into
     the integer array `out`.  m and n * 2**-53 are exact floats, so
     m * (n * 2**-53) rounds the real product u * n once, as scaled_index
     does, and the cast truncates as int() does.  For u < 1, u * n lies at
     least n * 2**-53 below n, more than half the float spacing there, so
-    it rounds to a float below n and needs no cap."""
+    it rounds to a float below n and needs no cap.
+
+    The products go through `scratch`, an 8-byte vector of m's shape (made
+    here when None) viewed as float64: each cast is one `np.copyto`, where
+    a ufunc mixing the types would cast through buffers it allocates."""
+    real = np.empty(m.shape) if scratch is None else scratch.view(np.float64)
     # below 2**53 the int64 view holds the same values, and converts faster
-    return np.multiply(m.view(np.int64), n * _U53, out=out, casting="unsafe")
+    np.copyto(real, m.view(np.int64))
+    real *= n * _U53
+    np.copyto(out, real, casting="unsafe")
+    return out
 
 
 class RandomStream:

@@ -1,5 +1,6 @@
 import collections
 import functools
+import gc
 import hashlib
 import inspect
 import json
@@ -9,6 +10,7 @@ import socket
 import sys
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -288,6 +290,18 @@ class TestKnownStates:
                 line = ch.encode(ch.QuantumState(99, 1, state.pairs()))
                 assert known.read(line) == read_by_decode(line)
         assert len(known) == c * d
+
+    def test_a_dropped_sets_renders_are_freed(self):
+        family = make_random_set(3, 4, seed=12)
+        states = [v for basis in family.bases for v in basis.vectors]
+        known = ch.KnownStates(12, states)
+        assert [ch._RENDERED[v] for v in states] == [ch._amps_json(v.pairs()) for v in states]
+        assert all(known.read(ch._state_line(0, 0, ch._RENDERED[v]))[2] is v.pairs() for v in states)
+        rendered, alive = len(ch._RENDERED), [weakref.ref(v) for v in states]
+        del family, states, known
+        gc.collect()
+        assert not any(ref() for ref in alive)
+        assert len(ch._RENDERED) <= rendered - 12
 
 
 class TestSeededKnownStates:

@@ -1,10 +1,14 @@
 import csv
 import dataclasses
+import gc
 import io
 import itertools
 import json
 import math
+import sys
+import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -13,7 +17,15 @@ from hypothesis import strategies as st
 
 import hselab.montecarlo as mc
 from conftest import make_random_basis, make_random_set
-from hselab.bases import BasisSet, breidbart_basis, fourier_basis, mu_basis_set, standard_basis
+from hselab.bases import (
+    BasisSet,
+    breidbart_basis,
+    fourier_basis,
+    load_basis_set,
+    mu_basis_set,
+    save_basis_set,
+    standard_basis,
+)
 from hselab.cli import emit
 from hselab.errors import InvalidParameter
 from hselab.hilbert import invert_cdf
@@ -357,21 +369,23 @@ class TestMemory:
         config = ProtocolConfig(c=6, d=5, basis_set=family, eve=family.bases[0])
         return config, mc._hse_tensors(family, config.eve)
 
-    def test_a_warm_chunk_allocates_nothing_per_trial(self, attacked56):
-        # numpy's cast buffers hold at most 8192 items, so a chunk's peak
-        # may not grow with its trials; the trial ids were once a fresh
+    @pytest.mark.parametrize(("d", "c"), [(2, 3), (3, 4), (5, 6), (7, 8)])
+    @pytest.mark.parametrize("attacked", [False, True])
+    def test_a_warm_chunk_allocates_nothing_per_trial(self, d, c, attacked):
+        # a ufunc that mixes integer widths, or integers and floats, casts
+        # through numpy's buffers of 8192 items: they once made a warm
+        # chunk's peak 132 KB, and before that the trial ids were a fresh
         # vector of 8 bytes a trial
-        config, tensors = attacked56
-        peaks = []
-        for n in (mc.CHUNK // 2, mc.CHUNK):
-            work = mc._Workspace(5, 6, 5, n, True)
-            mc._hse_block(config, 7, 0, tensors, work)
-            peaks.append(traced_peak(lambda: mc._hse_block(config, 7, n, tensors, work)))
-        assert peaks[1] - peaks[0] < mc.CHUNK // 2
+        family = mu_basis_set(d, c)
+        config = ProtocolConfig(c=c, d=d, basis_set=family, eve=family.bases[0] if attacked else None)
+        tensors = mc._hse_tensors(family, config.eve)
+        work = mc._Workspace(c - 1, c, d, mc.CHUNK, attacked)
+        mc._hse_block(config, 7, 0, tensors, work)
+        assert traced_peak(lambda: mc._hse_block(config, 7, mc.CHUNK, tensors, work)) < 2048
 
     def test_a_chunk_decodes_in_the_workspace(self, attacked56, monkeypatch):
-        # the decode's `+=` of flags casts through numpy's buffer of 8192
-        # bytes; its flags were once a fresh vector of a byte a trial
+        # the decode adds its flags as int8, so it casts nothing; its flags
+        # were once a fresh vector of a byte a trial
         config, tensors = attacked56
         decode, peaks = mc._lehmer_decode, []
 
@@ -380,7 +394,84 @@ class TestMemory:
 
         monkeypatch.setattr(mc, "_lehmer_decode", traced)
         mc._hse_block(config, 7, 0, tensors, mc._Workspace(5, 6, 5, mc.CHUNK, True))
-        assert len(peaks) == 1 and peaks[0] < mc.CHUNK // 2
+        assert len(peaks) == 1 and peaks[0] < 1024
+
+
+class TestMemo:
+    """Each (set, Eve) pair's CDF tables and analytic rates are built once,
+    on the first run, and shared read-only by every run after it.  Each
+    test takes a random set of its own, so its first run builds them."""
+
+    @pytest.fixture
+    def config(self):
+        # a new object each time: the memo keys on identity
+        family = make_random_set(3, 4, seed=100)
+        return ProtocolConfig(c=4, d=3, basis_set=family, eve=family.bases[1])
+
+    def test_two_runs_share_the_tables(self, config, monkeypatch):
+        block, seen = mc._hse_block, []
+
+        def spy(*args):
+            seen.append(args[3])  # the tensors
+            return block(*args)
+
+        monkeypatch.setattr(mc, "_hse_block", spy)
+        one, two = (mc.estimate_rates(config, 5000, seed=3) for _ in range(2))
+        assert one.estimates == two.estimates
+        assert len(seen) == 2 and seen[0] is seen[1]
+        analytic = (one.r_s.analytic, one.r_it.analytic, one.r_qb.analytic)
+        assert mc._hse_analytics(config.basis_set, config.eve) == analytic
+
+    def test_the_tables_are_read_only(self, config):
+        for eve in (None, config.eve):
+            for columns in mc._hse_tensors(config.basis_set, eve):
+                assert not columns.flags.writeable
+                with pytest.raises(ValueError):
+                    columns[0, 0] = 0
+
+    def test_repeated_loads_do_not_grow_the_memo(self, config, tmp_path):
+        path = tmp_path / "set.json"
+        save_basis_set(config.basis_set, path)
+        loaded = []
+        for seed in range(3 * mc.MEMO_SIZE):
+            family = load_basis_set(path)
+            loaded.append(weakref.ref(family))
+            mc.estimate_rates(ProtocolConfig(c=4, d=3, basis_set=family, eve=family.bases[0]), 200, seed)
+        del family
+        gc.collect()
+        assert sum(ref() is not None for ref in loaded) <= mc.MEMO_SIZE
+        for memo in (mc._hse_tensors, mc._hse_analytics):
+            assert memo.cache_info().currsize <= mc.MEMO_SIZE
+
+    def test_threads_on_one_config_agree(self, config):
+        barrier, reports = threading.Barrier(4), []
+
+        def run():
+            barrier.wait(timeout=30)
+            reports.append(mc.estimate_rates(config, 20_000, seed=5))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        serial = mc.estimate_rates(config, 20_000, seed=5)
+        assert len(reports) == 4
+        assert all(report.estimates == serial.estimates for report in reports)
+
+    def test_batch_paths_match_on_the_second_call(self, config):
+        scalar = [run_trial(config, t, seed=8) for t in range(300)]
+        assert [mc.trial_outcomes_batch(config, 300, seed=8) for _ in range(2)] == [scalar, scalar]
+        # BKB01 reads the same tables: a set of its own, so its first call builds them
+        family = make_random_set(3, 4, seed=100)
+        one, two = (mc.simulate_bkb01(family, family.bases[1], 5000, seed=8) for _ in range(2))
+        assert one.estimates == two.estimates
 
 
 class TestDegenerateEstimates:
