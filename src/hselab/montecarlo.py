@@ -4,8 +4,12 @@ z-scores against the analytic rates.
 The default execution path evaluates whole blocks of trials with numpy,
 drawing each trial's substream values at explicit counter positions so
 the results are bit-identical to running protocol.run_trial one trial at
-a time (a tested invariant).  `_measure` draws one slot of a block,
-directly or through Eve, for both simulated protocols.
+a time (a tested invariant).  `_hse_block` samples a block of trials
+with as many slots as its workspace holds, and `_measure` measures one
+slot, directly or through Eve.  A BKB01 round is a one-slot HSE trial, so
+both simulated protocols run the same sampler, and every batch run
+(`estimate_rates`, `trial_outcomes_batch`, `simulate_bkb01`) iterates the
+one chunk loop `_blocks`.
 
 A draw stays its 53-bit numerator m (`rng.bulk_uniforms`), the draw
 u = m * 2**-53 being exact, and no block builds u: a letter or an index
@@ -43,14 +47,15 @@ basis by basis into one buffer, accumulated there and turned into
 thresholds in place (`_born_tensor`).  The workspace is one allocation
 that holds every vector a chunk needs, sized to the first chunk; every
 kernel writes into it (`out=`, in-place operators), the chunk's trial
-ids (`_fill_range`) and the Lehmer decode's flags too.  A warm chunk
-allocates no array at all: an operand of another integer width, or an
-integer scaled as a float, is first converted into a workspace vector
-with `np.copyto`, since a ufunc that mixes the types would cast through
-buffers of 8192 items it allocates, and bool flags are added as int8.
-Letters and outcomes are slot-major (c-1, chunk) arrays of the narrowest
-integer type, int8 up to 127.  A run makes its own workspace and drops
-it, so runs share no mutable state.  A chunk is CHUNK = 2**15 trials, so
+ids (the read-only ramp `_RAMP` plus the chunk's start, one `np.add`) and
+the Lehmer decode's flags too.  A warm chunk allocates no array at all:
+an operand of another integer width, or an integer scaled as a float, is
+first converted into a workspace vector with `np.copyto`, since a ufunc
+that mixes the types would cast through buffers of 8192 items it
+allocates, and bool flags are added as int8.  Letters and outcomes are
+slot-major (slots, chunk) arrays of the narrowest integer type, int8 up
+to 127.  A run makes its own workspace and drops it, so runs share no
+mutable state.  A chunk is CHUNK = 2**15 trials, so
 one uint64 vector over it is 256 KB and each numpy pass over a chunk
 stays in a core's L2 cache.  Chunks only divide the work: counts add up
 exactly, so the chunk size changes no outcome.
@@ -74,7 +79,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rates
-from .bases import BasisSet
+from .bases import BasisSet, average_distance
 from .errors import InvalidParameter
 # born_probabilities is unused here; the benchmark's tracer counts calls
 # through this name
@@ -84,8 +89,8 @@ from .rates import ProtocolConfig
 from .rng import bulk_uniforms, numerator_index, trial_keys, trial_words
 
 CHUNK = 2**15
-# the head of _fill_range: with it a chunk's ids take 4 passes, not 16
-_RAMP = np.arange(2**12, dtype=np.uint64)
+# 0..CHUNK-1: a chunk's trial ids are this ramp plus the chunk's start
+_RAMP = np.arange(CHUNK, dtype=np.uint64)
 _RAMP.flags.writeable = False
 Z_FAIL = 4.0
 STAGES = ("tensors", "analytics", "sampling", "counting")
@@ -318,7 +323,7 @@ class _Workspace:
         """The stream keys of trials start.. for Alice, Bob and, when the
         workspace holds hers, Eve, from their trial words: the trial ids
         are written into the draw vector and mixed there once."""
-        trials = _fill_range(self.draw, start)
+        trials = np.add(_RAMP[: len(self.draw)], np.uint64(start), out=self.draw)
         words = trial_words(trials, out=trials, scratch=self.scratch)
         for role, out in ((ALICE, self.alice), (BOB, self.bob), (EVE, self.eve)):
             if out is not None:
@@ -333,48 +338,26 @@ class _Workspace:
         into `out`."""
         numerator_index(self.uniforms(keys, counter), n, out, self.scratch)
 
-    def widen_xd(self, x, d: int) -> None:
-        """x*d into the intp vector xd, x widened first (see _measure)."""
-        np.copyto(self.xd, x)
-        self.xd *= d
-
-
-def _fill_range(out: np.ndarray, start: int) -> np.ndarray:
-    """start, start+1, ... written into the uint64 vector `out`, which it
-    returns, with no array allocated: the head from _RAMP, then each pass
-    doubles it."""
-    head = min(len(out), len(_RAMP))
-    np.add(_RAMP[:head], np.uint64(start), out=out[:head])
-    while head < len(out):
-        step = min(head, len(out) - head)
-        np.add(out[:step], np.uint64(head), out=out[head : head + step])
-        head += step
-    return out
-
-
-def _chunks(n_trials: int, work: _Workspace):
-    """(start, workspace) for each chunk of a run of n_trials."""
-    for start in range(0, n_trials, CHUNK):
-        count = min(CHUNK, n_trials - start)
-        yield start, work if count == len(work.x) else work.head(count)
-
 
 def _hse_block(config: ProtocolConfig, seed: int, start: int, tensors, work: _Workspace):
     """One block of trials from `start`, as many as the workspace holds,
-    fully vectorized; returns the workspace's x and slot-major (c-1,
-    count) a, y and b, which the next block overwrites."""
-    c, d = config.c, config.d
+    fully vectorized, each with the workspace's number of slots: c-1 for
+    HSE, 1 for a BKB01 round.  Returns the workspace's x and slot-major
+    (slots, count) a, y and b, which the next block overwrites."""
+    c, d, slots = config.c, config.d, len(work.a)
     work.keys(seed, start)
     x, a, y, b = work.x, work.a, work.y, work.b
     work.index(work.alice, 0, c, x)
-    work.widen_xd(x, d)
-    for k in range(c - 1):
+    # x*d into the intp vector xd, x widened first (see _measure)
+    np.copyto(work.xd, x)
+    work.xd *= d
+    for k in range(slots):
         work.index(work.alice, 1 + k, d, a[k])
         work.index(work.bob, k, c - k, y[k])
     _lehmer_decode(y, work.flags)
-    for k in range(c - 1):
+    for k in range(slots):
         eve_draw = work.uniforms(work.eve, k, work.eve_draw) if config.eve is not None else None
-        bob_draw = work.uniforms(work.bob, (c - 1) + k)
+        bob_draw = work.uniforms(work.bob, slots + k)
         _measure(tensors, c, work.xd, a[k], y[k], b[k], bob_draw, eve_draw, work)
     return x, a, y, b
 
@@ -451,6 +434,23 @@ class _Stopwatch:
         self._mark = now
 
 
+def _blocks(config: ProtocolConfig, slots: int, n_trials: int, seed: int, watch: _Stopwatch):
+    """(start, (x, a, y, b)) for each chunk of a run of n_trials with
+    `slots` slots a trial: the chunk loop of every batch run.  It takes the
+    pair's tensors and makes the run's one workspace, charged to the
+    watch's "tensors", then charges each _hse_block to "sampling" and the
+    caller's work on a block, up to the next one, to "counting"."""
+    tensors = _hse_tensors(config.basis_set, config.eve)
+    work = _Workspace(slots, config.c, config.d, min(CHUNK, n_trials), config.eve is not None)
+    watch.lap("tensors")
+    for start in range(0, n_trials, CHUNK):
+        count = min(CHUNK, n_trials - start)
+        block = _hse_block(config, seed, start, tensors, work if count == len(work.x) else work.head(count))
+        watch.lap("sampling")
+        yield start, block
+        watch.lap("counting")
+
+
 def _sampled_config(config: ProtocolConfig) -> ProtocolConfig:
     """The config the batch engine samples: without Eve when she never
     intercepts.  Partial interception has no batch path."""
@@ -478,29 +478,21 @@ def estimate_rates(config: ProtocolConfig, n_trials: int, seed: int) -> SimRepor
         raise InvalidParameter("n_trials must be >= 1")
     watch = _Stopwatch()
     sampled = _sampled_config(config)
-    tensors = _hse_tensors(sampled.basis_set, sampled.eve)
-    work = _Workspace(config.c - 1, config.c, config.d, min(CHUNK, n_trials), sampled.eve is not None)
-    watch.lap("tensors")
     analytic = _hse_analytics(sampled.basis_set, sampled.eve)
     watch.lap("analytics")
     counts = _Counts()
-    for start, chunk in _chunks(n_trials, work):
-        block = _hse_block(sampled, seed, start, tensors, chunk)
-        watch.lap("sampling")
+    for _, block in _blocks(sampled, config.c - 1, n_trials, seed, watch):
         counts.add_block(*block)
-        watch.lap("counting")
     return counts.report("hse", config.d, config.c, config.eve, seed, analytic, watch.seconds)
 
 
 def trial_outcomes_batch(config: ProtocolConfig, n_trials: int, seed: int):
     """Materialize the same TrialOutcome stream the per-trial runner
     produces, via the batch engine (used by tests and the benchmark)."""
-    sampled = _sampled_config(config)
-    tensors = _hse_tensors(sampled.basis_set, sampled.eve)
-    work = _Workspace(config.c - 1, config.c, config.d, min(CHUNK, max(n_trials, 1)), sampled.eve is not None)
+    if n_trials < 0:
+        raise InvalidParameter("n_trials must be >= 0")
     outcomes = []
-    for start, chunk in _chunks(n_trials, work):
-        block = _hse_block(sampled, seed, start, tensors, chunk)
+    for start, block in _blocks(_sampled_config(config), config.c - 1, n_trials, seed, _Stopwatch()):
         rows = zip(*(part.T.tolist() for part in block))
         outcomes.extend(
             TrialOutcome.of(start + row, x, tuple(a), tuple(y), tuple(b), config.c)
@@ -512,32 +504,25 @@ def trial_outcomes_batch(config: ProtocolConfig, n_trials: int, seed: int):
 def simulate_bkb01(basis_set: BasisSet, eve: Basis | None, n_trials: int, seed: int) -> SimReport:
     """Simulate the basis-announcing comparison protocol on the c bases of
     d-dimensional `basis_set`: one state per round, sift on basis match,
-    cross-checking its interception QBER.  Alice's basis g and index x
-    and Bob's basis h and outcome sit in the one slot of a workspace's
-    x, a, y and b."""
+    cross-checking its interception QBER.
+
+    A round is a one-slot HSE trial, sampled by _hse_block: Alice's basis
+    g is her draw at counter 0 and her index x her draw at 1, Bob's basis
+    h (a pick below c) is his draw at 0 and his outcome his draw at 1, and
+    Eve's outcome her draw at 0.  A sifted round (h == g) is wrong when
+    the outcome is not x.  Eve resends her eigenstate, so the exact QBER is
+    mean_g (1 - sum T_g**2 / d) over the transition matrices T_g between
+    basis g and hers: bases.average_distance, for any set and any Eve."""
     c, d = basis_set.c, basis_set.d
     if n_trials < 1:
         raise InvalidParameter("n_trials must be >= 1")
     watch = _Stopwatch()
-    tensors = _hse_tensors(basis_set, eve)
-    work = _Workspace(1, c, d, min(CHUNK, n_trials), eve is not None)
-    watch.lap("tensors")
-    qb_analytic = rates.bkb01_rates(c, d).r_qb if eve is not None else 0.0
+    qb_analytic = average_distance(eve, basis_set) if eve is not None else 0.0
     watch.lap("analytics")
     counts = _Counts()
-    for start, chunk in _chunks(n_trials, work):
-        chunk.keys(seed, start)
-        g, (x,), (h,), (outcome,) = chunk.x, chunk.a, chunk.y, chunk.b
-        chunk.index(chunk.alice, 0, c, g)
-        chunk.widen_xd(g, d)
-        chunk.index(chunk.alice, 1, d, x)
-        chunk.index(chunk.bob, 0, c, h)
-        eve_draw = chunk.uniforms(chunk.eve, 0, chunk.eve_draw) if eve is not None else None
-        _measure(tensors, c, chunk.xd, x, h, outcome, chunk.uniforms(chunk.bob, 1), eve_draw, chunk)
-        watch.lap("sampling")
+    for _, (g, (x,), (h,), (outcome,)) in _blocks(ProtocolConfig(c, d, basis_set, eve), 1, n_trials, seed, watch):
         sifted = h == g
         counts.add(sifted, sifted & (outcome != x))
-        watch.lap("counting")
     return counts.report("bkb01", d, c, eve, seed, (1.0 / c, None, qb_analytic), watch.seconds)
 
 

@@ -6,7 +6,8 @@ import pytest
 
 from hselab.bases import BasisSet, qubit_six_state_set, qutrit_complete_set
 from hselab.errors import DimensionError, InvalidParameter, NumericalError
-from hselab.hilbert import TAU_NORM, Basis, transition_matrix
+from hselab.hilbert import TAU_NORM, Basis, born_sample, transition_matrix
+from hselab.protocol import ALICE, BOB, EVE
 from hselab.rates import _survival
 from hselab.rng import RandomStream
 
@@ -97,6 +98,24 @@ def make_random_basis(d, seed, label="random"):
 
 def make_random_set(d, c, seed):
     return BasisSet(make_random_basis(d, seed * 1000 + j, label=f"r{j}") for j in range(c))
+
+
+def bkb01_round(basis_set, eve, t, seed):
+    """Oracle: round t of BKB01, one scalar draw at a time, as (sifted,
+    wrong).  Alice draws her basis g and index x, Eve (when set) measures
+    the state and resends her eigenstate, and Bob draws his basis h and
+    measures in it; a sifted round (h == g) is wrong when his outcome is
+    not x."""
+    alice = RandomStream(seed, ALICE, t)
+    g = alice.randint(basis_set.c)
+    x = alice.randint(basis_set.d)
+    state = basis_set.bases[g].vectors[x]
+    if eve is not None:
+        state = eve.vectors[born_sample(state, eve, RandomStream(seed, EVE, t))]
+    bob = RandomStream(seed, BOB, t)
+    h = bob.randint(basis_set.c)
+    outcome = born_sample(state, basis_set.bases[h], bob)
+    return h == g, h == g and outcome != x
 
 
 def freq_tolerance(p, n, sigmas=4.0):

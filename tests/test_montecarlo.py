@@ -16,9 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hselab.montecarlo as mc
-from conftest import make_random_basis, make_random_set
+from conftest import bkb01_round, make_random_basis, make_random_set
 from hselab.bases import (
     BasisSet,
+    average_distance,
     breidbart_basis,
     fourier_basis,
     load_basis_set,
@@ -584,6 +585,11 @@ class TestEstimateRates:
         with pytest.raises(InvalidParameter):
             mc.estimate_rates(cfg23_eve, 0, seed=1)
 
+    def test_outcomes_of_no_trials(self, cfg23_eve):
+        assert mc.trial_outcomes_batch(cfg23_eve, 0, seed=1) == []
+        with pytest.raises(InvalidParameter):
+            mc.trial_outcomes_batch(cfg23_eve, -1, seed=1)
+
 
 class TestStageTimings:
     def test_every_stage_is_timed(self, cfg23_eve, sixstate, monkeypatch):
@@ -619,6 +625,56 @@ class TestSimulateBkb01:
     def test_clean_channel_has_no_errors(self, sixstate):
         report = mc.simulate_bkb01(sixstate, None, 50_000, seed=5)
         assert report.r_qb.value == 0.0
+
+    @pytest.mark.parametrize(("d", "c", "seed"), [(2, 3, 5), (3, 4, 6), (5, 3, 7)])
+    def test_qber_on_random_sets_and_eves(self, d, c, seed):
+        # the analytic QBER is average_distance, exact for any set and Eve;
+        # the MU form (c-1)(d-1)/(cd) misses here by tens of sigmas
+        family = make_random_set(d, c, seed=seed)
+        eve = make_random_basis(d, seed + 500, label="eve")
+        report = mc.simulate_bkb01(family, eve, 200_000, seed=seed)
+        assert report.r_qb.analytic == average_distance(eve, family)
+        assert abs(report.r_qb.z) <= 4 and abs(report.r_s.z) <= 4
+
+    def test_qber_under_breidbart(self, sixstate):
+        eve = breidbart_basis()
+        report = mc.simulate_bkb01(sixstate, eve, 200_000, seed=12)
+        assert report.r_qb.analytic == average_distance(eve, sixstate)
+        assert abs(report.r_qb.z) <= 4 and abs(report.r_s.z) <= 4
+
+
+class TestBkb01Oracle:
+    """simulate_bkb01 counts what the scalar oracle bkb01_round draws,
+    round for round, across chunks of 1,000 (the last one cut short)."""
+
+    N = 3500
+
+    @pytest.fixture(scope="class")
+    def sets(self):
+        return {
+            "mu(2,3)": mu_basis_set(2, 3),
+            "mu(5,6)": mu_basis_set(5, 6),
+            "random(5,4)": make_random_set(5, 4, seed=29),
+        }
+
+    @pytest.mark.parametrize("eve_kind", ["none", "member", "random"])
+    @pytest.mark.parametrize("name", ["mu(2,3)", "mu(5,6)", "random(5,4)"])
+    def test_counts_equal_the_oracle(self, sets, name, eve_kind, monkeypatch):
+        family = sets[name]
+        eve = {
+            "none": None,
+            "member": family.bases[1],
+            "random": make_random_basis(family.d, 88, label="eve"),
+        }[eve_kind]
+        monkeypatch.setattr(mc, "CHUNK", 1000)
+        report = mc.simulate_bkb01(family, eve, self.N, seed=4)
+        rounds = [bkb01_round(family, eve, t, seed=4) for t in range(self.N)]
+        sifted = sum(s for s, _ in rounds)
+        wrong = sum(w for _, w in rounds)
+        assert report.r_s == mc._estimate(sifted, self.N, report.r_s.analytic)
+        assert report.r_qb == mc._estimate(wrong, sifted, report.r_qb.analytic)
+        if eve_kind != "none":
+            assert wrong > 0
 
 
 class TestPinnedReports:
