@@ -3,13 +3,17 @@
 Provides the concrete constructions the protocol analysis relies on
 (standard, Fourier, the qutrit 4-basis complete set, the qubit six-state
 triple, quadratic-phase complete sets in odd prime dimension, a frozen
-complete set for d=4, the Breidbart basis) plus the chordal Grassmannian
-distance machinery that ties basis geometry to the index error rate.
+complete set for d=4, the Breidbart basis) plus the squared chordal
+Grassmannian distance D^2 that ties basis geometry to the index error
+rate: `average_distance` from an Eve basis to a set is that rate under
+intercept-and-resend.  `squared_distance` is the one statement of D^2,
+from a pair's transition matrix.
 
-A BasisSet keeps, from one Gram product per pair, each pair's largest
-transition probability, largest deviation from unbiasedness and no-Eve
-index-miss chance; the distinctness check, the MU gate, `bases verify`
-and `rates.success_rate` read those figures.
+A BasisSet keeps four figures per pair from one Gram product: the
+largest transition probability, the largest deviation from
+unbiasedness, the no-Eve index-miss chance and D^2.  The distinctness
+check, the MU gate, `bases verify`, `bases distance` and
+`rates.success_rate` read those figures.
 
 `named_basis_set` is the one resolver of the built-in names (mub, prime,
 fourier, sixstate, qutrit4) at a given (d, c); it never opens a file.
@@ -17,10 +21,11 @@ The named constructions are memoised with `functools.cache`, so each set
 is built and validated once per process, not once per relayed session
 (the relay starts each session from the set its Hello names):
 `mu_basis_set`, `prime_complete_set`, `qubit_six_state_set`,
-`qutrit_complete_set` and the standard + Fourier pair.  Sharing one set is safe because a BasisSet is
-frozen and every Basis keeps its arrays read-only.  A (d, c) that a
-construction refuses raises each time, as exceptions are not cached, and
-the valid keys are few per d (c <= d+1), so the memo stays small.
+`qutrit_complete_set` and the standard + Fourier pair.  Sharing one
+set is safe because a BasisSet is frozen and every Basis keeps its
+arrays read-only.  A (d, c) that a construction refuses raises each
+time, as exceptions are not cached, and the valid keys are few per d
+(c <= d+1), so the memo stays small.
 """
 
 from __future__ import annotations
@@ -45,14 +50,16 @@ class BasisSet:
 
     Members are relabeled "B0".."B{c-1}" through a validating Basis, so
     each is checked orthonormal.  Then one pass over the pairs x < y takes
-    one `transition_matrix` p each and keeps three read-only (c, c) arrays,
+    one `transition_matrix` p each and keeps four read-only (c, c) arrays,
     symmetric with a zero diagonal: `max_transition[x, y]`, the pair's
-    largest p; `mu_deviation[x, y]`, its largest |p - 1/d|; and
-    `miss[x, y]` = 1 - mean_i p_ii, the chance that Bob, measuring in y,
-    reads another index than Alice sent in x.  No two bases may share a state:
-    every max_transition stays below 1 - TAU_DISTINCT.  The MU gate of
-    `prime_complete_set`, `hselab bases verify`, `max_cross_overlap` and
-    `rates.success_rate` read these arrays, not the bases.
+    largest p; `mu_deviation[x, y]`, its largest |p - 1/d|; `miss[x, y]`
+    = 1 - mean_i p_ii, the chance that Bob, measuring in y, reads another
+    index than Alice sent in x; and `distance[x, y]`, the pair's squared
+    distance D^2 = 1 - sum p^2 / d.  No two bases may share a state: every
+    max_transition stays below 1 - TAU_DISTINCT.  The MU gate of
+    `prime_complete_set`, `hselab bases verify` and `distance`,
+    `max_cross_overlap` and `rates.success_rate` read these arrays, not
+    the bases.
     """
 
     c: int
@@ -61,6 +68,7 @@ class BasisSet:
     max_transition: np.ndarray = field(repr=False)
     mu_deviation: np.ndarray = field(repr=False)
     miss: np.ndarray = field(repr=False)
+    distance: np.ndarray = field(repr=False)
 
     def __init__(self, bases):
         bases = tuple(bases)
@@ -71,7 +79,7 @@ class BasisSet:
             raise DimensionError("all bases in a set must share one dimension")
         relabeled = tuple(Basis(f"B{x}", b.matrix) for x, b in enumerate(bases))
         c = len(relabeled)
-        peak, deviation, miss = np.zeros((c, c)), np.zeros((c, c)), np.zeros((c, c))
+        peak, deviation, miss, distance = (np.zeros((c, c)) for _ in range(4))
         for x in range(c):
             for y in range(x + 1, c):
                 p = transition_matrix(relabeled[x], relabeled[y])
@@ -82,24 +90,16 @@ class BasisSet:
                 # a rounded subtraction is monotone, so this is max |p - 1/d| to the bit
                 deviation[x, y] = deviation[y, x] = max(p_max - 1.0 / d, 1.0 / d - p_min)
                 miss[x, y] = miss[y, x] = 1.0 - p.diagonal().sum() / d
-        peak.flags.writeable = deviation.flags.writeable = miss.flags.writeable = False
+                distance[x, y] = distance[y, x] = squared_distance(p)
+        for figures in (peak, deviation, miss, distance):
+            figures.flags.writeable = False
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "bases", relabeled)
         object.__setattr__(self, "max_transition", peak)
         object.__setattr__(self, "mu_deviation", deviation)
         object.__setattr__(self, "miss", miss)
-
-    def __iter__(self):
-        return iter(self.bases)
-
-
-@dataclass(frozen=True)
-class DistanceReport:
-    """Pairwise squared distances within a set, plus the Eve average."""
-
-    pairwise: np.ndarray
-    average_to_eve: float | None
+        object.__setattr__(self, "distance", distance)
 
 
 def standard_basis(d: int) -> Basis:
@@ -276,6 +276,12 @@ def breidbart_basis() -> Basis:
     return Basis("breidbart", matrix, validate=False)
 
 
+def squared_distance(p: np.ndarray) -> float:
+    """D^2 = 1 - (1/d) sum_ij p_ij^2 of two bases whose (d, d) transition
+    matrix is p, with p_ij = |<v_i|w_j>|^2."""
+    return 1.0 - float(np.sum(p**2)) / p.shape[0]
+
+
 def grassmannian_distance(b1: Basis, b2: Basis) -> float:
     """Squared chordal Grassmannian distance between two basis planes.
 
@@ -284,8 +290,7 @@ def grassmannian_distance(b1: Basis, b2: Basis) -> float:
     """
     if b1.dim != b2.dim:
         raise DimensionError(f"dimension mismatch: {b1.dim} vs {b2.dim}")
-    quartic = float(np.sum(transition_matrix(b1, b2) ** 2))
-    return 1.0 - quartic / b1.dim
+    return squared_distance(transition_matrix(b1, b2))
 
 
 def average_distance(eve: Basis, basis_set: BasisSet) -> float:
@@ -293,18 +298,6 @@ def average_distance(eve: Basis, basis_set: BasisSet) -> float:
     Equal to the index transmission error rate of an intercept-and-resend
     attack in `eve`."""
     return sum(grassmannian_distance(b, eve) for b in basis_set.bases) / basis_set.c
-
-
-def distance_report(basis_set: BasisSet, eve: Basis | None = None) -> DistanceReport:
-    """Pairwise D^2 matrix of a set, plus the average to Eve if given."""
-    c = basis_set.c
-    pairwise = np.zeros((c, c))
-    for x in range(c):
-        for y in range(x + 1, c):
-            d2 = grassmannian_distance(basis_set.bases[x], basis_set.bases[y])
-            pairwise[x, y] = pairwise[y, x] = d2
-    avg = average_distance(eve, basis_set) if eve is not None else None
-    return DistanceReport(pairwise=pairwise, average_to_eve=avg)
 
 
 def max_cross_overlap(basis_set: BasisSet) -> float:

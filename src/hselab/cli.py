@@ -147,19 +147,18 @@ def cmd_bases(args) -> int:
     target = resolve_set(args.set, args.d, args.c)
     if args.bases_cmd == "verify":
         return _bases_verify(target, args.tol)
-    if args.bases_cmd == "distance":
-        if not isinstance(target, bases_mod.BasisSet):
-            raise InvalidParameter("distance needs a basis set, not a single basis")
-        eve = resolve_eve(args.eve, target) if args.eve is not None else None
-        report = bases_mod.distance_report(target, eve)
-        c = target.c
-        cells = [{"x": x, "y": y, "d_squared": report.pairwise[x, y]} for x in range(c) for y in range(c)]
-        if report.average_to_eve is not None:
-            cells.append({"x": "eve", "y": "avg", "d_squared": report.average_to_eve})
-        summary = {"pairwise": report.pairwise.tolist(), "average_to_eve": report.average_to_eve}
-        emit(args.format, cells if args.format == "csv" else [summary], lambda: _distance_text(report))
-        return 0
-    raise InvalidParameter(f"unknown bases subcommand {args.bases_cmd!r}")
+    # distance, the one subcommand left (argparse's required choice)
+    if not isinstance(target, bases_mod.BasisSet):
+        raise InvalidParameter("distance needs a basis set, not a single basis")
+    eve = resolve_eve(args.eve, target) if args.eve is not None else None
+    to_eve = bases_mod.average_distance(eve, target) if eve is not None else None
+    c, pairwise = target.c, target.distance
+    cells = [{"x": x, "y": y, "d_squared": pairwise[x, y]} for x in range(c) for y in range(c)]
+    if to_eve is not None:
+        cells.append({"x": "eve", "y": "avg", "d_squared": to_eve})
+    summary = {"pairwise": pairwise.tolist(), "average_to_eve": to_eve}
+    emit(args.format, cells if args.format == "csv" else [summary], lambda: _distance_text(pairwise, to_eve))
+    return 0
 
 
 def _bases_verify(target, tol: float) -> int:
@@ -179,11 +178,11 @@ def _bases_verify(target, tol: float) -> int:
     return 0 if all_ok else 1
 
 
-def _distance_text(report) -> str:
+def _distance_text(pairwise, to_eve) -> str:
     lines = ["pairwise D^2:"]
-    lines += ["  " + "  ".join(f"{v:7.4f}" for v in row) for row in report.pairwise]
-    if report.average_to_eve is not None:
-        lines.append(f"average D^2 to eve: {report.average_to_eve:.6f}")
+    lines += ["  " + "  ".join(f"{v:7.4f}" for v in row) for row in pairwise]
+    if to_eve is not None:
+        lines.append(f"average D^2 to eve: {to_eve:.6f}")
     return "\n".join(lines)
 
 
@@ -226,16 +225,14 @@ def cmd_rates(args) -> int:
         rows = rates.table1()
         emit(args.format, [dataclasses.asdict(r) for r in rows], lambda: format_table1(rows), TABLE1_COLUMNS)
         return 0
-    if args.rates_cmd != "compute":
-        raise InvalidParameter(f"unknown rates subcommand {args.rates_cmd!r}")
-
+    # compute, the one subcommand left
     if args.protocol == "bkb01":
         if args.set is not None or args.eve is not None:
             raise InvalidParameter("bkb01 rates are MU closed forms: --set and --eve do not apply")
         if args.d is None or args.c is None:
             raise InvalidParameter("bkb01 needs --d and --c")
         report = rates.bkb01_rates(args.c, args.d)
-    elif args.protocol in ("hse", "kmb09"):
+    else:  # hse or kmb09, the choices argparse leaves
         c = args.c
         if args.protocol == "kmb09":
             if c is None:
@@ -258,8 +255,6 @@ def cmd_rates(args) -> int:
                     f"closed forms take only --eve basis:<x> with 0 <= x < {c}; give --set to rate --eve {args.eve}"
                 )
             report = dataclasses.replace(rates.mub_closed_forms(c, args.d), protocol=args.protocol)
-    else:
-        raise InvalidParameter(f"unknown protocol {args.protocol!r}")
     emit(args.format, [dataclasses.asdict(report)], lambda: _rate_text(report), RATE_COLUMNS)
     return 0
 

@@ -30,7 +30,7 @@ from decimal import ROUND_HALF_UP, Decimal
 
 import numpy as np
 
-from .bases import BasisSet, average_distance
+from .bases import BasisSet, average_distance, squared_distance
 from .errors import InvalidParameter
 from .hilbert import Basis, transition_matrix
 
@@ -126,9 +126,10 @@ def _attack_rates(basis_set: BasisSet, eve: Basis) -> tuple[float, float, float,
     R_K averages over all c * c! (letter, tuple) pairs: E1 for the tuples
     that leave out x, A[x, x] E2 for the rest.  R_BE averages over the
     c * (c-1)! tuples that put Alice's basis first, which is the second
-    term alone.  R_IT is `average_distance`'s expression, to the bit.
+    term alone.  R_IT is `average_distance`'s expression, to the bit:
+    the mean of `squared_distance` over the stack.
     """
-    c, d = basis_set.c, basis_set.d
+    c = basis_set.c
     towards_eve = np.stack([transition_matrix(b, eve) for b in basis_set.bases])
     # A[x, y] = mean over Alice's index a of p_a(x, y)
     slot_mean = _index_change_table(towards_eve).mean(axis=2)
@@ -136,7 +137,7 @@ def _attack_rates(basis_set: BasisSet, eve: Basis) -> tuple[float, float, float,
     used_x = np.diagonal(slot_mean) * e2
     r_k = float((e1 + used_x).sum() / c**2)
     r_be = float(used_x.sum() / (c * (c - 1)))
-    r_it = sum(1.0 - float(np.sum(t**2)) / d for t in towards_eve) / c
+    r_it = sum(squared_distance(t) for t in towards_eve) / c
     return r_k, r_be, (c - 1) / c * r_be / r_k, r_it
 
 

@@ -12,7 +12,6 @@ from hselab.bases import (
     BasisSet,
     average_distance,
     breidbart_basis,
-    distance_report,
     fourier_basis,
     grassmannian_distance,
     load_basis_set,
@@ -444,6 +443,14 @@ class TestOnePassOverThePairs:
         assert gram_products == []
         assert capsys.readouterr().out.count(": MU (") == 28
 
+    def test_distance_reads_the_pairs_and_takes_one_per_member_with_eve(self, gram_products, capsys):
+        prime_complete_set(7, 8)  # the memoised set that distance resolves
+        gram_products.clear()
+        assert main(["bases", "distance", "--set", "prime", "--d", "7", "--eve", "basis:0"]) == 0
+        # average_distance's 8, where a second pass over the pairs took 28 more
+        assert gram_products == [(f"B{x}", "B0") for x in range(8)]
+        assert capsys.readouterr().out.startswith("pairwise D^2:\n")
+
     @pytest.mark.parametrize(
         "build",
         [
@@ -461,6 +468,7 @@ class TestOnePassOverThePairs:
         family = build()
         for x in range(family.c):
             assert family.max_transition[x, x] == family.mu_deviation[x, x] == family.miss[x, x] == 0.0
+            assert family.distance[x, x] == 0.0
             for y in range(x + 1, family.c):
                 bx, by = family.bases[x], family.bases[y]
                 p = transition_matrix(bx, by)
@@ -468,7 +476,8 @@ class TestOnePassOverThePairs:
                 assert family.max_transition[x, y] == family.max_transition[y, x] == float(np.max(p))
                 assert family.mu_deviation[x, y] == family.mu_deviation[y, x] == deviation
                 assert family.miss[x, y] == family.miss[y, x] == 1.0 - np.diagonal(p).mean()
-        for figures in (family.max_transition, family.mu_deviation, family.miss):
+                assert family.distance[x, y] == family.distance[y, x] == grassmannian_distance(bx, by)
+        for figures in (family.max_transition, family.mu_deviation, family.miss, family.distance):
             with pytest.raises(ValueError):
                 figures[0, 1] = 0.0
 
@@ -510,14 +519,10 @@ class TestLargePrimeSet:
 
 class TestDistanceReport:
     def test_matrix_shape_and_bounds(self, qutrit4):
-        report = distance_report(qutrit4, eve=qutrit4.bases[0])
-        assert report.pairwise.shape == (4, 4)
-        assert np.all(np.abs(np.diagonal(report.pairwise)) <= 1e-12)
-        assert np.all(report.pairwise <= 2 / 3 + 1e-10)
-        assert report.average_to_eve == pytest.approx(0.5, abs=1e-12)
-
-    def test_without_eavesdropper(self, sixstate):
-        assert distance_report(sixstate).average_to_eve is None
+        assert qutrit4.distance.shape == (4, 4)
+        assert np.all(np.abs(np.diagonal(qutrit4.distance)) <= 1e-12)
+        assert np.all(qutrit4.distance <= 2 / 3 + 1e-10)
+        assert average_distance(qutrit4.bases[0], qutrit4) == pytest.approx(0.5, abs=1e-12)
 
 
 class TestFileFormat:

@@ -517,6 +517,31 @@ class TestInProcessSession:
         worker.join()
         assert "alice" in errors
 
+    def test_handshake_basis_set_check_on_both_ends(self, cfg23):
+        alice_t, bob_t = ch.memory_transport_pair()
+        errors = {}
+
+        def alice():
+            try:
+                ch.run_session("alice", alice_t, cfg23, 1, 1, "sixstate")
+            except HandshakeError as exc:
+                errors["alice"] = str(exc)
+
+        worker = threading.Thread(target=alice)
+        worker.start()
+        with pytest.raises(HandshakeError, match="^basis set mismatch: 'sixstate' != 'custom'$"):
+            ch.run_session("bob", bob_t, cfg23, 1, 1, "custom")
+        worker.join()
+        alice_t.close()
+        bob_t.close()
+        assert errors == {"alice": "basis set mismatch: 'custom' != 'sixstate'"}
+
+    def test_a_first_line_other_than_hello_fails_the_handshake(self, cfg23):
+        alice_t, bob_t = ch.memory_transport_pair()
+        alice_t.send_line(ch.encode(ch.SiftReport(0, True)))
+        with pytest.raises(HandshakeError, match="^expected hello, got SiftReport$"):
+            ch.run_session("bob", bob_t, cfg23, 1, 1, "sixstate")
+
     def test_out_of_order_trial_rejected(self, cfg23, sixstate):
         alice_t, bob_t = ch.memory_transport_pair()
         alice_t.send_line(ch.encode(ch.Hello(1, 3, 2, "sixstate")))

@@ -228,6 +228,31 @@ class TestBases:
         assert [float(c["d_squared"]) for c in cells] == expected
 
 
+class TestUsageErrorLines:
+    """Usage errors no other test reaches: each exits 2 with one error line
+    and no traceback."""
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            ("rates compute --protocol bkb01 --d 3", "bkb01 needs --d and --c"),
+            ("rates compute --protocol hse --d 3", "closed forms need --d and --c (or --set)"),
+            ("rates compute --protocol hse --set mub --d 3 --c 4 --eve none", "analytic attack rates need an eve basis"),
+            ("net eve --listen 0 --forward 127.0.0.1:9 --basis none --d 2 --c 3", "the eve node needs a basis"),
+            ("sim --set standard --d 2 --c 2", "simulation needs a basis set"),
+            ("bases distance --set standard --d 3", "distance needs a basis set, not a single basis"),
+            ("sim --d 4 --c 6", "need 2 <= c <= 5 for d=4, got c = 6"),
+        ],
+    )
+    def test_one_error_line(self, capsys, argv, message):
+        assert run(capsys, *argv.split()) == (2, "", f"error: {message}\n")
+
+    def test_verify_takes_a_single_basis(self, capsys):
+        code, out, err = run(capsys, "bases", "verify", "--set", "standard", "--d", "3")
+        assert (code, err) == (0, "")
+        assert out.startswith("orthonormal standard(3) ok (")
+
+
 class TestSim:
     def test_attacked_sixstate_jsonl(self, capsys):
         code, out, err = run(capsys, "sim", "--d", "2", "--c", "3", "--eve", "basis:0", "--format", "jsonl")

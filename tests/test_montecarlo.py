@@ -29,7 +29,7 @@ from hselab.bases import (
 )
 from hselab.cli import emit
 from hselab.errors import InvalidParameter
-from hselab.hilbert import invert_cdf
+from hselab.hilbert import invert_cdf, transition_matrix
 from hselab.protocol import run_trial
 from hselab.rates import ProtocolConfig
 
@@ -173,11 +173,18 @@ class TestLehmerDecode:
         assert np.array_equal(tuples, pool_tuples(picks, c))
 
 
-def chi_square_z(counts: np.ndarray) -> float:
-    """Wilson-Hilferty z of Pearson's chi-square for `counts` drawn
-    uniformly over its cells: about standard normal under that law."""
-    expected = counts.sum() / len(counts)
-    chi2 = float(np.sum((counts - expected) ** 2) / expected)
+def chi_square_z(counts: np.ndarray, expected: np.ndarray | None = None) -> float:
+    """Wilson-Hilferty z of Pearson's chi-square for `counts` against the
+    `expected` counts (default: uniform over the cells), the cells expected
+    below 5 pooled into one: about standard normal under that law."""
+    counts = np.asarray(counts, dtype=float)
+    if expected is None:
+        expected = np.full(len(counts), counts.sum() / len(counts))
+    small = expected < 5
+    if small.any():
+        counts = np.append(counts[~small], counts[small].sum())
+        expected = np.append(expected[~small], expected[small].sum())
+    chi2 = float(np.sum((counts - expected) ** 2 / expected))
     k = len(counts) - 1
     return ((chi2 / k) ** (1 / 3) - (1 - 2 / (9 * k))) / math.sqrt(2 / (9 * k))
 
@@ -626,6 +633,10 @@ class TestSimulateBkb01:
         report = mc.simulate_bkb01(sixstate, None, 50_000, seed=5)
         assert report.r_qb.value == 0.0
 
+    def test_no_rounds_is_an_error(self, sixstate):
+        with pytest.raises(InvalidParameter, match="^n_trials must be >= 1$"):
+            mc.simulate_bkb01(sixstate, None, 0, seed=5)
+
     @pytest.mark.parametrize(("d", "c", "seed"), [(2, 3, 5), (3, 4, 6), (5, 3, 7)])
     def test_qber_on_random_sets_and_eves(self, d, c, seed):
         # the analytic QBER is average_distance, exact for any set and Eve;
@@ -641,6 +652,78 @@ class TestSimulateBkb01:
         report = mc.simulate_bkb01(sixstate, eve, 200_000, seed=12)
         assert report.r_qb.analytic == average_distance(eve, sixstate)
         assert abs(report.r_qb.z) <= 4 and abs(report.r_s.z) <= 4
+
+
+class TestBkb01CellLaw:
+    """The whole law of a BKB01 round, not only its marginals: the count of
+    each cell (g, x, h, outcome) against P = T_gh[x, outcome] / (c d c),
+    with T_gh = transition_matrix(B_g, B_h), or T(B_g, eve) @ T(eve, B_h)
+    when Eve measures and resends."""
+
+    TRIALS = 50_000
+    SETS = {
+        "mu(2,3)": lambda: mu_basis_set(2, 3),
+        "mu(3,4)": lambda: mu_basis_set(3, 4),
+        "mu(5,6)": lambda: mu_basis_set(5, 6),
+        "random(5,4)": lambda: make_random_set(5, 4, seed=31),
+    }
+    EVES = {
+        "none": lambda family: None,
+        "B0": lambda family: family.bases[0],
+        "B1": lambda family: family.bases[1],
+        "breidbart": lambda family: breidbart_basis(),
+        "random": lambda family: make_random_basis(family.d, 77, label="eve"),
+    }
+
+    @staticmethod
+    def law(family, eve):
+        c, d = family.c, family.d
+        p = np.empty((c, d, c, d))
+        for g, bg in enumerate(family.bases):
+            for h, bh in enumerate(family.bases):
+                if eve is None:
+                    hop = transition_matrix(bg, bh)
+                else:
+                    hop = transition_matrix(bg, eve) @ transition_matrix(eve, bh)
+                p[g, :, h, :] = hop / (c * d * c)
+        return p.reshape(-1)
+
+    def counts(self, family, eve, seed):
+        c, d = family.c, family.d
+        counts = np.zeros(c * d * c * d, dtype=np.int64)
+        config = ProtocolConfig(c, d, family, eve)
+        for _, (g, (x,), (h,), (outcome,)) in mc._blocks(config, 1, self.TRIALS, seed, mc._Stopwatch()):
+            cell = ((g.astype(np.intp) * d + x) * c + h) * d + outcome
+            counts += np.bincount(cell, minlength=len(counts))
+        return counts
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "name,eve",
+        [
+            ("mu(2,3)", "none"),
+            ("mu(2,3)", "B0"),
+            ("mu(2,3)", "breidbart"),
+            ("mu(3,4)", "none"),
+            ("mu(3,4)", "B0"),
+            ("mu(3,4)", "B1"),
+            ("mu(5,6)", "none"),
+            ("mu(5,6)", "B0"),
+            ("mu(5,6)", "B1"),
+            ("random(5,4)", "none"),
+            ("random(5,4)", "B1"),
+            ("random(5,4)", "random"),
+        ],
+    )
+    def test_cells_follow_the_exact_law(self, name, eve, seed):
+        family = self.SETS[name]()
+        eve = self.EVES[eve](family)
+        law, counts = self.law(family, eve), self.counts(family, eve, seed)
+        assert counts.sum() == self.TRIALS
+        # a cell whose P is rounding noise (one basis to itself, directly or via Eve) is impossible
+        impossible = law < 1e-12
+        assert not counts[impossible].any()
+        assert abs(chi_square_z(counts[~impossible], law[~impossible] * self.TRIALS)) <= 4.0
 
 
 class TestBkb01Oracle:
