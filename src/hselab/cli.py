@@ -7,9 +7,11 @@ header and one line per row, both at full precision; table is the
 command's own text, which follows the display rounding rules.  `bases
 list`, `bases verify` and `net eve` print text only.
 
-Parsing: `COMMANDS` lists the four top-level commands, and `main` fills
-only the parser of the one its argv names; `hselab -h`, an empty argv or
-an unknown word gets the whole tree.
+Parsing: `COMMANDS` lists the four top-level commands.  When argv names
+one, `main` builds the top-level parser and that command's parsers alone
+(2 parsers for `sim`, 4 for `rates`, 5 for `bases` and `net`), and names
+the other three only in the top-level usage line; `hselab -h`, an empty
+argv or an unknown first word gets the whole tree of 13 parsers.
 """
 
 from __future__ import annotations
@@ -425,22 +427,26 @@ COMMANDS = {
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser tree, built on every call: every top-level command is
-    registered, so the top-level help and usage errors are always the
-    same, but only `command`'s parser is filled, or every parser when
-    `command` is None.  The terminal width is read once here, by
-    argparse's own rule (columns - 2), and every parser in the tree
-    formats at it: left to itself, argparse reads the terminal again for
-    each argument and subcommand group it adds."""
+    """The parser tree, built on every call: the whole tree when `command`
+    is None, else the top-level parser and `command`'s subtree alone.  The
+    other top-level names are registered in `COMMANDS` order without a
+    parser, so the top-level usage line, which is all of the top level
+    that a parse starting with `command` prints, is always the same.  The
+    terminal width is read once here, by argparse's own rule (columns -
+    2), and every parser in the tree formats at it: left to itself,
+    argparse reads the terminal again for each argument and subcommand
+    group it adds."""
     formatter = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
     parser_class = functools.partial(argparse.ArgumentParser, formatter_class=formatter)
     # the help prints the module docstring up to its note on parsing (none under -OO)
     parser = parser_class(prog="hselab", description=__doc__ and __doc__.partition("\n\nParsing:")[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=parser_class)
     for name, (help_text, fill) in COMMANDS.items():
-        child = sub.add_parser(name, help=help_text)
         if command is None or command == name:
-            fill(child, parser_class)
+            fill(sub.add_parser(name, help=help_text), parser_class)
+        else:
+            # a key of argparse's name -> parser map, for the usage line alone
+            sub.choices[name] = None
     return parser
 
 

@@ -47,18 +47,18 @@ basis by basis into one buffer, accumulated there and turned into
 thresholds in place (`_born_tensor`).  The workspace is one allocation
 that holds every vector a chunk needs, sized to the first chunk; every
 kernel writes into it (`out=`, in-place operators), the chunk's trial
-ids (the read-only ramp `_RAMP` plus the chunk's start, one `np.add`) and
-the Lehmer decode's flags too.  A warm chunk allocates no array at all:
-an operand of another integer width, or an integer scaled as a float, is
-first converted into a workspace vector with `np.copyto`, since a ufunc
-that mixes the types would cast through buffers of 8192 items it
-allocates, and bool flags are added as int8.  Letters and outcomes are
-slot-major (slots, chunk) arrays of the narrowest integer type, int8 up
-to 127.  A run makes its own workspace and drops it, so runs share no
-mutable state.  A chunk is CHUNK = 2**15 trials, so
-one uint64 vector over it is 256 KB and each numpy pass over a chunk
-stays in a core's L2 cache.  Chunks only divide the work: counts add up
-exactly, so the chunk size changes no outcome.
+ids (the read-only ramp `_RAMP` plus the chunk's start, one `np.add`),
+the Lehmer decode's flags and the counting's flags too.  A warm chunk,
+sampled and counted, allocates no array at all: an operand of another
+integer width, or an integer scaled as a float, is first converted into
+a workspace vector with `np.copyto`, since a ufunc that mixes the types
+would cast through buffers of 8192 items it allocates, and bool flags
+are added as int8.  Letters and outcomes are slot-major (slots, chunk)
+arrays of the narrowest integer type, int8 up to 127.  A run makes its
+own workspace and drops it, so runs share no mutable state.  A chunk is
+CHUNK = 2**15 trials, so one uint64 vector over it is 256 KB and each
+numpy pass over a chunk stays in a core's L2 cache.  Chunks only divide
+the work: counts add up exactly, so the chunk size changes no outcome.
 
 `_Counts` is the one counter behind every SimReport: `add` sums event
 arrays, `add_block` (the vector form of `TrialOutcome.of`, over
@@ -278,10 +278,12 @@ class _Workspace:
     and the thresholds `_invert_rows` gathers), one vector each for a draw's
     numerators (first the chunk's trial ids, then its trial words), CDF
     row indices, x*d, Eve's outcomes and flags, the slot-major (slots,
-    size) a, y and b, and Eve's keys and draws when she measures.  Basis
-    letters (x, y) are in the narrowest signed type that holds c, indices
-    and outcomes (a, b) in the one that holds d.  A run makes its own and
-    drops it on return, so runs share no state."""
+    size) a, y and b, the flags `_Counts.add_block` counts (a trial's
+    sifted flag, and the slot-major a != b and y == x), and Eve's keys
+    and draws when she measures.  Basis letters (x, y) are in the
+    narrowest signed type that holds c, indices and outcomes (a, b) in
+    the one that holds d.  A run makes its own and drops it on return, so
+    runs share no state."""
 
     def __init__(self, slots: int, c: int, d: int, size: int, eve: bool):
         letter, index = np.min_scalar_type(-c), np.min_scalar_type(-d)
@@ -296,6 +298,9 @@ class _Workspace:
             ("b", index, per_slot),
             ("outcome", index, vector),
             ("flags", np.bool_, vector),
+            ("sifted", np.bool_, vector),
+            ("differ", np.bool_, per_slot),
+            ("same", np.bool_, per_slot),
         ]
         if eve:
             layout += [("eve", np.uint64, vector), ("eve_draw", np.uint64, vector)]
@@ -388,15 +393,18 @@ class _Counts:
         self.same_slots += same_slots
         self.same_errors += same_errors
 
-    def add_block(self, x, a, y, b) -> None:
+    def add_block(self, x, a, y, b, work=None) -> None:
         """The HSE rule of TrialOutcome.of over a block of trials, from x
         and the slot-major (c-1, n) a, y and b: sifted when every b differs
         from a, and wrong when Bob's letter, the one missing from y, is not
-        x, that is when x is in y."""
-        differ = a != b
-        same = y == x
-        sifted = np.all(differ, axis=0)
-        wrong = np.any(same, axis=0)
+        x, that is when x is in y.  The flags go into the bool buffers of
+        `work`, the block's workspace, when it is given, so that counting
+        a block allocates nothing; else into new arrays."""
+        differ, same, sifted, wrong = (None,) * 4 if work is None else (work.differ, work.same, work.sifted, work.flags)
+        differ = np.not_equal(a, b, out=differ)
+        same = np.equal(y, x, out=same)
+        sifted = np.all(differ, axis=0, out=sifted)
+        wrong = np.any(same, axis=0, out=wrong)
         wrong &= sifted
         n_same = int(np.count_nonzero(same))
         same &= differ
@@ -435,19 +443,22 @@ class _Stopwatch:
 
 
 def _blocks(config: ProtocolConfig, slots: int, n_trials: int, seed: int, watch: _Stopwatch):
-    """(start, (x, a, y, b)) for each chunk of a run of n_trials with
-    `slots` slots a trial: the chunk loop of every batch run.  It takes the
-    pair's tensors and makes the run's one workspace, charged to the
-    watch's "tensors", then charges each _hse_block to "sampling" and the
-    caller's work on a block, up to the next one, to "counting"."""
+    """(start, (x, a, y, b), work) for each chunk of a run of n_trials
+    with `slots` slots a trial, work being the workspace cut to the chunk,
+    whose bool buffers `_Counts.add_block` counts in: the chunk loop of
+    every batch run.  It takes the pair's tensors and makes the run's one
+    workspace, charged to the watch's "tensors", then charges each
+    _hse_block to "sampling" and the caller's work on a block, up to the
+    next one, to "counting"."""
     tensors = _hse_tensors(config.basis_set, config.eve)
     work = _Workspace(slots, config.c, config.d, min(CHUNK, n_trials), config.eve is not None)
     watch.lap("tensors")
     for start in range(0, n_trials, CHUNK):
         count = min(CHUNK, n_trials - start)
-        block = _hse_block(config, seed, start, tensors, work if count == len(work.x) else work.head(count))
+        chunk = work if count == len(work.x) else work.head(count)
+        block = _hse_block(config, seed, start, tensors, chunk)
         watch.lap("sampling")
-        yield start, block
+        yield start, block, chunk
         watch.lap("counting")
 
 
@@ -481,8 +492,8 @@ def estimate_rates(config: ProtocolConfig, n_trials: int, seed: int) -> SimRepor
     analytic = _hse_analytics(sampled.basis_set, sampled.eve)
     watch.lap("analytics")
     counts = _Counts()
-    for _, block in _blocks(sampled, config.c - 1, n_trials, seed, watch):
-        counts.add_block(*block)
+    for _, block, work in _blocks(sampled, config.c - 1, n_trials, seed, watch):
+        counts.add_block(*block, work)
     return counts.report("hse", config.d, config.c, config.eve, seed, analytic, watch.seconds)
 
 
@@ -492,7 +503,7 @@ def trial_outcomes_batch(config: ProtocolConfig, n_trials: int, seed: int):
     if n_trials < 0:
         raise InvalidParameter("n_trials must be >= 0")
     outcomes = []
-    for start, block in _blocks(_sampled_config(config), config.c - 1, n_trials, seed, _Stopwatch()):
+    for start, block, _ in _blocks(_sampled_config(config), config.c - 1, n_trials, seed, _Stopwatch()):
         rows = zip(*(part.T.tolist() for part in block))
         outcomes.extend(
             TrialOutcome.of(start + row, x, tuple(a), tuple(y), tuple(b), config.c)
@@ -520,9 +531,12 @@ def simulate_bkb01(basis_set: BasisSet, eve: Basis | None, n_trials: int, seed: 
     qb_analytic = average_distance(eve, basis_set) if eve is not None else 0.0
     watch.lap("analytics")
     counts = _Counts()
-    for _, (g, (x,), (h,), (outcome,)) in _blocks(ProtocolConfig(c, d, basis_set, eve), 1, n_trials, seed, watch):
-        sifted = h == g
-        counts.add(sifted, sifted & (outcome != x))
+    blocks = _blocks(ProtocolConfig(c, d, basis_set, eve), 1, n_trials, seed, watch)
+    for _, (g, (x,), (h,), (outcome,)), work in blocks:
+        sifted = np.equal(h, g, out=work.sifted)
+        wrong = np.not_equal(outcome, x, out=work.flags)
+        wrong &= sifted
+        counts.add(sifted, wrong)
     return counts.report("bkb01", d, c, eve, seed, (1.0 / c, None, qb_analytic), watch.seconds)
 
 

@@ -474,7 +474,8 @@ class TestGoldenOutput:
 
 
 def parser_words(parser, words=()):
-    """The words that reach each parser of the tree under `parser`, itself first."""
+    """The words that reach each parser of the tree under `parser`, itself
+    first; `parser` is a whole tree, in which every name has a parser."""
     yield words
     for action in parser._actions:
         if isinstance(action, argparse._SubParsersAction):
@@ -535,18 +536,50 @@ COMMAND_ARGV = [
     *GOLDEN.values(),
     *(argv for argv, _ in USAGE_ERRORS),
     ["sim"],
-    ["sim", "--d", "2", "--c", "3", "--bogus"],
     ["rates"],
     ["rates", "nope"],
     ["bases", "verify"],
     ["net", "eve", "--listen", "1"],
+    # an error the top-level parser reports, after each command: it prints
+    # the top-level usage line, which names the commands left unbuilt
+    ["sim", "--d", "2", "--c", "3", "--bogus"],
+    ["rates", "compute", "--protocol", "hse", "--bogus"],
+    ["bases", "list", "extra"],
+    ["net", "serve", "--role", "bob", "--d", "2", "--c", "3", "extra"],
 ]
 
 
 class TestOneCommandParser:
-    """main fills only the parser of the command its argv names; for any
-    such argv that parser gives what the whole tree gives: the same
-    Namespace, or the same exit code, help and usage error."""
+    """main builds only the parsers of the command its argv names; for any
+    such argv they give what the whole tree gives: the same Namespace, or
+    the same exit code, help and usage error."""
+
+    @pytest.mark.parametrize(
+        "argv,code,built",
+        [
+            (["sim", "--d", "2", "--c", "3", "--trials", "10"], 0, 2),
+            (["rates", "compute", "--protocol", "hse", "--d", "2", "--c", "3"], 0, 4),
+            (["bases", "verify", "--set", "sixstate"], 0, 5),
+            # a usage error found after parsing, so that no session starts
+            (["net", "serve", "--role", "bob", "--d", "2", "--c", "3", "--set", "standard"], 2, 5),
+            (["-h"], 0, 13),
+        ],
+        ids=lambda value: " ".join(value) if isinstance(value, list) else None,
+    )
+    def test_parsers_built_per_call(self, capsys, monkeypatch, argv, code, built):
+        init, made = argparse.ArgumentParser.__init__, []
+
+        def counted(parser, *args, **kwargs):
+            made.append(parser)
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        try:
+            result = main(argv)
+        except SystemExit as done:
+            result = done.code
+        capsys.readouterr()
+        assert (result, len(made)) == (code, built)
 
     @pytest.mark.parametrize("argv", COMMAND_ARGV, ids=" ".join)
     def test_equals_the_whole_tree(self, capsys, argv):

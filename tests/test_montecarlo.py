@@ -31,7 +31,7 @@ from hselab.cli import emit
 from hselab.errors import InvalidParameter
 from hselab.hilbert import invert_cdf, transition_matrix
 from hselab.protocol import run_trial
-from hselab.rates import ProtocolConfig
+from hselab.rates import ProtocolConfig, rate_report, success_rate
 
 
 @pytest.fixture(scope="module")
@@ -383,13 +383,19 @@ class TestMemory:
         # a ufunc that mixes integer widths, or integers and floats, casts
         # through numpy's buffers of 8192 items: they once made a warm
         # chunk's peak 132 KB, and before that the trial ids were a fresh
-        # vector of 8 bytes a trial
+        # vector of 8 bytes a trial.  Counting a block once allocated its
+        # a != b and y == x flags, 121-321 KB at 20k trials
         family = mu_basis_set(d, c)
         config = ProtocolConfig(c=c, d=d, basis_set=family, eve=family.bases[0] if attacked else None)
         tensors = mc._hse_tensors(family, config.eve)
-        work = mc._Workspace(c - 1, c, d, mc.CHUNK, attacked)
-        mc._hse_block(config, 7, 0, tensors, work)
-        assert traced_peak(lambda: mc._hse_block(config, 7, mc.CHUNK, tensors, work)) < 2048
+        work, counts = mc._Workspace(c - 1, c, d, mc.CHUNK, attacked), mc._Counts()
+
+        def chunk(start):
+            counts.add_block(*mc._hse_block(config, 7, start, tensors, work), work)
+
+        chunk(0)
+        assert traced_peak(lambda: chunk(mc.CHUNK)) < 2048
+        assert counts.trials == 2 * mc.CHUNK
 
     def test_a_chunk_decodes_in_the_workspace(self, attacked56, monkeypatch):
         # the decode adds its flags as int8, so it casts nothing; its flags
@@ -692,7 +698,7 @@ class TestBkb01CellLaw:
         c, d = family.c, family.d
         counts = np.zeros(c * d * c * d, dtype=np.int64)
         config = ProtocolConfig(c, d, family, eve)
-        for _, (g, (x,), (h,), (outcome,)) in mc._blocks(config, 1, self.TRIALS, seed, mc._Stopwatch()):
+        for _, (g, (x,), (h,), (outcome,)), _ in mc._blocks(config, 1, self.TRIALS, seed, mc._Stopwatch()):
             cell = ((g.astype(np.intp) * d + x) * c + h) * d + outcome
             counts += np.bincount(cell, minlength=len(counts))
         return counts
@@ -721,6 +727,89 @@ class TestBkb01CellLaw:
         law, counts = self.law(family, eve), self.counts(family, eve, seed)
         assert counts.sum() == self.TRIALS
         # a cell whose P is rounding noise (one basis to itself, directly or via Eve) is impossible
+        impossible = law < 1e-12
+        assert not counts[impossible].any()
+        assert abs(chi_square_z(counts[~impossible], law[~impossible] * self.TRIALS)) <= 4.0
+
+
+class TestHseCellLaw:
+    """The whole law of an HSE trial, not only the rates it is summed
+    into: the count of each cell (x, a, y, b) against
+    P = (1/c) d^-(c-1) (1/c!) prod_k M_{x,y_k}[a_k, b_k], with
+    M_{x,y} = transition_matrix(B_x, B_y), or T(B_x, eve) @ T(eve, B_y)
+    when Eve measures and resends.  Bob's tuple y is coded in base c, so
+    a cell whose y repeats a letter has P = 0; the others, c d^(c-1) c!
+    d^(c-1) of them, are 288 cells at (2,3) and 1,458 at (3,3)."""
+
+    TRIALS = 50_000
+
+    @staticmethod
+    def cells(family):
+        """The (x, a, y, b) of every cell, a and y and b as (c-1)-stacks,
+        over the cell grid in the order `counts` codes it."""
+        c, d, slots = family.c, family.d, family.c - 1
+        grid = np.indices((c, *(d,) * slots, *(c,) * slots, *(d,) * slots)).reshape(1 + 3 * slots, -1)
+        return grid[0], grid[1 : 1 + slots], grid[1 + slots : 1 + 2 * slots], grid[1 + 2 * slots :]
+
+    def law(self, family, eve):
+        c, d, slots = family.c, family.d, family.c - 1
+        hop = np.empty((c, c, d, d))
+        for x, bx in enumerate(family.bases):
+            for y, by in enumerate(family.bases):
+                if eve is None:
+                    hop[x, y] = transition_matrix(bx, by)
+                else:
+                    hop[x, y] = transition_matrix(bx, eve) @ transition_matrix(eve, by)
+        x, a, y, b = self.cells(family)
+        distinct = np.array([len(set(letters)) == slots for letters in y.T])
+        slot_laws = [hop[x, y[k], a[k], b[k]] for k in range(slots)]
+        return distinct * np.prod(slot_laws, axis=0) / (c * d**slots * math.factorial(c))
+
+    def counts(self, family, eve, seed):
+        c, d = family.c, family.d
+        # a cell codes x, then the c-1 digits of a (base d), y (base c) and b (base d)
+        counts = np.zeros(c**c * d ** (2 * c - 2), dtype=np.int64)
+        config = ProtocolConfig(c, d, family, eve)
+        for _, (x, a, y, b), _ in mc._blocks(config, c - 1, self.TRIALS, seed, mc._Stopwatch()):
+            cell = x.astype(np.intp)
+            for part, base in ((a, d), (y, c), (b, d)):
+                for row in part:
+                    cell = cell * base + row
+            counts += np.bincount(cell, minlength=len(counts))
+        return counts
+
+    @pytest.mark.parametrize(("d", "c"), [(2, 3), (3, 3)])
+    @pytest.mark.parametrize("attacked", [False, True])
+    def test_the_law_sums_to_the_analytic_rates(self, d, c, attacked):
+        # what estimate_rates compares its counts with: r_s (r_k under
+        # attack), the QBER of the sifted trials, and the index error rate
+        family = mu_basis_set(d, c)
+        eve = family.bases[0] if attacked else None
+        law = self.law(family, eve)
+        x, a, y, b = self.cells(family)
+        differ, same = a != b, y == x
+        sifted = np.all(differ, axis=0)
+        r_s = law[sifted].sum()
+        r_qb = law[sifted & np.any(same, axis=0)].sum() / r_s
+        r_it = (law * (same & differ).sum(axis=0)).sum() / (law * same.sum(axis=0)).sum()
+        if eve is None:
+            want = (success_rate(family), 0.0, 0.0)
+        else:
+            report = rate_report(family, eve)
+            want = (report.r_k, report.r_qb, report.r_it)
+        assert abs(law.sum() - 1.0) <= 1e-12
+        assert np.allclose((r_s, r_qb, r_it), want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize(("d", "c"), [(2, 3), (3, 3)])
+    @pytest.mark.parametrize("attacked", [False, True])
+    def test_cells_follow_the_exact_law(self, d, c, attacked, seed):
+        family = mu_basis_set(d, c)
+        eve = family.bases[0] if attacked else None
+        law, counts = self.law(family, eve), self.counts(family, eve, seed)
+        assert counts.sum() == self.TRIALS
+        # a cell whose P is 0 or rounding noise (a repeated letter, or a
+        # state measured in its own basis giving another index) is impossible
         impossible = law < 1e-12
         assert not counts[impossible].any()
         assert abs(chi_square_z(counts[~impossible], law[~impossible] * self.TRIALS)) <= 4.0
