@@ -7,11 +7,13 @@ header and one line per row, both at full precision; table is the
 command's own text, which follows the display rounding rules.  `bases
 list`, `bases verify` and `net eve` print text only.
 
-Parsing: `COMMANDS` lists the four top-level commands.  When argv names
-one, `main` builds the top-level parser and that command's parsers alone
-(2 parsers for `sim`, 4 for `rates`, 5 for `bases` and `net`), and names
-the other three only in the top-level usage line; `hselab -h`, an empty
-argv or an unknown first word gets the whole tree of 13 parsers.
+Parsing: `COMMANDS` lists the four top-level commands.  When argv's
+first word names one, `main` parses the rest with that command's parser
+alone (1 parser for `sim`, 3 for `rates`, 4 for `bases` and `net`), as
+the whole tree's subparser action would.  Only `hselab -h`, an empty
+argv, an unknown first word or words the command leaves over build the
+whole tree of 13 parsers, so every help text and usage error reads as
+the whole tree prints it.
 """
 
 from __future__ import annotations
@@ -319,12 +321,20 @@ def _port(text: str) -> int:
 
 
 def _whole(text: str) -> int:
-    """argparse type: --d, --c or --trials, a whole number in ASCII
+    """argparse type: --d, --c or net's --trials, a whole number in ASCII
     digits; the constructions and sessions check its range."""
     value = _digits(text)
     if value is None:
         raise argparse.ArgumentTypeError(f"expected a whole number in ASCII digits, got {text!r}")
     return value
+
+
+def _trials(text: str) -> int:
+    """argparse type: sim's --trials, a whole number from 1 up."""
+    trials = _whole(text)
+    if trials < 1:
+        raise argparse.ArgumentTypeError(f"expected at least 1 trial, got {text!r}")
+    return trials
 
 
 def _seed(text: str) -> int:
@@ -383,7 +393,7 @@ def _fill_sim(parser, parser_class) -> None:
     parser.add_argument("--c", type=_whole, required=True)
     parser.add_argument("--set", help="basis set spec (default: mub for the given d, c)")
     parser.add_argument("--eve", default="none", help=EVE_HELP)
-    parser.add_argument("--trials", type=_whole, default=200_000)
+    parser.add_argument("--trials", type=_trials, default=200_000)
     parser.add_argument("--seed", type=_seed, default=1)
     _add_format(parser)
     parser.set_defaults(func=cmd_sim)
@@ -427,34 +437,39 @@ COMMANDS = {
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser tree, built on every call: the whole tree when `command`
-    is None, else the top-level parser and `command`'s subtree alone.  The
-    other top-level names are registered in `COMMANDS` order without a
-    parser, so the top-level usage line, which is all of the top level
-    that a parse starting with `command` prints, is always the same.  The
-    terminal width is read once here, by argparse's own rule (columns -
-    2), and every parser in the tree formats at it: left to itself,
-    argparse reads the terminal again for each argument and subcommand
-    group it adds."""
+    """The whole tree of 13 parsers when `command` is None, else the parser
+    of that top-level command alone, as the tree holds it (prog `hselab
+    <command>`), built on every call.  The terminal width is read once
+    here, by argparse's own rule (columns - 2), and every parser built
+    formats at it: left to itself, argparse reads the terminal again for
+    each argument and subcommand group it adds."""
     formatter = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
     parser_class = functools.partial(argparse.ArgumentParser, formatter_class=formatter)
+    if command is not None:
+        parser = parser_class(prog=f"hselab {command}")
+        COMMANDS[command][1](parser, parser_class)
+        return parser
     # the help prints the module docstring up to its note on parsing (none under -OO)
     parser = parser_class(prog="hselab", description=__doc__ and __doc__.partition("\n\nParsing:")[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=parser_class)
     for name, (help_text, fill) in COMMANDS.items():
-        if command is None or command == name:
-            fill(sub.add_parser(name, help=help_text), parser_class)
-        else:
-            # a key of argparse's name -> parser map, for the usage line alone
-            sub.choices[name] = None
+        fill(sub.add_parser(name, help=help_text), parser_class)
     return parser
 
 
 def main(argv=None) -> int:
+    """Run the command argv names and return its exit code.  That command's
+    parser alone parses the rest of argv, as the whole tree's subparser
+    action would; the whole tree parses argv only when words are left over
+    or the first word names no command (-h, --, a typo), so that the top
+    level reports them."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    # a first word that names no command (-h, --, a typo) gets the whole tree
-    command = argv[0] if argv and argv[0] in COMMANDS else None
-    args = build_parser(command).parse_args(argv)
+    args = left = None
+    if argv and argv[0] in COMMANDS:
+        args, left = build_parser(argv[0]).parse_known_args(argv[1:])
+        args.command = argv[0]
+    if args is None or left:
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except InvalidParameter as exc:

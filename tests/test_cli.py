@@ -15,9 +15,10 @@ import pytest
 
 import hselab.bases as bases_mod
 import hselab.channel as ch
+import hselab.cli as cli
 from conftest import free_port, is_mutually_unbiased
 from hselab.bases import named_basis_set, qubit_six_state_set, save_basis_set
-from hselab.cli import NAMED_SETS, build_parser, main
+from hselab.cli import COMMANDS, NAMED_SETS, build_parser, main
 from hselab.errors import SessionError
 from hselab.hilbert import TAU_NORM, transition_matrix
 from hselab.montecarlo import STAGES
@@ -390,6 +391,8 @@ USAGE_ERRORS = [
     (["bases", "verify", "--set", "mub", "--d", "²", "--c", "3"], "'²'"),
     (["net", "eve", "--listen", "7118", "--forward", "127.0.0.1:7117", *EVE[:4], "--c", "３"], "'３'"),
     (["net", "connect", "--role", "alice", "--d", "2", "--c", "3", "--seed", "٧"], "'٧'"),
+    # a sim of no trials has no rates to estimate; net sessions may run none
+    (["sim", "--d", "2", "--c", "3", "--trials", "0"], "argument --trials: expected at least 1 trial, got '0'"),
 ]
 
 
@@ -401,6 +404,11 @@ class TestAddresses:
     def test_ascii_seeds_parse_as_int_does(self, seed):
         argv = ["sim", "--d", "2", "--c", "3", "--seed", seed]
         assert build_parser().parse_args(argv).seed == int(seed)
+
+    @pytest.mark.parametrize("command", ["serve", "connect"])
+    def test_a_session_may_run_no_trials(self, command):
+        argv = ["net", command, "--role", "alice", "--trials", "0", "--d", "2", "--c", "3"]
+        assert build_parser().parse_args(argv).trials == 0
 
     @pytest.mark.parametrize("argv,bad", USAGE_ERRORS)
     def test_usage_error(self, capsys, monkeypatch, argv, bad):
@@ -495,7 +503,9 @@ class TestParserWidth:
     def test_the_tree_has_thirteen_parsers(self):
         assert len(PARSER_WORDS) == len(set(PARSER_WORDS)) == 13
 
-    def test_build_parser_reads_the_terminal_once(self, monkeypatch):
+    @pytest.mark.parametrize("command", [None, *COMMANDS])
+    def test_build_parser_reads_the_terminal_once(self, monkeypatch, command):
+        """The whole tree, or one command's parser alone."""
         calls = []
         read = shutil.get_terminal_size
 
@@ -504,7 +514,7 @@ class TestParserWidth:
             return read(*args, **kwargs)
 
         monkeypatch.setattr(shutil, "get_terminal_size", counted)
-        build_parser()
+        build_parser(command)
         assert len(calls) == 1
 
     @pytest.mark.parametrize("columns", [80, 160])
@@ -519,11 +529,11 @@ class TestParserWidth:
         assert out.encode() == (DATA / "help" / f"{name}_{columns}.txt").read_bytes()
 
 
-def parsed(capsys, parser, argv):
-    """What parser.parse_args(argv) gives, the Namespace or the exit code,
-    with the text it printed."""
+def parsed(capsys, parse, argv):
+    """What parse(argv) gives, the Namespace or the exit code, with the
+    text it printed."""
     try:
-        result = parser.parse_args(argv)
+        result = parse(argv)
     except SystemExit as done:
         result = done.code
     return result, *capsys.readouterr()
@@ -540,29 +550,41 @@ COMMAND_ARGV = [
     ["rates", "nope"],
     ["bases", "verify"],
     ["net", "eve", "--listen", "1"],
-    # an error the top-level parser reports, after each command: it prints
-    # the top-level usage line, which names the commands left unbuilt
+    # abbreviated options, and values after '='
+    ["sim", "--d=2", "--c", "3", "--tri", "10"],
+    ["rates", "compute", "--prot=hse", "--d", "3", "--c=4", "--form", "csv"],
+    ["net", "serve", "--ro", "bob", "--d=2", "--c", "3", "--no-comp", "--trials", "0"],
+    ["sim", "--he"],
+    # words the command leaves over, at each depth: the top-level parser
+    # reports them, with its own usage line
     ["sim", "--d", "2", "--c", "3", "--bogus"],
+    ["sim", "--d", "2", "--c", "3", "extra"],
     ["rates", "compute", "--protocol", "hse", "--bogus"],
+    ["rates", "compute", "--protocol", "hse", "--d", "3", "--c", "4", "extra"],
     ["bases", "list", "extra"],
     ["net", "serve", "--role", "bob", "--d", "2", "--c", "3", "extra"],
+    ["net", "eve", "--listen", "1", "--forward", ":2", *EVE, "extra"],
 ]
 
 
 class TestOneCommandParser:
-    """main builds only the parsers of the command its argv names; for any
-    such argv they give what the whole tree gives: the same Namespace, or
+    """main parses a command with that command's parser alone, and builds
+    the whole tree only when words are left over or no command is named;
+    for any argv it gives what the whole tree gives: the same Namespace, or
     the same exit code, help and usage error."""
 
     @pytest.mark.parametrize(
         "argv,code,built",
         [
-            (["sim", "--d", "2", "--c", "3", "--trials", "10"], 0, 2),
-            (["rates", "compute", "--protocol", "hse", "--d", "2", "--c", "3"], 0, 4),
-            (["bases", "verify", "--set", "sixstate"], 0, 5),
+            (["sim", "--d", "2", "--c", "3", "--trials", "10"], 0, 1),
+            (["rates", "compute", "--protocol", "hse", "--d", "2", "--c", "3"], 0, 3),
+            (["bases", "verify", "--set", "sixstate"], 0, 4),
             # a usage error found after parsing, so that no session starts
-            (["net", "serve", "--role", "bob", "--d", "2", "--c", "3", "--set", "standard"], 2, 5),
+            (["net", "serve", "--role", "bob", "--d", "2", "--c", "3", "--set", "standard"], 2, 4),
             (["-h"], 0, 13),
+            # a word left over: the command's parser, then the whole tree
+            (["sim", "--d", "2", "--c", "3", "--bogus"], 2, 1 + 13),
+            (["rates", "compute", "--protocol", "hse", "--bogus"], 2, 3 + 13),
         ],
         ids=lambda value: " ".join(value) if isinstance(value, list) else None,
     )
@@ -582,8 +604,17 @@ class TestOneCommandParser:
         assert (result, len(made)) == (code, built)
 
     @pytest.mark.parametrize("argv", COMMAND_ARGV, ids=" ".join)
-    def test_equals_the_whole_tree(self, capsys, argv):
-        assert parsed(capsys, build_parser(argv[0]), argv) == parsed(capsys, build_parser(), argv)
+    def test_equals_the_whole_tree(self, capsys, monkeypatch, argv):
+        # each command hands main the Namespace it was given, and runs nothing
+        namespaces = []
+        for name in ("cmd_bases", "cmd_rates", "cmd_sim", "cmd_net"):
+            monkeypatch.setattr(cli, name, namespaces.append)
+
+        def by_main(argv):
+            assert main(argv) is None
+            return namespaces.pop()
+
+        assert parsed(capsys, by_main, argv) == parsed(capsys, build_parser().parse_args, argv)
 
     @pytest.mark.parametrize("words", [(), ("sim",)], ids=lambda words: " ".join(("hselab", *words)))
     def test_main_reads_sys_argv(self, capsys, monkeypatch, words):
