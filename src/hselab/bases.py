@@ -362,13 +362,13 @@ def load_basis_set(path) -> BasisSet:
         vectors = entry.get("vectors")
         if not isinstance(vectors, list) or len(vectors) != d:
             raise InvalidParameter(f"basis {entry.get('label')!r} must list {d} vectors")
+        if not all(isinstance(vec, list) and len(vec) == d for vec in vectors):
+            raise InvalidParameter(f"basis {entry.get('label')!r} has wrong vector length")
         try:
             matrix = np.array(
                 [[complex(re, im) for re, im in vec] for vec in vectors], dtype=np.complex128
             ).T
         except (TypeError, ValueError, OverflowError) as exc:
             raise InvalidParameter(f"malformed amplitude pair: {exc}") from exc
-        if matrix.shape != (d, d):
-            raise InvalidParameter(f"basis {entry.get('label')!r} has wrong vector length")
         members.append(Basis(str(entry.get("label", "?")), matrix))
     return BasisSet(members)

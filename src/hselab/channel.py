@@ -40,20 +40,17 @@ dropped set's renders go with it): Alice's sends, the relay's resends and
 the readers Bob and the relay start each session with look the renders
 up.  Bob and the relay measure through a `hilbert.BornTable`, keyed by a
 state's exact amplitude pairs, whose rows come from the one Born kernel,
-`hilbert.born_rows`; a state line they already know reaches the table with
-no message object made for it (see `KnownStates`).  Bob's table starts
-with the c*d states of his set, all rows built before his first trial.
-The relay's starts, at the sender's Hello, with the c*d states of the
+`hilbert.born_rows`; a state line they know reaches the table with no
+message object made for it (see `KnownStates`).  Bob's reader and table
+hold the c*d states of his set, all rows built before his first trial.
+The relay's hold, from the sender's Hello on, the c*d states of the
 public set the Hello's `basis_set_id` names, if that is a built-in name
 whose set at the Hello's (d, c) has that size (`bases.named_basis_set`,
-built once per process); any other id leaves it empty, and no path a
-peer names is ever opened.  Any other state's row is computed the first
-time, validated as `born_sample` would, and reused after that.
-Each table learns at most c*d states on top of those it starts with -
-Bob's bound from his configuration, the relay's from the sender's Hello,
-and none before it - and computes any further distinct state without
-storing it, so a sender cannot make it grow.  The bytes on the wire are
-those `encode` gives for every message.
+built once per process); any other id leaves them empty, and no path a
+peer names is ever opened.  Neither changes after it is made: any other
+state line is decoded in full and its state measured one-off, validated
+as `born_sample` would, and never stored, so a sender cannot make either
+grow.  The bytes on the wire are those `encode` gives for every message.
 
 Randomness is drawn in blocks.  Alice's and Bob's sessions read each
 trial's draws from a `protocol.TrialBlocks`, which evaluates the
@@ -73,7 +70,7 @@ plain tuple, an announcement or a sift report as a named tuple, and the
 relay forwards an announcement without parsing it.  `decode` stays the
 only validator.  It checks a state's norm with
 `hilbert.check_unit_norm`, as `StateVector` does, so every state it
-passes is one a table can learn.
+passes is one a table can measure.
 """
 
 from __future__ import annotations
@@ -327,8 +324,8 @@ def decode(line: bytes) -> Message:
 
 class KnownStates:
     """Reads wire lines: answers the per-trial lines without `decode`, and
-    known quantum_state lines from a table: the `states` given at
-    construction, and at most `capacity` learned ones, which `len` counts.
+    quantum_state lines from a table of the `states` given at
+    construction, which never changes.
 
     `_state_line`, `_announce_line` and `_sift_line` write the
     quantum_state, index_announce and sift_report lines with `%`
@@ -350,28 +347,16 @@ class KnownStates:
     since the relay passes it on as it came.
 
     The table maps a state's `amps` bytes to its pairs because an honest
-    Alice only sends the c*d vectors of her set: Bob's reader starts with
-    them, and the relay's forward pump's with those of the public set the
-    sender's Hello names, stored under the canonical `_amps_json`
-    rendering, so an honest line is never decoded in full on either side.
-    Learned entries follow the `BornTable` rule: at most c*d on top of the
-    states given, Bob's from his configuration, the relay's from the
-    sender's Hello, and 0 before it; Alice reads her replies through a
-    reader of capacity 0.  A line's A is learned, with the pairs `decode`
-    returned, only while fewer than `capacity` are learned and only if A
-    is their canonical rendering, so no key can carry text from outside
-    the amplitude list.
+    Alice only sends the c*d vectors of her set: Bob's reader holds them,
+    and the relay's forward pump's those of the public set the sender's
+    Hello names, stored under the canonical `_amps_json` rendering, so an
+    honest line is never decoded in full on either side.  Alice reads her
+    replies through a reader of no states.  Any other state line is
+    decoded in full every time it comes, and nothing is stored for it.
     """
 
-    def __init__(self, capacity: int, states=()):
-        self.capacity = capacity
-        self._learned = 0
-        self._pairs: dict = {}  # canonical amps bytes -> ((re, im), ...)
-        for state in states:
-            self._pairs[_state_json(state)] = state.pairs()
-
-    def __len__(self) -> int:
-        return self._learned
+    def __init__(self, states=()):
+        self._pairs = {_state_json(state): state.pairs() for state in states}
 
     def read(self, line: bytes, forwarding: bool = False):
         """(trial_id, slot, pairs) of a quantum_state line, else the
@@ -395,9 +380,6 @@ class KnownStates:
         msg = decode(line)
         if not isinstance(msg, QuantumState):
             return msg
-        if shape is not None and self._learned < self.capacity and amps == _amps_json(msg.amps):
-            self._pairs[amps] = msg.amps
-            self._learned += 1
         return msg.trial_id, msg.slot, msg.amps
 
 
@@ -590,7 +572,7 @@ def _run_alice(transport, config, n_trials, seed, compare) -> AliceLog:
     # the amps of vector a of basis x, for each of the c*d states she can send
     amps_json = [[_state_json(v) for v in basis.vectors] for basis in config.basis_set.bases]
     # her replies are sift reports and a bye; she is sent no states
-    replies = KnownStates(0)
+    replies = KnownStates()
 
     def reply(line: bytes, trial_id: int | None):
         """Bob's message on `line`, read at trial `trial_id` or, if None, at
@@ -641,8 +623,8 @@ def _run_bob(transport, config, seed, n_trials) -> list[TrialOutcome]:
     in the session.  If the peer breaks the protocol or the codec, he tells
     it why in a Bye before raising."""
     session = BobSession(config, seed, n_trials)
-    # his set's lines are known from the start; room for c*d more
-    known = KnownStates(config.c * config.d, [v for basis in config.basis_set.bases for v in basis.vectors])
+    # his set's lines are known from the start, and only those
+    known = KnownStates([v for basis in config.basis_set.bases for v in basis.vectors])
     try:
         while True:
             line = transport.recv_line()
@@ -722,9 +704,9 @@ def _public_states(basis_set_id: str, d: int, c: int) -> list:
     """The c*d states of the built-in set `basis_set_id` names at (d, c), as
     `bases.named_basis_set` builds it, or none: an unknown id, a (d, c)
     the construction refuses, or a set of another size leaves the relay to
-    learn the sender's states as they come.  No path is ever opened, and
-    the caller has checked d against Eve's basis, so the work is bounded by
-    her d, not by the peer."""
+    decode and measure each of the sender's states one-off.  No path is
+    ever opened, and the caller has checked d against Eve's basis, so the
+    work is bounded by her d, not by the peer."""
     try:
         basis_set = named_basis_set(basis_set_id, d, c)
     except HselabError:
@@ -743,18 +725,18 @@ def run_mitm_pumps(
     `alice_side` must be the transport facing the state sender.  One
     EveInterceptor, whose draws move to each trial's row as it comes,
     decides whether a state is intercepted and measures it through a
-    BornTable over Eve's basis.  A
-    known state line is measured straight from the reader's match, with no
-    message object, and an announcement is forwarded unparsed.  The
-    sender's Hello must name Eve's dimension d, or the relay fails with
-    DimensionError; a state with other than d amplitudes is forwarded as
-    it came, unrecorded, for Bob to refuse.  At the Hello
-    the reader and the table start with the c*d states of the built-in
-    set its `basis_set_id` names at its (d, c) (see `_public_states`), so
-    an honest sender's states are known from the first trial; under any
-    other id they are learned as they come.  A trial's states are held
-    and written towards Bob together with the next line that is not a
-    state, so each trial costs one write.  The pump towards Bob runs in a
+    BornTable over Eve's basis.  A known state line is measured straight
+    from the reader's match, with no message object, and an announcement
+    is forwarded unparsed.  The sender's Hello must name Eve's dimension
+    d, or the relay fails with DimensionError; a state with other than d
+    amplitudes is forwarded as it came, unrecorded, for Bob to refuse.  At
+    the Hello the reader and the table are made with the c*d states of the
+    built-in set its `basis_set_id` names at its (d, c) (see
+    `_public_states`), so an honest sender's states are known from the
+    first trial; neither changes after that, and any other state is
+    decoded and measured one-off.  A trial's states are held and written
+    towards Bob together with the next line that is not a state, so each
+    trial costs one write.  The pump towards Bob runs in a
     thread of its own and the pump towards Alice on the calling thread,
     which returns once both directions reach EOF.  Returns the
     interception log, which may be read while the relay runs.  If either
@@ -771,10 +753,11 @@ def run_mitm_pumps(
         return TrialBlocks(seed, EVE, width, lambda u: u.tolist())
 
     def forward_with_interception():
-        # all three sized from the sender's Hello: she has c*d states to
-        # send, c-1 to a trial; the first two start with her public set's
-        table = BornTable((eve_basis,), 0)
-        known = KnownStates(0)
+        # each made again at the sender's Hello: the table and the reader
+        # with the states of the public set it names, the rows for her c-1
+        # slots
+        table = BornTable((eve_basis,))
+        known = KnownStates()
         rows = eve_rows(0)
         draws = _EveDraws(seed)
         eve = EveInterceptor(eve_basis, draws, intercept_fraction)
@@ -808,8 +791,8 @@ def run_mitm_pumps(
                 if msg.d != d:
                     raise DimensionError(f"sender's d = {msg.d}, but Eve's basis has d = {d}")
                 states = _public_states(msg.basis_set_id, d, msg.c)
-                table = BornTable((eve_basis,), msg.c * d, states)
-                known = KnownStates(msg.c * d, states)
+                table = BornTable((eve_basis,), states)
+                known = KnownStates(states)
                 rows = eve_rows(min(2 * max(msg.c - 1, 0), _MAX_EVE_WIDTH))
             held.append(line)
             bob_side.send_line(b"".join(held))

@@ -209,27 +209,22 @@ class BornTable:
     """Cumulative Born rows of wire states in a fixed tuple of bases.
 
     A state is keyed by its exact ((re, im), ...) amplitude pairs, as
-    `channel.decode` returns them.  The `states` given at construction are
-    known from the start: their rows are built then, one `born_rows` call
-    per basis.  Any other state is learned the first time it is measured:
-    a validated StateVector, whose row in each basis is the cumsum of
-    `born_probabilities`, the kernel's one-row case, with the same floats.
-    Either way sampling a row gives the outcome `born_sample` gives on the
-    same draw.  States are learned only while fewer than `capacity` are,
-    and `len` counts them; past that, a new state is measured as
-    `born_sample` measures it and not kept, so a peer sending endless
-    distinct states cannot grow the table.
+    `channel.decode` returns them.  The table holds exactly the `states`
+    given at construction, whose rows are built then, one `born_rows` call
+    per basis, and it never changes after that.  Any other state is
+    measured one-off and not kept: a validated StateVector, whose row is
+    the cumsum of `born_probabilities`, the kernel's one-row case, with the
+    same floats.  Either way sampling a row gives the outcome `born_sample`
+    gives on the same draw, and no peer can grow the table.
 
     The rows of each basis are kept end to end in one flat list of floats,
     d entries per state, so a table holds a few containers however many
     rows it has.
     """
 
-    def __init__(self, bases, capacity: int, states=()):
+    def __init__(self, bases, states=()):
         self.bases = tuple(bases)
-        self.capacity = capacity
         self._dim = self.bases[0].dim
-        self._learned = 0
         self._rows: dict = {}  # pairs -> where the state's row starts in every flat list
         self._cdfs = [[] for _ in self.bases]  # per basis: each state's cdf row, end to end
         if states:
@@ -238,22 +233,13 @@ class BornTable:
                 cdfs.extend(np.cumsum(born_rows(basis, amps), axis=1).ravel().tolist())
             self._rows.update((state.pairs(), row * self._dim) for row, state in enumerate(states))
 
-    def __len__(self) -> int:
-        return self._learned
-
     def sample(self, pairs: tuple, which: int, u: float) -> int:
         """Outcome of measuring the state `pairs` in `bases[which]` for
         uniform draw u."""
         start = self._rows.get(pairs)
         if start is None:
             state = StateVector([complex(re, im) for re, im in pairs])
-            if self._learned >= self.capacity:
-                return invert_cdf(np.cumsum(born_probabilities(self.bases[which], state)).tolist(), u)
-            new = [np.cumsum(born_probabilities(basis, state)).tolist() for basis in self.bases]
-            start = self._rows[pairs] = len(self._cdfs[0])
-            for cdfs, cdf in zip(self._cdfs, new):
-                cdfs.extend(cdf)
-            self._learned += 1
+            return invert_cdf(np.cumsum(born_probabilities(self.bases[which], state)).tolist(), u)
         # the count of the row's first d-1 entries <= u: a cdf never falls,
         # so that is the count of all d capped at d-1, as invert_cdf caps it
         return bisect_right(self._cdfs[which], u, start, start + self._dim - 1) - start

@@ -251,10 +251,10 @@ class BobSession:
     once, and raises ProtocolError naming what is wrong.  `outcomes` gives
     the concluded trials' records, with Alice's letters once compared.
 
-    Bob's `born_table` starts with the c*d states of his set, the only
-    ones an honest sender sends, so their rows are built before his first
-    trial; it has room for c*d more (an interceptor's resent states).
-    The draw blocks are sized to the session's `n_trials`.
+    Bob's `born_table` holds the c*d states of his set, the only ones an
+    honest sender sends, so their rows are built before his first trial;
+    any other state (an interceptor's resent one) is measured one-off and
+    not kept.  The draw blocks are sized to the session's `n_trials`.
     """
 
     def __init__(self, config: ProtocolConfig, seed: int, n_trials: int):
@@ -264,7 +264,7 @@ class BobSession:
         self._y = self._u = None  # its basis tuple and measurement draws
         self._letters: tuple | None = None  # Alice's, once compared
         bases = config.basis_set.bases
-        self.born_table = BornTable(bases, config.c * config.d, [v for basis in bases for v in basis.vectors])
+        self.born_table = BornTable(bases, [v for basis in bases for v in basis.vectors])
         # read on every state: kept here, not looked up through config
         self._sample = self.born_table.sample
         self._slots = slots = config.c - 1

@@ -1,3 +1,4 @@
+import json
 import socket
 from dataclasses import dataclass
 
@@ -94,6 +95,14 @@ def make_random_basis(d, seed, label="random"):
     q, r = np.linalg.qr(gauss)
     q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
     return Basis(label, q)
+
+
+def first_basis_doc(vectors) -> bytes:
+    """A (2, 2) basis-set file whose first basis, 'a', lists `vectors`,
+    and whose second is the standard basis."""
+    standard = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
+    bases = [{"label": "a", "vectors": vectors}, {"label": "b", "vectors": standard}]
+    return json.dumps({"d": 2, "c": 2, "bases": bases}).encode()
 
 
 def make_random_set(d, c, seed):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import hselab.bases as bases_mod
-from conftest import is_mutually_unbiased, make_random_basis, make_random_set, transition_prob
+from conftest import first_basis_doc, is_mutually_unbiased, make_random_basis, make_random_set, transition_prob
 from hselab.bases import (
     TAU_DISTINCT,
     BasisSet,
@@ -568,6 +568,17 @@ class TestFileFormat:
         doc["bases"][1]["vectors"][0][0] = [0.9, 0.0]
         path.write_text(json.dumps(doc))
         with pytest.raises(InvalidParameter):
+            load_basis_set(path)
+
+    @pytest.mark.parametrize(
+        "vectors",
+        [[[[1, 0]], [[0, 0]]], [[[1, 0], [0, 0]], [[1, 0]]], [[[1, 0], [0, 0]], 7]],
+        ids=["one-short", "ragged", "not-a-list"],
+    )
+    def test_a_vector_of_the_wrong_length_is_named(self, tmp_path, vectors):
+        path = tmp_path / "short.json"
+        path.write_bytes(first_basis_doc(vectors))
+        with pytest.raises(InvalidParameter, match="^basis 'a' has wrong vector length$"):
             load_basis_set(path)
 
     def test_rejects_shared_states(self, tmp_path):

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 import hselab.bases as bases_module
 import hselab.channel as ch
+import hselab.protocol as protocol_module
 from conftest import free_port, make_random_basis, make_random_set
 from hselab.bases import BasisSet, breidbart_basis, fourier_basis, mu_basis_set, save_basis_set
 from hselab.errors import (
@@ -30,9 +31,19 @@ from hselab.errors import (
     ProtocolError,
     SessionError,
 )
-from hselab.protocol import ALICE, BLOCK, EVE, EveInterceptor, alice_prepare, run_trial
+from hselab.protocol import (
+    ALICE,
+    BLOCK,
+    BOB,
+    EVE,
+    EveInterceptor,
+    TrialOutcome,
+    alice_prepare,
+    bob_choose_bases,
+    run_trial,
+)
 from hselab.rates import ProtocolConfig
-from hselab.hilbert import TAU_NORM, Basis, StateVector
+from hselab.hilbert import TAU_NORM, Basis, StateVector, born_sample
 from hselab.rng import RandomStream
 
 # crosses two block boundaries and ends inside a third block
@@ -140,10 +151,14 @@ class TestCodec:
             b'{"type": "quantum_state", "trial_id": 0, "slot": 0, "amps": [[1.0]]}',
             b'{"type": "quantum_state", "trial_id": 0, "slot": 0, "amps": [[NaN, 0], [0, 0]]}',
             b'{"type": "quantum_state", "trial_id": 0, "slot": 0, "amps": [[1, 0], [0, -Infinity]]}',
+            b'{"type": "quantum_state", "trial_id": 0, "slot": 0, "amps": [[1.0, 0.0, 0.0], [0.0, 0.0]]}',
+            b'{"type": "quantum_state", "trial_id": 0, "slot": 0, "amps": [[true, 0], [0, 0]]}',
+            b'{"type": "quantum_state", "trial_id": 0, "slot": 0, "amps": [["1", 0], [0, 0]]}',
             b'{"type": "index_announce", "trial_id": 0, "a": []}',
             b'{"type": "index_announce", "trial_id": 0, "a": [0.5]}',
             b'{"type": "hello", "protocol_version": 1, "c": 3, "d": 2}',
             b'{"type": "key_compare", "trial_id": 0, "letters": []}',
+            b'{"type": "key_compare", "trial_id": [0, 1], "letters": 5}',
             b'\xff\xfe garbage',
         ],
     )
@@ -185,14 +200,15 @@ class TestCodec:
 
     def test_integer_too_long_to_convert(self):
         # json.loads raises a plain ValueError past int()'s digit limit
+        state = StateVector([1.0, 0.0])
         amps = b"[[1.0,0.0],[0.0,0.0]]"
-        known = ch.KnownStates(4)
-        known.read(ch._state_line(0, 0, amps))
-        assert len(known) == 1
+        known = ch.KnownStates([state])
+        assert known.read(ch._state_line(0, 0, amps)) == (0, 0, state.pairs())
         line = b'{"type":"quantum_state","trial_id":%s,"slot":0,"amps":%s}\n' % (b"7" * 5000, amps)
         for decode in (ch.decode, known.read):
             with pytest.raises(CodecError):
                 decode(line)
+        assert held(known) == {amps}
 
 
 @functools.cache
@@ -217,10 +233,16 @@ MUTATIONS = {
 }
 
 
+def held(table):
+    """The keys a KnownStates or BornTable holds: amps bytes or pairs."""
+    return set(table._pairs if isinstance(table, ch.KnownStates) else table._rows)
+
+
 @st.composite
 def state_lines(draw):
-    """(c*d, lines): state lines of one (d, c), honest or mutated, some with
-    amplitudes from outside the set and trial ids past 18 digits."""
+    """(states, lines): the c*d states of the MU set of one (d, c), and
+    state lines of that (d, c), honest or mutated, some with amplitudes
+    from outside the set and trial ids past 18 digits."""
     d, c = draw(st.sampled_from([(2, 3), (3, 4), (5, 6)]))
     honest = honest_amps(d, c)
     lines = []
@@ -233,7 +255,7 @@ def state_lines(draw):
         line = ch._state_line(draw(st.integers(0, 10**20)), draw(st.integers(0, c)), amps)
         mutate = MUTATIONS[draw(st.sampled_from(sorted(MUTATIONS)))]
         lines.append(mutate(line, draw(st.sampled_from(honest))))
-    return c * d, lines
+    return [v for basis in mu_basis_set(d, c).bases for v in basis.vectors], lines
 
 
 def decoded(decode, line):
@@ -258,43 +280,43 @@ class TestKnownStates:
     @given(state_lines())
     @settings(max_examples=200, deadline=None)
     def test_same_result_as_decode(self, case):
-        capacity, lines = case
-        known = ch.KnownStates(capacity)
-        for line in lines + lines:  # the second pass meets the keys the first stored
+        states, lines = case
+        known = ch.KnownStates(states)
+        start = held(known)
+        for line in lines + lines:  # the second pass finds no key the first stored
             assert decoded(known.read, line) == decoded(read_by_decode, line)
-        assert len(known) <= capacity
+        assert held(known) == start
 
     def test_a_tail_after_amps_never_enters_the_table(self, sixstate):
-        amps = ch._amps_json(sixstate.bases[1].vectors[0].pairs())
+        state = sixstate.bases[1].vectors[0]
+        amps = ch._amps_json(state.pairs())
         tail = b',"trial_id":7,"x":[1]}\n'
-        known = ch.KnownStates(6)
+        known = ch.KnownStates([state])
         for trial_id in (3, 5):
             assert known.read(ch._state_line(trial_id, 0, amps)[:-2] + tail)[0] == 7
-        assert len(known) == 0
         honest = ch._state_line(5, 0, amps)
         assert known.read(honest) == read_by_decode(honest)
-        assert len(known) == 1
         # the stored key is the amps alone, so the tail still takes the slow path
         assert known.read(ch._state_line(3, 0, amps)[:-2] + tail)[0] == 7
+        assert held(known) == {amps}
 
-    def test_table_holds_at_most_c_times_d(self, qutrit4):
-        c, d = 4, 3
-        known = ch.KnownStates(c * d)
-        strangers = [v for seed in range(30) for v in make_random_basis(d, seed).vectors]
+    def test_strangers_never_enter_the_table(self, qutrit4):
+        states = [v for basis in qutrit4.bases for v in basis.vectors]
+        known = ch.KnownStates(states)
+        strangers = [v for seed in range(30) for v in make_random_basis(3, seed).vectors]
         assert len({v.pairs() for v in strangers}) == 90
-        for trial_id, state in enumerate(strangers):
-            known.read(ch.encode(ch.QuantumState(trial_id, 0, state.pairs())))
-        assert len(known) == c * d
-        for basis in qutrit4.bases:
-            for state in basis.vectors:
-                line = ch.encode(ch.QuantumState(99, 1, state.pairs()))
-                assert known.read(line) == read_by_decode(line)
-        assert len(known) == c * d
+        for trial_id, state in enumerate(strangers * 2):
+            line = ch.encode(ch.QuantumState(trial_id, 0, state.pairs()))
+            assert known.read(line) == read_by_decode(line)
+        for state in states:
+            line = ch.encode(ch.QuantumState(99, 1, state.pairs()))
+            assert known.read(line) == read_by_decode(line)
+        assert held(known) == {ch._amps_json(v.pairs()) for v in states}
 
     def test_a_dropped_sets_renders_are_freed(self):
         family = make_random_set(3, 4, seed=12)
         states = [v for basis in family.bases for v in basis.vectors]
-        known = ch.KnownStates(12, states)
+        known = ch.KnownStates(states)
         assert [ch._RENDERED[v] for v in states] == [ch._amps_json(v.pairs()) for v in states]
         assert all(known.read(ch._state_line(0, 0, ch._RENDERED[v]))[2] is v.pairs() for v in states)
         rendered, alive = len(ch._RENDERED), [weakref.ref(v) for v in states]
@@ -319,25 +341,26 @@ class TestSeededKnownStates:
     @staticmethod
     def assert_seeded_entries_decode_as_given(basis_set, monkeypatch):
         """Each of the set's state lines reads, without `decode`, as the
-        fields of the message `decode` gives, and the set takes no learned
-        room."""
+        fields of the message `decode` gives, and the reader holds the set's
+        states alone."""
         states = [v for basis in basis_set.bases for v in basis.vectors]
         lines = [ch._state_line(t, t % 7, ch._amps_json(v.pairs())) for t, v in enumerate(states)]
         expected = [decoded(read_by_decode, line) for line in lines]
-        known = ch.KnownStates(0, states)
+        known = ch.KnownStates(states)
         with monkeypatch.context() as patch:
             patch.setattr(ch, "decode", None)
             assert [decoded(known.read, line) for line in lines] == expected
             assert [known.read(line)[2] for line in lines] == [v.pairs() for v in states]
-        assert len(known) == 0
+        assert held(known) == {ch._amps_json(v.pairs()) for v in states}
 
-    def test_seeded_entries_leave_the_room_for_learned_ones(self, sixstate):
-        known = ch.KnownStates(2, [v for basis in sixstate.bases for v in basis.vectors])
+    def test_strangers_read_as_decode_reads_them_and_are_not_kept(self, sixstate):
+        states = [v for basis in sixstate.bases for v in basis.vectors]
+        known = ch.KnownStates(states)
         strangers = [make_random_basis(2, 60 + k).vectors[0] for k in range(3)]
         for state in strangers:
             line = ch.encode(ch.QuantumState(1, 0, state.pairs()))
             assert known.read(line) == read_by_decode(line)
-        assert len(known) == 2
+        assert held(known) == {ch._amps_json(v.pairs()) for v in states}
 
 
 def json_line(obj) -> bytes:
@@ -406,10 +429,10 @@ class TestFastReader:
     @given(st.lists(classical_lines(), min_size=1, max_size=8))
     @settings(max_examples=400, deadline=None)
     def test_same_result_as_decode(self, lines):
-        known = ch.KnownStates(6)
+        known = ch.KnownStates()
         for line in lines:
             assert decoded(known.read, line) == decoded(read_by_decode, line)
-        assert len(known) == 0
+        assert not held(known)
 
     @pytest.mark.parametrize(
         "line",
@@ -427,7 +450,7 @@ class TestFastReader:
             raise AssertionError(f"decode called on {line!r}")
 
         monkeypatch.setattr(ch, "decode", no_decode)
-        assert ch.KnownStates(0).read(line) == expected
+        assert ch.KnownStates().read(line) == expected
 
 
 def run_pair(cfg, n_trials, seed, basis_set_id="sixstate", compare=True, record=False):
@@ -1002,16 +1025,19 @@ def sent_states(cfg, n, seed):
 
 
 class TestMitm:
-    def run_with_interceptor(self, basis_set, cfg, n, seed, eve_basis=None, intercept_fraction=1.0):
-        """alice -> (pair A) -> interceptor -> (pair B) -> bob, in-process;
-        Eve measures in basis_set's first basis unless told otherwise."""
+    def run_with_interceptor(
+        self, basis_set, cfg, n, seed, eve_basis=None, intercept_fraction=1.0, set_id="sixstate"
+    ):
+        """alice -> (pair A) -> interceptor -> (pair B) -> bob, in-process,
+        both endpoints under `set_id`; Eve measures in basis_set's first
+        basis unless told otherwise."""
         alice_t, eve_a = ch.memory_transport_pair()
         eve_b, bob_t = ch.memory_transport_pair()
         eve_a, eve_b = RecordingTransport(eve_a), RecordingTransport(eve_b)
         results = {}
 
         def alice():
-            results["log"] = ch.run_session("alice", alice_t, cfg, n, seed, "sixstate")
+            results["log"] = ch.run_session("alice", alice_t, cfg, n, seed, set_id)
 
         def eavesdropper():
             basis = basis_set.bases[0] if eve_basis is None else eve_basis
@@ -1020,7 +1046,7 @@ class TestMitm:
         threads = [threading.Thread(target=alice), threading.Thread(target=eavesdropper)]
         for t in threads:
             t.start()
-        results["outcomes"] = ch.run_session("bob", bob_t, cfg, n, seed, "sixstate")
+        results["outcomes"] = ch.run_session("bob", bob_t, cfg, n, seed, set_id)
         # bob returning means the session is over: let alice read his
         # relayed bye (closing her end first races that read), then
         # unblock the pumps
@@ -1047,7 +1073,9 @@ class TestMitm:
             c=cfg.c, d=cfg.d, basis_set=basis_set, eve=basis_set.bases[0], intercept_fraction=fraction
         )
         n, seed = 150, 23
-        results, _, _ = self.run_with_interceptor(basis_set, cfg, n, seed, intercept_fraction=fraction)
+        results, _, _ = self.run_with_interceptor(
+            basis_set, cfg, n, seed, intercept_fraction=fraction, set_id=set_name
+        )
         assert results["outcomes"] == [run_trial(attacked, t, seed) for t in range(n)]
         records = results["mitm"].records
         assert records == scalar_interceptions(attacked.eve, seed, fraction, sent_states(cfg, n, seed))
@@ -1055,11 +1083,13 @@ class TestMitm:
         assert 0 < len(records) < (cfg.c - 1) * n
 
     def test_relayed_sessions_across_blocks_match_in_process_attack(self, qutrit4):
+        # "custom" names no built-in set, so the relay holds no states and
+        # decodes and measures each of Alice's one-off
         cfg = ProtocolConfig(c=4, d=3, basis_set=qutrit4)
         eve = qutrit4.bases[2]
         attacked = ProtocolConfig(c=4, d=3, basis_set=qutrit4, eve=eve, intercept_fraction=0.5)
         results, _, _ = self.run_with_interceptor(
-            qutrit4, cfg, BLOCK_TRIALS, 13, eve_basis=eve, intercept_fraction=0.5
+            qutrit4, cfg, BLOCK_TRIALS, 13, eve_basis=eve, intercept_fraction=0.5, set_id="custom"
         )
         assert results["outcomes"] == [run_trial(attacked, t, 13) for t in range(BLOCK_TRIALS)]
         sent = sent_states(cfg, BLOCK_TRIALS, 13)
@@ -1120,7 +1150,7 @@ class TestMitm:
             assert [draws.uniform() for _ in range(n)] == [scalar.uniform() for _ in range(n)]
 
     def test_breidbart_eve_matches_in_process_attack(self, sixstate, cfg23):
-        # her eigenstates lie outside Bob's set, so his table learns them
+        # her eigenstates lie outside Bob's set, so he measures each one-off
         breidbart = breidbart_basis()
         honest = {v.pairs() for basis in sixstate.bases for v in basis.vectors}
         assert not honest & {v.pairs() for v in breidbart.vectors}
@@ -1290,36 +1320,38 @@ class TestMitm:
         monkeypatch.setattr(ch, "decode", counting_decode)
         return full_decodes
 
-    def test_each_distinct_state_is_decoded_once_per_endpoint(self, monkeypatch):
+    def test_an_honest_session_decodes_no_state_line(self, monkeypatch, relay_tables):
         basis_set = mu_basis_set(7, 8)
         cfg = ProtocolConfig(c=8, d=7, basis_set=basis_set)
         eve = basis_set.bases[0]
         full_decodes = self.count_full_state_decodes(monkeypatch)
-        results, _, _ = self.run_with_interceptor(None, cfg, 200, 5, eve_basis=eve)
+        results, _, _ = self.run_with_interceptor(None, cfg, 200, 5, eve_basis=eve, set_id="mub")
         attacked = ProtocolConfig(c=8, d=7, basis_set=basis_set, eve=eve)
         assert results["outcomes"] == [run_trial(attacked, t, 5) for t in range(200)]
-        assert set(full_decodes.values()) == {1}
-        per_endpoint = collections.Counter(name for name, _ in full_decodes)
-        # the 7 states Eve resends are in Bob's set, which he knows from the
-        # start, so he decodes none; the relay meets Alice's 56
-        assert "MainThread" not in per_endpoint
-        assert len(per_endpoint) == 1 and sum(per_endpoint.values()) <= 56
+        # the relay holds Alice's 56 states from the Hello, and the 7 Eve
+        # resends are in Bob's set, so neither decodes a state line in full
+        assert not full_decodes
+        assert all(len(held(table)) == n for _, table, n in relay_tables())
 
-    def test_states_outside_the_set_are_learned_once(self, sixstate, cfg23, monkeypatch):
-        # Breidbart's eigenstates are not in Bob's set: he decodes each in
-        # full once, so his set's entries leave him room to learn them
+    def test_states_outside_the_set_are_decoded_each_time(self, sixstate, cfg23, monkeypatch):
+        # Breidbart's eigenstates are not in Bob's set: he decodes one in
+        # full each time Eve resends it, and stores none
         breidbart = breidbart_basis()
         full_decodes = self.count_full_state_decodes(monkeypatch)
         n, seed = 200, 6
         results, _, _ = self.run_with_interceptor(sixstate, cfg23, n, seed, eve_basis=breidbart)
         attacked = ProtocolConfig(c=3, d=2, basis_set=sixstate, eve=breidbart)
         assert results["outcomes"] == [run_trial(attacked, t, seed) for t in range(n)]
+        resent = collections.Counter(breidbart.vectors[r.outcome].pairs() for r in results["mitm"].records)
+        assert sum(resent.values()) == 2 * n
         bob = {amps: count for (name, amps), count in full_decodes.items() if name == "MainThread"}
-        assert bob == {v.pairs(): 1 for v in breidbart.vectors}
+        assert bob == resent
+        # the relay holds the six-state set that Alice sends from
+        assert set(full_decodes) == {("MainThread", amps) for amps in resent}
 
     def test_codec_calls_do_not_grow_with_trials(self, qutrit4, monkeypatch):
-        """Past the first sight of each state, no per-trial line goes
-        through encode or decode, and no QuantumState is made for it."""
+        """In an honest relayed session no per-trial line goes through
+        encode or decode, and no QuantumState is made for it."""
         cfg = ProtocolConfig(c=4, d=3, basis_set=qutrit4)
         eve = qutrit4.bases[0]
         attacked = ProtocolConfig(c=4, d=3, basis_set=qutrit4, eve=eve)
@@ -1345,15 +1377,14 @@ class TestMitm:
         counts = {}
         for n in (20, 200):
             calls.clear()
-            results, _, _ = self.run_with_interceptor(None, cfg, n, 2, eve_basis=eve)
+            results, _, _ = self.run_with_interceptor(None, cfg, n, 2, eve_basis=eve, set_id="qutrit4")
             assert results["outcomes"] == [run_trial(attacked, t, 2) for t in range(n)]
             counts[n] = dict(calls)
         assert counts[20] == counts[200]
-        # at seed 2 the relay has met all 12 of Alice's states by trial 20 and
-        # decoded each in full once; Bob knows the 3 that Eve resends from
-        # the start, as they are in his set
-        assert counts[200][("decode", "QuantumState")] == 12
-        assert counts[200][("make", "QuantumState")] == 12
+        # the relay holds Alice's 12 states from the Hello, and Bob the 3
+        # that Eve resends, as they are in his set
+        assert ("decode", "QuantumState") not in counts[200]
+        assert ("make", "QuantumState") not in counts[200]
         assert ("decode", "IndexAnnounce") not in counts[200]
         assert ("decode", "SiftReport") not in counts[200]
         assert not {kind for op, kind in counts[200] if op == "encode"} & {"IndexAnnounce", "SiftReport"}
@@ -1385,7 +1416,7 @@ class TestMitm:
         # Bob matches each state and announcement, the key comparison and the bye
         assert sum(name == "MainThread" for name, _ in counts) == 3 * n + 2
 
-    def test_a_hello_with_negative_c_leaves_the_relay_nothing_to_learn(self, sixstate, monkeypatch):
+    def test_a_hello_with_negative_c_leaves_the_relay_tables_empty(self, sixstate, monkeypatch):
         tables = []
 
         class SeenTable(ch.BornTable):
@@ -1411,8 +1442,7 @@ class TestMitm:
         relay.join(5.0)
         bob_t.close()
         assert not relay.is_alive()
-        assert [table.capacity for table in tables] == [0, -2]
-        assert len(tables[-1]) == 0
+        assert len(tables) == 2 and not any(held(table) for table in tables)
         assert len(results["mitm"].records) == 50
 
     def test_error_rate_seen_by_bob(self, sixstate, cfg23):
@@ -1453,10 +1483,10 @@ def relayed_session(cfg, set_id, eve_basis, n, seed, intercept_fraction=1.0):
 
 @pytest.fixture
 def relay_tables(monkeypatch):
-    """The relay's BornTables and KnownStates readers as they are made:
-    (kind, table, number of states it starts with).  Only the relay makes a
-    BornTable in `channel`, so a reader made on a thread that made one is
-    the relay's."""
+    """The relay's BornTables and KnownStates readers in the order they are
+    made: (kind, table, number of states it starts with).  Only the relay
+    makes a BornTable in `channel`, so a reader made on a thread that made
+    one is the relay's."""
     made = []
 
     def recording(kind, base, states_at):
@@ -1468,8 +1498,8 @@ def relay_tables(monkeypatch):
 
         monkeypatch.setattr(ch, kind, Recorded)
 
-    recording("BornTable", ch.BornTable, 2)
-    recording("KnownStates", ch.KnownStates, 1)
+    recording("BornTable", ch.BornTable, 1)
+    recording("KnownStates", ch.KnownStates, 0)
 
     def relay_only():
         relay_threads = {thread for kind, thread, _, _ in made if kind == "BornTable"}
@@ -1496,28 +1526,33 @@ class TestRelayPrefill:
         assert log.records
         # Eve resends states of Bob's set, so no endpoint decodes a state in full
         assert not full_decodes
+        # the tables made at the Hello hold the set, and never change
         tables = relay_tables()
-        assert {kind for kind, _, _ in tables} == {"BornTable", "KnownStates"}
-        # the tables made at the Hello start with the set, and learn nothing
-        hello_tables = [(table, n) for _, table, n in tables if table.capacity]
-        assert [n for _, n in hello_tables] == [c * d, c * d]
-        assert all(table.capacity == c * d and len(table) == 0 for table, _ in hello_tables)
+        assert [(kind, n) for kind, _, n in tables] == [
+            ("BornTable", 0), ("KnownStates", 0), ("BornTable", c * d), ("KnownStates", c * d)
+        ]
+        assert all(len(held(table)) == n for _, table, n in tables)
 
     @pytest.mark.parametrize("d,c", [(3, 4), (5, 3)])
-    def test_a_hello_naming_a_set_alice_does_not_use(self, d, c, relay_tables):
+    def test_a_hello_naming_a_set_alice_does_not_use(self, d, c, relay_tables, monkeypatch):
         # Alice and Bob agree on the id "prime" but hold a random set: the
-        # relay starts with the prime set's states, which never come, and
-        # learns Alice's within its room of c*d
+        # relay holds the prime set's states, which never come, and decodes
+        # and measures each of Alice's one-off
         basis_set = make_random_set(d, c, 17)
         cfg = ProtocolConfig(c=c, d=d, basis_set=basis_set)
         eve = basis_set.bases[1]
+        full_decodes = TestMitm().count_full_state_decodes(monkeypatch)
         n, seed = 150, 8
         outcomes, _ = relayed_session(cfg, "prime", eve, n, seed)
         attacked = ProtocolConfig(c=c, d=d, basis_set=basis_set, eve=eve)
         assert outcomes == [run_trial(attacked, t, seed) for t in range(n)]
-        hello_tables = [(table, n) for _, table, n in relay_tables() if table.capacity]
-        assert [n for _, n in hello_tables] == [c * d, c * d]
-        assert all(0 < len(table) <= c * d for table, _ in hello_tables)
+        tables = relay_tables()
+        assert [n for _, _, n in tables] == [0, 0, c * d, c * d]
+        assert all(len(held(table)) == n for _, table, n in tables)
+        # every state line Alice sends is decoded in full at the relay; Bob
+        # holds the states Eve resends, which are in his set
+        assert sum(full_decodes.values()) == (c - 1) * n
+        assert "MainThread" not in {name for name, _ in full_decodes}
 
     def hostile_hello_session(self, sixstate, cfg23, set_id, c):
         """A Hello naming `set_id` at (2, c), a few trials of Bob's and
@@ -1600,6 +1635,85 @@ class TestRelayPrefill:
             relayed_session(cfg, "mub", basis_set.bases[0], 3, 1)
         starts = [n for _, _, n in relay_tables()]
         assert max(starts) == 5 * 6 and all(n <= 5 * 6 for n in starts)
+
+
+class TestTablesNeverGrow:
+    """Bob and the relay hold exactly the states they start with, however
+    many distinct states outside them a sender sends."""
+
+    @given(
+        st.sampled_from([(2, 3), (3, 4)]),
+        st.lists(st.integers(0, 2**32), min_size=1, max_size=8, unique=True),
+        st.sampled_from([None, 1.0, 0.5]),
+        st.integers(0, 2**32),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_strangers_leave_every_table_as_it_started(self, size, basis_seeds, fraction, eve_seed):
+        # trial t sends the c-1 = d vectors of a random basis of its own;
+        # with a fraction, through a relay whose Eve measures in a random
+        # basis, so that what she resends lies outside Bob's set too
+        d, c = size
+        basis_set = mu_basis_set(d, c)
+        cfg = ProtocolConfig(c=c, d=d, basis_set=basis_set)
+        trials = [(t, make_random_basis(d, s).vectors) for t, s in enumerate(basis_seeds)]
+        n, seed, announced = len(trials), 3, (0,) * (c - 1)
+        relayed = fraction is not None
+        eve_basis = make_random_basis(d, eve_seed) if relayed else None
+        made = []  # (table, the number of states it starts with)
+
+        def recording(base):
+            class Recorded(base):
+                def __init__(self, *args):
+                    super().__init__(*args)
+                    made.append((self, len(held(self))))
+
+            return Recorded
+
+        # Alice's lines go to Bob directly, or to the relay, which faces Bob
+        # through a second pair
+        alice_t, bob_t = ch.memory_transport_pair()
+        if relayed:
+            eve_a, (eve_b, bob_t) = bob_t, ch.memory_transport_pair()
+        alice_t.send_line(ch.encode(ch.Hello(1, c, d, "mub")))
+        for t, states in trials:
+            lines = [ch.encode(ch.QuantumState(t, slot, v.pairs())) for slot, v in enumerate(states)]
+            alice_t.send_line(b"".join(lines) + ch._announce_line(t, announced))
+        alice_t.send_line(ch.encode(ch.Bye("done")))
+        result = {}
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ch, "KnownStates", recording(ch.KnownStates))
+            patch.setattr(ch, "BornTable", recording(ch.BornTable))
+            patch.setattr(protocol_module, "BornTable", recording(protocol_module.BornTable))
+            if relayed:
+                relay = threading.Thread(
+                    target=lambda: result.update(mitm=ch.run_mitm_pumps(eve_a, eve_b, eve_basis, seed, fraction))
+                )
+                relay.start()
+            try:
+                outcomes = ch.run_session("bob", bob_t, cfg, n, seed, "mub")
+            finally:
+                bob_t.close()
+                alice_t.close()
+                if relayed:
+                    relay.join(5.0)
+                    assert not relay.is_alive()
+        expected = []
+        for t, states in trials:
+            if relayed:
+                eve = EveInterceptor(eve_basis, RandomStream(seed, EVE, t), fraction)
+                states = [v if (o := eve.maybe_intercept(v)) is None else eve_basis.vectors[o] for v in states]
+            rng = RandomStream(seed, BOB, t)
+            y = bob_choose_bases(cfg, rng)
+            b = tuple(born_sample(v, basis_set.bases[k], rng) for v, k in zip(states, y))
+            expected.append(TrialOutcome.of(t, -1, announced, y, b, c))
+        assert outcomes == expected
+        if relayed:
+            assert result["mitm"].records == scalar_interceptions(eve_basis, seed, fraction, trials)
+        # Bob's reader and table hold his set; the relay's, the set the
+        # Hello names from then on, and nothing before it
+        starts = [0, 0, c * d, c * d] if relayed else []
+        assert sorted(start for _, start in made) == sorted(starts + [c * d, c * d])
+        assert all(len(held(table)) == start for table, start in made)
 
 
 class BreakAnnouncement:

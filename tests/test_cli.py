@@ -16,7 +16,7 @@ import pytest
 import hselab.bases as bases_mod
 import hselab.channel as ch
 import hselab.cli as cli
-from conftest import free_port, is_mutually_unbiased
+from conftest import first_basis_doc, free_port, is_mutually_unbiased
 from hselab.bases import named_basis_set, qubit_six_state_set, save_basis_set
 from hselab.cli import COMMANDS, NAMED_SETS, build_parser, main
 from hselab.errors import SessionError
@@ -243,10 +243,20 @@ class TestUsageErrorLines:
             ("sim --set standard --d 2 --c 2", "simulation needs a basis set"),
             ("bases distance --set standard --d 3", "distance needs a basis set, not a single basis"),
             ("sim --d 4 --c 6", "need 2 <= c <= 5 for d=4, got c = 6"),
+            ("rates compute --protocol hse --d 2 --c 1", "need c >= 2 and d >= 2"),
+            ("rates compute --protocol bkb01 --d 1 --c 3", "need c >= 2 and d >= 2"),
         ],
     )
     def test_one_error_line(self, capsys, argv, message):
         assert run(capsys, *argv.split()) == (2, "", f"error: {message}\n")
+
+    def test_a_session_error_exits_1_with_one_line(self, capsys):
+        # nothing listens on a port free_port has just released
+        port = free_port()
+        code, out, err = run(capsys, "net", "connect", "--role", "alice", "--port", str(port), "--d", "2", "--c", "3")
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: SessionError: cannot connect to 127.0.0.1:{port}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_verify_takes_a_single_basis(self, capsys):
         code, out, err = run(capsys, "bases", "verify", "--set", "standard", "--d", "3")
@@ -712,10 +722,16 @@ class TestFileSpecs:
             six_state_doc(2.9, 3.5),  # the six-state set, but d and c are not integers
             six_state_doc(2, "3"),
             six_state_doc(2.0, 3),
+            b"[]",
+            b'{"d": 2, "c": 2}',
+            first_basis_doc([[[1, 0, 0], [0, 0]], [[0, 0], [1, 0]]]),
+            first_basis_doc([[[1, 0]], [[0, 0]]]),
+            first_basis_doc([[[1, 0], [0, 0]], [[1, 0]]]),
         ],
         ids=[
             "non-utf8", "d-not-a-number", "d-overflows", "bases-not-a-list", "vectors-not-a-list", "basis-is-a-list",
-            "d-c-fractional", "c-a-string", "d-a-float",
+            "d-c-fractional", "c-a-string", "d-a-float", "top-level-list", "no-bases", "pair-of-three",
+            "vectors-one-short", "ragged-vectors",
         ],
     )
     @pytest.mark.parametrize("flag", ["--set", "--eve"])

@@ -45,6 +45,10 @@ class TestStateVector:
         with pytest.raises(InvalidParameter):
             StateVector([1.0])
 
+    def test_rejects_a_matrix(self):
+        with pytest.raises(InvalidParameter, match="must be 1-D"):
+            StateVector(np.eye(2))
+
     def test_rejects_nan(self):
         with pytest.raises(InvalidParameter):
             StateVector([float("nan"), 0.0])
@@ -278,7 +282,7 @@ class TestBornRows:
 class TestBornTable:
     def test_rows_sample_as_born_sample(self):
         bases = [make_random_basis(3, 41 + k) for k in range(3)]
-        table = BornTable(bases, capacity=4)
+        table = BornTable(bases)
         for seed in range(6):
             state = random_state(3, 500 + seed)
             for which, basis in enumerate(bases):
@@ -288,13 +292,13 @@ class TestBornTable:
                 for u in draws:
                     expected = invert_cdf(cdf, u)
                     assert table.sample(state.pairs(), which, u) == expected
-        assert len(table) == 4
+        assert not table._rows
 
     @pytest.mark.parametrize("basis_set", [mu_basis_set(5, 6), make_random_set(3, 4, 9), negated_set()])
-    def test_seeded_rows_equal_learned_rows(self, basis_set):
+    def test_held_rows_equal_one_off_rows(self, basis_set):
         states = set_states(basis_set)
-        seeded = BornTable(basis_set.bases, 0, states)
-        learned = BornTable(basis_set.bases, len(states))
+        held = BornTable(basis_set.bases, states)
+        one_off = BornTable(basis_set.bases)
         for which, basis in enumerate(basis_set.bases):
             for state in states:
                 cdf = np.cumsum(born_probabilities(basis, state)).tolist()
@@ -302,35 +306,26 @@ class TestBornTable:
                 draws = [0.0, 1.0 - 2**-53, *cdf, *np.nextafter(cdf, 0.0).tolist()]
                 for u in draws:
                     expected = invert_cdf(cdf, u)
-                    assert seeded.sample(state.pairs(), which, u) == expected
-                    assert learned.sample(state.pairs(), which, u) == expected
-        assert len(seeded) == 0
-        assert len(learned) == len(states)
+                    assert held.sample(state.pairs(), which, u) == expected
+                    assert one_off.sample(state.pairs(), which, u) == expected
+        assert set(held._rows) == {state.pairs() for state in states}
+        assert not one_off._rows
 
-    def test_seeded_states_leave_the_room_for_learned_ones(self, sixstate):
-        table = BornTable(sixstate.bases, 2, set_states(sixstate))
+    def test_strangers_are_measured_and_not_kept(self, sixstate):
+        states = set_states(sixstate)
+        table = BornTable(sixstate.bases, states)
         strangers = [make_random_basis(2, 80 + k).vectors[0] for k in range(4)]
         for state in strangers:
             for which, basis in enumerate(sixstate.bases):
                 expected = born_sample(state, basis, RandomStream(3, which))
                 assert table.sample(state.pairs(), which, RandomStream(3, which).uniform()) == expected
-        assert len(table) == 2
-
-    def test_negative_capacity_learns_nothing(self):
-        bases = [make_random_basis(2, 90 + k) for k in range(2)]
-        table = BornTable(bases, capacity=-2)
-        for seed in range(5):
-            state = random_state(2, 700 + seed)
-            for which, basis in enumerate(bases):
-                expected = born_sample(state, basis, RandomStream(seed, which))
-                assert table.sample(state.pairs(), which, RandomStream(seed, which).uniform()) == expected
-        assert len(table) == 0
+        assert set(table._rows) == {state.pairs() for state in states}
 
     def test_miss_validates_the_state(self):
-        table = BornTable([standard_basis(2)], capacity=4)
+        table = BornTable([standard_basis(2)])
         with pytest.raises(InvalidParameter):
             table.sample(((1.0, 0.0), (1.0, 0.0)), 0, 0.5)
-        assert len(table) == 0
+        assert not table._rows
         with pytest.raises(DimensionError):
             table.sample(((1.0, 0.0), (0.0, 0.0), (0.0, 0.0)), 0, 0.5)
 
@@ -357,4 +352,14 @@ class TestVerifyOrthonormal:
 def test_basis_construction_rejects_nonorthonormal():
     matrix = np.ones((2, 2), dtype=complex) / math.sqrt(2)
     with pytest.raises(InvalidParameter):
+        Basis("bad", matrix)
+
+
+@pytest.mark.parametrize(
+    "matrix,message",
+    [(np.eye(2, 3), "must be square"), (np.eye(2)[0], "must be square"), ([[1.0]], "dimension >= 2")],
+    ids=["2x3", "1-D", "1x1"],
+)
+def test_basis_construction_rejects_a_wrong_shape(matrix, message):
+    with pytest.raises(InvalidParameter, match=message):
         Basis("bad", matrix)

@@ -215,9 +215,10 @@ class TestSessions:
         assert bob.outcomes() == [run_trial(cfg23_eve, t, seed) for t in range(n)]
         assert alice.key == [o.x for o in bob.outcomes() if o.sifted]
 
-    def test_distinct_states_beyond_the_set_keep_the_table_bounded(self, cfg34_eve):
+    def test_distinct_states_beyond_the_set_leave_the_table_as_it_started(self, cfg34_eve):
         # 3 slots x 30 trials of states outside the set, then honest ones:
-        # the table keeps c*d = 12 entries and every outcome is born_sample's
+        # the table holds the c*d = 12 states of the set alone, and every
+        # outcome is born_sample's
         seed = 12
         bob = BobSession(cfg34_eve, seed, 34)
         honest = [v for basis in cfg34_eve.basis_set.bases for v in basis.vectors]
@@ -233,7 +234,7 @@ class TestSessions:
                 expected = born_sample(state, cfg34_eve.basis_set.bases[y[slot]], replica)
                 assert bob.measure(t, slot, state.pairs()) == expected
             bob.conclude(t, (0, 0, 0))
-        assert len(bob.born_table) == 12
+        assert set(bob.born_table._rows) == {v.pairs() for v in honest}
 
     def test_trial_blocks_serve_any_trial_order(self):
         blocks = TrialBlocks(4, EVE, 3, lambda u: u.tolist())

@@ -457,6 +457,13 @@ class TestQber:
         assert 0.0 < value < 1.0
 
 
+@pytest.mark.parametrize("closed_forms", [mub_closed_forms, bkb01_rates])
+@pytest.mark.parametrize("c,d", [(1, 2), (2, 1), (0, 3), (3, -1)])
+def test_closed_forms_need_c_and_d_of_two_or_more(closed_forms, c, d):
+    with pytest.raises(InvalidParameter, match="need c >= 2 and d >= 2"):
+        closed_forms(c, d)
+
+
 class TestMubClosedForms:
     def test_two_two(self):
         forms = mub_closed_forms(2, 2)
