@@ -288,8 +288,6 @@ def grassmannian_distance(b1: Basis, b2: Basis) -> float:
     D^2 = 1 - (1/d) sum_ij |<v_i|w_j>|^4.  Bounded by [0, 1 - 1/d]; zero
     for identical planes, maximal exactly for mutually unbiased bases.
     """
-    if b1.dim != b2.dim:
-        raise DimensionError(f"dimension mismatch: {b1.dim} vs {b2.dim}")
     return squared_distance(transition_matrix(b1, b2))
 
 
@@ -332,6 +330,14 @@ def save_basis_set(basis_set: BasisSet, path) -> None:
         fh.write("\n")
 
 
+def _amplitude(re, im) -> complex:
+    """A file's [re, im] pair of JSON numbers; `true` and `false` are not
+    numbers here, as they are not on the wire."""
+    if not all(type(x) in (int, float) for x in (re, im)):
+        raise TypeError(f"{json.dumps([re, im])} is not a pair of numbers")
+    return complex(re, im)
+
+
 def load_basis_set(path) -> BasisSet:
     """Read a basis set from the JSON interchange format.
 
@@ -366,7 +372,7 @@ def load_basis_set(path) -> BasisSet:
             raise InvalidParameter(f"basis {entry.get('label')!r} has wrong vector length")
         try:
             matrix = np.array(
-                [[complex(re, im) for re, im in vec] for vec in vectors], dtype=np.complex128
+                [[_amplitude(*pair) for pair in vec] for vec in vectors], dtype=np.complex128
             ).T
         except (TypeError, ValueError, OverflowError) as exc:
             raise InvalidParameter(f"malformed amplitude pair: {exc}") from exc

@@ -411,6 +411,10 @@ class TestBasisSetInvariants:
         with pytest.raises(InvalidParameter):
             BasisSet([standard_basis(2), Basis("near", rot)])
 
+    def test_bases_of_two_dimensions_rejected(self):
+        with pytest.raises(DimensionError, match="^all bases in a set must share one dimension$"):
+            BasisSet([standard_basis(2), standard_basis(3)])
+
     def test_needs_two_bases(self):
         with pytest.raises(InvalidParameter):
             BasisSet([standard_basis(2)])

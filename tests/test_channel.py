@@ -11,6 +11,7 @@ import sys
 import threading
 import time
 import weakref
+from contextlib import closing
 
 import numpy as np
 import pytest
@@ -20,7 +21,16 @@ from hypothesis import strategies as st
 import hselab.bases as bases_module
 import hselab.channel as ch
 import hselab.protocol as protocol_module
-from conftest import free_port, make_random_basis, make_random_set
+from conftest import (
+    free_port,
+    honest_session,
+    make_random_basis,
+    make_random_set,
+    run_parties,
+    scripted_session,
+    tcp_session,
+    until_listening,
+)
 from hselab.bases import BasisSet, breidbart_basis, fourier_basis, mu_basis_set, save_basis_set
 from hselab.errors import (
     CodecError,
@@ -60,32 +70,6 @@ def cfg23(sixstate):
     return ProtocolConfig(c=3, d=2, basis_set=sixstate, eve=None)
 
 
-class RecordingTransport:
-    """Wraps a transport and keeps every line that passes through, and the
-    number of lines in each send_line call."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.sent = []
-        self.send_calls = []
-        self.received = []
-
-    def send_line(self, data):
-        lines = data.splitlines(keepends=True)
-        self.sent.extend(lines)
-        self.send_calls.append(len(lines))
-        self.inner.send_line(data)
-
-    def recv_line(self):
-        line = self.inner.recv_line()
-        if line is not None:
-            self.received.append(line)
-        return line
-
-    def close(self):
-        self.inner.close()
-
-
 class TestCodec:
     @pytest.mark.parametrize(
         "msg",
@@ -100,6 +84,10 @@ class TestCodec:
     )
     def test_round_trip(self, msg):
         assert ch.decode(ch.encode(msg)) == msg
+
+    def test_encode_refuses_what_is_not_a_message(self):
+        with pytest.raises(TypeError, match="^not a message: "):
+            ch.encode(object())
 
     def test_bye_wire_form(self):
         line = ch.encode(ch.Bye(reason="done"))
@@ -453,22 +441,13 @@ class TestFastReader:
         assert ch.KnownStates().read(line) == expected
 
 
-def run_pair(cfg, n_trials, seed, basis_set_id="sixstate", compare=True, record=False):
-    """Run alice and bob over an in-process pair; returns (alice log, outcomes,
-    recording transports if requested)."""
-    alice_t, bob_t = ch.memory_transport_pair()
-    if record:
-        alice_t, bob_t = RecordingTransport(alice_t), RecordingTransport(bob_t)
-    result = {}
-
-    def alice():
-        result["log"] = ch.run_session("alice", alice_t, cfg, n_trials, seed, basis_set_id, compare=compare)
-
-    worker = threading.Thread(target=alice)
-    worker.start()
-    outcomes = ch.run_session("bob", bob_t, cfg, n_trials, seed, basis_set_id, compare=compare)
-    worker.join()
-    return result["log"], outcomes, (alice_t, bob_t)
+def bob_reads(cfg, set_id, lines, n_trials=4, seed=3, hello=True):
+    """Run Bob over a memory pair on a Hello (unless `hello` is False) and
+    then `lines`, each its own write; returns (his outcomes or the error he
+    raised, the lines he wrote).  Alice's end closes after the last line."""
+    lines = [ch.encode(ch.Hello(1, cfg.c, cfg.d, set_id))] * hello + list(lines)
+    ended = scripted_session("bob", cfg, set_id, lines, n_trials=n_trials, seed=seed, may_raise={"bob": HselabError})
+    return ended.errors.get("bob", ended.results.get("bob")), ended.ends["bob"].sent
 
 
 def honest_replies(cfg, set_id, n_trials, seed):
@@ -483,32 +462,34 @@ NAN_STATE = b'{"type":"quantum_state","trial_id":0,"slot":0,"amps":[[NaN,0],[0,0
 
 class TestInProcessSession:
     def test_outcomes_match_per_trial_runner(self, cfg23):
-        log, outcomes, _ = run_pair(cfg23, 250, seed=42)
+        ended = honest_session(cfg23, 250, seed=42)
+        log, outcomes = ended.results["alice"], ended.results["bob"]
         assert outcomes == [run_trial(cfg23, t, 42) for t in range(250)]
         assert log.letters == tuple(o.x for o in outcomes)
         assert log.key == tuple(o.x for o in outcomes if o.sifted)
 
     def test_message_order_per_trial(self, cfg23):
-        log, _, (alice_t, _) = run_pair(cfg23, 5, seed=1, record=True)
+        ended = honest_session(cfg23, 5, seed=1)
+        alice_t = ended.ends["alice"]
         kinds = [json.loads(line)["type"] for line in alice_t.sent]
         per_trial = ["quantum_state"] * 2 + ["index_announce"]
         expected = ["hello"] + per_trial * 5 + ["key_compare", "bye"]
         assert kinds == expected
         # one write per trial, and messages_sent still counts messages
         assert alice_t.send_calls == [1] + [3] * 5 + [1, 1]
-        assert log.messages_sent == len(expected) - 1
+        assert ended.results["alice"].messages_sent == len(expected) - 1
 
     def test_no_basis_identity_on_the_wire(self, cfg23):
-        _, outcomes, (alice_t, _) = run_pair(cfg23, 40, seed=7, record=True)
-        for line in alice_t.sent:
+        for line in honest_session(cfg23, 40, seed=7).ends["alice"].sent:
             obj = json.loads(line)
             assert "x" not in obj and "basis" not in obj
             if obj["type"] != "key_compare":
                 assert "letters" not in obj
 
     def test_without_comparison_letters_stay_private(self, cfg23):
-        log, outcomes, (alice_t, _) = run_pair(cfg23, 40, seed=7, compare=False, record=True)
-        assert all(json.loads(line)["type"] != "key_compare" for line in alice_t.sent)
+        ended = honest_session(cfg23, 40, seed=7, compare=False)
+        log, outcomes = ended.results["alice"], ended.results["bob"]
+        assert all(json.loads(line)["type"] != "key_compare" for line in ended.ends["alice"].sent)
         assert all(o.x == -1 for o in outcomes)
         # the sift verdicts still match the omniscient runner
         reference = [run_trial(cfg23, t, 7) for t in range(40)]
@@ -516,105 +497,77 @@ class TestInProcessSession:
         assert log.key == tuple(r.x for r in reference if r.sifted)
 
     def test_handshake_version_check(self, cfg23):
-        alice_t, bob_t = ch.memory_transport_pair()
-        alice_t.send_line(ch.encode(ch.Hello(2, 3, 2, "sixstate")))
-        with pytest.raises(HandshakeError):
-            ch.run_session("bob", bob_t, cfg23, 1, 1, "sixstate")
+        error, _ = bob_reads(cfg23, "sixstate", [ch.encode(ch.Hello(2, 3, 2, "sixstate"))], 1, 1, hello=False)
+        assert isinstance(error, HandshakeError)
 
     def test_handshake_dimension_check(self, cfg23, qutrit4):
         cfg34 = ProtocolConfig(c=4, d=3, basis_set=qutrit4)
         alice_t, bob_t = ch.memory_transport_pair()
-        errors = {}
-
-        def alice():
-            try:
-                ch.run_session("alice", alice_t, cfg34, 1, 1, "qutrit4")
-            except (HandshakeError, SessionError) as exc:
-                errors["alice"] = exc
-
-        worker = threading.Thread(target=alice)
-        worker.start()
-        with pytest.raises(HandshakeError):
-            ch.run_session("bob", bob_t, cfg23, 1, 1, "sixstate")
-        bob_t.close()
-        worker.join()
-        assert "alice" in errors
+        ended = run_parties(
+            {"bob": lambda: ch.run_session("bob", bob_t, cfg23, 1, 1, "sixstate")},
+            background={"alice": lambda: ch.run_session("alice", alice_t, cfg34, 1, 1, "qutrit4")},
+            close=[bob_t],
+            may_raise={"bob": HandshakeError, "alice": (HandshakeError, SessionError)},
+        )
+        assert set(ended.errors) == {"alice", "bob"}
 
     def test_handshake_basis_set_check_on_both_ends(self, cfg23):
         alice_t, bob_t = ch.memory_transport_pair()
-        errors = {}
-
-        def alice():
-            try:
-                ch.run_session("alice", alice_t, cfg23, 1, 1, "sixstate")
-            except HandshakeError as exc:
-                errors["alice"] = str(exc)
-
-        worker = threading.Thread(target=alice)
-        worker.start()
-        with pytest.raises(HandshakeError, match="^basis set mismatch: 'sixstate' != 'custom'$"):
-            ch.run_session("bob", bob_t, cfg23, 1, 1, "custom")
-        worker.join()
-        alice_t.close()
-        bob_t.close()
-        assert errors == {"alice": "basis set mismatch: 'custom' != 'sixstate'"}
+        ended = run_parties(
+            {
+                "alice": lambda: ch.run_session("alice", alice_t, cfg23, 1, 1, "sixstate"),
+                "bob": lambda: ch.run_session("bob", bob_t, cfg23, 1, 1, "custom"),
+            },
+            close=[alice_t, bob_t],
+            may_raise={"alice": HandshakeError, "bob": HandshakeError},
+        )
+        assert {role: str(error) for role, error in ended.errors.items()} == {
+            "alice": "basis set mismatch: 'custom' != 'sixstate'",
+            "bob": "basis set mismatch: 'sixstate' != 'custom'",
+        }
 
     def test_a_first_line_other_than_hello_fails_the_handshake(self, cfg23):
-        alice_t, bob_t = ch.memory_transport_pair()
-        alice_t.send_line(ch.encode(ch.SiftReport(0, True)))
-        with pytest.raises(HandshakeError, match="^expected hello, got SiftReport$"):
-            ch.run_session("bob", bob_t, cfg23, 1, 1, "sixstate")
+        error, _ = bob_reads(cfg23, "sixstate", [ch.encode(ch.SiftReport(0, True))], 1, 1, hello=False)
+        assert isinstance(error, HandshakeError) and str(error) == "expected hello, got SiftReport"
 
     def test_out_of_order_trial_rejected(self, cfg23, sixstate):
-        alice_t, bob_t = ch.memory_transport_pair()
-        alice_t.send_line(ch.encode(ch.Hello(1, 3, 2, "sixstate")))
         state = sixstate.bases[0].vectors[0]
-        alice_t.send_line(ch.encode(ch.QuantumState(1, 0, state.pairs())))
-        with pytest.raises(ProtocolError):
-            ch.run_session("bob", bob_t, cfg23, 2, 1, "sixstate")
+        error, _ = bob_reads(cfg23, "sixstate", [ch.encode(ch.QuantumState(1, 0, state.pairs()))], 2, 1)
+        assert isinstance(error, ProtocolError)
 
     def test_malformed_announcement_rejected(self, cfg23, sixstate):
-        alice_t, bob_t = ch.memory_transport_pair()
-        alice_t.send_line(ch.encode(ch.Hello(1, 3, 2, "sixstate")))
         state = sixstate.bases[0].vectors[0]
-        alice_t.send_line(ch.encode(ch.QuantumState(0, 0, state.pairs())))
-        alice_t.send_line(ch.encode(ch.QuantumState(0, 1, state.pairs())))
-        alice_t.send_line(ch.encode(ch.IndexAnnounce(0, (0, 1, 1))))
-        with pytest.raises(ProtocolError):
-            ch.run_session("bob", bob_t, cfg23, 2, 1, "sixstate")
+        lines = [
+            ch.encode(ch.QuantumState(0, 0, state.pairs())),
+            ch.encode(ch.QuantumState(0, 1, state.pairs())),
+            ch.encode(ch.IndexAnnounce(0, (0, 1, 1))),
+        ]
+        error, _ = bob_reads(cfg23, "sixstate", lines, 2, 1)
+        assert isinstance(error, ProtocolError)
 
     def test_wrong_dimension_state_rejected(self, cfg23, qutrit4):
-        alice_t, bob_t = ch.memory_transport_pair()
-        alice_t.send_line(ch.encode(ch.Hello(1, 3, 2, "sixstate")))
         state = qutrit4.bases[0].vectors[0]
-        alice_t.send_line(ch.encode(ch.QuantumState(0, 0, state.pairs())))
-        with pytest.raises(ProtocolError):
-            ch.run_session("bob", bob_t, cfg23, 1, 1, "sixstate")
+        error, _ = bob_reads(cfg23, "sixstate", [ch.encode(ch.QuantumState(0, 0, state.pairs()))], 1, 1)
+        assert isinstance(error, ProtocolError)
 
     def test_key_compare_letter_out_of_range_rejected(self, cfg23, sixstate):
-        alice_t, bob_t = ch.memory_transport_pair()
-        alice_t.send_line(ch.encode(ch.Hello(1, 3, 2, "sixstate")))
         state = sixstate.bases[0].vectors[0]
-        alice_t.send_line(ch.encode(ch.QuantumState(0, 0, state.pairs())))
-        alice_t.send_line(ch.encode(ch.QuantumState(0, 1, state.pairs())))
-        alice_t.send_line(ch.encode(ch.IndexAnnounce(0, (0, 0))))
-        alice_t.send_line(ch.encode(ch.KeyCompare((0, 1), (99,))))
-        with pytest.raises(ProtocolError):
-            ch.run_session("bob", bob_t, cfg23, 1, 1, "sixstate")
+        lines = [
+            ch.encode(ch.QuantumState(0, 0, state.pairs())),
+            ch.encode(ch.QuantumState(0, 1, state.pairs())),
+            ch.encode(ch.IndexAnnounce(0, (0, 0))),
+            ch.encode(ch.KeyCompare((0, 1), (99,))),
+        ]
+        error, _ = bob_reads(cfg23, "sixstate", lines, 1, 1)
+        assert isinstance(error, ProtocolError)
 
     def test_non_finite_amplitude_is_a_codec_error(self, cfg23):
-        alice_t, bob_t = ch.memory_transport_pair()
-        alice_t.send_line(ch.encode(ch.Hello(1, 3, 2, "sixstate")))
-        alice_t.send_line(NAN_STATE)
-        with pytest.raises(CodecError):
-            ch.run_session("bob", bob_t, cfg23, 1, 1, "sixstate")
+        error, _ = bob_reads(cfg23, "sixstate", [NAN_STATE], 1, 1)
+        assert isinstance(error, CodecError)
 
     def test_peer_disappearing_raises_session_error(self, cfg23):
-        alice_t, bob_t = ch.memory_transport_pair()
-        alice_t.send_line(ch.encode(ch.Hello(1, 3, 2, "sixstate")))
-        alice_t.close()
-        with pytest.raises(SessionError):
-            ch.run_session("bob", bob_t, cfg23, 1, 1, "sixstate")
+        error, _ = bob_reads(cfg23, "sixstate", [], 1, 1)
+        assert isinstance(error, SessionError)
 
     @pytest.mark.parametrize("role", ["alice", "bob"])
     def test_negative_trial_count_rejected_before_the_handshake(self, cfg23, role):
@@ -625,17 +578,17 @@ class TestInProcessSession:
         assert theirs.recv_line() is None
 
     def test_zero_trials_is_an_empty_session(self, cfg23):
-        log, outcomes, _ = run_pair(cfg23, 0, seed=1)
-        assert outcomes == [] and (log.trials, log.key) == (0, ())
+        ended = honest_session(cfg23, 0, seed=1)
+        log = ended.results["alice"]
+        assert ended.results["bob"] == [] and (log.trials, log.key) == (0, ())
 
     def test_error_bye_at_the_close_is_a_session_error(self, cfg23):
         # Bob refuses the key comparison after the last sift report
         reason = "ProtocolError: key comparison range (0, 2) does not match session"
-        alice_t, bob_t = ch.memory_transport_pair()
-        for line in [*honest_replies(cfg23, "sixstate", 2, 1), ch.encode(ch.Bye(reason))]:
-            bob_t.send_line(line)
-        with pytest.raises(SessionError, match=re.escape(f"at the close: {reason}")):
-            ch.run_session("alice", alice_t, cfg23, 2, 1, "sixstate")
+        lines = [*honest_replies(cfg23, "sixstate", 2, 1), ch.encode(ch.Bye(reason))]
+        ended = scripted_session("alice", cfg23, "sixstate", lines, n_trials=2, seed=1, may_raise={"alice": Exception})
+        assert isinstance(ended.errors["alice"], SessionError)
+        assert str(ended.errors["alice"]).endswith(f"at the close: {reason}")
 
     @pytest.mark.parametrize(
         "trial_id, reply, got",
@@ -648,12 +601,10 @@ class TestInProcessSession:
     )
     def test_a_reply_other_than_the_sift_report_is_named(self, cfg23, trial_id, reply, got):
         # Bob's honest replies up to the trial, then `reply` in place of its sift report
-        alice_t, bob_t = ch.memory_transport_pair()
-        for line in [*honest_replies(cfg23, "sixstate", trial_id, 1), ch.encode(reply)]:
-            bob_t.send_line(line)
-        with pytest.raises(ProtocolError) as err:
-            ch.run_session("alice", alice_t, cfg23, 3, 1, "sixstate")
-        assert str(err.value) == f"expected sift report for trial {trial_id}, got {got}"
+        lines = [*honest_replies(cfg23, "sixstate", trial_id, 1), ch.encode(reply)]
+        ended = scripted_session("alice", cfg23, "sixstate", lines, n_trials=3, seed=1, may_raise={"alice": Exception})
+        assert isinstance(ended.errors["alice"], ProtocolError)
+        assert str(ended.errors["alice"]) == f"expected sift report for trial {trial_id}, got {got}"
 
     def test_role_validated(self, cfg23):
         with pytest.raises(ValueError):
@@ -668,22 +619,20 @@ class TestInProcessSession:
 
     def test_state_past_the_last_slot_rejected(self, cfg23, sixstate):
         # c states in one trial: Bob stops with ProtocolError and tells Alice why
-        alice_t, bob_t = ch.memory_transport_pair()
-        alice_t.send_line(ch.encode(ch.Hello(1, 3, 2, "sixstate")))
         state = sixstate.bases[0].vectors[0]
-        for slot in range(3):
-            alice_t.send_line(ch.encode(ch.QuantumState(0, slot, state.pairs())))
-        with pytest.raises(ProtocolError, match="more than 2 states in trial 0"):
-            ch.run_session("bob", bob_t, cfg23, 1, 1, "sixstate")
-        assert isinstance(ch.decode(alice_t.recv_line()), ch.Hello)
-        bye = ch.decode(alice_t.recv_line())
+        lines = [ch.encode(ch.QuantumState(0, slot, state.pairs())) for slot in range(3)]
+        error, sent = bob_reads(cfg23, "sixstate", lines, 1, 1)
+        assert isinstance(error, ProtocolError) and "more than 2 states in trial 0" in str(error)
+        hello, bye = map(ch.decode, sent)
+        assert isinstance(hello, ch.Hello)
         assert isinstance(bye, ch.Bye) and bye.reason.startswith("ProtocolError: more than 2 states")
 
     def test_sessions_across_blocks_match_per_trial_runner(self, qutrit4):
         cfg = ProtocolConfig(c=4, d=3, basis_set=qutrit4)
-        log, outcomes, _ = run_pair(cfg, BLOCK_TRIALS, seed=31, basis_set_id="qutrit4")
+        ended = honest_session(cfg, BLOCK_TRIALS, seed=31, set_id="qutrit4")
+        outcomes = ended.results["bob"]
         assert outcomes == [run_trial(cfg, t, 31) for t in range(BLOCK_TRIALS)]
-        assert log.letters == tuple(o.x for o in outcomes)
+        assert ended.results["alice"].letters == tuple(o.x for o in outcomes)
 
 
 class TestMemoryTransport:
@@ -709,14 +658,8 @@ class TestMemoryTransport:
 
     def test_peer_close_wakes_a_blocked_reader(self):
         left, right = ch.memory_transport_pair()
-        got = []
-        reader = threading.Thread(target=lambda: got.append(right.recv_line()))
-        reader.start()
-        time.sleep(0.05)
-        left.close()
-        reader.join(1.0)
-        assert not reader.is_alive()
-        assert got == [None]
+        closer = {"closer": lambda: (time.sleep(0.05), left.close())}
+        assert run_parties({"reader": right.recv_line, **closer}, deadline=1.05).results["reader"] is None
 
     def test_eof_is_sticky(self, monkeypatch):
         monkeypatch.setattr(ch, "_RECV_TIMEOUT", 0.3)
@@ -735,21 +678,9 @@ class TestMemoryTransport:
 
 class TestTcpSession:
     def test_loopback_matches_in_process(self, cfg23):
-        port = free_port()
-        server = {}
-
-        def bob():
-            server["outcomes"] = ch.serve_session(
-                "127.0.0.1", port, "bob", cfg23, 1000, 42, basis_set_id="sixstate"
-            )
-
-        worker = threading.Thread(target=bob)
-        worker.start()
-        ready = ch.connect_session  # dial with retry while the server binds
-        log = _dial_with_retry(ready, port, cfg23, 1000, 42)
-        worker.join()
-        assert server["outcomes"] == [run_trial(cfg23, t, 42) for t in range(1000)]
-        assert log.trials == 1000
+        ended = tcp_session(cfg23, 1000, 42)
+        assert ended.results["bob"] == [run_trial(cfg23, t, 42) for t in range(1000)]
+        assert ended.results["alice"].trials == 1000
 
     def test_recv_after_close_is_eof(self):
         # a relay pump reads a side that the other pump has already closed
@@ -778,17 +709,9 @@ class TestTcpSession:
         # a relay pump closes the side that the other pump is reading
         left, right = socket.socketpair()
         transport = ch.TcpTransport(left)
-        got = []
-        reader = threading.Thread(target=lambda: got.append(transport.recv_line()))
+        closer = {"closer": lambda: (time.sleep(0.05), transport.close())}
         try:
-            reader.start()
-            time.sleep(0.05)
-            started = time.monotonic()
-            transport.close()
-            reader.join(1.0)
-            assert not reader.is_alive()
-            assert time.monotonic() - started < 1.0
-            assert got == [None]
+            assert run_parties({"reader": transport.recv_line, **closer}, deadline=1.05).results["reader"] is None
         finally:
             transport.close()
             right.close()
@@ -815,12 +738,39 @@ class TestTcpSession:
                 nodelay.append(sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY))
 
         monkeypatch.setattr(ch, "TcpTransport", Probe)
-        results = run_tcp_relay(cfg23, sixstate.bases[0], 20, 5)
+        results = tcp_session(cfg23, 20, 5, eve=sixstate.bases[0]).results
         attacked = ProtocolConfig(c=3, d=2, basis_set=sixstate, eve=sixstate.bases[0])
         assert results["bob"] == [run_trial(attacked, t, 5) for t in range(20)]
         assert len(results["relay"].records) == 2 * 20
         # bob's listener, alice's dial, and the relay's two ends
         assert len(nodelay) == 4 and all(nodelay)
+
+    def test_accept_times_out_with_session_error(self, cfg23, monkeypatch):
+        monkeypatch.setattr(ch, "_RECV_TIMEOUT", 0.2)
+        port = free_port()
+        started = time.monotonic()
+        with pytest.raises(SessionError, match=f"^accept failed on 127.0.0.1:{port}: timed out$"):
+            ch.serve_session("127.0.0.1", port, "bob", cfg23, 1, 1)
+        assert time.monotonic() - started < 1.0
+
+    def test_bob_raises_what_he_stopped_on_when_his_bye_cannot_be_sent(self, cfg23):
+        # the peer stops reading after his Hello, so his Bye meets a broken pipe
+        ours, theirs = socket.socketpair()
+        bob = ch.TcpTransport(ours)
+
+        def peer():
+            with theirs:
+                theirs.sendall(ch.encode(ch.Hello(1, 3, 2, "sixstate")))
+                assert theirs.recv(4096).endswith(b"\n")
+                theirs.shutdown(socket.SHUT_RD)
+                theirs.sendall(NAN_STATE)
+
+        def run_bob():
+            with closing(bob):
+                return ch.run_session("bob", bob, cfg23, 1, 1, "sixstate")
+
+        ended = run_parties({"bob": run_bob, "peer": peer}, deadline=2.0, may_raise={"bob": CodecError})
+        assert isinstance(ended.errors["bob"], CodecError)
 
     def test_connection_refused(self, cfg23):
         with pytest.raises(SessionError):
@@ -864,15 +814,10 @@ class TestLineCap:
             for start in range(0, len(blob), 4096):
                 right.sendall(blob[start : start + 4096])
 
-        writer = threading.Thread(target=write)
         try:
-            started = time.monotonic()
-            writer.start()
-            with pytest.raises(CodecError):
-                transport.recv_line()
-            assert time.monotonic() - started < 1.0
-            writer.join(5.0)
-            assert not writer.is_alive()
+            reader = {"reader": transport.recv_line}
+            ended = run_parties(reader, background={"writer": write}, deadline=1.0, may_raise={"reader": CodecError})
+            assert isinstance(ended.errors["reader"], CodecError)
         finally:
             transport.close()
             right.close()
@@ -883,40 +828,20 @@ class TestLineCap:
         hello = ch.encode(ch.Hello(ch.PROTOCOL_VERSION, 4, 3, "qutrit4"))
         monkeypatch.setattr(ch, "_MAX_LINE", len(hello))
         monkeypatch.setattr(ch, "_RECV_TIMEOUT", 5.0)
-        alice_sock, eve_a_sock = socket.socketpair()
-        eve_b_sock, bob_sock = socket.socketpair()
-        errors = {}
+        alice, eve_a, eve_b, bob = map(ch.TcpTransport, (*socket.socketpair(), *socket.socketpair()))
 
-        def endpoint(role, sock):
-            transport = ch.TcpTransport(sock)
-            try:
-                ch.run_session(role, transport, cfg, 10, 2, "qutrit4")
-            except Exception as exc:
-                errors[role] = exc
-            finally:
-                transport.close()
+        def relay():
+            with closing(eve_a), closing(eve_b):
+                return ch.run_mitm_pumps(eve_a, eve_b, qutrit4.bases[0], 2)
 
-        threads = [
-            threading.Thread(target=endpoint, args=("alice", alice_sock)),
-            threading.Thread(target=endpoint, args=("bob", bob_sock)),
-        ]
-        started = time.monotonic()
-        for thread in threads:
-            thread.start()
-        eve_a, eve_b = ch.TcpTransport(eve_a_sock), ch.TcpTransport(eve_b_sock)
-        try:
-            with pytest.raises(SessionError) as err:
-                ch.run_mitm_pumps(eve_a, eve_b, qutrit4.bases[0], 2)
-        finally:
-            eve_a.close()
-            eve_b.close()
-        for thread in threads:
-            thread.join(5.0)
-            assert not thread.is_alive()
-        assert time.monotonic() - started < 2.0
-        assert isinstance(err.value.__cause__, CodecError)
-        assert isinstance(errors.get("alice"), SessionError)
-        assert isinstance(errors.get("bob"), SessionError)
+        def endpoint(role, transport):
+            with closing(transport):
+                return ch.run_session(role, transport, cfg, 10, 2, "qutrit4")
+
+        parties = {"alice": lambda: endpoint("alice", alice), "bob": lambda: endpoint("bob", bob), "relay": relay}
+        ended = run_parties(parties, deadline=2.0, may_raise=dict.fromkeys(parties, SessionError))
+        assert set(ended.errors) == set(parties)
+        assert isinstance(ended.errors["relay"].__cause__, CodecError)
 
 
 class TestTcpFraming:
@@ -955,52 +880,6 @@ class TestTcpFraming:
         assert tail == [None, None, None]
 
 
-def _dial_with_retry(connect, port, cfg, n, seed, basis_set_id="sixstate", attempts=50, pause=0.05):
-    for _ in range(attempts):
-        try:
-            return connect("127.0.0.1", port, "alice", cfg, n, seed, basis_set_id=basis_set_id)
-        except SessionError as exc:
-            if not isinstance(exc.__cause__, ConnectionRefusedError):
-                raise
-            time.sleep(pause)
-    raise AssertionError("server never came up")
-
-
-def run_tcp_relay(cfg, eve_basis, n, seed, timeout=10.0):
-    """alice -> run_mitm -> bob over TCP loopback; returns each party's
-    result or the exception it raised."""
-    bob_port, relay_port = free_port(), free_port()
-    ready = threading.Event()
-    results = {}
-
-    def party(name, fn):
-        try:
-            results[name] = fn()
-        except Exception as exc:
-            results[name] = exc
-
-    bob = threading.Thread(
-        target=party,
-        args=("bob", lambda: ch.serve_session(
-            "127.0.0.1", bob_port, "bob", cfg, n, seed, "sixstate", ready_event=ready
-        )),
-    )
-    relay = threading.Thread(
-        target=party,
-        args=("relay", lambda: ch.run_mitm(
-            ("127.0.0.1", relay_port), ("127.0.0.1", bob_port), eve_basis, seed
-        )),
-    )
-    bob.start()
-    assert ready.wait(timeout)
-    relay.start()
-    party("alice", lambda: _dial_with_retry(ch.connect_session, relay_port, cfg, n, seed))
-    for thread in (bob, relay):
-        thread.join(timeout)
-        assert not thread.is_alive()
-    return results
-
-
 def scalar_interceptions(eve_basis, seed, fraction, trials):
     """The records the scalar EveInterceptor makes over `trials`, a list of
     (trial_id, states) in the order they reach the relay."""
@@ -1014,6 +893,18 @@ def scalar_interceptions(eve_basis, seed, fraction, trials):
     return records
 
 
+def relay_reads(lines, eve_basis, seed, fraction=1.0):
+    """The log of run_mitm_pumps that reads `lines` from a scripted Alice,
+    who closes after them, towards no Bob."""
+    alice_t, eve_a = ch.memory_transport_pair()
+    eve_b, bob_t = ch.memory_transport_pair()
+    for line in lines:
+        alice_t.send_line(line)
+    alice_t.close()
+    relay = {"relay": lambda: ch.run_mitm_pumps(eve_a, eve_b, eve_basis, seed, fraction)}
+    return run_parties(relay, close=[bob_t], deadline=5.0).results["relay"]
+
+
 def sent_states(cfg, n, seed):
     """Alice's (trial_id, states) for trials 0..n-1, as run_trial prepares them."""
     trials = []
@@ -1025,44 +916,12 @@ def sent_states(cfg, n, seed):
 
 
 class TestMitm:
-    def run_with_interceptor(
-        self, basis_set, cfg, n, seed, eve_basis=None, intercept_fraction=1.0, set_id="sixstate"
-    ):
-        """alice -> (pair A) -> interceptor -> (pair B) -> bob, in-process,
-        both endpoints under `set_id`; Eve measures in basis_set's first
-        basis unless told otherwise."""
-        alice_t, eve_a = ch.memory_transport_pair()
-        eve_b, bob_t = ch.memory_transport_pair()
-        eve_a, eve_b = RecordingTransport(eve_a), RecordingTransport(eve_b)
-        results = {}
-
-        def alice():
-            results["log"] = ch.run_session("alice", alice_t, cfg, n, seed, set_id)
-
-        def eavesdropper():
-            basis = basis_set.bases[0] if eve_basis is None else eve_basis
-            results["mitm"] = ch.run_mitm_pumps(eve_a, eve_b, basis, seed, intercept_fraction)
-
-        threads = [threading.Thread(target=alice), threading.Thread(target=eavesdropper)]
-        for t in threads:
-            t.start()
-        results["outcomes"] = ch.run_session("bob", bob_t, cfg, n, seed, set_id)
-        # bob returning means the session is over: let alice read his
-        # relayed bye (closing her end first races that read), then
-        # unblock the pumps
-        threads[0].join(timeout=10)
-        alice_t.close()
-        bob_t.close()
-        for t in threads:
-            t.join()
-        return results, eve_a, eve_b
-
     def test_outcomes_match_in_process_attack(self, sixstate, cfg23):
         n, seed = 400, 42
-        results, _, _ = self.run_with_interceptor(sixstate, cfg23, n, seed)
+        results = honest_session(cfg23, n, seed, eve=sixstate.bases[0]).results
         attacked = ProtocolConfig(c=3, d=2, basis_set=sixstate, eve=sixstate.bases[0])
-        assert results["outcomes"] == [run_trial(attacked, t, seed) for t in range(n)]
-        assert len(results["mitm"].records) == 2 * n
+        assert results["bob"] == [run_trial(attacked, t, seed) for t in range(n)]
+        assert len(results["relay"].records) == 2 * n
 
     @pytest.mark.parametrize("fraction", [0.25, 0.5])
     @pytest.mark.parametrize("set_name", ["sixstate", "qutrit4"])
@@ -1073,11 +932,9 @@ class TestMitm:
             c=cfg.c, d=cfg.d, basis_set=basis_set, eve=basis_set.bases[0], intercept_fraction=fraction
         )
         n, seed = 150, 23
-        results, _, _ = self.run_with_interceptor(
-            basis_set, cfg, n, seed, intercept_fraction=fraction, set_id=set_name
-        )
-        assert results["outcomes"] == [run_trial(attacked, t, seed) for t in range(n)]
-        records = results["mitm"].records
+        results = honest_session(cfg, n, seed, set_name, eve=basis_set.bases[0], fraction=fraction).results
+        assert results["bob"] == [run_trial(attacked, t, seed) for t in range(n)]
+        records = results["relay"].records
         assert records == scalar_interceptions(attacked.eve, seed, fraction, sent_states(cfg, n, seed))
         # some states pass and some are intercepted
         assert 0 < len(records) < (cfg.c - 1) * n
@@ -1088,12 +945,10 @@ class TestMitm:
         cfg = ProtocolConfig(c=4, d=3, basis_set=qutrit4)
         eve = qutrit4.bases[2]
         attacked = ProtocolConfig(c=4, d=3, basis_set=qutrit4, eve=eve, intercept_fraction=0.5)
-        results, _, _ = self.run_with_interceptor(
-            qutrit4, cfg, BLOCK_TRIALS, 13, eve_basis=eve, intercept_fraction=0.5, set_id="custom"
-        )
-        assert results["outcomes"] == [run_trial(attacked, t, 13) for t in range(BLOCK_TRIALS)]
+        results = honest_session(cfg, BLOCK_TRIALS, 13, "custom", eve=eve, fraction=0.5).results
+        assert results["bob"] == [run_trial(attacked, t, 13) for t in range(BLOCK_TRIALS)]
         sent = sent_states(cfg, BLOCK_TRIALS, 13)
-        assert results["mitm"].records == scalar_interceptions(eve, 13, 0.5, sent)
+        assert results["relay"].records == scalar_interceptions(eve, 13, 0.5, sent)
 
     @pytest.mark.parametrize("fraction", [1.0, 0.5])
     @pytest.mark.parametrize(
@@ -1111,29 +966,14 @@ class TestMitm:
         self, qutrit4, fraction, hello, trial_ids, slots
     ):
         eve_basis, seed = qutrit4.bases[1], 21
-        alice_t, eve_a = ch.memory_transport_pair()
-        eve_b, bob_t = ch.memory_transport_pair()
-        results = {}
-
-        def eavesdropper():
-            results["mitm"] = ch.run_mitm_pumps(eve_a, eve_b, eve_basis, seed, fraction)
-
-        relay = threading.Thread(target=eavesdropper)
-        relay.start()
-        if hello:
-            alice_t.send_line(ch.encode(ch.Hello(1, 4, 3, "qutrit4")))
+        lines = [ch.encode(ch.Hello(1, 4, 3, "qutrit4"))] * hello
         trials = []
         for trial_id in trial_ids:
             states = [qutrit4.bases[(trial_id + k) % 4].vectors[k % 3] for k in range(slots)]
-            for slot, state in enumerate(states):
-                alice_t.send_line(ch.encode(ch.QuantumState(trial_id, slot, state.pairs())))
-            alice_t.send_line(ch.encode(ch.IndexAnnounce(trial_id, (0,) * slots)))
+            lines += [ch.encode(ch.QuantumState(trial_id, slot, state.pairs())) for slot, state in enumerate(states)]
+            lines.append(ch.encode(ch.IndexAnnounce(trial_id, (0,) * slots)))
             trials.append((trial_id, states))
-        alice_t.close()
-        relay.join(5.0)
-        assert not relay.is_alive()
-        bob_t.close()
-        records = results["mitm"].records
+        records = relay_reads(lines, eve_basis, seed, fraction).records
         assert records == scalar_interceptions(eve_basis, seed, fraction, trials)
         assert records
 
@@ -1155,63 +995,38 @@ class TestMitm:
         honest = {v.pairs() for basis in sixstate.bases for v in basis.vectors}
         assert not honest & {v.pairs() for v in breidbart.vectors}
         n, seed = 300, 8
-        results, _, _ = self.run_with_interceptor(sixstate, cfg23, n, seed, eve_basis=breidbart)
+        results = honest_session(cfg23, n, seed, eve=breidbart).results
         attacked = ProtocolConfig(c=3, d=2, basis_set=sixstate, eve=breidbart)
-        assert results["outcomes"] == [run_trial(attacked, t, seed) for t in range(n)]
-        assert len(results["mitm"].records) == 2 * n
+        assert results["bob"] == [run_trial(attacked, t, seed) for t in range(n)]
+        assert len(results["relay"].records) == 2 * n
 
     def test_non_finite_amplitude_passes_the_relay_to_bob(self, sixstate, cfg23):
-        alice_t, eve_a = ch.memory_transport_pair()
-        eve_b, bob_t = ch.memory_transport_pair()
-        results = {}
-
-        def eavesdropper():
-            results["mitm"] = ch.run_mitm_pumps(eve_a, eve_b, sixstate.bases[0], 1)
-
-        relay = threading.Thread(target=eavesdropper)
-        relay.start()
-        alice_t.send_line(ch.encode(ch.Hello(1, 3, 2, "sixstate")))
-        alice_t.send_line(NAN_STATE)
-        try:
-            with pytest.raises(CodecError):
-                ch.run_session("bob", bob_t, cfg23, 1, 1, "sixstate")
-        finally:
-            alice_t.close()
-            bob_t.close()
-            relay.join(5.0)
-        assert not relay.is_alive()
-        assert results["mitm"].records == []
+        ended = self.relayed_to_bob(cfg23, [NAN_STATE], sixstate.bases[0], may_raise={"bob": CodecError})
+        assert isinstance(ended.errors["bob"], CodecError)
+        assert ended.results["relay"].records == []
 
     def test_state_of_another_dimension_passes_the_relay_to_bob(self, sixstate, cfg23):
         # a unit vector of C^3 in a (2,3) session: the relay forwards it as
         # it came, and Bob names it in a Bye that the relay brings to Alice
-        alice_t, eve_a = ch.memory_transport_pair()
-        eve_b, bob_t = ch.memory_transport_pair()
-        to_alice = RecordingTransport(eve_a)
-        results = {}
-
-        def eavesdropper():
-            results["mitm"] = ch.run_mitm_pumps(to_alice, eve_b, sixstate.bases[0], 1)
-
-        relay = threading.Thread(target=eavesdropper)
-        relay.start()
         wide = ch.encode(ch.QuantumState(0, 0, ((1.0, 0.0), (0.0, 0.0), (0.0, 0.0))))
-        alice_t.send_line(ch.encode(ch.Hello(1, 3, 2, "sixstate")))
-        alice_t.send_line(wide + ch.encode(ch.IndexAnnounce(0, (0, 0))))
-        try:
-            with pytest.raises(ProtocolError) as err:
-                ch.run_session("bob", bob_t, cfg23, 1, 1, "sixstate")
-        finally:
-            alice_t.close()
-            bob_t.close()
-            relay.join(5.0)
-        assert not relay.is_alive()
-        assert str(err.value) == "state with 3 amplitudes, expected 2"
-        assert ch.decode(to_alice.sent[-1]) == ch.Bye("ProtocolError: state with 3 amplitudes, expected 2")
-        assert results["mitm"].records == []
+        lines = [wide + ch.encode(ch.IndexAnnounce(0, (0, 0)))]
+        ended = self.relayed_to_bob(cfg23, lines, sixstate.bases[0], may_raise={"bob": ProtocolError})
+        assert str(ended.errors["bob"]) == "state with 3 amplitudes, expected 2"
+        bye = ch.Bye("ProtocolError: state with 3 amplitudes, expected 2")
+        assert ch.decode(ended.ends["to_alice"].sent[-1]) == bye
+        assert ended.results["relay"].records == []
+
+    @staticmethod
+    def relayed_to_bob(cfg, lines, eve_basis, **run):
+        """A Hello and `lines` from a scripted Alice, through the relay to a
+        one-trial Bob; her end stays open until he is done."""
+        lines = [ch.encode(ch.Hello(1, cfg.c, cfg.d, "sixstate")), *lines]
+        relay = (eve_basis, 1, 1.0)
+        return scripted_session("bob", cfg, "sixstate", lines, then_close=False, relay=relay, n_trials=1, seed=1, **run)
 
     def test_classical_messages_forwarded_byte_identically(self, sixstate, cfg23):
-        results, eve_a, eve_b = self.run_with_interceptor(sixstate, cfg23, 60, 9)
+        ends = honest_session(cfg23, 60, 9, eve=sixstate.bases[0]).ends
+        eve_a, eve_b = ends["to_alice"], ends["to_bob"]
         incoming = [l for l in eve_a.received if json.loads(l)["type"] != "quantum_state"]
         outgoing = [l for l in eve_b.sent if json.loads(l)["type"] != "quantum_state"]
         assert incoming == outgoing
@@ -1221,9 +1036,9 @@ class TestMitm:
         assert resent and all(amps in eigenstates for amps in resent)
 
     def test_one_write_per_trial_towards_bob(self, sixstate, cfg23):
-        results, _, eve_b = self.run_with_interceptor(sixstate, cfg23, 30, 4)
-        assert eve_b.send_calls == [1] + [3] * 30 + [1, 1]
-        assert len(results["mitm"].records) == 2 * 30
+        ended = honest_session(cfg23, 30, 4, eve=sixstate.bases[0])
+        assert ended.ends["to_bob"].send_calls == [1] + [3] * 30 + [1, 1]
+        assert len(ended.results["relay"].records) == 2 * 30
 
     def test_log_may_be_read_while_the_relay_runs(self, sixstate, cfg23, monkeypatch):
         """Readers polling `records` during a session each see a prefix of
@@ -1238,73 +1053,48 @@ class TestMitm:
                 logs.append(self)
 
         monkeypatch.setattr(ch, "MitmLog", SeenLog)
-        done = threading.Event()
         seen = [[] for _ in range(4)]  # per reader: (length, is a prefix) of each read
 
         def reader(reads):
-            while not done.is_set():
+            # until it reads the whole log, or the session's deadline has passed
+            give_up = time.monotonic() + 10.0
+            while (not reads or reads[-1][0] < len(expected)) and time.monotonic() < give_up:
                 if logs:
                     records = logs[0].records
                     reads.append((len(records), records == expected[: len(records)]))
 
-        readers = [threading.Thread(target=reader, args=(reads,)) for reads in seen]
+        readers = {f"reader {k}": functools.partial(reader, reads) for k, reads in enumerate(seen)}
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            for thread in readers:
-                thread.start()
-            results, _, _ = self.run_with_interceptor(sixstate, cfg23, n, seed)
+            results = honest_session(cfg23, n, seed, eve=sixstate.bases[0], background=readers).results
         finally:
-            done.set()
             sys.setswitchinterval(interval)
-            for thread in readers:
-                thread.join(5.0)
-        assert not any(thread.is_alive() for thread in readers)
-        assert results["mitm"].records == expected
+        assert results["relay"].records == expected
         for reads in seen:
             lengths = [length for length, _ in reads]
             assert lengths == sorted(lengths)
             assert all(prefix for _, prefix in reads)
         assert any(0 < length < len(expected) for reads in seen for length, _ in reads)
 
-    def test_pump_failure_surfaces(self, cfg23, qutrit4, monkeypatch):
+    def test_pump_failure_surfaces(self, cfg23, qutrit4):
         # an Eve basis of the wrong dimension fails inside the relay
-        monkeypatch.setattr(ch, "_RECV_TIMEOUT", 5.0)
         alice_t, eve_a = ch.memory_transport_pair()
         eve_b, bob_t = ch.memory_transport_pair()
-        errors = {}
-
-        def endpoint(role, transport):
-            try:
-                ch.run_session(role, transport, cfg23, 10, 2, "sixstate")
-            except Exception as exc:
-                errors[role] = exc
-
-        threads = [
-            threading.Thread(target=endpoint, args=("alice", alice_t)),
-            threading.Thread(target=endpoint, args=("bob", bob_t)),
-        ]
-        started = time.monotonic()
-        for thread in threads:
-            thread.start()
-        with pytest.raises(SessionError) as err:
-            ch.run_mitm_pumps(eve_a, eve_b, qutrit4.bases[0], 2)
-        for thread in threads:
-            thread.join(5.0)
-            assert not thread.is_alive()
-        assert time.monotonic() - started < 2.0
-        assert isinstance(err.value.__cause__, DimensionError)
-        assert isinstance(errors.get("alice"), SessionError)
-        assert isinstance(errors.get("bob"), SessionError)
+        parties = {
+            "alice": lambda: ch.run_session("alice", alice_t, cfg23, 10, 2, "sixstate"),
+            "bob": lambda: ch.run_session("bob", bob_t, cfg23, 10, 2, "sixstate"),
+            "relay": lambda: ch.run_mitm_pumps(eve_a, eve_b, qutrit4.bases[0], 2),
+        }
+        ended = run_parties(parties, deadline=2.0, recv_timeout=5.0, may_raise=dict.fromkeys(parties, SessionError))
+        assert set(ended.errors) == set(parties)
+        assert isinstance(ended.errors["relay"].__cause__, DimensionError)
 
     def test_pump_failure_surfaces_over_tcp(self, cfg23, qutrit4):
-        started = time.monotonic()
-        results = run_tcp_relay(cfg23, qutrit4.bases[0], 10, 2)
-        assert time.monotonic() - started < 5.0
-        assert isinstance(results["relay"], SessionError)
-        assert isinstance(results["relay"].__cause__, DimensionError)
-        assert isinstance(results["alice"], SessionError)
-        assert isinstance(results["bob"], SessionError)
+        may_raise = dict.fromkeys(["alice", "bob", "relay"], SessionError)
+        ended = tcp_session(cfg23, 10, 2, eve=qutrit4.bases[0], deadline=5.0, may_raise=may_raise)
+        assert set(ended.errors) == set(may_raise)
+        assert isinstance(ended.errors["relay"].__cause__, DimensionError)
 
     def count_full_state_decodes(self, monkeypatch):
         """Full decodes of quantum_state lines, by (thread name, amps)."""
@@ -1325,9 +1115,9 @@ class TestMitm:
         cfg = ProtocolConfig(c=8, d=7, basis_set=basis_set)
         eve = basis_set.bases[0]
         full_decodes = self.count_full_state_decodes(monkeypatch)
-        results, _, _ = self.run_with_interceptor(None, cfg, 200, 5, eve_basis=eve, set_id="mub")
+        results = honest_session(cfg, 200, 5, "mub", eve=eve).results
         attacked = ProtocolConfig(c=8, d=7, basis_set=basis_set, eve=eve)
-        assert results["outcomes"] == [run_trial(attacked, t, 5) for t in range(200)]
+        assert results["bob"] == [run_trial(attacked, t, 5) for t in range(200)]
         # the relay holds Alice's 56 states from the Hello, and the 7 Eve
         # resends are in Bob's set, so neither decodes a state line in full
         assert not full_decodes
@@ -1339,15 +1129,15 @@ class TestMitm:
         breidbart = breidbart_basis()
         full_decodes = self.count_full_state_decodes(monkeypatch)
         n, seed = 200, 6
-        results, _, _ = self.run_with_interceptor(sixstate, cfg23, n, seed, eve_basis=breidbart)
+        results = honest_session(cfg23, n, seed, eve=breidbart).results
         attacked = ProtocolConfig(c=3, d=2, basis_set=sixstate, eve=breidbart)
-        assert results["outcomes"] == [run_trial(attacked, t, seed) for t in range(n)]
-        resent = collections.Counter(breidbart.vectors[r.outcome].pairs() for r in results["mitm"].records)
+        assert results["bob"] == [run_trial(attacked, t, seed) for t in range(n)]
+        resent = collections.Counter(breidbart.vectors[r.outcome].pairs() for r in results["relay"].records)
         assert sum(resent.values()) == 2 * n
-        bob = {amps: count for (name, amps), count in full_decodes.items() if name == "MainThread"}
+        bob = {amps: count for (name, amps), count in full_decodes.items() if name == "bob"}
         assert bob == resent
         # the relay holds the six-state set that Alice sends from
-        assert set(full_decodes) == {("MainThread", amps) for amps in resent}
+        assert set(full_decodes) == {("bob", amps) for amps in resent}
 
     def test_codec_calls_do_not_grow_with_trials(self, qutrit4, monkeypatch):
         """In an honest relayed session no per-trial line goes through
@@ -1377,8 +1167,8 @@ class TestMitm:
         counts = {}
         for n in (20, 200):
             calls.clear()
-            results, _, _ = self.run_with_interceptor(None, cfg, n, 2, eve_basis=eve, set_id="qutrit4")
-            assert results["outcomes"] == [run_trial(attacked, t, 2) for t in range(n)]
+            results = honest_session(cfg, n, 2, "qutrit4", eve=eve).results
+            assert results["bob"] == [run_trial(attacked, t, 2) for t in range(n)]
             counts[n] = dict(calls)
         assert counts[20] == counts[200]
         # the relay holds Alice's 12 states from the Hello, and Bob the 3
@@ -1405,16 +1195,14 @@ class TestMitm:
         # pass: he meets known and unknown states, the relay both as well
         breidbart = breidbart_basis()
         n, seed = 100, 4
-        results, _, _ = self.run_with_interceptor(
-            sixstate, cfg23, n, seed, eve_basis=breidbart, intercept_fraction=0.5
-        )
+        results = honest_session(cfg23, n, seed, eve=breidbart, fraction=0.5).results
         attacked = ProtocolConfig(c=3, d=2, basis_set=sixstate, eve=breidbart, intercept_fraction=0.5)
-        assert results["outcomes"] == [run_trial(attacked, t, seed) for t in range(n)]
+        assert results["bob"] == [run_trial(attacked, t, seed) for t in range(n)]
         counts = collections.Counter(matches)
         assert max(counts.values()) == 1
         assert len({name for name, _ in counts}) == 3
         # Bob matches each state and announcement, the key comparison and the bye
-        assert sum(name == "MainThread" for name, _ in counts) == 3 * n + 2
+        assert sum(name == "bob" for name, _ in counts) == 3 * n + 2
 
     def test_a_hello_with_negative_c_leaves_the_relay_tables_empty(self, sixstate, monkeypatch):
         tables = []
@@ -1425,60 +1213,21 @@ class TestMitm:
                 tables.append(self)
 
         monkeypatch.setattr(ch, "BornTable", SeenTable)
-        alice_t, eve_a = ch.memory_transport_pair()
-        eve_b, bob_t = ch.memory_transport_pair()
-        results = {}
-
-        def eavesdropper():
-            results["mitm"] = ch.run_mitm_pumps(eve_a, eve_b, sixstate.bases[0], 1)
-
-        relay = threading.Thread(target=eavesdropper)
-        relay.start()
-        alice_t.send_line(ch.encode(ch.Hello(1, -1, 2, "sixstate")))
+        lines = [ch.encode(ch.Hello(1, -1, 2, "sixstate"))]
         for t in range(50):
             state = make_random_basis(2, 300 + t).vectors[0]
-            alice_t.send_line(ch.encode(ch.QuantumState(t, 0, state.pairs())))
-        alice_t.close()
-        relay.join(5.0)
-        bob_t.close()
-        assert not relay.is_alive()
+            lines.append(ch.encode(ch.QuantumState(t, 0, state.pairs())))
+        log = relay_reads(lines, sixstate.bases[0], 1)
         assert len(tables) == 2 and not any(held(table) for table in tables)
-        assert len(results["mitm"].records) == 50
+        assert len(log.records) == 50
 
     def test_error_rate_seen_by_bob(self, sixstate, cfg23):
-        results, _, _ = self.run_with_interceptor(sixstate, cfg23, 5000, 3)
-        outcomes = results["outcomes"]
+        outcomes = honest_session(cfg23, 5000, 3, eve=sixstate.bases[0]).results["bob"]
         sifted = [o for o in outcomes if o.sifted]
         wrong = sum(o.bob_letter != o.x for o in sifted)
         p_hat = wrong / len(sifted)
         stderr = math.sqrt(p_hat * (1 - p_hat) / len(sifted))
         assert abs(p_hat - 4 / 7) <= 4 * stderr
-
-
-def relayed_session(cfg, set_id, eve_basis, n, seed, intercept_fraction=1.0):
-    """Alice and Bob on cfg under `set_id`, through run_mitm_pumps in
-    memory; returns Bob's outcomes and the relay's log."""
-    alice_t, eve_a = ch.memory_transport_pair()
-    eve_b, bob_t = ch.memory_transport_pair()
-    results = {}
-
-    def alice():
-        results["alice"] = ch.run_session("alice", alice_t, cfg, n, seed, set_id)
-
-    def relay():
-        results["mitm"] = ch.run_mitm_pumps(eve_a, eve_b, eve_basis, seed, intercept_fraction)
-
-    threads = [threading.Thread(target=alice), threading.Thread(target=relay)]
-    for thread in threads:
-        thread.start()
-    outcomes = ch.run_session("bob", bob_t, cfg, n, seed, set_id)
-    threads[0].join(10.0)
-    alice_t.close()
-    bob_t.close()
-    for thread in threads:
-        thread.join(10.0)
-        assert not thread.is_alive()
-    return outcomes, results["mitm"]
 
 
 @pytest.fixture
@@ -1520,7 +1269,8 @@ class TestRelayPrefill:
         eve = basis_set.bases[0]
         full_decodes = TestMitm().count_full_state_decodes(monkeypatch)
         n, seed = 100, 5
-        outcomes, log = relayed_session(cfg, "mub", eve, n, seed, fraction)
+        results = honest_session(cfg, n, seed, "mub", eve=eve, fraction=fraction).results
+        outcomes, log = results["bob"], results["relay"]
         attacked = ProtocolConfig(c=c, d=d, basis_set=basis_set, eve=eve, intercept_fraction=fraction)
         assert outcomes == [run_trial(attacked, t, seed) for t in range(n)]
         assert log.records
@@ -1543,7 +1293,7 @@ class TestRelayPrefill:
         eve = basis_set.bases[1]
         full_decodes = TestMitm().count_full_state_decodes(monkeypatch)
         n, seed = 150, 8
-        outcomes, _ = relayed_session(cfg, "prime", eve, n, seed)
+        outcomes = honest_session(cfg, n, seed, "prime", eve=eve).results["bob"]
         attacked = ProtocolConfig(c=c, d=d, basis_set=basis_set, eve=eve)
         assert outcomes == [run_trial(attacked, t, seed) for t in range(n)]
         tables = relay_tables()
@@ -1552,44 +1302,31 @@ class TestRelayPrefill:
         # every state line Alice sends is decoded in full at the relay; Bob
         # holds the states Eve resends, which are in his set
         assert sum(full_decodes.values()) == (c - 1) * n
-        assert "MainThread" not in {name for name, _ in full_decodes}
+        assert "bob" not in {name for name, _ in full_decodes}
 
     def hostile_hello_session(self, sixstate, cfg23, set_id, c):
         """A Hello naming `set_id` at (2, c), a few trials of Bob's and
         random states, then Bye, through the relay to a Bob on cfg23 under
         `set_id`: what each party ended with and what the relay wrote."""
-        alice_t, eve_a = ch.memory_transport_pair()
-        eve_b, bob_t = ch.memory_transport_pair()
-        to_alice, to_bob = RecordingTransport(eve_a), RecordingTransport(eve_b)
-        alice_t.send_line(ch.encode(ch.Hello(1, c, 2, set_id)))
+        lines = [ch.encode(ch.Hello(1, c, 2, set_id))]
         for t in range(6):
             for slot in range(2):
                 state = sixstate.bases[t % 3].vectors[slot] if t < 3 else make_random_basis(2, 40 + t).vectors[slot]
-                alice_t.send_line(ch.encode(ch.QuantumState(t, slot, state.pairs())))
-            alice_t.send_line(ch._announce_line(t, (1, 2)))
-        alice_t.send_line(ch.encode(ch.Bye("done")))
-        result = {}
-
-        def outcome(name, run):
-            try:
-                result[name] = run()
-            except Exception as exc:
-                result[name] = repr(exc)
-
-        relay = threading.Thread(
-            target=outcome, args=("relay", lambda: ch.run_mitm_pumps(to_alice, to_bob, sixstate.bases[0], 1))
-        )
-        relay.start()
-        outcome("bob", lambda: ch.run_session("bob", bob_t, cfg23, 6, 1, set_id))
+                lines.append(ch.encode(ch.QuantumState(t, slot, state.pairs())))
+            lines.append(ch._announce_line(t, (1, 2)))
+        lines.append(ch.encode(ch.Bye("done")))
         # Alice's end stays open until Bob is done, so that the relay
         # forwards all he wrote before either side's EOF ends it
-        bob_t.close()
-        relay.join(5.0)
-        alice_t.close()
-        assert not relay.is_alive()
-        if not isinstance(result["relay"], str):
-            result["relay"] = result["relay"].records
-        return result, to_bob.sent, to_alice.sent
+        ended = scripted_session(
+            "bob", cfg23, set_id, lines, then_close=False, relay=(sixstate.bases[0], 1, 1.0), n_trials=6, seed=1,
+            deadline=5.0, may_raise={"bob": Exception, "relay": Exception},
+        )
+        result = {name: repr(error) for name, error in ended.errors.items()}
+        if "relay" in ended.results:
+            result["relay"] = ended.results["relay"].records
+        if "bob" in ended.results:
+            result["bob"] = ended.results["bob"]
+        return result, ended.ends["to_bob"].sent, ended.ends["to_alice"].sent
 
     @pytest.mark.parametrize(
         "set_id,c",
@@ -1632,7 +1369,7 @@ class TestRelayPrefill:
         for d, c in [(2, 3), (3, 4), (5, 6)]:
             basis_set = mu_basis_set(d, c)
             cfg = ProtocolConfig(c=c, d=d, basis_set=basis_set)
-            relayed_session(cfg, "mub", basis_set.bases[0], 3, 1)
+            honest_session(cfg, 3, 1, "mub", eve=basis_set.bases[0])
         starts = [n for _, _, n in relay_tables()]
         assert max(starts) == 5 * 6 and all(n <= 5 * 6 for n in starts)
 
@@ -1669,34 +1406,18 @@ class TestTablesNeverGrow:
 
             return Recorded
 
-        # Alice's lines go to Bob directly, or to the relay, which faces Bob
-        # through a second pair
-        alice_t, bob_t = ch.memory_transport_pair()
-        if relayed:
-            eve_a, (eve_b, bob_t) = bob_t, ch.memory_transport_pair()
-        alice_t.send_line(ch.encode(ch.Hello(1, c, d, "mub")))
+        # Alice's lines go to Bob directly, or through the relay
+        lines = [ch.encode(ch.Hello(1, c, d, "mub"))]
         for t, states in trials:
-            lines = [ch.encode(ch.QuantumState(t, slot, v.pairs())) for slot, v in enumerate(states)]
-            alice_t.send_line(b"".join(lines) + ch._announce_line(t, announced))
-        alice_t.send_line(ch.encode(ch.Bye("done")))
-        result = {}
+            states_json = [ch.encode(ch.QuantumState(t, slot, v.pairs())) for slot, v in enumerate(states)]
+            lines.append(b"".join(states_json) + ch._announce_line(t, announced))
+        lines.append(ch.encode(ch.Bye("done")))
+        relay = (eve_basis, seed, fraction) if relayed else None
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(ch, "KnownStates", recording(ch.KnownStates))
             patch.setattr(ch, "BornTable", recording(ch.BornTable))
             patch.setattr(protocol_module, "BornTable", recording(protocol_module.BornTable))
-            if relayed:
-                relay = threading.Thread(
-                    target=lambda: result.update(mitm=ch.run_mitm_pumps(eve_a, eve_b, eve_basis, seed, fraction))
-                )
-                relay.start()
-            try:
-                outcomes = ch.run_session("bob", bob_t, cfg, n, seed, "mub")
-            finally:
-                bob_t.close()
-                alice_t.close()
-                if relayed:
-                    relay.join(5.0)
-                    assert not relay.is_alive()
+            ended = scripted_session("bob", cfg, "mub", lines, then_close=False, relay=relay, n_trials=n, seed=seed)
         expected = []
         for t, states in trials:
             if relayed:
@@ -1706,9 +1427,9 @@ class TestTablesNeverGrow:
             y = bob_choose_bases(cfg, rng)
             b = tuple(born_sample(v, basis_set.bases[k], rng) for v, k in zip(states, y))
             expected.append(TrialOutcome.of(t, -1, announced, y, b, c))
-        assert outcomes == expected
+        assert ended.results["bob"] == expected
         if relayed:
-            assert result["mitm"].records == scalar_interceptions(eve_basis, seed, fraction, trials)
+            assert ended.results["relay"].records == scalar_interceptions(eve_basis, seed, fraction, trials)
         # Bob's reader and table hold his set; the relay's, the set the
         # Hello names from then on, and nothing before it
         starts = [0, 0, c * d, c * d] if relayed else []
@@ -1739,98 +1460,28 @@ class TestBobSaysWhy:
     carries his reason."""
 
     TRIAL = 3
+    MAY_RAISE = {"alice": SessionError, "bob": ProtocolError}
 
-    def run_alice(self, transport, cfg, errors):
-        try:
-            ch.run_session("alice", BreakAnnouncement(transport, self.TRIAL), cfg, 10, 6, "sixstate")
-        except Exception as exc:
-            errors["alice"] = exc
+    def check(self, ended):
+        assert set(ended.errors) == {"alice", "bob"}
+        assert "malformed announcement" in str(ended.errors["bob"])
+        assert f"trial {self.TRIAL}: ProtocolError: malformed announcement" in str(ended.errors["alice"])
 
-    def check(self, errors, started):
-        assert time.monotonic() - started < 2.0
-        assert isinstance(errors.get("bob"), ProtocolError)
-        assert "malformed announcement" in str(errors["bob"])
-        assert isinstance(errors.get("alice"), SessionError)
-        assert f"trial {self.TRIAL}: ProtocolError: malformed announcement" in str(errors["alice"])
-
-    def run_bob(self, transport, cfg, errors):
-        try:
-            ch.run_session("bob", transport, cfg, 10, 6, "sixstate")
-        except Exception as exc:
-            errors["bob"] = exc
+    def break_announcement(self, transport):
+        return BreakAnnouncement(transport, self.TRIAL)
 
     def test_over_memory(self, cfg23):
-        alice_t, bob_t = ch.memory_transport_pair()
-        errors = {}
-        started = time.monotonic()
-        alice = threading.Thread(target=self.run_alice, args=(alice_t, cfg23, errors))
-        alice.start()
-        self.run_bob(bob_t, cfg23, errors)
-        alice.join(2.0)
-        bob_t.close()
-        alice.join(5.0)
-        assert not alice.is_alive()
-        self.check(errors, started)
+        self.check(honest_session(cfg23, 10, 6, wrap=self.break_announcement, deadline=2.0, may_raise=self.MAY_RAISE))
 
     def test_over_tcp(self, cfg23):
-        port = free_port()
-        ready = threading.Event()
-        errors = {}
-
-        def bob():
-            try:
-                ch.serve_session("127.0.0.1", port, "bob", cfg23, 10, 6, "sixstate", ready_event=ready)
-            except Exception as exc:
-                errors["bob"] = exc
-
-        started = time.monotonic()
-        server = threading.Thread(target=bob)
-        server.start()
-        assert ready.wait(5.0)
-        transport = ch.TcpTransport(socket.create_connection(("127.0.0.1", port)))
-        try:
-            self.run_alice(transport, cfg23, errors)
-        finally:
-            transport.close()
-        server.join(5.0)
-        assert not server.is_alive()
-        self.check(errors, started)
+        self.check(tcp_session(cfg23, 10, 6, wrap=self.break_announcement, deadline=2.0, may_raise=self.MAY_RAISE))
 
     def test_through_the_relay(self, cfg23, sixstate):
-        alice_t, eve_a = ch.memory_transport_pair()
-        eve_b, bob_t = ch.memory_transport_pair()
-        errors = {}
-        started = time.monotonic()
-        threads = [
-            threading.Thread(target=self.run_alice, args=(alice_t, cfg23, errors)),
-            threading.Thread(target=ch.run_mitm_pumps, args=(eve_a, eve_b, sixstate.bases[0], 6)),
-        ]
-        for thread in threads:
-            thread.start()
-        self.run_bob(bob_t, cfg23, errors)
-        threads[0].join(2.0)
-        alice_t.close()
-        bob_t.close()
-        for thread in threads:
-            thread.join(5.0)
-            assert not thread.is_alive()
-        self.check(errors, started)
-
-
-def bob_reads(cfg, set_id, lines, n_trials=4):
-    """Run Bob over a memory pair on a Hello and then `lines`, each its own
-    write; returns (his outcomes or the error he raised, the lines he wrote).
-    Alice's end closes after the last line."""
-    alice_t, bob_t = ch.memory_transport_pair()
-    bob_side = RecordingTransport(bob_t)
-    for line in [ch.encode(ch.Hello(1, cfg.c, cfg.d, set_id)), *lines]:
-        alice_t.send_line(line)
-    alice_t.close()
-    try:
-        result = ch.run_session("bob", bob_side, cfg, n_trials, 3, set_id)
-    except HselabError as exc:
-        result = exc
-    return result, bob_side.sent
+        # the relay ends within 2 s as well: twice the endpoints' deadline
+        ended = honest_session(
+            cfg23, 10, 6, eve=sixstate.bases[0], wrap=self.break_announcement, deadline=1.0, may_raise=self.MAY_RAISE
+        )
+        self.check(ended)
 
 
 def state_line(cfg, trial_id, slot):
@@ -1972,140 +1623,26 @@ def hostile_lines(cfg, set_id, segments, honest_tail):
     return lines
 
 
-class TestHostileAlice:
-    """Bob against sequences of honest and hostile lines: he returns, or
-    stops with ProtocolError, CodecError or SessionError, within 2 s of the
-    last line; when he stops on a protocol or codec error, the last line he
-    wrote is a Bye that names it."""
-
-    @given(
-        st.sampled_from(["sixstate", "qutrit4"]),
-        st.lists(st.tuples(st.integers(0, 7), st.sampled_from(HOSTILE_KINDS), st.integers(0, 11)), max_size=3),
-        st.integers(0, 7),
-        # a silent end waits out Bob's timeout, so it comes up least often
-        st.sampled_from(["bye", "bye", "close", "close", "silence"]),
-    )
-    @settings(max_examples=150, deadline=None)
-    def test_bob_ends_promptly_and_says_why(self, sixstate, qutrit4, set_id, segments, honest_tail, end):
-        basis_set = {"sixstate": sixstate, "qutrit4": qutrit4}[set_id]
-        cfg = ProtocolConfig(c=basis_set.c, d=basis_set.d, basis_set=basis_set)
-        alice_t, bob_t = ch.memory_transport_pair()
-        bob_side = RecordingTransport(bob_t)
-        lines = hostile_lines(cfg, set_id, segments, honest_tail)
-        for line in [ch.encode(ch.Hello(1, cfg.c, cfg.d, set_id)), *lines]:
-            alice_t.send_line(line)
-        if end == "bye":
-            alice_t.send_line(ch.encode(ch.Bye("done")))
-        elif end == "close":
-            alice_t.close()
-        result = {}
-
-        def bob():
-            try:
-                result["outcomes"] = ch.run_session("bob", bob_side, cfg, 4, 3, set_id)
-            except Exception as exc:
-                result["error"] = exc
-
-        with pytest.MonkeyPatch.context() as patch:
-            # Bob gives up on a silent Alice after this long
-            patch.setattr(ch, "_RECV_TIMEOUT", 0.5)
-            worker = threading.Thread(target=bob)
-            started = time.monotonic()
-            worker.start()
-            worker.join(2.0)
-            took = time.monotonic() - started
-            alice_t.close()
-            worker.join(5.0)
-        assert took < 2.0 and not worker.is_alive()
-        error = result.get("error")
-        last = ch.decode(bob_side.sent[-1])
-        if error is None:
-            assert last == ch.Bye("done")
-        else:
-            assert isinstance(error, (ProtocolError, CodecError, SessionError)), repr(error)
-            if not isinstance(error, SessionError):
-                assert last == ch.Bye(f"{type(error).__name__}: {error}")
-
-
-class TestHostileAliceThroughTheRelay:
-    """TestHostileAlice's lines sent through a memory relay that intercepts
-    half or all of the states.  Bob ends as he does there.  The relay returns
-    its log, or raises SessionError only if Alice falls silent and its read
-    times out, and no thread outlives the session.
-    When Bob stops on a protocol or codec error, the last line the relay
-    forwards to Alice is his Bye naming it, unless she closed first: then
-    the relay closes towards Bob as soon as it reads her EOF."""
-
-    @given(
-        st.sampled_from(["sixstate", "qutrit4"]),
-        st.lists(st.tuples(st.integers(0, 7), st.sampled_from(HOSTILE_KINDS), st.integers(0, 11)), max_size=3),
-        st.integers(0, 7),
-        st.sampled_from(["bye", "bye", "close", "close", "silence"]),
-        st.sampled_from([0.5, 1.0]),
-    )
-    @settings(max_examples=80, deadline=None)
-    def test_bob_and_the_relay_end_promptly(self, sixstate, qutrit4, set_id, segments, honest_tail, end, fraction):
-        basis_set = {"sixstate": sixstate, "qutrit4": qutrit4}[set_id]
-        cfg = ProtocolConfig(c=basis_set.c, d=basis_set.d, basis_set=basis_set)
-        alice_t, eve_a = ch.memory_transport_pair()
-        eve_b, bob_t = ch.memory_transport_pair()
-        to_alice, bob_side = RecordingTransport(eve_a), RecordingTransport(bob_t)
-        lines = hostile_lines(cfg, set_id, segments, honest_tail)
-        for line in [ch.encode(ch.Hello(1, cfg.c, cfg.d, set_id)), *lines]:
-            alice_t.send_line(line)
-        if end == "bye":
-            alice_t.send_line(ch.encode(ch.Bye("done")))
-        elif end == "close":
-            alice_t.close()
-        result = {}
-
-        def bob():
-            try:
-                result["outcomes"] = ch.run_session("bob", bob_side, cfg, 4, 3, set_id)
-            except Exception as exc:
-                result["error"] = exc
-
-        def relay():
-            try:
-                result["log"] = ch.run_mitm_pumps(to_alice, eve_b, basis_set.bases[1], 3, fraction)
-            except Exception as exc:
-                result["relay error"] = exc
-
-        before = set(threading.enumerate())
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(ch, "_RECV_TIMEOUT", 0.5)
-            workers = [threading.Thread(target=bob), threading.Thread(target=relay)]
-            started = time.monotonic()
-            for worker in workers:
-                worker.start()
-            workers[0].join(2.0)
-            took = time.monotonic() - started
-            alice_t.close()
-            bob_t.close()
-            workers[1].join(2.0)
-            relay_took = time.monotonic() - started
-        assert took < 2.0 and relay_took < 4.0
-        assert set(threading.enumerate()) == before
-        assert ("log" in result) != ("relay error" in result)
-        if "relay error" in result:
-            assert end == "silence" and isinstance(result["relay error"], SessionError), repr(result["relay error"])
-        error = result.get("error")
-        if error is None:
-            assert ch.decode(bob_side.sent[-1]) == ch.Bye("done")
-        else:
-            assert isinstance(error, (ProtocolError, CodecError, SessionError)), repr(error)
-            if not isinstance(error, SessionError):
-                bye = ch.Bye(f"{type(error).__name__}: {error}")
-                assert ch.decode(bob_side.sent[-1]) == bye
-                if end != "close":
-                    assert ch.decode(to_alice.sent[-1]) == bye
-
-
+# the strategies of the hostile-peer tests: (n honest lines, kind, variant)
+# segments of a hostile Alice or Bob, and how the peer ends; a silent end
+# waits out a receive timeout, so it comes up least often
+ALICE_SEGMENTS = st.lists(
+    st.tuples(st.integers(0, 7), st.sampled_from(HOSTILE_KINDS), st.integers(0, 11)), max_size=3
+)
+ALICE_ENDS = st.sampled_from(["bye", "bye", "close", "close", "silence"])
+# the intercept fractions of the relayed variants
+FRACTIONS = st.sampled_from([0.5, 1.0])
 # what a hostile Bob may send in place of his honest next line; each reads
 # a variant number modulo its own count of variants
 HOSTILE_REPLIES = ("wrong trial", "repeat", "hello", "junk", "loose json", "bye")
 JUNK = (b"not json\n", b"\xff\xfe\n", b"[1, 2]\n", b'{"type":"sift_report","trial_id":0}\n', b"\n", b"{}")
 BYES = ("done", "ProtocolError: key comparison range (0, -1) does not match session", "", "CodecError: x")
+
+
+BOB_SEGMENTS = st.lists(
+    st.tuples(st.integers(0, 5), st.sampled_from(HOSTILE_REPLIES), st.integers(0, 11)), max_size=2
+)
+BOB_ENDS = st.sampled_from(["close", "close", "close", "silence"])
 
 
 def hostile_replies(cfg, set_id, n_trials, seed, segments, honest_tail):
@@ -2166,145 +1703,6 @@ def alice_may_return(cfg, set_id, n_trials, seed, lines, end):
     return True
 
 
-class TestHostileBob:
-    """Alice against sequences of honest and hostile replies: she returns,
-    or stops with ProtocolError, CodecError, HandshakeError or SessionError,
-    within twice her receive timeout, and no thread outlives the session.
-    She returns only on Bob's Hello, the honest sift reports for her trials
-    and then Bye("done") or EOF."""
-
-    TIMEOUT = 0.25
-    SEED = 3
-
-    @given(
-        st.sampled_from(["sixstate", "qutrit4"]),
-        st.integers(0, 3),
-        st.lists(st.tuples(st.integers(0, 5), st.sampled_from(HOSTILE_REPLIES), st.integers(0, 11)), max_size=2),
-        st.integers(0, 6),
-        # a silent end waits out Alice's timeout, so it comes up least often
-        st.sampled_from(["close", "close", "close", "silence"]),
-    )
-    # an error Bye in place of Bob's Bye("done")
-    @example("sixstate", 2, [(3, "bye", 1)], 0, "close")
-    @settings(max_examples=60, deadline=None)
-    def test_alice_ends_promptly(self, sixstate, qutrit4, set_id, n_trials, segments, honest_tail, end):
-        basis_set = {"sixstate": sixstate, "qutrit4": qutrit4}[set_id]
-        cfg = ProtocolConfig(c=basis_set.c, d=basis_set.d, basis_set=basis_set)
-        lines = hostile_replies(cfg, set_id, n_trials, self.SEED, segments, honest_tail)
-        alice_t, bob_t = ch.memory_transport_pair()
-        for line in lines:
-            bob_t.send_line(line)
-        if end == "close":
-            bob_t.close()
-        result = {}
-
-        def alice():
-            try:
-                result["log"] = ch.run_session("alice", alice_t, cfg, n_trials, self.SEED, set_id)
-            except Exception as exc:
-                result["error"] = exc
-
-        before = set(threading.enumerate())
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(ch, "_RECV_TIMEOUT", self.TIMEOUT)
-            worker = threading.Thread(target=alice)
-            started = time.monotonic()
-            worker.start()
-            worker.join(2 * self.TIMEOUT)
-            took = time.monotonic() - started
-            bob_t.close()
-            worker.join(5.0)
-        assert took < 2 * self.TIMEOUT and not worker.is_alive()
-        assert set(threading.enumerate()) == before
-        if alice_may_return(cfg, set_id, n_trials, self.SEED, lines, end):
-            outcomes = [run_trial(cfg, t, self.SEED) for t in range(n_trials)]
-            assert "error" not in result, repr(result["error"])
-            assert result["log"].key == tuple(o.x for o in outcomes if o.sifted)
-        else:
-            assert "log" not in result
-            error = result["error"]
-            assert isinstance(error, (ProtocolError, CodecError, HandshakeError, SessionError)), repr(error)
-
-
-class TestHostileBobThroughTheRelay:
-    """TestHostileBob's replies sent to Alice through the relay's pump
-    towards her, which forwards them byte-identically: Alice returns, or
-    stops with ProtocolError, CodecError, HandshakeError or SessionError,
-    within twice her receive timeout.  She returns when she would without
-    the relay, and also when the relay fails on a silent Bob after her
-    last honest reply: she reads its close as his.  The relay returns its
-    log, or raises SessionError, and no thread outlives the session."""
-
-    TIMEOUT = 0.25
-    SEED = 3
-
-    @given(
-        st.sampled_from(["sixstate", "qutrit4"]),
-        st.integers(0, 3),
-        st.lists(st.tuples(st.integers(0, 5), st.sampled_from(HOSTILE_REPLIES), st.integers(0, 11)), max_size=2),
-        st.integers(0, 6),
-        # a silent end waits out a timeout, so it comes up least often
-        st.sampled_from(["close", "close", "close", "silence"]),
-        st.sampled_from([0.5, 1.0]),
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_alice_and_the_relay_end_promptly(
-        self, sixstate, qutrit4, set_id, n_trials, segments, honest_tail, end, fraction
-    ):
-        basis_set = {"sixstate": sixstate, "qutrit4": qutrit4}[set_id]
-        cfg = ProtocolConfig(c=basis_set.c, d=basis_set.d, basis_set=basis_set)
-        lines = hostile_replies(cfg, set_id, n_trials, self.SEED, segments, honest_tail)
-        alice_t, eve_a = ch.memory_transport_pair()
-        eve_b, bob_t = ch.memory_transport_pair()
-        for line in lines:
-            bob_t.send_line(line)
-        if end == "close":
-            bob_t.close()
-        result = {}
-
-        def alice():
-            try:
-                result["log"] = ch.run_session("alice", alice_t, cfg, n_trials, self.SEED, set_id)
-            except Exception as exc:
-                result["error"] = exc
-
-        def relay():
-            try:
-                result["relay log"] = ch.run_mitm_pumps(eve_a, eve_b, basis_set.bases[1], self.SEED, fraction)
-            except Exception as exc:
-                result["relay error"] = exc
-
-        before = set(threading.enumerate())
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(ch, "_RECV_TIMEOUT", self.TIMEOUT)
-            workers = [threading.Thread(target=alice), threading.Thread(target=relay)]
-            started = time.monotonic()
-            for worker in workers:
-                worker.start()
-            workers[0].join(2 * self.TIMEOUT)
-            took = time.monotonic() - started
-            alice_t.close()
-            bob_t.close()
-            workers[1].join(2 * self.TIMEOUT)
-            relay_took = time.monotonic() - started
-        assert took < 2 * self.TIMEOUT and relay_took < 4 * self.TIMEOUT
-        assert set(threading.enumerate()) == before
-        assert ("relay log" in result) != ("relay error" in result)
-        if "relay error" in result:
-            assert isinstance(result["relay error"], SessionError), repr(result["relay error"])
-        if "log" in result:
-            # a relay that fails on a silent Bob closes Alice's side, which
-            # she reads as his close
-            seen = "close" if "relay error" in result else end
-            assert alice_may_return(cfg, set_id, n_trials, self.SEED, lines, seen)
-            outcomes = [run_trial(cfg, t, self.SEED) for t in range(n_trials)]
-            assert result["log"].key == tuple(o.x for o in outcomes if o.sifted)
-        else:
-            assert not alice_may_return(cfg, set_id, n_trials, self.SEED, lines, end)
-            error = result["error"]
-            assert isinstance(error, (ProtocolError, CodecError, HandshakeError, SessionError)), repr(error)
-
-
 def play_raw_peer(sock, lines, end) -> bytes:
     """A hostile peer on a connected plain socket: it writes `lines`, shuts
     its sending side if `end` is "close" (else it falls silent), and reads
@@ -2324,122 +1722,202 @@ def play_raw_peer(sock, lines, end) -> bytes:
     return b"".join(heard)
 
 
+HOSTILE_SEED = 3
+BOB_STOPS_WITH = (ProtocolError, CodecError, SessionError)
+ALICE_STOPS_WITH = (ProtocolError, CodecError, HandshakeError, SessionError)
+
+
+def hostile_alice(carry, basis_set, set_id, segments, honest_tail, end, fraction=None):
+    """TestHostileAlice's property, however `carry` takes the lines to Bob
+    (directly if `fraction` is None, else through a relay that intercepts
+    that fraction of the states).  `carry(cfg, set_id, lines, end,
+    fraction)` runs the session and returns (how it ended, the lines Bob
+    wrote or None if it cannot see them, the lines that reached Alice).
+    Bob returns, or stops with ProtocolError, CodecError or SessionError,
+    within the carrier's deadline.  When he returns, his last line is
+    Bye("done") and it reached her.  When he stops on a protocol or codec
+    error, the last line he wrote is a Bye that names it, and so is the
+    last that reached her, unless she closed first: then a relay closes
+    towards Bob as soon as it reads her EOF."""
+    cfg = ProtocolConfig(c=basis_set.c, d=basis_set.d, basis_set=basis_set)
+    lines = [ch.encode(ch.Hello(1, cfg.c, cfg.d, set_id)), *hostile_lines(cfg, set_id, segments, honest_tail)]
+    if end == "bye":
+        lines.append(ch.encode(ch.Bye("done")))
+    ended, wrote, heard = carry(cfg, set_id, lines, end, fraction)
+    error = ended.errors.get("bob")
+    if error is None:
+        # he read every line, so he closed with none unread, and his Bye reached her
+        assert all(ch.decode(seen[-1]) == ch.Bye("done") for seen in (wrote, heard) if seen is not None)
+    elif not isinstance(error, SessionError) and wrote is not None:
+        bye = ch.Bye(f"{type(error).__name__}: {error}")
+        assert ch.decode(wrote[-1]) == bye
+        if end != "close":
+            assert ch.decode(heard[-1]) == bye
+
+
+def hostile_bob(carry, basis_set, set_id, n_trials, segments, honest_tail, end, fraction=None, broken_pipe=False):
+    """TestHostileBob's property, however `carry(cfg, set_id, n_trials,
+    lines, end, fraction)` takes the replies to Alice (see hostile_alice);
+    it returns how the session ended and the replies as her transport
+    frames them.
+    She returns, or stops with ProtocolError, CodecError, HandshakeError or
+    SessionError, within the carrier's deadline.  She returns only on
+    Bob's Hello, the honest sift reports for her trials and then
+    Bye("done") or EOF; a relay that fails on a silent Bob after her last
+    honest reply closes her side, which she reads as his close.  With
+    `broken_pipe`, a SessionError is allowed however the replies read:
+    through the TCP relay, which closes both ways of her connection at
+    Bob's EOF, a line she has still to send may fail."""
+    cfg = ProtocolConfig(c=basis_set.c, d=basis_set.d, basis_set=basis_set)
+    lines = hostile_replies(cfg, set_id, n_trials, HOSTILE_SEED, segments, honest_tail)
+    ended, lines = carry(cfg, set_id, n_trials, lines, end, fraction)
+    seen = "close" if "relay" in ended.errors else end
+    error = ended.errors.get("alice")
+    if error is None:
+        assert alice_may_return(cfg, set_id, n_trials, HOSTILE_SEED, lines, seen)
+        outcomes = [run_trial(cfg, t, HOSTILE_SEED) for t in range(n_trials)]
+        assert ended.results["alice"].key == tuple(o.x for o in outcomes if o.sifted)
+    elif isinstance(error, SessionError):
+        # her read at the close may time out just before a failing relay's close reaches her
+        assert broken_pipe or not alice_may_return(cfg, set_id, n_trials, HOSTILE_SEED, lines, end)
+    else:
+        assert not alice_may_return(cfg, set_id, n_trials, HOSTILE_SEED, lines, seen)
+
+
+def relay_args(cfg, fraction):
+    """The relay's Eve basis, seed and fraction in a hostile-peer session,
+    or None for a direct one."""
+    return None if fraction is None else (cfg.basis_set.bases[1], HOSTILE_SEED, fraction)
+
+
+class TestHostileAlice:
+    """Bob against sequences of honest and hostile lines over memory (see
+    hostile_alice), within 2 s of the start, with his receive timeout at
+    0.5 s."""
+
+    @staticmethod
+    def carry(cfg, set_id, lines, end, fraction):
+        ended = scripted_session(
+            "bob", cfg, set_id, lines, then_close=end == "close", relay=relay_args(cfg, fraction), seed=HOSTILE_SEED,
+            deadline=2.0, recv_timeout=0.5, may_raise={"bob": BOB_STOPS_WITH, "relay": SessionError},
+        )
+        # the relay fails only on a silent Alice, when its read times out
+        assert "relay" not in ended.errors or end == "silence"
+        wrote = ended.ends["bob"].sent
+        return ended, wrote, wrote if fraction is None else ended.ends["to_alice"].sent
+
+    @given(st.sampled_from(["sixstate", "qutrit4"]), ALICE_SEGMENTS, st.integers(0, 7), ALICE_ENDS)
+    @settings(max_examples=150, deadline=None)
+    def test_bob_ends_promptly_and_says_why(self, sixstate, qutrit4, set_id, segments, honest_tail, end):
+        basis_set = {"sixstate": sixstate, "qutrit4": qutrit4}[set_id]
+        hostile_alice(self.carry, basis_set, set_id, segments, honest_tail, end)
+
+
+class TestHostileAliceThroughTheRelay:
+    """TestHostileAlice's lines sent through a memory relay that intercepts
+    half or all of the states.  Bob ends as he does there, and the relay
+    within 4 s of the start.  The relay returns its log, or raises
+    SessionError only if Alice falls silent and its read times out."""
+
+    @given(st.sampled_from(["sixstate", "qutrit4"]), ALICE_SEGMENTS, st.integers(0, 7), ALICE_ENDS, FRACTIONS)
+    @settings(max_examples=80, deadline=None)
+    def test_bob_and_the_relay_end_promptly(self, sixstate, qutrit4, set_id, segments, honest_tail, end, fraction):
+        basis_set = {"sixstate": sixstate, "qutrit4": qutrit4}[set_id]
+        hostile_alice(TestHostileAlice.carry, basis_set, set_id, segments, honest_tail, end, fraction)
+
+
+class TestHostileBob:
+    """Alice against sequences of honest and hostile replies over memory
+    (see hostile_bob), within twice her receive timeout."""
+
+    TIMEOUT = 0.25
+
+    @classmethod
+    def carry(cls, cfg, set_id, n_trials, lines, end, fraction):
+        ended = scripted_session(
+            "alice", cfg, set_id, lines, then_close=end == "close", relay=relay_args(cfg, fraction),
+            n_trials=n_trials, seed=HOSTILE_SEED, deadline=2 * cls.TIMEOUT, recv_timeout=cls.TIMEOUT,
+            may_raise={"alice": ALICE_STOPS_WITH, "relay": SessionError},
+        )
+        # each write is a line to a memory reader, newline or not
+        return ended, lines
+
+    @given(st.sampled_from(["sixstate", "qutrit4"]), st.integers(0, 3), BOB_SEGMENTS, st.integers(0, 6), BOB_ENDS)
+    # an error Bye in place of Bob's Bye("done")
+    @example("sixstate", 2, [(3, "bye", 1)], 0, "close")
+    @settings(max_examples=60, deadline=None)
+    def test_alice_ends_promptly(self, sixstate, qutrit4, set_id, n_trials, segments, honest_tail, end):
+        basis_set = {"sixstate": sixstate, "qutrit4": qutrit4}[set_id]
+        hostile_bob(self.carry, basis_set, set_id, n_trials, segments, honest_tail, end)
+
+
+class TestHostileBobThroughTheRelay:
+    """TestHostileBob's replies sent to Alice through the relay's pump
+    towards her, which forwards them byte-identically.  Alice ends as she
+    does there, and the relay, which returns its log or raises
+    SessionError, within four times her receive timeout."""
+
+    @given(
+        st.sampled_from(["sixstate", "qutrit4"]),
+        st.integers(0, 3),
+        BOB_SEGMENTS,
+        st.integers(0, 6),
+        BOB_ENDS,
+        FRACTIONS,
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_alice_and_the_relay_end_promptly(
+        self, sixstate, qutrit4, set_id, n_trials, segments, honest_tail, end, fraction
+    ):
+        basis_set = {"sixstate": sixstate, "qutrit4": qutrit4}[set_id]
+        hostile_bob(TestHostileBob.carry, basis_set, set_id, n_trials, segments, honest_tail, end, fraction)
+
+
 class TestHostilePeersOverTcp:
     """TestHostileAlice's lines and TestHostileBob's replies, written by a
     plain socket to `serve_session` and `connect_session` on loopback,
-    directly and through `run_mitm` at f in {0.5, 1}.  The endpoint returns
-    when it would over memory, or stops with ProtocolError, CodecError,
-    HandshakeError or SessionError, within BOUND of its start; through the
-    relay Alice may also fail a send with SessionError once Bob has closed
-    (see test_hostile_bob).  The relay returns its log or raises
-    SessionError, and no thread or socket is left (an unclosed socket's
-    ResourceWarning fails the run)."""
+    directly and through `run_mitm` at f in {0.5, 1}.  The endpoint ends as
+    over memory within BOUND of its start; through the relay Alice may also
+    fail a send with SessionError once Bob has closed (see hostile_bob).
+    The relay returns its log or raises SessionError, and no thread or
+    socket is left (an unclosed socket's ResourceWarning fails the run)."""
 
     TIMEOUT = 0.25
     BOUND = 4 * TIMEOUT
-    SEED = 3
 
-    def run_parties(self, endpoint, peer, relay):
-        """Run the endpoint, the raw peer and, unless `relay` is None,
-        run_mitm(*relay) between them, each on a thread of its own.
-        Returns each party's result, or the exception it raised under
-        "<name> error"."""
-        result = {}
+    @classmethod
+    def run_peers(cls, role, endpoint, peer, relay_port, forward, cfg, fraction):
+        """The endpoint as `role`, the raw peer and, unless `fraction` is
+        None, run_mitm from relay_port to `forward` between them."""
+        relay = {}
+        if fraction is not None:
+            relay_at = (("127.0.0.1", relay_port), forward, *relay_args(cfg, fraction))
+            relay["relay"] = lambda: ch.run_mitm(*relay_at)
+        stops_with = BOB_STOPS_WITH if role == "bob" else ALICE_STOPS_WITH
+        return run_parties(
+            {role: endpoint}, background={"peer": peer, **relay}, deadline=cls.BOUND, recv_timeout=cls.TIMEOUT,
+            may_raise={role: stops_with, "relay": SessionError},
+        )
 
-        def party(name, fn):
-            def run():
-                try:
-                    result[name] = fn()
-                except Exception as exc:
-                    result[f"{name} error"] = exc
-
-            return threading.Thread(target=run, name=name)
-
-        threads = [party("endpoint", endpoint), party("peer", peer)]
-        if relay is not None:
-            threads.append(party("relay", lambda: ch.run_mitm(*relay)))
-        before = set(threading.enumerate())
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(ch, "_RECV_TIMEOUT", self.TIMEOUT)
-            started = time.monotonic()
-            for thread in threads:
-                thread.start()
-            threads[0].join(self.BOUND)
-            took = time.monotonic() - started
-            for thread in threads:
-                thread.join(self.BOUND)
-        assert took < self.BOUND
-        assert set(threading.enumerate()) == before
-        assert "peer error" not in result, repr(result["peer error"])
-        if relay is not None:
-            assert ("relay" in result) != ("relay error" in result)
-            if "relay error" in result:
-                assert isinstance(result["relay error"], SessionError), repr(result["relay error"])
-        return result
-
-    @pytest.mark.parametrize("relayed", [False, True], ids=["direct", "relayed"])
-    @given(
-        st.sampled_from(["sixstate", "qutrit4"]),
-        st.lists(st.tuples(st.integers(0, 7), st.sampled_from(HOSTILE_KINDS), st.integers(0, 11)), max_size=3),
-        st.integers(0, 7),
-        st.sampled_from(["bye", "bye", "close", "close", "silence"]),
-        st.sampled_from([0.5, 1.0]),
-    )
-    # Alice falls silent after two honest trials
-    @example("sixstate", [], 6, "silence", 1.0)
-    @settings(max_examples=25, deadline=None)
-    def test_hostile_alice(self, sixstate, qutrit4, relayed, set_id, segments, honest_tail, end, fraction):
-        basis_set = {"sixstate": sixstate, "qutrit4": qutrit4}[set_id]
-        cfg = ProtocolConfig(c=basis_set.c, d=basis_set.d, basis_set=basis_set)
-        lines = [ch.encode(ch.Hello(1, cfg.c, cfg.d, set_id)), *hostile_lines(cfg, set_id, segments, honest_tail)]
-        if end == "bye":
-            lines.append(ch.encode(ch.Bye("done")))
+    @classmethod
+    def carry_lines(cls, cfg, set_id, lines, end, fraction):
         bob_port, relay_port = free_port(), free_port()
         listening = threading.Event()
 
         def bob():
-            return ch.serve_session("127.0.0.1", bob_port, "bob", cfg, 4, self.SEED, set_id, ready_event=listening)
+            return ch.serve_session("127.0.0.1", bob_port, "bob", cfg, 4, HOSTILE_SEED, set_id, ready_event=listening)
 
         def alice():
             assert listening.wait(5.0)
-            port = relay_port if relayed else bob_port
-            for _ in range(100):
-                try:
-                    sock = socket.create_connection(("127.0.0.1", port), timeout=5.0)
-                    break
-                except ConnectionRefusedError:  # the relay is not listening yet
-                    time.sleep(0.01)
-            else:
-                raise AssertionError("listener never came up")
+            address = ("127.0.0.1", bob_port if fraction is None else relay_port)
+            sock = until_listening(lambda: socket.create_connection(address, timeout=5.0), attempts=100, pause=0.01)
             return play_raw_peer(sock, lines, end)
 
-        relay = (("127.0.0.1", relay_port), ("127.0.0.1", bob_port), basis_set.bases[1], self.SEED, fraction)
-        result = self.run_parties(bob, alice, relay if relayed else None)
-        if "endpoint" in result:
-            # Bob read every line, so he closed with none unread, and his Bye reached her
-            assert ch.decode(result["peer"].splitlines(keepends=True)[-1]) == ch.Bye("done")
-        else:
-            error = result["endpoint error"]
-            assert isinstance(error, (ProtocolError, CodecError, SessionError)), repr(error)
+        ended = cls.run_peers("bob", bob, alice, relay_port, ("127.0.0.1", bob_port), cfg, fraction)
+        return ended, None, ended.results["peer"].splitlines(keepends=True)
 
-    @pytest.mark.parametrize("relayed", [False, True], ids=["direct", "relayed"])
-    @given(
-        st.sampled_from(["sixstate", "qutrit4"]),
-        st.integers(0, 3),
-        st.lists(st.tuples(st.integers(0, 5), st.sampled_from(HOSTILE_REPLIES), st.integers(0, 11)), max_size=2),
-        st.integers(0, 6),
-        st.sampled_from(["close", "close", "close", "silence"]),
-        st.sampled_from([0.5, 1.0]),
-    )
-    # every reply and a Bye("done") at once, before Alice has sent her trials
-    @example("sixstate", 2, [], 5, "close", 1.0)
-    # Bob falls silent after his first sift report
-    @example("qutrit4", 3, [], 2, "silence", 0.5)
-    @settings(max_examples=25, deadline=None)
-    def test_hostile_bob(self, sixstate, qutrit4, relayed, set_id, n_trials, segments, honest_tail, end, fraction):
-        basis_set = {"sixstate": sixstate, "qutrit4": qutrit4}[set_id]
-        cfg = ProtocolConfig(c=basis_set.c, d=basis_set.d, basis_set=basis_set)
-        lines = hostile_replies(cfg, set_id, n_trials, self.SEED, segments, honest_tail)
+    @classmethod
+    def carry_replies(cls, cfg, set_id, n_trials, lines, end, fraction):
         relay_port = free_port()
         listener = socket.create_server(("127.0.0.1", 0))
 
@@ -2450,42 +1928,47 @@ class TestHostilePeersOverTcp:
             return play_raw_peer(sock, lines, end)
 
         def alice():
-            port = relay_port if relayed else listener.getsockname()[1]
-            return _dial_with_retry(ch.connect_session, port, cfg, n_trials, self.SEED, set_id, pause=0.01)
+            port = listener.getsockname()[1] if fraction is None else relay_port
+            session = (cfg, n_trials, HOSTILE_SEED, set_id)
+            return until_listening(lambda: ch.connect_session("127.0.0.1", port, "alice", *session), pause=0.01)
 
-        relay = (("127.0.0.1", relay_port), listener.getsockname(), basis_set.bases[1], self.SEED, fraction)
-        result = self.run_parties(alice, bob, relay if relayed else None)
-        # a relay that fails on a silent Bob closes Alice's side, which she reads as his close
-        seen = "close" if "relay error" in result else end
-        may_return = alice_may_return(cfg, set_id, n_trials, self.SEED, lines, seen)
-        if "endpoint" in result:
-            assert may_return
-            outcomes = [run_trial(cfg, t, self.SEED) for t in range(n_trials)]
-            assert result["endpoint"].key == tuple(o.x for o in outcomes if o.sifted)
-        else:
-            error = result["endpoint error"]
-            assert isinstance(error, (ProtocolError, CodecError, HandshakeError, SessionError)), repr(error)
-            # at Bob's EOF the relay closes both ways of Alice's connection,
-            # so a line she has still to send may fail with a broken pipe
-            assert not may_return or (relayed and isinstance(error, SessionError)), repr(error)
+        ended = cls.run_peers("alice", alice, bob, relay_port, listener.getsockname(), cfg, fraction)
+        # a TCP reader waits for the newline of a last line that lacks one,
+        # so from a peer that falls silent that line never comes
+        if end == "silence" and lines and not lines[-1].endswith(b"\n"):
+            lines = lines[:-1]
+        return ended, lines
 
+    @pytest.mark.parametrize("relayed", [False, True], ids=["direct", "relayed"])
+    @given(st.sampled_from(["sixstate", "qutrit4"]), ALICE_SEGMENTS, st.integers(0, 7), ALICE_ENDS, FRACTIONS)
+    # Alice falls silent after two honest trials
+    @example("sixstate", [], 6, "silence", 1.0)
+    @settings(max_examples=25, deadline=None)
+    def test_hostile_alice(self, sixstate, qutrit4, relayed, set_id, segments, honest_tail, end, fraction):
+        basis_set = {"sixstate": sixstate, "qutrit4": qutrit4}[set_id]
+        fraction = fraction if relayed else None
+        hostile_alice(self.carry_lines, basis_set, set_id, segments, honest_tail, end, fraction)
 
-class ByteRecorder:
-    """Feeds every byte a party writes into a running SHA-256."""
-
-    def __init__(self, inner, sink):
-        self.inner = inner
-        self.sink = sink
-
-    def send_line(self, data):
-        self.sink.update(data)
-        self.inner.send_line(data)
-
-    def recv_line(self):
-        return self.inner.recv_line()
-
-    def close(self):
-        self.inner.close()
+    @pytest.mark.parametrize("relayed", [False, True], ids=["direct", "relayed"])
+    @given(
+        st.sampled_from(["sixstate", "qutrit4"]),
+        st.integers(0, 3),
+        BOB_SEGMENTS,
+        st.integers(0, 6),
+        BOB_ENDS,
+        FRACTIONS,
+    )
+    # every reply and a Bye("done") at once, before Alice has sent her trials
+    @example("sixstate", 2, [], 5, "close", 1.0)
+    # Bob falls silent after his first sift report
+    @example("qutrit4", 3, [], 2, "silence", 0.5)
+    # Bob falls silent after a last line without its newline
+    @example("sixstate", 0, [(1, "junk", 5)], 0, "silence", 0.5)
+    @settings(max_examples=25, deadline=None)
+    def test_hostile_bob(self, sixstate, qutrit4, relayed, set_id, n_trials, segments, honest_tail, end, fraction):
+        basis_set = {"sixstate": sixstate, "qutrit4": qutrit4}[set_id]
+        fraction = fraction if relayed else None
+        hostile_bob(self.carry_replies, basis_set, set_id, n_trials, segments, honest_tail, end, fraction, relayed)
 
 
 def wire_digest(d, c, relay, n=200, seed=2024):
@@ -2493,40 +1976,13 @@ def wire_digest(d, c, relay, n=200, seed=2024):
     relay pump wrote in one memory session on the MU set for (d, c)."""
     basis_set = mu_basis_set(d, c)
     cfg = ProtocolConfig(c=c, d=d, basis_set=basis_set)
+    eve = basis_set.bases[0] if relay else None
+    ended = honest_session(cfg, n, seed, "mub", eve=eve)
+    attacked = ProtocolConfig(c=c, d=d, basis_set=basis_set, eve=eve)
+    assert ended.results["bob"] == [run_trial(attacked, t, seed) for t in range(n)]
     writers = ["alice", "bob"] + (["to_bob", "to_alice"] if relay else [])
-    sinks = {name: hashlib.sha256() for name in writers}
-    alice_t, far_end = ch.memory_transport_pair()
-    bob_t = far_end
-    threads = [
-        threading.Thread(
-            target=ch.run_session,
-            args=("alice", ByteRecorder(alice_t, sinks["alice"]), cfg, n, seed, "mub"),
-        )
-    ]
-    if relay:
-        eve_b, bob_t = ch.memory_transport_pair()
-        threads.append(
-            threading.Thread(
-                target=ch.run_mitm_pumps,
-                args=(
-                    ByteRecorder(far_end, sinks["to_alice"]),
-                    ByteRecorder(eve_b, sinks["to_bob"]),
-                    basis_set.bases[0],
-                    seed,
-                ),
-            )
-        )
-    for thread in threads:
-        thread.start()
-    outcomes = ch.run_session("bob", ByteRecorder(bob_t, sinks["bob"]), cfg, n, seed, "mub")
-    alice_t.close()
-    bob_t.close()
-    for thread in threads:
-        thread.join(10.0)
-        assert not thread.is_alive()
-    attacked = ProtocolConfig(c=c, d=d, basis_set=basis_set, eve=basis_set.bases[0] if relay else None)
-    assert outcomes == [run_trial(attacked, t, seed) for t in range(n)]
-    return hashlib.sha256(b"".join(sinks[name].digest() for name in writers)).hexdigest()
+    digests = [hashlib.sha256(b"".join(ended.ends[name].sent)).digest() for name in writers]
+    return hashlib.sha256(b"".join(digests)).hexdigest()
 
 
 class TestWireBytes:

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import shutil
+import socket
 import sys
 import threading
 import time
@@ -256,6 +257,14 @@ class TestUsageErrorLines:
         code, out, err = run(capsys, "net", "connect", "--role", "alice", "--port", str(port), "--d", "2", "--c", "3")
         assert (code, out) == (1, "")
         assert err.startswith(f"error: SessionError: cannot connect to 127.0.0.1:{port}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_serving_on_a_port_in_use_exits_1_with_one_line(self, capsys):
+        with socket.create_server(("127.0.0.1", 0)) as taken:
+            port = taken.getsockname()[1]
+            code, out, err = run(capsys, "net", "serve", "--role", "bob", "--port", str(port), "--d", "2", "--c", "3")
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: SessionError: cannot listen on 127.0.0.1:{port}: ")
         assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_verify_takes_a_single_basis(self, capsys):
@@ -727,11 +736,16 @@ class TestFileSpecs:
             first_basis_doc([[[1, 0, 0], [0, 0]], [[0, 0], [1, 0]]]),
             first_basis_doc([[[1, 0]], [[0, 0]]]),
             first_basis_doc([[[1, 0], [0, 0]], [[1, 0]]]),
+            # the standard basis written with booleans, and a basis unbiased to it
+            first_basis_doc(
+                [[[True, False], [False, False]], [[False, False], [True, False]]],
+                second=[[[0.5, 0.5], [0.5, -0.5]], [[0.5, -0.5], [0.5, 0.5]]],
+            ),
         ],
         ids=[
             "non-utf8", "d-not-a-number", "d-overflows", "bases-not-a-list", "vectors-not-a-list", "basis-is-a-list",
             "d-c-fractional", "c-a-string", "d-a-float", "top-level-list", "no-bases", "pair-of-three",
-            "vectors-one-short", "ragged-vectors",
+            "vectors-one-short", "ragged-vectors", "boolean-amplitudes",
         ],
     )
     @pytest.mark.parametrize("flag", ["--set", "--eve"])

@@ -200,6 +200,11 @@ class TestRunTrial:
 
 
 class TestSessions:
+    def test_alice_runs_trials_in_order(self, cfg23):
+        alice = AliceSession(cfg23, 1, 2)
+        with pytest.raises(InvalidParameter, match="^trials must run in order, expected 0$"):
+            alice.states_for_trial(1)
+
     def test_sessions_compose_to_run_trial(self, cfg23_eve):
         seed, n = 99, 150
         alice = AliceSession(cfg23_eve, seed, n)

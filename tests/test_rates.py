@@ -565,6 +565,7 @@ class TestDisplayRounding:
         assert display_ns(20.25) == "20.3"
         assert display_ns(20.249999999999996) == "20.3"
         assert display_ns(15.14232) == "15.1"
+        assert display_ns(None) == "n/a"
         assert display_percent(0.5714285714285714) == "57.1%"
         assert display_percent(1.4036774610288023) == "140.4%"
         assert display_percent(None) == "n/a"
