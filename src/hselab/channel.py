@@ -38,18 +38,19 @@ the d eigenstates of Eve's basis.  Each such StateVector's `amps` JSON is
 rendered once while it lives (`_state_json`, a memo with weak keys, so a
 dropped set's renders go with it): Alice's sends, the relay's resends and
 the readers Bob and the relay start each session with look the renders
-up.  Bob and the relay measure through a `hilbert.BornTable`, keyed by a
-state's exact amplitude pairs, whose rows come from the one Born kernel,
-`hilbert.born_rows`; a state line they know reaches the table with no
-message object made for it (see `KnownStates`).  Bob's reader and table
-hold the c*d states of his set, all rows built before his first trial.
-The relay's hold, from the sender's Hello on, the c*d states of the
-public set the Hello's `basis_set_id` names, if that is a built-in name
-whose set at the Hello's (d, c) has that size (`bases.named_basis_set`,
-built once per process); any other id leaves them empty, and no path a
-peer names is ever opened.  Neither changes after it is made: any other
-state line is decoded in full and its state measured one-off, validated
-as `born_sample` would, and never stored, so a sender cannot make either
+up.  Each endpoint's one table is its reader, a `KnownStates`, which maps
+a known state's `amps` bytes to that state's CDF rows in the endpoint's
+bases (`hilbert.cdf_rows`, from the one Born kernel `hilbert.born_rows`),
+so a state line it knows reaches `hilbert.sample_row` as rows, with no
+message object made for it.  Bob's reader holds the c*d states of his
+set, all rows built before his first trial.  The relay's holds, from the
+sender's Hello on, the c*d states of the public set the Hello's
+`basis_set_id` names, in Eve's basis, if that is a built-in name whose
+set at the Hello's (d, c) has that size (`bases.named_basis_set`, built
+once per process); any other id leaves it empty, and no path a peer names
+is ever opened.  No reader changes after it is made: any other state line
+is decoded in full and its pairs measured one-off, validated as
+`born_sample` would, and never stored, so a sender cannot make a reader
 grow.  The bytes on the wire are those `encode` gives for every message.
 
 Randomness is drawn in blocks.  Alice's and Bob's sessions read each
@@ -70,7 +71,7 @@ plain tuple, an announcement or a sift report as a named tuple, and the
 relay forwards an announcement without parsing it.  `decode` stays the
 only validator.  It checks a state's norm with
 `hilbert.check_unit_norm`, as `StateVector` does, so every state it
-passes is one a table can measure.
+passes is one `sample_row` can measure.
 """
 
 from __future__ import annotations
@@ -97,7 +98,7 @@ from .errors import (
     ProtocolError,
     SessionError,
 )
-from .hilbert import Basis, BornTable, check_unit_norm
+from .hilbert import Basis, cdf_rows, check_unit_norm, sample_row
 from .protocol import EVE, AliceSession, BobSession, EveInterceptor, TrialBlocks, TrialOutcome
 from .rates import ProtocolConfig
 from .rng import RandomStream
@@ -318,7 +319,8 @@ def decode(line: bytes) -> Message:
 class KnownStates:
     """Reads wire lines: answers the per-trial lines without `decode`, and
     quantum_state lines from a table of the `states` given at
-    construction, which never changes.
+    construction, which holds each one's CDF rows in `bases` and never
+    changes.
 
     `_state_line`, `_announce_line` and `_sift_line` write the
     quantum_state, index_announce and sift_report lines with `%`
@@ -330,31 +332,36 @@ class KnownStates:
     an optional newline and plain integers of at most 18 digits, is
     answered without `decode` (one regular expression per shape, and each
     line is matched against the quantum_state one once); every other line
-    is passed to `decode`.  `read` gives a quantum_state line as its
+    is passed to `decode`.  `read` gives a quantum_state line of a held
+    state as (trial_id, slot, rows), with the state's CDF rows from
+    `hilbert.cdf_rows`, a list, and any other quantum_state line as
     (trial_id, slot, pairs), the fields of the QuantumState `decode` gives
-    for it, so Bob and the relay measure a state with no message object
-    made for it, and any other line as the message `decode` gives.  As
-    IndexAnnounce and SiftReport are named tuples, a state is told apart
-    with `type(msg) is tuple`.  The relay reads `forwarding`: an
-    index_announce line in the template then reads as None, unparsed,
-    since the relay passes it on as it came.
+    for it, a tuple; so Bob and the relay measure a state with
+    `hilbert.sample_row` and no message object made for it, and whether it
+    is held is decided here, never by the line.  Any other line reads as
+    the message `decode` gives.  As IndexAnnounce and SiftReport are named
+    tuples, a state is told apart with `type(msg) is tuple`.  The relay
+    reads `forwarding`: an index_announce line in the template then reads
+    as None, unparsed, since the relay passes it on as it came.
 
-    The table maps a state's `amps` bytes to its pairs because an honest
-    Alice only sends the c*d vectors of her set: Bob's reader holds them,
-    and the relay's forward pump's those of the public set the sender's
-    Hello names, stored under the canonical `_amps_json` rendering, so an
-    honest line is never decoded in full on either side.  Alice reads her
-    replies through a reader of no states.  Any other state line is
-    decoded in full every time it comes, and nothing is stored for it.
+    The table maps a state's `amps` bytes to its rows because an honest
+    Alice only sends the c*d vectors of her set: Bob's reader holds them in
+    his bases, and the relay's forward pump's those of the public set the
+    sender's Hello names in Eve's, stored under the canonical `_amps_json`
+    rendering, so an honest line is never decoded in full on either side.
+    Alice reads her replies through a reader of no states.  Any other
+    state line is decoded in full every time it comes, and nothing is
+    stored for it.
     """
 
-    def __init__(self, states=()):
-        self._pairs = {_state_json(state): state.pairs() for state in states}
+    def __init__(self, states=(), bases=()):
+        self._rows = dict(zip(map(_state_json, states), cdf_rows(bases, states)))
 
     def read(self, line: bytes, forwarding: bool = False):
-        """(trial_id, slot, pairs) of a quantum_state line, else the
-        message, or None for an index_announce line in the template when
-        `forwarding`; raises CodecError where `decode` does."""
+        """(trial_id, slot, rows) of a held state's line, (trial_id, slot,
+        pairs) of any other quantum_state line, else the message, or None
+        for an index_announce line in the template when `forwarding`;
+        raises CodecError where `decode` does."""
         shape = _STATE_LINE.fullmatch(line)
         if shape is None:
             announce = _ANNOUNCE_LINE.fullmatch(line)
@@ -367,9 +374,9 @@ class KnownStates:
                 return SiftReport(int(sift[1]), sift[2] == b"true")
         else:
             trial_id, slot, amps = shape.groups()
-            pairs = self._pairs.get(amps)
-            if pairs is not None:
-                return int(trial_id), int(slot), pairs
+            rows = self._rows.get(amps)
+            if rows is not None:
+                return int(trial_id), int(slot), rows
         msg = decode(line)
         if not isinstance(msg, QuantumState):
             return msg
@@ -615,14 +622,15 @@ def _run_bob(transport, config, seed, n_trials) -> list[TrialOutcome]:
     it why in a Bye before raising."""
     session = BobSession(config, seed, n_trials)
     # his set's lines are known from the start, and only those
-    known = KnownStates([v for basis in config.basis_set.bases for v in basis.vectors])
+    bases = config.basis_set.bases
+    known = KnownStates([v for basis in bases for v in basis.vectors], bases)
     try:
         while True:
             line = transport.recv_line()
             if line is None:
                 raise SessionError("peer closed before bye")
             msg = known.read(line)
-            if type(msg) is tuple:  # a state's (trial_id, slot, pairs)
+            if type(msg) is tuple:  # a state's (trial_id, slot, rows or pairs)
                 session.measure(*msg)
             elif type(msg) is IndexAnnounce:
                 trial_id, announced = msg
@@ -715,21 +723,22 @@ def run_mitm_pumps(
 
     `alice_side` must be the transport facing the state sender.  One
     EveInterceptor, whose draws move to each trial's row as it comes,
-    decides whether a state is intercepted and measures it through a
-    BornTable over Eve's basis.  A known state line is measured straight
-    from the reader's match, with no message object, and an announcement
-    is forwarded unparsed.  The sender's Hello must name Eve's dimension
-    d, or the relay fails with DimensionError; a state with other than d
-    amplitudes is forwarded as it came, unrecorded, for Bob to refuse.  At
-    the Hello the reader and the table are made with the c*d states of the
-    built-in set its `basis_set_id` names at its (d, c) (see
-    `_public_states`), so an honest sender's states are known from the
-    first trial; neither changes after that, and any other state is
-    decoded and measured one-off.  A trial's states are held and written
-    towards Bob together with the next line that is not a state, so each
-    trial costs one write.  The pump towards Bob runs in a
-    thread of its own and the pump towards Alice on the calling thread,
-    which returns once both directions reach EOF.  Returns the
+    decides whether a state is intercepted, and her next draw measures it
+    in her basis with `hilbert.sample_row`.  A known state line is
+    measured straight from the rows the reader holds for it, with no
+    message object, and an announcement is forwarded unparsed.  The
+    sender's Hello must name Eve's dimension d, or the relay fails with
+    DimensionError; a state with other than d amplitudes is forwarded as
+    it came, unrecorded, for Bob to refuse.  At the Hello the reader is
+    made with the c*d states of the built-in set its `basis_set_id` names
+    at its (d, c) (see `_public_states`), so an honest sender's states are
+    known from the first trial; it never changes after that, and any
+    other state is decoded and measured one-off.  A trial's states are
+    held and written towards Bob together with the next line that is not a
+    state, so each trial costs one write; a held line goes with its
+    newline, which a peer over memory may leave off.  The pump towards Bob
+    runs in a thread of its own and the pump towards Alice on the calling
+    thread, which returns once both directions reach EOF.  Returns the
     interception log, which may be read while the relay runs.  If either
     direction fails, both sides are closed, so that both endpoints see
     EOF, and the failure is raised as SessionError.
@@ -737,6 +746,7 @@ def run_mitm_pumps(
     log = MitmLog()
     record = log._records.append
     d = eve_basis.dim
+    eve_bases = (eve_basis,)
     resent_json = [_state_json(v) for v in eve_basis.vectors]
     failures: list[Exception] = []
 
@@ -744,10 +754,8 @@ def run_mitm_pumps(
         return TrialBlocks(seed, EVE, width, lambda u: u.tolist())
 
     def forward_with_interception():
-        # each made again at the sender's Hello: the table and the reader
-        # with the states of the public set it names, the rows for her c-1
-        # slots
-        table = BornTable((eve_basis,))
+        # each made again at the sender's Hello: the reader with the states
+        # of the public set it names, the rows for her c-1 slots
         known = KnownStates()
         rows = eve_rows(0)
         draws = _EveDraws(seed)
@@ -765,25 +773,23 @@ def run_mitm_pumps(
                 msg = known.read(line, forwarding=True)
             except CodecError:
                 msg = None  # forwarded as it came, for Bob to refuse
-            if type(msg) is tuple:  # a state's (trial_id, slot, pairs)
-                t, slot, pairs = msg
-                # a state of another dimension goes to Bob as it came, for him to refuse
-                if len(pairs) == d:
+            if type(msg) is tuple:  # a state's (trial_id, slot, rows or pairs)
+                t, slot, state = msg
+                # pairs of another dimension go to Bob as they came, for him to refuse
+                if type(state) is list or len(state) == d:
                     if trial_id != t:
                         trial_id = t
                         draws.at(t, rows[t])
-                    outcome = eve.maybe_intercept(pairs, table)
-                    if outcome is not None:
+                    if eve.intercepts():
+                        outcome = sample_row(state, eve_bases, 0, draws.uniform())
                         record((t, slot, outcome))
                         line = _state_line(t, slot, resent_json[outcome])
-                held.append(line)
+                held.append(line if line.endswith(b"\n") else line + b"\n")
                 continue
             if isinstance(msg, Hello):
                 if msg.d != d:
                     raise DimensionError(f"sender's d = {msg.d}, but Eve's basis has d = {d}")
-                states = _public_states(msg.basis_set_id, d, msg.c)
-                table = BornTable((eve_basis,), states)
-                known = KnownStates(states)
+                known = KnownStates(_public_states(msg.basis_set_id, d, msg.c), eve_bases)
                 rows = eve_rows(min(2 * max(msg.c - 1, 0), _MAX_EVE_WIDTH))
             held.append(line)
             bob_side.send_line(b"".join(held))

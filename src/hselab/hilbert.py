@@ -10,14 +10,18 @@ All quantities are double precision; TAU_NORM separates rounding noise
 from genuine invariant violations.
 
 Every Born row comes from one kernel, `born_rows`: `born_probabilities`
-is its one-row case, and `BornTable`, the batch sampler's tensors
-(`montecarlo`) and the session endpoints all read rows it computed.  Row r
+is its one-row case, and the batch sampler's tensors (`montecarlo`) and
+the session endpoints' CDF rows (`cdf_rows`) are rows it computed.  Row r
 is the vector-matrix product amps[r] @ basis.conj, and numpy runs the same
 per-row routine however many rows it is given, so a row's floats do not
 depend on how many rows are computed together; the batch sampler therefore
 inverts exactly the floats `born_sample` inverts.  (`rates` and `bases`
 read Gram products from `transition_matrix` instead: their floats are
 pinned by the golden reports.)
+
+A session endpoint measures with `sample_row`: a state it holds comes as
+its CDF rows, which `cdf_rows` built once, and any other as its amplitude
+pairs, which are validated as a StateVector and measured one-off.
 """
 
 from __future__ import annotations
@@ -77,15 +81,8 @@ class StateVector:
 
     def pairs(self) -> tuple:
         """The amplitudes as ((re, im), ...) Python floats, the form the
-        wire codec carries and BornTable keys on.  Made on the first call
-        and the same tuple after it, so two tables keyed on a state's pairs
-        find each other's keys by identity, without comparing floats."""
-        try:
-            return self.__dict__["_pairs"]
-        except KeyError:
-            pairs = tuple(zip(self.amps.real.tolist(), self.amps.imag.tolist()))
-            object.__setattr__(self, "_pairs", pairs)
-            return pairs
+        wire codec carries."""
+        return tuple(zip(self.amps.real.tolist(), self.amps.imag.tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,44 +202,30 @@ def invert_cdf(cdf: list, u: float) -> int:
     return min(bisect_right(cdf, u), len(cdf) - 1)
 
 
-class BornTable:
-    """Cumulative Born rows of wire states in a fixed tuple of bases.
+def cdf_rows(bases, states) -> list:
+    """Each of `states`' CDF rows in `bases`, for `sample_row`: entry s is
+    a list whose entry k is the first d-1 entries of the cumsum of
+    born_rows(bases[k], ...) at state s, one `born_rows` call per basis.
+    The last entry is left out: a CDF never falls, so counting the first
+    d-1 entries <= u is counting all d and capping at d-1, as `invert_cdf`
+    does."""
+    if not states:
+        return []
+    amps = [state.amps for state in states]
+    per_basis = [np.cumsum(born_rows(basis, amps), axis=1)[:, :-1].tolist() for basis in bases]
+    return [list(rows) for rows in zip(*per_basis)]
 
-    A state is keyed by its exact ((re, im), ...) amplitude pairs, as
-    `channel.decode` returns them.  The table holds exactly the `states`
-    given at construction, whose rows are built then, one `born_rows` call
-    per basis, and it never changes after that.  Any other state is
-    measured one-off and not kept: a validated StateVector, whose row is
-    the cumsum of `born_probabilities`, the kernel's one-row case, with the
-    same floats.  Either way sampling a row gives the outcome `born_sample`
-    gives on the same draw, and no peer can grow the table.
 
-    The rows of each basis are kept end to end in one flat list of floats,
-    d entries per state, so a table holds a few containers however many
-    rows it has.
-    """
-
-    def __init__(self, bases, states=()):
-        self.bases = tuple(bases)
-        self._dim = self.bases[0].dim
-        self._rows: dict = {}  # pairs -> where the state's row starts in every flat list
-        self._cdfs = [[] for _ in self.bases]  # per basis: each state's cdf row, end to end
-        if states:
-            amps = [state.amps for state in states]
-            for cdfs, basis in zip(self._cdfs, self.bases):
-                cdfs.extend(np.cumsum(born_rows(basis, amps), axis=1).ravel().tolist())
-            self._rows.update((state.pairs(), row * self._dim) for row, state in enumerate(states))
-
-    def sample(self, pairs: tuple, which: int, u: float) -> int:
-        """Outcome of measuring the state `pairs` in `bases[which]` for
-        uniform draw u."""
-        start = self._rows.get(pairs)
-        if start is None:
-            state = StateVector([complex(re, im) for re, im in pairs])
-            return invert_cdf(np.cumsum(born_probabilities(self.bases[which], state)).tolist(), u)
-        # the count of the row's first d-1 entries <= u: a cdf never falls,
-        # so that is the count of all d capped at d-1, as invert_cdf caps it
-        return bisect_right(self._cdfs[which], u, start, start + self._dim - 1) - start
+def sample_row(state, bases, which: int, u: float) -> int:
+    """Outcome of measuring `state` in `bases[which]` for uniform draw u,
+    the outcome `born_sample` gives on that draw.  `state` is either a
+    held state's CDF rows in `bases`, a list from `cdf_rows`, which is
+    bisected, or a tuple of ((re, im), ...) amplitude pairs, which is
+    validated as a StateVector and measured one-off."""
+    if type(state) is list:
+        return bisect_right(state[which], u)
+    vector = StateVector([complex(re, im) for re, im in state])
+    return invert_cdf(np.cumsum(born_probabilities(bases[which], vector)).tolist(), u)
 
 
 def verify_orthonormal(basis, tol: float) -> OrthonormalityReport:

@@ -19,6 +19,11 @@ One rule turns a round's draws into its record: `TrialOutcome.of` applies
 `sift` and `infer_letter` and lists the index-error slots.  `run_trial`,
 `BobSession.outcomes` and the batch engine's `trial_outcomes_batch` all
 build their records through it.
+
+`run_trial` measures each StateVector with `born_sample`.  Bob's session
+and the relay measure with `hilbert.sample_row` on the same draw: a state
+their reader holds comes as its CDF rows, any other as amplitude pairs.
+`EveInterceptor.intercepts` is the one interception rule of both.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from operator import eq
 import numpy as np
 
 from .errors import InvalidParameter, ProtocolError
-from .hilbert import Basis, BornTable, born_sample
+from .hilbert import Basis, born_sample, sample_row
 from .rates import ProtocolConfig
 from .rng import RandomStream, block_uniforms, scaled_index
 
@@ -76,24 +81,21 @@ class TrialOutcome:
 
 @dataclass
 class EveInterceptor:
-    """Intercept-and-resend attacker with one fixed measurement basis."""
+    """Intercept-and-resend attacker with one fixed measurement basis.  For
+    each in-flight state she asks `intercepts`; if it says so, her next
+    draw measures the state in `basis`, and the outcome's eigenstate is
+    resent."""
 
     basis: Basis
     rng: RandomStream
     intercept_fraction: float = 1.0
 
-    def maybe_intercept(self, state, table: BornTable | None = None) -> int | None:
-        """Measure one in-flight state with the interception probability;
-        return the outcome, whose eigenstate is resent, or None if it passes.
-
-        With a BornTable over (basis,), `state` is a wire state's amplitude
-        pairs and is measured through the table, on the same draw.
-        """
-        if self.intercept_fraction < 1.0 and self.rng.uniform() >= self.intercept_fraction:
-            return None
-        if table is None:
-            return born_sample(state, self.basis, self.rng)
-        return table.sample(state, 0, self.rng.uniform())
+    def intercepts(self) -> bool:
+        """Whether the next state is measured: always at fraction 1, else
+        when one draw falls below the fraction."""
+        if self.intercept_fraction < 1.0:
+            return self.rng.uniform() < self.intercept_fraction
+        return True
 
 
 def alice_prepare(x: int, config: ProtocolConfig, rng: RandomStream):
@@ -161,9 +163,8 @@ def run_trial(config: ProtocolConfig, trial_id: int, seed: int) -> TrialOutcome:
             config.eve, RandomStream(seed, EVE, trial_id), config.intercept_fraction
         )
         for slot, state in enumerate(states):
-            outcome = eve.maybe_intercept(state)
-            if outcome is not None:
-                states[slot] = eve.basis.vectors[outcome]
+            if eve.intercepts():
+                states[slot] = eve.basis.vectors[born_sample(state, eve.basis, eve.rng)]
 
     bob_rng = RandomStream(seed, BOB, trial_id)
     y = bob_choose_bases(config, bob_rng)
@@ -251,10 +252,11 @@ class BobSession:
     once, and raises ProtocolError naming what is wrong.  `outcomes` gives
     the concluded trials' records, with Alice's letters once compared.
 
-    Bob's `born_table` holds the c*d states of his set, the only ones an
-    honest sender sends, so their rows are built before his first trial;
-    any other state (an interceptor's resent one) is measured one-off and
-    not kept.  The draw blocks are sized to the session's `n_trials`.
+    A state comes to `measure` as its reader gives it: the CDF rows in
+    his bases of a state the reader holds (the c*d states of his set, the
+    only ones an honest sender sends), or the amplitude pairs of any other
+    (an interceptor's resent one), which `hilbert.sample_row` measures
+    one-off.  The draw blocks are sized to the session's `n_trials`.
     """
 
     def __init__(self, config: ProtocolConfig, seed: int, n_trials: int):
@@ -263,10 +265,8 @@ class BobSession:
         self._measured: list[int] = []  # the outcomes of the trial in progress
         self._y = self._u = None  # its basis tuple and measurement draws
         self._letters: tuple | None = None  # Alice's, once compared
-        bases = config.basis_set.bases
-        self.born_table = BornTable(bases, [v for basis in bases for v in basis.vectors])
         # read on every state: kept here, not looked up through config
-        self._sample = self.born_table.sample
+        self._bases = config.basis_set.bases
         self._slots = slots = config.c - 1
         self._d = config.d
 
@@ -285,10 +285,10 @@ class BobSession:
         self._y, self._u = self._draws[trial_id]
         return self._y
 
-    def measure(self, trial_id: int, slot: int, pairs: tuple) -> int:
-        """Measure the state with amplitudes `pairs` ((re, im), ...), sent
-        for this trial and slot, in the slot's basis; the same outcome as
-        born_sample on that draw."""
+    def measure(self, trial_id: int, slot: int, state) -> int:
+        """Measure `state`, sent for this trial and slot, in the slot's
+        basis: its CDF rows in his bases (a list) or its amplitude pairs
+        ((re, im), ...); the same outcome as born_sample on that draw."""
         if self._letters is not None:
             raise ProtocolError("state after the key comparison")
         measured = self._measured
@@ -297,11 +297,12 @@ class BobSession:
             raise ProtocolError(f"state for trial {trial_id} slot {slot}, expected trial {trial} slot {expected}")
         if slot == self._slots:
             raise ProtocolError(f"more than {slot} states in trial {trial}")
-        if len(pairs) != self._d:
-            raise ProtocolError(f"state with {len(pairs)} amplitudes, expected {self._d}")
+        # held rows are of his own set, so only pairs can be of another d
+        if type(state) is tuple and len(state) != self._d:
+            raise ProtocolError(f"state with {len(state)} amplitudes, expected {self._d}")
         if slot == 0:
             self.begin_trial(trial_id)
-        outcome = self._sample(pairs, self._y[slot], self._u[slot])
+        outcome = sample_row(state, self._bases, self._y[slot], self._u[slot])
         measured.append(outcome)
         return outcome
 

@@ -108,6 +108,11 @@ def first_basis_doc(vectors, second=(((1, 0), (0, 0)), ((0, 0), (1, 0)))) -> byt
     return json.dumps({"d": 2, "c": 2, "bases": bases}).encode()
 
 
+def set_states(basis_set):
+    """The c*d states of a set, state a of basis x at x*d + a."""
+    return [v for basis in basis_set.bases for v in basis.vectors]
+
+
 def make_random_set(d, c, seed):
     return BasisSet(make_random_basis(d, seed * 1000 + j, label=f"r{j}") for j in range(c))
 
@@ -128,6 +133,13 @@ def bkb01_round(basis_set, eve, t, seed):
     h = bob.randint(basis_set.c)
     outcome = born_sample(state, basis_set.bases[h], bob)
     return h == g, h == g and outcome != x
+
+
+def intercept(eve, state):
+    """What the EveInterceptor `eve` does to one in-flight StateVector, as
+    run_trial draws it: the outcome whose eigenstate she resends, or None
+    if the state passes."""
+    return born_sample(state, eve.basis, eve.rng) if eve.intercepts() else None
 
 
 def freq_tolerance(p, n, sigmas=4.0):

@@ -20,18 +20,20 @@ from hypothesis import strategies as st
 
 import hselab.bases as bases_module
 import hselab.channel as ch
-import hselab.protocol as protocol_module
+import hselab.montecarlo as montecarlo
 from conftest import (
     free_port,
     honest_session,
+    intercept,
     make_random_basis,
     make_random_set,
     run_parties,
     scripted_session,
+    set_states,
     tcp_session,
     until_listening,
 )
-from hselab.bases import BasisSet, breidbart_basis, fourier_basis, mu_basis_set, save_basis_set
+from hselab.bases import BasisSet, breidbart_basis, fourier_basis, mu_basis_set, named_basis_set, save_basis_set
 from hselab.errors import (
     CodecError,
     DimensionError,
@@ -46,6 +48,7 @@ from hselab.protocol import (
     BLOCK,
     BOB,
     EVE,
+    BobSession,
     EveInterceptor,
     TrialOutcome,
     alice_prepare,
@@ -53,7 +56,7 @@ from hselab.protocol import (
     run_trial,
 )
 from hselab.rates import ProtocolConfig
-from hselab.hilbert import TAU_NORM, Basis, StateVector, born_sample
+from hselab.hilbert import TAU_NORM, Basis, StateVector, born_sample, cdf_rows
 from hselab.rng import RandomStream
 
 # crosses two block boundaries and ends inside a third block
@@ -188,10 +191,10 @@ class TestCodec:
 
     def test_integer_too_long_to_convert(self):
         # json.loads raises a plain ValueError past int()'s digit limit
-        state = StateVector([1.0, 0.0])
+        state, bases = StateVector([1.0, 0.0]), [fourier_basis(2)]
         amps = b"[[1.0,0.0],[0.0,0.0]]"
-        known = ch.KnownStates([state])
-        assert known.read(ch._state_line(0, 0, amps)) == (0, 0, state.pairs())
+        known = ch.KnownStates([state], bases)
+        assert known.read(ch._state_line(0, 0, amps)) == (0, 0, cdf_rows(bases, [state])[0])
         line = b'{"type":"quantum_state","trial_id":%s,"slot":0,"amps":%s}\n' % (b"7" * 5000, amps)
         for decode in (ch.decode, known.read):
             with pytest.raises(CodecError):
@@ -221,9 +224,15 @@ MUTATIONS = {
 }
 
 
-def held(table):
-    """The keys a KnownStates or BornTable holds: amps bytes or pairs."""
-    return set(table._pairs if isinstance(table, ch.KnownStates) else table._rows)
+def held(known):
+    """The amps bytes of the states a KnownStates holds."""
+    return set(known._rows)
+
+
+def held_rows(states, bases):
+    """The oracle's table: each state's amps bytes -> its CDF rows in
+    `bases`."""
+    return {ch._amps_json(v.pairs()): rows for v, rows in zip(states, cdf_rows(bases, states))}
 
 
 @st.composite
@@ -243,7 +252,7 @@ def state_lines(draw):
         line = ch._state_line(draw(st.integers(0, 10**20)), draw(st.integers(0, c)), amps)
         mutate = MUTATIONS[draw(st.sampled_from(sorted(MUTATIONS)))]
         lines.append(mutate(line, draw(st.sampled_from(honest))))
-    return [v for basis in mu_basis_set(d, c).bases for v in basis.vectors], lines
+    return mu_basis_set(d, c), lines
 
 
 def decoded(decode, line):
@@ -255,42 +264,51 @@ def decoded(decode, line):
         return f"CodecError: {exc}"
 
 
-def read_by_decode(line):
+def read_by_decode(line, held=None):
     """The oracle for `KnownStates.read`: the message `decode` gives, with
-    a QuantumState as its (trial_id, slot, amps)."""
+    a QuantumState as its (trial_id, slot, amps); or as (trial_id, slot,
+    rows) if the line is exactly `_state_line` of a state in `held` (amps
+    bytes -> rows, see held_rows), with an optional newline and integers
+    of at most 18 digits."""
     msg = ch.decode(line)
-    if isinstance(msg, ch.QuantumState):
-        return msg.trial_id, msg.slot, msg.amps
-    return msg
+    if not isinstance(msg, ch.QuantumState):
+        return msg
+    amps = ch._amps_json(msg.amps)
+    template = ch._state_line(msg.trial_id, msg.slot, amps)
+    if held and amps in held and line in (template, template[:-1]) and max(msg.trial_id, msg.slot) < 10**18:
+        return msg.trial_id, msg.slot, held[amps]
+    return msg.trial_id, msg.slot, msg.amps
 
 
 class TestKnownStates:
     @given(state_lines())
     @settings(max_examples=200, deadline=None)
     def test_same_result_as_decode(self, case):
-        states, lines = case
-        known = ch.KnownStates(states)
+        basis_set, lines = case
+        states = set_states(basis_set)
+        known = ch.KnownStates(states, basis_set.bases)
         start = held(known)
+        oracle = functools.partial(read_by_decode, held=held_rows(states, basis_set.bases))
         for line in lines + lines:  # the second pass finds no key the first stored
-            assert decoded(known.read, line) == decoded(read_by_decode, line)
+            assert decoded(known.read, line) == decoded(oracle, line)
         assert held(known) == start
 
     def test_a_tail_after_amps_never_enters_the_table(self, sixstate):
         state = sixstate.bases[1].vectors[0]
         amps = ch._amps_json(state.pairs())
         tail = b',"trial_id":7,"x":[1]}\n'
-        known = ch.KnownStates([state])
+        known = ch.KnownStates([state], sixstate.bases)
         for trial_id in (3, 5):
             assert known.read(ch._state_line(trial_id, 0, amps)[:-2] + tail)[0] == 7
         honest = ch._state_line(5, 0, amps)
-        assert known.read(honest) == read_by_decode(honest)
+        assert known.read(honest) == read_by_decode(honest, held_rows([state], sixstate.bases))
         # the stored key is the amps alone, so the tail still takes the slow path
         assert known.read(ch._state_line(3, 0, amps)[:-2] + tail)[0] == 7
         assert held(known) == {amps}
 
     def test_strangers_never_enter_the_table(self, qutrit4):
-        states = [v for basis in qutrit4.bases for v in basis.vectors]
-        known = ch.KnownStates(states)
+        states = set_states(qutrit4)
+        known = ch.KnownStates(states, qutrit4.bases)
         strangers = [v for seed in range(30) for v in make_random_basis(3, seed).vectors]
         assert len({v.pairs() for v in strangers}) == 90
         for trial_id, state in enumerate(strangers * 2):
@@ -298,15 +316,16 @@ class TestKnownStates:
             assert known.read(line) == read_by_decode(line)
         for state in states:
             line = ch.encode(ch.QuantumState(99, 1, state.pairs()))
-            assert known.read(line) == read_by_decode(line)
+            assert known.read(line) == read_by_decode(line, held_rows(states, qutrit4.bases))
         assert held(known) == {ch._amps_json(v.pairs()) for v in states}
 
     def test_a_dropped_sets_renders_are_freed(self):
         family = make_random_set(3, 4, seed=12)
-        states = [v for basis in family.bases for v in basis.vectors]
-        known = ch.KnownStates(states)
+        states = set_states(family)
+        known = ch.KnownStates(states, family.bases)
         assert [ch._RENDERED[v] for v in states] == [ch._amps_json(v.pairs()) for v in states]
-        assert all(known.read(ch._state_line(0, 0, ch._RENDERED[v]))[2] is v.pairs() for v in states)
+        rows = cdf_rows(family.bases, states)
+        assert [known.read(ch._state_line(0, 0, ch._RENDERED[v]))[2] for v in states] == rows
         rendered, alive = len(ch._RENDERED), [weakref.ref(v) for v in states]
         del family, states, known
         gc.collect()
@@ -331,24 +350,56 @@ class TestSeededKnownStates:
         """Each of the set's state lines reads, without `decode`, as the
         fields of the message `decode` gives, and the reader holds the set's
         states alone."""
-        states = [v for basis in basis_set.bases for v in basis.vectors]
+        states = set_states(basis_set)
         lines = [ch._state_line(t, t % 7, ch._amps_json(v.pairs())) for t, v in enumerate(states)]
-        expected = [decoded(read_by_decode, line) for line in lines]
-        known = ch.KnownStates(states)
+        oracle = functools.partial(read_by_decode, held=held_rows(states, basis_set.bases))
+        expected = [decoded(oracle, line) for line in lines]
+        known = ch.KnownStates(states, basis_set.bases)
         with monkeypatch.context() as patch:
             patch.setattr(ch, "decode", None)
             assert [decoded(known.read, line) for line in lines] == expected
-            assert [known.read(line)[2] for line in lines] == [v.pairs() for v in states]
+            assert [known.read(line)[2] for line in lines] == cdf_rows(basis_set.bases, states)
         assert held(known) == {ch._amps_json(v.pairs()) for v in states}
 
     def test_strangers_read_as_decode_reads_them_and_are_not_kept(self, sixstate):
-        states = [v for basis in sixstate.bases for v in basis.vectors]
-        known = ch.KnownStates(states)
+        states = set_states(sixstate)
+        known = ch.KnownStates(states, sixstate.bases)
         strangers = [make_random_basis(2, 60 + k).vectors[0] for k in range(3)]
         for state in strangers:
             line = ch.encode(ch.QuantumState(1, 0, state.pairs()))
             assert known.read(line) == read_by_decode(line)
         assert held(known) == {ch._amps_json(v.pairs()) for v in states}
+
+
+def thresholds(row):
+    """A CDF row's entries p as the batch engine's thresholds ceil(p * 2**53)."""
+    return [math.ceil(p * 2**53) for p in row]
+
+
+class TestOneBornKernel:
+    """The rows Bob's reader and the relay's hold are the batch engine's
+    threshold columns, entry for entry: the floats an inversion of the
+    columns reads are the floats `sample_row` bisects."""
+
+    @pytest.mark.parametrize(
+        "name,d,c", [("mub", 2, 3), ("mub", 3, 4), ("mub", 5, 6), ("mub", 7, 8), ("prime", 13, 14), ("random", 4, 3)]
+    )
+    def test_held_rows_are_the_threshold_columns(self, name, d, c):
+        basis_set = make_random_set(d, c, 23) if name == "random" else named_basis_set(name, d, c)
+        states = set_states(basis_set)
+        # Bob's reader, in his bases: row (x*d + a)*c + y of the direct columns
+        bob = ch.KnownStates(states, basis_set.bases)
+        (direct,) = montecarlo._hse_tensors(basis_set, None)
+        for s, state in enumerate(states):
+            rows = bob._rows[ch._state_json(state)]
+            assert [thresholds(row) for row in rows] == direct[:, s * c : (s + 1) * c].T.tolist()
+        # the relay's reader, in Eve's basis: row x*d + a of the columns to her
+        for eve in (basis_set.bases[1], make_random_basis(d, 7000 + d)):
+            relay = ch.KnownStates(states, (eve,))
+            to_eve, _ = montecarlo._hse_tensors(basis_set, eve)
+            for s, state in enumerate(states):
+                (row,) = relay._rows[ch._state_json(state)]
+                assert thresholds(row) == to_eve[:, s].tolist()
 
 
 def json_line(obj) -> bytes:
@@ -887,7 +938,7 @@ def scalar_interceptions(eve_basis, seed, fraction, trials):
     for trial_id, states in trials:
         eve = EveInterceptor(eve_basis, RandomStream(seed, EVE, trial_id), fraction)
         for slot, state in enumerate(states):
-            outcome = eve.maybe_intercept(state)
+            outcome = intercept(eve, state)
             if outcome is not None:
                 records.append(ch.InterceptionRecord(trial_id, slot, outcome))
     return records
@@ -1110,7 +1161,7 @@ class TestMitm:
         monkeypatch.setattr(ch, "decode", counting_decode)
         return full_decodes
 
-    def test_an_honest_session_decodes_no_state_line(self, monkeypatch, relay_tables):
+    def test_an_honest_session_decodes_no_state_line(self, monkeypatch, relay_readers):
         basis_set = mu_basis_set(7, 8)
         cfg = ProtocolConfig(c=8, d=7, basis_set=basis_set)
         eve = basis_set.bases[0]
@@ -1121,7 +1172,8 @@ class TestMitm:
         # the relay holds Alice's 56 states from the Hello, and the 7 Eve
         # resends are in Bob's set, so neither decodes a state line in full
         assert not full_decodes
-        assert all(len(held(table)) == n for _, table, n in relay_tables())
+        assert [n for _, n in relay_readers()] == [0, 56]
+        assert all(len(held(known)) == n for known, n in relay_readers())
 
     def test_states_outside_the_set_are_decoded_each_time(self, sixstate, cfg23, monkeypatch):
         # Breidbart's eigenstates are not in Bob's set: he decodes one in
@@ -1204,21 +1256,14 @@ class TestMitm:
         # Bob matches each state and announcement, the key comparison and the bye
         assert sum(name == "bob" for name, _ in counts) == 3 * n + 2
 
-    def test_a_hello_with_negative_c_leaves_the_relay_tables_empty(self, sixstate, monkeypatch):
-        tables = []
-
-        class SeenTable(ch.BornTable):
-            def __init__(self, *args):
-                super().__init__(*args)
-                tables.append(self)
-
-        monkeypatch.setattr(ch, "BornTable", SeenTable)
+    def test_a_hello_with_negative_c_leaves_the_relay_reader_empty(self, sixstate, relay_readers):
         lines = [ch.encode(ch.Hello(1, -1, 2, "sixstate"))]
         for t in range(50):
             state = make_random_basis(2, 300 + t).vectors[0]
             lines.append(ch.encode(ch.QuantumState(t, 0, state.pairs())))
         log = relay_reads(lines, sixstate.bases[0], 1)
-        assert len(tables) == 2 and not any(held(table) for table in tables)
+        readers = relay_readers()
+        assert [n for _, n in readers] == [0, 0] and not any(held(known) for known, _ in readers)
         assert len(log.records) == 50
 
     def test_error_rate_seen_by_bob(self, sixstate, cfg23):
@@ -1230,31 +1275,28 @@ class TestMitm:
         assert abs(p_hat - 4 / 7) <= 4 * stderr
 
 
+def recording_readers(made):
+    """KnownStates, recording each reader it makes in `made` as (the name
+    of the thread that made it, the reader, the number of states it
+    starts with)."""
+
+    class Recorded(ch.KnownStates):
+        def __init__(self, states=(), bases=()):
+            super().__init__(states, bases)
+            made.append((threading.current_thread().name, self, len(states)))
+
+    return Recorded
+
+
 @pytest.fixture
-def relay_tables(monkeypatch):
-    """The relay's BornTables and KnownStates readers in the order they are
-    made: (kind, table, number of states it starts with).  Only the relay
-    makes a BornTable in `channel`, so a reader made on a thread that made
-    one is the relay's."""
+def relay_readers(monkeypatch):
+    """The relay's KnownStates readers in the order they are made: (reader,
+    the number of states it starts with).  The session helpers run Alice
+    and Bob on threads named after them, so a reader made on any other
+    thread is the relay's."""
     made = []
-
-    def recording(kind, base, states_at):
-        class Recorded(base):
-            def __init__(self, *args):
-                super().__init__(*args)
-                states = args[states_at] if len(args) > states_at else ()
-                made.append((kind, threading.current_thread(), self, len(states)))
-
-        monkeypatch.setattr(ch, kind, Recorded)
-
-    recording("BornTable", ch.BornTable, 1)
-    recording("KnownStates", ch.KnownStates, 0)
-
-    def relay_only():
-        relay_threads = {thread for kind, thread, _, _ in made if kind == "BornTable"}
-        return [(kind, table, n) for kind, thread, table, n in made if thread in relay_threads]
-
-    return relay_only
+    monkeypatch.setattr(ch, "KnownStates", recording_readers(made))
+    return lambda: [(known, n) for name, known, n in made if name not in ("alice", "bob")]
 
 
 class TestRelayPrefill:
@@ -1262,7 +1304,7 @@ class TestRelayPrefill:
 
     @pytest.mark.parametrize("d,c,fraction", [(7, 8, 1.0), (5, 6, 0.5), (2, 3, 1.0)])
     def test_an_honest_mub_session_makes_no_full_decode_at_the_relay(
-        self, d, c, fraction, relay_tables, monkeypatch
+        self, d, c, fraction, relay_readers, monkeypatch
     ):
         basis_set = mu_basis_set(d, c)
         cfg = ProtocolConfig(c=c, d=d, basis_set=basis_set)
@@ -1276,15 +1318,14 @@ class TestRelayPrefill:
         assert log.records
         # Eve resends states of Bob's set, so no endpoint decodes a state in full
         assert not full_decodes
-        # the tables made at the Hello hold the set, and never change
-        tables = relay_tables()
-        assert [(kind, n) for kind, _, n in tables] == [
-            ("BornTable", 0), ("KnownStates", 0), ("BornTable", c * d), ("KnownStates", c * d)
-        ]
-        assert all(len(held(table)) == n for _, table, n in tables)
+        # one reader before the Hello, holding nothing, and one made at it,
+        # holding the set; neither changes
+        readers = relay_readers()
+        assert [n for _, n in readers] == [0, c * d]
+        assert all(len(held(known)) == n for known, n in readers)
 
     @pytest.mark.parametrize("d,c", [(3, 4), (5, 3)])
-    def test_a_hello_naming_a_set_alice_does_not_use(self, d, c, relay_tables, monkeypatch):
+    def test_a_hello_naming_a_set_alice_does_not_use(self, d, c, relay_readers, monkeypatch):
         # Alice and Bob agree on the id "prime" but hold a random set: the
         # relay holds the prime set's states, which never come, and decodes
         # and measures each of Alice's one-off
@@ -1296,9 +1337,9 @@ class TestRelayPrefill:
         outcomes = honest_session(cfg, n, seed, "prime", eve=eve).results["bob"]
         attacked = ProtocolConfig(c=c, d=d, basis_set=basis_set, eve=eve)
         assert outcomes == [run_trial(attacked, t, seed) for t in range(n)]
-        tables = relay_tables()
-        assert [n for _, _, n in tables] == [0, 0, c * d, c * d]
-        assert all(len(held(table)) == n for _, table, n in tables)
+        readers = relay_readers()
+        assert [n for _, n in readers] == [0, c * d]
+        assert all(len(held(known)) == n for known, n in readers)
         # every state line Alice sends is decoded in full at the relay; Bob
         # holds the states Eve resends, which are in his set
         assert sum(full_decodes.values()) == (c - 1) * n
@@ -1345,7 +1386,7 @@ class TestRelayPrefill:
         ],
     )
     def test_a_hostile_hello_starts_nothing_and_ends_as_without_prefill(
-        self, sixstate, cfg23, set_id, c, tmp_path, relay_tables, monkeypatch
+        self, sixstate, cfg23, set_id, c, tmp_path, relay_readers, monkeypatch
     ):
         # a file the relay would find, holding a set of the Hello's size
         path = tmp_path / "six.json"
@@ -1359,24 +1400,24 @@ class TestRelayPrefill:
 
         monkeypatch.setattr(bases_module, "load_basis_set", no_load)
         with_prefill = self.hostile_hello_session(sixstate, cfg23, set_id, c)
-        tables = relay_tables()
+        readers = relay_readers()
         monkeypatch.setattr(ch, "_public_states", lambda *args: [])
         assert self.hostile_hello_session(sixstate, cfg23, set_id, c) == with_prefill
         assert opened == []
-        assert tables and all(n == 0 for _, _, n in tables)
+        assert [n for _, n in readers] == [0, 0]
 
-    def test_no_relay_table_starts_with_more_than_d_times_d_plus_1_states(self, relay_tables):
+    def test_no_relay_reader_starts_with_more_than_d_times_d_plus_1_states(self, relay_readers):
         for d, c in [(2, 3), (3, 4), (5, 6)]:
             basis_set = mu_basis_set(d, c)
             cfg = ProtocolConfig(c=c, d=d, basis_set=basis_set)
             honest_session(cfg, 3, 1, "mub", eve=basis_set.bases[0])
-        starts = [n for _, _, n in relay_tables()]
-        assert max(starts) == 5 * 6 and all(n <= 5 * 6 for n in starts)
+        starts = [n for _, n in relay_readers()]
+        assert starts == [0, 2 * 3, 0, 3 * 4, 0, 5 * 6]
 
 
-class TestTablesNeverGrow:
-    """Bob and the relay hold exactly the states they start with, however
-    many distinct states outside them a sender sends."""
+class TestReadersNeverGrow:
+    """Bob's reader and the relay's hold exactly the states they start
+    with, however many distinct states outside them a sender sends."""
 
     @given(
         st.sampled_from([(2, 3), (3, 4)]),
@@ -1385,7 +1426,7 @@ class TestTablesNeverGrow:
         st.integers(0, 2**32),
     )
     @settings(max_examples=40, deadline=None)
-    def test_strangers_leave_every_table_as_it_started(self, size, basis_seeds, fraction, eve_seed):
+    def test_strangers_leave_every_reader_as_it_started(self, size, basis_seeds, fraction, eve_seed):
         # trial t sends the c-1 = d vectors of a random basis of its own;
         # with a fraction, through a relay whose Eve measures in a random
         # basis, so that what she resends lies outside Bob's set too
@@ -1396,16 +1437,7 @@ class TestTablesNeverGrow:
         n, seed, announced = len(trials), 3, (0,) * (c - 1)
         relayed = fraction is not None
         eve_basis = make_random_basis(d, eve_seed) if relayed else None
-        made = []  # (table, the number of states it starts with)
-
-        def recording(base):
-            class Recorded(base):
-                def __init__(self, *args):
-                    super().__init__(*args)
-                    made.append((self, len(held(self))))
-
-            return Recorded
-
+        made = []  # (thread name, reader, the number of states it starts with)
         # Alice's lines go to Bob directly, or through the relay
         lines = [ch.encode(ch.Hello(1, c, d, "mub"))]
         for t, states in trials:
@@ -1414,15 +1446,13 @@ class TestTablesNeverGrow:
         lines.append(ch.encode(ch.Bye("done")))
         relay = (eve_basis, seed, fraction) if relayed else None
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(ch, "KnownStates", recording(ch.KnownStates))
-            patch.setattr(ch, "BornTable", recording(ch.BornTable))
-            patch.setattr(protocol_module, "BornTable", recording(protocol_module.BornTable))
+            patch.setattr(ch, "KnownStates", recording_readers(made))
             ended = scripted_session("bob", cfg, "mub", lines, then_close=False, relay=relay, n_trials=n, seed=seed)
         expected = []
         for t, states in trials:
             if relayed:
                 eve = EveInterceptor(eve_basis, RandomStream(seed, EVE, t), fraction)
-                states = [v if (o := eve.maybe_intercept(v)) is None else eve_basis.vectors[o] for v in states]
+                states = [v if (o := intercept(eve, v)) is None else eve_basis.vectors[o] for v in states]
             rng = RandomStream(seed, BOB, t)
             y = bob_choose_bases(cfg, rng)
             b = tuple(born_sample(v, basis_set.bases[k], rng) for v, k in zip(states, y))
@@ -1430,11 +1460,11 @@ class TestTablesNeverGrow:
         assert ended.results["bob"] == expected
         if relayed:
             assert ended.results["relay"].records == scalar_interceptions(eve_basis, seed, fraction, trials)
-        # Bob's reader and table hold his set; the relay's, the set the
-        # Hello names from then on, and nothing before it
-        starts = [0, 0, c * d, c * d] if relayed else []
-        assert sorted(start for _, start in made) == sorted(starts + [c * d, c * d])
-        assert all(len(held(table)) == start for table, start in made)
+        # one reader per Hello: Bob's holds his set; the relay's, the set
+        # the Hello names from then on, and nothing before it
+        assert [start for name, _, start in made if name == "bob"] == [c * d]
+        assert [start for name, _, start in made if name != "bob"] == ([0, c * d] if relayed else [])
+        assert all(len(held(known)) == start for _, known, start in made)
 
 
 class BreakAnnouncement:
@@ -1727,32 +1757,102 @@ BOB_STOPS_WITH = (ProtocolError, CodecError, SessionError)
 ALICE_STOPS_WITH = (ProtocolError, CodecError, HandshakeError, SessionError)
 
 
+DONE = "replay reached a Bye"
+
+
+def bob_replay(cfg, lines):
+    """The oracle of hostile_alice: `lines`, Alice's lines after her Hello
+    as Bob's transport frames them, replayed on the test thread through a
+    fresh reader and BobSession, with the one rule that Bob's loop holds
+    itself: a Hello or SiftReport mid-session is a ProtocolError.  Returns
+    the ProtocolError or CodecError the replay stops on, DONE if it reaches
+    a Bye first, or None if the lines run out first."""
+    session = BobSession(cfg, HOSTILE_SEED, 4)
+    known = ch.KnownStates(set_states(cfg.basis_set), cfg.basis_set.bases)
+    try:
+        for line in lines:
+            msg = known.read(line)
+            if type(msg) is tuple:
+                session.measure(*msg)
+            elif type(msg) is ch.IndexAnnounce:
+                session.conclude(*msg)
+            elif isinstance(msg, ch.KeyCompare):
+                session.compare(msg.trial_id_range, msg.letters)
+            elif isinstance(msg, ch.Bye):
+                return DONE
+            else:
+                raise ProtocolError(f"unexpected {type(msg).__name__} mid-session")
+    except (ProtocolError, CodecError) as exc:
+        return exc
+    return None
+
+
+def is_state_line(line) -> bool:
+    """Whether a reader, and so the relay, takes the line for a state."""
+    try:
+        return type(ch.KnownStates().read(line)) is tuple
+    except CodecError:
+        return False
+
+
+def tcp_frames(lines, end):
+    """`lines` as a TCP reader frames them once they are written as one
+    stream: cut after each newline, with a last line that lacks one read
+    at EOF, or never if the writer falls silent."""
+    frames = re.findall(rb"[^\n]*\n|[^\n]+\Z", b"".join(lines))
+    if end == "silence" and frames and not frames[-1].endswith(b"\n"):
+        frames.pop()
+    return frames
+
+
 def hostile_alice(carry, basis_set, set_id, segments, honest_tail, end, fraction=None):
     """TestHostileAlice's property, however `carry` takes the lines to Bob
     (directly if `fraction` is None, else through a relay that intercepts
     that fraction of the states).  `carry(cfg, set_id, lines, end,
     fraction)` runs the session and returns (how it ended, the lines Bob
-    wrote or None if it cannot see them, the lines that reached Alice).
-    Bob returns, or stops with ProtocolError, CodecError or SessionError,
-    within the carrier's deadline.  When he returns, his last line is
-    Bye("done") and it reached her.  When he stops on a protocol or codec
-    error, the last line he wrote is a Bye that names it, and so is the
-    last that reached her, unless she closed first: then a relay closes
-    towards Bob as soon as it reads her EOF."""
+    wrote or None if it cannot see them, the lines that reached Alice, the
+    lines as Bob's transport frames them).
+
+    Bob ends within the carrier's deadline as `bob_replay` of what reaches
+    him ends.  He returns only if the replay reaches Bye("done"); then his
+    last line is Bye("done"), and it reached her.  Where the replay stops
+    on an error, he raises that error, with the same type and text; where
+    the carrier shows what he wrote, his last line is a Bye that names it,
+    and so is the last that reached her, unless she closed first.  He
+    stops with SessionError only where the carrier ends first: where the
+    replay runs out of lines, or where a relay ends towards him before she
+    does.  A relay may, unless she ends with her Bye: at her EOF a TCP
+    relay closes both ways of his connection, so a write of his may fail,
+    and on her silence one of its pumps times out, after which the states
+    it holds are dropped or passed on.  The relay only swaps valid states
+    for valid states, so what reaches him is her lines, less those held
+    states on her silence."""
     cfg = ProtocolConfig(c=basis_set.c, d=basis_set.d, basis_set=basis_set)
     lines = [ch.encode(ch.Hello(1, cfg.c, cfg.d, set_id)), *hostile_lines(cfg, set_id, segments, honest_tail)]
     if end == "bye":
         lines.append(ch.encode(ch.Bye("done")))
-    ended, wrote, heard = carry(cfg, set_id, lines, end, fraction)
+    ended, wrote, heard, framed = carry(cfg, set_id, lines, end, fraction)
+    stops = [bob_replay(cfg, framed[1:])]
+    if fraction is not None and end == "silence":
+        held = framed[1:]
+        while held and is_state_line(held[-1]):
+            held.pop()
+        stops.append(bob_replay(cfg, held))
     error = ended.errors.get("bob")
     if error is None:
+        assert stops[0] is DONE, f"Bob returned, but the replay ended with {stops[0]!r}"
         # he read every line, so he closed with none unread, and his Bye reached her
         assert all(ch.decode(seen[-1]) == ch.Bye("done") for seen in (wrote, heard) if seen is not None)
-    elif not isinstance(error, SessionError) and wrote is not None:
-        bye = ch.Bye(f"{type(error).__name__}: {error}")
-        assert ch.decode(wrote[-1]) == bye
-        if end != "close":
-            assert ch.decode(heard[-1]) == bye
+    elif isinstance(error, SessionError):
+        assert None in stops or (fraction is not None and end != "bye"), (error, stops)
+    else:
+        named = [(type(stop), str(stop)) for stop in stops if isinstance(stop, HselabError)]
+        assert (type(error), str(error)) in named, (error, stops)
+        if wrote is not None:
+            bye = ch.Bye(f"{type(error).__name__}: {error}")
+            assert ch.decode(wrote[-1]) == bye
+            if end != "close":
+                assert ch.decode(heard[-1]) == bye
 
 
 def hostile_bob(carry, basis_set, set_id, n_trials, segments, honest_tail, end, fraction=None, broken_pipe=False):
@@ -1804,7 +1904,7 @@ class TestHostileAlice:
         # the relay fails only on a silent Alice, when its read times out
         assert "relay" not in ended.errors or end == "silence"
         wrote = ended.ends["bob"].sent
-        return ended, wrote, wrote if fraction is None else ended.ends["to_alice"].sent
+        return ended, wrote, wrote if fraction is None else ended.ends["to_alice"].sent, lines
 
     @given(st.sampled_from(["sixstate", "qutrit4"]), ALICE_SEGMENTS, st.integers(0, 7), ALICE_ENDS)
     @settings(max_examples=150, deadline=None)
@@ -1820,6 +1920,8 @@ class TestHostileAliceThroughTheRelay:
     SessionError only if Alice falls silent and its read times out."""
 
     @given(st.sampled_from(["sixstate", "qutrit4"]), ALICE_SEGMENTS, st.integers(0, 7), ALICE_ENDS, FRACTIONS)
+    # a state line without its newline, which the relay passes on, then her Bye
+    @example("sixstate", [(0, "mutated", 8)], 0, "bye", 0.5)
     @settings(max_examples=80, deadline=None)
     def test_bob_and_the_relay_end_promptly(self, sixstate, qutrit4, set_id, segments, honest_tail, end, fraction):
         basis_set = {"sixstate": sixstate, "qutrit4": qutrit4}[set_id]
@@ -1914,7 +2016,7 @@ class TestHostilePeersOverTcp:
             return play_raw_peer(sock, lines, end)
 
         ended = cls.run_peers("bob", bob, alice, relay_port, ("127.0.0.1", bob_port), cfg, fraction)
-        return ended, None, ended.results["peer"].splitlines(keepends=True)
+        return ended, None, ended.results["peer"].splitlines(keepends=True), tcp_frames(lines, end)
 
     @classmethod
     def carry_replies(cls, cfg, set_id, n_trials, lines, end, fraction):

@@ -3,18 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from conftest import freq_tolerance, make_random_basis, make_random_set, overlap, transition_prob
+from conftest import freq_tolerance, make_random_basis, make_random_set, overlap, set_states, transition_prob
 from hselab.bases import BasisSet, fourier_basis, mu_basis_set, standard_basis
 from hselab.errors import DimensionError, InvalidParameter, NumericalError
 from hselab.hilbert import (
     TAU_NORM,
     Basis,
-    BornTable,
     StateVector,
     born_probabilities,
     born_rows,
     born_sample,
+    cdf_rows,
     invert_cdf,
+    sample_row,
     transition_matrix,
     verify_orthonormal,
 )
@@ -65,13 +66,12 @@ class TestStateVector:
         with pytest.raises(ValueError):
             vec.amps[0] = 0.0
 
-    def test_pairs_are_made_once(self):
-        # a basis's vectors and a validated vector alike: the same tuple on
-        # every call, holding the amplitudes' exact floats
+    def test_pairs_are_the_exact_floats(self):
+        # a basis's vectors and a validated vector alike
         for vec in (fourier_basis(3).vectors[1], StateVector([0.6, -0.8j])):
             pairs = vec.pairs()
-            assert vec.pairs() is pairs
             assert pairs == tuple((z.real, z.imag) for z in vec.amps.tolist())
+            assert all(type(x) is float for pair in pairs for x in pair)
             assert repr(vec) == f"StateVector(amps={vec.amps!r})"
 
 
@@ -213,11 +213,6 @@ class TestSampleFromProbs:
         assert invert_cdf(cdf, 1.0 - 1e-16) == 1
 
 
-def set_states(basis_set):
-    """The c*d states of a set, state a of basis x at x*d + a."""
-    return [v for basis in basis_set.bases for v in basis.vectors]
-
-
 def negated_set():
     """A qubit set whose amplitudes include -0.0."""
     return BasisSet([Basis("minus", -np.eye(2, dtype=complex)), fourier_basis(2)])
@@ -279,10 +274,19 @@ class TestBornRows:
             born_rows(fourier_basis(3), standard_vector(3, 0).amps)
 
 
-class TestBornTable:
-    def test_rows_sample_as_born_sample(self):
+class Drawn:
+    """A stream whose one draw is u, so that born_sample inverts u."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def uniform(self):
+        return self.u
+
+
+class TestSampleRow:
+    def test_one_off_pairs_sample_as_born_sample(self):
         bases = [make_random_basis(3, 41 + k) for k in range(3)]
-        table = BornTable(bases)
         for seed in range(6):
             state = random_state(3, 500 + seed)
             for which, basis in enumerate(bases):
@@ -291,43 +295,45 @@ class TestBornTable:
                 draws = [0.0, 1.0 - 2**-53, *cdf] + [RandomStream(seed, which).uniform() for _ in range(20)]
                 for u in draws:
                     expected = invert_cdf(cdf, u)
-                    assert table.sample(state.pairs(), which, u) == expected
-        assert not table._rows
+                    assert sample_row(state.pairs(), bases, which, u) == expected
+                    assert born_sample(state, basis, Drawn(u)) == expected
 
     @pytest.mark.parametrize("basis_set", [mu_basis_set(5, 6), make_random_set(3, 4, 9), negated_set()])
     def test_held_rows_equal_one_off_rows(self, basis_set):
         states = set_states(basis_set)
-        held = BornTable(basis_set.bases, states)
-        one_off = BornTable(basis_set.bases)
-        for which, basis in enumerate(basis_set.bases):
-            for state in states:
+        bases = basis_set.bases
+        held = cdf_rows(bases, states)
+        assert len(held) == len(states)
+        assert all(len(rows) == len(bases) and all(len(row) == basis_set.d - 1 for row in rows) for rows in held)
+        for which, basis in enumerate(bases):
+            for state, rows in zip(states, held):
                 cdf = np.cumsum(born_probabilities(basis, state)).tolist()
+                assert rows[which] == cdf[:-1]
                 # each cdf entry and the float below it pin the row's floats
                 draws = [0.0, 1.0 - 2**-53, *cdf, *np.nextafter(cdf, 0.0).tolist()]
                 for u in draws:
-                    expected = invert_cdf(cdf, u)
-                    assert held.sample(state.pairs(), which, u) == expected
-                    assert one_off.sample(state.pairs(), which, u) == expected
-        assert set(held._rows) == {state.pairs() for state in states}
-        assert not one_off._rows
+                    expected = born_sample(state, basis, Drawn(u))
+                    assert sample_row(rows, bases, which, u) == expected
+                    assert sample_row(state.pairs(), bases, which, u) == expected
 
     def test_strangers_are_measured_and_not_kept(self, sixstate):
         states = set_states(sixstate)
-        table = BornTable(sixstate.bases, states)
+        held = cdf_rows(sixstate.bases, states)
         strangers = [make_random_basis(2, 80 + k).vectors[0] for k in range(4)]
         for state in strangers:
             for which, basis in enumerate(sixstate.bases):
                 expected = born_sample(state, basis, RandomStream(3, which))
-                assert table.sample(state.pairs(), which, RandomStream(3, which).uniform()) == expected
-        assert set(table._rows) == {state.pairs() for state in states}
+                assert sample_row(state.pairs(), sixstate.bases, which, RandomStream(3, which).uniform()) == expected
+        # measuring strangers touches no held row
+        assert held == cdf_rows(sixstate.bases, states)
+        assert cdf_rows(sixstate.bases, []) == []
 
-    def test_miss_validates_the_state(self):
-        table = BornTable([standard_basis(2)])
+    def test_the_one_off_path_validates_the_state(self):
+        bases = [standard_basis(2)]
         with pytest.raises(InvalidParameter):
-            table.sample(((1.0, 0.0), (1.0, 0.0)), 0, 0.5)
-        assert not table._rows
+            sample_row(((1.0, 0.0), (1.0, 0.0)), bases, 0, 0.5)
         with pytest.raises(DimensionError):
-            table.sample(((1.0, 0.0), (0.0, 0.0), (0.0, 0.0)), 0, 0.5)
+            sample_row(((1.0, 0.0), (0.0, 0.0), (0.0, 0.0)), bases, 0, 0.5)
 
 
 class TestVerifyOrthonormal:

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 import hselab.protocol as protocol
-from conftest import freq_tolerance, make_random_basis, make_random_set
+from conftest import freq_tolerance, intercept, make_random_basis, make_random_set
 from hselab.bases import BasisSet, fourier_basis, standard_basis
 from hselab.errors import InvalidParameter, ProtocolError
-from hselab.hilbert import born_sample
+from hselab.hilbert import born_sample, cdf_rows
 from hselab.protocol import (
     BLOCK,
     EVE,
@@ -118,14 +118,14 @@ class TestEveIntercept:
     def test_eigenstate_passes_unchanged(self, sixstate):
         eve = EveInterceptor(sixstate.bases[0], RandomStream(0, "eve"))
         state = sixstate.bases[0].vectors[1]
-        assert eve.maybe_intercept(state) == 1
+        assert intercept(eve, state) == 1
 
     def test_unbiased_state_resent_uniformly(self, sixstate):
         n = 40_000
         counts = Counter()
         for t in range(n):
             eve = EveInterceptor(sixstate.bases[0], RandomStream(2, "eve", t))
-            counts[eve.maybe_intercept(sixstate.bases[1].vectors[0])] += 1
+            counts[intercept(eve, sixstate.bases[1].vectors[0])] += 1
         for k in range(2):
             assert abs(counts[k] / n - 0.5) < freq_tolerance(0.5, n)
 
@@ -135,11 +135,21 @@ class TestEveIntercept:
         hits = Counter()
         for t in range(n):
             eve = EveInterceptor(hadamard, RandomStream(3, "eve", t))
-            resent = hadamard.vectors[eve.maybe_intercept(standard_basis(2).vectors[0])]
+            resent = hadamard.vectors[intercept(eve, standard_basis(2).vectors[0])]
             hits[round(float(resent.amps[1].real), 6)] += 1
         plus, minus = 1 / math.sqrt(2), -1 / math.sqrt(2)
         assert abs(hits[round(plus, 6)] / n - 0.5) < freq_tolerance(0.5, n)
         assert abs(hits[round(minus, 6)] / n - 0.5) < freq_tolerance(0.5, n)
+
+    @pytest.mark.parametrize("fraction", [1.0, 0.5, 0.0])
+    def test_the_rule_takes_a_draw_only_below_fraction_one(self, sixstate, fraction):
+        for t in range(200):
+            eve = EveInterceptor(sixstate.bases[0], RandomStream(6, EVE, t), fraction)
+            stream = RandomStream(6, EVE, t)
+            expected = True if fraction == 1.0 else stream.uniform() < fraction
+            assert eve.intercepts() == expected
+            # the next draw, which measures the state, is the stream's next
+            assert eve.rng.uniform() == stream.uniform()
 
 
 class TestRunTrial:
@@ -214,19 +224,20 @@ class TestSessions:
             eve = EveInterceptor(cfg23_eve.eve, RandomStream(seed, "eve", t))
             for slot, a in enumerate(announced):
                 state = cfg23_eve.basis_set.bases[x].vectors[a]
-                bob.measure(t, slot, cfg23_eve.eve.vectors[eve.maybe_intercept(state)].pairs())
+                bob.measure(t, slot, cfg23_eve.eve.vectors[intercept(eve, state)].pairs())
             alice.record_sift(t, bob.conclude(t, announced))
         bob.compare((0, n), tuple(alice.raw_string))
         assert bob.outcomes() == [run_trial(cfg23_eve, t, seed) for t in range(n)]
         assert alice.key == [o.x for o in bob.outcomes() if o.sifted]
 
-    def test_distinct_states_beyond_the_set_leave_the_table_as_it_started(self, cfg34_eve):
-        # 3 slots x 30 trials of states outside the set, then honest ones:
-        # the table holds the c*d = 12 states of the set alone, and every
-        # outcome is born_sample's
+    def test_one_off_pairs_and_held_rows_measure_as_born_sample(self, cfg34_eve):
+        # 3 slots x 30 trials of states outside the set, as pairs, then
+        # honest ones, as the rows a reader holds for the c*d = 12 states of
+        # the set: every outcome is born_sample's
         seed = 12
         bob = BobSession(cfg34_eve, seed, 34)
         honest = [v for basis in cfg34_eve.basis_set.bases for v in basis.vectors]
+        rows = cdf_rows(cfg34_eve.basis_set.bases, honest)
         for t in range(34):
             y = bob.begin_trial(t)
             replica = RandomStream(seed, "bob", t)
@@ -234,12 +245,13 @@ class TestSessions:
             for slot in range(3):
                 if t < 30:
                     state = make_random_basis(3, 1000 + t).vectors[slot]
+                    sent = state.pairs()
                 else:
-                    state = honest[(3 * t + slot) % len(honest)]
+                    k = (3 * t + slot) % len(honest)
+                    state, sent = honest[k], rows[k]
                 expected = born_sample(state, cfg34_eve.basis_set.bases[y[slot]], replica)
-                assert bob.measure(t, slot, state.pairs()) == expected
+                assert bob.measure(t, slot, sent) == expected
             bob.conclude(t, (0, 0, 0))
-        assert set(bob.born_table._rows) == {v.pairs() for v in honest}
 
     def test_trial_blocks_serve_any_trial_order(self):
         blocks = TrialBlocks(4, EVE, 3, lambda u: u.tolist())
@@ -288,9 +300,12 @@ class TestSessions:
             bob.conclude(t, announced)
 
     def test_sessions_across_blocks_draw_the_scalar_streams(self, cfg34_eve):
+        # Bob is sent each state as the rows his reader holds for it
         seed, n = 8, 2 * BLOCK + 5
         alice = AliceSession(cfg34_eve, seed, n)
         bob = BobSession(cfg34_eve, seed, n)
+        bases = cfg34_eve.basis_set.bases
+        rows = cdf_rows(bases, [v for basis in bases for v in basis.vectors])
         for t in range(n):
             x, announced = alice.states_for_trial(t)
             alice_rng = RandomStream(seed, "alice", t)
@@ -298,9 +313,9 @@ class TestSessions:
             bob_rng = RandomStream(seed, "bob", t)
             y = bob_choose_bases(cfg34_eve, bob_rng)
             assert bob.begin_trial(t) == y
-            for slot, state in enumerate(cfg34_eve.basis_set.bases[t % 4].vectors):
-                expected = born_sample(state, cfg34_eve.basis_set.bases[y[slot]], bob_rng)
-                assert bob.measure(t, slot, state.pairs()) == expected
+            for slot, state in enumerate(bases[t % 4].vectors):
+                expected = born_sample(state, bases[y[slot]], bob_rng)
+                assert bob.measure(t, slot, rows[(t % 4) * 3 + slot]) == expected
             bob.conclude(t, announced)
 
     @pytest.mark.parametrize(
