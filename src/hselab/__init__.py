@@ -12,8 +12,8 @@ from its module; the package itself exports only the error classes.
   interception, the MU closed forms, BKB01's rates and Table 1.
 - `rng`: the counter-based SplitMix64 streams every sampled path draws
   from.
-- `protocol`: one trial (`run_trial`), Eve's interceptor, and the Alice
-  and Bob session state.
+- `protocol`: one trial (`run_trial`), Eve's interception rule, and the
+  Alice and Bob session state.
 - `montecarlo`: seeded batch simulation, estimates with z-scores against
   the exact rates, and BKB01's sampler.
 - `channel`: the wire codec, memory and TCP transports, sessions and the

@@ -56,12 +56,12 @@ grow.  The bytes on the wire are those `encode` gives for every message.
 Randomness is drawn in blocks.  Alice's and Bob's sessions read each
 trial's draws from a `protocol.TrialBlocks`, which evaluates the
 substreams of BLOCK trials at once, the last block cut to the session's
-n trials.  The relay reads Eve's draws the same
-way, in rows of 2(c-1) per trial - enough for every slot at any intercept
-fraction - sized from the sender's Hello; a draw past a row's end, or
-before any Hello, comes from the scalar stream.  Every draw is the one
-`RandomStream(seed, role, trial_id)` gives at the same counter, so
-outcomes equal `run_trial`'s.
+n trials.  The relay reads Eve's draws the same way, in rows of 2(c-1)
+per trial - enough for every slot at any intercept fraction - sized from
+the sender's Hello; `_eve_draws` gives a trial's row and then, past the
+row's end or before any Hello, the scalar stream.  Every draw is the one
+`RandomStream(seed, role, trial_id)` gives at the same counter (the
+`protocol` docstring lists each role's), so outcomes equal `run_trial`'s.
 
 Every per-trial line is written by template, and each endpoint reads
 every line it is sent once, through `KnownStates.read`; its docstring
@@ -99,7 +99,7 @@ from .errors import (
     SessionError,
 )
 from .hilbert import Basis, cdf_rows, check_unit_norm, sample_row
-from .protocol import EVE, AliceSession, BobSession, EveInterceptor, TrialBlocks, TrialOutcome
+from .protocol import EVE, AliceSession, BobSession, TrialBlocks, TrialOutcome, intercepts
 from .rates import ProtocolConfig
 from .rng import RandomStream
 
@@ -651,30 +651,16 @@ def _run_bob(transport, config, seed, n_trials) -> list[TrialOutcome]:
     return session.outcomes()
 
 
-class _EveDraws:
-    """Eve's stream RandomStream(seed, EVE, t) for the trial t that `at`
-    names: its first draws come from t's block row, and any past the row's
-    end from the scalar stream."""
-
-    __slots__ = ("_row", "_width", "_seed", "_trial_id", "_rest")
-
-    def __init__(self, seed: int):
-        self._seed = seed
-
-    def at(self, trial_id: int, row: list) -> None:
-        self._row = iter(row)
-        self._width = len(row)
-        self._trial_id = trial_id
-        self._rest: RandomStream | None = None
-
-    def uniform(self) -> float:
-        u = next(self._row, None)
-        if u is not None:
-            return u
-        if self._rest is None:
-            self._rest = RandomStream(self._seed, EVE, self._trial_id)
-            self._rest.skip(self._width)
-        return self._rest.uniform()
+def _eve_draws(seed: int, trial_id: int, row: list):
+    """Eve's draws in trial `trial_id`, at the counters the `protocol`
+    docstring gives hers: the trial's block `row`, then, made only when a
+    draw goes past the row's end, RandomStream(seed, EVE, trial_id) from
+    there on."""
+    yield from row
+    rest = RandomStream(seed, EVE, trial_id)
+    rest.skip(len(row))
+    while True:
+        yield rest.uniform()
 
 
 @dataclass(frozen=True)
@@ -721,27 +707,29 @@ def run_mitm_pumps(
     """Relay between two transports, measuring and replacing every quantum
     state while forwarding classical lines byte-identically.
 
-    `alice_side` must be the transport facing the state sender.  One
-    EveInterceptor, whose draws move to each trial's row as it comes,
-    decides whether a state is intercepted, and her next draw measures it
-    in her basis with `hilbert.sample_row`.  A known state line is
-    measured straight from the rows the reader holds for it, with no
-    message object, and an announcement is forwarded unparsed.  The
-    sender's Hello must name Eve's dimension d, or the relay fails with
-    DimensionError; a state with other than d amplitudes is forwarded as
-    it came, unrecorded, for Bob to refuse.  At the Hello the reader is
-    made with the c*d states of the built-in set its `basis_set_id` names
-    at its (d, c) (see `_public_states`), so an honest sender's states are
-    known from the first trial; it never changes after that, and any
-    other state is decoded and measured one-off.  A trial's states are
-    held and written towards Bob together with the next line that is not a
-    state, so each trial costs one write; a held line goes with its
-    newline, which a peer over memory may leave off.  The pump towards Bob
-    runs in a thread of its own and the pump towards Alice on the calling
-    thread, which returns once both directions reach EOF.  Returns the
-    interception log, which may be read while the relay runs.  If either
-    direction fails, both sides are closed, so that both endpoints see
-    EOF, and the failure is raised as SessionError.
+    `alice_side` must be the transport facing the state sender.
+    `protocol.intercepts` decides whether a state is intercepted, on Eve's
+    draws for its trial (`_eve_draws`, started again as each trial comes),
+    and her next draw measures it in her basis with `hilbert.sample_row`.
+    A known state line is measured straight from the rows the reader holds
+    for it, with no message object, and an announcement is forwarded
+    unparsed.  The sender's Hello must name Eve's dimension d, or the
+    relay fails with DimensionError; a state with other than d amplitudes
+    is forwarded as it came, unrecorded, for Bob to refuse.  At the Hello
+    the reader is made with the c*d states of the built-in set its
+    `basis_set_id` names at its (d, c) (see `_public_states`), so an
+    honest sender's states are known from the first trial; it never
+    changes after that, and any other state is decoded and measured
+    one-off.  A trial's states are held and written towards Bob together
+    with the next line that is not a state, so each trial costs one write;
+    a held line goes with its newline, which a peer over memory may leave
+    off.  The pump towards Bob runs in a thread of its own and the pump
+    towards Alice on the calling thread, which returns once both
+    directions reach EOF.  Returns the interception log, which may be read
+    while the relay runs.  If either direction fails, both sides are
+    closed, so that both endpoints see EOF, and the failure is raised as
+    SessionError; the EOF that this close gives Alice's side writes none
+    of the states held towards Bob.
     """
     log = MitmLog()
     record = log._records.append
@@ -758,14 +746,14 @@ def run_mitm_pumps(
         # of the public set it names, the rows for her c-1 slots
         known = KnownStates()
         rows = eve_rows(0)
-        draws = _EveDraws(seed)
-        eve = EveInterceptor(eve_basis, draws, intercept_fraction)
-        trial_id = None
+        trial_id = draw = None
         held: list[bytes] = []
         while True:
             line = alice_side.recv_line()
             if line is None:
-                if held:
+                # a failed pump towards Alice closes her side, which reads
+                # here as her EOF: only hers passes the held states on
+                if held and not failures:
                     bob_side.send_line(b"".join(held))
                 bob_side.close()
                 return
@@ -779,9 +767,9 @@ def run_mitm_pumps(
                 if type(state) is list or len(state) == d:
                     if trial_id != t:
                         trial_id = t
-                        draws.at(t, rows[t])
-                    if eve.intercepts():
-                        outcome = sample_row(state, eve_bases, 0, draws.uniform())
+                        draw = _eve_draws(seed, t, rows[t]).__next__
+                    if intercepts(draw, intercept_fraction):
+                        outcome = sample_row(state, eve_bases, 0, draw())
                         record((t, slot, outcome))
                         line = _state_line(t, slot, resent_json[outcome])
                 held.append(line if line.endswith(b"\n") else line + b"\n")

@@ -350,6 +350,8 @@ def _hse_block(config: ProtocolConfig, seed: int, start: int, tensors, work: _Wo
     HSE, 1 for a BKB01 round.  Returns the workspace's x and slot-major
     (slots, count) a, y and b, which the next block overwrites."""
     c, d, slots = config.c, config.d, len(work.a)
+    # each role's counters as the protocol docstring lists them; Eve, who
+    # here intercepts every slot, measures slot k at her counter k
     work.keys(seed, start)
     x, a, y, b = work.x, work.a, work.y, work.b
     work.index(work.alice, 0, c, x)

@@ -13,7 +13,12 @@ draws, and trials can run in any order.  `run_trial` draws them one at a
 time from a `RandomStream`; the session endpoints and the relay take the
 same draws from `TrialBlocks`, which evaluates BLOCK trials' substreams at
 once with `rng.block_uniforms`, so every draw is the scalar stream's at the
-same counter.
+same counter.  Each role's counters in one trial, which every path keeps:
+
+- Alice: her letter x at counter 0, her indices at 1..c-1.
+- Bob: his basis picks at 0..c-2, his measurements at c-1..2c-3.
+- Eve, slot after slot: an interception draw only when the fraction is
+  below 1, then, if she intercepts, her measurement draw.
 
 One rule turns a round's draws into its record: `TrialOutcome.of` applies
 `sift` and `infer_letter` and lists the index-error slots.  `run_trial`,
@@ -23,7 +28,7 @@ build their records through it.
 `run_trial` measures each StateVector with `born_sample`.  Bob's session
 and the relay measure with `hilbert.sample_row` on the same draw: a state
 their reader holds comes as its CDF rows, any other as amplitude pairs.
-`EveInterceptor.intercepts` is the one interception rule of both.
+`intercepts` is the one interception rule of both.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from operator import eq
 import numpy as np
 
 from .errors import InvalidParameter, ProtocolError
-from .hilbert import Basis, born_sample, sample_row
+from .hilbert import born_sample, sample_row
 from .rates import ProtocolConfig
 from .rng import RandomStream, block_uniforms, scaled_index
 
@@ -79,23 +84,12 @@ class TrialOutcome:
         )
 
 
-@dataclass
-class EveInterceptor:
-    """Intercept-and-resend attacker with one fixed measurement basis.  For
-    each in-flight state she asks `intercepts`; if it says so, her next
-    draw measures the state in `basis`, and the outcome's eigenstate is
-    resent."""
-
-    basis: Basis
-    rng: RandomStream
-    intercept_fraction: float = 1.0
-
-    def intercepts(self) -> bool:
-        """Whether the next state is measured: always at fraction 1, else
-        when one draw falls below the fraction."""
-        if self.intercept_fraction < 1.0:
-            return self.rng.uniform() < self.intercept_fraction
-        return True
+def intercepts(draw, fraction: float) -> bool:
+    """Eve's rule for the next in-flight state: she measures it always at
+    fraction 1, with no draw, and else when one `draw()` falls below the
+    fraction; if she does, her next draw measures it in her basis and the
+    outcome's eigenstate is resent."""
+    return fraction >= 1.0 or draw() < fraction
 
 
 def alice_prepare(x: int, config: ProtocolConfig, rng: RandomStream):
@@ -158,13 +152,11 @@ def run_trial(config: ProtocolConfig, trial_id: int, seed: int) -> TrialOutcome:
     x = alice_rng.randint(config.c)
     states, announced = alice_prepare(x, config, alice_rng)
 
-    if config.eve is not None:
-        eve = EveInterceptor(
-            config.eve, RandomStream(seed, EVE, trial_id), config.intercept_fraction
-        )
+    if (eve := config.eve) is not None:
+        eve_rng = RandomStream(seed, EVE, trial_id)
         for slot, state in enumerate(states):
-            if eve.intercepts():
-                states[slot] = eve.basis.vectors[born_sample(state, eve.basis, eve.rng)]
+            if intercepts(eve_rng.uniform, config.intercept_fraction):
+                states[slot] = eve.vectors[born_sample(state, eve, eve_rng)]
 
     bob_rng = RandomStream(seed, BOB, trial_id)
     y = bob_choose_bases(config, bob_rng)
@@ -220,7 +212,7 @@ class AliceSession:
         c, d = config.c, config.d
 
         def rows(u):
-            # x at counter 0, as run_trial draws it, then the c-1 indices
+            # her counters, as the module docstring gives them
             indices = map(tuple, scaled_index(u[:, 1:], d).tolist())
             return list(zip(scaled_index(u[:, 0], c).tolist(), indices))
 
@@ -271,8 +263,8 @@ class BobSession:
         self._d = config.d
 
         def rows(u):
-            # the basis picks at counters 0..c-2, as bob_choose_bases draws
-            # them, then the measurement draws at counters c-1..2c-3
+            # his counters, as the module docstring gives them: the basis
+            # picks, then the measurement draws
             picks = scaled_index(u[:, :slots], config.c - np.arange(slots))
             _lehmer_decode(picks.T)
             return list(zip(map(tuple, picks.tolist()), u[:, slots:].tolist()))

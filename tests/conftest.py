@@ -4,6 +4,7 @@ import threading
 import time
 from contextlib import closing
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ import hselab.channel as ch
 from hselab.bases import BasisSet, qubit_six_state_set, qutrit_complete_set
 from hselab.errors import DimensionError, InvalidParameter, NumericalError, SessionError
 from hselab.hilbert import TAU_NORM, Basis, born_sample, transition_matrix
-from hselab.protocol import ALICE, BOB, EVE
+from hselab.protocol import ALICE, BOB, EVE, intercepts
 from hselab.rates import _survival
 from hselab.rng import RandomStream
 
@@ -135,11 +136,20 @@ def bkb01_round(basis_set, eve, t, seed):
     return h == g, h == g and outcome != x
 
 
+class Eve(NamedTuple):
+    """Eve in one trial: her basis, her stream RandomStream(seed, EVE, t)
+    and her intercept fraction."""
+
+    basis: Basis
+    rng: RandomStream
+    fraction: float = 1.0
+
+
 def intercept(eve, state):
-    """What the EveInterceptor `eve` does to one in-flight StateVector, as
-    run_trial draws it: the outcome whose eigenstate she resends, or None
-    if the state passes."""
-    return born_sample(state, eve.basis, eve.rng) if eve.intercepts() else None
+    """What Eve does to one in-flight StateVector under
+    protocol.intercepts, as run_trial draws it: the outcome whose
+    eigenstate she resends, or None if the state passes."""
+    return born_sample(state, eve.basis, eve.rng) if intercepts(eve.rng.uniform, eve.fraction) else None
 
 
 def freq_tolerance(p, n, sigmas=4.0):

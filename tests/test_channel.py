@@ -22,6 +22,7 @@ import hselab.bases as bases_module
 import hselab.channel as ch
 import hselab.montecarlo as montecarlo
 from conftest import (
+    Eve,
     free_port,
     honest_session,
     intercept,
@@ -49,7 +50,6 @@ from hselab.protocol import (
     BOB,
     EVE,
     BobSession,
-    EveInterceptor,
     TrialOutcome,
     alice_prepare,
     bob_choose_bases,
@@ -932,11 +932,12 @@ class TestTcpFraming:
 
 
 def scalar_interceptions(eve_basis, seed, fraction, trials):
-    """The records the scalar EveInterceptor makes over `trials`, a list of
-    (trial_id, states) in the order they reach the relay."""
+    """The records Eve makes over `trials` under protocol.intercepts, one
+    scalar stream a trial, `trials` being a list of (trial_id, states) in
+    the order they reach the relay."""
     records = []
     for trial_id, states in trials:
-        eve = EveInterceptor(eve_basis, RandomStream(seed, EVE, trial_id), fraction)
+        eve = Eve(eve_basis, RandomStream(seed, EVE, trial_id), fraction)
         for slot, state in enumerate(states):
             outcome = intercept(eve, state)
             if outcome is not None:
@@ -1028,17 +1029,36 @@ class TestMitm:
         assert records == scalar_interceptions(eve_basis, seed, fraction, trials)
         assert records
 
+    def test_eve_draws_are_capped_per_trial(self, sixstate, monkeypatch):
+        # a Hello claiming c = 200 asks for rows of 2(c-1) = 398 draws; the
+        # relay computes at most _MAX_EVE_WIDTH of them a trial, and a trial
+        # of 199 states at f = 0.5 takes the rest from the scalar tail
+        blocks, widths = ch.TrialBlocks, []
+
+        def recording_blocks(seed, role, width, rows, n_trials=None):
+            widths.append(width)
+            return blocks(seed, role, width, rows, n_trials)
+
+        monkeypatch.setattr(ch, "TrialBlocks", recording_blocks)
+        eve_basis, seed, slots = sixstate.bases[0], 17, 199
+        states = [sixstate.bases[k % 3].vectors[k % 2] for k in range(slots)]
+        lines = [ch.encode(ch.Hello(1, slots + 1, 2, "custom"))]
+        lines += [ch.encode(ch.QuantumState(0, slot, state.pairs())) for slot, state in enumerate(states)]
+        lines.append(ch.encode(ch.IndexAnnounce(0, (0,) * slots)))
+        records = relay_reads(lines, eve_basis, seed, 0.5).records
+        assert widths == [0, 256]
+        assert records == scalar_interceptions(eve_basis, seed, 0.5, [(0, states)])
+
     def test_eve_draws_follow_each_trial_past_its_row(self):
-        # one stream object for the whole relay: pointing it at a trial
-        # drops the scalar tail of the trial before
+        # the relay starts the draws again at each new trial id, so a trial
+        # seen before starts over at its counter 0
         seed, width = 4, 2
         blocks = ch.TrialBlocks(seed, EVE, width, lambda u: u.tolist())
-        draws = ch._EveDraws(seed)
         for trial_id in (3, 70, 3, 5):
-            draws.at(trial_id, blocks[trial_id])
+            draw = ch._eve_draws(seed, trial_id, blocks[trial_id]).__next__
             scalar = RandomStream(seed, EVE, trial_id)
             n = width + 3  # past the row, into the scalar tail
-            assert [draws.uniform() for _ in range(n)] == [scalar.uniform() for _ in range(n)]
+            assert [draw() for _ in range(n)] == [scalar.uniform() for _ in range(n)]
 
     def test_breidbart_eve_matches_in_process_attack(self, sixstate, cfg23):
         # her eigenstates lie outside Bob's set, so he measures each one-off
@@ -1146,6 +1166,50 @@ class TestMitm:
         ended = tcp_session(cfg23, 10, 2, eve=qutrit4.bases[0], deadline=5.0, may_raise=may_raise)
         assert set(ended.errors) == set(may_raise)
         assert isinstance(ended.errors["relay"].__cause__, DimensionError)
+
+    def test_no_state_reaches_bob_after_a_failure(self, sixstate):
+        """The pump towards Bob holds trial 0's states and waits on Alice
+        when its read of Bob fails: the close of Alice's side that follows
+        reads there as her EOF, and must not pass the held states on."""
+        hello = ch.encode(ch.Hello(1, 3, 2, "sixstate"))
+        alice_lines = [hello] + [ch.encode(ch.QuantumState(0, slot, ((1.0, 0.0), (0.0, 0.0)))) for slot in range(2)]
+        waiting, closed = threading.Event(), threading.Event()
+
+        class AliceSide:
+            def recv_line(self):
+                if alice_lines:
+                    return alice_lines.pop(0)
+                waiting.set()  # every line read, and the states held
+                closed.wait(5.0)
+                return None
+
+            def send_line(self, line):
+                pass
+
+            def close(self):
+                closed.set()
+
+        class BobSide:
+            def __init__(self):
+                self.sent = []
+
+            def recv_line(self):
+                if not waiting.wait(5.0):
+                    raise AssertionError("the states were never held")
+                raise SessionError("recv failed: timed out")
+
+            def send_line(self, line):
+                # unlike a real transport's, a send after the close succeeds
+                self.sent.extend(line.splitlines(keepends=True))
+
+            def close(self):
+                pass
+
+        bob = BobSide()
+        relay = {"relay": lambda: ch.run_mitm_pumps(AliceSide(), bob, sixstate.bases[0], 1)}
+        ended = run_parties(relay, deadline=5.0, may_raise={"relay": SessionError})
+        assert str(ended.errors["relay"].__cause__) == "recv failed: timed out"
+        assert bob.sent[0] == hello and not any(map(is_state_line, bob.sent))
 
     def count_full_state_decodes(self, monkeypatch):
         """Full decodes of quantum_state lines, by (thread name, amps)."""
@@ -1451,7 +1515,7 @@ class TestReadersNeverGrow:
         expected = []
         for t, states in trials:
             if relayed:
-                eve = EveInterceptor(eve_basis, RandomStream(seed, EVE, t), fraction)
+                eve = Eve(eve_basis, RandomStream(seed, EVE, t), fraction)
                 states = [v if (o := intercept(eve, v)) is None else eve_basis.vectors[o] for v in states]
             rng = RandomStream(seed, BOB, t)
             y = bob_choose_bases(cfg, rng)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import hselab.protocol as protocol
-from conftest import freq_tolerance, intercept, make_random_basis, make_random_set
+from conftest import Eve, freq_tolerance, intercept, make_random_basis, make_random_set
 from hselab.bases import BasisSet, fourier_basis, standard_basis
 from hselab.errors import InvalidParameter, ProtocolError
 from hselab.hilbert import born_sample, cdf_rows
@@ -14,7 +14,6 @@ from hselab.protocol import (
     EVE,
     AliceSession,
     BobSession,
-    EveInterceptor,
     TrialBlocks,
     alice_prepare,
     bob_choose_bases,
@@ -116,7 +115,7 @@ class TestSiftAndInfer:
 
 class TestEveIntercept:
     def test_eigenstate_passes_unchanged(self, sixstate):
-        eve = EveInterceptor(sixstate.bases[0], RandomStream(0, "eve"))
+        eve = Eve(sixstate.bases[0], RandomStream(0, "eve"))
         state = sixstate.bases[0].vectors[1]
         assert intercept(eve, state) == 1
 
@@ -124,7 +123,7 @@ class TestEveIntercept:
         n = 40_000
         counts = Counter()
         for t in range(n):
-            eve = EveInterceptor(sixstate.bases[0], RandomStream(2, "eve", t))
+            eve = Eve(sixstate.bases[0], RandomStream(2, "eve", t))
             counts[intercept(eve, sixstate.bases[1].vectors[0])] += 1
         for k in range(2):
             assert abs(counts[k] / n - 0.5) < freq_tolerance(0.5, n)
@@ -134,7 +133,7 @@ class TestEveIntercept:
         n = 40_000
         hits = Counter()
         for t in range(n):
-            eve = EveInterceptor(hadamard, RandomStream(3, "eve", t))
+            eve = Eve(hadamard, RandomStream(3, "eve", t))
             resent = hadamard.vectors[intercept(eve, standard_basis(2).vectors[0])]
             hits[round(float(resent.amps[1].real), 6)] += 1
         plus, minus = 1 / math.sqrt(2), -1 / math.sqrt(2)
@@ -142,14 +141,13 @@ class TestEveIntercept:
         assert abs(hits[round(minus, 6)] / n - 0.5) < freq_tolerance(0.5, n)
 
     @pytest.mark.parametrize("fraction", [1.0, 0.5, 0.0])
-    def test_the_rule_takes_a_draw_only_below_fraction_one(self, sixstate, fraction):
+    def test_the_rule_takes_a_draw_only_below_fraction_one(self, fraction):
         for t in range(200):
-            eve = EveInterceptor(sixstate.bases[0], RandomStream(6, EVE, t), fraction)
-            stream = RandomStream(6, EVE, t)
+            rng, stream = RandomStream(6, EVE, t), RandomStream(6, EVE, t)
             expected = True if fraction == 1.0 else stream.uniform() < fraction
-            assert eve.intercepts() == expected
+            assert protocol.intercepts(rng.uniform, fraction) == expected
             # the next draw, which measures the state, is the stream's next
-            assert eve.rng.uniform() == stream.uniform()
+            assert rng.uniform() == stream.uniform()
 
 
 class TestRunTrial:
@@ -221,7 +219,7 @@ class TestSessions:
         bob = BobSession(cfg23_eve, seed, n)
         for t in range(n):
             x, announced = alice.states_for_trial(t)
-            eve = EveInterceptor(cfg23_eve.eve, RandomStream(seed, "eve", t))
+            eve = Eve(cfg23_eve.eve, RandomStream(seed, "eve", t))
             for slot, a in enumerate(announced):
                 state = cfg23_eve.basis_set.bases[x].vectors[a]
                 bob.measure(t, slot, cfg23_eve.eve.vectors[intercept(eve, state)].pairs())
