@@ -23,9 +23,10 @@ shared with Bob's session), which gives the letters
 protocol.bob_choose_bases pops from its pool.  Each measurement inverts
 a CDF row held as d-1 contiguous columns over the flattened (state,
 basis) row index (`_hse_tensors`), each cumsum float p held as the
-threshold ceil(p * 2**53) (`_thresholds`): `_invert_rows` counts, one
-`take` per column, the thresholds <= m, which are the entries <= u that
-hilbert.invert_cdf counts on the same cumsum floats.
+int64 threshold ceil(p * 2**53) (`_thresholds`): `_invert_rows` counts,
+one wrap-mode `take` and one signed compare per column, the thresholds
+<= m, which are the entries <= u that hilbert.invert_cdf counts on the
+same cumsum floats.
 
 The tensors come from the kernel every path shares, `hilbert.born_rows`,
 one call per measuring basis over all the states it measures
@@ -195,7 +196,7 @@ def _accumulate(columns: np.ndarray) -> np.ndarray:
 
 def _thresholds(cdf: np.ndarray) -> np.ndarray:
     """The contiguous float64 CDF entries p, turned in place into the
-    uint64 thresholds ceil(p * 2**53) and returned: p <= m * 2**-53
+    int64 thresholds ceil(p * 2**53) and returned: p <= m * 2**-53
     exactly when the threshold is <= the integer m, as p * 2**53 is an
     exact float (p is never negative).  cdf must be C-contiguous, so that
     the flat reshape is a view and the thresholds land in cdf itself."""
@@ -206,8 +207,8 @@ def _thresholds(cdf: np.ndarray) -> np.ndarray:
     # what a cast reads when it writes over it
     for start in range(0, flat.size, CHUNK):
         piece = flat[start : start + CHUNK]
-        np.ceil(piece, out=piece.view(np.uint64), casting="unsafe")
-    return cdf.view(np.uint64)
+        np.ceil(piece, out=piece.view(np.int64), casting="unsafe")
+    return cdf.view(np.int64)
 
 
 @functools.lru_cache(maxsize=MEMO_SIZE)
@@ -236,16 +237,22 @@ def _invert_rows(columns: np.ndarray, rows: np.ndarray, m: np.ndarray, out, work
     thresholds <= the numerator m (_thresholds).  A cumsum of non-negative
     probabilities never decreases, so the entries <= u are a prefix of the
     row; counting over the first d-1 columns alone therefore equals the
-    full count capped at d-1.  Gathers through the workspace's scratch
-    vector and flags, and adds the flags as int8, the type of int8
-    outcomes, so that the sum needs no cast."""
+    full count capped at d-1.  Gathers each column into the workspace's
+    scratch vector with the `take` method in "wrap" mode, compares it with
+    m as int64 into the flags, and adds the flags as int8, the type of
+    int8 outcomes, so that the sum needs no cast."""
+    # every row index lies in 0..len(column)-1, as it is built from letters
+    # below c and indices and outcomes below d (_hse_tensors), so "wrap"
+    # gathers the rows "raise" would, without the buffered copy "raise"
+    # makes with out=, and in this loop it times faster than "clip".  A
+    # threshold is at most a few units above 2**53 and a numerator below
+    # it, so both compare exactly as int64, which numpy does faster than
+    # as uint64
+    scratch, m = work.scratch.view(np.int64), m.view(np.int64)
     out.fill(0)
     for column in columns:
-        # every row index lies below the column's length: it is built from
-        # letters below c and indices and outcomes below d (_hse_tensors).
-        # "clip" only spares the buffered copy that "raise" makes with out=
-        np.take(column, rows, out=work.scratch, mode="clip")
-        out += np.less_equal(work.scratch, m, out=work.flags).view(np.int8)
+        column.take(rows, out=scratch, mode="wrap")
+        out += np.less_equal(scratch, m, out=work.flags).view(np.int8)
 
 
 def _measure(tensors, c, xd, a, y, out, bob_draw, eve_draw, work) -> None:

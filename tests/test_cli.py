@@ -484,6 +484,8 @@ GOLDEN = {
     "sim_2_3_eve": ["sim", "--d", "2", "--c", "3", "--trials", "20000", "--seed", "7", "--eve", "basis:0"],
     # the largest d the sampler is pinned at: inversion over 7 columns
     "sim_7_8": ["sim", "--d", "7", "--c", "8", "--trials", "20000", "--seed", "7"],
+    # and through Eve: two inversions a slot, in her basis and then in Bob's
+    "sim_7_8_eve": ["sim", "--d", "7", "--c", "8", "--trials", "20000", "--seed", "7", "--eve", "basis:0"],
 }
 SUFFIX = {"table": "txt", "csv": "csv", "jsonl": "jsonl"}
 

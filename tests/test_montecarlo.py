@@ -287,6 +287,65 @@ class TestInvertRows:
         self.check([row], [2**52, 3 * 2**51, math.floor(0.9999999 * 2**53)])
 
 
+class TestRowIndicesInRange:
+    """_invert_rows gathers its columns in "wrap" mode, which reads the rows
+    "raise" or "clip" would only while every row index lies in the columns:
+    each batch path checks that on every inversion it makes, and reaches
+    the last row."""
+
+    @pytest.fixture
+    def widths(self, monkeypatch):
+        """(largest row index, column length, trials) of every inversion."""
+        invert, seen = mc._invert_rows, []
+
+        def checked(columns, rows, m, out, work):
+            assert 0 <= rows.min() and rows.max() < columns.shape[1]
+            seen.append((int(rows.max()), columns.shape[1], len(rows)))
+            invert(columns, rows, m, out, work)
+
+        monkeypatch.setattr(mc, "_invert_rows", checked)
+        return seen
+
+    @staticmethod
+    def reaches_the_last_row(widths):
+        return any(top == width - 1 for top, width, _ in widths)
+
+    @pytest.mark.parametrize("attacked", (False, True))
+    @pytest.mark.parametrize("d,c", [(2, 3), (3, 4), (5, 6), (7, 8)])
+    def test_mu_sets(self, widths, d, c, attacked):
+        family = mu_basis_set(d, c)
+        config = ProtocolConfig(c=c, d=d, basis_set=family, eve=family.bases[0] if attacked else None)
+        mc.estimate_rates(config, 3000, seed=5)
+        assert len(widths) == (c - 1) * (2 if attacked else 1)
+        assert self.reaches_the_last_row(widths)
+
+    def test_random_set_with_random_eve(self, widths):
+        family = make_random_set(5, 4, seed=8)
+        config = ProtocolConfig(c=4, d=5, basis_set=family, eve=make_random_basis(5, 99, label="eve"))
+        mc.trial_outcomes_batch(config, 1000, 6)
+        assert len(widths) == 6 and self.reaches_the_last_row(widths)
+
+    @pytest.mark.parametrize("attacked", (False, True))
+    def test_standard_and_fourier_pair(self, widths, attacked):
+        pair = BasisSet([standard_basis(2), fourier_basis(2)])
+        config = ProtocolConfig(c=2, d=2, basis_set=pair, eve=pair.bases[0] if attacked else None)
+        mc.estimate_rates(config, 1000, seed=2)
+        assert len(widths) == (2 if attacked else 1) and self.reaches_the_last_row(widths)
+
+    def test_bkb01_on_sixstate_under_breidbart(self, widths, sixstate):
+        mc.simulate_bkb01(sixstate, breidbart_basis(), 1000, seed=4)
+        assert len(widths) == 2 and self.reaches_the_last_row(widths)
+
+    def test_small_chunks(self, widths, monkeypatch):
+        # 500 trials in chunks of 137: the last chunk is a cut workspace
+        family = mu_basis_set(5, 6)
+        config = ProtocolConfig(c=6, d=5, basis_set=family, eve=family.bases[0])
+        monkeypatch.setattr(mc, "CHUNK", 137)
+        mc.estimate_rates(config, 500, seed=10)
+        assert [trials for _, _, trials in widths] == [137] * 30 + [89] * 10
+        assert self.reaches_the_last_row(widths)
+
+
 class TestChunking:
     def test_chunked_equals_whole(self, cfg23_eve, monkeypatch):
         whole = mc.estimate_rates(cfg23_eve, 5000, seed=3)
